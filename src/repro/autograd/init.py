@@ -16,13 +16,31 @@ import numpy as np
 from .tensor import get_default_dtype
 
 
+class AllocationOnlyGenerator(np.random.Generator):
+    """A generator for which the random initialisers below allocate without drawing.
+
+    Pass it as ``rng`` when building a module whose every parameter is
+    overwritten right after construction (a clone about to ``load_state``):
+    :func:`kaiming_uniform`, :func:`xavier_uniform` and :func:`normal_` then
+    return uninitialised buffers of the usual shape and dtype and leave the
+    stream untouched.  It is a real generator for everything else, so a
+    ``Dropout`` or gate-noise source that keeps it still draws proper noise.
+    """
+
+
 def _cast(values: np.ndarray, dtype) -> np.ndarray:
     return values.astype(dtype or get_default_dtype(), copy=False)
+
+
+def _allocate(shape, dtype) -> np.ndarray:
+    return np.empty(shape, dtype=dtype or get_default_dtype())
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
                     dtype=None) -> np.ndarray:
     """Kaiming/He uniform initialisation keyed on fan-in (the last dimension)."""
+    if isinstance(rng, AllocationOnlyGenerator):
+        return _allocate(shape, dtype)
     rng = rng or np.random.default_rng()
     fan_in = shape[-1] if len(shape) > 1 else shape[0]
     bound = np.sqrt(6.0 / max(fan_in, 1))
@@ -32,6 +50,8 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] =
 def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
                    dtype=None) -> np.ndarray:
     """Glorot/Xavier uniform initialisation using fan-in + fan-out."""
+    if isinstance(rng, AllocationOnlyGenerator):
+        return _allocate(shape, dtype)
     rng = rng or np.random.default_rng()
     fan_in = shape[-1]
     fan_out = shape[0]
@@ -42,6 +62,8 @@ def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = 
 def normal_(shape: Tuple[int, ...], mean: float = 0.0, std: float = 0.02,
             rng: Optional[np.random.Generator] = None, dtype=None) -> np.ndarray:
     """Gaussian initialisation with the given mean and standard deviation."""
+    if isinstance(rng, AllocationOnlyGenerator):
+        return _allocate(shape, dtype)
     rng = rng or np.random.default_rng()
     return _cast(rng.normal(mean, std, size=shape), dtype)
 

@@ -10,7 +10,7 @@ server FedAvg-aggregates the uploaded tuning-expert updates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from ..federated import (
     ParameterServer,
     RunConfig,
 )
+from ..models import MoETransformer
+from ..quantization import quantize_model
 from ..systems import CostModel
 from .assignment import ExpertRoleAssigner, RoleAssignment
 from .config import FluxConfig
@@ -52,6 +54,9 @@ class FluxFineTuner(FederatedFineTuner):
         self.assigner = ExpertRoleAssigner(all_experts, epsilon=self.flux_config.epsilon,
                                            seed=self.flux_config.seed)
         self._assignments: Dict[int, RoleAssignment] = {}
+        #: ``((server.round_index, bits), model)``: the low-bit copy of the
+        #: current global model that every participant profiles on
+        self._quantized: Optional[Tuple[Tuple[int, int], MoETransformer]] = None
 
     # ------------------------------------------------------------------ hooks
     def before_round(self, round_index: int, selected: Sequence[Participant]) -> None:
@@ -65,6 +70,24 @@ class FluxFineTuner(FederatedFineTuner):
             for participant in selected
         }
         self._assignments = self.assigner.assign(round_index, utilities, budgets)
+
+    def quantized_global_model(self) -> MoETransformer:
+        """The profiling-precision copy of the global model, quantized once per server version.
+
+        Keyed on ``(server.round_index, bits)`` — every aggregation bumps the
+        index, so a copy of older weights is never reused — and at most one
+        copy is held.
+        """
+        key = (self.server.round_index, self.flux_config.profiling_bits)
+        if self._quantized is None or self._quantized[0] != key:
+            self._quantized = (key, quantize_model(self.server.global_model, key[1]))
+        return self._quantized[1]
+
+    def __getstate__(self) -> Dict:
+        # Process-pool workers get the tuner pickled; they rebuild their own copy.
+        state = self.__dict__.copy()
+        state["_quantized"] = None
+        return state
 
     def participant_round(self, participant: Participant, round_index: int) -> ParticipantRoundResult:
         state = self.states[participant.participant_id]
@@ -85,6 +108,7 @@ class FluxFineTuner(FederatedFineTuner):
             max_batches=self.config.max_local_batches,
             local_iterations=self.config.local_iterations,
             cost_model=self.cost_model_for(participant),
+            quantized_model=self.quantized_global_model(),
         )
         return ParticipantRoundResult(
             updates=output.updates,
@@ -114,6 +138,7 @@ class FluxFineTuner(FederatedFineTuner):
 
     def import_run_state(self, state: Dict) -> None:
         super().import_run_state(state)
+        self._quantized = None    # the restored global model may share its round index
         self.assigner._rng = np.random.default_rng()
         self.assigner._rng.bit_generator.state = state["assigner_rng"]
 

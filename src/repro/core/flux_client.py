@@ -25,7 +25,7 @@ from ..models import MoETransformer
 from ..systems import CostModel, RoundCostBreakdown
 from .assignment import RoleAssignment
 from .config import FluxConfig
-from .gradient_estimation import estimate_expert_gradient
+from .gradient_estimation import ProbePrefix, estimate_expert_gradient
 from .merging import build_compact_model, plan_compact_model
 from .profiling import ProfilingOutcome, StaleProfiler
 from .utility import UtilityTracker, expert_utility
@@ -62,8 +62,10 @@ class FluxClientState:
 
     # ------------------------------------------------------------- profiling
     def profile(self, global_model: MoETransformer, batches: List[Batch],
-                cost_model: Optional[CostModel]) -> ProfilingOutcome:
-        outcome = self.profiler.profile_for_round(global_model, batches, cost_model=cost_model)
+                cost_model: Optional[CostModel],
+                quantized_model: Optional[MoETransformer] = None) -> ProfilingOutcome:
+        outcome = self.profiler.profile_for_round(global_model, batches, cost_model=cost_model,
+                                                  quantized=quantized_model)
         self.latest_profile = outcome.profile
         if not self.utilities.utilities:
             self._initialize_utilities(outcome.profile)
@@ -89,8 +91,14 @@ class FluxClientState:
         max_batches: Optional[int],
         local_iterations: int,
         cost_model: Optional[CostModel] = None,
+        quantized_model: Optional[MoETransformer] = None,
     ) -> FluxRoundOutput:
-        """Execute one full Flux round for this participant."""
+        """Execute one full Flux round for this participant.
+
+        ``quantized_model`` is the ``config.profiling_bits`` copy of
+        ``global_model`` when the caller shares one across participants; the
+        profiler quantizes its own otherwise.
+        """
         participant = self.participant
         config = self.config
         max_seq_len = global_model.config.max_seq_len
@@ -98,7 +106,7 @@ class FluxClientState:
         # 1. Quantized (stale) profiling on local data.
         profiling_batches = participant.local_batches(batch_size, max_batches=config.profiling_max_batches,
                                                       max_seq_len=max_seq_len)
-        outcome = self.profile(global_model, profiling_batches, cost_model)
+        outcome = self.profile(global_model, profiling_batches, cost_model, quantized_model)
         profile = outcome.profile
 
         # 2. Compact model: tuning experts + preserved exploration experts +
@@ -157,12 +165,17 @@ class FluxClientState:
             probe_batches = self._probe_batches(train_batches, config.exploration_probe_samples,
                                                 max_seq_len)
             probe_samples = sum(batch.batch_size for batch in probe_batches)
+            # One unperturbed pass serves every probe of this round; it is
+            # built after fine-tuning and dies with this call (see ProbePrefix).
+            prefix = ProbePrefix(compact, probe_batches,
+                                 {layer for layer, _ in exploration_slots})
             for (layer, slot), (_, original) in exploration_slots.items():
                 estimate = estimate_expert_gradient(
                     compact, probe_batches, layer, slot,
                     num_perturbations=config.exploration_perturbations,
                     sigma=config.exploration_sigma,
                     seed=config.seed + participant.participant_id + layer * 131 + slot,
+                    prefix=prefix,
                 )
                 data_size = len(profile.samples_for_expert(layer, original))
                 fresh_utilities[(layer, original)] = expert_utility(max(data_size, 1), estimate.norm())

@@ -179,7 +179,8 @@ def build_compact_model(
     utility probes into federated expert coordinates.
     """
     config = config or FluxConfig()
-    compact = MoETransformer(model.config)
+    # Every parameter built here is loaded from ``model`` right away, so none is drawn.
+    compact = MoETransformer.allocate(model.config)
     compact.load_state_dict(model.state_dict())
 
     slot_to_original: Dict[ExpertKey, ExpertKey] = {}
@@ -195,16 +196,18 @@ def build_compact_model(
         mapping: Dict[int, int] = {}
         # Trainable tuning experts occupy the first slots.
         for slot, original in enumerate(sorted(tuning)):
-            expert = ExpertFFN(model.config.d_model, model.get_expert(layer, original).d_ff,
-                               activation=model.config.activation)
+            expert = ExpertFFN.allocate(model.config.d_model,
+                                        model.get_expert(layer, original).d_ff,
+                                        activation=model.config.activation)
             expert.load_state(model.get_expert(layer, original).state())
             local_experts.append(expert)
             mapping[original] = slot
             slot_to_original[(layer, slot)] = (layer, original)
         # Preserved-but-frozen experts (exploration candidates) come next.
         for original in sorted(frozen):
-            expert = ExpertFFN(model.config.d_model, model.get_expert(layer, original).d_ff,
-                               activation=model.config.activation)
+            expert = ExpertFFN.allocate(model.config.d_model,
+                                        model.get_expert(layer, original).d_ff,
+                                        activation=model.config.activation)
             expert.load_state(model.get_expert(layer, original).state())
             expert.freeze()
             slot = len(local_experts)

@@ -46,12 +46,19 @@ class QuantizedProfiler:
         self.max_batches = max_batches
 
     def profile(self, model: MoETransformer, batches: Sequence[Batch],
-                cost_model: Optional[CostModel] = None) -> ProfilingOutcome:
-        """Quantize ``model`` and measure expert activation on ``batches``."""
+                cost_model: Optional[CostModel] = None,
+                quantized: Optional[MoETransformer] = None) -> ProfilingOutcome:
+        """Quantize ``model`` and measure expert activation on ``batches``.
+
+        ``quantized`` is ``quantize_model(model, self.bits)`` when the caller
+        already holds it (every participant of a round profiles the same
+        global model); profiling leaves it as it found it.
+        """
         if not batches:
             raise ValueError("profiling requires at least one batch")
         used = list(batches[: self.max_batches] if self.max_batches else batches)
-        quantized = quantize_model(model, self.bits)
+        if quantized is None:
+            quantized = quantize_model(model, self.bits)
         profile = profile_activation(quantized, used)
         num_tokens = sum(batch.num_tokens for batch in used)
         num_samples = sum(batch.batch_size for batch in used)
@@ -103,16 +110,19 @@ class StaleProfiler:
         return self._profiler.bits
 
     def profile_for_round(self, model: MoETransformer, batches: Sequence[Batch],
-                          cost_model: Optional[CostModel] = None) -> ProfilingOutcome:
+                          cost_model: Optional[CostModel] = None,
+                          quantized: Optional[MoETransformer] = None) -> ProfilingOutcome:
         """Return the profile to use this round and refresh the cached one.
 
         With stale profiling enabled the returned profile is the one measured
         last round (when available) and the freshly measured profile replaces
         the cache; the measurement cost is reported on the outcome so the
         caller can overlap it with aggregation.  Without stale profiling the
-        fresh measurement is used directly.
+        fresh measurement is used directly.  ``quantized`` is passed through
+        to :meth:`QuantizedProfiler.profile`.
         """
-        fresh = self._profiler.profile(model, batches, cost_model=cost_model)
+        fresh = self._profiler.profile(model, batches, cost_model=cost_model,
+                                       quantized=quantized)
         if not self.enabled or self._previous is None:
             self._previous = fresh.profile
             return fresh

@@ -7,6 +7,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..autograd import Linear, Module, Tensor
+from ..autograd.init import AllocationOnlyGenerator
 
 #: per-expert weight matrices in stacking order
 EXPERT_WEIGHT_KEYS = ("w_gate", "w_up", "w_down")
@@ -92,6 +93,17 @@ class ExpertFFN(Module):
         self.w_gate = Linear(d_model, d_ff, bias=False, rng=rng)
         self.w_up = Linear(d_model, d_ff, bias=False, rng=rng)
         self.w_down = Linear(d_ff, d_model, bias=False, rng=rng)
+
+    @classmethod
+    def allocate(cls, d_model: int, d_ff: int, activation: str = "silu") -> "ExpertFFN":
+        """An expert whose matrices are allocated but not drawn.
+
+        For experts whose three matrices are all set right away (a copy about
+        to ``load_state``, a merge): the values are uninitialised memory
+        until then.  Shapes and dtype are those of ``cls(d_model, d_ff)``.
+        """
+        return cls(d_model, d_ff, activation=activation,
+                   rng=AllocationOnlyGenerator(np.random.PCG64(0)))
 
     def _activate(self, x: Tensor) -> Tensor:
         if self.activation == "silu":
@@ -181,9 +193,9 @@ class ExpertFFN(Module):
             # inherit the members' dtype so merging never upcasts a float32
             # model's compacted experts back to float64
             with default_dtype(source_dtype):
-                merged = ExpertFFN(d_model, d_ff, activation=activation)
+                merged = ExpertFFN.allocate(d_model, d_ff, activation=activation)
         else:
-            merged = ExpertFFN(d_model, d_ff, activation=activation)
+            merged = ExpertFFN.allocate(d_model, d_ff, activation=activation)
         for key in EXPERT_WEIGHT_KEYS:
             if stacked[key].shape[0] != len(experts):
                 raise ValueError("stacked weight arrays must cover exactly the merged experts")

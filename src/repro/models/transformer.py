@@ -11,7 +11,15 @@ The model exposes the hooks Flux needs:
 * expert get/set/freeze accessors for expert-only fine-tuning, merging and
   aggregation;
 * ``forward_hidden`` returning final token embeddings, used to measure the
-  output error introduced by expert merging (cosine distance, paper §5.1).
+  output error introduced by expert merging (cosine distance, paper §5.1);
+* a partial-forward API — :meth:`MoETransformer.embed` →
+  :meth:`MoETransformer.run_blocks` over ``[start, stop)`` →
+  :meth:`MoETransformer.logits`, with every block split into
+  :meth:`MoETransformerBlock.attention_half` and
+  :meth:`MoETransformerBlock.moe_half` — so a caller that changes only layer
+  ``L`` (the forward-only gradient probe, paper §6.2) can keep everything
+  below ``L`` and re-run the rest.  ``forward`` and ``forward_hidden`` are
+  these same pieces run end to end: there is one forward path.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 from ..autograd import Dropout, Embedding, Linear, Module, ModuleList, RMSNorm, Tensor
 from ..autograd import functional as F
 from ..autograd import default_dtype, no_grad
+from ..autograd.init import AllocationOnlyGenerator
 from .attention import MultiHeadSelfAttention
 from .config import MoEModelConfig
 from .experts import ExpertFFN
@@ -53,17 +62,35 @@ class MoETransformerBlock(Module):
         )
         self.dropout = Dropout(config.dropout, rng=rng)
 
-    def forward(self, x: Tensor, attention_mask: Optional[np.ndarray] = None,
-                sample_ids: Optional[np.ndarray] = None) -> Tensor:
+    def attention_half(self, x: Tensor,
+                       attention_mask: Optional[np.ndarray] = None) -> Tensor:
+        """Self-attention sub-layer plus its residual: the stream entering the MoE half."""
         attn_out = self.attn(self.attn_norm(x), attention_mask=attention_mask)
-        x = x + self.dropout(attn_out)
+        return x + self.dropout(attn_out)
+
+    def moe_half(self, x: Tensor, token_attention: Optional[np.ndarray] = None,
+                 attention_mask: Optional[np.ndarray] = None,
+                 sample_ids: Optional[np.ndarray] = None,
+                 normed: Optional[Tensor] = None) -> Tensor:
+        """MoE sub-layer plus its residual, applied to the output of :meth:`attention_half`.
+
+        ``token_attention`` is the attention half's bookkeeping signal (routing
+        statistics only).  ``normed`` is ``self.moe_norm(x)`` when the caller
+        already holds it.
+        """
         moe_out = self.moe(
-            self.moe_norm(x),
-            token_attention=self.attn.last_token_attention,
+            self.moe_norm(x) if normed is None else normed,
+            token_attention=token_attention,
             sample_ids=sample_ids,
             token_mask=attention_mask,
         )
         return x + self.dropout(moe_out)
+
+    def forward(self, x: Tensor, attention_mask: Optional[np.ndarray] = None,
+                sample_ids: Optional[np.ndarray] = None) -> Tensor:
+        x = self.attention_half(x, attention_mask=attention_mask)
+        return self.moe_half(x, token_attention=self.attn.last_token_attention,
+                             attention_mask=attention_mask, sample_ids=sample_ids)
 
 
 class MoETransformer(Module):
@@ -71,8 +98,28 @@ class MoETransformer(Module):
 
     def __init__(self, config: MoEModelConfig) -> None:
         super().__init__()
+        self._build(config, np.random.default_rng(config.seed))
+
+    @classmethod
+    def allocate(cls, config: MoEModelConfig) -> "MoETransformer":
+        """The module tree of ``cls(config)`` with parameters allocated but not drawn.
+
+        For clones whose every parameter is overwritten right away
+        (``load_state_dict`` of a same-config model): the values are
+        uninitialised memory until then.  A model loaded this way computes
+        bit-identically to one built with ``cls(config)`` and loaded the same
+        way whenever ``config.dropout == 0`` and ``config.gate_noise_std ==
+        0``; otherwise it differs in its noise stream only, because
+        ``Dropout`` and the gate noise share the initialisation generator,
+        which here has made no draws.
+        """
+        model = cls.__new__(cls)
+        Module.__init__(model)
+        model._build(config, AllocationOnlyGenerator(np.random.PCG64(config.seed)))
+        return model
+
+    def _build(self, config: MoEModelConfig, rng: np.random.Generator) -> None:
         self.config = config
-        rng = np.random.default_rng(config.seed)
         # Parameters are created under the config's dtype; random draws happen
         # in float64 before casting, so a float32 model is the rounded image of
         # the float64 model built from the same seed.
@@ -90,10 +137,8 @@ class MoETransformer(Module):
                 self.lm_head = Linear(config.d_model, config.vocab_size, bias=False, rng=rng)
 
     # ---------------------------------------------------------------- forward
-    def forward_hidden(self, input_ids: np.ndarray,
-                       attention_mask: Optional[np.ndarray] = None,
-                       sample_ids: Optional[np.ndarray] = None) -> Tensor:
-        """Return final-layer token embeddings ``(batch, seq, d_model)``."""
+    def embed(self, input_ids: np.ndarray) -> Tensor:
+        """Token + position embeddings ``(batch, seq, d_model)``: the input of block 0."""
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if input_ids.ndim == 1:
             input_ids = input_ids[None, :]
@@ -103,19 +148,45 @@ class MoETransformer(Module):
                 f"sequence length {seq_len} exceeds max_seq_len {self.config.max_seq_len}"
             )
         positions = np.broadcast_to(np.arange(seq_len), (batch, seq_len))
-        x = self.token_embedding(input_ids) + self.position_embedding(positions)
-        for block in self.blocks:
+        return self.token_embedding(input_ids) + self.position_embedding(positions)
+
+    def run_blocks(self, x: Tensor, start: int = 0, stop: Optional[int] = None,
+                   attention_mask: Optional[np.ndarray] = None,
+                   sample_ids: Optional[np.ndarray] = None) -> Tensor:
+        """Push the residual stream ``x`` through blocks ``[start, stop)``.
+
+        ``x`` is the output of :meth:`embed` (``start == 0``) or of block
+        ``start - 1``; ``stop=None`` runs to the last block.  The batch axis of
+        ``x`` is free: independent copies of a batch may be concatenated along
+        it, with ``attention_mask`` tiled to match.
+        """
+        for block in self.blocks[start:stop]:
             x = block(x, attention_mask=attention_mask, sample_ids=sample_ids)
+        return x
+
+    def _project(self, hidden: Tensor) -> Tensor:
+        if self.lm_head is not None:
+            return self.lm_head(hidden)
+        return hidden @ self.token_embedding.weight.transpose()
+
+    def logits(self, x: Tensor) -> Tensor:
+        """Final norm + LM head on the output of the last block: ``(batch, seq, vocab)``."""
+        return self._project(self.final_norm(x))
+
+    def forward_hidden(self, input_ids: np.ndarray,
+                       attention_mask: Optional[np.ndarray] = None,
+                       sample_ids: Optional[np.ndarray] = None) -> Tensor:
+        """Return final-layer token embeddings ``(batch, seq, d_model)``."""
+        x = self.run_blocks(self.embed(input_ids), attention_mask=attention_mask,
+                            sample_ids=sample_ids)
         return self.final_norm(x)
 
     def forward(self, input_ids: np.ndarray,
                 attention_mask: Optional[np.ndarray] = None,
                 sample_ids: Optional[np.ndarray] = None) -> Tensor:
         """Return next-token logits ``(batch, seq, vocab)``."""
-        hidden = self.forward_hidden(input_ids, attention_mask=attention_mask, sample_ids=sample_ids)
-        if self.lm_head is not None:
-            return self.lm_head(hidden)
-        return hidden @ self.token_embedding.weight.transpose()
+        return self._project(self.forward_hidden(
+            input_ids, attention_mask=attention_mask, sample_ids=sample_ids))
 
     def compute_loss(self, input_ids: np.ndarray, labels: Optional[np.ndarray] = None,
                      attention_mask: Optional[np.ndarray] = None,

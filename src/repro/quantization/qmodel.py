@@ -31,7 +31,7 @@ def quantize_model(model: MoETransformer, bits: int,
         where only the large linear weights are compressed.
     """
     skip = tuple(skip_substrings or ())
-    clone = MoETransformer(model.config)
+    clone = MoETransformer.allocate(model.config)    # every parameter is loaded below
     state = model.state_dict()
     quantized_state = {}
     for name, value in state.items():

@@ -226,3 +226,37 @@ class TestBuildCompactModel:
         merged_error = output_error(tiny_model, merged, gsm_batches[:2])
         dropped_error = output_error(tiny_model, dropped, gsm_batches[:2])
         assert merged_error < dropped_error
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_clones_built_without_drawing_equal_the_drawn_ones(self, vocab, gsm_batches,
+                                                               monkeypatch, dtype):
+        """quantize_model / build_compact_model allocate their clones; drawing changes nothing."""
+        import repro.models.experts as experts
+        from repro.models import MoETransformer, tiny_moe
+        from repro.quantization import quantize_model
+
+        model = MoETransformer(tiny_moe(vocab_size=vocab.size, dtype=dtype))
+        profile = profile_activation(model, gsm_batches)
+        plan = plan_compact_model(model, {0: [0], 1: [1]}, profile, max_non_tuning_slots=3,
+                                  preserved_frozen={0: [2]})
+
+        def build():
+            compact, tuning_slots, frozen_slots = build_compact_model(model, plan, profile)
+            return quantize_model(model, 4), compact, tuning_slots, frozen_slots
+
+        allocated = build()
+        monkeypatch.setattr(MoETransformer, "allocate", classmethod(lambda cls, c: cls(c)))
+        monkeypatch.setattr(experts, "AllocationOnlyGenerator", np.random.Generator)
+        drawn = build()
+
+        assert allocated[2:] == drawn[2:]
+        batch = gsm_batches[0]
+        for mine, theirs in zip(allocated[:2], drawn[:2]):
+            mine_state, their_state = mine.state_dict(), theirs.state_dict()
+            assert list(mine_state) == list(their_state)
+            for name, value in mine_state.items():
+                assert value.dtype == their_state[name].dtype
+                assert np.array_equal(value, their_state[name]), name
+            assert np.array_equal(
+                mine(batch.input_ids, attention_mask=batch.attention_mask).data,
+                theirs(batch.input_ids, attention_mask=batch.attention_mask).data)

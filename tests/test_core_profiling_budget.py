@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.finetuner as finetuner_module
+import repro.core.profiling as profiling_module
 from repro.autograd import Adam
 from repro.core import (
     FluxConfig,
+    FluxFineTuner,
     QuantizedProfiler,
     StaleProfiler,
     adaptive_layer_budgets,
@@ -15,8 +18,13 @@ from repro.core import (
     single_expert_budgets,
     uniform_layer_budgets,
 )
+from repro.models import MoETransformer
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
+from repro.quantization import quantize_model
 from repro.systems import CONSUMER_GPU, CostModel, MemoryModel
+
+from test_run_checkpoint import assert_models_equal, assert_run_results_equal
+from test_runtime import build_federation
 
 
 class TestFluxConfigValidation:
@@ -127,6 +135,129 @@ class TestStaleProfiler:
         profiler.profile_for_round(tiny_model, gsm_batches)
         error = profiler.staleness_error(tiny_model, gsm_batches)
         assert np.isfinite(error)
+
+
+def profiles_equal(a, b) -> bool:
+    return (all(np.array_equal(x, y) for x, y in zip(a.frequencies, b.frequencies))
+            and all(np.array_equal(x, y) for x, y in zip(a.attention_scores, b.attention_scores))
+            and all(np.array_equal(x, y) for x, y in zip(a.token_counts, b.token_counts))
+            and a.sample_sets == b.sample_sets and a.total_tokens == b.total_tokens)
+
+
+class TestSharedQuantizedCopy:
+    """One low-bit copy of the global model per server version, shared by its participants."""
+
+    CLIENTS = 3
+
+    def _tuner(self, vocab, tiny_config, **config_kwargs):
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, num_clients=self.CLIENTS,
+            **{"participants_per_round": self.CLIENTS, **config_kwargs})
+        return FluxFineTuner(server, participants, test, config=config,
+                             flux_config=FluxConfig(seed=0))
+
+    @pytest.fixture()
+    def quantizations(self, monkeypatch):
+        """Every ``quantize_model`` call of a run: who asked, and on which weights."""
+        calls = []
+
+        def recording(caller):
+            def quantize(model, bits):
+                calls.append((caller, bits, model.state_dict()))
+                return quantize_model(model, bits)
+            return quantize
+
+        monkeypatch.setattr(finetuner_module, "quantize_model", recording("tuner"))
+        monkeypatch.setattr(profiling_module, "quantize_model", recording("profiler"))
+        return calls
+
+    def test_quantized_once_per_server_version_on_the_aggregated_weights(
+            self, vocab, tiny_config, quantizations):
+        tuner = self._tuner(vocab, tiny_config)
+        tuner.run(num_rounds=3)
+        assert [caller for caller, _, _ in quantizations] == ["tuner"] * 3
+        assert {bits for _, bits, _ in quantizations} == {tuner.flux_config.profiling_bits}
+        states = [state for _, _, state in quantizations]
+        for older, newer in zip(states, states[1:]):
+            assert any(not np.array_equal(older[name], newer[name]) for name in older), \
+                "each round must quantize the freshly aggregated model"
+        # the one copy still held is the last round's, of the weights that round started from
+        (version, bits), held = tuner._quantized
+        assert version == 2 and tuner.server.round_index == 3
+        last_round_model = MoETransformer(tiny_config)
+        last_round_model.load_state_dict(states[-1])
+        assert_models_equal(held, quantize_model(last_round_model, bits))
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"scheduler": "semisync", "deadline_quantile": 0.7},
+        {"scheduler": "async", "buffer_size": 2, "async_concurrency": 2,
+         "participants_per_round": 2},
+    ], ids=["sync", "semisync", "async"])
+    def test_run_identical_to_per_participant_quantization(self, vocab, tiny_config,
+                                                           monkeypatch, quantizations, knobs):
+        shared = self._tuner(vocab, tiny_config, **knobs)
+        shared_result = shared.run(num_rounds=3)
+        shared_calls = len(quantizations)
+        assert all(caller == "tuner" for caller, _, _ in quantizations)
+
+        monkeypatch.setattr(FluxFineTuner, "quantized_global_model", lambda self: None)
+        private = self._tuner(vocab, tiny_config, **knobs)
+        private_result = private.run(num_rounds=3)
+        private_calls = len(quantizations) - shared_calls
+        assert all(caller == "profiler" for caller, _, _ in quantizations[shared_calls:])
+        assert shared_calls < private_calls
+
+        assert_run_results_equal(shared_result, private_result)
+        assert_models_equal(shared.server.global_model, private.server.global_model)
+        for pid, state in shared.states.items():
+            other = private.states[pid]
+            assert (state.latest_profile is None) == (other.latest_profile is None)
+            if state.latest_profile is not None:
+                assert profiles_equal(state.latest_profile, other.latest_profile)
+                assert profiles_equal(state.profiler._previous, other.profiler._previous)
+            assert state.utilities.as_dict() == other.utilities.as_dict()
+
+    def test_async_dispatches_quantize_once_per_version_they_see(self, vocab, tiny_config,
+                                                                 quantizations):
+        tuner = self._tuner(vocab, tiny_config, scheduler="async", buffer_size=2,
+                            async_concurrency=2, participants_per_round=2)
+        result = tuner.run(num_rounds=3)
+        participant_rounds = sum(r.num_aggregated for r in result.rounds)
+        # versions 0..round_index can each be dispatched on, and none is quantized twice
+        assert 1 <= len(quantizations) <= tuner.server.round_index + 1
+        assert len(quantizations) < participant_rounds
+        states = [state for _, _, state in quantizations]
+        for older, newer in zip(states, states[1:]):
+            assert any(not np.array_equal(older[name], newer[name]) for name in older)
+
+    def test_profiler_uses_and_preserves_a_supplied_copy(self, tiny_model, gsm_batches,
+                                                         quantizations):
+        profiler = QuantizedProfiler(bits=4)
+        own = profiler.profile(tiny_model, gsm_batches)
+        assert len(quantizations) == 1
+        copy = quantize_model(tiny_model, 4)
+        before = copy.state_dict()
+        for _ in range(2):      # a second participant profiles on the same copy
+            given_copy = profiler.profile(tiny_model, gsm_batches, quantized=copy)
+            assert profiles_equal(given_copy.profile, own.profile)
+        assert len(quantizations) == 1
+        assert_models_equal_state(copy, before)
+        assert copy.training and not copy.blocks[0].moe.accumulate_routing
+
+    def test_staleness_error_and_reference_paths_quantize_for_themselves(
+            self, tiny_model, gsm_batches, quantizations):
+        stale = StaleProfiler(bits=4, enabled=True)
+        stale.profile_for_round(tiny_model, gsm_batches)
+        stale.staleness_error(tiny_model, gsm_batches)
+        assert [caller for caller, _, _ in quantizations] == ["profiler", "profiler"]
+        QuantizedProfiler(bits=4).reference_profile(tiny_model, gsm_batches)
+        assert len(quantizations) == 2
+
+
+def assert_models_equal_state(model, state) -> None:
+    current = model.state_dict()
+    assert all(np.array_equal(current[name], state[name]) for name in state)
 
 
 class TestLayerBudgets:

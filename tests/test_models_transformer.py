@@ -160,3 +160,56 @@ class TestDeterminism:
         out1 = model(input_ids, attention_mask=mask).data
         out2 = model(input_ids, attention_mask=mask).data
         assert np.allclose(out1, out2)
+
+
+class TestAllocateWithoutDrawing:
+    """``MoETransformer.allocate``: the tree of ``MoETransformer(config)``, no weights drawn."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_same_tree_as_the_constructor(self, tiny_config, dtype):
+        from dataclasses import replace
+
+        config = replace(tiny_config, dtype=dtype, num_shared_experts=1, tie_embeddings=False)
+        built, allocated = MoETransformer(config), MoETransformer.allocate(config)
+        assert allocated.config is config and allocated.training
+        assert [name for name, _ in allocated.named_modules()] == \
+            [name for name, _ in built.named_modules()]
+        for (name, want), (other, got) in zip(built.named_parameters(),
+                                              allocated.named_parameters()):
+            assert name == other
+            assert (got.data.shape, got.data.dtype, got.requires_grad) == \
+                (want.data.shape, want.data.dtype, want.requires_grad), name
+
+    def test_no_draw_and_no_constructor_call(self, tiny_config, monkeypatch):
+        monkeypatch.setattr(MoETransformer, "__init__",
+                            lambda self, config: pytest.fail("allocate must not draw weights"))
+        allocated = MoETransformer.allocate(tiny_config)
+        untouched = np.random.default_rng(tiny_config.seed).bit_generator.state
+        for block in allocated.blocks:
+            assert block.dropout._rng.bit_generator.state == untouched
+            assert block.moe.gate._rng is block.dropout._rng
+
+    def test_loaded_clone_computes_bit_identically(self, model, tiny_config, token_batch):
+        input_ids, mask = token_batch
+        clone = MoETransformer.allocate(tiny_config)
+        clone.load_state_dict(model.state_dict())
+        assert np.array_equal(clone(input_ids, attention_mask=mask).data,
+                              model(input_ids, attention_mask=mask).data)
+        loss, clone_loss = (m.compute_loss(input_ids, attention_mask=mask) for m in (model, clone))
+        loss.backward()
+        clone_loss.backward()
+        for (name, want), (_, got) in zip(model.named_parameters(), clone.named_parameters()):
+            assert (want.grad is None) == (got.grad is None), name
+            if want.grad is not None:
+                assert np.array_equal(want.grad, got.grad), name
+
+    def test_dropout_of_a_clone_still_draws_real_noise(self, tiny_config, token_batch):
+        from dataclasses import replace
+
+        input_ids, mask = token_batch
+        config = replace(tiny_config, dropout=0.5, gate_noise_std=0.1)
+        clone = MoETransformer.allocate(config)
+        clone.load_state_dict(MoETransformer(config).state_dict())
+        first = clone(input_ids, attention_mask=mask).data
+        second = clone(input_ids, attention_mask=mask).data
+        assert np.isfinite(first).all() and not np.array_equal(first, second)
