@@ -1,6 +1,6 @@
 """Perf-regression harness for the MoE training hot path.
 
-Times the throughput of the expert-dispatch hot loop and of end-to-end
+Times the throughput of the expert-dispatch hot loop and of full-model
 training steps for every (dispatch, dtype) configuration of the tensor
 engine, and writes the results to ``BENCH_hotpath.json`` so later PRs have a
 measured trajectory to defend.
@@ -12,12 +12,13 @@ Two benchmark families per model preset:
   sample ids supplied, exactly as the transformer invokes it), phases
   ``forward``, ``forward_backward`` and ``round`` (forward + backward + fused
   Adam step).
-* ``end_to_end`` — full ``MoETransformer.compute_loss`` + backward + optimizer
-  step on the preset.
+* ``model_step`` — full ``MoETransformer.compute_loss`` + backward + optimizer
+  step on the preset (one train step; whole federated runs are
+  ``benchmarks/e2e``).
 
 Configurations measured: ``loop/float64`` (the seed's per-expert dispatch
 algorithm on the float64 engine), ``batched/float64`` and ``batched/float32``
-(the grouped-GEMM fast path).  ``--seed-src`` additionally benchmarks a
+(the segment-grouped fast path).  ``--seed-src`` additionally benchmarks a
 pristine seed checkout (same driver, via a subprocess) and records it under
 ``seed_reference``.
 
@@ -207,7 +208,7 @@ def _layer_phases(layer, tokens: int, np_dtype: str) -> Dict:
     return {"forward": forward, "forward_backward": forward_backward, "round": round_step}
 
 
-def build_end_to_end(preset: str, dispatch: Optional[str], dtype: Optional[str],
+def build_model_step(preset: str, dispatch: Optional[str], dtype: Optional[str],
                      tokens: int) -> Dict:
     """Phase closures for the full-model training-round benchmark."""
     from repro.autograd import Adam
@@ -255,11 +256,11 @@ def bench_hot_loop(preset: str, dispatch: Optional[str], dtype: Optional[str],
     return _hot_loop_result(times, tokens, phases["round"])
 
 
-def bench_end_to_end(preset: str, dispatch: Optional[str], dtype: Optional[str],
+def bench_model_step(preset: str, dispatch: Optional[str], dtype: Optional[str],
                      tokens: int, iters: int, reps: int) -> Dict[str, float]:
     """Full-model loss + backward + optimizer step throughput (tokens/s)."""
-    phases = build_end_to_end(preset, dispatch, dtype, tokens)
-    seq_len = 32  # matches build_end_to_end batching
+    phases = build_model_step(preset, dispatch, dtype, tokens)
+    seq_len = 32  # matches build_model_step batching
     actual_tokens = max(tokens // seq_len, 1) * seq_len
     per_round = _best_time(phases["round"], iters, reps)
     return {"round_tokens_per_s": actual_tokens / per_round,
@@ -281,19 +282,20 @@ def run_suite(quick: bool) -> Dict:
     reps = 4 if quick else 6
     suite: Dict = {}
     for preset in PRESET_NAMES:
-        e2e_tokens = min(tokens, 1024)
+        step_tokens = min(tokens, 1024)
         hot_builds = {f"{dispatch}/{dtype}": build_hot_loop(preset, dispatch, dtype, tokens)
                       for dispatch, dtype in CONFIGS + HOT_EXTRA_CONFIGS}
         hot_times = _interleaved_best_times(hot_builds, iters, reps)
         hot_configs = {name: _hot_loop_result(times, tokens, hot_builds[name]["round"])
                        for name, times in hot_times.items()}
-        e2e_builds = {f"{dispatch}/{dtype}": build_end_to_end(preset, dispatch, dtype, e2e_tokens)
-                      for dispatch, dtype in CONFIGS}
-        e2e_times = _interleaved_best_times(e2e_builds, max(iters // 2, 1), reps)
-        actual_e2e_tokens = max(e2e_tokens // 32, 1) * 32
-        e2e_configs = {name: {"round_tokens_per_s": actual_e2e_tokens / times["round"],
-                              "rounds_per_s": 1.0 / times["round"]}
-                       for name, times in e2e_times.items()}
+        step_builds = {
+            f"{dispatch}/{dtype}": build_model_step(preset, dispatch, dtype, step_tokens)
+            for dispatch, dtype in CONFIGS}
+        step_times = _interleaved_best_times(step_builds, max(iters // 2, 1), reps)
+        actual_step_tokens = max(step_tokens // 32, 1) * 32
+        step_configs = {name: {"round_tokens_per_s": actual_step_tokens / times["round"],
+                               "rounds_per_s": 1.0 / times["round"]}
+                        for name, times in step_times.items()}
         suite[preset] = {
             "hot_loop": {
                 "tokens": tokens,
@@ -309,11 +311,11 @@ def run_suite(quick: bool) -> Dict:
                     hot_configs["sparse/float32"]["round_tokens_per_s"]
                     / hot_configs["batched/float32"]["round_tokens_per_s"]),
             },
-            "end_to_end": {
+            "model_step": {
                 "tokens": min(tokens, 1024),
-                "configs": e2e_configs,
+                "configs": step_configs,
                 "round_speedup_batched_f32_vs_loop_f64":
-                    _speedup(e2e_configs, "round_tokens_per_s"),
+                    _speedup(step_configs, "round_tokens_per_s"),
             },
         }
     return suite
@@ -1393,7 +1395,7 @@ def _worker(spec_json: str) -> None:
         result = bench_hot_loop(spec["preset"], spec.get("dispatch"), spec.get("dtype"),
                                 spec["tokens"], spec["iters"], spec["reps"])
     else:
-        result = bench_end_to_end(spec["preset"], spec.get("dispatch"), spec.get("dtype"),
+        result = bench_model_step(spec["preset"], spec.get("dispatch"), spec.get("dtype"),
                                   spec["tokens"], spec["iters"], spec["reps"])
     print(json.dumps(result))
 
@@ -1416,7 +1418,7 @@ def bench_seed_reference(seed_src: str, quick: bool) -> Dict:
     for preset in PRESET_NAMES:
         preset_result: Dict = {}
         paired_ratios = []
-        for family, fam_tokens in (("hot_loop", tokens), ("end_to_end", min(tokens, 1024))):
+        for family, fam_tokens in (("hot_loop", tokens), ("model_step", min(tokens, 1024))):
             spec = {"family": family, "preset": preset, "tokens": fam_tokens,
                     "iters": iters, "reps": reps}
             merged: Dict[str, float] = {}
@@ -1455,7 +1457,7 @@ def check_regression(current: Dict, baseline_path: str, tolerance: float) -> int
               "a gated suite without a committed reference cannot pass")
         return 1
     for preset, families in committed.get("presets", {}).items():
-        for family in ("hot_loop", "end_to_end"):
+        for family in ("hot_loop", "model_step"):
             for key in ("speedup_batched_f32_vs_loop_f64",
                         "round_speedup_batched_f32_vs_loop_f64"):
                 ref = families.get(family, {}).get(key)
@@ -1482,6 +1484,15 @@ def check_regression(current: Dict, baseline_path: str, tolerance: float) -> int
         return 1
     print(f"All speedups within {tolerance:.0%} of {baseline_path}")
     return 0
+
+
+def _git_sha() -> Optional[str]:
+    """``git describe --always --dirty`` of the measured checkout (None outside git)."""
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def main(argv=None) -> int:
@@ -1536,6 +1547,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "host_cpus": os.cpu_count(),
+            "git_sha": _git_sha(),
         },
     }
     if args.suite == "aggregation":

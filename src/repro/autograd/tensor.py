@@ -140,6 +140,11 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _freed_backward() -> None:
+    """``_backward`` of every non-leaf node a finished ``backward()`` walked."""
+    raise RuntimeError("graph already freed by backward()")
+
+
 class Tensor:
     """A NumPy-backed tensor with reverse-mode automatic differentiation."""
 
@@ -240,6 +245,15 @@ class Tensor:
             Gradient of some downstream scalar with respect to this tensor.
             Defaults to ones (only valid for scalar tensors, matching the
             PyTorch convention).
+
+        The graph is freed when the walk ends: every non-leaf node it visited
+        drops its parents and its closure (which holds the node itself, so an
+        unfreed graph is cyclic garbage that keeps every activation alive
+        until the cyclic collector runs).  Leaf ``.grad``s and every node's
+        ``data`` stay; a second backward pass through any freed node raises
+        ``RuntimeError`` instead of silently yielding no gradients.  There is
+        no ``retain_graph``: two losses that share a subgraph are summed
+        before the one backward pass, or the subgraph is built twice.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -269,6 +283,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        for node in topo:
+            if node._backward is not None:
+                node._prev = ()
+                node._backward = _freed_backward
 
     # ----------------------------------------------------------- constructors
     @staticmethod
@@ -541,7 +559,7 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
-        c = np.sqrt(2.0 / np.pi)
+        c = float(np.sqrt(2.0 / np.pi))    # a Python float keeps float32 inputs float32
         inner = c * (self.data + 0.044715 * self.data ** 3)
         tanh_inner = np.tanh(inner)
         value = 0.5 * self.data * (1.0 + tanh_inner)

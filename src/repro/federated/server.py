@@ -73,9 +73,17 @@ class ParameterServer:
         return self.global_model.state_dict()
 
     def model_snapshot(self) -> MoETransformer:
-        """A fresh model instance loaded with the current global parameters."""
-        snapshot = MoETransformer(self.global_model.config)
-        snapshot.load_state_dict(self.global_state())
+        """A fresh model instance loaded with the current global parameters.
+
+        Built with :meth:`MoETransformer.allocate` (nothing is drawn; same
+        caveat: bit-identical to a drawn-then-loaded model whenever
+        ``dropout == 0 and gate_noise_std == 0``), each parameter copied
+        once, straight from the global model.
+        """
+        snapshot = MoETransformer.allocate(self.global_model.config)
+        for target, source in zip(snapshot.parameters(), self.global_model.parameters(),
+                                  strict=True):
+            target.data[...] = source.data
         return snapshot
 
     def expert_state(self, layer: int, expert: int) -> Dict[str, np.ndarray]:

@@ -13,39 +13,47 @@ experts).
 
 Dispatch modes
 --------------
-``dispatch="batched"`` (the default) stacks the weights of the experts that
-received tokens into ``(num_active, d_model, d_ff)`` arrays and executes every
-routed token in one fused grouped-GEMM graph node: token-slot assignments are
-argsorted by expert slot, placed (unique destinations — assignment, never
-scatter-add) into a ``(num_active, max_tokens, d_model)`` padded workspace,
-pushed through the SwiGLU GEMMs (gate+up concatenated into a single grouped
-matmul), gathered back per assignment and combined over the top-k axis with a
-one-pass einsum; the hand-written backward reuses persistent per-layer
-scratch buffers.  The autograd graph has O(1) nodes per layer instead of
-O(num_experts), and no per-expert full-size temporaries are created.
+``dispatch="batched"`` (the default) is a *segment-grouped* GEMM in one fused
+graph node.  Token-slot assignments are stably argsorted by expert slot and
+the routed rows gathered **once** into one contiguous ``(A, d_model)`` buffer
+in slot order (``A = tokens * top_k``, whatever the routing), so every expert
+that received tokens owns a contiguous row range of it.  Each such expert's
+three SwiGLU GEMMs run on its own rows with ``np.matmul(..., out=...)`` into
+slices of shared ``(A, d_ff)`` buffers, reading its weight matrices where they
+live.  What is **never** built: a workspace padded to the busiest expert's
+token count (routing is skewed — that is the paper's premise — so padding
+would multiply the rows), stacked or concatenated copies of the weights, or a
+second gather in the backward pass.  The activation and the top-k combine run
+once over all assignments; the hand-written backward walks the same segments,
+keeps its temporaries in persistent per-layer scratch, and hands every expert
+its weight gradient as a fresh array the parameter adopts.  The autograd graph
+has O(1) nodes per layer instead of O(num_experts).
 (:func:`~repro.autograd.index_add` / ``take_rows`` / ``place_rows`` /
-``expand_rows`` are the composable building blocks of this layout, kept as
+``expand_rows`` are the composable building blocks of grouped layouts, kept as
 public autograd ops.)
 
-``dispatch="sparse"`` is the zero-skipping variant of the batched path for
+``dispatch="sparse"`` is the same loop at each expert's own *live width*, for
 ternary/low-bit-quantized experts: after structured sparsification
 (:func:`~repro.models.experts.sparsify_expert` zeroes whole ``d_ff`` channels,
 and per-row quantization preserves those zeros exactly), each forward derives
-the per-expert *live-channel* index lists and stacks only those rows into the
-grouped-GEMM operands, so the whole SwiGLU chain runs at the live width
-instead of ``d_ff``.  Skipped channels have both their gate and up rows
-all-zero, which makes their output contribution and every parameter gradient
-exactly zero in the dense path — so skipping them is equivalence-preserving,
-and the test suite enforces sparse == batched to the same tolerance as
-batched == loop.  When the mean live density exceeds
-:data:`SPARSE_DENSITY_THRESHOLD` the layer falls back to the dense stacking
+the per-expert live-channel index lists and expert ``j``'s GEMMs read only its
+live rows, writing ``count_j * live_j`` elements of the (flat) FFN-side
+buffers — no padding to the widest live count.  Skipped channels have both
+their gate and up rows all-zero, which makes their output contribution and
+every parameter gradient exactly zero in the dense path — so skipping them is
+equivalence-preserving (to a few ULP on single-token experts, where BLAS's
+gemv regroups its partial sums once the zeros leave the inner dimension;
+exact otherwise), and the test suite enforces it.  When the mean live density
+exceeds :data:`SPARSE_DENSITY_THRESHOLD` the layer runs the dense segments
 (the compaction would cost more than it saves).
 
-``dispatch="loop"`` keeps the legacy per-expert Python loop (one gather, FFN
-call and ``scatter_rows`` per expert).  Both paths are numerically equivalent
-— bit-identical combine ordering by construction — and the equivalence is
-test-enforced; the layer silently falls back to the loop when the expert list
-cannot be batched (e.g. LoRA-wrapped or shape-heterogeneous experts).
+``dispatch="loop"`` is the per-expert Python loop (one gather, FFN call and
+``scatter_rows`` per expert), kept as the test oracle.  A segment's GEMMs have
+exactly the loop's shapes and operand layouts, so the fused node reproduces
+its outputs, gate-weight gradients and expert gradients bit for bit, in
+float64 and float32; the layer silently falls back to the loop when the
+expert list cannot be batched (e.g. LoRA-wrapped or shape-heterogeneous
+experts).
 """
 
 from __future__ import annotations
@@ -244,115 +252,87 @@ class MoELayer(Module):
         zero forces the activation input, the up projection, and therefore
         every downstream product to exact zeros).
         """
-        channels = []
-        live_total = 0
-        for gate, up in zip(gate_params, up_params):
-            live = np.flatnonzero((gate.data != 0.0).any(axis=1)
-                                  | (up.data != 0.0).any(axis=1))
-            channels.append(live)
-            live_total += live.size
+        channels = [np.flatnonzero((gate.data != 0.0).any(axis=1) | (up.data != 0.0).any(axis=1))
+                    for gate, up in zip(gate_params, up_params)]
         d_ff = gate_params[0].data.shape[0]
-        if live_total > SPARSE_DENSITY_THRESHOLD * len(channels) * d_ff:
+        if sum(live.size for live in channels) > SPARSE_DENSITY_THRESHOLD * len(channels) * d_ff:
             return None
-        return channels, max(1, max(live.size for live in channels))
+        return channels
 
     def _combine_batched(self, flat: Tensor, local_idx: np.ndarray, top_weights: Tensor,
                          num_tokens: int, d_model: int, sparse: bool = False) -> Tensor:
-        """Grouped dispatch: sort assignments by slot, run one batched GEMM chain.
+        """Segment-grouped dispatch: one gather, then GEMMs on each expert's own rows.
 
-        Only the experts that actually received tokens are stacked, so
-        gradients reach exactly the same parameters as the loop path, and
-        compute scales with the number of *active* experts.  Every
-        gather/scatter uses unique indices (plain fancy indexing, no
-        ``np.add.at``), and the top-k combine is a reshape + sum — the whole
-        layer forward/backward is O(1) autograd nodes and C-speed throughout.
+        Assignments are stably argsorted by expert slot and the routed rows
+        gathered once into a contiguous ``(A, d_model)`` buffer in slot order
+        (``A = tokens * top_k`` whatever the routing), so expert ``j`` owns
+        the row range ``[rows[j], rows[j + 1])`` and its three GEMMs run on
+        exactly those rows, reading its weight matrices in place and writing
+        into slices of shared buffers.  Nothing is padded to the busiest
+        expert and no weight is stacked; every GEMM has the loop path's
+        shapes and operand layouts, which is what keeps the two
+        bit-identical.  Only experts that received tokens are visited, so
+        gradients reach exactly the parameters the loop path reaches; the
+        activations and the top-k combine run once over all assignments, and
+        the layer is one autograd node.
 
-        With ``sparse=True`` the stacked operands are *compacted* to each
-        expert's live ``d_ff`` channels (padded to the widest live count), so
-        the three grouped GEMMs run at the live width; gradients for the
+        With ``sparse=True`` expert ``j`` runs at its own live width: its
+        operands are the live rows of its matrices and its slice of the
+        (flat) FFN-side buffers is ``count_j * live_j`` long; gradients of
         skipped channels are emitted as exact zeros, matching the dense path.
         """
         top_k = local_idx.shape[1]
         num_assign = local_idx.size
+        dtype = flat.data.dtype
         if num_assign == 0:
-            return Tensor(np.zeros((num_tokens, d_model), dtype=flat.data.dtype))
+            return Tensor(np.zeros((num_tokens, d_model), dtype=dtype))
         slots = local_idx.reshape(-1)                      # (A,) assignment → slot
         # Stable integer argsort uses radix internally; a uint8 key makes it a
         # single-pass radix instead of eight passes over int64.
         sort_key = slots.astype(np.uint8) if len(self.experts) <= 256 else slots
         order = np.argsort(sort_key, kind="stable")        # slot-major, token-minor
         sorted_slots = slots[order]
-
         # Segment boundaries from the already-sorted slots (no second sort).
-        seg_start = np.concatenate(([0], np.flatnonzero(np.diff(sorted_slots)) + 1))
-        active = sorted_slots[seg_start]
-        seg_counts = np.diff(np.concatenate((seg_start, [num_assign])))
-        num_active = int(active.size)
-        max_count = int(seg_counts.max())
-        seg_id = np.repeat(np.arange(num_active), seg_counts)
-        padded_pos = seg_id * max_count + (np.arange(num_assign) - seg_start[seg_id])
-        # destination of assignment a (original order) in the padded workspace;
-        # a bijection, so placement/gather need no scatter-add
-        dest = np.empty(num_assign, dtype=np.int64)
-        dest[order] = padded_pos
-
-        experts = [self.experts[int(slot)] for slot in active]
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(sorted_slots)) + 1, [num_assign]))
+        experts = [self.experts[int(slot)] for slot in sorted_slots[bounds[:-1]]]
+        segments = range(len(experts))
         activation = experts[0].activation
         d_ff = experts[0].d_ff
         gate_params = [e.w_gate.weight for e in experts]
         up_params = [e.w_up.weight for e in experts]
         down_params = [e.w_down.weight for e in experts]
-        dtype = flat.data.dtype
-        channels = None
-        if sparse:
-            plan = self._sparse_plan(gate_params, up_params)
-            if plan is not None:
-                channels, live_width = plan
-        if channels is not None:
-            # Compacted stacks: only each expert's live channels (zero-padded
-            # to the widest live count) enter the grouped GEMMs, so the whole
-            # SwiGLU chain runs at the live width instead of d_ff.
-            d_ff = live_width
-            w_gateup_sw = np.zeros((num_active, 2 * d_ff, d_model), dtype=dtype)
-            w_down_sw = np.zeros((num_active, d_model, d_ff), dtype=dtype)
-            for j, live in enumerate(channels):
-                w_gateup_sw[j, :live.size] = gate_params[j].data[live]
-                w_gateup_sw[j, d_ff:d_ff + live.size] = up_params[j].data[live]
-                w_down_sw[j, :, :live.size] = down_params[j].data[:, live]
-            w_gateup_t = w_gateup_sw.swapaxes(1, 2)                  # (E_a, d, 2f_live)
-            w_down_t = w_down_sw.swapaxes(1, 2)                      # (E_a, f_live, d)
+        channels = self._sparse_plan(gate_params, up_params) if sparse else None
+        if channels is None:
+            w_gate, w_up, w_down = ([p.data for p in params]
+                                    for params in (gate_params, up_params, down_params))
+            widths = [d_ff] * len(experts)
         else:
-            # Stacked (E_a, d_model, *) operand views of the expert weights;
-            # gate and up projections are concatenated along d_ff so the input
-            # side of the SwiGLU runs as ONE grouped GEMM instead of two.
-            w_gateup_t = np.concatenate(
-                [np.stack([p.data for p in gate_params]),
-                 np.stack([p.data for p in up_params])], axis=1).swapaxes(1, 2)  # (E_a, d, 2f)
-            w_down_t = np.stack([p.data for p in down_params]).swapaxes(1, 2)
-        w_gate_t = w_gateup_t[:, :, :d_ff]
-        w_up_t = w_gateup_t[:, :, d_ff:]
-        padded_rows = num_active * max_count
+            w_gate = [p.data[live] for p, live in zip(gate_params, channels)]
+            w_up = [p.data[live] for p, live in zip(up_params, channels)]
+            w_down = [p.data[:, live] for p, live in zip(down_params, channels)]
+            widths = [live.size for live in channels]
+        rows = bounds.tolist()
+        counts = [rows[j + 1] - rows[j] for j in segments]
+        ffn = np.concatenate(([0], np.cumsum(np.multiply(counts, widths)))).tolist()
 
-        # ---- fused forward: pad → grouped SwiGLU GEMMs → gather → combine
-        # The padded workspace is transient (consumed by the GEMMs within
-        # this call) and cheap to rebuild, so it lives in reusable scratch
-        # and the backward pass recomputes it instead of retaining it.
-        def build_padded(buffer_name: str, zero_padding: bool) -> np.ndarray:
-            padded = self._scratch(buffer_name, (padded_rows, d_model), dtype)
-            if zero_padding:
-                padded.fill(0.0)
-            for column in range(top_k):
-                padded[dest[column::top_k]] = flat.data
-            return padded.reshape(num_active, max_count, d_model)
+        def by_rows(buffer: np.ndarray) -> list:
+            """Expert ``j``'s row range of an ``(A, d_model)`` buffer."""
+            return [buffer[rows[j]:rows[j + 1]] for j in segments]
 
-        # forward padding rows must be zero (they flow through the
-        # activations); the backward rebuild may leave them stale because
-        # every padding row meets an exactly-zero gradient row in the
-        # weight-gradient GEMM
-        padded3 = build_padded("fwd_padded", zero_padding=True)
-        gate_up = padded3 @ w_gateup_t                                      # (E_a, C, 2f)
-        gate_pre = gate_up[:, :, :d_ff]
-        up = gate_up[:, :, d_ff:]
+        def split(buffer: np.ndarray) -> list:
+            """Expert ``j``'s ``(count_j, width_j)`` view of a flat FFN-side buffer."""
+            return [buffer[ffn[j]:ffn[j + 1]].reshape(counts[j], widths[j]) for j in segments]
+
+        # ---- forward: gather → per-segment gate/up GEMMs → activation →
+        # per-segment down GEMM → un-permute → combine over top-k
+        token_of = order // top_k                          # token of each sorted assignment
+        x = flat.data[token_of]                            # (A, d) routed rows, slot order
+        x_segs = by_rows(x)
+        gate_pre = np.empty(ffn[-1], dtype=dtype)
+        up = np.empty(ffn[-1], dtype=dtype)
+        for j, x_seg, gate_seg, up_seg in zip(segments, x_segs, split(gate_pre), split(up)):
+            np.matmul(x_seg, w_gate[j].T, out=gate_seg)
+            np.matmul(x_seg, w_up[j].T, out=up_seg)
         if activation == "silu":
             # sig = 1 / (1 + exp(-gate_pre)), computed in one buffer
             sig = np.negative(gate_pre)
@@ -361,120 +341,102 @@ class MoELayer(Module):
             np.reciprocal(sig, out=sig)
             act = gate_pre * sig
         elif activation == "gelu":
-            c = np.sqrt(2.0 / np.pi)
+            c = float(np.sqrt(2.0 / np.pi))    # a Python float keeps float32 inputs float32
             tanh_inner = np.tanh(c * (gate_pre + 0.044715 * gate_pre ** 3))
             act = 0.5 * gate_pre * (1.0 + tanh_inner)
         else:
             act = np.maximum(gate_pre, 0.0)
         hidden = act * up
-        expert_out = hidden @ w_down_t                                      # (E_a, C, d)
-        y = expert_out.reshape(padded_rows, d_model)[dest]                  # (A, d)
-        w_col = top_weights.data.reshape(num_assign, 1)
+        hidden_segs = split(hidden)
+        y_sorted = np.empty((num_assign, d_model), dtype=dtype)
+        for j, hidden_seg, y_seg in zip(segments, hidden_segs, by_rows(y_sorted)):
+            np.matmul(hidden_seg, w_down[j].T, out=y_seg)
+        y = np.empty_like(y_sorted)
+        y[order] = y_sorted                                # a permutation: plain assignment
         # single-pass weighted combine over the top-k axis
-        out_data = np.einsum(
-            "tkd,tk->td",
-            y.reshape(num_tokens, top_k, d_model),
-            top_weights.data.reshape(num_tokens, top_k))
+        out_data = np.einsum("tkd,tk->td", y.reshape(num_tokens, top_k, d_model),
+                             top_weights.data.reshape(num_tokens, top_k))
 
-        requires = is_grad_enabled() and (
-            flat.requires_grad or top_weights.requires_grad
-            or any(p.requires_grad for p in gate_params + up_params + down_params)
-        )
         parents = (flat, top_weights) + tuple(gate_params + up_params + down_params)
+        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(out_data, requires_grad=requires, _prev=parents if requires else ())
         if not requires:
             return out
+        w_sorted = top_weights.data.reshape(num_assign, 1)[order]
 
-        # ---- fused backward: mirrors the op-by-op chain (same evaluation
-        # order as the composed graph, so loop/batched stay bit-identical).
-        # All large intermediates live in persistent per-layer scratch
-        # buffers; a backward pass allocates almost nothing.
+        def full_height(j: int, compact: np.ndarray) -> np.ndarray:
+            """Segment ``j``'s ``(width_j, d_model)`` gradient at full ``d_ff`` height."""
+            if channels is None:
+                return compact
+            full = np.zeros((d_ff, d_model), dtype=dtype)   # skipped channels: exact zeros
+            full[channels[j]] = compact
+            return full
+
+        # ---- backward: mirrors the op-by-op chain segment by segment (same
+        # evaluation order as the composed graph, so loop/batched stay
+        # bit-identical).  Large temporaries live in persistent per-layer
+        # scratch; each weight gradient is a fresh array its parameter adopts.
         def _backward() -> None:
-            ffn_shape = gate_pre.shape                                      # (E_a, C, f)
-            g_rep = self._scratch("g_rep", (num_assign, d_model), dtype)
-            for column in range(top_k):
-                g_rep[column::top_k] = out.grad
+            g_y = self._scratch("g_y", (num_assign, d_model), dtype)
+            np.take(out.grad, token_of, axis=0, out=g_y)
             if top_weights.requires_grad:
-                top_weights._accumulate(
-                    np.einsum("ad,ad->a", g_rep, y).reshape(num_tokens, top_k),
-                    owned=True)
-            np.multiply(g_rep, w_col, out=g_rep)                            # g_rep → g_y
-            g_pad = self._scratch("g_pad", (padded_rows, d_model), dtype)
-            g_pad.fill(0.0)
-            g_pad[dest] = g_rep
-            g_pad3 = g_pad.reshape(num_active, max_count, d_model)
-
-            g_hidden = self._scratch("g_hidden", ffn_shape, dtype)
-            np.matmul(g_pad3, np.swapaxes(w_down_t, 1, 2), out=g_hidden)
-            if any(p.requires_grad for p in down_params):
-                g_w = self._scratch("g_w_down", (num_active, ffn_shape[2], d_model), dtype)
-                np.matmul(np.swapaxes(hidden, 1, 2), g_pad3, out=g_w)
-                g_w_down = np.swapaxes(g_w, 1, 2)
-                if channels is not None:
-                    # scatter the compact gradient into the live columns; the
-                    # dense path's gradient is exactly zero everywhere else
-                    for param, grad, live in zip(down_params, g_w_down, channels):
-                        full = np.zeros(param.data.shape, dtype=dtype)
-                        full[:, live] = grad[:, :live.size]
-                        param._accumulate(full, owned=True)
-                else:
-                    for param, grad in zip(down_params, g_w_down):
-                        param._accumulate(grad)
-
-            # [g_gate_pre | g_up] share one contiguous buffer so the weight
-            # gradients of both projections come from a single grouped GEMM.
-            g_gateup = self._scratch("g_gateup", gate_up.shape, dtype)
-            g_act = g_gateup[:, :, :d_ff]
-            g_up = g_gateup[:, :, d_ff:]
-            np.multiply(g_hidden, up, out=g_act)
+                g_weights = np.empty(num_assign, dtype=dtype)
+                g_weights[order] = (g_y * y_sorted).sum(axis=1)
+                top_weights._accumulate(g_weights.reshape(num_tokens, top_k), owned=True)
+            np.multiply(g_y, w_sorted, out=g_y)
+            # whether anything upstream of the down projection wants a gradient
+            inner = flat.requires_grad or any(p.requires_grad for p in gate_params + up_params)
+            capacity = num_assign * max(widths)
+            g_hidden = self._scratch("g_hidden", (capacity,), dtype)[:ffn[-1]]
+            for j, g_seg, g_hidden_seg in zip(segments, by_rows(g_y), split(g_hidden)):
+                if inner:
+                    np.matmul(g_seg, w_down[j], out=g_hidden_seg)
+                if down_params[j].requires_grad:
+                    down_params[j]._accumulate(
+                        full_height(j, np.matmul(hidden_segs[j].T, g_seg)).T, owned=True)
+            if not inner:
+                return
+            g_gate = self._scratch("g_gate", (capacity,), dtype)[:ffn[-1]]
+            g_up = self._scratch("g_up", (capacity,), dtype)[:ffn[-1]]
+            np.multiply(g_hidden, up, out=g_gate)
             np.multiply(g_hidden, act, out=g_up)
-            scratch = self._scratch("d_act", ffn_shape, dtype)
             if activation == "silu":
                 # d_act = sig * (1 + gate_pre * (1 - sig))
-                np.subtract(1.0, sig, out=scratch)
-                np.multiply(gate_pre, scratch, out=scratch)
-                scratch += 1.0
-                np.multiply(sig, scratch, out=scratch)
-                np.multiply(g_act, scratch, out=g_act)                      # g_act → g_gate_pre
+                d_act = self._scratch("d_act", (capacity,), dtype)[:ffn[-1]]
+                np.subtract(1.0, sig, out=d_act)
+                np.multiply(gate_pre, d_act, out=d_act)
+                d_act += 1.0
+                np.multiply(sig, d_act, out=d_act)
+                np.multiply(g_gate, d_act, out=g_gate)
             elif activation == "gelu":
                 d_inner = c * (1.0 + 3 * 0.044715 * gate_pre ** 2)
                 np.multiply(
-                    g_act,
+                    g_gate,
                     0.5 * (1.0 + tanh_inner)
                     + 0.5 * gate_pre * (1.0 - tanh_inner ** 2) * d_inner,
-                    out=g_act)
+                    out=g_gate)
             else:
-                np.multiply(g_act, gate_pre > 0, out=g_act)
-            g_gate_pre = g_act
-            if any(p.requires_grad for p in gate_params + up_params):
-                padded3_b = build_padded("bwd_padded", zero_padding=False)
-                g_w = self._scratch("g_w_gateup", (num_active, d_model, 2 * d_ff), dtype)
-                np.matmul(np.swapaxes(padded3_b, 1, 2), g_gateup, out=g_w)
-                g_w_sw = np.swapaxes(g_w, 1, 2)                             # (E_a, 2f, d)
-                if channels is not None:
-                    for j, live in enumerate(channels):
-                        g_full = np.zeros(gate_params[j].data.shape, dtype=dtype)
-                        g_full[live] = g_w_sw[j, :live.size]
-                        gate_params[j]._accumulate(g_full, owned=True)
-                        u_full = np.zeros(up_params[j].data.shape, dtype=dtype)
-                        u_full[live] = g_w_sw[j, d_ff:d_ff + live.size]
-                        up_params[j]._accumulate(u_full, owned=True)
-                else:
-                    for j in range(num_active):
-                        gate_params[j]._accumulate(g_w_sw[j, :d_ff])
-                        up_params[j]._accumulate(g_w_sw[j, d_ff:])
+                np.multiply(g_gate, gate_pre > 0, out=g_gate)
+            g_x = self._scratch("g_x", (num_assign, d_model), dtype)
+            g_x_up = self._scratch("g_x_up", (num_assign, d_model), dtype)
+            for j, g_gate_seg, g_up_seg, g_x_seg, g_x_up_seg in zip(
+                    segments, split(g_gate), split(g_up), by_rows(g_x), by_rows(g_x_up)):
+                if gate_params[j].requires_grad:
+                    gate_params[j]._accumulate(
+                        full_height(j, np.matmul(x_segs[j].T, g_gate_seg).T), owned=True)
+                if up_params[j].requires_grad:
+                    up_params[j]._accumulate(
+                        full_height(j, np.matmul(x_segs[j].T, g_up_seg).T), owned=True)
+                if flat.requires_grad:
+                    # Two GEMMs (not one over a concatenated 2f axis): separate
+                    # dot products + add keep the loop path's summation grouping.
+                    np.matmul(g_gate_seg, w_gate[j], out=g_x_seg)
+                    np.matmul(g_up_seg, w_up[j], out=g_x_up_seg)
             if flat.requires_grad:
-                # Two GEMMs (not one over the concatenated 2f axis): keeping
-                # the gate/up contributions as separate dot products + add
-                # preserves the loop path's summation grouping bit-for-bit.
-                g_padded = self._scratch("g_padded", padded3.shape, dtype)
-                g_second = self._scratch("g_padded2", padded3.shape, dtype)
-                np.matmul(g_gate_pre, np.swapaxes(w_gate_t, 1, 2), out=g_padded)
-                np.matmul(g_up, np.swapaxes(w_up_t, 1, 2), out=g_second)
-                g_padded += g_second
-                g_x_rep = g_padded.reshape(padded_rows, d_model)[dest]
+                g_x += g_x_up
+                g_y[order] = g_x       # back to assignment order (g_y is free by now)
                 flat._accumulate(
-                    g_x_rep.reshape(num_tokens, top_k, d_model).sum(axis=1), owned=True)
+                    g_y.reshape(num_tokens, top_k, d_model).sum(axis=1), owned=True)
 
         out._backward = _backward
         return out

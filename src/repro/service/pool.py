@@ -12,10 +12,15 @@ process-pool workers.
 
 Topology: one client connection per server, shard/node ``k`` pinned to
 server ``k % num_servers`` (stable across rounds, so a shard's folds always
-land on the same persistent server), jobs to distinct servers dispatched
-concurrently from a thread pool while jobs sharing a server serialize on its
-connection lock.  The payloads are the same ``(wire frame, staleness)`` pairs
-the process pool ships, and the servers run the same worker fold functions —
+land on the same persistent server).  Jobs to distinct out-of-process servers
+are dispatched concurrently from a thread pool, and jobs sharing a server
+serialize on its connection lock.  In-process (``"socketpair"``) servers share
+the caller's interpreter lock, so their jobs run one after another on the
+calling thread: two server threads folding at once gain no parallelism and
+hand the lock over at every NumPy call that releases it, one cross-thread
+wake-up per hand-over, which ties the fold's wall time to the host's wake-up
+latency.  The payloads are the same ``(wire frame, staleness)`` pairs the
+process pool ships, and the servers run the same worker fold functions —
 service folds are bit-identical to pooled and serial folds (test-enforced).
 
 Failure handling: each client retries its whole round with
@@ -211,9 +216,10 @@ class ServiceAggregationPool:
                           window=self.window)
             for index in range(self.num_servers)]
         self._locks = [threading.Lock() for _ in range(self.num_servers)]
-        self._dispatch = ThreadPoolExecutor(
-            max_workers=self.num_servers,
-            thread_name_prefix="repro-service-dispatch")
+        if self.transport != "socketpair":
+            self._dispatch = ThreadPoolExecutor(
+                max_workers=self.num_servers,
+                thread_name_prefix="repro-service-dispatch")
 
     def close(self) -> None:
         """Graceful drain (idempotent; the pool lazily restarts on next use).
@@ -321,8 +327,10 @@ class ServiceAggregationPool:
             with self._locks[server_index]:
                 return run_one(self._clients[server_index], job)
 
-        assert self._dispatch is not None
-        results_and_records = list(self._dispatch.map(execute, jobs))
+        if self._dispatch is None:      # in-process servers: see module docstring
+            results_and_records = [execute(job) for job in jobs]
+        else:
+            results_and_records = list(self._dispatch.map(execute, jobs))
         out = []
         for (key, result, record) in results_and_records:
             if record is not None:

@@ -10,8 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import Vocabulary, make_batches, make_gsm8k_like
+from repro.data import Vocabulary, make_batches, make_gsm8k_like, partition_dirichlet
+from repro.federated import Participant, ParticipantResources, RunConfig
 from repro.models import MoEModelConfig, MoETransformer, tiny_moe
+from repro.models.presets import ARCHITECTURE_DESCRIPTORS
+from repro.systems import CONSUMER_GPU, CostModel, MemoryModel
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +46,28 @@ def gsm_split(gsm_dataset):
 def gsm_batches(gsm_dataset, vocab, tiny_config):
     return make_batches(gsm_dataset.samples[:24], batch_size=8, vocab=vocab,
                         shuffle=False, max_seq_len=tiny_config.max_seq_len)
+
+
+@pytest.fixture(scope="session")
+def build_federation(vocab):
+    """Factory of a small ready-to-run federation; every call builds fresh
+    participants, so two runs compared with each other start from equal state."""
+    def build():
+        dataset = make_gsm8k_like(vocab=vocab, num_samples=90, seed=11)
+        train, test = dataset.split(seed=11)
+        shards = partition_dirichlet(train, 3, alpha=0.5, seed=2)
+        participants = [
+            Participant(i, train.subset(shard),
+                        resources=ParticipantResources(max_experts=6, max_tuning_experts=3),
+                        seed=i)
+            for i, shard in enumerate(shards)
+        ]
+        memory = MemoryModel(ARCHITECTURE_DESCRIPTORS["llama-moe"])
+        cost_models = {p.participant_id: CostModel(CONSUMER_GPU, memory) for p in participants}
+        config = RunConfig(batch_size=8, max_local_batches=2, learning_rate=5e-3,
+                           eval_max_samples=16, seed=0)
+        return participants, test, cost_models, config
+    return build
 
 
 @pytest.fixture(scope="session")

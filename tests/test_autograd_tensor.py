@@ -1,5 +1,8 @@
 """Unit tests for the autograd Tensor: ops, broadcasting, backward correctness."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -291,3 +294,42 @@ class TestCombinators:
         src = Tensor(np.ones((3, 2)))
         with pytest.raises(ValueError):
             scatter_rows(src, np.array([[0, 1]]), num_rows=4)
+
+
+class TestBackwardFreesGraph:
+    def test_intermediates_die_without_the_cyclic_collector(self):
+        a = Tensor(np.full((4, 3), 0.5), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            hidden = (a * 2.0).tanh()
+            loss = (hidden * hidden).sum()
+            activation = weakref.ref(hidden.data)   # Tensor has __slots__; its array is the probe
+            del hidden
+            assert activation() is not None         # held by the graph under ``loss``
+            loss.backward()
+            assert activation() is None
+        finally:
+            gc.enable()
+        assert np.allclose(a.grad, 4.0 * np.tanh(1.0) * (1.0 - np.tanh(1.0) ** 2))
+        assert np.isclose(loss.item(), 12 * np.tanh(1.0) ** 2)   # the root keeps its value
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        shared = a * 2.0
+        first = shared.sum()
+        second = (shared * shared).sum()
+        first.backward()
+        with pytest.raises(RuntimeError, match="graph already freed"):
+            first.backward()
+        with pytest.raises(RuntimeError, match="graph already freed"):
+            second.backward()                       # reaches ``shared``, freed with ``first``
+
+    def test_losses_built_separately_still_accumulate(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        (a * b).sum().backward()
+        (a * b * 2).sum().backward()
+        assert np.array_equal(a.grad, b.data + b.data * 2)
+        assert np.array_equal(b.grad, a.data + a.data * 2)

@@ -185,6 +185,15 @@ class TestParameterServer:
         snapshot.get_expert(0, 0).w_gate.weight.data[...] = 0.0
         assert not np.allclose(server.global_model.get_expert(0, 0).w_gate.weight.data, 0.0)
 
+    def test_snapshot_copies_every_parameter_once(self, tiny_model):
+        snapshot = ParameterServer(tiny_model).model_snapshot()
+        copies = list(snapshot.named_parameters())
+        sources = list(tiny_model.named_parameters())
+        assert [name for name, _ in copies] == [name for name, _ in sources]
+        for (name, copy), (_, source) in zip(copies, sources):
+            assert np.array_equal(copy.data, source.data), name
+            assert not np.shares_memory(copy.data, source.data), name
+
     def test_aggregate_updates_round_counter_and_contributions(self, tiny_model):
         server = ParameterServer(tiny_model)
         state = {k: np.zeros_like(v) for k, v in tiny_model.expert_state(0, 0).items()}

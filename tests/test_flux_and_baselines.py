@@ -13,35 +13,15 @@ from repro.baselines import (
 )
 from repro.analysis import profile_activation
 from repro.core import FluxConfig, FluxFineTuner
-from repro.data import make_gsm8k_like, partition_dirichlet
-from repro.federated import (
-    ParameterServer,
-    Participant,
-    ParticipantResources,
-    RunConfig,
-)
+from repro.federated import ParameterServer
 from repro.federated.client import LocalTrainResult
 from repro.models import MoETransformer
-from repro.models.presets import ARCHITECTURE_DESCRIPTORS
-from repro.systems import CONSUMER_GPU, CostModel, MemoryModel
 
 
 @pytest.fixture()
-def federation(vocab, tiny_config):
+def federation(build_federation):
     """A small ready-to-run federation shared by the method tests."""
-    dataset = make_gsm8k_like(vocab=vocab, num_samples=90, seed=11)
-    train, test = dataset.split(seed=11)
-    shards = partition_dirichlet(train, 3, alpha=0.5, seed=2)
-    participants = [
-        Participant(i, train.subset(shard),
-                    resources=ParticipantResources(max_experts=6, max_tuning_experts=3), seed=i)
-        for i, shard in enumerate(shards)
-    ]
-    memory = MemoryModel(ARCHITECTURE_DESCRIPTORS["llama-moe"])
-    cost_models = {p.participant_id: CostModel(CONSUMER_GPU, memory) for p in participants}
-    config = RunConfig(batch_size=8, max_local_batches=2, learning_rate=5e-3,
-                       eval_max_samples=16, seed=0)
-    return participants, test, cost_models, config
+    return build_federation()
 
 
 def fresh_server(tiny_config):
@@ -95,6 +75,29 @@ class TestBaselineRounds:
         assert len(one.updates) == sum(tiny_config.experts_per_layer())
         assert one.breakdown.offloading > 0
         assert round_result.metric_value >= 0
+
+    def test_fmd_run_unchanged_by_undrawn_snapshot(self, build_federation, tiny_config,
+                                                   monkeypatch):
+        """``model_snapshot`` allocates without drawing; the run it feeds equals
+        the run fed by the drawn-then-loaded snapshot it replaced, bit for bit."""
+        def run():
+            participants, test, cost_models, config = build_federation()
+            server = fresh_server(tiny_config)
+            result = FMDFineTuner(server, participants, test, cost_models=cost_models,
+                                  config=config).run(num_rounds=2)
+            return ([(r.train_loss, r.metric_value, r.simulated_time) for r in result.rounds],
+                    server.global_state())
+
+        def drawn_snapshot(server):
+            snapshot = MoETransformer(server.global_model.config)
+            snapshot.load_state_dict(server.global_state())
+            return snapshot
+
+        curves, state = run()
+        monkeypatch.setattr(ParameterServer, "model_snapshot", drawn_snapshot)
+        drawn_curves, drawn_state = run()
+        assert curves == drawn_curves
+        assert all(np.array_equal(state[name], drawn_state[name]) for name in drawn_state)
 
     def test_fmq_round_quantizes_and_is_quicker_than_fmd(self, federation, tiny_config):
         participants, test, cost_models, config = federation

@@ -1,15 +1,23 @@
 """Equivalence and dtype tests for the batched MoE dispatch fast path.
 
-The batched grouped-GEMM dispatch reproduces the legacy per-expert loop
-bit-for-bit in float64 (outputs, input gradients and every parameter
-gradient): gathers, products and the combine accumulate in exactly the same
-order.  The single permitted deviation is ≤2 ULP on rows of experts that
-received exactly one token, where BLAS dispatches a gemv kernel for the
-loop's ``(1, d) @ (d, f)`` product but a gemm row inside the grouped batch —
-``_assert_bit_identical`` pins that bound.  float32 must be allclose to
-float64, and a float32 end-to-end training run must converge to the float64
-trajectory within tolerance.
+The segment-grouped dispatch reproduces the per-expert loop oracle
+bit-for-bit (outputs, gate-weight gradients and every expert-parameter
+gradient, float64 and float32): each expert's GEMMs have the loop's shapes and
+operand layouts, single-token experts included — ``_assert_bit_identical`` is
+plain equality.  Two deviations of a few ULP remain, pinned by
+``_assert_within_ulps``: (1) the *layer input's* gradient (and the router
+weights fed by it) when the router also back-propagates into that input — the
+loop adds each expert's contribution to it one by one, the fused node adds
+their sum, and a three-term float sum depends on its grouping
+(``TestSegmentKernel`` drives the kernels directly, where the input gradient
+is exact too); (2) ``dispatch="sparse"`` vs the dense paths on experts that
+received exactly one token, where BLAS runs a gemv whose partial sums regroup
+when the dead channels are dropped from its inner dimension.  float32 must be
+allclose to float64, and a float32 end-to-end training run must converge to
+the float64 trajectory within tolerance.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -34,12 +42,12 @@ from repro.quantization import quantize_array
 
 
 def _assert_bit_identical(a, b, context=""):
-    """Exact equality, tolerating a few ULP (of the row magnitude) on rows of
-    experts that received a single token, where BLAS selects a gemv kernel in
-    the loop path but a gemm row inside the grouped batch."""
+    assert np.array_equal(np.asarray(a), np.asarray(b)), context
+
+
+def _assert_within_ulps(a, b, context=""):
+    """Within a few ULP of the array's magnitude (the two cases of the module docstring)."""
     a, b = np.asarray(a), np.asarray(b)
-    if np.array_equal(a, b):
-        return
     scale = max(float(np.max(np.abs(a))), 1.0)
     max_diff = float(np.max(np.abs(a - b)))
     assert max_diff <= 8 * np.finfo(a.dtype).eps * scale, (context, max_diff)
@@ -72,10 +80,12 @@ class TestDispatchEquivalence:
         out_a, gx_a, gp_a = _run(a, x, sample_ids=np.arange(3))
         out_b, gx_b, gp_b = _run(b, x, sample_ids=np.arange(3))
         _assert_bit_identical(out_a, out_b)
-        _assert_bit_identical(gx_a, gx_b)
+        _assert_within_ulps(gx_a, gx_b)
         for name in gp_a:
             if gp_a[name] is None:
                 assert gp_b[name] is None
+            elif name.startswith("gate."):                 # the router's follow the input's
+                _assert_within_ulps(gp_a[name], gp_b[name], name)
             else:
                 _assert_bit_identical(gp_a[name], gp_b[name], name)
 
@@ -85,7 +95,7 @@ class TestDispatchEquivalence:
         out_a, gx_a, _ = _run(a, x)
         out_b, gx_b, _ = _run(b, x)
         _assert_bit_identical(out_a, out_b)
-        _assert_bit_identical(gx_a, gx_b)
+        _assert_within_ulps(gx_a, gx_b)
 
     def test_bit_identical_with_compact_remap(self):
         a, b = _layer_pair(num_experts=4)
@@ -100,7 +110,7 @@ class TestDispatchEquivalence:
         out_a, gx_a, _ = _run(a, x)
         out_b, gx_b, _ = _run(b, x)
         _assert_bit_identical(out_a, out_b)
-        _assert_bit_identical(gx_a, gx_b)
+        _assert_within_ulps(gx_a, gx_b)
 
     def test_float32_allclose_to_float64(self):
         a64, _ = _layer_pair("loop", "loop")
@@ -183,21 +193,21 @@ class TestSparseDispatch:
         x = np.random.default_rng(11).standard_normal((3, 7, 16))
         out_a, gx_a, gp_a = _run(a, x, sample_ids=np.arange(3))
         out_b, gx_b, gp_b = _run(b, x, sample_ids=np.arange(3))
-        _assert_bit_identical(out_a, out_b)
-        _assert_bit_identical(gx_a, gx_b)
+        _assert_within_ulps(out_a, out_b)
+        _assert_within_ulps(gx_a, gx_b)
         for name in gp_a:
             if gp_a[name] is None:
                 assert gp_b[name] is None
             else:
-                _assert_bit_identical(gp_a[name], gp_b[name], name)
+                _assert_within_ulps(gp_a[name], gp_b[name], name)
 
     def test_sparse_bit_identical_to_loop(self):
         a, b = self._sparsified_pair(dispatch_a="loop")
         x = np.random.default_rng(12).standard_normal((2, 6, 16))
         out_a, gx_a, _ = _run(a, x)
         out_b, gx_b, _ = _run(b, x)
-        _assert_bit_identical(out_a, out_b)
-        _assert_bit_identical(gx_a, gx_b)
+        _assert_within_ulps(out_a, out_b)
+        _assert_within_ulps(gx_a, gx_b)
 
     def test_sparse_bit_identical_float32(self):
         a, b = self._sparsified_pair(dtype="float32")
@@ -205,8 +215,8 @@ class TestSparseDispatch:
         out_a, gx_a, _ = _run(a, x)
         out_b, gx_b, _ = _run(b, x)
         assert out_b.dtype == np.float32
-        _assert_bit_identical(out_a, out_b)
-        _assert_bit_identical(gx_a, gx_b)
+        _assert_within_ulps(out_a, out_b)
+        _assert_within_ulps(gx_a, gx_b)
 
     def test_dense_weights_fall_back_to_batched(self):
         """At full density the sparse plan declines and the dense path runs."""
@@ -217,8 +227,8 @@ class TestSparseDispatch:
         x = np.random.default_rng(14).standard_normal((2, 4, 16))
         out_a, gx_a, _ = _run(a, x)
         out_b, gx_b, _ = _run(b, x)
-        _assert_bit_identical(out_a, out_b)
-        _assert_bit_identical(gx_a, gx_b)
+        _assert_within_ulps(out_a, out_b)
+        _assert_within_ulps(gx_a, gx_b)
 
     def test_sparsify_returns_realised_density(self):
         _, layer = _layer_pair()
@@ -275,6 +285,189 @@ class TestSparseDispatch:
         loss = model.compute_loss(ids)
         loss.backward()
         assert np.isfinite(loss.item())
+
+
+def _kernel(layer, combine, x, local_idx, weights, flat_grad=True):
+    """One forward/backward of a combine kernel on hand-made routing; every
+    array it produced, keyed by name (absent gradients are left out)."""
+    flat = Tensor(x.copy(), requires_grad=flat_grad)
+    top_weights = Tensor(weights.copy(), requires_grad=True)
+    out = combine(flat, local_idx, top_weights, *x.shape)
+    out.backward(np.random.default_rng(99).standard_normal(out.shape).astype(x.dtype))
+    produced = {"out": out.data, "flat": flat.grad, "top_weights": top_weights.grad}
+    produced.update((name, p.grad) for name, p in layer.named_parameters())
+    layer.zero_grad()
+    return {name: value for name, value in produced.items() if value is not None}
+
+
+def _assert_kernel_matches_loop(layer, x, local_idx, weights, sparse=False, flat_grad=True):
+    """``_combine_batched`` equals the ``_combine_loop`` oracle in everything it
+    produces (a few ULP only for sparse runs with a single-token expert)."""
+    oracle = _kernel(layer, layer._combine_loop, x, local_idx, weights, flat_grad)
+    fast = _kernel(layer, functools.partial(layer._combine_batched, sparse=sparse),
+                   x, local_idx, weights, flat_grad)
+    assert oracle.keys() == fast.keys()
+    single_token_expert = (np.bincount(local_idx.reshape(-1)) == 1).any()
+    for name in oracle:
+        if sparse and single_token_expert:
+            _assert_within_ulps(oracle[name], fast[name], name)
+        else:
+            _assert_bit_identical(oracle[name], fast[name], name)
+    return fast
+
+
+def _random_routing(rng, num_tokens, num_experts, top_k):
+    return np.stack([rng.permutation(num_experts)[:top_k] for _ in range(num_tokens)])
+
+
+class TestSegmentKernel:
+    """Edge cases of the segment layout, kernel against kernel (no router in
+    the graph, so the input gradient is exact as well)."""
+
+    def _inputs(self, layer, num_tokens, top_k, dtype="float64", seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((num_tokens, layer.d_model)).astype(dtype)
+        weights = rng.random((num_tokens, top_k)).astype(dtype)
+        return rng, x, weights
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("activation", ["silu", "gelu", "relu"])
+    def test_random_routing(self, dtype, activation):
+        _, layer = _layer_pair(dtype=dtype, activation=activation)
+        for seed in range(4):
+            rng, x, weights = self._inputs(layer, 21, 2, dtype, seed)
+            fast = _assert_kernel_matches_loop(layer, x, _random_routing(rng, 21, 6, 2), weights)
+            assert all(value.dtype == np.dtype(dtype) for value in fast.values())
+
+    def test_all_tokens_on_one_expert(self):
+        _, layer = _layer_pair()
+        _, x, weights = self._inputs(layer, 30, 1)
+        fast = _assert_kernel_matches_loop(layer, x, np.full((30, 1), 3), weights)
+        assert {name.split(".")[1] for name in fast if name.startswith("experts.")} == {"3"}
+
+    def test_single_assignment_experts_are_exact(self):
+        """One-row segments run the loop's own (1, d) products: plain equality."""
+        _, layer = _layer_pair(num_experts=8)
+        _, x, weights = self._inputs(layer, 4, 2)
+        local_idx = np.arange(8).reshape(4, 2)             # every expert gets exactly one row
+        _assert_kernel_matches_loop(layer, x, local_idx, weights)
+
+    def test_top_k_one(self):
+        _, layer = _layer_pair(top_k=1)
+        rng, x, weights = self._inputs(layer, 40, 1)
+        _assert_kernel_matches_loop(layer, x, rng.integers(0, 6, size=(40, 1)), weights)
+
+    def test_extreme_load_imbalance(self):
+        _, layer = _layer_pair()
+        _, x, weights = self._inputs(layer, 201, 1)
+        local_idx = np.zeros((201, 1), dtype=np.int64)
+        local_idx[117] = 4                                 # 200 : 1
+        _assert_kernel_matches_loop(layer, x, local_idx, weights)
+
+    def test_two_original_experts_on_one_slot(self):
+        """A compact layer whose remap folds a token's two choices onto one slot."""
+        _, layer = _layer_pair(num_experts=4)
+        remap, _, _ = ExpertRemap.from_clusters(4, tuning_experts=[0], clusters=[[1, 2, 3]])
+        assert not remap.is_identity()
+        layer.set_compact_experts([layer.experts[0], layer.experts[1]], remap)
+        rng, x, weights = self._inputs(layer, 24, 2)
+        local_idx = remap.apply(_random_routing(rng, 24, 4, 2))
+        assert (local_idx[:, 0] == local_idx[:, 1]).any()  # the shared slot, twice in a row
+        _assert_kernel_matches_loop(layer, x, local_idx, weights)
+
+    @pytest.mark.parametrize("frozen", ["some_experts", "gate_and_up", "flat", "all_but_down"])
+    def test_frozen_subsets(self, frozen):
+        _, layer = _layer_pair()
+        if frozen == "some_experts":
+            for expert in (layer.experts[1], layer.experts[4]):
+                expert.freeze()
+        elif frozen in ("gate_and_up", "all_but_down"):
+            for expert in layer.experts:
+                expert.w_gate.weight.requires_grad = False
+                expert.w_up.weight.requires_grad = False
+        rng, x, weights = self._inputs(layer, 21, 2)
+        fast = _assert_kernel_matches_loop(layer, x, _random_routing(rng, 21, 6, 2), weights,
+                                           flat_grad=frozen not in ("flat", "all_but_down"))
+        trained = {name.split(".")[2] for name in fast if name.startswith("experts.")}
+        if frozen == "some_experts":
+            assert not any(name.startswith(("experts.1.", "experts.4.")) for name in fast)
+        assert trained == ({"w_down"} if frozen in ("gate_and_up", "all_but_down")
+                           else {"w_gate", "w_up", "w_down"})
+        assert ("flat" in fast) == (frozen in ("some_experts", "gate_and_up"))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_sparse_runs_each_expert_at_its_own_width(self, dtype):
+        from repro.models.experts import sparsify_expert
+
+        _, layer = _layer_pair(dtype=dtype)
+        densities = (0.1, 0.2, 0.25, 0.3, 0.5, 0.15)
+        widths = [sparsify_expert(e, density, bits=2).size
+                  for e, density in zip(layer.experts, densities)]
+        assert len(set(widths)) == len(widths)
+        for key in ("w_gate", "w_up", "w_down"):           # expert 2: no live channel at all
+            getattr(layer.experts[2], key).weight.data[...] = 0.0
+        plan = layer._sparse_plan([e.w_gate.weight for e in layer.experts],
+                                  [e.w_up.weight for e in layer.experts])
+        assert [live.size for live in plan] == widths[:2] + [0] + widths[3:]
+        for seed in range(4):
+            rng, x, weights = self._inputs(layer, 21, 2, dtype, seed)
+            _assert_kernel_matches_loop(layer, x, _random_routing(rng, 21, 6, 2), weights,
+                                        sparse=True)
+
+    def test_adam_step_on_adopted_gradients_matches_reference(self):
+        """Weight gradients arrive as whatever array the segment GEMM produced
+        (here: transposed views); equal values must mean equal updates."""
+        loop, fast = _layer_pair()
+        rng, x, weights = self._inputs(fast, 21, 2)
+        local_idx = _random_routing(rng, 21, 6, 2)
+        updated = []
+        for layer, combine in ((loop, loop._combine_loop), (fast, fast._combine_batched)):
+            out = combine(Tensor(x), local_idx, Tensor(weights), *x.shape)
+            out.sum().backward()
+            params = [p for p in layer.experts.parameters() if p.grad is not None]
+            before = [(p.data.copy(), p.grad.copy()) for p in params]
+            Adam(params, lr=0.01).step()
+            for (data, grad), param in zip(before, params):
+                m_hat = 0.1 * grad / (1 - 0.9)
+                v_hat = 0.001 * grad ** 2 / (1 - 0.999)
+                expected = data - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                assert np.allclose(param.data, expected, rtol=0, atol=1e-15)
+            updated.append([p.data for p in params])
+        assert len(updated[0]) == len(updated[1]) == 18
+        for a, b in zip(*updated):
+            _assert_bit_identical(a, b)
+
+
+class TestRunLevelOracle:
+    """Whole federated runs under ``dispatch="batched"`` against the same runs
+    under the ``dispatch="loop"`` oracle."""
+
+    @pytest.mark.parametrize("method", ["fmd", "flux"])
+    def test_two_round_run_matches_loop_oracle(self, method, build_federation, vocab):
+        from repro.baselines import FMDFineTuner
+        from repro.core import FluxConfig, FluxFineTuner
+        from repro.federated import ParameterServer
+
+        def run(dispatch):
+            participants, test, cost_models, config = build_federation()
+            server = ParameterServer(MoETransformer(tiny_moe(vocab_size=vocab.size,
+                                                             dispatch=dispatch)))
+            if method == "fmd":
+                tuner = FMDFineTuner(server, participants, test, cost_models=cost_models,
+                                     config=config)
+            else:
+                tuner = FluxFineTuner(server, participants, test, cost_models=cost_models,
+                                      config=config, flux_config=FluxConfig(seed=0))
+            curves = [(r.train_loss, r.metric_value, r.simulated_time, r.round_duration)
+                      for r in tuner.run(num_rounds=2).rounds]
+            return np.array(curves), server.global_state()
+
+        curves, state = run("batched")
+        oracle_curves, oracle_state = run("loop")
+        assert np.allclose(curves, oracle_curves, rtol=1e-12, atol=0)
+        assert state.keys() == oracle_state.keys()
+        for name in state:
+            assert np.allclose(state[name], oracle_state[name], rtol=1e-12, atol=0), name
 
 
 class TestZeroGradientStep:

@@ -11,6 +11,7 @@ round replay), the ``repro_service_*`` telemetry, and the pool machinery
 from __future__ import annotations
 
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -717,3 +718,31 @@ class TestServiceMachinery:
         assert [shard for shard, _ in results] == [5, 2, 9, 0]
         folded = results[0][1]
         assert all(result == folded for _, result in results)
+
+    def test_in_process_servers_fold_on_the_calling_thread(self, tiny_config):
+        """Socketpair servers share the caller's GIL, so no dispatch pool is
+        started for them: the only extra threads are the server loops, and
+        every client call of a fold runs on the thread that asked for it."""
+        model = MoETransformer(tiny_config)
+        framed = [frame_update(u) for u in _updates(model, num_participants=2)]
+        jobs = [(shard, framed) for shard in (0, 1, 2, 3)]
+        pool = ServiceAggregationPool(2, transport="socketpair")
+        callers = set()
+        before = set(threading.enumerate())
+        try:
+            pool._ensure_started()
+            for client in pool._clients:
+                original = client.fold_shard
+
+                def recording(*args, _original=original, **kwargs):
+                    callers.add(threading.current_thread())
+                    return _original(*args, **kwargs)
+
+                client.fold_shard = recording
+            results = pool.fold_shards(None, False, jobs)
+            names = [thread.name for thread in set(threading.enumerate()) - before]
+        finally:
+            pool.close()
+        assert callers == {threading.current_thread()}
+        assert sorted(names) == ["repro-service-server0", "repro-service-server1"]
+        assert [shard for shard, _ in results] == [0, 1, 2, 3]
