@@ -16,6 +16,10 @@ Two benchmark families per model preset:
   step on the preset (one train step; whole federated runs are
   ``benchmarks/e2e``).
 
+An informational ``nodes`` block (not gated) times each fused transformer
+node — attention, ``rms_norm``, ``linear`` — against the composed oracle kept
+in ``tests/composed_oracles.py``, one µs-per-forward+backward figure each.
+
 Configurations measured: ``loop/float64`` (the seed's per-expert dispatch
 algorithm on the float64 engine), ``batched/float64`` and ``batched/float32``
 (the segment-grouped fast path).  ``--seed-src`` additionally benchmarks a
@@ -279,7 +283,13 @@ def run_suite(quick: bool) -> Dict:
     # 1024 tokens = batch 32 × seq 32 (the tiny_moe preset's max_seq_len)
     tokens = 1024
     iters = 3 if quick else 10
-    reps = 4 if quick else 6
+    # Best-of needs one repetition after the allocator has settled: glibc
+    # serves the large temporaries from fresh mmaps (page faults, 1.5-2x
+    # slower) until enough of them have been freed to raise its threshold,
+    # ~40 calls into a preset.  With 4 quick repetitions a whole config could
+    # be timed before that point, and which one depended on the allocation
+    # pattern, so either side of a gated ratio read up to 40% low.
+    reps = 8 if quick else 6
     suite: Dict = {}
     for preset in PRESET_NAMES:
         step_tokens = min(tokens, 1024)
@@ -319,6 +329,66 @@ def run_suite(quick: bool) -> Dict:
             },
         }
     return suite
+
+
+#: the client batch of ``benchmarks/e2e`` (16 samples x ~18 tokens, llama/deepseek mini)
+E2E_NODE_SHAPE = {"batch": 16, "seq_len": 18, "d_model": 32, "n_heads": 4}
+
+
+def bench_nodes(quick: bool) -> Dict:
+    """Informational: each fused transformer node against its composed oracle.
+
+    Microseconds per forward + backward (every input requiring grad) of
+    ``MultiHeadSelfAttention.forward``, ``F.rms_norm`` and ``F.linear`` and of
+    the generic-op compositions they replaced (``tests/composed_oracles.py``),
+    at the end-to-end benchmark's batch shape and at each preset's
+    ``model_step`` shape.  One figure per node per shape; nothing here is gated.
+    """
+    sys.path.append(os.path.join(REPO_ROOT, "tests"))
+    from composed_oracles import composed_attention, composed_linear, composed_rms_norm
+    from repro.autograd import Parameter
+    from repro.autograd import functional as F
+    from repro.models import MultiHeadSelfAttention
+    from repro.models.presets import get_preset
+
+    shapes = {"e2e": E2E_NODE_SHAPE}
+    for preset in PRESET_NAMES:
+        config = get_preset(preset.replace("_", "-"))
+        shapes[preset] = {"batch": 32, "seq_len": 32, "d_model": config.d_model,
+                          "n_heads": config.n_heads}
+    iters = 5 if quick else 20
+    reps = 4 if quick else 8
+    out: Dict = {"unit": "us per forward+backward, every input requiring grad", "shapes": {}}
+    for label, shape in shapes.items():
+        rng = np.random.default_rng(0)
+        d_model = shape["d_model"]
+        x = Parameter(rng.standard_normal((shape["batch"], shape["seq_len"], d_model)))
+        upstream = np.ones(x.shape)
+        attn = MultiHeadSelfAttention(d_model, shape["n_heads"], rng=rng)
+        scale = Parameter(np.ones(d_model))
+        weight = attn.o_proj.weight
+        leaves = [x, scale] + list(attn.parameters())
+
+        def step(forward):
+            def run():
+                forward().backward(upstream)
+                for leaf in leaves:
+                    leaf.grad = None
+            return run
+
+        pairs = {
+            "attention": (lambda: attn(x), lambda: composed_attention(attn, x)),
+            "rms_norm": (lambda: F.rms_norm(x, scale), lambda: composed_rms_norm(x, scale)),
+            "linear": (lambda: F.linear(x, weight), lambda: composed_linear(x, weight)),
+        }
+        times = _interleaved_best_times(
+            {node: {"fused": step(fused), "composed": step(composed)}
+             for node, (fused, composed) in pairs.items()}, iters, reps)
+        out["shapes"][label] = dict(shape, nodes={
+            node: {"fused_us": t["fused"] * 1e6, "composed_us": t["composed"] * 1e6,
+                   "speedup": t["composed"] / t["fused"]}
+            for node, t in times.items()})
+    return out
 
 
 # ------------------------------------------------------- aggregation suite
@@ -1561,6 +1631,7 @@ def main(argv=None) -> int:
         result["service"] = run_service_suite(args.quick)
     else:
         result["presets"] = run_suite(args.quick)
+        result["nodes"] = bench_nodes(args.quick)
         if args.seed_src:
             result["seed_reference"] = bench_seed_reference(args.seed_src, args.quick)
 
@@ -1636,6 +1707,10 @@ def main(argv=None) -> int:
         print(f"  {preset}: hot-loop fwd+bwd speedup "
               f"{families['hot_loop']['speedup_batched_f32_vs_loop_f64']:.2f}x, "
               f"round {families['hot_loop']['round_speedup_batched_f32_vs_loop_f64']:.2f}x")
+    for label, entry in result["nodes"]["shapes"].items():
+        print(f"  nodes @ {label}: " + ", ".join(
+            f"{node} {t['fused_us']:.0f}us ({t['speedup']:.1f}x vs composed)"
+            for node, t in entry["nodes"].items()))
     if args.seed_src:
         for preset, value in result["seed_reference"]["speedup_batched_f32_vs_seed"].items():
             print(f"  {preset}: batched/float32 vs seed loop/float64 {value:.2f}x")

@@ -56,16 +56,26 @@ class ActivationProfile:
 
 
 def profile_activation(model: MoETransformer, batches: Sequence[Batch]) -> ActivationProfile:
-    """Measure expert activation of ``model`` over ``batches`` (forward only)."""
+    """Measure expert activation of ``model`` over ``batches`` (forward only).
+
+    Routing statistics are all a profile keeps, so each pass stops at the last
+    layer's router: that layer's experts, its residual, the final norm and the
+    LM head are never computed.
+    """
     if not batches:
         raise ValueError("profiling requires at least one batch")
     model.set_routing_accumulation(True)
     model.eval()
+    last = model.blocks[-1]
     try:
         with no_grad():
             for batch in batches:
-                model.forward(batch.input_ids, attention_mask=batch.attention_mask,
-                              sample_ids=batch.sample_ids)
+                x = model.run_blocks(model.embed(batch.input_ids), stop=model.num_layers - 1,
+                                     attention_mask=batch.attention_mask,
+                                     sample_ids=batch.sample_ids)
+                x = last.attention_half(x, attention_mask=batch.attention_mask)
+                last.moe.route(last.moe_norm(x), token_attention=last.attn.last_token_attention,
+                               sample_ids=batch.sample_ids, token_mask=batch.attention_mask)
     finally:
         model.train()
     records = model.routing_records(accumulated=True)

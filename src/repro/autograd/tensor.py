@@ -148,7 +148,7 @@ def _freed_backward() -> None:
 class Tensor:
     """A NumPy-backed tensor with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_prev", "name")
 
     def __init__(
         self,
@@ -160,9 +160,22 @@ class Tensor:
         self.data: np.ndarray = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and _grad_enabled
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward_fn: Optional[Callable[[], None]] = None
         self._prev: Tuple[Tensor, ...] = _prev if _grad_enabled else ()
         self.name = name
+
+    @property
+    def _backward(self) -> Optional[Callable[[], None]]:
+        return self._backward_fn
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[], None]) -> None:
+        # Every op's closure captures its own output, so storing it makes the
+        # node a reference cycle.  A node that does not require grad is never
+        # walked by backward(): dropping its closure lets forward-only passes
+        # (``no_grad`` / frozen inputs) die by refcount.
+        if self.requires_grad:
+            self._backward_fn = fn
 
     # ------------------------------------------------------------------ meta
     @property
@@ -281,12 +294,12 @@ class Tensor:
 
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._backward_fn is not None and node.grad is not None:
+                node._backward_fn()
         for node in topo:
-            if node._backward is not None:
+            if node._backward_fn is not None:
                 node._prev = ()
-                node._backward = _freed_backward
+                node._backward_fn = _freed_backward
 
     # ----------------------------------------------------------- constructors
     @staticmethod

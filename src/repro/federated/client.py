@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..autograd import Adam
+from ..autograd import Adam, Parameter
 from ..data import Batch, Sample, SyntheticDataset, make_batches
 from ..models import MoETransformer
 from ..systems import CONSUMER_GPU, CostModel, DeviceProfile, MemoryModel
@@ -153,12 +153,16 @@ class Participant:
         if not batches:
             raise ValueError("local_finetune requires at least one batch")
         model.freeze_non_expert_parameters()
+        # Resolved once per call: ``parameters()`` walks the module tree.
+        expert_params: Dict[ExpertKey, List[Parameter]] = {
+            (layer_index, expert_index): list(expert.parameters())
+            for layer_index, layer in enumerate(model.moe_layers())
+            for expert_index, expert in enumerate(layer.experts)
+        }
         if trainable_experts is not None:
-            for layer_index, layer in enumerate(model.moe_layers()):
-                for expert_index in range(len(layer.experts)):
-                    trainable = (layer_index, expert_index) in trainable_experts
-                    for param in layer.experts[expert_index].parameters():
-                        param.requires_grad = trainable
+            for key, expert_parameters in expert_params.items():
+                for param in expert_parameters:
+                    param.requires_grad = key in trainable_experts
 
         params = [p for p in model.parameters() if p.requires_grad]
         if not params:
@@ -182,7 +186,7 @@ class Participant:
                 )
                 if loss.requires_grad:
                     loss.backward()
-                    self._accumulate_expert_stats(model, grad_sq, token_counts)
+                    self._accumulate_expert_stats(model, expert_params, grad_sq, token_counts)
                     optimizer.step()
                 # else: no routed token touched a trainable expert in this
                 # batch — a legitimate zero-gradient step, not an error.
@@ -200,14 +204,15 @@ class Participant:
         )
 
     @staticmethod
-    def _accumulate_expert_stats(model: MoETransformer, grad_sq: Dict[ExpertKey, float],
+    def _accumulate_expert_stats(model: MoETransformer,
+                                 expert_params: Dict[ExpertKey, List[Parameter]],
+                                 grad_sq: Dict[ExpertKey, float],
                                  token_counts: Dict[ExpertKey, int]) -> None:
+        for key, expert_parameters in expert_params.items():
+            for param in expert_parameters:
+                if param.grad is not None:
+                    grad_sq[key] = grad_sq.get(key, 0.0) + float((param.grad ** 2).sum())
         for layer_index, layer in enumerate(model.moe_layers()):
-            for expert_index, expert in enumerate(layer.experts):
-                key = (layer_index, expert_index)
-                for param in expert.parameters():
-                    if param.grad is not None:
-                        grad_sq[key] = grad_sq.get(key, 0.0) + float((param.grad ** 2).sum())
             record = layer.last_routing
             if record is not None:
                 for expert_index, count in enumerate(record.token_counts):

@@ -179,7 +179,7 @@ class MoELayer(Module):
         num_tokens = batch * seq_len
         flat = x.reshape(num_tokens, d_model)
 
-        top_idx, top_weights, _ = self.gate(flat, with_probs=False)
+        top_idx, top_weights = self._route(flat, seq_len, token_attention, sample_ids, token_mask)
         if self.remap.is_identity():
             local_idx = top_idx
         else:
@@ -191,13 +191,37 @@ class MoELayer(Module):
         else:
             combined = self._combine_loop(flat, local_idx, top_weights, num_tokens, d_model)
 
-        self._record_routing(top_idx, top_weights, num_tokens, seq_len,
-                             token_attention, sample_ids, token_mask)
-
         out = combined
         for shared in self.shared_experts:
             out = out + shared(flat)
         return out.reshape(batch, seq_len, d_model)
+
+    def route(
+        self,
+        x: Tensor,
+        token_attention: Optional[np.ndarray] = None,
+        sample_ids: Optional[np.ndarray] = None,
+        token_mask: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Tensor]:
+        """The routing half of :meth:`forward`: gate ``x`` and record the statistics.
+
+        Takes :meth:`forward`'s arguments, runs no expert, and returns
+        ``(top_idx, top_weights)`` — original expert ids ``(tokens, top_k)``
+        and their normalised gate weights.  ``last_routing`` (and the
+        accumulator) are updated exactly as by a full forward, which is all
+        activation profiling needs of a model's last layer.
+        """
+        batch, seq_len, d_model = x.shape
+        return self._route(x.reshape(batch * seq_len, d_model), seq_len,
+                           token_attention, sample_ids, token_mask)
+
+    def _route(self, flat: Tensor, seq_len: int, token_attention: Optional[np.ndarray],
+               sample_ids: Optional[np.ndarray],
+               token_mask: Optional[np.ndarray]) -> Tuple[np.ndarray, Tensor]:
+        top_idx, top_weights, _ = self.gate(flat, with_probs=False)
+        self._record_routing(top_idx, top_weights, flat.shape[0], seq_len,
+                             token_attention, sample_ids, token_mask)
+        return top_idx, top_weights
 
     # ------------------------------------------------------ expert execution
     def _can_batch(self) -> bool:

@@ -167,7 +167,7 @@ class MoETransformer(Module):
     def _project(self, hidden: Tensor) -> Tensor:
         if self.lm_head is not None:
             return self.lm_head(hidden)
-        return hidden @ self.token_embedding.weight.transpose()
+        return F.linear(hidden, self.token_embedding.weight)
 
     def logits(self, x: Tensor) -> Tensor:
         """Final norm + LM head on the output of the last block: ``(batch, seq, vocab)``."""
