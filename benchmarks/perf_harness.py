@@ -19,6 +19,9 @@ Two benchmark families per model preset:
 An informational ``nodes`` block (not gated) times each fused transformer
 node — attention, ``rms_norm``, ``linear`` — against the composed oracle kept
 in ``tests/composed_oracles.py``, one µs-per-forward+backward figure each.
+``--suite aggregation`` carries an informational ``uplink`` block of the same
+kind: frames per second of framing one participant's upload per update (the
+oracle in ``tests/uplink_oracles.py``) against ``encode_updates``.
 
 Configurations measured: ``loop/float64`` (the seed's per-expert dispatch
 algorithm on the float64 engine), ``batched/float64`` and ``batched/float32``
@@ -399,13 +402,13 @@ AGG_TREE_TIERS = ((8,), (8, 4), (8, 4, 2))
 AGG_PRESET = "tiny_moe"
 
 
-def _make_aggregation_updates(participants: int):
+def _make_aggregation_updates(participants: int, preset: str = AGG_PRESET):
     """A fleet's worth of expert updates against a fresh preset model."""
     from repro.federated import ExpertUpdate
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
 
-    model = MoETransformer(get_preset(AGG_PRESET.replace("_", "-")))
+    model = MoETransformer(get_preset(preset.replace("_", "-")))
     rng = np.random.default_rng(0)
     updates = []
     for pid in range(participants):
@@ -642,6 +645,69 @@ def _bench_alloc_probe(updates) -> Dict:
     }
 
 
+#: informational uplink-framing codecs (the e2e wire workload's first) and the
+#: models whose full upload (every expert, an FMD participant's) is framed
+UPLINK_CODECS = ("topk:0.25:int4", "topk", "int4", "fp64")
+UPLINK_PRESETS = ("llama_moe_mini", "deepseek_moe_mini")
+
+
+def bench_uplink(quick: bool) -> Dict:
+    """Informational: one participant's upload framed per update vs in one pass.
+
+    Frames per second of ``per_update_oracle`` (the per-tensor encoder this
+    repo shipped before ``encode_updates``, kept in
+    ``tests/uplink_oracles.py``), ``per_update`` (today's ``encode_update``,
+    mapped) and ``batched`` (``encode_updates``) on the whole upload of an
+    ``llama_moe_mini`` participant — the end-to-end wire workload's: 32
+    experts x 3 tensors of 64x32 — and a ``deepseek_moe_mini`` one.  Host-speed
+    numbers that also move with the allocator's state (the batched kernel's
+    temporaries are 512 KB each: 1.7x early in a process, 2.5x once glibc
+    stops trimming them), so nothing here is gated; the byte-identity tests
+    (``tests/test_uplink_batch.py``) are the gate, and every timed pair is
+    asserted equal here too.
+    """
+    sys.path.append(os.path.join(REPO_ROOT, "tests"))
+    from uplink_oracles import oracle_encode_update
+    from repro.comm import encode_update, encode_updates, get_codec
+
+    iters = 3 if quick else 10
+    reps = 5 if quick else 9
+    out: Dict = {"unit": "frames per second, one participant's whole upload",
+                 "presets": {}}
+    for preset in UPLINK_PRESETS:
+        model, updates = _make_aggregation_updates(1, preset)
+        states = [model.expert_state(*update.key) for update in updates]
+        builds = {}
+        for name in UPLINK_CODECS:
+            codec = get_codec(name)
+            references = states if codec.needs_reference else [None] * len(updates)
+            builds[name] = {
+                "per_update_oracle": lambda codec=codec, references=references: [
+                    oracle_encode_update(update, codec, reference)
+                    for update, reference in zip(updates, references)],
+                "per_update": lambda codec=codec, references=references: [
+                    encode_update(update, codec, reference)
+                    for update, reference in zip(updates, references)],
+                "batched": lambda codec=codec, references=references:
+                    encode_updates(updates, codec, references),
+            }
+            frames = builds[name]["per_update_oracle"]()
+            if builds[name]["batched"]() != frames or builds[name]["per_update"]() != frames:
+                raise AssertionError(f"{name} frames differ from the per-tensor oracle's")
+        times = _interleaved_best_times(builds, iters, reps)
+        out["presets"][preset] = {
+            "experts": len(updates),
+            "tensor_shapes": sorted({tuple(value.shape) for value in states[0].values()}),
+            "codecs": {
+                name: dict({f"{phase}_frames_per_s": len(updates) / seconds
+                            for phase, seconds in phases.items()},
+                           speedup_batched_vs_oracle=(phases["per_update_oracle"]
+                                                      / phases["batched"]))
+                for name, phases in times.items()},
+        }
+    return out
+
+
 def run_aggregation_suite(quick: bool) -> Dict:
     """The aggregation-throughput benchmark family (``--suite aggregation``)."""
     from repro.runtime import AggregationPool
@@ -683,11 +749,13 @@ def run_aggregation_suite(quick: bool) -> Dict:
                  "decode compares fresh-allocation vs scratch-pool "
                  "decode_update throughput; alloc_probe tracemallocs one "
                  "warm fused round (steady_state_scratch_allocations must "
-                 "stay 0)."),
+                 "stay 0). uplink is informational (host-speed frames/s of "
+                 "framing one participant's upload, per update vs batched)."),
         "shards": shards,
         "tree": tree,
         "decode": decode,
         "alloc_probe": alloc_probe,
+        "uplink": bench_uplink(quick),
         "headline_speedup_8shards":
             shards["8"]["speedup_critical_path_vs_serial"],
     }
@@ -1649,6 +1717,12 @@ def main(argv=None) -> int:
             print(f"  tree {name} (depth {entry['depth']}): serial "
                   f"{entry['serial_updates_per_s']:,.0f} updates/s, critical-path "
                   f"speedup {entry['speedup_critical_path_vs_serial']:.2f}x")
+        for preset, entry in agg["uplink"]["presets"].items():
+            parts = ", ".join(
+                f"{name} {values['batched_frames_per_s']:,.0f}/s "
+                f"({values['speedup_batched_vs_oracle']:.2f}x)"
+                for name, values in entry["codecs"].items())
+            print(f"  uplink {preset}: encode_updates {parts} vs the per-update oracle")
         print(f"  headline: {agg['headline_speedup_8shards']:.2f}x fold throughput "
               "at 8 shards (critical path vs serial)")
         if args.check:

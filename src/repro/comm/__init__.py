@@ -35,7 +35,9 @@ from .serialization import (
     decode_update,
     encode_state_dict,
     encode_update,
+    encode_updates,
     frame_codec_name,
+    verify_frame,
 )
 from .stream import (
     MAX_FRAME_BYTES,
@@ -60,7 +62,9 @@ __all__ = [
     "KIND_STATE_DICT",
     "PayloadCorruptedError",
     "encode_update",
+    "encode_updates",
     "decode_update",
+    "verify_frame",
     "encode_state_dict",
     "decode_state_dict",
     "frame_codec_name",

@@ -8,6 +8,16 @@ framing layer (:mod:`repro.comm.serialization`) wraps them with shapes,
 dtypes and a checksum so the receiver can reconstruct the tensor without any
 out-of-band knowledge beyond, for delta codecs, the shared reference state.
 
+A codec encodes one tensor (:meth:`~Codec.encode_array`) or many at once
+(:meth:`~Codec.encode_arrays`, what the framing layer calls with the
+same-named tensors of one participant's experts).  The default maps the
+single-tensor method; the top-k family stacks same-shaped tensors as an
+``(E, size)`` delta matrix and runs selection, quantization and bit-packing
+once over all rows, with ``encode_array`` as its one-row case.  Either way the
+sections are byte-identical to encoding each tensor alone — the per-tensor
+top-k code this replaced is the oracle in ``tests/uplink_oracles.py``
+(``tests/test_uplink_batch.py``).
+
 Codecs are stateless and registered by name; look one up with
 :func:`get_codec` (``"topk:<density>"`` parameterises the sparsifier inline).
 Every codec also reports an analytic :meth:`~Codec.wire_bytes_per_param` so
@@ -19,11 +29,17 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..quantization import PACKABLE_BITS, pack_int_codes, quantize_array, unpack_int_codes
+from ..quantization import (
+    PACKABLE_BITS,
+    pack_int_code_rows,
+    pack_int_codes,
+    quantize_array,
+    unpack_int_codes,
+)
 
 #: section dtypes are fixed little-endian so frames are portable
 _SCALE_DTYPE = "<f4"
@@ -132,6 +148,23 @@ class Codec(abc.ABC):
                      reference: Optional[np.ndarray] = None) -> List[bytes]:
         """Encode ``array`` into this codec's byte sections."""
 
+    def encode_arrays(self, arrays: Sequence[np.ndarray],
+                      references: Optional[Sequence[Optional[np.ndarray]]] = None
+                      ) -> Iterable[List[bytes]]:
+        """:meth:`encode_array` of every array, in order: one section list each.
+
+        The batch entry point of the framing layer
+        (:func:`repro.comm.serialization.encode_updates` hands over the
+        same-named tensors of many updates at once and consumes the result in
+        order).  The default maps :meth:`encode_array` lazily, so a cast
+        codec's sections exist one tensor at a time; codecs whose per-tensor
+        cost is mostly call overhead override it with a kernel over all
+        arrays and return a list — the sections must stay byte-identical to
+        the mapping.
+        """
+        return (self.encode_array(array, reference=reference)
+                for array, reference in zip(arrays, _one_reference_each(arrays, references)))
+
     @abc.abstractmethod
     def decode_array(self, sections: Sequence[bytes], shape: Tuple[int, ...],
                      dtype: np.dtype,
@@ -167,6 +200,15 @@ def _check_reference(array_shape: Tuple[int, ...],
         raise ValueError(
             f"reference shape {reference.shape} does not match tensor shape {array_shape}")
     return reference
+
+
+def _one_reference_each(arrays: Sequence, references: Optional[Sequence]) -> Sequence:
+    """``references`` checked against ``arrays`` (``None``: no array has one)."""
+    if references is None:
+        return [None] * len(arrays)
+    if len(references) != len(arrays):
+        raise ValueError("one reference per array is required")
+    return references
 
 
 class CastCodec(Codec):
@@ -271,6 +313,8 @@ class TopKDeltaCodec(Codec):
     """
 
     needs_reference = True
+    #: sections of a tensor with nothing to ship (empty, or equal to its reference)
+    _EMPTY_SECTIONS: Tuple[bytes, ...] = (b"", b"")
 
     def __init__(self, density: float = 0.1) -> None:
         if not 0.0 < density <= 1.0:
@@ -278,37 +322,97 @@ class TopKDeltaCodec(Codec):
         self.density = density
         self.name = "topk" if density == 0.1 else f"topk:{density:g}"
 
-    def _select(self, array: np.ndarray,
-                reference: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Top-k nonzero deltas vs the reference: (indices, values, flat size).
+    def _select_rows(self, deltas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row top-k of a ``(rows, size)`` delta matrix, ``size > 0``.
 
-        Exact zeros are dropped from the selection — they carry no information
-        (adding zero is a no-op), so an all-zero delta encodes to empty
-        sections instead of shipping ``k`` zeros.
+        Returns ``(indices, values)``, both ``(rows, k)``, indices in their
+        wire dtype and ascending within every row — row ``r`` is what
+        selecting on ``deltas[r]`` alone gives (``argpartition`` runs the same
+        introselect on each contiguous row, so ties across the k-th magnitude
+        break identically).
         """
-        delta = (np.asarray(array, dtype=np.float64)
-                 - np.asarray(reference, dtype=np.float64))
-        flat = delta.reshape(-1)
-        if flat.size == 0:
-            return np.empty(0, dtype=np.int64), flat, 0
-        k = max(1, int(math.ceil(self.density * flat.size)))
-        if k >= flat.size:
-            indices = np.arange(flat.size, dtype=np.int64)
+        rows, size = deltas.shape
+        index_dtype = _index_dtype_for(size)
+        k = max(1, int(math.ceil(self.density * size)))
+        if k >= size:
+            return np.tile(np.arange(size, dtype=index_dtype), (rows, 1)), deltas
+        indices = np.abs(deltas).argpartition(-k, axis=1)[:, -k:].astype(index_dtype)
+        indices.sort(axis=1)
+        row_starts = np.arange(0, rows * size, size)[:, None]
+        return indices, deltas.reshape(-1).take(indices + row_starts)
+
+    def _value_sections(self, values: np.ndarray) -> List[List[bytes]]:
+        """The value section(s) of each row of a ``(rows, k)`` matrix, ``k > 0``."""
+        values = np.ascontiguousarray(values, dtype=_VALUE_DTYPE)
+        return [[row.tobytes()] for row in values]
+
+    def _encode_rows(self, deltas: np.ndarray) -> List[List[bytes]]:
+        """Sections of every row of a ``(rows, size)`` float64 delta matrix.
+
+        Exact zeros are dropped from a row's selection — they carry no
+        information (adding zero is a no-op), so an all-zero delta encodes to
+        empty sections instead of shipping ``k`` zeros.  Rows that keep their
+        whole selection — the common case — go through :meth:`_value_sections`
+        as one matrix; a row that dropped zeros has its own length and goes
+        through it alone.
+        """
+        rows, size = deltas.shape
+        if size == 0:
+            return [list(self._EMPTY_SECTIONS) for _ in range(rows)]
+        wire_indices, values = self._select_rows(deltas)
+        keep = values != 0.0
+        whole = keep.all(axis=1)
+        if whole.all():
+            whole_rows, ragged_rows = range(rows), ()
         else:
-            indices = np.sort(np.argpartition(np.abs(flat), -k)[-k:])
-        values = flat[indices]
-        nonzero = values != 0.0
-        return indices[nonzero], values[nonzero], flat.size
+            whole_rows = whole.nonzero()[0].tolist()
+            ragged_rows = (~whole).nonzero()[0].tolist()
+            values, ragged_values = values[whole_rows], values
+        out: List[Optional[List[bytes]]] = [None] * rows
+        if whole_rows:
+            for row, sections in zip(whole_rows, self._value_sections(values)):
+                out[row] = [wire_indices[row].tobytes(), *sections]
+        for row in ragged_rows:
+            kept = keep[row]
+            if not kept.any():
+                out[row] = list(self._EMPTY_SECTIONS)
+                continue
+            (sections,) = self._value_sections(ragged_values[row][kept][None, :])
+            out[row] = [wire_indices[row][kept].tobytes(), *sections]
+        return out
+
+    def encode_arrays(self, arrays: Sequence[np.ndarray],
+                      references: Optional[Sequence[Optional[np.ndarray]]] = None
+                      ) -> List[List[bytes]]:
+        """Row-batched encode: one selection kernel per distinct tensor shape.
+
+        Same-shaped tensors (one participant's experts share their shapes) are
+        stacked as an ``(E, size)`` float64 delta matrix and selected,
+        quantized and packed together; only the final ``tobytes()`` is per
+        row.  Byte-identical to encoding each tensor on its own, which is the
+        one-row case (:meth:`encode_array`) — the per-tensor code this
+        replaced is the oracle in ``tests/uplink_oracles.py``.
+        """
+        arrays = [np.asarray(array) for array in arrays]
+        references = _one_reference_each(arrays, references)
+        by_shape: Dict[Tuple[int, ...], List[int]] = {}
+        for position, array in enumerate(arrays):
+            by_shape.setdefault(array.shape, []).append(position)
+        out: List[Optional[List[bytes]]] = [None] * len(arrays)
+        for shape, positions in by_shape.items():
+            deltas = np.empty((len(positions), *shape), dtype=np.float64)
+            for row, position in enumerate(positions):
+                np.subtract(arrays[position],
+                            _check_reference(shape, references[position]),
+                            out=deltas[row, ...], dtype=np.float64)
+            sections = self._encode_rows(deltas.reshape(len(positions), -1))
+            for position, row_sections in zip(positions, sections):
+                out[position] = row_sections
+        return out
 
     def encode_array(self, array: np.ndarray,
                      reference: Optional[np.ndarray] = None) -> List[bytes]:
-        array = np.asarray(array)
-        reference = _check_reference(array.shape, reference)
-        indices, values, size = self._select(array, reference)
-        return [
-            np.ascontiguousarray(indices, dtype=_index_dtype_for(size)).tobytes(),
-            np.ascontiguousarray(values, dtype=_VALUE_DTYPE).tobytes(),
-        ]
+        return self.encode_arrays([array], [reference])[0]
 
     def decode_array(self, sections: Sequence[bytes], shape: Tuple[int, ...],
                      dtype: np.dtype,
@@ -349,6 +453,7 @@ class TopKQuantCodec(TopKDeltaCodec):
     """
 
     needs_reference = True
+    _EMPTY_SECTIONS = (b"", b"", b"")
 
     def __init__(self, density: float, bits: int) -> None:
         super().__init__(density=density)
@@ -358,19 +463,13 @@ class TopKQuantCodec(TopKDeltaCodec):
         self.bits = bits
         self.name = f"topk:{density:g}:int{bits}"
 
-    def encode_array(self, array: np.ndarray,
-                     reference: Optional[np.ndarray] = None) -> List[bytes]:
-        array = np.asarray(array)
-        reference = _check_reference(array.shape, reference)
-        indices, values, size = self._select(array, reference)
-        if values.size == 0:
-            return [b"", b"", b""]
+    def _value_sections(self, values: np.ndarray) -> List[List[bytes]]:
+        """Packed codes + one float32 scale per row (each row its own scale)."""
         quantized = quantize_array(values, self.bits)
-        return [
-            np.ascontiguousarray(indices, dtype=_index_dtype_for(size)).tobytes(),
-            pack_int_codes(quantized.codes, self.bits),
-            np.ascontiguousarray(quantized.scales, dtype=_SCALE_DTYPE).tobytes(),
-        ]
+        packed = pack_int_code_rows(quantized.codes, self.bits)
+        scales = np.ascontiguousarray(quantized.scales, dtype=_SCALE_DTYPE)
+        return [[packed[row].tobytes(), scales[row:row + 1].tobytes()]
+                for row in range(len(packed))]
 
     def decode_array(self, sections: Sequence[bytes], shape: Tuple[int, ...],
                      dtype: np.dtype,

@@ -21,7 +21,21 @@ whatever sections the frame's :class:`~repro.comm.codecs.Codec` produced;
 shape and source dtype always travel in the clear so the receiver can
 reconstruct without out-of-band metadata.
 
-Decode is zero-copy up to the tensor values: :func:`_check_frame` CRCs a
+Encode is batched over one sender's whole upload: :func:`encode_updates`
+takes a participant's (or a tree node's) list of updates and frames them in
+one pass — tensors grouped by ``(name, dtype, shape)`` across the updates, one
+header (:func:`_tensor_header`, the only writer of that layout) and one
+:meth:`Codec.encode_arrays <repro.comm.codecs.Codec.encode_arrays>` call per
+group, one ``join`` and one CRC pass per frame.  There is still exactly one
+frame per expert update and every frame is byte-identical to what
+:func:`encode_update` — its one-update case — produces; the per-update,
+per-tensor encoder this replaced is kept verbatim in
+``tests/uplink_oracles.py`` and ``tests/test_uplink_batch.py`` holds every
+codec, dtype and shape to it.  :func:`verify_frame` is the receiving half of
+that uplink: checksum only, nothing decoded (see
+:class:`~repro.federated.aggregation.ExpertUpdate`).
+
+Decode is zero-copy up to the tensor values: :func:`verify_frame` CRCs a
 ``memoryview`` of the input (``bytes``, ``bytearray`` or ``memoryview`` — a
 :meth:`~repro.comm.stream.FrameStream.recv_frame_view` buffer decodes without
 ever materialising a ``bytes`` frame), :func:`_decode_tensors` walks it with
@@ -40,10 +54,11 @@ views, only while the frame buffer itself is not reused).
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +79,7 @@ _CRC = struct.Struct("<I")
 #: ``struct.calcsize`` — measurably the old reader's single largest cost
 _STRUCTS: Dict[str, struct.Struct] = {
     fmt: struct.Struct(fmt) for fmt in ("<B", "<H", "<I", "<iiid", "<BB")}
+_U8 = _STRUCTS["<B"]
 _U16 = _STRUCTS["<H"]
 _U32 = _STRUCTS["<I"]
 _UPDATE_HEADER = _STRUCTS["<iiid"]
@@ -114,30 +130,48 @@ def _expert_update_class():
     return _EXPERT_UPDATE
 
 
+def _tensor_header(name: str, dtype: str, shape: Tuple[int, ...]) -> bytes:
+    """``name_len|name|dtype_len|dtype|ndim|dims`` — the one writer of that layout."""
+    name_bytes = name.encode("utf-8")
+    dtype_bytes = dtype.encode("ascii")
+    return b"".join((
+        _U16.pack(len(name_bytes)), name_bytes,
+        _U8.pack(len(dtype_bytes)), dtype_bytes,
+        _U8.pack(len(shape)), _shape_struct(len(shape)).pack(*shape)))
+
+
+def _append_tensor(parts: List[bytes], header: bytes, sections: List[bytes]) -> None:
+    """One tensor onto ``parts``: header, section count, length-prefixed sections."""
+    parts.append(header)
+    parts.append(_U8.pack(len(sections)))
+    for section in sections:
+        parts.append(_U32.pack(len(section)))
+        parts.append(section)
+
+
+def _reference_for(codec: Codec, reference: Optional[Dict[str, np.ndarray]],
+                   name: str) -> Optional[np.ndarray]:
+    if not codec.needs_reference:
+        return None
+    if reference is None or name not in reference:
+        raise ValueError(
+            f"codec {codec.name!r} needs a reference for tensor {name!r}")
+    return reference[name]
+
+
+def _frame_prefix(kind: int, codec: Codec) -> bytes:
+    codec_bytes = codec.name.encode("ascii")
+    return MAGIC + _STRUCTS["<BB"].pack(kind, len(codec_bytes)) + codec_bytes
+
+
 def _encode_tensors(parts: List[bytes], codec: Codec, state: Dict[str, np.ndarray],
                     reference: Optional[Dict[str, np.ndarray]]) -> None:
-    parts.append(struct.pack("<H", len(state)))
+    parts.append(_U16.pack(len(state)))
     for name, value in state.items():
         array = np.asarray(value)
-        name_bytes = name.encode("utf-8")
-        dtype_bytes = array.dtype.str.encode("ascii")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<B", len(dtype_bytes)))
-        parts.append(dtype_bytes)
-        parts.append(struct.pack("<B", array.ndim))
-        parts.append(struct.pack(f"<{array.ndim}I", *array.shape))
-        ref = None
-        if codec.needs_reference:
-            if reference is None or name not in reference:
-                raise ValueError(
-                    f"codec {codec.name!r} needs a reference for tensor {name!r}")
-            ref = reference[name]
-        sections = codec.encode_array(array, reference=ref)
-        parts.append(struct.pack("<B", len(sections)))
-        for section in sections:
-            parts.append(struct.pack("<I", len(section)))
-            parts.append(section)
+        _append_tensor(
+            parts, _tensor_header(name, array.dtype.str, array.shape),
+            codec.encode_array(array, reference=_reference_for(codec, reference, name)))
 
 
 def _frame(parts: List[bytes]) -> bytes:
@@ -151,11 +185,15 @@ def _frame(parts: List[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def _check_frame(data) -> memoryview:
-    """CRC-check ``data`` (any bytes-like buffer); returns the body view.
+def verify_frame(data) -> memoryview:
+    """Check an ``RWP1`` frame's length, CRC and magic without decoding it.
 
-    The body excludes the trailing CRC but includes the magic (offset 0-3),
-    so header fields live at fixed offsets within it.
+    ``data`` is any bytes-like buffer.  Raises
+    :class:`PayloadCorruptedError` on a frame that would not decode; returns
+    the body view otherwise — it excludes the trailing CRC but includes the
+    magic (offset 0-3), so header fields live at fixed offsets within it.
+    This is all the uplink does with a delivered frame: the tensors are
+    decoded once, by whoever folds them.
     """
     view = memoryview(data)
     if type(data) is not bytes and (
@@ -303,19 +341,62 @@ def frame_codec_name(data) -> str:
         raise ValueError(f"undecodable RWP1 codec tag: {exc}") from exc
 
 
+def encode_updates(updates, codec: Codec,
+                   references: Optional[Sequence[Optional[Dict[str, np.ndarray]]]] = None
+                   ) -> List[bytes]:
+    """Serialize many :class:`~repro.federated.aggregation.ExpertUpdate`'s, one frame each.
+
+    ``references[i]`` is update ``i``'s delta reference (``None``: no update
+    has one).  Frame ``i`` is byte for byte ``encode_update(updates[i], codec,
+    references[i])``; what is shared is the work: tensors are grouped by
+    ``(name, dtype, shape)`` across the updates — one participant's experts
+    all carry the same three — each group's header is built once and its
+    values go through one :meth:`Codec.encode_arrays
+    <repro.comm.codecs.Codec.encode_arrays>` call, and every frame is one
+    ``join`` and one CRC pass.  Frames are assembled in order, each pulling
+    its tensors' sections from the groups' iterables, so a codec that encodes
+    lazily (the cast codecs) never holds more than one frame's values.
+    """
+    pairs = (zip(updates, itertools.repeat(None)) if references is None
+             else zip(updates, references, strict=True))
+    groups: Dict[Tuple[str, str, Tuple[int, ...]], Tuple[list, list]] = {}
+    frames: List[Tuple[bytes, list]] = []
+    for update, reference in pairs:
+        keys = []
+        for name, value in update.state.items():
+            array = np.asarray(value)
+            key = (name, array.dtype.str, array.shape)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [])
+            group[0].append(array)
+            group[1].append(_reference_for(codec, reference, name))
+            keys.append(key)
+        frames.append((
+            _UPDATE_HEADER.pack(int(update.participant_id), int(update.layer),
+                                int(update.expert), float(update.weight)),
+            keys))
+    encoded = {key: (_tensor_header(*key), iter(codec.encode_arrays(arrays, array_references)))
+               for key, (arrays, array_references) in groups.items()}
+    prefix = _frame_prefix(KIND_UPDATE, codec)
+    out = []
+    for update_header, keys in frames:
+        parts = [prefix, update_header, _U16.pack(len(keys))]
+        for key in keys:
+            header, sections = encoded[key]
+            _append_tensor(parts, header, next(sections))
+        body = b"".join(parts)
+        out.append(body + _CRC.pack(zlib.crc32(body)))
+    return out
+
+
 def encode_update(update, codec: Codec,
                   reference: Optional[Dict[str, np.ndarray]] = None) -> bytes:
-    """Serialize one :class:`~repro.federated.aggregation.ExpertUpdate`."""
-    codec_bytes = codec.name.encode("ascii")
-    parts: List[bytes] = [
-        MAGIC,
-        struct.pack("<BB", KIND_UPDATE, len(codec_bytes)),
-        codec_bytes,
-        struct.pack("<iiid", int(update.participant_id), int(update.layer),
-                    int(update.expert), float(update.weight)),
-    ]
-    _encode_tensors(parts, codec, update.state, reference)
-    return _frame(parts)
+    """Serialize one :class:`~repro.federated.aggregation.ExpertUpdate`.
+
+    The one-update case of :func:`encode_updates`.
+    """
+    return encode_updates((update,), codec, (reference,))[0]
 
 
 def decode_update(data,
@@ -347,7 +428,7 @@ def _decode_update_parts(data, reference, reference_lookup, scratch):
     building (and immediately unpacking) a dataclass per frame is measurable
     at wire-fold rates.
     """
-    body = _check_frame(data)
+    body = verify_frame(data)
     try:
         kind, codec, offset = _parse_header(body)
         if kind != KIND_UPDATE:
@@ -368,12 +449,7 @@ def _decode_update_parts(data, reference, reference_lookup, scratch):
 def encode_state_dict(state: Dict[str, np.ndarray], codec: Codec,
                       reference: Optional[Dict[str, np.ndarray]] = None) -> bytes:
     """Serialize a full model (or expert) state dict."""
-    codec_bytes = codec.name.encode("ascii")
-    parts: List[bytes] = [
-        MAGIC,
-        struct.pack("<BB", KIND_STATE_DICT, len(codec_bytes)),
-        codec_bytes,
-    ]
+    parts: List[bytes] = [_frame_prefix(KIND_STATE_DICT, codec)]
     _encode_tensors(parts, codec, state, reference)
     return _frame(parts)
 
@@ -386,7 +462,7 @@ def decode_state_dict(data,
 
     ``scratch`` decodes into pool-owned arrays, as :func:`decode_update` does.
     """
-    body = _check_frame(data)
+    body = verify_frame(data)
     try:
         kind, codec, offset = _parse_header(body)
         if kind != KIND_STATE_DICT:

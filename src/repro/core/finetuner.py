@@ -85,7 +85,7 @@ class FluxFineTuner(FederatedFineTuner):
 
     def __getstate__(self) -> Dict:
         # Process-pool workers get the tuner pickled; they rebuild their own copy.
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state["_quantized"] = None
         return state
 

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm.aggregator import finalize_weighted_sum, fold_weighted_state
+from ..comm.serialization import decode_update
 from ..models import MoETransformer
 
 ExpertKey = Tuple[int, int]  # (layer index, expert index)
@@ -21,19 +22,32 @@ ExpertKey = Tuple[int, int]  # (layer index, expert index)
 
 @dataclass
 class ExpertUpdate:
-    """One participant's update for one expert."""
+    """One participant's update for one expert.
+
+    ``state`` is either given or — for an update that arrived over
+    ``transport="wire"`` — decoded on demand: the uplink only verifies a
+    delivered frame's checksum and hands over ``state=None`` plus
+    :attr:`wire_frame` / :attr:`wire_codec` / :attr:`wire_reference`; the
+    first read of ``state`` decodes exactly those bytes against exactly that
+    reference (:func:`repro.comm.decode_update`) and keeps the result.  A fold
+    that consumes frames (the service / process-pool dispatch forwards
+    ``wire_frame`` verbatim) never reads it, so each frame is decoded once, by
+    whoever folds it; everything that does read it — the serial fold,
+    order-statistic strategies, ``==``, ``repr``, ``dataclasses.replace`` —
+    sees the bits an eager decode at the uplink would have produced.
+    """
 
     participant_id: int
     layer: int
     expert: int
-    state: Dict[str, np.ndarray]
+    state: Optional[Dict[str, np.ndarray]]
     weight: float = 1.0
     #: server versions elapsed since the contributor downloaded the model —
     #: in-memory metadata consumed by the ``staleness_fedavg`` strategy; it
     #: does not travel in wire frames (the asynchronous scheduler discounts
     #: weights before transmission, so the wire format stays stable).
     staleness: int = 0
-    #: the exact wire frame this update was decoded from (``transport="wire"``
+    #: the exact wire frame this update arrived as (``transport="wire"``
     #: deliveries only) — downstream fold dispatch forwards it verbatim instead
     #: of re-encoding the decoded state as fp64, which is bit-identical by
     #: construction (``state`` *is* the deterministic decode of these bytes).
@@ -42,15 +56,36 @@ class ExpertUpdate:
     wire_frame: Optional[bytes] = field(default=None, repr=False, compare=False)
     #: codec name of :attr:`wire_frame` (``None`` when no frame is carried)
     wire_codec: Optional[str] = field(default=None, repr=False, compare=False)
-    #: the reference state :attr:`wire_frame` was decoded against, for
+    #: the reference state :attr:`wire_frame` decodes against, for
     #: ``needs_reference`` codecs (top-k/sparse deltas); forwarded alongside
-    #: the frame so a remote decoder reconstructs the identical state
+    #: the frame so a remote decoder reconstructs the identical state.  Shared
+    #: read-only by every update of one expert key and server version.
     wire_reference: Optional[Dict[str, np.ndarray]] = field(
         default=None, repr=False, compare=False)
 
     @property
     def key(self) -> ExpertKey:
         return (self.layer, self.expert)
+
+
+def _get_state(self: ExpertUpdate) -> Optional[Dict[str, np.ndarray]]:
+    state = self.__dict__["state"]
+    if state is None and self.wire_frame is not None:
+        state = self.__dict__["state"] = decode_update(
+            self.wire_frame, reference=self.wire_reference).state
+    return state
+
+
+def _set_state(self: ExpertUpdate, state: Optional[Dict[str, np.ndarray]]) -> None:
+    self.__dict__["state"] = state
+
+
+# ``state`` has no default, so the dataclass left no class attribute behind:
+# the generated ``__init__`` assigns through this property, and ``fields()``,
+# ``replace``, ``==`` and ``repr`` read through it.  The value lives under its
+# own name in the instance ``__dict__``, so pickles (async-scheduler
+# checkpoints hold in-flight updates) keep the layout they always had.
+ExpertUpdate.state = property(_get_state, _set_state)
 
 
 def fedavg_states(states: Sequence[Dict[str, np.ndarray]],

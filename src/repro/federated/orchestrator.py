@@ -367,6 +367,9 @@ class FederatedFineTuner(abc.ABC):
         self._legacy_scheduler = None
         self._legacy_scheduler_key = None
         self._channels: Dict[int, object] = {}
+        #: ``(server.round_index, {expert key: state})``: the delta-codec
+        #: references of the current server version, see :meth:`uplink_reference`
+        self._uplink_references: Optional[Tuple[int, Dict]] = None
         # --- aggregation topology: strategy, expert shards, edge tier.
         # With the defaults (fedavg / 1 shard / 0 edges) every hook below is a
         # pass-through and the behaviour is bit-identical to the flat legacy
@@ -478,17 +481,55 @@ class FederatedFineTuner(abc.ABC):
             self._channels[participant.participant_id] = channel
         return channel
 
+    def uplink_reference(self, layer: int, expert: int) -> Dict[str, np.ndarray]:
+        """The state both ends of the uplink delta one expert against.
+
+        It is the server's *current* expert state, so the round trip is
+        always consistent.  Under the sync/semisync schedulers this is also
+        the state the client downloaded; under async it may have advanced
+        past the client's stale download, making the top-k selection
+        delta-vs-latest rather than delta-vs-downloaded.
+
+        Fetched once per expert per server version and shared, read-only, by
+        every update of that version (frames carry it as ``wire_reference``
+        until they are decoded).  Keyed on ``server.round_index`` — every
+        aggregation bumps the index, so a copy of older weights is never
+        handed out — and dropped on resume, when a restored model may share
+        its index with the one the cache was filled from.
+        """
+        version = self.server.round_index
+        if self._uplink_references is None or self._uplink_references[0] != version:
+            self._uplink_references = (version, {})
+        references = self._uplink_references[1]
+        reference = references.get((layer, expert))
+        if reference is None:
+            reference = references[(layer, expert)] = self.server.expert_state(layer, expert)
+            for value in reference.values():
+                value.setflags(write=False)
+        return reference
+
+    def __getstate__(self) -> Dict:
+        # Process-pool workers get the tuner pickled; they never transmit.
+        state = self.__dict__.copy()
+        state["_uplink_references"] = None
+        return state
+
     def transmit_updates(self, participant: Participant,
                          updates: Sequence[ExpertUpdate]):
         """Move one participant's updates to the server over the transport.
 
         Under ``transport="analytic"`` (the default) the in-memory updates
         pass straight through and nothing is metered — the legacy behaviour.
-        Under ``transport="wire"`` every update is encoded with the run's
-        codec into a framed byte payload, sent over the participant's
-        :class:`~repro.comm.Channel` (charging measured airtime, applying
-        loss/corruption faults) and decoded server-side; lost payloads and
-        frames that fail their checksum never reach aggregation.
+        Under ``transport="wire"`` the participant's whole upload is encoded
+        with the run's codec in one pass (:func:`repro.comm.encode_updates`:
+        one framed byte payload per expert, as ever) and every payload is sent
+        over the participant's :class:`~repro.comm.Channel` (charging measured
+        airtime, applying loss/corruption faults).  The server side verifies a
+        delivered frame's checksum and does *not* decode it: the delivered
+        update carries the frame, and its ``state`` is decoded when first read
+        (see :class:`~repro.federated.aggregation.ExpertUpdate`).  A frame the
+        channel corrupted is decoded on the spot, so lost payloads and frames
+        that fail their checksum never reach aggregation.
 
         Returns ``(delivered_updates, stats)`` where ``stats`` is a
         :class:`~repro.comm.ChannelStats` of measured traffic.
@@ -497,13 +538,15 @@ class FederatedFineTuner(abc.ABC):
             ChannelStats,
             PayloadCorruptedError,
             decode_update,
-            encode_update,
+            encode_updates,
             get_codec,
+            verify_frame,
         )
 
         stats = ChannelStats()
         if self.config.transport != "wire":
             return list(updates), stats
+        updates = list(updates)
         codec = get_codec(self.wire_codec_name())
         channel = self.channel_for(participant)
         delivered: List[ExpertUpdate] = []
@@ -512,35 +555,37 @@ class FederatedFineTuner(abc.ABC):
                 "uplink", category="transfer",
                 participant=participant.participant_id,
                 codec=self.wire_codec_name()) as span:
-            for update in updates:
+            references = [self.uplink_reference(update.layer, update.expert)
+                          if codec.needs_reference else None for update in updates]
+            payloads = encode_updates(updates, codec, references)
+            for update, reference, payload in zip(updates, references, payloads):
                 raw_bytes += 8.0 * sum(np.asarray(v).size
                                        for v in update.state.values())
-                reference = None
-                if codec.needs_reference:
-                    # Both endpoints delta against the server's *current* expert
-                    # state, fetched once and shared, so the round trip is always
-                    # consistent.  Under the sync/semisync schedulers this is also
-                    # the state the client downloaded; under async it may have
-                    # advanced past the client's stale download, making the top-k
-                    # selection delta-vs-latest rather than delta-vs-downloaded.
-                    reference = self.server.expert_state(update.layer, update.expert)
-                payload = encode_update(update, codec, reference=reference)
                 record = channel.send(payload, direction="up")
                 stats.record(record)
-                if record.delivered:
-                    try:
+                if not record.delivered:
+                    continue
+                try:
+                    if record.corrupted:
+                        # corrupted-but-decodable payloads carry the received
+                        # bytes: these are what decoded
                         arrived = decode_update(record.payload, reference=reference)
-                    except PayloadCorruptedError:
-                        stats.decode_failures += 1
-                        continue
-                    # Carry the delivered bytes (corrupted-but-decodable
-                    # payloads included: these bytes are what decoded) so the
-                    # pooled/service fold dispatch can forward the original
-                    # frame instead of re-encoding the state as fp64.
-                    arrived.wire_frame = bytes(record.payload)
-                    arrived.wire_codec = codec.name
-                    arrived.wire_reference = reference
-                    delivered.append(arrived)
+                    else:
+                        verify_frame(record.payload)
+                        arrived = ExpertUpdate(
+                            participant_id=int(update.participant_id),
+                            layer=int(update.layer), expert=int(update.expert),
+                            state=None, weight=float(update.weight))
+                except PayloadCorruptedError:
+                    stats.decode_failures += 1
+                    continue
+                # Carry the delivered bytes so the pooled/service fold
+                # dispatch can forward the original frame instead of
+                # re-encoding the state as fp64.
+                arrived.wire_frame = bytes(record.payload)
+                arrived.wire_codec = codec.name
+                arrived.wire_reference = reference
+                delivered.append(arrived)
             span.set(sim_duration=stats.seconds, bytes=stats.total_bytes,
                      payloads=stats.payloads, lost=stats.lost,
                      corrupted=stats.corrupted)
@@ -593,6 +638,7 @@ class FederatedFineTuner(abc.ABC):
 
     def import_run_state(self, state: Dict) -> None:
         """Restore an :meth:`export_run_state` snapshot."""
+        self._uplink_references = None  # the restored model may share its round index
 
     def export_channel_states(self) -> Dict[int, Dict]:
         """Per-participant wire-channel state (fault-stream position + stats)."""

@@ -56,7 +56,7 @@ from ..comm import (
     ScratchPool,
     StreamingAggregator,
     decode_update,
-    encode_update,
+    encode_updates,
     get_codec,
 )
 from ..obs import NULL_TRACER
@@ -70,6 +70,11 @@ EDGE_CODEC = "fp64"
 #: its partials as ``-(k * _TIER_ID_STRIDE + j + 1)``, so tier 0 keeps the
 #: historical ``-(edge + 1)`` ids and logs can tell tiers apart.
 _TIER_ID_STRIDE = 1000
+
+
+def _framed(partials: List[ExpertUpdate], codec) -> List[Tuple[ExpertUpdate, bytes]]:
+    """Each of a node's partials paired with its wire frame (one framing pass)."""
+    return list(zip(partials, encode_updates(partials, codec)))
 
 
 def tier_of_pseudo_id(pseudo_id: int) -> int:
@@ -283,10 +288,9 @@ class AggregationTree:
         """
         return aggregator.partials(self.pseudo_id(0, edge))
 
-    def _send(self, tier: int, node: int, partial: ExpertUpdate,
-              frame: Optional[bytes], codec
+    def _send(self, tier: int, node: int, partial: ExpertUpdate, frame: bytes
               ) -> Tuple[Optional[ExpertUpdate], Optional[bytes]]:
-        """Ship one partial over its node's channel; return what arrived.
+        """Ship one framed partial over its node's channel; return what arrived.
 
         Returns ``(delivered update, delivered frame bytes)`` — both ``None``
         when the payload was lost or failed its CRC.  Pristine frames skip
@@ -296,8 +300,6 @@ class AggregationTree:
         hop; a corrupted-but-decodable payload returns the *received* bytes,
         which are what any downstream re-decode must see.
         """
-        if frame is None:
-            frame = encode_update(partial, codec)
         record = self.tier_channels[tier][node].send(frame, direction="up")
         self.last_tier_stats[tier].record(record)
         if not record.delivered:
@@ -312,12 +314,12 @@ class AggregationTree:
 
     def _fold_leaf_tier(self, updates: Iterable[ExpertUpdate], strategy,
                         pool, codec, tracer=NULL_TRACER
-                        ) -> Dict[int, List[Tuple[ExpertUpdate, Optional[bytes]]]]:
+                        ) -> Dict[int, List[Tuple[ExpertUpdate, bytes]]]:
         """Fold participant updates into tier-0 partials, serially or pooled.
 
-        Returns ``{node: [(partial, frame-or-None), ...]}`` in node order of
-        first appearance; per-node partial order is accumulator insertion
-        order either way, so pooled and serial folds are bit-identical.
+        Returns ``{node: [(partial, frame), ...]}`` in node order of first
+        appearance; per-node partial order is accumulator insertion order
+        either way, so pooled and serial folds are bit-identical.
         """
         width = self.tiers[0]
         if pool is None:
@@ -325,18 +327,18 @@ class AggregationTree:
                            for _ in range(width)]
             for update in updates:
                 aggregators[self.edge_of(update.participant_id)].add(update)
-            partials: Dict[int, List[Tuple[ExpertUpdate, Optional[bytes]]]] = {}
+            partials: Dict[int, List[Tuple[ExpertUpdate, bytes]]] = {}
             for node, aggregator in enumerate(aggregators):
                 self.last_tier_counts[0][node] = aggregator.num_updates
                 if len(aggregator):
                     # The serial fold streams updates into all nodes at once,
                     # so the span covers the node's partial extraction (its
-                    # finalize work); pooled folds time the whole subtree fold
-                    # in their worker instead.
+                    # finalize work) and framing; pooled folds time the whole
+                    # subtree fold in their worker instead.
                     with tracer.span("prefold_node", category="fold", node=node,
                                      tier=0, num_updates=aggregator.num_updates):
-                        partials[node] = [(partial, None)
-                                          for partial in self.partial_updates(node, aggregator)]
+                        partials[node] = _framed(
+                            self.partial_updates(node, aggregator), codec)
             return partials
         # Pooled pre-fold: the updates cross the process boundary as wire
         # frames (plus their in-memory staleness, which does not travel in
@@ -432,7 +434,7 @@ class AggregationTree:
                     airtime_before = self.last_tier_stats[tier].seconds
                     for partial, frame in current[node]:
                         delivered, delivered_frame = self._send(
-                            tier, node, partial, frame, codec)
+                            tier, node, partial, frame)
                         if delivered is None:
                             continue
                         if pool is None:
@@ -461,8 +463,8 @@ class AggregationTree:
                 if len(aggregator):
                     with tracer.span("fold_node", category="fold", tier=tier + 1,
                                      node=node, num_updates=aggregator.num_updates):
-                        current[node] = [(partial, None) for partial in
-                                         aggregator.partials(self.pseudo_id(tier + 1, node))]
+                        current[node] = _framed(
+                            aggregator.partials(self.pseudo_id(tier + 1, node)), codec)
 
         def delivered_partials():
             tier = self.depth - 1
@@ -471,7 +473,7 @@ class AggregationTree:
                                  node=node, partials=len(current[node])) as span:
                     airtime_before = self.last_tier_stats[tier].seconds
                     for partial, frame in current[node]:
-                        delivered, _ = self._send(tier, node, partial, frame, codec)
+                        delivered, _ = self._send(tier, node, partial, frame)
                         if delivered is not None:
                             yield delivered
                     span.set(sim_duration=self.last_tier_stats[tier].seconds

@@ -7,6 +7,7 @@ from .quantizer import (
     QuantizedArray,
     dequantize_array,
     dequantize_state_dict,
+    pack_int_code_rows,
     pack_int_codes,
     quantization_error,
     quantize_array,
@@ -20,6 +21,7 @@ __all__ = [
     "SUPPORTED_BITS",
     "PACKABLE_BITS",
     "pack_int_codes",
+    "pack_int_code_rows",
     "unpack_int_codes",
     "QuantizedArray",
     "quantize_array",

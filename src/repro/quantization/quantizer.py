@@ -68,31 +68,42 @@ def dequantize_array(quantized: QuantizedArray) -> np.ndarray:
 PACKABLE_BITS = (2, 4, 8)
 
 
-def pack_int_codes(codes: np.ndarray, bits: int) -> bytes:
-    """Pack signed quantization codes densely at ``bits`` per value.
+def pack_int_code_rows(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Pack every row of a 2-D code matrix densely at ``bits`` per value.
 
     Codes are shifted by ``2**(bits-1)`` into unsigned range and packed
     little-end-first within each byte (the first value occupies the lowest
-    bits).  Only byte-aligned widths are supported; 3-bit codes stay an
-    in-memory-only format.
+    bits); a row whose length is not a multiple of ``8 // bits`` is padded
+    with zero slots, so row ``r`` of the ``(rows, ceil(cols * bits / 8))``
+    uint8 result is exactly the packing of ``codes[r]`` on its own.  Only
+    byte-aligned widths are supported; 3-bit codes stay an in-memory-only
+    format.
     """
     if bits not in PACKABLE_BITS:
         raise ValueError(f"cannot byte-pack {bits}-bit codes; packable: {PACKABLE_BITS}")
-    offset = 1 << (bits - 1)
-    flat = codes.astype(np.int64).reshape(-1) + offset
-    if flat.size and (flat.min() < 0 or flat.max() >= (1 << bits)):
+    shifted = codes.astype(np.int64) + (1 << (bits - 1))
+    if shifted.size and (shifted.min() < 0 or shifted.max() >= (1 << bits)):
         raise ValueError(f"codes outside the {bits}-bit range")
-    values = flat.astype(np.uint8)
+    values = shifted.astype(np.uint8)
     per_byte = 8 // bits
     if per_byte == 1:
-        return values.tobytes()
-    pad = (-values.size) % per_byte
+        return values
+    rows, cols = values.shape
+    pad = (-cols) % per_byte
     if pad:
-        values = np.concatenate([values, np.zeros(pad, dtype=np.uint8)])
-    packed = np.zeros(values.size // per_byte, dtype=np.uint8)
+        values = np.concatenate([values, np.zeros((rows, pad), dtype=np.uint8)], axis=1)
+    packed = np.zeros((rows, values.shape[1] // per_byte), dtype=np.uint8)
     for slot in range(per_byte):
-        packed |= values[slot::per_byte] << (slot * bits)
-    return packed.tobytes()
+        packed |= values[:, slot::per_byte] << (slot * bits)
+    return packed
+
+
+def pack_int_codes(codes: np.ndarray, bits: int) -> bytes:
+    """Pack signed quantization codes (any shape, flattened) at ``bits`` per value.
+
+    The one-row case of :func:`pack_int_code_rows`, which defines the layout.
+    """
+    return pack_int_code_rows(codes.reshape(1, -1), bits).tobytes()
 
 
 def unpack_int_codes(data: bytes, bits: int, count: int) -> np.ndarray:

@@ -30,7 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm import decode_update, encode_state_dict, encode_update, get_codec
+from ..comm import (
+    decode_update,
+    encode_state_dict,
+    encode_update,
+    encode_updates,
+    get_codec,
+)
 from ..federated.client import Participant
 from ..obs import NULL_TELEMETRY, span_record
 
@@ -46,8 +52,7 @@ def _frame_result(result) -> Tuple[object, List[bytes]]:
     updates travel as framed byte payloads rather than pickled numpy state
     dicts, exactly the representation a remote deployment would ship.
     """
-    codec = get_codec(_IPC_CODEC)
-    frames = [encode_update(update, codec) for update in result.updates]
+    frames = encode_updates(result.updates, get_codec(_IPC_CODEC))
     return replace(result, updates=[]), frames
 
 
@@ -282,8 +287,7 @@ def _prefold_node_frames(strategy, pseudo_id: int,
     fold_payload = aggregator.fold_payload
     for frame, staleness in framed:
         fold_payload(frame, reference_lookup=lookup, staleness=int(staleness))
-    codec = get_codec(_IPC_CODEC)
-    return [encode_update(partial, codec) for partial in aggregator.partials(pseudo_id)]
+    return encode_updates(aggregator.partials(pseudo_id), get_codec(_IPC_CODEC))
 
 
 def _tier_of_pseudo_id(pseudo_id: int) -> int:
