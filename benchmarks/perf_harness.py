@@ -36,10 +36,11 @@ Usage::
     python benchmarks/perf_harness.py --check BENCH_hotpath.json
     python benchmarks/perf_harness.py --seed-src /path/to/seed/src
 
-The regression check compares the machine-independent *speedup* of
-``batched/float32`` over ``loop/float64`` against the committed baseline and
-fails (exit code 1) when it has regressed by more than ``--tolerance``
-(default 30%).
+``--check`` gates every suite through one table (``GATES``: metric path,
+which direction is worse) and one walker (``check_gates``).  For the default
+suite it compares the machine-independent *speedup* of ``batched/float32``
+over ``loop/float64`` against the committed baseline and fails (exit code 1)
+when it has regressed by more than ``--tolerance`` (default 30%).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import sys
 import time
 import tracemalloc
 from datetime import datetime, timezone
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(REPO_ROOT, "src")):
@@ -420,43 +421,42 @@ def _make_aggregation_updates(participants: int, preset: str = AGG_PRESET):
     return model, updates
 
 
-def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int,
-                      pool) -> Dict:
-    """Serial vs pooled fold of one round's updates at ``num_shards`` shards.
+def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int) -> Dict:
+    """Serial fold of one round's updates vs its per-shard fold jobs.
 
-    Three measurements, interleaved per repetition so host-load drift cancels
+    Two measurements, interleaved per repetition so host-load drift cancels
     out of the ratios:
 
     * ``serial_wire_fold_s`` — the serial baseline: the production fused
       decode-and-fold path (``aggregate_payloads`` through the server's
       persistent scratch pool), on one thread.  This is exactly what the root
       of a ``transport="wire"`` deployment does today, and exactly the total
-      work the pooled path partitions — the headline speedup compares like
-      with like.  ``serial_inmemory_fold_s`` (the analytic-transport fold, no
-      decode) is recorded alongside for transparency.
-    * per-shard worker jobs + the parent merge, each timed in isolation; their
-      combination ``critical_path_s = max(job) + merge`` is the fold wall-clock
-      on a host with >= ``num_shards`` cores (workers only wait for the
-      slowest shard).  Measuring jobs serially keeps the number honest on
-      constrained hosts, where concurrently scheduled workers would timeshare
-      one core and inflate each other's wall time.
-    * ``pooled_wall_s`` — the real process-pool fold on *this* host, IPC and
-      (single-core) timesharing included.
+      work the service's fold jobs partition — the headline speedup compares
+      like with like.  ``serial_inmemory_fold_s`` (the analytic-transport
+      fold, no decode) is recorded alongside for transparency.
+    * the per-shard fold jobs the aggregator servers run + the parent merge,
+      each timed in isolation; their combination ``critical_path_s = max(job)
+      + merge`` is the fold wall-clock on a host with >= ``num_shards`` cores
+      (the round only waits for the slowest shard).  Measuring jobs serially
+      keeps the number honest on constrained hosts, where concurrently
+      scheduled servers would timeshare one core and inflate each other's
+      wall time.  (``--suite service`` times the jobs through live servers.)
     """
-    from repro.comm import decode_state_dict
+    from repro.comm import ScratchPool, decode_state_dict
     from repro.federated import ShardedParameterServer
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
-    from repro.runtime.executor import _fold_shard_frames, frame_update
+    from repro.service.fold import fold_shard_frames, frame_update
 
     config = get_preset(AGG_PRESET.replace("_", "-"))
     serial_server = ShardedParameterServer(MoETransformer(config),
                                            num_shards=num_shards)
-    all_framed = [frame_update(update) for update in updates]
+    all_framed = [frame_update(update, {}) for update in updates]
     shard_framed = [[] for _ in range(num_shards)]
     for update, framed in zip(updates, all_framed):
         shard_framed[serial_server.shard_of(update.key)].append(framed)
-    worker_results = [_fold_shard_frames(None, False, framed)
+    scratch = ScratchPool()   # warm across jobs, as an aggregator server's is
+    worker_results = [fold_shard_frames(None, framed, scratch=scratch)
                       for framed in shard_framed if framed]
     merge_model = MoETransformer(config)
 
@@ -475,18 +475,14 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int,
     for shard, framed in enumerate(shard_framed):
         if framed:
             fns[f"job{shard}"] = {
-                "fold": lambda framed=framed: _fold_shard_frames(None, False, framed)}
-    if num_shards > 1:
-        pooled_server = ShardedParameterServer(MoETransformer(config),
-                                               num_shards=num_shards)
-        pooled_server.fold_pool = pool
-        fns["pooled"] = {"fold": lambda: pooled_server.aggregate(list(updates))}
+                "fold": lambda framed=framed: fold_shard_frames(
+                    None, framed, scratch=scratch)}
 
     times = _interleaved_best_times(fns, iters, reps)
     serial_s = times["serial_wire"]["fold"]
     job_s = [times[name]["fold"] for name in times if name.startswith("job")]
     critical_s = max(job_s) + times["merge"]["fold"]
-    result = {
+    return {
         "serial_wire_fold_s": serial_s,
         "serial_updates_per_s": len(updates) / serial_s,
         "serial_inmemory_fold_s": times["serial_inmemory"]["fold"],
@@ -500,38 +496,34 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int,
         "speedup_critical_path_vs_serial_inmemory":
             times["serial_inmemory"]["fold"] / critical_s,
     }
-    if "pooled" in times:
-        result["pooled_wall_s"] = times["pooled"]["fold"]
-        result["pooled_wall_updates_per_s"] = len(updates) / times["pooled"]["fold"]
-        result["speedup_pooled_wall_vs_serial"] = serial_s / times["pooled"]["fold"]
-    return result
 
 
-def _bench_tree_fold(updates, tiers, iters: int, reps: int, pool) -> Dict:
-    """Serial vs pooled N-tier tree aggregation of one round's updates.
+def _bench_tree_fold(updates, tiers, iters: int, reps: int) -> Dict:
+    """Serial N-tier tree aggregation of one round's updates vs its node jobs.
 
     The serial baseline decodes the participant wire frames and runs the
     serial tree fold — the work of a wire deployment's aggregation plane on
-    one thread, and the exact total the pooled path partitions.
+    one thread, and the exact total the service's node jobs partition.
     ``critical_path_s`` combines the slowest tier-0 node pre-fold job
     (decode + fold, isolated-timed as for shards) with the measured
     non-parallel remainder (channel hops, inner-tier folds, root aggregate)
     = ``serial_s - decode_s - leaf_fold_s``.
     """
-    from repro.comm import decode_update, get_codec
+    from repro.comm import ScratchPool, decode_update, get_codec
     from repro.federated import AggregationTree, ParameterServer
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
-    from repro.runtime.executor import _prefold_node_frames, frame_update
+    from repro.service.fold import frame_update, prefold_node_frames
 
     config = get_preset(AGG_PRESET.replace("_", "-"))
     tree = AggregationTree(tiers)
     server = ParameterServer(MoETransformer(config))
     codec = get_codec("fp64")
-    all_framed = [frame_update(update, codec) for update in updates]
+    all_framed = [frame_update(update, {}) for update in updates]
     node_framed: Dict[int, list] = {}
     for update, framed in zip(updates, all_framed):
         node_framed.setdefault(tree.edge_of(update.participant_id), []).append(framed)
+    scratch = ScratchPool()   # warm across jobs, as an aggregator server's is
 
     def serial_wire():
         tree.aggregate(server, iter([decode_update(frame) for frame, _ in all_framed]))
@@ -544,12 +536,11 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int, pool) -> Dict:
         "serial_wire": {"fold": serial_wire},
         "decode": {"fold": lambda: [decode_update(frame) for frame, _ in all_framed]},
         "leaf": {"fold": leaf_fold},
-        "pooled": {"fold": lambda: tree.aggregate(server, iter(updates), pool=pool)},
     }
     for node, framed in sorted(node_framed.items()):
         fns[f"job{node}"] = {
-            "fold": lambda node=node, framed=framed: _prefold_node_frames(
-                None, tree.pseudo_id(0, node), framed)}
+            "fold": lambda node=node, framed=framed: prefold_node_frames(
+                None, tree.pseudo_id(0, node), framed, scratch=scratch)}
 
     times = _interleaved_best_times(fns, iters, reps)
     serial_s = times["serial_wire"]["fold"]
@@ -560,7 +551,6 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int, pool) -> Dict:
         "depth": len(tiers),
         "serial_wire_s": serial_s,
         "serial_updates_per_s": len(updates) / serial_s,
-        "pooled_wall_s": times["pooled"]["fold"],
         "decode_s": times["decode"]["fold"],
         "leaf_fold_s": times["leaf"]["fold"],
         "node_job_s": job_s,
@@ -575,9 +565,9 @@ def _bench_decode(updates, iters: int, reps: int) -> Dict:
     """Fresh-allocation vs scratch-pool decode throughput over one round's
     wire frames (the ``decode_into`` fast path the fused fold rides)."""
     from repro.comm import ScratchPool, decode_update
-    from repro.runtime.executor import frame_update
+    from repro.service.fold import frame_update
 
-    all_framed = [frame_update(update)[0] for update in updates]
+    all_framed = [frame_update(update, {})[0] for update in updates]
     scratch = ScratchPool()
 
     def fresh():
@@ -613,11 +603,11 @@ def _bench_alloc_probe(updates) -> Dict:
     from repro.federated import ShardedParameterServer
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
-    from repro.runtime.executor import frame_update
+    from repro.service.fold import frame_update
 
     config = get_preset(AGG_PRESET.replace("_", "-"))
     server = ShardedParameterServer(MoETransformer(config), num_shards=1)
-    all_framed = [frame_update(update)[0] for update in updates]
+    all_framed = [frame_update(update, {})[0] for update in updates]
 
     def fused():
         server.aggregate_payloads(iter(all_framed))
@@ -710,8 +700,6 @@ def bench_uplink(quick: bool) -> Dict:
 
 def run_aggregation_suite(quick: bool) -> Dict:
     """The aggregation-throughput benchmark family (``--suite aggregation``)."""
-    from repro.runtime import AggregationPool
-
     # Quick mode trims repetitions but keeps the full workload shape: the
     # gated speedups depend on the serial/parallel split of the work, so
     # shrinking the fleet would move the ratios, not just the noise.
@@ -719,18 +707,12 @@ def run_aggregation_suite(quick: bool) -> Dict:
     iters = 2 if quick else 4
     reps = 3 if quick else 6
     model, updates = _make_aggregation_updates(participants)
-    pool = AggregationPool()
-    try:
-        pool.prefold_nodes(None, [(0, -1, [])])  # spawn workers outside the timings
-        shards = {str(n): _bench_shard_fold(updates, n, iters, reps, pool)
-                  for n in AGG_SHARD_COUNTS}
-        tree = {"x".join(map(str, tiers)): _bench_tree_fold(updates, tiers, iters,
-                                                            reps, pool)
-                for tiers in AGG_TREE_TIERS}
-        decode = _bench_decode(updates, iters, reps)
-        alloc_probe = _bench_alloc_probe(updates)
-    finally:
-        pool.close()
+    shards = {str(n): _bench_shard_fold(updates, n, iters, reps)
+              for n in AGG_SHARD_COUNTS}
+    tree = {"x".join(map(str, tiers)): _bench_tree_fold(updates, tiers, iters, reps)
+            for tiers in AGG_TREE_TIERS}
+    decode = _bench_decode(updates, iters, reps)
+    alloc_probe = _bench_alloc_probe(updates)
     return {
         "preset": AGG_PRESET,
         "participants": participants,
@@ -741,10 +723,10 @@ def run_aggregation_suite(quick: bool) -> Dict:
                  "wire frames (what a transport='wire' root does); "
                  "critical_path_s = max(isolated per-shard/node decode+fold "
                  "job) + measured merge/remainder: the fold wall-clock on a "
-                 "host with >= num_shards cores partitioning that same work. "
-                 "pooled_wall_s is the real process pool on this host "
-                 "(single-core hosts timeshare, so it shows IPC overhead "
-                 "rather than speedup); serial_inmemory_* is the analytic-"
+                 "host with >= num_shards cores partitioning that same work "
+                 "(the jobs are the ones the aggregator servers run; --suite "
+                 "service times them through live servers). "
+                 "serial_inmemory_* is the analytic-"
                  "transport fold that never decodes, for transparency. "
                  "decode compares fresh-allocation vs scratch-pool "
                  "decode_update throughput; alloc_probe tracemallocs one "
@@ -759,97 +741,6 @@ def run_aggregation_suite(quick: bool) -> Dict:
         "headline_speedup_8shards":
             shards["8"]["speedup_critical_path_vs_serial"],
     }
-
-
-def check_aggregation_regression(current: Dict, baseline_path: str,
-                                 tolerance: float) -> int:
-    """Gate the machine-independent critical-path speedups vs the baseline."""
-    with open(baseline_path) as handle:
-        committed = json.load(handle)
-    failures = []
-
-    def gate(section: str, name: str, entry: Dict, ref_entry: Dict) -> None:
-        ref = ref_entry.get("speedup_critical_path_vs_serial")
-        if not ref:
-            return
-        cur = entry.get("speedup_critical_path_vs_serial")
-        if not cur:
-            # A committed baseline entry the current run never produced is a
-            # broken gate, not a pass — otherwise a partial suite (or renamed
-            # shard/tier configs) would silently stop gating anything.
-            print(f"[MISSING] aggregation/{section}/{name}: committed "
-                  f"{ref:.2f}x has no current measurement")
-            failures.append((section, name, None, ref))
-            return
-        floor = (1.0 - tolerance) * ref
-        status = "OK" if cur >= floor else "REGRESSION"
-        print(f"[{status}] aggregation/{section}/{name}: current {cur:.2f}x vs "
-              f"committed {ref:.2f}x (floor {floor:.2f}x)")
-        if cur < floor:
-            failures.append((section, name, cur, ref))
-
-    def gate_ratio(section: str, metric: str, cur, ref) -> None:
-        """Gate a higher-is-better ratio at ``(1 - tolerance) * ref``."""
-        if not ref:
-            return
-        if not cur:
-            print(f"[MISSING] aggregation/{section}/{metric}: committed "
-                  f"{ref:.2f}x has no current measurement")
-            failures.append((section, metric, None, ref))
-            return
-        floor = (1.0 - tolerance) * ref
-        status = "OK" if cur >= floor else "REGRESSION"
-        print(f"[{status}] aggregation/{section}/{metric}: current {cur:.2f}x "
-              f"vs committed {ref:.2f}x (floor {floor:.2f}x)")
-        if cur < floor:
-            failures.append((section, metric, cur, ref))
-
-    committed_agg = committed.get("aggregation", {})
-    current_agg = current.get("aggregation", {})
-    if not any(committed_agg.get(section) for section in ("shards", "tree")):
-        print(f"[MISSING] {baseline_path} carries no aggregation suite "
-              "baseline; a gated suite without a committed reference cannot "
-              "pass")
-        return 1
-    for section in ("shards", "tree"):
-        for name, ref_entry in committed_agg.get(section, {}).items():
-            gate(section, name, current_agg.get(section, {}).get(name, {}), ref_entry)
-    gate_ratio("decode", "speedup_scratch_vs_fresh",
-               current_agg.get("decode", {}).get("speedup_scratch_vs_fresh"),
-               committed_agg.get("decode", {}).get("speedup_scratch_vs_fresh"))
-    gate_ratio("alloc_probe", "peak_reduction_buffered_vs_fused",
-               current_agg.get("alloc_probe", {}).get(
-                   "peak_reduction_buffered_vs_fused"),
-               committed_agg.get("alloc_probe", {}).get(
-                   "peak_reduction_buffered_vs_fused"))
-    ref_allocs = committed_agg.get("alloc_probe", {}).get(
-        "steady_state_scratch_allocations")
-    if ref_allocs is not None:
-        cur_allocs = current_agg.get("alloc_probe", {}).get(
-            "steady_state_scratch_allocations")
-        if cur_allocs is None:
-            print("[MISSING] aggregation/alloc_probe/"
-                  "steady_state_scratch_allocations: committed "
-                  f"{ref_allocs} has no current measurement")
-            failures.append(("alloc_probe", "steady_state_scratch_allocations",
-                             None, ref_allocs))
-        else:
-            # Allocation counts gate exactly (no tolerance): a warm fused
-            # round must not allocate more than the committed steady state.
-            status = "OK" if cur_allocs <= ref_allocs else "REGRESSION"
-            print(f"[{status}] aggregation/alloc_probe/"
-                  f"steady_state_scratch_allocations: current {cur_allocs} "
-                  f"vs committed {ref_allocs} (must not exceed)")
-            if cur_allocs > ref_allocs:
-                failures.append(("alloc_probe",
-                                 "steady_state_scratch_allocations",
-                                 cur_allocs, ref_allocs))
-    if failures:
-        print(f"FAILED: {len(failures)} aggregation speedup(s) regressed more "
-              f"than {tolerance:.0%} (or went unmeasured) vs {baseline_path}")
-        return 1
-    print(f"All aggregation speedups within {tolerance:.0%} of {baseline_path}")
-    return 0
 
 
 # ------------------------------------------------------------- sparse suite
@@ -1029,52 +920,13 @@ def run_sparse_suite(quick: bool) -> Dict:
     }
 
 
-def check_sparse_regression(current: Dict, baseline_path: str,
-                            tolerance: float) -> int:
-    """Gate the sparse-dispatch speedups against the committed baseline."""
-    with open(baseline_path) as handle:
-        committed = json.load(handle)
-    committed_sparse = committed.get("sparse", {})
-    if not committed_sparse.get("workloads"):
-        print(f"[MISSING] {baseline_path} carries no sparse suite baseline; "
-              "a gated suite without a committed reference cannot pass")
-        return 1
-    current_sparse = current.get("sparse", {})
-    failures = []
-    for name, ref_entry in committed_sparse["workloads"].items():
-        for key in ("speedup_sparse_vs_batched_forward_backward",
-                    "speedup_sparse_vs_batched_round"):
-            ref = ref_entry.get(key)
-            if not ref:
-                continue
-            cur = current_sparse.get("workloads", {}).get(name, {}).get(key)
-            if not cur:
-                print(f"[MISSING] sparse/{name}/{key}: committed {ref:.2f}x "
-                      "has no current measurement")
-                failures.append((name, key, None, ref))
-                continue
-            floor = (1.0 - tolerance) * ref
-            status = "OK" if cur >= floor else "REGRESSION"
-            print(f"[{status}] sparse/{name}/{key}: current {cur:.2f}x vs "
-                  f"committed {ref:.2f}x (floor {floor:.2f}x)")
-            if cur < floor:
-                failures.append((name, key, cur, ref))
-    if failures:
-        print(f"FAILED: {len(failures)} sparse speedup(s) regressed more than "
-              f"{tolerance:.0%} (or went unmeasured) vs {baseline_path}")
-        return 1
-    print(f"All sparse speedups within {tolerance:.0%} of {baseline_path}")
-    return 0
-
-
 # ------------------------------------------------------------ service suite
-#: shard counts compared pooled-vs-service (each shard is one fold job,
-#: pinned to one pool worker / one aggregator server)
+#: shard counts compared serial-vs-service (each shard is one fold job,
+#: pinned to one aggregator server)
 SERVICE_SHARD_COUNTS = (2, 4)
 SERVICE_TRANSPORTS = ("socketpair", "tcp")
-
 #: the depth-3 tree whose full fold critical path (leaf fan-in + both inner
-#: tiers routed through the fold plane) is compared service-vs-pooled
+#: tiers routed through the fold plane) is compared service-vs-serial
 SERVICE_TREE_TIERS = (8, 4, 2)
 
 #: the compressed service-wire codec of the bytes-on-wire measurement — the
@@ -1082,125 +934,137 @@ SERVICE_TREE_TIERS = (8, 4, 2)
 SERVICE_WIRE_CODEC = "topk:0.25:int4"
 
 
-def _bench_service_fold(updates, num_shards: int, iters: int, reps: int,
-                        pooled_pool, service_pools: Dict) -> Dict:
-    """Pooled vs service fold of one round's updates at ``num_shards`` shards.
+def _service_ratios(times: Dict, num_updates: int, service_pools: Dict) -> Dict:
+    """Per-transport wall time and the gated cost ratio against ``serial``."""
+    serial_s = times["serial"]["fold"]
+    transports = {}
+    for transport in service_pools:
+        service_s = times[f"service_{transport}"]["fold"]
+        transports[transport] = {
+            "wall_s": service_s,
+            "updates_per_s": num_updates / service_s,
+            # how much slower (>1) the same fold jobs are through live servers
+            # than run one after another on the calling thread
+            "wall_ratio_service_vs_serial": service_s / serial_s,
+        }
+    return {"serial_wall_s": serial_s,
+            "serial_updates_per_s": num_updates / serial_s,
+            "transports": transports}
 
-    Both planes fold the *same* pre-framed shard jobs through their
-    ``fold_shards`` entry point — the exact critical path the round loop
-    drives — so the measured ratio isolates the transport (process-pool IPC
-    pickling vs length-prefixed socket frames + RPC envelope) from the fold
-    math, which is byte-identical by construction.  Interleaved per
-    repetition so host-load drift cancels out of the gated ratio.
+
+def _bench_service_fold(updates, num_shards: int, iters: int, reps: int,
+                        service_pools: Dict) -> Dict:
+    """Serial vs service fold of one round's updates at ``num_shards`` shards.
+
+    Both sides fold the *same* pre-framed shard jobs with the same function
+    (``repro.service.fold.fold_shard_frames``): serially on the calling
+    thread, and through ``ServiceAggregationPool.fold_shards`` — the exact
+    critical path the round loop drives — so the measured ratio is the
+    transport (length-prefixed socket frames + RPC envelope + server
+    hand-over) on top of the fold math.  Interleaved per repetition so
+    host-load drift cancels out of the gated ratio.
     """
+    from repro.comm import ScratchPool
     from repro.federated import ShardedParameterServer
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
-    from repro.runtime.executor import frame_update
+    from repro.service.fold import fold_shard_frames, frame_update
 
     config = get_preset(AGG_PRESET.replace("_", "-"))
+    scratch = ScratchPool()
     router = ShardedParameterServer(MoETransformer(config), num_shards=num_shards)
     shard_framed: Dict[int, list] = {}
     for update in updates:
         shard_framed.setdefault(router.shard_of(update.key), []).append(
-            frame_update(update))
+            frame_update(update, {}))
     jobs = sorted(shard_framed.items())
 
-    fns = {"pooled": {"fold": lambda: pooled_pool.fold_shards(None, False, jobs)}}
+    fns = {"serial": {"fold": lambda: [
+        fold_shard_frames(None, framed, scratch=scratch) for _, framed in jobs]}}
     for transport, pool in service_pools.items():
         fns[f"service_{transport}"] = {
-            "fold": lambda pool=pool: pool.fold_shards(None, False, jobs)}
+            "fold": lambda pool=pool: pool.fold_shards(None, jobs)}
     times = _interleaved_best_times(fns, iters, reps)
-    pooled_s = times["pooled"]["fold"]
-    result = {
-        "num_jobs": len(jobs),
-        "pooled_wall_s": pooled_s,
-        "pooled_updates_per_s": len(updates) / pooled_s,
-        "transports": {},
-    }
-    for transport in service_pools:
-        service_s = times[f"service_{transport}"]["fold"]
-        result["transports"][transport] = {
-            "wall_s": service_s,
-            "updates_per_s": len(updates) / service_s,
-            # the gated cost metric: how much slower (>1) or faster (<1) the
-            # service critical path is than the pooled one on the same host
-            "wall_ratio_service_vs_pooled": service_s / pooled_s,
-        }
-    return result
+    return dict(_service_ratios(times, len(updates), service_pools),
+                num_jobs=len(jobs))
 
 
-def _bench_service_tree(updates, tiers, iters: int, reps: int, pooled_pool,
+def _bench_service_tree(updates, tiers, iters: int, reps: int,
                         service_pools: Dict) -> Dict:
-    """Pooled vs service critical path of a full depth-``len(tiers)`` tree fold.
+    """Serial vs service critical path of a full depth-``len(tiers)`` tree fold.
 
     Drives the exact per-tier pipeline the aggregation tree runs over a pool:
     leaf pre-folds fan in the participants' frames, then every *inner* tier
     folds its children's partial frames as fresh fold jobs (the inner-tier
-    service routing), down to the roots.  Both planes execute identical jobs
+    service routing), down to the roots.  Both sides execute identical jobs
     in the same order, so the gated ratio isolates transport overhead — here
     including one RPC round per inner node, the cost the pipelined ADD
     window bounds.
     """
+    from repro.comm import ScratchPool
     from repro.federated.topology import AggregationTree
-    from repro.runtime.executor import frame_update
+    from repro.service.fold import frame_update, prefold_node_frames
 
     tree = AggregationTree(tiers)
-    framed = [frame_update(u) for u in updates]
+    scratch = ScratchPool()
+    framed = [frame_update(u, {}) for u in updates]
     leaf: Dict[int, list] = {}
     for index, pair in enumerate(framed):
         leaf.setdefault(index % tiers[0], []).append(pair)
 
-    def fold_tree(pool):
+    def serial_prefold(jobs):
+        return [(node, prefold_node_frames(None, pseudo_id, node_frames,
+                                           scratch=scratch))
+                for node, pseudo_id, node_frames in jobs]
+
+    def fold_tree(prefold):
         current = leaf
         for tier in range(len(tiers)):
             jobs = [(node, tree.pseudo_id(tier, node), node_frames)
                     for node, node_frames in sorted(current.items())]
-            folded = pool.prefold_nodes(None, jobs)
             fan_in = tiers[tier + 1] if tier + 1 < len(tiers) else 1
             current = {}
-            for node, partials in folded:
+            for node, partials in prefold(jobs):
                 current.setdefault(node % fan_in, []).extend(
                     (partial, 0) for partial in partials)
         return current
 
-    fns = {"pooled": {"fold": lambda: fold_tree(pooled_pool)}}
+    fns = {"serial": {"fold": lambda: fold_tree(serial_prefold)}}
     for transport, pool in service_pools.items():
-        fns[f"service_{transport}"] = {"fold": lambda pool=pool: fold_tree(pool)}
+        fns[f"service_{transport}"] = {
+            "fold": lambda pool=pool: fold_tree(
+                lambda jobs: pool.prefold_nodes(None, jobs))}
     times = _interleaved_best_times(fns, iters, reps)
-    pooled_s = times["pooled"]["fold"]
-    result = {"tiers": list(tiers), "pooled_wall_s": pooled_s, "transports": {}}
-    for transport in service_pools:
-        service_s = times[f"service_{transport}"]["fold"]
-        result["transports"][transport] = {
-            "wall_s": service_s,
-            "wall_ratio_service_vs_pooled": service_s / pooled_s,
-        }
-    return result
+    return dict(_service_ratios(times, len(updates), service_pools),
+                tiers=list(tiers))
 
 
 def _bench_service_wire_bytes(updates, num_shards: int) -> Dict:
-    """Bytes on the service wire: fp64 re-encode vs verbatim compressed frames.
+    """Fold-job payload bytes: verbatim compressed frames vs fp64 frames.
 
     Deterministic byte accounting, not a timing: every update is stamped with
     the topk:int4 wire frame the transport would deliver (encoded against a
-    shared per-key reference, which the wire mode ships once per shard job in
-    the flush body), then one identical ``fold_shards`` round runs on an
-    fp64-interchange pool and a ``wire_frames`` pool and the client transport
-    counters are compared.  ``bytes_ratio_wire_vs_fp64`` is the gated cost.
+    shared per-key reference), then the shard jobs are built exactly as the
+    parameter server builds them (``frame_update``: the arrived frame, plus
+    one fp64 reference frame per key per job) and their length is compared
+    with the same updates framed as fp64 — what a job carries for an update
+    that arrived without a frame.  ``bytes_ratio_wire_vs_fp64`` is the gated
+    cost.
     """
-    from repro.comm import encode_update, get_codec
+    from repro.comm import encode_update, encode_updates, get_codec
     from repro.federated import ShardedParameterServer
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
-    from repro.runtime.executor import frame_update
-    from repro.service import ServiceAggregationPool
+    from repro.service.fold import frame_update
 
     config = get_preset(AGG_PRESET.replace("_", "-"))
     router = ShardedParameterServer(MoETransformer(config),
                                     num_shards=num_shards)
     codec = get_codec(SERVICE_WIRE_CODEC)
+    fp64_bytes = sum(map(len, encode_updates(updates, get_codec("fp64"))))
     references: Dict = {}
+    shard_refs: Dict[int, dict] = {}
+    wire_bytes = 0
     for update in updates:
         if update.key not in references:
             references[update.key] = {
@@ -1210,28 +1074,11 @@ def _bench_service_wire_bytes(updates, num_shards: int) -> Dict:
                                           reference=references[update.key])
         update.wire_codec = codec.name
         update.wire_reference = references[update.key]
-
-    def measure(wire: bool) -> int:
-        pool = ServiceAggregationPool(num_shards, transport="socketpair",
-                                      wire_frames=wire)
-        try:
-            shard_framed: Dict[int, list] = {}
-            shard_refs: Dict[int, dict] = {}
-            for update in updates:
-                shard = router.shard_of(update.key)
-                refs = shard_refs.setdefault(shard, {}) if wire else None
-                shard_framed.setdefault(shard, []).append(
-                    frame_update(update, references=refs))
-            jobs = [(shard, shard_framed[shard]) if not shard_refs.get(shard)
-                    else (shard, shard_framed[shard], shard_refs[shard])
-                    for shard in sorted(shard_framed)]
-            pool.fold_shards(None, False, jobs)
-            return sum(client.stats["bytes_sent"] for client in pool._clients)
-        finally:
-            pool.close()
-
-    fp64_bytes = measure(False)
-    wire_bytes = measure(True)
+        frame, _ = frame_update(
+            update, shard_refs.setdefault(router.shard_of(update.key), {}))
+        wire_bytes += len(frame)
+    wire_bytes += sum(len(frame) for refs in shard_refs.values()
+                      for frame in refs.values())
     return {
         "codec": SERVICE_WIRE_CODEC,
         "num_shards": num_shards,
@@ -1241,44 +1088,40 @@ def _bench_service_wire_bytes(updates, num_shards: int) -> Dict:
     }
 
 
-def run_service_suite(quick: bool) -> Dict:
+def run_service_suite() -> Dict:
     """The service-backend benchmark family (``--suite service``).
 
-    Compares the fold critical path of the process-pool plane against the
-    persistent socket-backed service plane (both transports) on identical
-    framed updates, plus an RPC round-trip microbenchmark per transport.
-    The gated metric is the machine-independent wall-time *ratio* of the two
-    planes, which a regression in stream framing, the RPC envelope, or the
-    client chunking would move.
+    Compares the fold critical path through the persistent socket-backed
+    service plane (both transports) against the same fold jobs run serially
+    on the calling thread, plus an RPC round-trip microbenchmark per
+    transport.  The gated metric is the machine-independent wall-time *ratio*
+    of the two, which a regression in stream framing, the RPC envelope, or
+    the client chunking would move.
     """
-    from repro.runtime import AggregationPool
     from repro.service import ServiceAggregationPool
 
     participants = 64
-    iters = 2 if quick else 4
-    reps = 3 if quick else 6
+    # --quick trims nothing: a fold is ~25 ms, and with fewer repetitions the
+    # wall ratios follow the host's wake-up latency of the moment
+    # (tree/socketpair 1.8-5.1x at 3 repetitions, 2.2-3.0x at 6)
+    iters, reps = 4, 6
     model, updates = _make_aggregation_updates(participants)
     max_servers = max(SERVICE_SHARD_COUNTS)
-    pooled = AggregationPool(max_workers=max_servers)
     service_pools = {transport: ServiceAggregationPool(max_servers,
                                                        transport=transport)
                      for transport in SERVICE_TRANSPORTS}
     try:
-        # Spawn workers and servers outside the timings.
-        pooled.prefold_nodes(None, [(0, -1, [])])
+        # Spawn the servers outside the timings.
         for pool in service_pools.values():
             pool.prefold_nodes(None, [(0, -1, [])])
         shards = {str(n): _bench_service_fold(updates, n, iters, reps,
-                                              pooled, service_pools)
+                                              service_pools)
                   for n in SERVICE_SHARD_COUNTS}
         tree = _bench_service_tree(updates, SERVICE_TREE_TIERS, iters, reps,
-                                   pooled, service_pools)
-        ping_iters = 50 if quick else 200
-        rpc = {transport: {"ping_s": _best_time(pool._clients[0].ping,
-                                                ping_iters, reps)}
+                                   service_pools)
+        rpc = {transport: {"ping_s": _best_time(pool._clients[0].ping, 200, reps)}
                for transport, pool in service_pools.items()}
     finally:
-        pooled.close()
         for pool in service_pools.values():
             pool.close()
     # Runs last: it stamps the shared updates with compressed wire frames.
@@ -1294,89 +1137,30 @@ def run_service_suite(quick: bool) -> Dict:
         "tree": tree,
         "wire_bytes": wire_bytes,
         "rpc": rpc,
-        "note": ("pooled and service planes fold identical pre-framed shard "
-                 "jobs through fold_shards (bit-identical results, "
-                 "test-enforced); wall_ratio_service_vs_pooled is the gated "
-                 "cost ratio (>1 = service slower on this host), which "
-                 "isolates transport overhead — stream framing, RPC "
-                 "envelope, pipelined ADD windows — from the shared fold "
-                 "math.  tree is the same ratio over a full depth-3 tree "
-                 "fold with inner tiers routed through the plane; "
-                 "wire_bytes compares service bytes for fp64 re-encode vs "
-                 "verbatim compressed-frame forwarding "
-                 "(service_codec='wire').  rpc.ping_s is one "
-                 "request/response round trip.  On a single-CPU loopback "
-                 "host the wall ratios are scheduler-noise-dominated "
-                 "(~±10% run to run; nothing overlaps, so pipelining can "
-                 "only cut round trips, not hide work) — the regression "
-                 "gate's tolerance absorbs this."),
+        "note": ("serial and service fold identical pre-framed shard jobs "
+                 "with the same job function (bit-identical results, "
+                 "test-enforced): serial runs them one after another on the "
+                 "calling thread, service through fold_shards on live "
+                 "servers.  wall_ratio_service_vs_serial is the gated cost "
+                 "ratio (>1 = the transport costs that much on this host): "
+                 "stream framing, RPC envelope, pipelined ADD windows, "
+                 "server hand-over.  tree is the same ratio over a full "
+                 "depth-3 tree fold with inner tiers routed through the "
+                 "plane; wire_bytes compares the bytes of the jobs' frames "
+                 "for verbatim compressed-frame forwarding (plus one fp64 "
+                 "reference per key per job) vs fp64 frames.  rpc.ping_s is "
+                 "one request/response round trip.  On a 1-2 CPU host the "
+                 "wall ratios are bimodal (server processes with or without "
+                 "a core of their own: tcp 0.9x or 1.8x at 2 shards; "
+                 "in-process servers hand the GIL over on wake-ups: "
+                 "socketpair 1.6-2.8x), so their GATES rows fail only when "
+                 "a ratio more than doubles."),
         "headline_ratio": shards[headline_shards]["transports"]["tcp"][
-            "wall_ratio_service_vs_pooled"],
+            "wall_ratio_service_vs_serial"],
         "headline_tree_ratio": tree["transports"]["tcp"][
-            "wall_ratio_service_vs_pooled"],
+            "wall_ratio_service_vs_serial"],
         "headline_bytes_ratio": wire_bytes["bytes_ratio_wire_vs_fp64"],
     }
-
-
-def check_service_regression(current: Dict, baseline_path: str,
-                             tolerance: float) -> int:
-    """Gate the service-vs-pooled wall ratios against the committed baseline.
-
-    Like the telemetry gate, the ratio is a *cost*: the check fails when a
-    current ratio exceeds the committed one by more than ``tolerance``
-    (relative), or when a committed ratio went unmeasured.
-    """
-    with open(baseline_path) as handle:
-        committed = json.load(handle)
-    committed_service = committed.get("service", {})
-    if not committed_service.get("shards"):
-        print(f"[MISSING] {baseline_path} carries no service suite baseline; "
-              "a gated suite without a committed reference cannot pass")
-        return 1
-    current_service = current.get("service", {})
-    failures = []
-
-    def gate_ratio(label: str, ref, cur) -> None:
-        """One gated cost ratio: current must stay under committed + tolerance."""
-        if not ref:
-            return
-        if not cur:
-            print(f"[MISSING] {label}: committed {ref:.2f}x has no current "
-                  "measurement")
-            failures.append((label, None, ref))
-            return
-        ceiling = (1.0 + tolerance) * ref
-        status = "OK" if cur <= ceiling else "REGRESSION"
-        print(f"[{status}] {label}: current {cur:.2f}x vs committed "
-              f"{ref:.2f}x (ceiling {ceiling:.2f}x)")
-        if cur > ceiling:
-            failures.append((label, cur, ref))
-
-    for shards, ref_entry in committed_service["shards"].items():
-        for transport, ref_transport in ref_entry.get("transports", {}).items():
-            gate_ratio(
-                f"service/{shards}shards/{transport}",
-                ref_transport.get("wall_ratio_service_vs_pooled"),
-                current_service.get("shards", {}).get(shards, {})
-                .get("transports", {}).get(transport, {})
-                .get("wall_ratio_service_vs_pooled"))
-    for transport, ref_transport in (committed_service.get("tree", {})
-                                     .get("transports", {}).items()):
-        gate_ratio(
-            f"service/tree/{transport}",
-            ref_transport.get("wall_ratio_service_vs_pooled"),
-            current_service.get("tree", {}).get("transports", {})
-            .get(transport, {}).get("wall_ratio_service_vs_pooled"))
-    gate_ratio(
-        "service/wire_bytes",
-        committed_service.get("wire_bytes", {}).get("bytes_ratio_wire_vs_fp64"),
-        current_service.get("wire_bytes", {}).get("bytes_ratio_wire_vs_fp64"))
-    if failures:
-        print(f"FAILED: {len(failures)} service fold ratio(s) grew more than "
-              f"{tolerance:.0%} (or went unmeasured) vs {baseline_path}")
-        return 1
-    print(f"All service fold ratios within {tolerance:.0%} of {baseline_path}")
-    return 0
 
 
 # ---------------------------------------------------------- telemetry suite
@@ -1418,7 +1202,7 @@ def _build_telemetry_tuner(telemetry_dir: Optional[str]):
     run_config = RunConfig(
         batch_size=4, max_local_batches=1, learning_rate=1e-2,
         eval_max_samples=12, seed=0, participants_per_round=6,
-        num_shards=2, num_edge_aggregators=2, transport="wire",
+        num_shards=2, edge_tiers=(2,), transport="wire",
         telemetry=telemetry_dir is not None, telemetry_dir=telemetry_dir)
     return FMDFineTuner(server, participants, test, cost_models=cost_models,
                         config=run_config)
@@ -1492,39 +1276,6 @@ def run_telemetry_suite(quick: bool) -> Dict:
     }
 
 
-def check_telemetry_regression(current: Dict, baseline_path: str,
-                               tolerance: float) -> int:
-    """Gate the telemetry-on overhead ratio against the committed baseline.
-
-    Unlike the throughput gates (where bigger is better) the overhead ratio is
-    a cost: the check fails when the current ratio exceeds the committed one
-    by more than ``tolerance`` (relative).
-    """
-    with open(baseline_path) as handle:
-        committed = json.load(handle)
-    ref = committed.get("telemetry", {}).get("overhead_ratio_on_vs_off")
-    if not ref:
-        print(f"[MISSING] {baseline_path} carries no telemetry overhead "
-              "baseline; a gated suite without a committed reference cannot "
-              "pass")
-        return 1
-    cur = current.get("telemetry", {}).get("overhead_ratio_on_vs_off")
-    if not cur:
-        print(f"[MISSING] telemetry/overhead_ratio_on_vs_off: committed "
-              f"{ref:.3f}x has no current measurement")
-        return 1
-    ceiling = (1.0 + tolerance) * ref
-    status = "OK" if cur <= ceiling else "REGRESSION"
-    print(f"[{status}] telemetry/overhead_ratio_on_vs_off: current {cur:.3f}x "
-          f"vs committed {ref:.3f}x (ceiling {ceiling:.3f}x)")
-    if cur > ceiling:
-        print(f"FAILED: telemetry-on overhead grew more than {tolerance:.0%} "
-              f"vs {baseline_path}")
-        return 1
-    print(f"Telemetry overhead within {tolerance:.0%} of {baseline_path}")
-    return 0
-
-
 # --------------------------------------------------------------- seed worker
 def _worker(spec_json: str) -> None:
     """Run one benchmark family in-process and print JSON (seed subprocess)."""
@@ -1584,43 +1335,126 @@ def bench_seed_reference(seed_src: str, quick: bool) -> Dict:
     return out
 
 
-# -------------------------------------------------------------------- check
-def check_regression(current: Dict, baseline_path: str, tolerance: float) -> int:
-    """Compare machine-independent speedups against the committed baseline."""
-    with open(baseline_path) as handle:
-        committed = json.load(handle)
-    failures = []
-    if not committed.get("presets"):
-        print(f"[MISSING] {baseline_path} carries no hotpath suite baseline; "
+# --------------------------------------------------------------------- gate
+class Gate(NamedTuple):
+    """One gated metric: where it lives in a results file and which way is worse.
+
+    ``path`` is ``/``-separated keys into the results dict; ``*`` walks every
+    key the *committed* file has there, ``a|b`` walks those two, and a ``~``
+    prefix keeps a segment out of the printed label.  ``direction``: ``"higher"`` fails below
+    ``(1 - tolerance) * committed``, ``"lower"`` fails above ``(1 + tolerance)
+    * committed``, ``"not-above"`` is a count that must not exceed the
+    committed one (no tolerance).  ``tolerance`` is the run's ``--tolerance``
+    unless the row sets a wider one, for a metric whose own run-to-run spread
+    on one host exceeds it.  ``digits`` is the precision printed.
+    """
+
+    suite: str
+    path: str
+    direction: str
+    tolerance: float = 0.0
+    digits: int = 2
+
+
+GATES = (
+    Gate("hotpath", "~presets/*/hot_loop|model_step/speedup_batched_f32_vs_loop_f64"
+                    "|round_speedup_batched_f32_vs_loop_f64", "higher"),
+    Gate("aggregation", "aggregation/shards/*/~speedup_critical_path_vs_serial", "higher"),
+    Gate("aggregation", "aggregation/tree/*/~speedup_critical_path_vs_serial", "higher"),
+    Gate("aggregation", "aggregation/decode/speedup_scratch_vs_fresh", "higher"),
+    Gate("aggregation", "aggregation/alloc_probe/peak_reduction_buffered_vs_fused", "higher"),
+    # a warm fused round must not allocate more than the committed steady state
+    Gate("aggregation", "aggregation/alloc_probe/steady_state_scratch_allocations",
+         "not-above"),
+    Gate("sparse", "sparse/~workloads/*/speedup_sparse_vs_batched_forward_backward"
+                   "|speedup_sparse_vs_batched_round", "higher"),
+    # Wall ratios of live servers are bimodal on a small host: out-of-process
+    # servers either get a core of their own or share the caller's (tcp at 2
+    # shards: 0.9x or 1.8x of serial), and in-process ones hand the GIL over on
+    # wake-ups (socketpair: 1.6-2.8x).  The gate is for a transport cost that
+    # more than doubles; the byte ratio is deterministic.
+    Gate("service", "service/shards/*/~transports/*/~wall_ratio_service_vs_serial", "lower",
+         tolerance=1.0),
+    Gate("service", "service/tree/~transports/*/~wall_ratio_service_vs_serial", "lower",
+         tolerance=1.0),
+    Gate("service", "service/wire_bytes/~bytes_ratio_wire_vs_fp64", "lower"),
+    Gate("telemetry", "telemetry/overhead_ratio_on_vs_off", "lower", digits=3),
+)
+
+
+def _gated_entries(tree, segments, keys=(), label=()):
+    """Every ``(keys, label, value)`` of ``tree`` that a gate path matches."""
+    if not segments:
+        yield keys, "/".join(label), tree
+        return
+    name = segments[0].lstrip("~")
+    shown = not segments[0].startswith("~")
+    if not isinstance(tree, dict):
+        return
+    for key in (tree if name == "*" else [key for key in name.split("|") if key in tree]):
+        yield from _gated_entries(tree[key], segments[1:], keys + (key,),
+                                  label + (key,) if shown else label)
+
+
+def _lookup(tree, keys):
+    for key in keys:
+        tree = tree.get(key) if isinstance(tree, dict) else None
+    return tree
+
+
+def _shown(gate: Gate, value) -> str:
+    """A ratio at the gate's precision; a count as it is."""
+    return str(value) if gate.direction == "not-above" else f"{value:.{gate.digits}f}x"
+
+
+def check_gates(suite: str, current: Dict, committed: Dict, tolerance: float,
+                baseline_path: str) -> int:
+    """Gate ``current`` against ``committed`` on every :data:`GATES` row of ``suite``.
+
+    Prints one ``[OK]`` / ``[REGRESSION]`` / ``[MISSING]`` line per committed
+    entry and returns the exit code.  A committed entry the current run never
+    produced is a broken gate, not a pass — otherwise a partial suite (or a
+    renamed shard/tier/preset) would silently stop gating — and so is a
+    baseline file that carries nothing of the suite.
+    """
+    failures = gated = 0
+    for gate in GATES:
+        if gate.suite != suite:
+            continue
+        count = gate.direction == "not-above"
+        allowed = max(tolerance, gate.tolerance)
+        for keys, label, ref in _gated_entries(committed, gate.path.split("/")):
+            if ref is None or (not ref and not count):
+                continue
+            gated += 1
+            cur = _lookup(current, keys)
+            if cur is None or (not cur and not count):
+                print(f"[MISSING] {label}: committed {_shown(gate, ref)} has no "
+                      "current measurement")
+                failures += 1
+                continue
+            if count:
+                ok, bound = cur <= ref, "must not exceed"
+            elif gate.direction == "higher":
+                floor = (1.0 - allowed) * ref
+                ok, bound = cur >= floor, f"floor {_shown(gate, floor)}"
+            else:
+                ceiling = (1.0 + allowed) * ref
+                ok, bound = cur <= ceiling, f"ceiling {_shown(gate, ceiling)}"
+            print(f"[{'OK' if ok else 'REGRESSION'}] {label}: current "
+                  f"{_shown(gate, cur)} vs committed {_shown(gate, ref)} ({bound})")
+            failures += not ok
+    if not gated:
+        print(f"[MISSING] {baseline_path} carries no {suite} suite baseline; "
               "a gated suite without a committed reference cannot pass")
         return 1
-    for preset, families in committed.get("presets", {}).items():
-        for family in ("hot_loop", "model_step"):
-            for key in ("speedup_batched_f32_vs_loop_f64",
-                        "round_speedup_batched_f32_vs_loop_f64"):
-                ref = families.get(family, {}).get(key)
-                if not ref:
-                    continue
-                cur = current.get("presets", {}).get(preset, {}).get(family, {}).get(key)
-                if not cur:
-                    # A committed speedup the current run never measured is a
-                    # broken gate, not a pass — otherwise a partial run (or a
-                    # renamed preset/family) would silently stop gating.
-                    print(f"[MISSING] {preset}/{family}/{key}: committed "
-                          f"{ref:.2f}x has no current measurement")
-                    failures.append((preset, family, key, None, ref))
-                    continue
-                floor = (1.0 - tolerance) * ref
-                status = "OK" if cur >= floor else "REGRESSION"
-                print(f"[{status}] {preset}/{family}/{key}: "
-                      f"current {cur:.2f}x vs committed {ref:.2f}x (floor {floor:.2f}x)")
-                if cur < floor:
-                    failures.append((preset, family, key, cur, ref))
     if failures:
-        print(f"FAILED: {len(failures)} speedup(s) regressed more than "
-              f"{tolerance:.0%} (or went unmeasured) vs {baseline_path}")
+        print(f"FAILED: {failures} {suite} gate(s) moved the wrong way by more than "
+              f"{tolerance:.0%} (or their row's tolerance), or went unmeasured, "
+              f"vs {baseline_path}")
         return 1
-    print(f"All speedups within {tolerance:.0%} of {baseline_path}")
+    print(f"All {suite} gates within {tolerance:.0%} (or their row's tolerance) "
+          f"of {baseline_path}")
     return 0
 
 
@@ -1643,23 +1477,25 @@ def main(argv=None) -> int:
                         default="hotpath",
                         help="hotpath: MoE dispatch/training throughput (default); "
                              "aggregation: server-side fold throughput, serial vs "
-                             "pooled, across shard counts and tree depths; "
+                             "its per-shard/per-node fold jobs, across shard counts "
+                             "and tree depths; "
                              "telemetry: repro.obs tracing overhead, run-level "
                              "on-vs-off ratio plus span microbenchmarks; "
                              "sparse: zero-skipping dispatch vs batched on "
                              "sparsified experts, composed sparse codec wire "
                              "bytes, full vs delta checkpoint cost; "
                              "service: socket-backed aggregator servers vs the "
-                             "process pool on the same fold critical path, "
-                             "per transport, plus RPC round-trip latency")
+                             "same fold jobs run serially, per transport, plus "
+                             "RPC round-trip latency")
     parser.add_argument("--output", default=None,
                         help="where to write the results JSON (default: "
                              "BENCH_hotpath.json or BENCH_aggregation.json by suite)")
     parser.add_argument("--check", metavar="BASELINE",
-                        help="compare speedups against a committed baseline JSON; "
-                             "exit 1 on regression beyond --tolerance")
+                        help="compare the suite's gated metrics (GATES) against a "
+                             "committed baseline JSON; exit 1 on regression "
+                             "beyond --tolerance")
     parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed relative speedup regression for --check")
+                        help="allowed relative regression for --check")
     parser.add_argument("--seed-src", metavar="PATH",
                         help="src/ directory of a pristine seed checkout to "
                              "benchmark as seed_reference")
@@ -1696,7 +1532,7 @@ def main(argv=None) -> int:
     elif args.suite == "sparse":
         result["sparse"] = run_sparse_suite(args.quick)
     elif args.suite == "service":
-        result["service"] = run_service_suite(args.quick)
+        result["service"] = run_service_suite()
     else:
         result["presets"] = run_suite(args.quick)
         result["nodes"] = bench_nodes(args.quick)
@@ -1725,10 +1561,7 @@ def main(argv=None) -> int:
             print(f"  uplink {preset}: encode_updates {parts} vs the per-update oracle")
         print(f"  headline: {agg['headline_speedup_8shards']:.2f}x fold throughput "
               "at 8 shards (critical path vs serial)")
-        if args.check:
-            return check_aggregation_regression(result, args.check, args.tolerance)
-        return 0
-    if args.suite == "sparse":
+    elif args.suite == "sparse":
         sparse = result["sparse"]
         for name, entry in sparse["workloads"].items():
             print(f"  {name} (d_model={entry['d_model']}, d_ff={entry['d_ff']}): "
@@ -1746,27 +1579,21 @@ def main(argv=None) -> int:
               f"save {ckpt['delta_save_speedup']:.2f}x faster")
         print(f"  headline: {sparse['headline_speedup']:.2f}x minimum hot-loop "
               f"(fwd+bwd) speedup at density {sparse['density']:g}")
-        if args.check:
-            return check_sparse_regression(result, args.check, args.tolerance)
-        return 0
-    if args.suite == "service":
+    elif args.suite == "service":
         service = result["service"]
         for shards, entry in service["shards"].items():
             parts = ", ".join(
-                f"{transport} {values['wall_ratio_service_vs_pooled']:.2f}x"
+                f"{transport} {values['wall_ratio_service_vs_serial']:.2f}x"
                 for transport, values in entry["transports"].items())
-            print(f"  {shards} shard(s): pooled "
-                  f"{entry['pooled_updates_per_s']:,.0f} updates/s; service "
-                  f"wall ratio vs pooled: {parts}")
+            print(f"  {shards} shard(s): serial "
+                  f"{entry['serial_updates_per_s']:,.0f} updates/s; service "
+                  f"wall ratio vs serial: {parts}")
         for transport, entry in service["rpc"].items():
             print(f"  rpc {transport}: ping {entry['ping_s'] * 1e6:,.0f}us")
         print(f"  headline: service/tcp critical path at "
               f"{max(SERVICE_SHARD_COUNTS)} shards is "
-              f"{service['headline_ratio']:.2f}x pooled wall time")
-        if args.check:
-            return check_service_regression(result, args.check, args.tolerance)
-        return 0
-    if args.suite == "telemetry":
+              f"{service['headline_ratio']:.2f}x the serial wall time of the same jobs")
+    elif args.suite == "telemetry":
         tel = result["telemetry"]
         print(f"  {tel['rounds']}-round run: off {tel['off_run_s']:.2f}s, on "
               f"{tel['on_run_s']:.2f}s -> overhead "
@@ -1774,23 +1601,24 @@ def main(argv=None) -> int:
               f"({tel['events_per_run']} events)")
         print(f"  span cost: null {tel['null_span_ns']:.0f}ns, live "
               f"{tel['live_span_ns']:.0f}ns")
-        if args.check:
-            return check_telemetry_regression(result, args.check, args.tolerance)
-        return 0
-    for preset, families in result["presets"].items():
-        print(f"  {preset}: hot-loop fwd+bwd speedup "
-              f"{families['hot_loop']['speedup_batched_f32_vs_loop_f64']:.2f}x, "
-              f"round {families['hot_loop']['round_speedup_batched_f32_vs_loop_f64']:.2f}x")
-    for label, entry in result["nodes"]["shapes"].items():
-        print(f"  nodes @ {label}: " + ", ".join(
-            f"{node} {t['fused_us']:.0f}us ({t['speedup']:.1f}x vs composed)"
-            for node, t in entry["nodes"].items()))
-    if args.seed_src:
-        for preset, value in result["seed_reference"]["speedup_batched_f32_vs_seed"].items():
-            print(f"  {preset}: batched/float32 vs seed loop/float64 {value:.2f}x")
-
+    else:
+        for preset, families in result["presets"].items():
+            print(f"  {preset}: hot-loop fwd+bwd speedup "
+                  f"{families['hot_loop']['speedup_batched_f32_vs_loop_f64']:.2f}x, "
+                  f"round "
+                  f"{families['hot_loop']['round_speedup_batched_f32_vs_loop_f64']:.2f}x")
+        for label, entry in result["nodes"]["shapes"].items():
+            print(f"  nodes @ {label}: " + ", ".join(
+                f"{node} {t['fused_us']:.0f}us ({t['speedup']:.1f}x vs composed)"
+                for node, t in entry["nodes"].items()))
+        if args.seed_src:
+            for preset, value in result["seed_reference"][
+                    "speedup_batched_f32_vs_seed"].items():
+                print(f"  {preset}: batched/float32 vs seed loop/float64 {value:.2f}x")
     if args.check:
-        return check_regression(result, args.check, args.tolerance)
+        with open(args.check) as handle:
+            committed = json.load(handle)
+        return check_gates(args.suite, result, committed, args.tolerance, args.check)
     return 0
 
 

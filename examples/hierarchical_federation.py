@@ -6,7 +6,7 @@ away from the flat defaults:
 * **4 expert shards** (:class:`~repro.federated.ShardedParameterServer`): the
   server's ``ExpertKey`` space is partitioned round-robin, each shard folding
   its own streaming aggregator — bit-identical parameters, sharded state.
-* **2-tier aggregation** (``num_edge_aggregators=3``): participants upload to
+* **2-tier aggregation** (``edge_tiers=(3,)``): participants upload to
   edge aggregators, which pre-fold their group's updates and forward one
   wire-framed partial aggregate per expert over a metered edge→root channel.
   The per-round backhaul traffic surfaces as ``RoundResult.edge_bytes``.
@@ -19,9 +19,9 @@ away from the flat defaults:
 
 It then scales the topology to a **3-tier parallel tree**
 (``edge_tiers=(3, 2)``: participants → 3 edges → 2 super-edges → root) with
-the whole fold plane behind a process pool
-(``aggregation_executor="process"``): expert shards fold concurrently and
-tier-0 nodes pre-fold their subtree in workers — bit-identical to the serial
+the whole fold plane behind the aggregation service
+(``aggregation_executor="service"``): expert shards and tree nodes fold as
+jobs on long-lived aggregator servers — bit-identical to the serial
 fold, with per-tier backhaul metrics in ``RoundResult.tier_bytes``.
 
 On top of that the run is **durable**: every 2 rounds the full run state
@@ -91,7 +91,7 @@ def topology_config(checkpoint_dir: str | None = None, **overrides) -> RunConfig
         eval_max_samples=24, seed=0, participants_per_round=6,
         # --- the aggregation topology ---
         num_shards=4,
-        num_edge_aggregators=3,
+        edge_tiers=(3,),
         edge_latency_s=0.01,
         aggregation="trimmed_mean",
         trim_ratio=0.2,
@@ -106,13 +106,13 @@ def topology_config(checkpoint_dir: str | None = None, **overrides) -> RunConfig
 
 def three_tier_parallel_config(checkpoint_dir: str | None = None,
                                trace_dir: str | None = None) -> RunConfig:
-    """The 3-tier tree with the fold plane behind the process pool."""
+    """The 3-tier tree with the fold plane behind the aggregation service."""
     return topology_config(
         checkpoint_dir,
-        num_edge_aggregators=0,            # superseded by the explicit tiers
         edge_tiers=(3, 2),                 # participants -> 3 edges -> 2 super-edges -> root
-        aggregation_executor="process",    # pooled shard folds + tier-0 pre-folds
+        aggregation_executor="service",    # shard folds + tree-node pre-folds on servers
         aggregation_workers=2,
+        service_transport="socketpair",    # in-process servers: no network setup
         telemetry=trace_dir is not None,
         telemetry_dir=trace_dir,
     )
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> None:
           "(greedy bin-pack on each participant's upload cost)")
 
     print("\n3-tier parallel tree: participants -> 3 edges -> 2 super-edges "
-          "-> 4 shards, folds in a process pool"
+          "-> 4 shards, folds on aggregator servers"
           + (" (telemetry on)" if args.trace_dir else ""))
     parallel_tuner = build_tuner(three_tier_parallel_config(
         trace_dir=args.trace_dir))

@@ -15,10 +15,10 @@ Matrix:
 
 * ``sharded-edges`` — 2 expert shards, one edge tier, trimmed mean (the
   historical smoke).
-* ``pooled-tree`` — 3-tier aggregation tree (participants → 2 edges →
-  2 super-edges → root), 2 shards, and the whole fold plane behind the
-  process-pool ``AggregationPool`` — the kill lands while a pool is live, so
-  resume also proves no pool state is (or needs to be) durable.
+* ``service-tree`` — 3-tier aggregation tree (participants → 2 edges →
+  2 super-edges → root), 2 shards, and the whole fold plane behind in-process
+  (``socketpair``) aggregator servers — the kill lands while a fold backend is
+  live, so resume also proves no server state is (or needs to be) durable.
 * ``delta-chain`` — snapshots every round as a sparse-delta chain
   (``checkpoint_delta_every=4``: full at round 1, deltas after) written by
   the background checkpoint writer (``checkpoint_async=True``); the hard
@@ -67,16 +67,17 @@ KILL_AT_ROUND = 3  # after the round-2 snapshot, before the run completes
 #: (``checkpoint_every`` here overrides the matrix-wide default cadence)
 CONFIGS = {
     "sharded-edges": dict(
-        num_shards=2, num_edge_aggregators=2,
+        num_shards=2, edge_tiers=(2,),
         aggregation="trimmed_mean", trim_ratio=0.2,
     ),
-    "pooled-tree": dict(
+    "service-tree": dict(
         num_shards=2, edge_tiers=(2, 2),
         aggregation="trimmed_mean", trim_ratio=0.2,
-        aggregation_executor="process", aggregation_workers=2,
+        aggregation_executor="service", aggregation_workers=2,
+        service_transport="socketpair",
     ),
     "delta-chain": dict(
-        num_shards=2, num_edge_aggregators=2,
+        num_shards=2, edge_tiers=(2,),
         aggregation="trimmed_mean", trim_ratio=0.2,
         checkpoint_every=1, checkpoint_delta_every=4, checkpoint_async=True,
     ),

@@ -9,12 +9,12 @@ length-prefixed framing (:mod:`~repro.comm.stream`), and how to fold decoded
 updates into a constant-memory running average
 (:mod:`~repro.comm.aggregator`).  The federated stack selects a codec and
 transport via :class:`~repro.federated.RunConfig` (``codec=``,
-``transport="wire"``, ``streaming_aggregation=True``).
+``transport="wire"``).
 """
 
 from .aggregator import StreamingAggregator, finalize_weighted_sum, fold_weighted_state
 from .channel import Channel, ChannelStats, TransferRecord
-from .scratch import ScratchPool, thread_scratch
+from .scratch import ScratchPool
 from .codecs import (
     CastCodec,
     Codec,
@@ -77,7 +77,6 @@ __all__ = [
     "fold_weighted_state",
     "finalize_weighted_sum",
     "ScratchPool",
-    "thread_scratch",
     "Channel",
     "ChannelStats",
     "TransferRecord",

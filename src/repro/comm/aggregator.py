@@ -1,16 +1,16 @@
-"""Constant-memory streaming aggregation of expert updates.
+"""Constant-memory streaming aggregation of expert updates — the one fold.
 
-The buffered FedAvg path keeps every client's update alive until the round
-closes — O(clients) server memory.  :class:`StreamingAggregator` instead folds
-each update into a per-expert accumulator the moment it arrives; under the
-default FedAvg strategy the accumulator is a running weighted sum, so peak
-server memory is one update plus the running sums, independent of how many
-clients contributed.
+:class:`StreamingAggregator` folds each update into a per-expert accumulator
+the moment it arrives; under the default FedAvg strategy the accumulator is a
+running weighted sum, so peak server memory is one update plus the running
+sums, independent of how many clients contributed.  Every fold in the repo —
+the serial servers, the aggregation tree's tiers, the service's fold jobs —
+is this class.
 
-Bit-identity with the buffered path is guaranteed structurally:
-:func:`repro.federated.aggregation.fedavg_states` is implemented on top of the
-same :func:`fold_weighted_state` / :func:`finalize_weighted_sum` pair, folding
-in the same arrival order.
+The reference it is held to is the group-then-average FedAvg in
+``tests/fold_oracles.py``, built on the same :func:`fold_weighted_state` /
+:func:`finalize_weighted_sum` pair in the same arrival order; the two agree
+bit for bit wherever a key's total weight is positive.
 
 The aggregator is strategy-aware (:mod:`repro.federated.strategies`): pass a
 strategy name or instance and every expert key folds through that strategy's
@@ -78,11 +78,10 @@ class StreamingAggregator:
     """Folds expert updates one at a time into per-expert accumulators.
 
     ``strategy`` selects the per-expert reduction
-    (:mod:`repro.federated.strategies`); ``None`` is weighted FedAvg, whose
-    fold is bit-identical to the historical implementation.  Unlike the
-    buffered path, all-zero FedAvg weights cannot fall back to a uniform
-    average (the individual states are gone by finalize time); feeding only
-    zero-weight updates for a key raises at :meth:`finalize`.
+    (:mod:`repro.federated.strategies`); ``None`` is weighted FedAvg.
+    All-zero FedAvg weights cannot be averaged (the individual states are
+    gone by finalize time); feeding only zero-weight updates for a key raises
+    at :meth:`finalize`.
     """
 
     def __init__(self, strategy=None,
@@ -188,8 +187,8 @@ class StreamingAggregator:
         Each partial carries the key's accumulated (post-discount) weight, so
         a downstream weighted fold treats this aggregator's whole input as one
         heavy contributor — the building block of hierarchical aggregation
-        (:mod:`repro.federated.topology`) and of process-pool pre-folding
-        (:mod:`repro.runtime.executor`).  Unfinalizable keys (only zero-weight
+        (:mod:`repro.federated.topology`) and of the service's node pre-folds
+        (:mod:`repro.service.fold`).  Unfinalizable keys (only zero-weight
         FedAvg contributions) are dropped.  ``participant_id`` is the pseudo
         id stamped on the partials (aggregator tiers use negative ids).
         """

@@ -20,16 +20,14 @@ decode for ``foldable`` strategies).  :meth:`term` buffers are separate
 storage from :meth:`take` arrays, so a fold can multiply into a term while
 reading a scratch-decoded value of the same shape.
 
-Pools are not thread-safe; use :func:`thread_scratch` for an ambient
-per-thread pool (the process-pool fold workers and the in-process service
-server run on different threads of the same process, so a module-global pool
-would race).  Pickling a pool ships an *empty* pool — buffers are pure cache,
-and a pool riding a pickled server/tuner snapshot must not bloat the payload.
+Pools are not thread-safe: every folder owns its own (a parameter server, an
+aggregation tree, each aggregator server).  Pickling a pool ships an *empty*
+pool — buffers are pure cache, and a pool riding a pickled server/tuner
+snapshot must not bloat the payload.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -112,20 +110,3 @@ class ScratchPool:
         return (f"ScratchPool(free={sum(map(len, self._free.values()))}, "
                 f"taken={len(self._taken)}, terms={len(self._terms)}, "
                 f"allocations={self.allocations})")
-
-
-_LOCAL = threading.local()
-
-
-def thread_scratch() -> ScratchPool:
-    """This thread's ambient :class:`ScratchPool` (created on first use).
-
-    The default pool of the worker-side fold functions
-    (:func:`repro.runtime.executor._fold_shard_frames` and friends): each
-    process-pool worker is a single-threaded process, so its pool — and the
-    warm buffers in it — persists across every round the worker folds.
-    """
-    pool = getattr(_LOCAL, "pool", None)
-    if pool is None:
-        pool = _LOCAL.pool = ScratchPool()
-    return pool

@@ -1,6 +1,6 @@
 """Federated learning substrate: clients, servers, aggregation topology, round loop."""
 
-from .aggregation import ExpertKey, ExpertUpdate, apply_fedavg, fedavg_states, group_updates
+from .aggregation import ExpertKey, ExpertUpdate
 from .client import LocalTrainResult, Participant, ParticipantResources
 from .communication import ExchangePlan, bytes_per_param_for_bits
 from .privacy import GaussianMechanism, epsilon_estimate
@@ -11,7 +11,12 @@ from .orchestrator import (
     RunConfig,
     RunResult,
 )
-from .server import ParameterServer, ShardedParameterServer, make_server
+from .server import (
+    ParameterServer,
+    ShardedParameterServer,
+    make_aggregation_pool,
+    make_server,
+)
 from .strategies import (
     AggregationStrategy,
     FedAvgStrategy,
@@ -30,7 +35,6 @@ from .topology import (
     CallableGrouping,
     CostAwareGrouping,
     GroupingPolicy,
-    HierarchicalTopology,
     RoundRobinGrouping,
     make_topology,
 )
@@ -38,9 +42,6 @@ from .topology import (
 __all__ = [
     "ExpertKey",
     "ExpertUpdate",
-    "fedavg_states",
-    "group_updates",
-    "apply_fedavg",
     "Participant",
     "ParticipantResources",
     "LocalTrainResult",
@@ -51,6 +52,7 @@ __all__ = [
     "ParameterServer",
     "ShardedParameterServer",
     "make_server",
+    "make_aggregation_pool",
     "AggregationStrategy",
     "FedAvgStrategy",
     "TrimmedMeanStrategy",
@@ -63,7 +65,6 @@ __all__ = [
     "strategy_from_config",
     "staleness_discount",
     "AggregationTree",
-    "HierarchicalTopology",
     "GroupingPolicy",
     "RoundRobinGrouping",
     "CostAwareGrouping",

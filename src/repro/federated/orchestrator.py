@@ -18,7 +18,7 @@ process-pool parallel local training.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from ..metrics import PerformanceTracker, evaluate_model
 from ..systems import CostModel, RoundCostBreakdown, RoundTimeline, RunTimeline, SimulatedClock
 from .aggregation import ExpertUpdate
 from .client import Participant
-from .server import ParameterServer
+from .server import ParameterServer, ShardedParameterServer, make_aggregation_pool
 
 #: default wire codec: lossless for the float64 default models, so enabling
 #: ``transport="wire"`` alone does not change learning dynamics.
@@ -82,7 +82,6 @@ class RunConfig:
     # --- comm: wire transport (repro.comm)
     transport: str = "analytic"              # "analytic" | "wire"
     codec: Optional[str] = None              # wire codec tag; None = method default
-    streaming_aggregation: bool = False      # fold updates server-side as they arrive
     channel_loss_prob: float = 0.0           # wire: per-payload loss probability
     channel_corrupt_prob: float = 0.0        # wire: per-payload corruption probability
     #: wire: per-payload link latency folded into the *measured* airtime
@@ -97,17 +96,13 @@ class RunConfig:
     #: produce staleness-0 updates, so "staleness_fedavg" only discounts when
     #: a custom scheduler (or direct ``server.aggregate`` use) stamps
     #: ``ExpertUpdate.staleness``; with scheduler="async" it is rejected (the
-    #: async scheduler already pre-discounts weights).  Any explicit strategy
-    #: also bypasses the buffered FedAvg path's all-zero-weight uniform
-    #: fallback (streaming accumulators raise instead).
+    #: async scheduler already pre-discounts weights).
     aggregation: str = "fedavg"
     trim_ratio: float = 0.1                  # trimmed_mean: fraction trimmed per side
     num_shards: int = 1                      # expert shards at the root server
-    num_edge_aggregators: int = 0            # edge tier size (0 = flat, single tier)
     #: aggregator-tier widths, participant-facing first: ``(6, 2)`` is
-    #: participants → 6 edges → 2 super-edges → root.  ``None`` derives a
-    #: single tier from ``num_edge_aggregators`` (the legacy knob; if both are
-    #: set they must agree on the first tier's width).
+    #: participants → 6 edges → 2 super-edges → root; ``None`` is the flat,
+    #: single-tier path.
     edge_tiers: Optional[Sequence[int]] = None
     #: participant→edge assignment: "cost_aware" greedy-bin-packs on each
     #: participant's upload cost when cost models exist (falling back to
@@ -116,12 +111,11 @@ class RunConfig:
     edge_grouping: str = "cost_aware"
     edge_latency_s: float = 0.0              # per-frame inter-tier link latency
 
-    # --- aggregation executor (repro.runtime.executor.AggregationPool)
-    #: "process" folds expert shards and tree-node subtrees in a process
-    #: pool (bit-identical to serial, test-enforced); "service" folds them
-    #: through long-lived socket-backed aggregator servers
-    #: (:class:`repro.service.ServiceAggregationPool` — also bit-identical,
-    #: test-enforced); "serial" is the single-thread legacy fold.
+    # --- aggregation executor
+    #: "serial" folds on the server thread; "service" folds expert shards and
+    #: tree nodes through long-lived socket-backed aggregator servers
+    #: (:class:`repro.service.ServiceAggregationPool`), bit-identical to
+    #: serial (test-enforced).
     aggregation_executor: str = "serial"
     aggregation_workers: Optional[int] = None
 
@@ -137,19 +131,6 @@ class RunConfig:
     #: write one append-mode log file per spawned TCP server under this
     #: directory (``scripts/service_smoke.py`` uploads it on CI failure)
     service_log_dir: Optional[str] = None
-    #: codec of fold payloads on the service wire: "fp64" re-encodes every
-    #: update as a lossless fp64 frame (the default); "wire" forwards the
-    #: round's *original* codec frames verbatim — the servers decode exactly
-    #: the bytes the serial path decoded, so results stay bit-identical while
-    #: compressed rounds (e.g. ``codec="topk:0.25:int4"``) ship a fraction of
-    #: the fp64 bytes (each delta-codec key's fp64 reference ships once per
-    #: fold job; raw in-memory partials still travel as fp64)
-    service_codec: str = "fp64"
-    #: OP_ADD chunks in flight per connection before the client waits for an
-    #: acknowledgement (1 = the fully synchronous legacy request/response;
-    #: larger windows pipeline the round's uploads, hiding per-request RTT —
-    #: reconnect-and-replay-the-whole-round absorbs window loss unchanged)
-    service_window: int = 8
 
     # --- durability (repro.runtime.checkpoint)
     checkpoint_every: int = 0                # snapshot run state every K rounds (0 = off)
@@ -169,7 +150,26 @@ class RunConfig:
     telemetry: bool = False
     telemetry_dir: Optional[str] = None      # trace/metrics output dir (required if on)
 
-    def __post_init__(self) -> None:
+    # --- retired keywords.  The frozen ``benchmarks/e2e/workloads.py`` still
+    # passes these two with the values that name today's only behaviour, so
+    # they are accepted (and dropped: not fields, not in ``asdict``) until a
+    # ``[benchmark]`` PR removes them from the workloads; then they go.
+    streaming_aggregation: InitVar[Optional[bool]] = None
+    service_codec: InitVar[Optional[str]] = None
+
+    def __post_init__(self, streaming_aggregation: Optional[bool],
+                      service_codec: Optional[str]) -> None:
+        if streaming_aggregation not in (None, True):
+            raise ValueError(
+                f"streaming_aggregation={streaming_aggregation!r} was retired: "
+                "the streaming fold is the only fold (it produces the buffered "
+                "FedAvg's bits); drop the keyword")
+        if service_codec not in (None, "wire"):
+            raise ValueError(
+                f"service_codec={service_codec!r} was retired: the service "
+                "always forwards the frame an update arrived as (what 'wire' "
+                "named) and fp64-encodes only updates without one; drop the "
+                "keyword")
         if self.scheduler not in ("sync", "semisync", "async"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.sampler not in ("uniform", "resource_aware", "availability"):
@@ -212,26 +212,22 @@ class RunConfig:
             raise ValueError("trim_ratio must be in [0, 0.5)")
         if self.num_shards < 1:
             raise ValueError("num_shards must be positive")
-        if self.num_edge_aggregators < 0:
-            raise ValueError("num_edge_aggregators must be non-negative")
         if self.edge_tiers is not None:
             tiers = tuple(int(width) for width in self.edge_tiers)
             if not tiers or any(width < 1 for width in tiers):
                 raise ValueError(
                     "edge_tiers must be a non-empty sequence of positive widths")
-            if self.num_edge_aggregators and self.num_edge_aggregators != tiers[0]:
-                raise ValueError(
-                    f"edge_tiers[0]={tiers[0]} disagrees with "
-                    f"num_edge_aggregators={self.num_edge_aggregators}; set one "
-                    "(or make them match)")
             self.edge_tiers = tiers
         if self.edge_grouping not in ("cost_aware", "round_robin"):
             raise ValueError(f"unknown edge grouping {self.edge_grouping!r}")
         if self.edge_latency_s < 0.0:
             raise ValueError("edge_latency_s must be non-negative")
-        if self.aggregation_executor not in ("serial", "process", "service"):
+        if self.aggregation_executor not in ("serial", "service"):
             raise ValueError(
-                f"unknown aggregation executor {self.aggregation_executor!r}")
+                f"unknown aggregation executor {self.aggregation_executor!r} "
+                "(expected 'serial' or 'service'; the 'process' pool was "
+                "removed — 'service' with service_transport='socketpair' is "
+                "its in-host replacement)")
         if self.aggregation_workers is not None and self.aggregation_workers < 1:
             raise ValueError("aggregation_workers must be positive")
         if self.service_transport not in ("tcp", "socketpair"):
@@ -243,12 +239,6 @@ class RunConfig:
             raise ValueError("service_retry_delay_s must be non-negative")
         if self.service_timeout_s <= 0.0:
             raise ValueError("service_timeout_s must be positive")
-        if self.service_codec not in ("fp64", "wire"):
-            raise ValueError(
-                f"unknown service codec {self.service_codec!r} "
-                "(expected 'fp64' or 'wire')")
-        if self.service_window < 1:
-            raise ValueError("service_window must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
@@ -259,15 +249,6 @@ class RunConfig:
             raise ValueError("checkpoint_delta_every must be non-negative")
         if self.telemetry and not self.telemetry_dir:
             raise ValueError("telemetry=True requires telemetry_dir")
-
-    @property
-    def resolved_edge_tiers(self) -> Tuple[int, ...]:
-        """Aggregator-tier widths (``()`` = flat): ``edge_tiers`` or the legacy knob."""
-        if self.edge_tiers is not None:
-            return tuple(self.edge_tiers)
-        if self.num_edge_aggregators >= 1:
-            return (self.num_edge_aggregators,)
-        return ()
 
 
 @dataclass
@@ -374,8 +355,6 @@ class FederatedFineTuner(abc.ABC):
         # With the defaults (fedavg / 1 shard / 0 edges) every hook below is a
         # pass-through and the behaviour is bit-identical to the flat legacy
         # path.
-        from ..runtime.executor import make_aggregation_pool
-        from .server import ShardedParameterServer
         from .strategies import strategy_from_config
         from .topology import make_topology
 
@@ -386,8 +365,6 @@ class FederatedFineTuner(abc.ABC):
         self.topology = make_topology(self.config,
                                       participant_costs=self._participant_upload_costs())
         self._aggregation_pool = make_aggregation_pool(self.config)
-        if self._aggregation_pool is not None:
-            self.server.fold_pool = self._aggregation_pool
         # --- observability: a RunTelemetry when config.telemetry is on, else
         # the shared no-op NullTelemetry; the server shares the tracer so its
         # per-shard folds appear in the same trace.
@@ -395,9 +372,10 @@ class FederatedFineTuner(abc.ABC):
 
         self.telemetry = make_telemetry(self.config)
         self.server.tracer = self.telemetry.tracer
-        if hasattr(self._aggregation_pool, "bind_telemetry"):
-            # service pool: repro_service_* byte/connection counters land in
-            # the run's metrics registry (no-op registry when telemetry is off)
+        if self._aggregation_pool is not None:
+            self.server.fold_pool = self._aggregation_pool
+            # repro_service_* byte/connection counters land in the run's
+            # metrics registry (no-op registry when telemetry is off)
             self._aggregation_pool.bind_telemetry(self.telemetry)
 
     # ------------------------------------------------------------------ hooks
@@ -579,9 +557,8 @@ class FederatedFineTuner(abc.ABC):
                 except PayloadCorruptedError:
                     stats.decode_failures += 1
                     continue
-                # Carry the delivered bytes so the pooled/service fold
-                # dispatch can forward the original frame instead of
-                # re-encoding the state as fp64.
+                # Carry the delivered bytes so the service fold dispatch can
+                # forward the original frame instead of re-encoding the state.
                 arrived.wire_frame = bytes(record.payload)
                 arrived.wire_codec = codec.name
                 arrived.wire_reference = reference
@@ -606,19 +583,15 @@ class FederatedFineTuner(abc.ABC):
         """
         from ..comm import ChannelStats
 
-        streaming = self.config.streaming_aggregation
         tracer = self.telemetry.tracer
-        with tracer.span("aggregate", category="fold",
-                         streaming=streaming) as span:
+        with tracer.span("aggregate", category="fold") as span:
             if self.topology is not None:
                 contributions, edge_stats = self.topology.aggregate(
-                    self.server, updates, streaming=streaming,
-                    strategy=self.aggregation_strategy,
+                    self.server, updates, strategy=self.aggregation_strategy,
                     pool=self._aggregation_pool, tracer=tracer)
             else:
                 contributions = self.server.aggregate(
-                    updates, streaming=streaming,
-                    strategy=self.aggregation_strategy)
+                    updates, strategy=self.aggregation_strategy)
                 edge_stats = ChannelStats()
             span.set(num_keys=len(contributions),
                      num_updates=sum(contributions.values()))
@@ -695,7 +668,7 @@ class FederatedFineTuner(abc.ABC):
         """Release runtime resources held by the tuner (idempotent).
 
         Covers the legacy :meth:`run_round` scheduler's worker pool and the
-        aggregation fold pool (``aggregation_executor="process"``); both are
+        aggregation service pool (``aggregation_executor="service"``); both are
         lazily recreated on next use, so closing between runs is always safe.
         :meth:`run` closes them itself when it finishes.
         """

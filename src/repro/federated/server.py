@@ -15,7 +15,12 @@ Two server flavours share one interface:
     global parameters — sharding changes *where* state lives, not the math.
 
 Both accept a pluggable :class:`~repro.federated.strategies.AggregationStrategy`
-(default: weighted FedAvg, bit-identical to the historical hardwired path).
+(default: weighted FedAvg).  There is one fold: updates stream into per-shard
+:class:`~repro.comm.StreamingAggregator`'s, on this thread or — with a
+:class:`~repro.service.ServiceAggregationPool` attached — as one fold job per
+shard on the aggregator servers, bit for bit the same result.  The buffered
+group-then-average FedAvg it replaced is the reference in
+``tests/fold_oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from ..comm import ScratchPool, StreamingAggregator
 from ..models import MoETransformer
-from .aggregation import ExpertKey, ExpertUpdate, apply_fedavg
+from .aggregation import ExpertKey, ExpertUpdate
 
 
 class ParameterServer:
@@ -34,12 +39,10 @@ class ParameterServer:
 
     The server never sees raw data: participants upload expert parameter
     states (plus scalar statistics such as utilities), and download refreshed
-    expert parameters at the start of the next round.  Aggregation runs either
-    buffered (the legacy FedAvg path, which keeps every update alive) or
-    *streaming* (``streaming=True``): each update folds into a per-expert
-    accumulator as it arrives, so peak server memory under FedAvg is one
-    update plus the running sums — O(1) in the number of clients — while
-    producing bit-identical averages.  ``strategy`` (a name or an
+    expert parameters at the start of the next round.  Aggregation streams:
+    each update folds into a per-expert accumulator as it arrives, so peak
+    server memory under FedAvg is one update plus the running sums — O(1) in
+    the number of clients.  ``strategy`` (a name or an
     :class:`~repro.federated.strategies.AggregationStrategy`) replaces the
     FedAvg reduction with e.g. a coordinate-wise trimmed mean or median.
     """
@@ -55,9 +58,9 @@ class ParameterServer:
         self.round_index = 0
         #: number of contributions each expert received over the whole run
         self.contribution_counts: Dict[ExpertKey, int] = {}
-        #: optional :class:`~repro.runtime.executor.AggregationPool`: with one
-        #: attached (and more than one shard) the per-shard folds run in
-        #: process-pool workers instead of on the server thread
+        #: optional :class:`~repro.service.ServiceAggregationPool`: with one
+        #: attached (and more than one shard) the per-shard folds run on the
+        #: aggregator servers instead of on the server thread
         self.fold_pool = None
         #: span tracer for per-shard fold spans; the fine-tuner shares its
         #: run telemetry tracer here, the no-op default costs nothing
@@ -117,27 +120,19 @@ class ParameterServer:
         return contributions
 
     def aggregate(self, updates: Iterable[ExpertUpdate],
-                  streaming: bool = False, strategy=None) -> Dict[ExpertKey, int]:
+                  strategy=None) -> Dict[ExpertKey, int]:
         """Aggregate the received expert updates into the global model.
 
-        With ``streaming=True`` the updates iterable is consumed one element
-        at a time through per-shard
-        :class:`~repro.comm.StreamingAggregator`'s — pass a generator and no
-        more than one update is ever buffered server-side.  ``strategy``
-        overrides the server's construction-time strategy for this call; the
-        ``None``/FedAvg default keeps the exact legacy arithmetic (including
-        the buffered path's all-zero-weight uniform fallback).
+        The updates iterable is consumed one element at a time through
+        per-shard :class:`~repro.comm.StreamingAggregator`'s — pass a
+        generator and no more than one update is ever buffered server-side.
+        ``strategy`` overrides the server's construction-time strategy for
+        this call.  A key whose contributions all weigh zero cannot be
+        averaged and raises.
         """
         effective = self._resolve_strategy(strategy)
         if self.fold_pool is not None and self.num_shards > 1:
-            return self._record(self._aggregate_pooled(updates, effective, streaming))
-        if effective is None and not streaming:
-            # The buffered legacy FedAvg path — shared by every shard count so
-            # its all-zero-weight uniform fallback (and bit-exactness) hold on
-            # sharded servers too; per-key folds are independent, so routing
-            # through shard aggregators would change nothing but the fallback.
-            return self._record(apply_fedavg(self.global_model, updates,
-                                             scratch=self.fold_scratch))
+            return self._record(self._aggregate_pooled(updates, effective))
         aggregators = self._make_aggregators(effective)
         for update in updates:
             aggregators[self.shard_of(update.key)].add(update)
@@ -148,35 +143,29 @@ class ParameterServer:
                 contributions.update(aggregator.apply(self.global_model))
         return self._record(contributions)
 
-    def _aggregate_pooled(self, updates: Iterable[ExpertUpdate], strategy,
-                          streaming: bool) -> Dict[ExpertKey, int]:
-        """Fold the shards concurrently in :attr:`fold_pool` workers.
+    def _aggregate_pooled(self, updates: Iterable[ExpertUpdate],
+                          strategy) -> Dict[ExpertKey, int]:
+        """Fold the shards as one job each on :attr:`fold_pool`'s servers.
 
-        Updates cross the process boundary as lossless fp64 wire frames
-        (plus their in-memory staleness), bucketed by shard in arrival
-        order; each worker mirrors the serial per-shard fold exactly — the
-        legacy buffered FedAvg (uniform zero-weight fallback included) when
-        ``strategy`` is ``None`` and ``streaming`` is off, the strategy's
-        streaming accumulators otherwise — so pooled aggregation is
-        bit-identical to serial (test-enforced).  Pooling buffers one round's
-        frames parent-side, trading streaming's O(1) memory for parallel
-        fold throughput.
+        Each update travels as the frame it arrived as, else as a lossless
+        fp64 frame (:func:`~repro.service.fold.frame_update`), bucketed by
+        shard in arrival order; the servers run the serial per-shard fold on
+        exactly those bytes, so the result is bit-identical to serial
+        (test-enforced).  One round's frames are buffered here, trading the
+        serial path's O(1) memory for folds that run off this process.
         """
         from ..comm import decode_state_dict
-        from ..runtime.executor import frame_update
+        from ..service.fold import frame_update
 
-        collect_refs = bool(getattr(self.fold_pool, "wire_frames", False))
         shard_frames: List[List] = [[] for _ in range(self.num_shards)]
         shard_refs: List[Dict] = [{} for _ in range(self.num_shards)]
         for update in updates:
             shard = self.shard_of(update.key)
-            shard_frames[shard].append(frame_update(
-                update, references=shard_refs[shard] if collect_refs else None))
-        jobs = [(shard, framed, shard_refs[shard]) if shard_refs[shard]
-                else (shard, framed)
+            shard_frames[shard].append(frame_update(update, shard_refs[shard]))
+        jobs = [(shard, framed, shard_refs[shard])
                 for shard, framed in enumerate(shard_frames) if framed]
         contributions: Dict[ExpertKey, int] = {}
-        folded = self.fold_pool.fold_shards(strategy, streaming, jobs,
+        folded = self.fold_pool.fold_shards(strategy, jobs,
                                             timed=self.tracer.enabled)
         for record in self.fold_pool.last_span_records:
             self.tracer.ingest(record)
@@ -261,9 +250,7 @@ class ShardedParameterServer(ParameterServer):
 
     Expert keys are assigned round-robin over their flattened
     ``(layer, expert)`` index, so shards stay balanced for any layer shape.
-    Streaming (and non-default-strategy) aggregation routes every update to
-    its key's shard aggregator; the buffered FedAvg default shares the flat
-    server's legacy path, which is already per-key independent.
+    Aggregation routes every update to its key's shard aggregator.
     :attr:`last_shard_contributions` records how many updates each shard
     received in the most recent aggregation (the per-shard load signal a
     deployment would use for re-balancing).
@@ -309,9 +296,8 @@ class ShardedParameterServer(ParameterServer):
                       key=lambda key: self._flat_index[key])
 
     def aggregate(self, updates: Iterable[ExpertUpdate],
-                  streaming: bool = False, strategy=None) -> Dict[ExpertKey, int]:
-        contributions = super().aggregate(updates, streaming=streaming,
-                                          strategy=strategy)
+                  strategy=None) -> Dict[ExpertKey, int]:
+        contributions = super().aggregate(updates, strategy=strategy)
         shard_counts = [0] * self.num_shards
         for key, count in contributions.items():
             shard_counts[self.shard_of(key)] += count
@@ -327,3 +313,22 @@ def make_server(global_model: MoETransformer, config=None,
         return ShardedParameterServer(global_model, num_shards=num_shards,
                                       strategy=strategy)
     return ParameterServer(global_model, strategy=strategy)
+
+
+def make_aggregation_pool(config):
+    """The fold executor a :class:`~repro.federated.RunConfig` selects.
+
+    ``None`` for ``"serial"`` (folds run on the server thread), a
+    :class:`~repro.service.ServiceAggregationPool` for ``"service"``.
+    """
+    if config.aggregation_executor == "serial":
+        return None
+    from ..service import ServiceAggregationPool  # local: the service pulls in asyncio
+
+    return ServiceAggregationPool(
+        config.aggregation_workers,
+        transport=config.service_transport,
+        retry_attempts=config.service_retry_attempts,
+        retry_delay_s=config.service_retry_delay_s,
+        timeout_s=config.service_timeout_s,
+        log_dir=config.service_log_dir)

@@ -265,13 +265,13 @@ def get_strategy(spec, **kwargs) -> AggregationStrategy:
 def picklable_strategy(spec) -> Optional[AggregationStrategy]:
     """Resolve ``spec`` and verify it can cross a process boundary.
 
-    Process-pool aggregation (:class:`~repro.runtime.executor.AggregationPool`)
-    ships the *strategy object* to fold workers and rebuilds accumulators
-    there, so a strategy's construction-time state (trim ratios, staleness
-    exponents, …) must pickle.  All built-in strategies do; a custom strategy
-    holding e.g. a lambda or an open handle fails here with a clear error
-    instead of a deep ``concurrent.futures`` traceback.  ``None`` (the legacy
-    FedAvg default) passes through untouched.
+    Service aggregation (:class:`~repro.service.ServiceAggregationPool`)
+    ships the *strategy object* to the aggregator servers and rebuilds
+    accumulators there, so a strategy's construction-time state (trim ratios,
+    staleness exponents, …) must pickle.  All built-in strategies do; a custom
+    strategy holding e.g. a lambda or an open handle fails here with a clear
+    error instead of a server-side one.  ``None`` (the FedAvg default) passes
+    through untouched.
     """
     import pickle
 
@@ -283,7 +283,7 @@ def picklable_strategy(spec) -> Optional[AggregationStrategy]:
     except Exception as exc:
         raise TypeError(
             f"aggregation strategy {strategy.name!r} cannot cross a process "
-            f"boundary ({exc}); parallel aggregation requires a picklable "
+            f"boundary ({exc}); service aggregation requires a picklable "
             "strategy — keep construction-time state to plain data") from exc
     return strategy
 
@@ -291,8 +291,8 @@ def picklable_strategy(spec) -> Optional[AggregationStrategy]:
 def strategy_from_config(config) -> Optional[AggregationStrategy]:
     """The strategy a :class:`~repro.federated.RunConfig` selects.
 
-    Returns ``None`` for the default ``"fedavg"`` so the server keeps using
-    its historical (bit-identical, zero-weight-tolerant) FedAvg code paths.
+    Returns ``None`` for the default ``"fedavg"``, which the aggregators
+    resolve to the FedAvg strategy themselves.
     """
     name = getattr(config, "aggregation", "fedavg")
     if name == "fedavg":

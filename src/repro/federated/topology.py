@@ -27,21 +27,15 @@ evenly across edges instead of piling onto ``pid % num_edges``.  Without cost
 information it degrades to the stable round-robin assignment, which keeps
 cost-less configurations bit-identical to the historical behaviour.
 
-**Parallel pre-fold**: pass an
-:class:`~repro.runtime.executor.AggregationPool` and every tier-0 node folds
-its subtree in a process-pool worker — workers receive the updates as wire
-frames (they already serialize losslessly) and return the node's partial
-frames, so fold throughput scales with cores while staying bit-identical to
-the serial fold (test-enforced).
+**Service pre-fold**: pass a :class:`~repro.service.ServiceAggregationPool`
+and every node of every tier folds as one job on an aggregator server — the
+job carries the node's updates as wire frames and returns the node's partial
+frames, bit-identical to the serial fold (test-enforced).
 
 Tier-hop traffic is measured, not estimated: every partial crosses its node's
 channel, and the per-round byte/latency totals surface per tier as
 ``RoundResult.tier_bytes`` / ``tier_seconds`` / ``tier_payloads`` (with the
 cross-tier totals kept in ``edge_bytes`` / ``edge_seconds`` for continuity).
-
-:class:`HierarchicalTopology` remains as the depth-1 specialization
-(participants → edges → root) with its historical constructor and round-robin
-default, bit-identical to its pre-tree implementation.
 """
 
 from __future__ import annotations
@@ -231,9 +225,9 @@ class AggregationTree:
         self.last_tier_counts: List[List[int]] = [[0] * w for w in widths]
         #: per-tier measured channel stats of the most recent round
         self.last_tier_stats: List[ChannelStats] = [ChannelStats() for _ in widths]
-        #: persistent fold scratch for the *serial* tier folds (pooled folds
-        #: run in workers, which keep their own per-thread pools); every
-        #: serial fold this tree ever runs shares these term buffers
+        #: persistent fold scratch for the *serial* tier folds (service folds
+        #: use their server's pool); every serial fold this tree ever runs
+        #: shares these term buffers
         self._fold_scratch = ScratchPool()
 
     # ----------------------------------------------------------------- shape
@@ -282,9 +276,7 @@ class AggregationTree:
         (``-(edge + 1)`` at tier 0) so logs can tell tiers apart.
 
         Keys whose group contributed only zero-weight FedAvg updates are
-        dropped (the pre-fold consumed the individual states, so the flat
-        buffered path's uniform-mean fallback is impossible here): a
-        zero-weight group simply contributes nothing upward.
+        dropped: a zero-weight group simply contributes nothing upward.
         """
         return aggregator.partials(self.pseudo_id(0, edge))
 
@@ -315,11 +307,11 @@ class AggregationTree:
     def _fold_leaf_tier(self, updates: Iterable[ExpertUpdate], strategy,
                         pool, codec, tracer=NULL_TRACER
                         ) -> Dict[int, List[Tuple[ExpertUpdate, bytes]]]:
-        """Fold participant updates into tier-0 partials, serially or pooled.
+        """Fold participant updates into tier-0 partials, here or on ``pool``.
 
         Returns ``{node: [(partial, frame), ...]}`` in node order of first
         appearance; per-node partial order is accumulator insertion order
-        either way, so pooled and serial folds are bit-identical.
+        either way, so service and serial folds are bit-identical.
         """
         width = self.tiers[0]
         if pool is None:
@@ -333,36 +325,28 @@ class AggregationTree:
                 if len(aggregator):
                     # The serial fold streams updates into all nodes at once,
                     # so the span covers the node's partial extraction (its
-                    # finalize work) and framing; pooled folds time the whole
-                    # subtree fold in their worker instead.
+                    # finalize work) and framing; service folds time the whole
+                    # subtree fold on their server instead.
                     with tracer.span("prefold_node", category="fold", node=node,
                                      tier=0, num_updates=aggregator.num_updates):
                         partials[node] = _framed(
                             self.partial_updates(node, aggregator), codec)
             return partials
-        # Pooled pre-fold: the updates cross the process boundary as wire
-        # frames (plus their in-memory staleness, which does not travel in
-        # frames) and each node's worker returns its partial frames.  Updates
-        # that arrived as wire frames forward those bytes verbatim; with a
-        # compressed-wire pool (``pool.wire_frames``) even delta-codec frames
-        # forward, alongside one fp64-framed reference per expert key per
-        # node (see :func:`~repro.runtime.executor.frame_update`).
-        from ..runtime.executor import frame_update
+        # Service pre-fold: one job per node, carrying its updates as the
+        # frames they arrived as (else lossless fp64 frames) plus one framed
+        # reference per delta-coded expert key; see
+        # :func:`~repro.service.fold.frame_update`.
+        from ..service.fold import frame_update
 
-        collect_refs = bool(getattr(pool, "wire_frames", False))
         framed: Dict[int, List[Tuple[bytes, int]]] = {}
         references: Dict[int, Dict] = {}
         for update in updates:
             node = self.edge_of(update.participant_id)
-            node_refs = references.setdefault(node, {}) if collect_refs else None
             framed.setdefault(node, []).append(
-                frame_update(update, references=node_refs))
+                frame_update(update, references.setdefault(node, {})))
             self.last_tier_counts[0][node] += 1
-        jobs = [
-            (node, self.pseudo_id(0, node), frames, references[node])
-            if references.get(node) else (node, self.pseudo_id(0, node), frames)
-            for node, frames in framed.items()
-        ]
+        jobs = [(node, self.pseudo_id(0, node), frames, references[node])
+                for node, frames in framed.items()]
         folded = pool.prefold_nodes(strategy, jobs, timed=tracer.enabled)
         for record in pool.last_span_records:
             tracer.ingest(record)
@@ -370,8 +354,8 @@ class AggregationTree:
                 for node, partial_frames in folded}
 
     def aggregate(self, server, updates: Iterable[ExpertUpdate],
-                  streaming: bool = False, strategy=None, pool=None,
-                  tracer=None) -> Tuple[Dict[ExpertKey, int], ChannelStats]:
+                  strategy=None, pool=None, tracer=None
+                  ) -> Tuple[Dict[ExpertKey, int], ChannelStats]:
         """Run one round of N-tier aggregation into ``server``.
 
         Consumes ``updates`` one at a time (a generator streams straight into
@@ -383,11 +367,10 @@ class AggregationTree:
         cross-tier total of the measured :class:`ChannelStats` (per-tier
         breakdowns stay in :attr:`last_tier_stats`).
 
-        ``pool`` (an :class:`~repro.runtime.executor.AggregationPool`) moves
-        the tier-0 subtree folds into process-pool workers; inner tiers fold
-        the handful of partials in-process.  Pooled folding buffers each
-        node's update frames before dispatch, trading the serial path's
-        one-update-at-a-time memory profile for parallel fold throughput.
+        ``pool`` (a :class:`~repro.service.ServiceAggregationPool`) moves
+        every tier's node folds onto the aggregator servers.  A service fold
+        buffers each node's update frames before dispatch, trading the serial
+        path's one-update-at-a-time memory profile for folds off this process.
 
         ``tracer`` (a :class:`~repro.obs.Tracer`) records per-node fold spans
         and per-(tier, node) transfer spans; ``None`` is the no-op tracer.
@@ -397,8 +380,7 @@ class AggregationTree:
             tracer = NULL_TRACER
         codec = get_codec(EDGE_CODEC)
         current = self._fold_leaf_tier(updates, strategy, pool, codec, tracer)
-        return self._propagate(server, current, streaming, strategy, codec,
-                               tracer, pool=pool)
+        return self._propagate(server, current, strategy, codec, tracer, pool)
 
     def reset_round_metrics(self) -> None:
         """Zero the per-round counts/stats.
@@ -410,7 +392,7 @@ class AggregationTree:
         self.last_tier_counts = [[0] * width for width in self.tiers]
         self.last_tier_stats = [ChannelStats() for _ in self.tiers]
 
-    def _propagate(self, server, current, streaming, strategy, codec,
+    def _propagate(self, server, current, strategy, codec,
                    tracer=NULL_TRACER, pool=None
                    ) -> Tuple[Dict[ExpertKey, int], ChannelStats]:
         """Ship tier-0 partials up the tree and into the root server."""
@@ -418,10 +400,10 @@ class AggregationTree:
         # re-fold, re-frame.  Nodes iterate in index order so channel fault
         # sequences are deterministic.  With a fold pool attached every inner
         # node becomes its own fold job — independent subtrees at each tier
-        # fold concurrently (pool workers or aggregator servers) instead of
-        # serializing on this loop; the jobs carry the delivered frames in
-        # arrival order, so the worker's streaming fold is bit-identical to
-        # the serial parent aggregator (test-enforced).
+        # fold on their aggregator servers instead of serializing on this
+        # loop; the jobs carry the delivered frames in arrival order, so the
+        # server's fold is bit-identical to the serial parent aggregator
+        # (test-enforced).
         for tier in range(self.depth - 1):
             parents = ([StreamingAggregator(strategy, scratch=self._fold_scratch)
                         for _ in range(self.tiers[tier + 1])]
@@ -441,8 +423,7 @@ class AggregationTree:
                             parents[parent].add(delivered)
                         else:
                             inbox.setdefault(parent, []).append(
-                                (delivered_frame,
-                                 getattr(delivered, "staleness", 0)))
+                                (delivered_frame, delivered.staleness))
                     span.set(sim_duration=self.last_tier_stats[tier].seconds
                              - airtime_before)
             current = {}
@@ -479,8 +460,7 @@ class AggregationTree:
                     span.set(sim_duration=self.last_tier_stats[tier].seconds
                              - airtime_before)
 
-        contributions = server.aggregate(delivered_partials(), streaming=streaming,
-                                         strategy=strategy)
+        contributions = server.aggregate(delivered_partials(), strategy=strategy)
         totals = ChannelStats()
         for tier_stats in self.last_tier_stats:
             totals.merge(tier_stats)
@@ -541,67 +521,21 @@ class AggregationTree:
         }
 
 
-class HierarchicalTopology(AggregationTree):
-    """The two-tier specialization: participants → ``num_edges`` edges → root.
-
-    Kept as the named depth-1 topology with its historical constructor; the
-    default assignment stays the stable ``pid % num_edges`` round-robin, so
-    standalone use is bit-identical to the pre-tree implementation.
-
-    Parameters
-    ----------
-    num_edges:
-        Number of edge aggregators in the tier.
-    group_fn:
-        Maps a participant id to its edge index (default: round-robin).
-    channels:
-        Optional pre-built edge→root channels, one per edge.
-    latency_s:
-        Per-frame edge→root latency for the default channels.
-    grouping:
-        A :class:`GroupingPolicy` overriding ``group_fn`` (e.g.
-        :class:`CostAwareGrouping` from :func:`make_topology`).
-    """
-
-    def __init__(self, num_edges: int,
-                 group_fn: Optional[Callable[[int], int]] = None,
-                 channels: Optional[List[Channel]] = None,
-                 latency_s: float = 0.0, grouping=None) -> None:
-        if num_edges < 1:
-            raise ValueError("a hierarchical topology needs at least one edge aggregator")
-        if channels is not None and len(channels) != num_edges:
-            raise ValueError("one edge→root channel per edge aggregator is required")
-        if group_fn is not None and grouping is not None:
-            raise ValueError("pass either group_fn or grouping, not both")
-        super().__init__(
-            (int(num_edges),),
-            grouping=grouping if grouping is not None else group_fn,
-            channels=[list(channels)] if channels is not None else None,
-            latency_s=latency_s)
-
-
 def make_topology(config, participant_costs: Optional[Mapping[int, float]] = None
                   ) -> Optional[AggregationTree]:
     """The topology a :class:`~repro.federated.RunConfig` selects (or ``None``).
 
-    An empty tier spec (``num_edge_aggregators == 0`` and no ``edge_tiers``)
-    keeps the flat single-tier path — the bit-identical legacy behaviour.
-    ``participant_costs`` (per-participant upload seconds, see
+    No ``edge_tiers`` keeps the flat single-tier path.  ``participant_costs``
+    (per-participant upload seconds, see
     :func:`repro.systems.cost_model.upload_costs`) feeds the default
     cost-aware grouping; without it — or with
     ``edge_grouping="round_robin"`` — assignment is the stable round-robin.
     """
-    if hasattr(config, "resolved_edge_tiers"):
-        tiers = tuple(config.resolved_edge_tiers)
-    else:
-        num_edges = int(getattr(config, "num_edge_aggregators", 0) or 0)
-        tiers = (num_edges,) if num_edges >= 1 else ()
+    tiers = config.edge_tiers
     if not tiers:
         return None
     grouping: Optional[GroupingPolicy] = None
     if getattr(config, "edge_grouping", "cost_aware") == "cost_aware" and participant_costs:
         grouping = CostAwareGrouping(participant_costs)
     latency_s = float(getattr(config, "edge_latency_s", 0.0))
-    if len(tiers) == 1:
-        return HierarchicalTopology(tiers[0], latency_s=latency_s, grouping=grouping)
     return AggregationTree(tiers, grouping=grouping, latency_s=latency_s)

@@ -1,6 +1,7 @@
 """Observability for the aggregation plane: tracing, metrics, exporters.
 
-The run loop, topology tree, process pools, wire channels and checkpointer
+The run loop, topology tree, worker pools, aggregator servers, wire channels
+and checkpointer
 all emit into one substrate:
 
 * :mod:`repro.obs.trace` — nested spans (``run > round >

@@ -102,7 +102,7 @@ def _chrome_tid(event: Dict) -> int:
 
     Complete (``ph: "X"``) events on one tid must nest strictly by time, so
     spans that can overlap — per-participant training, per-shard and per-node
-    pooled folds — are fanned out to their own rows; the sequential run
+    service folds — are fanned out to their own rows; the sequential run
     structure (run/round/select/fold/transfer/checkpoint) stays on row 0.
     """
     attrs = event.get("attrs", {})

@@ -232,8 +232,8 @@ def span_record(name: str, category: str, wall_start: float, duration_s: float,
                 sim_duration: Optional[float] = None, **attrs) -> Dict:
     """A picklable span measurement for work done outside the tracer's process.
 
-    Process-pool workers cannot reach the coordinator's tracer; they time
-    their job with ``time.time()`` / ``time.perf_counter()`` and ship one of
+    Training workers and aggregator servers cannot reach the coordinator's
+    tracer; they time their job with ``time.time()`` / ``time.perf_counter()`` and ship one of
     these dicts back alongside their result frames, which the parent adopts
     via :meth:`Tracer.ingest`.
     """

@@ -23,11 +23,9 @@ from .checkpoint import (
 )
 from .events import Event, EventQueue
 from .executor import (
-    AggregationPool,
     ParticipantExecutor,
     ProcessPoolParticipantExecutor,
     SerialExecutor,
-    make_aggregation_pool,
     make_executor,
 )
 from .faults import (
@@ -78,9 +76,7 @@ __all__ = [
     "ParticipantExecutor",
     "SerialExecutor",
     "ProcessPoolParticipantExecutor",
-    "AggregationPool",
     "make_executor",
-    "make_aggregation_pool",
     "Scheduler",
     "SyncScheduler",
     "SemiSyncScheduler",

@@ -77,17 +77,25 @@ _ROUND_DIR = re.compile(r"^round_(\d+)$")
 #: from the uninterrupted run.  All of these are purely operational:
 #: snapshot cadence/location/retention, snapshot encoding (full vs delta,
 #: foreground vs background), telemetry output, and the aggregation fold
-#: backend (serial / process pool / socket service are bit-identical,
-#: test-enforced — so a run checkpointed under one may resume under another)
-#: cannot affect run results.
+#: executor (serial and the socket service are bit-identical, test-enforced —
+#: so a run checkpointed under one, or under the removed "process" pool, may
+#: resume under another) cannot affect run results.
 _RESUMABLE_CONFIG_FIELDS = frozenset(
     {"checkpoint_every", "checkpoint_dir", "checkpoint_keep_last",
      "checkpoint_delta_every", "checkpoint_async",
      "telemetry", "telemetry_dir",
      "aggregation_executor", "aggregation_workers",
      "service_transport", "service_retry_attempts",
-     "service_retry_delay_s", "service_timeout_s", "service_log_dir",
-     "service_codec", "service_window"})
+     "service_retry_delay_s", "service_timeout_s", "service_log_dir"})
+
+#: ``RunConfig`` fields of older trees that no longer exist.  None of them
+#: changed a run's bits (buffered == streaming FedAvg and every service
+#: payload mode were test-enforced equal when they were removed), so a saved
+#: config that carries them still resumes: they are dropped from the saved
+#: side, and ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.
+_RETIRED_CONFIG_FIELDS = frozenset(
+    {"streaming_aggregation", "service_codec", "service_window",
+     "num_edge_aggregators"})
 
 
 def _config_snapshot(config) -> Dict:
@@ -95,12 +103,15 @@ def _config_snapshot(config) -> Dict:
 
     Applied to the *current* config at capture time and re-applied to the
     *saved* snapshot at resume time, so checkpoints written before a field
-    joined ``_RESUMABLE_CONFIG_FIELDS`` stay loadable (the stale key is
-    filtered out of both sides of the comparison).
+    joined ``_RESUMABLE_CONFIG_FIELDS`` — or before it was retired — stay
+    loadable (the stale key is filtered out of the comparison).
     """
-    items = config.items() if isinstance(config, dict) else asdict(config).items()
-    return {key: value for key, value in items
-            if key not in _RESUMABLE_CONFIG_FIELDS}
+    items = dict(config if isinstance(config, dict) else asdict(config))
+    if items.get("num_edge_aggregators") and items.get("edge_tiers") is None:
+        items["edge_tiers"] = (int(items["num_edge_aggregators"]),)
+    return {key: value for key, value in items.items()
+            if key not in _RESUMABLE_CONFIG_FIELDS
+            and key not in _RETIRED_CONFIG_FIELDS}
 
 
 def _config_mismatches(saved: Dict, current: Dict) -> List[str]:

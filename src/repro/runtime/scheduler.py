@@ -243,8 +243,8 @@ class Scheduler(abc.ABC):
         Updates flow through :meth:`FederatedFineTuner.transmit_updates` — a
         pass-through under the analytic transport, framed/metered/faultable
         byte payloads under ``transport="wire"`` — and reach the aggregation
-        topology as a generator, so with ``streaming_aggregation=True`` no
-        more than one client's decoded updates are ever buffered server-side.
+        topology as a generator, so the serial fold never buffers more than
+        one client's decoded updates server-side.
         :meth:`FederatedFineTuner.aggregate_round_updates` routes the stream
         either straight into the (possibly sharded) server or through the
         aggregation tree; the second returned :class:`~repro.comm.ChannelStats`

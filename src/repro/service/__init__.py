@@ -1,8 +1,7 @@
-"""Persistent socket-backed aggregation service (``backend="service"``).
+"""Persistent socket-backed aggregation service (``aggregation_executor="service"``).
 
-Instead of forking a process pool per fold call, this package keeps
-long-lived aggregator servers — one per shard/subtree — each holding its
-round accumulator *between* requests and speaking the CRC-framed
+This package keeps long-lived aggregator servers — one per shard/subtree —
+each holding its round accumulator *between* requests and speaking the CRC-framed
 :mod:`repro.comm` wire protocol over a real transport: ``socketpair`` for
 in-host tests, TCP for multi-process topologies.  The pieces:
 
@@ -15,14 +14,14 @@ in-host tests, TCP for multi-process topologies.  The pieces:
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the blocking
   per-server connection with reconnect/retry/timeout and token-scoped
   round replay.
-* :mod:`~repro.service.pool` — :class:`ServiceAggregationPool`, the
-  pool-shaped facade that plugs into the runtime as
-  ``RunConfig(aggregation_executor="service")``.
+* :mod:`~repro.service.fold` — the fold jobs both ends share:
+  :func:`frame_update` (an update as the frame it arrived as, else a lossless
+  fp64 frame) and the two server-side folds over such frames.
+* :mod:`~repro.service.pool` — :class:`ServiceAggregationPool`, the fold
+  executor behind ``RunConfig(aggregation_executor="service")``.
 
-The service fold plane is bit-identical to the pooled and serial planes
-(same worker fold functions; lossless fp64 interchange by default, or —
-with ``RunConfig(service_codec="wire")`` — the round's original codec
-frames forwarded verbatim with per-job references; test-enforced) and
+The service fold plane is bit-identical to the serial one (the same
+streaming fold over the bytes the serial path decodes; test-enforced) and
 survives a hard-killed server mid-round by respawning and replaying the
 round — see the CI ``service-smoke`` lane and ``scripts/service_smoke.py``.
 Connections open with an ``OP_HELLO`` version handshake

@@ -290,7 +290,7 @@ class ServiceClient:
                      ) -> Tuple[List[bytes], Optional[dict]]:
         """Fold one tree node's framed updates into partial frames.
 
-        ``references`` (compressed service wire only) maps ``(layer, expert)``
+        ``references`` maps ``(layer, expert)``
         keys to fp64 reference frames for any reference-requiring codec among
         ``frames``; it rides the flush body — not the ADDs — so a replayed
         round reships it automatically and the server stores nothing per-token.
@@ -301,7 +301,7 @@ class ServiceClient:
             body["references"] = references
         return self._fold_round(frames, OP_FLUSH_NODE, body)
 
-    def fold_shard(self, strategy, streaming: bool, shard: int,
+    def fold_shard(self, strategy, shard: int,
                    frames: Sequence[Tuple[bytes, int]], timed: bool = False,
                    references: Optional[Dict] = None,
                    ) -> Tuple[List[Tuple[Tuple[int, int], bytes, int]],
@@ -311,8 +311,7 @@ class ServiceClient:
         ``references`` semantics match :meth:`prefold_node`.
         """
         body = {"strategy": self._pickle_strategy(strategy),
-                "streaming": bool(streaming), "shard": int(shard),
-                "timed": timed}
+                "shard": int(shard), "timed": timed}
         if references:
             body["references"] = references
         return self._fold_round(frames, OP_FLUSH_SHARD, body)

@@ -1,0 +1,118 @@
+"""Fold jobs: the one payload shape and the one arithmetic of the service plane.
+
+Both ends of the service import this module.  The dispatch side
+(:class:`~repro.federated.ParameterServer`,
+:class:`~repro.federated.topology.AggregationTree`) turns each update into the
+``(wire frame, staleness)`` pair a job carries with :func:`frame_update`; the
+aggregator servers fold a job's pairs with :func:`fold_shard_frames` /
+:func:`prefold_node_frames`.  Every fold is a
+:class:`~repro.comm.StreamingAggregator` fed one frame at a time in arrival
+order — the same arithmetic the serial server runs — so a service fold equals
+the serial fold bit for bit (``tests/test_service.py``), and the streaming
+fold itself is held to the buffered FedAvg reference in
+``tests/fold_oracles.py``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..comm import (
+    StreamingAggregator,
+    decode_state_dict,
+    encode_state_dict,
+    encode_update,
+    encode_updates,
+    get_codec,
+)
+from ..comm.aggregator import ExpertKey
+
+#: codec of everything a job carries that did not arrive as a frame
+#: (references, in-memory updates, folded results): lossless for every float
+#: dtype, so a service fold stays bit-identical to the serial fold
+JOB_CODEC = "fp64"
+
+FramedUpdate = Tuple[bytes, int]
+
+
+def frame_update(update, references: Dict[ExpertKey, bytes]) -> FramedUpdate:
+    """One update as the ``(wire frame, staleness)`` pair fold jobs consume.
+
+    Staleness rides alongside the frame because it is in-memory metadata that
+    deliberately does not travel in wire frames (the schedulers discount
+    weights before transmission); the ``staleness_fedavg`` strategy still
+    needs it server-side to discount exactly as a serial fold would.
+
+    An update that arrived over the wire transport is forwarded as the frame
+    it arrived as (``update.wire_frame``): its state *is* the deterministic
+    decode of those bytes, so nothing is decoded or re-encoded on the way.  A
+    frame of a ``needs_reference`` codec (top-k / sparse deltas) also records
+    its reference state in ``references`` — one fp64 state-dict frame per
+    expert key per job — for the server-side decode.  An update with no frame
+    (analytic transport, tree partials), or with a delta frame whose reference
+    is gone, is encoded as a lossless fp64 frame.
+    """
+    frame = update.wire_frame
+    if frame is not None and get_codec(update.wire_codec).needs_reference:
+        if update.wire_reference is None:
+            frame = None
+        elif update.key not in references:
+            references[update.key] = encode_state_dict(
+                update.wire_reference, get_codec(JOB_CODEC))
+    if frame is None:
+        frame = encode_update(update, get_codec(JOB_CODEC))
+    return frame, update.staleness
+
+
+def _fold_frames(strategy, framed: Sequence[FramedUpdate],
+                 references: Optional[Dict[ExpertKey, bytes]],
+                 scratch) -> StreamingAggregator:
+    """Fold a job's ``(frame, staleness)`` pairs, in order, into one aggregator.
+
+    Frames decode into ``scratch`` (an aggregator server passes its own
+    :class:`~repro.comm.ScratchPool`, which stays warm across every round it
+    folds), so the per-frame cost is one decode-into-scratch plus one fused
+    fold — no per-update allocation and no buffered update list.  Without
+    one the fold allocates per frame, to the same bits.  Every reference a
+    job carries was recorded for a delta frame of that job
+    (:func:`frame_update`), so all of them are decoded up front.
+    """
+    aggregator = StreamingAggregator(strategy, scratch=scratch)
+    states = {key: decode_state_dict(frame)
+              for key, frame in (references or {}).items()}
+
+    def lookup(layer: int, expert: int):
+        return states.get((layer, expert))
+
+    fold_payload = aggregator.fold_payload
+    for frame, staleness in framed:
+        fold_payload(frame, reference_lookup=lookup, staleness=int(staleness))
+    return aggregator
+
+
+def fold_shard_frames(strategy, framed: Sequence[FramedUpdate],
+                      references: Optional[Dict[ExpertKey, bytes]] = None,
+                      scratch=None) -> List[Tuple[ExpertKey, bytes, int]]:
+    """Fold one shard's job to ``(key, fp64 state-dict frame, count)`` triples.
+
+    Finalizing raises on a key whose contributions all weigh zero, exactly as
+    the serial :meth:`~repro.comm.StreamingAggregator.apply` does.
+    """
+    aggregator = _fold_frames(strategy, framed, references, scratch)
+    codec = get_codec(JOB_CODEC)
+    counts = aggregator.contributions()
+    return [(key, encode_state_dict(state, codec), counts[key])
+            for key, state in aggregator.finalize().items()]
+
+
+def prefold_node_frames(strategy, pseudo_id: int, framed: Sequence[FramedUpdate],
+                        references: Optional[Dict[ExpertKey, bytes]] = None,
+                        scratch=None) -> List[bytes]:
+    """Pre-fold one aggregation-tree node's job to its partials' fp64 frames.
+
+    The partials carry the group's accumulated weight and the node's pseudo
+    participant id — byte for byte what the serial tier fold frames for the
+    upward hop.
+    """
+    aggregator = _fold_frames(strategy, framed, references, scratch)
+    return encode_updates(aggregator.partials(pseudo_id), get_codec(JOB_CODEC))

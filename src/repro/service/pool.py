@@ -1,14 +1,11 @@
-"""The ``backend="service"`` fold plane: a pool-shaped client over live servers.
+"""The ``aggregation_executor="service"`` fold plane: a pool of live servers.
 
-:class:`ServiceAggregationPool` implements the exact duck-typed interface of
-:class:`~repro.runtime.executor.AggregationPool` — ``fold_shards`` /
-``prefold_nodes`` / ``last_span_records`` / ``close`` — so the
-:class:`~repro.federated.topology.AggregationTree`, the
-:class:`~repro.federated.ShardedParameterServer` and the schedulers gain the
-service backend without changing a line: ``RunConfig(aggregation_executor=
-"service")`` routes every fold through long-lived
-:class:`~repro.service.server.AggregatorServer` processes instead of
-process-pool workers.
+:class:`ServiceAggregationPool` is the fold executor the
+:class:`~repro.federated.topology.AggregationTree` and the
+:class:`~repro.federated.ShardedParameterServer` dispatch to —
+``fold_shards`` / ``prefold_nodes`` / ``last_span_records`` / ``close`` —
+when ``RunConfig(aggregation_executor="service")`` routes every fold through
+long-lived :class:`~repro.service.server.AggregatorServer`'s.
 
 Topology: one client connection per server, shard/node ``k`` pinned to
 server ``k % num_servers`` (stable across rounds, so a shard's folds always
@@ -19,9 +16,12 @@ the caller's interpreter lock, so their jobs run one after another on the
 calling thread: two server threads folding at once gain no parallelism and
 hand the lock over at every NumPy call that releases it, one cross-thread
 wake-up per hand-over, which ties the fold's wall time to the host's wake-up
-latency.  The payloads are the same ``(wire frame, staleness)`` pairs the
-process pool ships, and the servers run the same worker fold functions —
-service folds are bit-identical to pooled and serial folds (test-enforced).
+latency.
+
+Payload: a job is its updates as ``(wire frame, staleness)`` pairs plus an
+optional trailing references dict that rides the flush body — see
+:mod:`repro.service.fold`, the one module both ends share.  ADDs are pipelined
+client-side in a bounded ``window`` (see :mod:`repro.service.client`).
 
 Failure handling: each client retries its whole round with
 backoff (see :mod:`repro.service.client`); for *spawned* servers the dial
@@ -30,7 +30,7 @@ server mid-round heals transparently — the round replays against the
 replacement and the run completes (the CI ``service-smoke`` lane kills one
 mid-round to enforce exactly this).  ``close()`` is the graceful drain: every
 server gets an ack'd ``OP_SHUTDOWN``, spawned processes are joined, and the
-pool can lazily restart for a next run, like the process pool.
+pool lazily restarts for a next run.
 
 Transports: ``"tcp"`` spawns one child process per server on an ephemeral
 ``127.0.0.1`` port (or, with ``addresses=[(host, port), ...]``, dials
@@ -39,25 +39,13 @@ externally managed servers and never spawns or shuts down anything);
 loop reached over ``socket.socketpair()`` — the same protocol end-to-end
 with zero network setup, for in-host tests and constrained sandboxes.
 
-Compressed service wire: with ``wire_frames=True`` (from
-``RunConfig(service_codec="wire")``) the callers forward each round's
-*original* codec frames verbatim instead of re-encoding partials to fp64 —
-the pool advertises the mode via its :attr:`wire_frames` attribute, and jobs
-may carry a trailing per-job references dict (fp64 reference frames for
-reference-requiring codecs) that rides the flush body to the server.  The
-server decodes exactly the bytes the serial path would, so bit-identity
-holds by construction while wire bytes shrink to the codec's ratio.  ADDs
-are pipelined client-side in a bounded ``window`` (see
-:mod:`repro.service.client`).
-
 Observability: with telemetry bound (the orchestrator calls
 :meth:`bind_telemetry`), every fold call drains the per-server transport
 counters into ``repro_service_*`` metrics — including per-codec
 ``repro_service_frame_bytes_total``, per-tier
 ``repro_service_tier_folds_total`` and ``repro_service_reference_bytes_total``
 payload counters — and server-measured fold span records land in
-:attr:`last_span_records` for the caller's tracer to ingest, exactly like
-pool workers' records.
+:attr:`last_span_records` for the caller's tracer to ingest.
 """
 
 from __future__ import annotations
@@ -70,6 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..comm.serialization import frame_codec_name
 from ..comm.stream import FrameStream
+from ..federated.topology import tier_of_pseudo_id
 from .client import DEFAULT_CHUNK_FRAMES, DEFAULT_WINDOW, ServiceClient
 from .server import InProcessServer, ServerProcess, spawn_server
 
@@ -83,8 +72,6 @@ TRANSPORTS = ("tcp", "socketpair")
 class ServiceAggregationPool:
     """Service-backed fold plane (see module docstring)."""
 
-    name = "service"
-
     def __init__(self, num_servers: Optional[int] = None, *,
                  transport: str = "tcp",
                  addresses: Optional[Sequence[Tuple[str, int]]] = None,
@@ -92,7 +79,6 @@ class ServiceAggregationPool:
                  timeout_s: float = 30.0,
                  chunk_frames: int = DEFAULT_CHUNK_FRAMES,
                  window: int = DEFAULT_WINDOW,
-                 wire_frames: bool = False,
                  log_dir: Optional[str] = None) -> None:
         if transport not in TRANSPORTS:
             raise ValueError(f"unknown service transport {transport!r} "
@@ -118,13 +104,9 @@ class ServiceAggregationPool:
         self.timeout_s = float(timeout_s)
         self.chunk_frames = int(chunk_frames)
         self.window = int(window)
-        #: advertised to callers (topology / parameter server): ``True`` asks
-        #: them to forward original codec wire frames + per-job references
-        #: instead of re-encoding partials to fp64 (``service_codec="wire"``)
-        self.wire_frames = bool(wire_frames)
         self.log_dir = log_dir
         #: server-measured fold span records of the most recent ``timed=True``
-        #: call (cleared per call) — same contract as ``AggregationPool``
+        #: call (cleared per call), for the caller's tracer to ingest
         self.last_span_records: List[dict] = []
         self._servers: List[object] = []     # ServerProcess | InProcessServer | None
         self._clients: List[ServiceClient] = []
@@ -136,8 +118,8 @@ class ServiceAggregationPool:
 
     # -------------------------------------------------------------- lifecycle
     def __getstate__(self):
-        # Like the process pool, the service pool crosses pickle boundaries
-        # (the tuner ships to training workers) resource-less: live sockets,
+        # The pool crosses pickle boundaries (the tuner ships to training
+        # workers under ``executor="process"``) resource-less: live sockets,
         # server handles and thread pools stay behind; the unpickled copy can
         # lazily start its own servers if it ever folds.
         state = self.__dict__.copy()
@@ -228,17 +210,22 @@ class ServiceAggregationPool:
         joined; externally addressed servers only lose their connections —
         their lifecycle belongs to whoever started them.
         """
-        clients, self._clients = self._clients, []
-        servers, self._servers = self._servers, []
-        for index, client in enumerate(clients):
-            if self.addresses is not None:
-                client.close()  # external servers outlive the pool
-                continue
-            server = servers[index]
-            if isinstance(server, ServerProcess) and not server.alive:
-                client.close()
-                continue  # a dead spawned server needs no drain
-            client.shutdown()
+        clients, servers = self._clients, self._servers
+        try:
+            # The servers stay reachable until every client is done: a client
+            # that never folded dials its first connection here, to deliver
+            # the shutdown.
+            for index, client in enumerate(clients):
+                if self.addresses is not None:
+                    client.close()  # external servers outlive the pool
+                    continue
+                server = servers[index]
+                if isinstance(server, ServerProcess) and not server.alive:
+                    client.close()
+                    continue  # a dead spawned server needs no drain
+                client.shutdown()
+        finally:
+            self._clients, self._servers = [], []
         for server in servers:
             if isinstance(server, ServerProcess):
                 server.join(timeout=self.timeout_s)
@@ -297,7 +284,7 @@ class ServiceAggregationPool:
         """Account fold payload bytes: per-codec frame bytes + reference bytes.
 
         The codec is sniffed from each frame's RWP1 header (``"unknown"`` for
-        anything unparseable), which is what makes the compressed-wire savings
+        anything unparseable), which is what makes a compressed codec's savings
         visible per codec in run reports without decoding anything.
         """
         if self._registry is None:
@@ -340,20 +327,19 @@ class ServiceAggregationPool:
         self._publish_metrics()
         return out
 
-    def fold_shards(self, strategy, streaming: bool,
+    def fold_shards(self, strategy,
                     jobs: Sequence[Tuple[int, Sequence[Tuple[bytes, int]]]],
                     timed: bool = False
                     ) -> List[Tuple[int, List[Tuple[Tuple[int, int], bytes, int]]]]:
         """Fold every shard's framed updates on its pinned server (job order).
 
-        Jobs are ``(shard, framed)`` or — compressed service wire —
-        ``(shard, framed, references)``.
+        Jobs are ``(shard, framed)`` or ``(shard, framed, references)``.
         """
 
         def run_one(client: ServiceClient, job):
             shard, framed = job[0], job[1]
             result, record = client.fold_shard(
-                strategy, streaming, shard, framed, timed=timed,
+                strategy, shard, framed, timed=timed,
                 references=job[2] if len(job) > 2 else None)
             return shard, result, record
 
@@ -367,7 +353,7 @@ class ServiceAggregationPool:
                       timed: bool = False) -> List[Tuple[int, List[bytes]]]:
         """Pre-fold every tree node's framed updates on its pinned server.
 
-        Jobs are ``(node, pseudo_id, framed)`` or — compressed service wire —
+        Jobs are ``(node, pseudo_id, framed)`` or
         ``(node, pseudo_id, framed, references)``.  The pseudo id also names
         the node's tree tier, counted into
         ``repro_service_tier_folds_total{tier=...}`` so inner-tier routing is
@@ -383,7 +369,6 @@ class ServiceAggregationPool:
 
         out = self._run_jobs("node", jobs, run_one)
         if self._registry is not None and jobs:
-            from ..federated.topology import tier_of_pseudo_id
             tiers = [tier_of_pseudo_id(job[1]) for job in jobs]
             for tier in sorted(set(tiers)):
                 self._count("repro_service_tier_folds_total",

@@ -6,8 +6,8 @@ One service message is one :mod:`repro.comm.stream` frame whose payload is::
 
 ``RWS1`` deliberately parallels the serialization layer's ``RWP1``: the
 *contents* that matter — the expert updates and folded states inside request
-bodies — travel as ordinary ``RWP1`` wire frames (lossless fp64, CRC-checked),
-exactly the bytes the process-pool fold plane ships today; the service layer
+bodies — travel as ordinary CRC-checked ``RWP1`` wire frames (the frame an
+update arrived as, else lossless fp64); the service layer
 only wraps them in an op byte and a pickled envelope for the RPC bookkeeping
 (round tokens, shard/node ids, strategy).
 
@@ -33,11 +33,11 @@ Requests (client → server):
   each connection, so the sender drains exactly as many acks as it sent.
 * ``OP_FLUSH_NODE`` / ``OP_FLUSH_SHARD`` — fold the token's accumulated
   frames with the request's strategy and return the node partials / per-key
-  shard aggregates, clearing the accumulator.  These call the *same* worker
-  fold functions as the process pool
-  (:func:`repro.runtime.executor._prefold_node_frames` /
-  :func:`~repro.runtime.executor._fold_shard_frames`), which is what makes
-  the service backend bit-identical to pooled and serial folds.
+  shard aggregates, clearing the accumulator.  These call
+  :func:`repro.service.fold.prefold_node_frames` /
+  :func:`~repro.service.fold.fold_shard_frames`, which run the serial
+  server's streaming fold — which is what makes the service backend
+  bit-identical to serial folds.
 * ``OP_RESET`` — drop every pending accumulator (checkpoint-resume hygiene).
 * ``OP_STATS`` — the server's lifetime counters.
 * ``OP_SHUTDOWN`` — graceful drain: the server acks, stops accepting, and
@@ -47,9 +47,8 @@ Responses are ``OP_OK`` with a result body, or ``OP_ERR`` carrying the
 server-side error string (re-raised client-side as :class:`ServiceError`).
 
 Strategies cross the wire pre-pickled (via
-:func:`repro.federated.strategies.picklable_strategy`, the same reduction the
-process pool applies), so the envelope pickle itself stays cheap and the
-server needs no strategy registry of its own.
+:func:`repro.federated.strategies.picklable_strategy`), so the envelope pickle
+itself stays cheap and the server needs no strategy registry of its own.
 """
 
 from __future__ import annotations
@@ -62,8 +61,9 @@ SERVICE_MAGIC = b"RWS1"
 
 #: spoken protocol version, negotiated via ``OP_HELLO``.  v2 added HELLO
 #: itself, per-frame codec validation on ADD, pipelined ADD windows and
-#: per-job reference shipping on flush; the envelope format is unchanged.
-PROTOCOL_VERSION = 2
+#: per-job reference shipping on flush; v3 dropped the ``streaming`` flag of
+#: the ``OP_FLUSH_SHARD`` body.  The envelope format is unchanged.
+PROTOCOL_VERSION = 3
 
 OP_PING = 1
 OP_ADD = 2

@@ -1,8 +1,7 @@
 """Long-lived aggregator servers: the fold plane as a socket service.
 
-An :class:`AggregatorServer` is one persistent fold node — the service twin
-of one :class:`~repro.runtime.executor.AggregationPool` worker, except that
-it outlives rounds (and runs): it keeps its round accumulators, lifetime
+An :class:`AggregatorServer` is one persistent fold node that outlives rounds
+(and runs): it keeps its round accumulators, lifetime
 counters and connections between folds, and speaks the
 :mod:`repro.service.protocol` messages over the length-prefixed
 :mod:`repro.comm.stream` transport.  One asyncio accept loop per server
@@ -10,14 +9,14 @@ handles any number of concurrent client connections, so the shard folds and
 tier-0 subtree pre-folds of one round — or of several concurrent runs — can
 stream into the same server in parallel.
 
-The fold math is deliberately *not* reimplemented here: flush requests call
-the exact worker functions the process pool uses
-(:func:`repro.runtime.executor._fold_shard_frames` /
-:func:`~repro.runtime.executor._prefold_node_frames`), so a service fold is
-bit-identical to a pooled or serial fold by construction (test-enforced).
+The fold math is deliberately *not* implemented here: flush requests call
+:func:`repro.service.fold.fold_shard_frames` /
+:func:`~repro.service.fold.prefold_node_frames`, which run the serial server's
+:class:`~repro.comm.StreamingAggregator` over the job's frames, so a service
+fold is bit-identical to a serial fold by construction (test-enforced).
 Fold work runs inline on the event loop: one fold occupies the server — the
 parallelism of the service plane comes from running many single-shard/subtree
-servers, one per shard or subtree, exactly as the pool runs many workers.
+servers, one per shard or subtree.
 
 Three ways to run one:
 
@@ -36,14 +35,18 @@ from __future__ import annotations
 
 import asyncio
 import os
+import pickle
 import socket
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..comm import frame_codec_name, get_codec
 from ..comm.scratch import ScratchPool
 from ..comm.stream import read_frame, write_frame
+from ..federated.topology import tier_of_pseudo_id
 from ..obs import span_record
+from .fold import fold_shard_frames, prefold_node_frames
 from .protocol import (
     OP_ADD,
     OP_ERR,
@@ -162,10 +165,8 @@ class AggregatorServer:
         Synchronous on purpose: fold work is CPU-bound, and interleaving two
         folds on one event loop would only slow both down.  Concurrency
         across *servers* (one per shard/subtree) is the service plane's
-        parallelism, mirroring one-pool-worker-per-shard.
+        parallelism.
         """
-        from ..runtime.executor import _fold_shard_frames, _prefold_node_frames
-
         self.stats["requests_total"] += 1
         if op == OP_HELLO:
             version = (int(body.get("version", 0))
@@ -186,10 +187,6 @@ class AggregatorServer:
             self.stats["frames_added"] += len(validated)
             return OP_OK, {"buffered": len(pairs)}
         if op in (OP_FLUSH_NODE, OP_FLUSH_SHARD):
-            import pickle
-
-            from ..federated.topology import tier_of_pseudo_id
-
             # Flush-borne final chunk (see client ``_fold_round``): the last
             # ADD chunk of a round rides the flush body, saving one round
             # trip — validated exactly like an OP_ADD chunk, and *before*
@@ -207,16 +204,15 @@ class AggregatorServer:
             perf_start = time.perf_counter()
             if op == OP_FLUSH_NODE:
                 pseudo_id = int(body["pseudo_id"])
-                result: object = _prefold_node_frames(
+                result: object = prefold_node_frames(
                     strategy, pseudo_id, frames, references,
                     scratch=self._scratch)
                 record_name, attrs = "prefold_node", {
                     "node": int(body["node"]),
                     "tier": tier_of_pseudo_id(pseudo_id)}
             else:
-                result = _fold_shard_frames(
-                    strategy, bool(body["streaming"]), frames, references,
-                    scratch=self._scratch)
+                result = fold_shard_frames(
+                    strategy, frames, references, scratch=self._scratch)
                 record_name, attrs = "fold_shard", {"shard": int(body["shard"])}
             self.stats["rounds_folded"] += 1
             record = None

@@ -11,10 +11,30 @@ import numpy as np
 import pytest
 
 from repro.data import Vocabulary, make_batches, make_gsm8k_like, partition_dirichlet
-from repro.federated import Participant, ParticipantResources, RunConfig
+from repro.federated import ExpertUpdate, Participant, ParticipantResources, RunConfig
 from repro.models import MoEModelConfig, MoETransformer, tiny_moe
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
 from repro.systems import CONSUMER_GPU, CostModel, MemoryModel
+
+
+def _updates(model, num_participants=6, seed=7, stalenesses=False):
+    """One update per (participant, expert): noisy copies of ``model``'s experts."""
+    rng = np.random.default_rng(seed)
+    updates = []
+    for pid in range(num_participants):
+        for layer, expert in model.iter_expert_ids():
+            state = {name: value + 0.01 * rng.normal(size=value.shape)
+                     for name, value in model.expert_state(layer, expert).items()}
+            updates.append(ExpertUpdate(
+                pid, layer, expert, state, weight=float(pid % 3 + 1),
+                staleness=(pid % 4) if stalenesses else 0))
+    return updates
+
+
+def _assert_models_equal(model_a, model_b):
+    state_a, state_b = model_a.state_dict(), model_b.state_dict()
+    for name in state_a:
+        assert np.array_equal(state_a[name], state_b[name]), name
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,8 @@ from repro.quantization import pack_int_codes, quantize_array, unpack_int_codes
 from repro.runtime import ChannelFaultInjector
 from repro.systems import RoundCostBreakdown
 
+from fold_oracles import apply_fedavg
+
 
 def random_state(rng, dtype="float64", rows=6, cols=9):
     return {
@@ -491,31 +493,31 @@ class TestStreamingAggregation:
         return updates
 
     def test_streaming_bit_identical_to_buffered(self, tiny_config):
-        buffered = ParameterServer(MoETransformer(tiny_config))
+        buffered = MoETransformer(tiny_config)
         streaming = ParameterServer(MoETransformer(tiny_config))
-        updates = self.make_updates(buffered.global_model, seed=11)
+        updates = self.make_updates(buffered, seed=11)
 
-        contributions_b = buffered.aggregate(list(updates))
-        contributions_s = streaming.aggregate(iter(updates), streaming=True)
+        contributions_b = apply_fedavg(buffered, list(updates))
+        contributions_s = streaming.aggregate(iter(updates))
 
         assert contributions_b == contributions_s
-        state_b, state_s = buffered.global_state(), streaming.global_state()
+        state_b, state_s = buffered.state_dict(), streaming.global_state()
         for name in state_b:
             assert np.array_equal(np.asarray(state_b[name]), np.asarray(state_s[name])), name
 
     def test_payload_streaming_bit_identical_to_buffered(self, tiny_config):
         """Full wire path (fp64 frames) also reproduces buffered FedAvg bits."""
-        buffered = ParameterServer(MoETransformer(tiny_config))
+        buffered = MoETransformer(tiny_config)
         wire = ParameterServer(MoETransformer(tiny_config))
-        updates = self.make_updates(buffered.global_model, seed=13)
+        updates = self.make_updates(buffered, seed=13)
         codec = get_codec("fp64")
         payloads = [encode_update(update, codec) for update in updates]
 
-        contributions_b = buffered.aggregate(list(updates))
+        contributions_b = apply_fedavg(buffered, list(updates))
         contributions_w = wire.aggregate_payloads(payloads)
 
         assert contributions_b == contributions_w
-        state_b, state_w = buffered.global_state(), wire.global_state()
+        state_b, state_w = buffered.state_dict(), wire.global_state()
         for name in state_b:
             assert np.array_equal(np.asarray(state_b[name]), np.asarray(state_w[name])), name
 
@@ -546,7 +548,7 @@ class TestStreamingAggregation:
                 yield update
                 live.pop()  # the server let go before asking for the next one
 
-        server.aggregate(generate(), streaming=True)
+        server.aggregate(generate())
         assert live == []
 
 
@@ -636,11 +638,10 @@ class TestWireRounds:
         defaults.update(overrides)
         return RunConfig(**defaults)
 
-    def test_wire_fp64_streaming_matches_analytic_buffered(self, vocab, tiny_config):
-        """Lossless wire + streaming aggregation reproduces the legacy path bit-for-bit."""
+    def test_wire_fp64_matches_analytic(self, vocab, tiny_config):
+        """Lossless wire reproduces the analytic transport bit-for-bit."""
         legacy = make_stub(self.config(), vocab, tiny_config)
-        wired = make_stub(self.config(transport="wire", codec="fp64",
-                                      streaming_aggregation=True), vocab, tiny_config)
+        wired = make_stub(self.config(transport="wire", codec="fp64"), vocab, tiny_config)
         result_a = legacy.run(num_rounds=2)
         result_b = wired.run(num_rounds=2)
         state_a = legacy.server.global_state()
@@ -678,7 +679,6 @@ class TestWireRounds:
     def test_wire_composed_codec_corruption_detected(self, vocab, tiny_config):
         """Corrupted composed sparse frames are dropped, never mis-applied."""
         tuner = make_stub(self.config(transport="wire", codec="topk:0.25:int4",
-                                      streaming_aggregation=True,
                                       channel_corrupt_prob=1.0),
                           vocab, tiny_config)
         before = tuner.server.global_state()
@@ -689,8 +689,7 @@ class TestWireRounds:
             assert np.array_equal(np.asarray(before[name]), np.asarray(after[name]))
 
     def test_wire_composed_codec_round_converges(self, vocab, tiny_config):
-        tuner = make_stub(self.config(transport="wire", codec="topk:0.25:int4",
-                                      streaming_aggregation=True), vocab, tiny_config)
+        tuner = make_stub(self.config(transport="wire", codec="topk:0.25:int4"), vocab, tiny_config)
         before = tuner.server.global_state()
         tuner.run(num_rounds=1)
         after = tuner.server.global_state()
@@ -698,8 +697,7 @@ class TestWireRounds:
                    for n in before)
 
     def test_wire_topk_round_converges_toward_updates(self, vocab, tiny_config):
-        tuner = make_stub(self.config(transport="wire", codec="topk:0.5",
-                                      streaming_aggregation=True), vocab, tiny_config)
+        tuner = make_stub(self.config(transport="wire", codec="topk:0.5"), vocab, tiny_config)
         before = tuner.server.global_state()
         tuner.run(num_rounds=1)
         after = tuner.server.global_state()
@@ -733,7 +731,6 @@ class TestMeasuredVsAnalytic:
         """Acceptance: measured int4 payload bytes ~ ExchangePlan.for_bits."""
         config = llama_moe_mini(vocab_size=vocab.size)
         tuner = make_stub(RunConfig(transport="wire", codec="int4",
-                                    streaming_aggregation=True,
                                     eval_max_samples=4, eval_batch_size=4),
                           vocab, config, num_participants=2)
         result = tuner.run(num_rounds=1)
@@ -759,7 +756,6 @@ class TestMeasuredVsAnalytic:
         """Acceptance: measured topk:0.25:int4 bytes ~ the codec's analytics."""
         config = llama_moe_mini(vocab_size=vocab.size)
         tuner = make_stub(RunConfig(transport="wire", codec="topk:0.25:int4",
-                                    streaming_aggregation=True,
                                     eval_max_samples=4, eval_batch_size=4),
                           vocab, config, num_participants=2)
         result = tuner.run(num_rounds=1)

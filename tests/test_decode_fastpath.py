@@ -26,7 +26,6 @@ from repro.comm import (
     encode_state_dict,
     encode_update,
     get_codec,
-    thread_scratch,
 )
 from repro.comm.serialization import MAGIC
 from repro.federated import ExpertUpdate
@@ -100,9 +99,6 @@ class TestScratchPool:
         clone = pickle.loads(pickle.dumps(pool))
         assert clone.allocations == 0
         assert clone._free == {} and clone._terms == {} and clone._taken == []
-
-    def test_thread_scratch_is_stable_per_thread(self):
-        assert thread_scratch() is thread_scratch()
 
 
 # ----------------------------------------------------- decode bit-identity

@@ -17,7 +17,6 @@ from repro.federated import (
     Participant,
     ParticipantResources,
     RunConfig,
-    apply_fedavg,
 )
 from repro.models import MoEModelConfig, MoETransformer
 from repro.quantization import quantize_model
@@ -133,7 +132,7 @@ class TestAggregationEdgeCases:
         base = tiny_model.expert_state(0, 0)
         zeros = {k: np.zeros_like(v) for k, v in base.items()}
         ones = {k: np.ones_like(v) for k, v in base.items()}
-        apply_fedavg(tiny_model, [
+        ParameterServer(tiny_model).aggregate([
             ExpertUpdate(0, 0, 0, zeros, 1.0),
             ExpertUpdate(1, 0, 0, ones, 1.0),
         ])

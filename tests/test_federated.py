@@ -12,53 +12,44 @@ from repro.federated import (
     ParticipantResources,
     ParticipantRoundResult,
     RunConfig,
-    apply_fedavg,
-    fedavg_states,
-    group_updates,
 )
 from repro.federated.communication import ExchangePlan
+from repro.federated.strategies import FedAvgStrategy
 from repro.models import MoETransformer
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
 from repro.systems import CONSUMER_GPU, CostModel, MemoryModel, RoundCostBreakdown
 
 
 class TestFedAvg:
+    """The per-key FedAvg reduction (the buffered reference it replaced is
+    tested, and compared to it, in ``test_fold_oracle.py``)."""
+
     def test_weighted_average(self):
         states = [{"w": np.zeros((2, 2))}, {"w": np.ones((2, 2))}]
-        averaged = fedavg_states(states, [1.0, 3.0])
+        averaged = FedAvgStrategy().aggregate(states, [1.0, 3.0])
         assert np.allclose(averaged["w"], 0.75)
 
-    def test_zero_weights_fall_back_to_uniform(self):
+    def test_zero_weights_rejected(self):
         states = [{"w": np.zeros(2)}, {"w": np.ones(2) * 2}]
-        averaged = fedavg_states(states, [0.0, 0.0])
-        assert np.allclose(averaged["w"], 1.0)
+        with pytest.raises(ValueError, match="non-positive total weight"):
+            FedAvgStrategy().aggregate(states, [0.0, 0.0])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            fedavg_states([{"w": np.zeros(2)}], [-1.0])
+            FedAvgStrategy().aggregate([{"w": np.zeros(2)}], [-1.0])
 
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
-            fedavg_states([], [])
+            FedAvgStrategy().aggregate([], [])
 
     def test_mismatched_weights_rejected(self):
         with pytest.raises(ValueError):
-            fedavg_states([{"w": np.zeros(2)}], [1.0, 2.0])
+            FedAvgStrategy().aggregate([{"w": np.zeros(2)}], [1.0, 2.0])
 
-    def test_group_updates(self):
-        updates = [
-            ExpertUpdate(0, 0, 1, {"w": np.zeros(2)}, 1.0),
-            ExpertUpdate(1, 0, 1, {"w": np.ones(2)}, 1.0),
-            ExpertUpdate(0, 1, 0, {"w": np.ones(2)}, 1.0),
-        ]
-        grouped = group_updates(updates)
-        assert set(grouped) == {(0, 1), (1, 0)}
-        assert len(grouped[(0, 1)]) == 2
-
-    def test_apply_fedavg_loads_into_model(self, tiny_model):
+    def test_aggregate_loads_into_model(self, tiny_model):
         zero_state = {k: np.zeros_like(v) for k, v in tiny_model.expert_state(0, 0).items()}
         updates = [ExpertUpdate(0, 0, 0, zero_state, 2.0)]
-        contributions = apply_fedavg(tiny_model, updates)
+        contributions = ParameterServer(tiny_model).aggregate(updates)
         assert contributions == {(0, 0): 1}
         assert np.allclose(tiny_model.get_expert(0, 0).w_gate.weight.data, 0.0)
 

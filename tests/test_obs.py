@@ -212,7 +212,8 @@ NEST_EPS_US = 5_000.0
 
 def _telemetry_federation(vocab, tiny_config, trace_dir, **extra):
     knobs = dict(num_shards=2, edge_tiers=(3, 2), transport="wire",
-                 aggregation_executor="process", aggregation_workers=2,
+                 aggregation_executor="service", service_transport="socketpair",
+                 aggregation_workers=2,
                  participants_per_round=4,
                  telemetry=True, telemetry_dir=str(trace_dir))
     knobs.update(extra)
@@ -221,7 +222,7 @@ def _telemetry_federation(vocab, tiny_config, trace_dir, **extra):
 
 @pytest.fixture(scope="module")
 def telemetry_run(vocab, tiny_config, tmp_path_factory):
-    """One pooled sharded 3-tier wire run with telemetry on (2 rounds)."""
+    """One service-folded sharded 3-tier wire run with telemetry on (2 rounds)."""
     trace_dir = str(tmp_path_factory.mktemp("obs-trace"))
     server, participants, test, config = _telemetry_federation(
         vocab, tiny_config, trace_dir)
@@ -276,7 +277,7 @@ class TestRunTelemetry:
         train = [e for e in spans if e["cat"] == "train"]
         assert len(train) == sum(r.num_aggregated for r in result.rounds)
         assert all(e["round"] in (0, 1) for e in train)
-        # pooled tier-0 pre-folds and shard folds come back from workers
+        # tier pre-folds and shard folds come back from the aggregator servers
         assert any(e["name"] == "prefold_node" for e in spans)
         assert any(e["name"] == "fold_shard" for e in spans)
         # the metered uplink + tier hops produce transfer spans with airtime
@@ -300,8 +301,7 @@ class TestRunTelemetry:
 
         sparse_dir = str(tmp_path / "sparse-trace")
         server, participants, test, config = _telemetry_federation(
-            vocab, tiny_config, sparse_dir, codec="topk:0.25:int4",
-            streaming_aggregation=True)
+            vocab, tiny_config, sparse_dir, codec="topk:0.25:int4")
         ConstantMethod(server, participants, test, config=config).run(1)
         sparse = uplink_densities(sparse_dir)
         assert sparse and all(density < 0.2 for density in sparse)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestResumeEquivalence:
             vocab, tiny_config, build_constant_tuner,
             _checkpoint_dir=tmp_path / "wire",
             participants_per_round=3, transport="wire",
-            streaming_aggregation=True, channel_loss_prob=0.2,
+            channel_loss_prob=0.2,
             dropout_prob=0.2, straggler_prob=0.3)
 
     def test_resume_with_sharded_hierarchical_trimmed_mean(self, vocab, tiny_config,
@@ -119,7 +120,7 @@ class TestResumeEquivalence:
         resumed = self._resume_pair(
             vocab, tiny_config, build_constant_tuner,
             _checkpoint_dir=tmp_path / "topo",
-            participants_per_round=3, num_shards=2, num_edge_aggregators=2,
+            participants_per_round=3, num_shards=2, edge_tiers=(2,),
             edge_latency_s=0.05, aggregation="trimmed_mean", trim_ratio=0.2)
         assert all(r.edge_payloads > 0 for r in resumed.rounds)
 
@@ -262,9 +263,62 @@ class TestCheckpointMechanics:
         resumed = build_constant_tuner(vocab, tiny_config, **relaxed)
         resumed.run(num_rounds=2, resume_from=snapshot)
 
+    @staticmethod
+    def _rewrite_saved_config(snapshot, **parent_keys):
+        """Give a snapshot's ``run_config`` keys an older tree would have saved."""
+        state_path = os.path.join(snapshot, STATE_FILE)
+        with open(state_path, "rb") as handle:
+            state = pickle.load(handle)
+        state["run_config"].update(parent_keys)
+        with open(state_path, "wb") as handle:
+            pickle.dump(state, handle)
+
+    @pytest.mark.parametrize("parent_keys", [
+        dict(streaming_aggregation=False),
+        dict(streaming_aggregation=True),
+        dict(service_codec="fp64", service_window=3),
+        dict(num_edge_aggregators=2, edge_tiers=None),
+        dict(num_edge_aggregators=2, edge_tiers=(2,)),
+        dict(aggregation_executor="process", aggregation_workers=2),
+        dict(streaming_aggregation=False, service_codec="wire", service_window=8,
+             num_edge_aggregators=2, edge_tiers=None,
+             aggregation_executor="process"),
+    ], ids=["buffered", "streaming", "service-payload", "legacy-tier-knob",
+            "both-tier-knobs", "process-pool", "all"])
+    def test_resume_from_a_config_with_retired_fields(self, vocab, tiny_config,
+                                                      tmp_path, parent_keys):
+        """A snapshot whose saved RunConfig carries fields this tree retired
+        (none of which changed a run's bits) resumes to the uninterrupted
+        run's result."""
+        knobs = dict(participants_per_round=3, num_shards=2, edge_tiers=(2,),
+                     edge_latency_s=0.05)
+        expected_tuner = build_constant_tuner(vocab, tiny_config, **knobs)
+        expected = expected_tuner.run(num_rounds=3)
+
+        durable = dict(knobs, checkpoint_every=2, checkpoint_dir=str(tmp_path))
+        build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=2)
+        snapshot = latest_checkpoint(str(tmp_path))
+        self._rewrite_saved_config(snapshot, **parent_keys)
+
+        resumed_tuner = build_constant_tuner(vocab, tiny_config, **durable)
+        resumed = resumed_tuner.run(num_rounds=3, resume_from=snapshot)
+        assert_run_results_equal(resumed, expected)
+        assert_models_equal(resumed_tuner.server.global_model,
+                            expected_tuner.server.global_model)
+
+    def test_resume_still_refuses_different_tiers(self, vocab, tiny_config, tmp_path):
+        durable = dict(participants_per_round=3, edge_tiers=(2,),
+                       checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=1)
+        snapshot = latest_checkpoint(str(tmp_path))
+        self._rewrite_saved_config(snapshot, num_edge_aggregators=3, edge_tiers=None)
+        with pytest.raises(ValueError, match="differing fields: edge_tiers"):
+            build_constant_tuner(vocab, tiny_config, **durable).run(
+                num_rounds=2, resume_from=snapshot)
+
     def test_resume_restores_edge_channel_positions(self, vocab, tiny_config,
                                                     tmp_path):
-        knobs = dict(participants_per_round=3, num_edge_aggregators=2,
+        knobs = dict(participants_per_round=3, edge_tiers=(2,),
                      edge_latency_s=0.05)
         uninterrupted = build_constant_tuner(vocab, tiny_config, **knobs)
         uninterrupted.run(num_rounds=3)
@@ -450,7 +504,7 @@ class TestDeltaCheckpoints:
     def test_resume_from_delta_with_wire_and_faults(self, vocab, tiny_config,
                                                     tmp_path):
         knobs = dict(participants_per_round=3, transport="wire",
-                     streaming_aggregation=True, channel_loss_prob=0.2,
+                     channel_loss_prob=0.2,
                      dropout_prob=0.2, straggler_prob=0.3)
         expected_tuner = build_constant_tuner(vocab, tiny_config, **knobs)
         expected = expected_tuner.run(num_rounds=4)

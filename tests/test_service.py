@@ -1,8 +1,10 @@
 """The socket-backed aggregation service (repro.service).
 
 Covers the protocol envelope, bit-identity of service folds against the
-serial and pooled planes (shard matrix, tree pre-folds, and full runs on the
-sharded 3-tier topology — the acceptance invariant), kill+resume durability
+serial plane (strategies x shard counts, strategies x tree depths, and full
+runs on the sharded 3-tier topology — the acceptance invariant; the fold
+arithmetic itself is held to the buffered oracle in ``test_fold_oracle.py``),
+kill+resume durability
 through live servers, failover (hard-killed server mid-round → respawn +
 round replay), the ``repro_service_*`` telemetry, and the pool machinery
 (config wiring, pickling, idempotent close, token hygiene).
@@ -14,7 +16,6 @@ import pickle
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.federated import (
@@ -22,11 +23,14 @@ from repro.federated import (
     ParameterServer,
     RunConfig,
     ShardedParameterServer,
+    make_aggregation_pool,
 )
+from repro.federated.strategies import AggregationStrategy, picklable_strategy
 from repro.obs import MetricsRegistry
-from repro.runtime import latest_checkpoint, make_aggregation_pool
-from repro.runtime.executor import frame_update
+from repro.runtime import latest_checkpoint
+from repro.service import fold
 from repro.service import (
+    DEFAULT_WINDOW,
     OP_NAMES,
     PROTOCOL_VERSION,
     ServiceAggregationPool,
@@ -41,14 +45,13 @@ from repro.service.protocol import (
     OP_ADD,
     OP_FLUSH_SHARD,
     OP_HELLO,
-    OP_OK,
     OP_PING,
     ServiceProtocolError,
 )
 from repro.service.server import _MAX_PENDING_TOKENS, InProcessServer
 from repro.comm.stream import FrameStream
 
-from test_parallel_aggregation import _assert_models_equal, _updates
+from conftest import _assert_models_equal, _updates
 from test_runtime import ConstantMethod, build_federation
 from repro.models import MoETransformer
 
@@ -58,6 +61,11 @@ STRATEGIES = [None, "fedavg", "trimmed_mean", "median", "staleness_fedavg"]
 #: aggregation tree (participants → edges → super-edges → root)
 SHARDED_3TIER = dict(num_shards=2, edge_tiers=(2, 2), aggregation="trimmed_mean",
                      participants_per_round=4)
+
+
+def frame_update(update):
+    """One update as a fold job's ``(frame, staleness)`` pair (no references kept)."""
+    return fold.frame_update(update, {})
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +106,18 @@ class TestProtocol:
 # ------------------------------------------------------- fold-plane identity
 class TestServiceFoldsBitEqualSerial:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_sharded_fold_matches_serial(self, tiny_config, service_pool, strategy):
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_sharded_fold_matches_serial(self, tiny_config, service_pool, strategy,
+                                         num_shards):
         serial_model = MoETransformer(tiny_config)
         service_model = MoETransformer(tiny_config)
         service_model.load_state_dict(serial_model.state_dict())
         updates = _updates(serial_model,
                            stalenesses=(strategy == "staleness_fedavg"))
 
-        serial = ShardedParameterServer(serial_model, num_shards=4)
+        serial = ShardedParameterServer(serial_model, num_shards=num_shards)
         serial_contrib = serial.aggregate(list(updates), strategy=strategy)
-        service = ShardedParameterServer(service_model, num_shards=4)
+        service = ShardedParameterServer(service_model, num_shards=num_shards)
         service.fold_pool = service_pool
         service_contrib = service.aggregate(list(updates), strategy=strategy)
 
@@ -115,8 +125,10 @@ class TestServiceFoldsBitEqualSerial:
         assert serial.last_shard_contributions == service.last_shard_contributions
         _assert_models_equal(serial_model, service_model)
 
+    @pytest.mark.parametrize("strategy", [None, "trimmed_mean", "median"])
     @pytest.mark.parametrize("tiers", [(2,), (3, 2), (2, 2, 2)])
-    def test_tree_prefold_matches_serial(self, tiny_config, service_pool, tiers):
+    def test_tree_prefold_matches_serial(self, tiny_config, service_pool, strategy,
+                                         tiers):
         serial_model = MoETransformer(tiny_config)
         service_model = MoETransformer(tiny_config)
         service_model.load_state_dict(serial_model.state_dict())
@@ -124,28 +136,44 @@ class TestServiceFoldsBitEqualSerial:
 
         serial_tree = AggregationTree(tiers, latency_s=0.05)
         serial_contrib, serial_stats = serial_tree.aggregate(
-            ParameterServer(serial_model), iter(updates), strategy="median")
+            ParameterServer(serial_model), iter(updates), strategy=strategy)
         service_tree = AggregationTree(tiers, latency_s=0.05)
         service_contrib, service_stats = service_tree.aggregate(
-            ParameterServer(service_model), iter(updates), strategy="median",
+            ParameterServer(service_model), iter(updates), strategy=strategy,
             pool=service_pool)
 
         assert serial_contrib == service_contrib
         assert serial_tree.last_tier_counts == service_tree.last_tier_counts
         assert serial_stats.total_bytes == service_stats.total_bytes
+        assert serial_stats.payloads == service_stats.payloads
+        assert serial_stats.seconds == service_stats.seconds
         _assert_models_equal(serial_model, service_model)
 
-    def test_streaming_fold_matches_serial(self, tiny_config, service_pool):
+    def test_generator_fold_matches_serial(self, tiny_config, service_pool):
         serial_model = MoETransformer(tiny_config)
         service_model = MoETransformer(tiny_config)
         service_model.load_state_dict(serial_model.state_dict())
         updates = _updates(serial_model)
 
-        ShardedParameterServer(serial_model, num_shards=3).aggregate(
-            iter(updates), streaming=True)
+        ShardedParameterServer(serial_model, num_shards=3).aggregate(iter(updates))
         service = ShardedParameterServer(service_model, num_shards=3)
         service.fold_pool = service_pool
-        service.aggregate(iter(updates), streaming=True)
+        service.aggregate(iter(updates))
+        _assert_models_equal(serial_model, service_model)
+
+    def test_tree_into_sharded_server(self, tiny_config, service_pool):
+        """Tree pre-folds and shard folds ride one pool, still bit-identical."""
+        serial_model = MoETransformer(tiny_config)
+        service_model = MoETransformer(tiny_config)
+        service_model.load_state_dict(serial_model.state_dict())
+        updates = _updates(serial_model, num_participants=8)
+
+        AggregationTree((3, 2)).aggregate(
+            ShardedParameterServer(serial_model, num_shards=4), iter(updates))
+        service_server = ShardedParameterServer(service_model, num_shards=4)
+        service_server.fold_pool = service_pool
+        AggregationTree((3, 2)).aggregate(service_server, iter(updates),
+                                          pool=service_pool)
         _assert_models_equal(serial_model, service_model)
 
     def test_server_side_error_surfaces_as_service_error(self, tiny_config,
@@ -157,7 +185,10 @@ class TestServiceFoldsBitEqualSerial:
         service = ShardedParameterServer(model, num_shards=2)
         service.fold_pool = service_pool
         with pytest.raises(ServiceError, match="non-positive total weight"):
-            service.aggregate(list(updates), streaming=True)
+            service.aggregate(list(updates))
+        # ... where the serial server raises the same complaint itself
+        with pytest.raises(ValueError, match="non-positive total weight"):
+            ShardedParameterServer(model, num_shards=2).aggregate(list(updates))
 
 
 # ------------------------------------------------------------------ run level
@@ -169,28 +200,41 @@ class TestServiceRuns:
         result = tuner.run(2)
         return result, tuner
 
-    def test_service_run_matches_serial_and_pooled(self, vocab, tiny_config):
-        """Acceptance: pooled and service backends are bit-identical to serial
-        on the sharded 3-tier topology."""
-        serial_result, serial_tuner = self._run(vocab, tiny_config,
-                                                **SHARDED_3TIER)
-        pooled_result, pooled_tuner = self._run(
-            vocab, tiny_config, aggregation_executor="process",
-            aggregation_workers=2, **SHARDED_3TIER)
+    @pytest.mark.parametrize("knobs", [
+        SHARDED_3TIER,
+        {"num_shards": 4},
+        {"edge_tiers": (3, 2), "num_shards": 2, "aggregation": "trimmed_mean"},
+        {"edge_tiers": (2, 2), "transport": "wire"},
+        {"edge_tiers": (2, 2), "transport": "wire", "codec": "topk:0.25:int4"},
+    ], ids=["sharded-3tier", "shards", "tree+trim", "tree+wire", "tree+sparse-wire"])
+    def test_service_run_matches_serial(self, vocab, tiny_config, knobs):
+        """Acceptance: the service backend is bit-identical to serial (on the
+        sharded 3-tier topology first of all)."""
+        serial_result, serial_tuner = self._run(vocab, tiny_config, **knobs)
         service_result, service_tuner = self._run(
             vocab, tiny_config, aggregation_executor="service",
-            aggregation_workers=2, service_transport="socketpair",
-            **SHARDED_3TIER)
-        for a, b, c in zip(serial_result.rounds, pooled_result.rounds,
-                           service_result.rounds):
-            assert a.train_loss == b.train_loss == c.train_loss
-            assert a.metric_value == b.metric_value == c.metric_value
-            assert a.simulated_time == b.simulated_time == c.simulated_time
-            assert a.edge_bytes == b.edge_bytes == c.edge_bytes
-            assert a.tier_bytes == b.tier_bytes == c.tier_bytes
+            aggregation_workers=2, service_transport="socketpair", **knobs)
+        for a, b in zip(serial_result.rounds, service_result.rounds):
+            assert a.train_loss == b.train_loss
+            assert a.metric_value == b.metric_value
+            assert a.simulated_time == b.simulated_time
+            assert a.edge_bytes == b.edge_bytes
+            assert a.tier_bytes == b.tier_bytes
         _assert_models_equal(serial_tuner.server.global_model,
                              service_tuner.server.global_model)
-        _assert_models_equal(pooled_tuner.server.global_model,
+
+    def test_training_pool_and_service_compose(self, vocab, tiny_config):
+        """executor='process' pickles the tuner; live servers must survive it."""
+        knobs = dict(num_shards=2, edge_tiers=(2,), participants_per_round=3)
+        serial_result, serial_tuner = self._run(vocab, tiny_config, **knobs)
+        service_result, service_tuner = self._run(
+            vocab, tiny_config, executor="process", executor_workers=2,
+            aggregation_executor="service", aggregation_workers=2,
+            service_transport="socketpair", **knobs)
+        for a, b in zip(serial_result.rounds, service_result.rounds):
+            assert a.train_loss == b.train_loss
+            assert a.metric_value == b.metric_value
+        _assert_models_equal(serial_tuner.server.global_model,
                              service_tuner.server.global_model)
 
     def test_service_run_over_tcp_matches_serial(self, vocab, tiny_config):
@@ -285,13 +329,12 @@ class TestServiceRuns:
 
 # ------------------------------------------------- compressed service wire
 class TestServiceWireCodec:
-    """``RunConfig(service_codec="wire")``: the round's original codec frames
-    are forwarded to the servers verbatim (with per-job references for
-    delta codecs), so compressed rounds ship compressed service bytes while
-    staying bit-identical to serial — the tentpole acceptance invariant."""
+    """The round's original codec frames are forwarded to the servers
+    verbatim (with per-job references for delta codecs), so compressed rounds
+    ship compressed service bytes while staying bit-identical to serial."""
 
     #: ``transport="wire"`` is what stamps each delivered update with its
-    #: original codec frame — the bytes ``service_codec="wire"`` forwards
+    #: original codec frame — the bytes the service forwards
     WIRE_KNOBS = dict(SHARDED_3TIER, transport="wire", codec="topk:0.25:int4",
                       aggregation_executor="service",
                       service_transport="socketpair", aggregation_workers=2)
@@ -306,9 +349,7 @@ class TestServiceWireCodec:
         serial_result, serial_tuner = self._run(
             vocab, tiny_config,
             **dict(SHARDED_3TIER, transport="wire", codec="topk:0.25:int4"))
-        wire_result, wire_tuner = self._run(
-            vocab, tiny_config, service_codec="wire", service_window=3,
-            **self.WIRE_KNOBS)
+        wire_result, wire_tuner = self._run(vocab, tiny_config, **self.WIRE_KNOBS)
         for a, b in zip(serial_result.rounds, wire_result.rounds):
             assert a.train_loss == b.train_loss
             assert a.metric_value == b.metric_value
@@ -321,8 +362,9 @@ class TestServiceWireCodec:
                                                           tiny_config,
                                                           tmp_path):
         """Forwarding topk:int4 frames verbatim must shrink the service wire
-        well below the fp64 re-encode, with per-codec/per-tier/reference
-        counters surfacing exactly what crossed it."""
+        well below what the same run ships with every update fp64-framed (the
+        analytic transport: no update carries a frame), with per-codec/
+        per-tier/reference counters surfacing exactly what crossed it."""
 
         def service_bytes(tuner):
             registry = tuner.telemetry.registry
@@ -331,9 +373,10 @@ class TestServiceWireCodec:
 
         _, fp64_tuner = self._run(
             vocab, tiny_config, telemetry=True,
-            telemetry_dir=str(tmp_path / "fp64"), **self.WIRE_KNOBS)
+            telemetry_dir=str(tmp_path / "fp64"),
+            **dict(self.WIRE_KNOBS, transport="analytic", codec=None))
         _, wire_tuner = self._run(
-            vocab, tiny_config, service_codec="wire", telemetry=True,
+            vocab, tiny_config, telemetry=True,
             telemetry_dir=str(tmp_path / "wire"), **self.WIRE_KNOBS)
 
         # Only the leaf fan-in (the bulk at real scale — see the bench's
@@ -355,8 +398,7 @@ class TestServiceWireCodec:
         """Kill+resume through live servers stays bit-identical on a depth-3
         tree with the compressed wire — replayed rounds reship their
         references with the flush, so resumed folds see identical inputs."""
-        knobs = dict(self.WIRE_KNOBS, service_codec="wire",
-                     edge_tiers=(2, 2, 2))
+        knobs = dict(self.WIRE_KNOBS, edge_tiers=(2, 2, 2))
         server, participants, test, config = build_federation(
             vocab, tiny_config, **knobs)
         expected_tuner = ConstantMethod(server, participants, test, config=config)
@@ -436,7 +478,7 @@ class TestServiceWindow:
             server = InProcessServer(name=f"w{window}")
             client = self._client(server, chunk_frames=1, window=window)
             try:
-                result, _ = client.fold_shard(None, False, 0, framed)
+                result, _ = client.fold_shard(None, 0, framed)
                 results.append(result)
             finally:
                 client.shutdown()
@@ -452,7 +494,7 @@ class TestServiceWindow:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u)
                       for u in _updates(model, num_participants=6)]
-            baseline, _ = client.fold_shard(None, False, 0, framed)
+            baseline, _ = client.fold_shard(None, 0, framed)
 
             real_send = client._send_request
             state = {"sends": 0}
@@ -468,7 +510,7 @@ class TestServiceWindow:
 
             client._send_request = flaky_send
             try:
-                result, _ = client.fold_shard(None, False, 0, framed)
+                result, _ = client.fold_shard(None, 0, framed)
             finally:
                 client._send_request = real_send
             assert result == baseline
@@ -501,7 +543,7 @@ class TestServiceWindow:
 
             client._send_request, client._recv_response = logged_send, logged_recv
             try:
-                result, _ = client.fold_shard(None, False, 0, framed)
+                result, _ = client.fold_shard(None, 0, framed)
             finally:
                 client._send_request = real_send
                 client._recv_response = real_recv
@@ -526,7 +568,7 @@ class TestServiceWindow:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u)
                       for u in _updates(model, num_participants=6)]
-            expected = pool.fold_shards(None, False, [(0, framed)])
+            expected = pool.fold_shards(None, [(0, framed)])
             client = pool._clients[0]
             real_send = client._send_request
             state = {"killed": False}
@@ -540,7 +582,7 @@ class TestServiceWindow:
 
             client._send_request = killer_send
             try:
-                healed = pool.fold_shards(None, False, [(0, framed)])
+                healed = pool.fold_shards(None, [(0, framed)])
             finally:
                 client._send_request = real_send
             assert healed == expected
@@ -564,9 +606,9 @@ class TestServiceFailover:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=3)]
-            expected = pool.fold_shards(None, False, [(0, framed)])
+            expected = pool.fold_shards(None, [(0, framed)])
             pool._servers[0].kill()
-            healed = pool.fold_shards(None, False, [(0, framed)])
+            healed = pool.fold_shards(None, [(0, framed)])
             assert healed == expected
             assert registry.counter_value("repro_service_respawns_total",
                                           server="server0") == 1
@@ -599,7 +641,7 @@ class TestServiceFailover:
             for index in range(_MAX_PENDING_TOKENS + 10):
                 client.call(OP_ADD, {"token": f"orphan-{index}",
                                      "frames": framed[:1]})
-            result, _ = client.fold_shard(None, False, 0, framed)
+            result, _ = client.fold_shard(None, 0, framed)
             assert result  # the folded round is unaffected by the eviction
             assert client.server_stats()["pending_tokens"] <= _MAX_PENDING_TOKENS
         finally:
@@ -634,25 +676,20 @@ class TestServiceTelemetry:
 
 # ------------------------------------------------------------------ machinery
 class TestServiceMachinery:
-    def test_make_aggregation_pool_service_branch(self):
+    def test_make_aggregation_pool_from_config(self):
+        assert make_aggregation_pool(RunConfig()) is None
         pool = make_aggregation_pool(RunConfig(
             aggregation_executor="service", aggregation_workers=3,
             service_transport="socketpair", service_retry_attempts=5,
-            service_retry_delay_s=0.2, service_timeout_s=7.0,
-            service_codec="wire", service_window=5))
+            service_retry_delay_s=0.2, service_timeout_s=7.0))
         assert isinstance(pool, ServiceAggregationPool)
         assert pool.num_servers == 3
         assert pool.transport == "socketpair"
         assert pool.retry_attempts == 5
         assert pool.retry_delay_s == 0.2
         assert pool.timeout_s == 7.0
-        assert pool.wire_frames is True
-        assert pool.window == 5
+        assert pool.window == DEFAULT_WINDOW  # the one production value
         pool.close()  # never started: close is a no-op
-        default = make_aggregation_pool(RunConfig(
-            aggregation_executor="service", service_transport="socketpair"))
-        assert default.wire_frames is False  # lossless fp64 stays the default
-        default.close()
 
     def test_config_validates_service_knobs(self):
         with pytest.raises(ValueError, match="service transport"):
@@ -663,10 +700,6 @@ class TestServiceMachinery:
             RunConfig(service_retry_delay_s=-1.0)
         with pytest.raises(ValueError, match="timeout"):
             RunConfig(service_timeout_s=0.0)
-        with pytest.raises(ValueError, match="service codec"):
-            RunConfig(service_codec="fp8000")
-        with pytest.raises(ValueError, match="service_window"):
-            RunConfig(service_window=0)
         with pytest.raises(ValueError, match="aggregation executor"):
             RunConfig(aggregation_executor="carrier-pigeon")
 
@@ -690,7 +723,7 @@ class TestServiceMachinery:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-            pool.fold_shards(None, False, [(0, framed)])
+            pool.fold_shards(None, [(0, framed)])
             clone = pickle.loads(pickle.dumps(pool))
             assert clone._clients == [] and clone._servers == []
             assert clone.num_servers == 1
@@ -702,19 +735,51 @@ class TestServiceMachinery:
         pool = ServiceAggregationPool(1, transport="socketpair")
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        first = pool.fold_shards(None, False, [(0, framed)])
+        first = pool.fold_shards(None, [(0, framed)])
         pool.close()
         pool.close()
-        again = pool.fold_shards(None, False, [(0, framed)])  # fresh servers
+        again = pool.fold_shards(None, [(0, framed)])  # fresh servers
         assert again == first
         pool.close()
+
+    def test_close_drains_a_server_that_never_folded(self, tiny_config):
+        """Only server0 gets a job; server1's client dials its first
+        connection inside close(), to deliver the shutdown."""
+        model = MoETransformer(tiny_config)
+        framed = [frame_update(u) for u in _updates(model, num_participants=1)]
+        before = set(threading.enumerate())
+        pool = ServiceAggregationPool(2, transport="socketpair")
+        pool.fold_shards(None, [(0, framed)])
+        assert pool._clients[1].stats["connections"] == 0
+        pool.close()
+        assert set(threading.enumerate()) <= before
+
+    def test_unpicklable_strategy_fails_with_clear_error(self, tiny_config,
+                                                         service_pool):
+        class LambdaStrategy(AggregationStrategy):
+            name = "lambda_strategy"
+
+            def __init__(self):
+                self.hook = lambda: None  # deliberately unpicklable
+
+            def make_accumulator(self):
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="cannot cross a process boundary"):
+            picklable_strategy(LambdaStrategy())
+        assert picklable_strategy(None) is None
+        # ... and that is the error a service fold surfaces, before any byte moves
+        model = MoETransformer(tiny_config)
+        framed = [frame_update(u) for u in _updates(model, num_participants=1)]
+        with pytest.raises(TypeError, match="cannot cross a process boundary"):
+            service_pool.fold_shards(LambdaStrategy(), [(0, framed)])
 
     def test_results_keep_job_order_across_servers(self, tiny_config,
                                                    service_pool):
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
         jobs = [(shard, framed) for shard in (5, 2, 9, 0)]
-        results = service_pool.fold_shards(None, False, jobs)
+        results = service_pool.fold_shards(None, jobs)
         assert [shard for shard, _ in results] == [5, 2, 9, 0]
         folded = results[0][1]
         assert all(result == folded for _, result in results)
@@ -739,7 +804,7 @@ class TestServiceMachinery:
                     return _original(*args, **kwargs)
 
                 client.fold_shard = recording
-            results = pool.fold_shards(None, False, jobs)
+            results = pool.fold_shards(None, jobs)
             names = [thread.name for thread in set(threading.enumerate()) - before]
         finally:
             pool.close()

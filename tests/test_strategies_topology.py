@@ -10,12 +10,10 @@ from repro.federated import (
     AggregationTree,
     CostAwareGrouping,
     ExpertUpdate,
-    HierarchicalTopology,
     ParameterServer,
     RoundRobinGrouping,
     RunConfig,
     ShardedParameterServer,
-    fedavg_states,
     make_server,
     make_topology,
 )
@@ -34,6 +32,7 @@ from repro.federated.strategies import (
 from repro.models import MoETransformer
 from repro.runtime import AsyncScheduler
 
+from fold_oracles import fedavg_states
 from test_runtime import ConstantMethod, build_federation
 
 
@@ -126,7 +125,7 @@ class TestRegistry:
         with pytest.raises(ValueError):
             RunConfig(num_shards=0)
         with pytest.raises(ValueError):
-            RunConfig(num_edge_aggregators=-1)
+            RunConfig(edge_tiers=(-1,))
         with pytest.raises(ValueError):
             RunConfig(edge_latency_s=-1.0)
         with pytest.raises(ValueError, match="requires checkpoint_dir"):
@@ -278,32 +277,27 @@ class TestShardedParameterServer:
             assert np.array_equal(flat_state[name], sharded_state[name]), name
         assert sum(sharded.last_shard_contributions) == sum(flat_contrib.values())
 
-    def test_sharded_buffered_keeps_zero_weight_fallback(self, tiny_config):
-        """All-zero weights degrade to an unweighted mean on any shard count."""
-        flat_model = MoETransformer(tiny_config)
-        sharded_model = MoETransformer(tiny_config)
-        sharded_model.load_state_dict(flat_model.state_dict())
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_all_zero_weights_raise_on_any_shard_count(self, tiny_config, num_shards):
+        """A key whose contributions all weigh zero cannot be averaged: the
+        fold raises and the model is left as it was."""
+        model = MoETransformer(tiny_config)
+        before = {name: value.copy() for name, value in model.expert_state(0, 0).items()}
         rng = np.random.default_rng(9)
+        updates = [ExpertUpdate(pid, 0, 0,
+                                {name: value + rng.normal(size=value.shape)
+                                 for name, value in before.items()},
+                                weight=0.0)
+                   for pid in range(3)]
+        with pytest.raises(ValueError, match="non-positive total weight"):
+            make_server(model, RunConfig(num_shards=num_shards)).aggregate(updates)
+        for name, value in model.expert_state(0, 0).items():
+            assert np.array_equal(value, before[name])
 
-        def zero_weight_updates(model):
-            return [ExpertUpdate(pid, 0, 0,
-                                 {name: value + rng.normal(size=value.shape)
-                                  for name, value in model.expert_state(0, 0).items()},
-                                 weight=0.0)
-                    for pid in range(3)]
-
-        rng = np.random.default_rng(9)
-        ParameterServer(flat_model).aggregate(zero_weight_updates(flat_model))
-        rng = np.random.default_rng(9)
-        ShardedParameterServer(sharded_model, num_shards=2).aggregate(
-            zero_weight_updates(sharded_model))
-        for name, value in flat_model.expert_state(0, 0).items():
-            assert np.array_equal(value, sharded_model.expert_state(0, 0)[name])
-
-    def test_sharded_streaming_consumes_generator(self, tiny_config):
+    def test_sharded_server_consumes_generator(self, tiny_config):
         model = MoETransformer(tiny_config)
         server = ShardedParameterServer(model, num_shards=2)
-        contributions = server.aggregate(iter(self._updates(model)), streaming=True)
+        contributions = server.aggregate(iter(self._updates(model)))
         assert sum(contributions.values()) > 0
 
     def test_strategy_override_applies_per_shard(self, tiny_config):
@@ -352,7 +346,7 @@ class TestShardedParameterServer:
 
 
 # ------------------------------------------------------------------ topology
-class TestHierarchicalTopology:
+class TestSingleTierTopology:
     def _partial_updates(self, model, num_participants=6):
         rng = np.random.default_rng(8)
         updates = []
@@ -365,18 +359,18 @@ class TestHierarchicalTopology:
         return updates
 
     def test_edge_assignment_round_robin_and_custom(self):
-        topo = HierarchicalTopology(num_edges=3)
+        topo = AggregationTree((3,))
         assert [topo.edge_of(pid) for pid in range(6)] == [0, 1, 2, 0, 1, 2]
-        custom = HierarchicalTopology(num_edges=2, group_fn=lambda pid: pid // 10)
+        custom = AggregationTree((2,), grouping=lambda pid: pid // 10)
         assert custom.edge_of(5) == 0 and custom.edge_of(15) == 1
         with pytest.raises(ValueError, match="outside"):
-            HierarchicalTopology(num_edges=2, group_fn=lambda pid: 7).edge_of(0)
+            AggregationTree((2,), grouping=lambda pid: 7).edge_of(0)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            HierarchicalTopology(num_edges=0)
-        with pytest.raises(ValueError, match="one edge"):
-            HierarchicalTopology(num_edges=2, channels=[Channel()])
+            AggregationTree((0,))
+        with pytest.raises(ValueError, match="one upward channel"):
+            AggregationTree((2,), channels=[[Channel()]])
 
     def test_hierarchical_fedavg_matches_flat_numerically(self, tiny_config):
         flat_model = MoETransformer(tiny_config)
@@ -385,7 +379,7 @@ class TestHierarchicalTopology:
         updates = self._partial_updates(flat_model)
 
         ParameterServer(flat_model).aggregate(list(updates))
-        topo = HierarchicalTopology(num_edges=3)
+        topo = AggregationTree((3,))
         contributions, stats = topo.aggregate(ParameterServer(hier_model),
                                               iter(updates))
 
@@ -408,7 +402,7 @@ class TestHierarchicalTopology:
         faults = ChannelFaultInjector(corrupt_prob=1.0, seed=0)
         channels = [Channel(participant_id=edge, faults=faults)
                     for edge in range(2)]
-        topo = HierarchicalTopology(num_edges=2, channels=channels)
+        topo = AggregationTree((2,), channels=[channels])
         contributions, stats = topo.aggregate(ParameterServer(model), iter(updates))
         # Every partial was corrupted in flight: nothing may reach the root.
         assert contributions == {}
@@ -426,7 +420,7 @@ class TestHierarchicalTopology:
         faults = ChannelFaultInjector(loss_prob=1.0, seed=0)
         channels = [Channel(participant_id=edge, faults=faults)
                     for edge in range(2)]
-        topo = HierarchicalTopology(num_edges=2, channels=channels)
+        topo = AggregationTree((2,), channels=[channels])
         contributions, stats = topo.aggregate(ParameterServer(model), iter(updates))
         assert contributions == {}
         assert stats.lost == stats.payloads > 0
@@ -434,7 +428,7 @@ class TestHierarchicalTopology:
     def test_edge_latency_meters_seconds(self, tiny_config):
         model = MoETransformer(tiny_config)
         updates = self._partial_updates(model)
-        topo = HierarchicalTopology(num_edges=2, latency_s=0.25)
+        topo = AggregationTree((2,), latency_s=0.25)
         _, stats = topo.aggregate(ParameterServer(model), iter(updates))
         assert stats.seconds == pytest.approx(0.25 * stats.payloads)
 
@@ -448,7 +442,7 @@ class TestHierarchicalTopology:
             for key, state in baseline.items():
                 updates.append(ExpertUpdate(pid, key[0], key[1], dict(state),
                                             weight=1.0))
-        topo = HierarchicalTopology(num_edges=2)
+        topo = AggregationTree((2,))
         contributions, _ = topo.aggregate(server, iter(updates),
                                           strategy=TrimmedMeanStrategy(0.25))
         assert set(contributions) == set(baseline)
@@ -470,7 +464,7 @@ class TestHierarchicalTopology:
                               for name, value in model.expert_state(1, 0).items()},
                              weight=1.0)
                 for pid in range(4)]
-        topo = HierarchicalTopology(num_edges=2)
+        topo = AggregationTree((2,))
         contributions, _ = topo.aggregate(ParameterServer(model), iter(zero + real))
         assert (0, 0) not in contributions  # zero-weight group dropped
         assert (1, 0) in contributions      # weighted group aggregated
@@ -484,7 +478,7 @@ class TestHierarchicalTopology:
                   for name, value in model.expert_state(0, 0).items()}
         updates = [ExpertUpdate(pid, 0, 0, dict(target), weight=0.0)
                    for pid in range(3)]
-        topo = HierarchicalTopology(num_edges=1)
+        topo = AggregationTree((1,))
         contributions, _ = topo.aggregate(ParameterServer(model), iter(updates),
                                           strategy=MedianStrategy())
         assert (0, 0) in contributions
@@ -493,19 +487,19 @@ class TestHierarchicalTopology:
 
     def test_make_topology_from_config(self):
         assert make_topology(RunConfig()) is None
-        topo = make_topology(RunConfig(num_edge_aggregators=4, edge_latency_s=0.5))
+        topo = make_topology(RunConfig(edge_tiers=(4,), edge_latency_s=0.5))
         assert topo.num_edges == 4
         assert topo.channels[0].latency_s == 0.5
 
     def test_describe_reports_shape(self):
-        topo = HierarchicalTopology(num_edges=2)
+        topo = AggregationTree((2,))
         shape = topo.describe()
         assert shape["tiers"] == 2 and shape["num_edges"] == 2
 
     def test_empty_round_resets_edge_counts_and_metering(self, tiny_config):
         """Stale per-round counts/stats must not survive a zero-update round."""
         model = MoETransformer(tiny_config)
-        topo = HierarchicalTopology(num_edges=2, latency_s=0.1)
+        topo = AggregationTree((2,), latency_s=0.1)
         contributions, stats = topo.aggregate(ParameterServer(model),
                                               iter(self._partial_updates(model)))
         assert sum(topo.last_edge_counts) > 0
@@ -519,7 +513,7 @@ class TestHierarchicalTopology:
     def test_mid_stream_failure_does_not_leave_stale_counts(self, tiny_config):
         """A fold that dies mid-round leaves zeroed, not stale, counts."""
         model = MoETransformer(tiny_config)
-        topo = HierarchicalTopology(num_edges=2)
+        topo = AggregationTree((2,))
         topo.aggregate(ParameterServer(model), iter(self._partial_updates(model)))
 
         def poisoned():
@@ -675,24 +669,20 @@ class TestGrouping:
 
     def test_make_topology_uses_costs_by_default(self):
         costs = {0: 10.0, 1: 1.0, 2: 9.0, 3: 2.0}
-        topo = make_topology(RunConfig(num_edge_aggregators=2),
+        topo = make_topology(RunConfig(edge_tiers=(2,)),
                              participant_costs=costs)
         assert isinstance(topo.grouping, CostAwareGrouping)
         assert topo.edge_of(0) != topo.edge_of(2)
-        plain = make_topology(RunConfig(num_edge_aggregators=2))
+        plain = make_topology(RunConfig(edge_tiers=(2,)))
         assert isinstance(plain.grouping, RoundRobinGrouping)
         forced = make_topology(
-            RunConfig(num_edge_aggregators=2, edge_grouping="round_robin"),
+            RunConfig(edge_tiers=(2,), edge_grouping="round_robin"),
             participant_costs=costs)
         assert isinstance(forced.grouping, RoundRobinGrouping)
 
     def test_run_config_edge_tier_validation(self):
-        assert RunConfig().resolved_edge_tiers == ()
-        assert RunConfig(num_edge_aggregators=3).resolved_edge_tiers == (3,)
-        assert RunConfig(edge_tiers=[4, 2]).resolved_edge_tiers == (4, 2)
-        assert RunConfig(edge_tiers=(4, 2), num_edge_aggregators=4).edge_tiers == (4, 2)
-        with pytest.raises(ValueError, match="disagrees"):
-            RunConfig(edge_tiers=(4, 2), num_edge_aggregators=3)
+        assert RunConfig().edge_tiers is None
+        assert RunConfig(edge_tiers=[4, 2]).edge_tiers == (4, 2)
         with pytest.raises(ValueError, match="positive widths"):
             RunConfig(edge_tiers=())
         with pytest.raises(ValueError, match="positive widths"):
@@ -711,7 +701,7 @@ class TestGrouping:
 class TestRunLevelTopology:
     def test_edge_metrics_surface_in_round_results(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
-            vocab, tiny_config, num_edge_aggregators=2, edge_latency_s=0.1)
+            vocab, tiny_config, edge_tiers=(2,), edge_latency_s=0.1)
         result = ConstantMethod(server, participants, test, config=config).run(2)
         for round_result in result.rounds:
             assert round_result.edge_payloads > 0
@@ -750,7 +740,7 @@ class TestRunLevelTopology:
         base_result, base_state = self._run_states(vocab, tiny_config)
         expl_result, expl_state = self._run_states(
             vocab, tiny_config, aggregation="fedavg", num_shards=1,
-            num_edge_aggregators=0)
+            edge_tiers=None)
         for a, b in zip(base_result.rounds, expl_result.rounds):
             assert a.train_loss == b.train_loss
             assert a.metric_value == b.metric_value

@@ -479,18 +479,17 @@ class TestSharedReference:
 # ---------------------------------------------------------------- run level
 RUN_CONFIGS = {
     "flat_serial": {},
-    "flat_streaming_faults": dict(streaming_aggregation=True, channel_corrupt_prob=0.2,
-                                  channel_loss_prob=0.1),
-    "sharded_tree_serial": dict(num_shards=2, edge_tiers=(2, 2), streaming_aggregation=True,
+    "flat_faults": dict(channel_corrupt_prob=0.2, channel_loss_prob=0.1),
+    "sharded_tree_serial": dict(num_shards=2, edge_tiers=(2, 2),
                                 channel_corrupt_prob=0.2, channel_loss_prob=0.1),
-    "process_pool": dict(num_shards=2, edge_tiers=(2,), aggregation_executor="process",
-                         aggregation_workers=2),
-    "service_wire": dict(num_shards=2, edge_tiers=(2, 2), streaming_aggregation=True,
-                         aggregation_executor="service", service_transport="socketpair",
-                         service_codec="wire", aggregation_workers=2),
-    "service_fp64_faults": dict(num_shards=2, aggregation_executor="service",
-                                service_transport="socketpair", aggregation_workers=2,
-                                channel_corrupt_prob=0.2, channel_loss_prob=0.1),
+    "service_one_tier": dict(num_shards=2, edge_tiers=(2,), aggregation_executor="service",
+                             service_transport="socketpair", aggregation_workers=2),
+    "service_two_tiers": dict(num_shards=2, edge_tiers=(2, 2),
+                              aggregation_executor="service", service_transport="socketpair",
+                              aggregation_workers=2),
+    "service_sharded_faults": dict(num_shards=2, aggregation_executor="service",
+                                   service_transport="socketpair", aggregation_workers=2,
+                                   channel_corrupt_prob=0.2, channel_loss_prob=0.1),
     "trimmed_mean": dict(aggregation="trimmed_mean", trim_ratio=0.2),
     "median_fp32_codec": dict(aggregation="median", codec="fp32"),
     "async": dict(scheduler="async", buffer_size=2, async_concurrency=2,
@@ -522,7 +521,7 @@ class TestRunsEqualTheOracleUplinkRuns:
             assert sum(r.payloads_corrupted for r in expected.rounds) > 0
 
     def test_kill_and_resume(self, vocab, tiny_config, monkeypatch, tmp_path):
-        knobs = dict(streaming_aggregation=True, channel_loss_prob=0.1)
+        knobs = dict(channel_loss_prob=0.1)
         oracle_tuner, expected = self._oracle_run(monkeypatch, vocab, tiny_config, 3, **knobs)
         durable = dict(knobs, checkpoint_every=1, checkpoint_dir=str(tmp_path))
         _fmd(vocab, tiny_config, **durable).run(num_rounds=2)
