@@ -43,8 +43,7 @@ def build_selected_model(global_model: MoETransformer, selected: List[ExpertKey]
     "skip the expert computation" behaviour the paper describes for discarded
     experts.
     """
-    compact = MoETransformer(global_model.config)
-    compact.load_state_dict(global_model.state_dict())
+    compact = MoETransformer.copy_of(global_model)
     selected_by_layer: Dict[int, List[int]] = {}
     for layer, expert in selected:
         selected_by_layer.setdefault(layer, []).append(expert)

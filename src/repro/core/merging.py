@@ -179,9 +179,7 @@ def build_compact_model(
     utility probes into federated expert coordinates.
     """
     config = config or FluxConfig()
-    # Every parameter built here is loaded from ``model`` right away, so none is drawn.
-    compact = MoETransformer.allocate(model.config)
-    compact.load_state_dict(model.state_dict())
+    compact = MoETransformer.copy_of(model)
 
     slot_to_original: Dict[ExpertKey, ExpertKey] = {}
     frozen_slot_to_original: Dict[ExpertKey, ExpertKey] = {}

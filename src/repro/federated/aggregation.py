@@ -23,17 +23,21 @@ ExpertKey = Tuple[int, int]  # (layer index, expert index)
 class ExpertUpdate:
     """One participant's update for one expert.
 
-    ``state`` is either given or — for an update that arrived over
-    ``transport="wire"`` — decoded on demand: the uplink only verifies a
-    delivered frame's checksum and hands over ``state=None`` plus
-    :attr:`wire_frame` / :attr:`wire_codec` / :attr:`wire_reference`; the
-    first read of ``state`` decodes exactly those bytes against exactly that
-    reference (:func:`repro.comm.decode_update`) and keeps the result.  A fold
-    that consumes frames (the service dispatch forwards ``wire_frame``
-    verbatim) never reads it, so each frame is decoded once, by
-    whoever folds it; everything that does read it — the serial fold,
-    order-statistic strategies, ``==``, ``repr``, ``dataclasses.replace`` —
-    sees the bits an eager decode at the uplink would have produced.
+    ``state`` is either given or — under ``transport="wire"`` — decoded on
+    demand.  A wire update holds bytes, not tensors: the client frames its
+    upload when its round ends
+    (:meth:`~repro.federated.orchestrator.FederatedFineTuner.frame_upload`)
+    and from then on the update is ``state=None`` plus :attr:`wire_frame` /
+    :attr:`wire_codec` / :attr:`wire_reference` / :attr:`wire_raw_bytes`; the
+    uplink sends those bytes and only verifies what arrives.  The first read
+    of ``state`` decodes exactly those bytes against exactly that reference
+    (:func:`repro.comm.decode_update`) and keeps the result.  A fold that
+    consumes frames (the service dispatch forwards ``wire_frame`` verbatim)
+    never reads it, so each frame is decoded once, by whoever folds it;
+    everything that does read it — the serial fold, order-statistic
+    strategies, ``==``, ``repr``, ``dataclasses.replace`` — sees the bits an
+    eager decode at the uplink would have produced (and ends
+    :attr:`framed`: the value then lives in two places).
     """
 
     participant_id: int
@@ -46,10 +50,11 @@ class ExpertUpdate:
     #: does not travel in wire frames (the asynchronous scheduler discounts
     #: weights before transmission, so the wire format stays stable).
     staleness: int = 0
-    #: the exact wire frame this update arrived as (``transport="wire"``
-    #: deliveries only) — downstream fold dispatch forwards it verbatim instead
-    #: of re-encoding the decoded state as fp64, which is bit-identical by
-    #: construction (``state`` *is* the deterministic decode of these bytes).
+    #: the exact wire frame this update is sent as and arrived as
+    #: (``transport="wire"`` only) — downstream fold dispatch forwards it
+    #: verbatim instead of re-encoding the decoded state as fp64, which is
+    #: bit-identical by construction (``state`` *is* the deterministic decode
+    #: of these bytes).
     #: In-memory provenance, never re-serialized itself: ``repr``/``compare``
     #: exclude it so update equality and logs are unchanged.
     wire_frame: Optional[bytes] = field(default=None, repr=False, compare=False)
@@ -61,10 +66,19 @@ class ExpertUpdate:
     #: read-only by every update of one expert key and server version.
     wire_reference: Optional[Dict[str, np.ndarray]] = field(
         default=None, repr=False, compare=False)
+    #: what the tensors :attr:`wire_frame` was encoded from would cost as raw
+    #: fp64 (8 bytes an element), recorded at encode time so the uplink's
+    #: ``wire_density`` never decodes a frame to measure it
+    wire_raw_bytes: int = field(default=0, repr=False, compare=False)
 
     @property
     def key(self) -> ExpertKey:
         return (self.layer, self.expert)
+
+    @property
+    def framed(self) -> bool:
+        """Whether the bytes alone hold the value: a frame and no decoded state."""
+        return self.__dict__["state"] is None and self.wire_frame is not None
 
 
 def _get_state(self: ExpertUpdate) -> Optional[Dict[str, np.ndarray]]:

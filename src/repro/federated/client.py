@@ -178,11 +178,13 @@ class Participant:
         for _ in range(max(iterations, 1)):
             for batch in batches:
                 optimizer.zero_grad()
+                # No ``sample_ids``: only ``profile_activation`` reads the
+                # per-expert sample sets they would fill; the token counts
+                # read below do not need them.
                 loss = model.compute_loss(
                     batch.input_ids,
                     labels=batch.labels,
                     attention_mask=batch.attention_mask,
-                    sample_ids=batch.sample_ids,
                 )
                 if loss.requires_grad:
                     loss.backward()

@@ -18,7 +18,7 @@ process-pool parallel local training.
 from __future__ import annotations
 
 import abc
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -487,10 +487,49 @@ class FederatedFineTuner(abc.ABC):
         return reference
 
     def __getstate__(self) -> Dict:
-        # Process-pool workers get the tuner pickled; they never transmit.
+        # Process-pool workers get the tuner pickled and frame their uploads
+        # against their own copy of the server: same version, same bits.
         state = self.__dict__.copy()
         state["_uplink_references"] = None
         return state
+
+    def frame_upload(self, result: ParticipantRoundResult) -> ParticipantRoundResult:
+        """Turn a finished participant's upload into the bytes it sends.
+
+        Under ``transport="wire"`` the whole upload is encoded with the run's
+        codec in one pass (:func:`repro.comm.encode_updates` against
+        :meth:`uplink_reference`: one framed byte payload per expert) and the
+        returned result's updates hold those bytes and nothing else
+        (:attr:`ExpertUpdate.framed
+        <repro.federated.aggregation.ExpertUpdate.framed>`): the dense states
+        die here, so a round in flight costs its wire bytes, not its tensors.
+        The participant executors call this the moment ``participant_round``
+        returns — valid under the sync and semisync schedulers, where the
+        server cannot advance between a participant's finish and its
+        delivery.  The async scheduler discounts weights and deltas against
+        the server's state *at delivery*, so it leaves framing to
+        :meth:`transmit_updates`.  Returns its input under the analytic
+        transport and for an upload that is already framed.
+        """
+        framed = self._frame_updates(result.updates)
+        return result if framed is result.updates else replace(result, updates=framed)
+
+    def _frame_updates(self, updates: List[ExpertUpdate]) -> List[ExpertUpdate]:
+        if self.config.transport != "wire" or all(update.framed for update in updates):
+            return updates
+        from ..comm import encode_updates, get_codec
+
+        codec = get_codec(self.wire_codec_name())
+        references = [self.uplink_reference(update.layer, update.expert)
+                      if codec.needs_reference else None for update in updates]
+        return [
+            ExpertUpdate(
+                participant_id=int(update.participant_id), layer=int(update.layer),
+                expert=int(update.expert), state=None, weight=float(update.weight),
+                wire_frame=frame, wire_codec=codec.name, wire_reference=reference,
+                wire_raw_bytes=8 * sum(np.asarray(v).size for v in update.state.values()))
+            for update, reference, frame in zip(
+                updates, references, encode_updates(updates, codec, references))]
 
     def transmit_updates(self, participant: Participant,
                          updates: Sequence[ExpertUpdate]):
@@ -498,12 +537,13 @@ class FederatedFineTuner(abc.ABC):
 
         Under ``transport="analytic"`` (the default) the in-memory updates
         pass straight through and nothing is metered — the legacy behaviour.
-        Under ``transport="wire"`` the participant's whole upload is encoded
-        with the run's codec in one pass (:func:`repro.comm.encode_updates`:
-        one framed byte payload per expert, as ever) and every payload is sent
-        over the participant's :class:`~repro.comm.Channel` (charging measured
-        airtime, applying loss/corruption faults).  The server side verifies a
-        delivered frame's checksum and does *not* decode it: the delivered
+        Under ``transport="wire"`` this is the sending half of the uplink:
+        the upload is framed by :meth:`frame_upload`'s code (a no-op for what
+        the executors framed at the client's finish; the encode itself for
+        the async scheduler and direct callers) and every frame is sent over
+        the participant's :class:`~repro.comm.Channel` (charging measured
+        airtime, applying loss/corruption faults).  The server side verifies
+        a delivered frame's checksum and does *not* decode it: the delivered
         update carries the frame, and its ``state`` is decoded when first read
         (see :class:`~repro.federated.aggregation.ExpertUpdate`).  A frame the
         channel corrupted is decoded on the spot, so lost payloads and frames
@@ -516,16 +556,12 @@ class FederatedFineTuner(abc.ABC):
             ChannelStats,
             PayloadCorruptedError,
             decode_update,
-            encode_updates,
-            get_codec,
             verify_frame,
         )
 
         stats = ChannelStats()
         if self.config.transport != "wire":
             return list(updates), stats
-        updates = list(updates)
-        codec = get_codec(self.wire_codec_name())
         channel = self.channel_for(participant)
         delivered: List[ExpertUpdate] = []
         raw_bytes = 0.0  # what the same tensors would cost as raw fp64
@@ -533,13 +569,9 @@ class FederatedFineTuner(abc.ABC):
                 "uplink", category="transfer",
                 participant=participant.participant_id,
                 codec=self.wire_codec_name()) as span:
-            references = [self.uplink_reference(update.layer, update.expert)
-                          if codec.needs_reference else None for update in updates]
-            payloads = encode_updates(updates, codec, references)
-            for update, reference, payload in zip(updates, references, payloads):
-                raw_bytes += 8.0 * sum(np.asarray(v).size
-                                       for v in update.state.values())
-                record = channel.send(payload, direction="up")
+            for update in self._frame_updates(list(updates)):
+                raw_bytes += update.wire_raw_bytes
+                record = channel.send(update.wire_frame, direction="up")
                 stats.record(record)
                 if not record.delivered:
                     continue
@@ -547,21 +579,24 @@ class FederatedFineTuner(abc.ABC):
                     if record.corrupted:
                         # corrupted-but-decodable payloads carry the received
                         # bytes: these are what decoded
-                        arrived = decode_update(record.payload, reference=reference)
+                        arrived = decode_update(record.payload,
+                                                reference=update.wire_reference)
                     else:
                         verify_frame(record.payload)
+                        # a second holder of the same bytes: what the fold
+                        # decodes is dropped with it, not kept on the sender's
                         arrived = ExpertUpdate(
-                            participant_id=int(update.participant_id),
-                            layer=int(update.layer), expert=int(update.expert),
-                            state=None, weight=float(update.weight))
+                            participant_id=update.participant_id, layer=update.layer,
+                            expert=update.expert, state=None, weight=update.weight)
                 except PayloadCorruptedError:
                     stats.decode_failures += 1
                     continue
                 # Carry the delivered bytes so the service fold dispatch can
                 # forward the original frame instead of re-encoding the state.
                 arrived.wire_frame = bytes(record.payload)
-                arrived.wire_codec = codec.name
-                arrived.wire_reference = reference
+                arrived.wire_codec = update.wire_codec
+                arrived.wire_reference = update.wire_reference
+                arrived.wire_raw_bytes = update.wire_raw_bytes
                 delivered.append(arrived)
             span.set(sim_duration=stats.seconds, bytes=stats.total_bytes,
                      payloads=stats.payloads, lost=stats.lost,

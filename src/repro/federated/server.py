@@ -78,16 +78,11 @@ class ParameterServer:
     def model_snapshot(self) -> MoETransformer:
         """A fresh model instance loaded with the current global parameters.
 
-        Built with :meth:`MoETransformer.allocate` (nothing is drawn; same
-        caveat: bit-identical to a drawn-then-loaded model whenever
-        ``dropout == 0 and gate_noise_std == 0``), each parameter copied
-        once, straight from the global model.
+        :meth:`MoETransformer.copy_of` the global model (nothing is drawn;
+        same caveat: bit-identical to a drawn-then-loaded model whenever
+        ``dropout == 0 and gate_noise_std == 0``).
         """
-        snapshot = MoETransformer.allocate(self.global_model.config)
-        for target, source in zip(snapshot.parameters(), self.global_model.parameters(),
-                                  strict=True):
-            target.data[...] = source.data
-        return snapshot
+        return MoETransformer.copy_of(self.global_model)
 
     def expert_state(self, layer: int, expert: int) -> Dict[str, np.ndarray]:
         return self.global_model.expert_state(layer, expert)

@@ -118,6 +118,21 @@ class MoETransformer(Module):
         model._build(config, AllocationOnlyGenerator(np.random.PCG64(config.seed)))
         return model
 
+    @classmethod
+    def copy_of(cls, model: "MoETransformer") -> "MoETransformer":
+        """A fresh ``cls(model.config)``-shaped model holding ``model``'s parameter values.
+
+        The one way to copy a model: :meth:`allocate` (nothing is drawn; its
+        caveat applies) and each parameter copied once, in ``parameters()``
+        order, straight from ``model`` — no name-keyed state dict in between.
+        ``model`` must have the module tree its config builds (not a compact
+        model).
+        """
+        clone = cls.allocate(model.config)
+        for target, source in zip(clone.parameters(), model.parameters(), strict=True):
+            target.data[...] = source.data
+        return clone
+
     def _build(self, config: MoEModelConfig, rng: np.random.Generator) -> None:
         self.config = config
         # Parameters are created under the config's dtype; random draws happen

@@ -16,6 +16,15 @@ which the parent re-imports via
 :meth:`~repro.federated.orchestrator.FederatedFineTuner.import_participant_state`.
 Because no participant reads another participant's state, replaying the
 exports yields exactly the serial outcome.
+
+Both executors end a participant's round with
+:meth:`~repro.federated.orchestrator.FederatedFineTuner.frame_upload`: under
+``transport="wire"`` the result they hand back holds the upload's wire frames
+and no tensors.  The IPC payload of one participant is therefore the run
+codec's frames as they are (``topk:0.25:int4``: 12x fewer bytes than fp64;
+the parent re-attaches the delta reference from its own cache and decodes
+nothing), and lossless fp64 frames of the in-memory updates only under the
+analytic transport.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from copy import copy
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,29 +44,46 @@ from ..comm import decode_update, encode_updates, get_codec
 from ..federated.client import Participant
 from ..obs import NULL_TELEMETRY, span_record
 
-#: codec used to frame updates crossing the process boundary — lossless for
-#: every float dtype, so parallel execution stays bit-identical to serial
+#: codec used to frame in-memory updates crossing the process boundary —
+#: lossless for every float dtype, so parallel execution stays bit-identical
+#: to serial
 _IPC_CODEC = "fp64"
 
 
-def _frame_result(result) -> Tuple[object, List[bytes]]:
-    """Split one round result into (update-less result, framed update payloads).
+def _frame_result(result) -> Tuple[object, Optional[List[bytes]]]:
+    """Split one round result into (what pickles as it is, fp64 frames of the rest).
 
-    The worker→parent hop is the wire serializer's first real consumer: expert
-    updates travel as framed byte payloads rather than pickled numpy state
-    dicts, exactly the representation a remote deployment would ship.
+    The worker→parent hop ships expert updates as framed byte payloads rather
+    than pickled numpy state dicts, exactly the representation a remote
+    deployment would ship.  An upload the worker already framed for the wire
+    (:meth:`~repro.federated.orchestrator.FederatedFineTuner.frame_upload`)
+    *is* bytes: its updates stay on the result, verbatim, minus the reference
+    they decode against (the parent holds the same one), and no fp64 frames
+    are made (``None``).
     """
+    if all(update.framed for update in result.updates):
+        shipped = [copy(update) for update in result.updates]
+        for update in shipped:
+            update.wire_reference = None
+        return replace(result, updates=shipped), None
     frames = encode_updates(result.updates, get_codec(_IPC_CODEC))
     return replace(result, updates=[]), frames
 
 
-def _unframe_result(result, frames: Sequence[bytes]):
-    return replace(result, updates=[decode_update(frame) for frame in frames])
+def _unframe_result(tuner, result, frames: Optional[Sequence[bytes]]):
+    """Parent-side inverse of :func:`_frame_result`; decodes no wire frame."""
+    if frames is not None:
+        return replace(result, updates=[decode_update(frame) for frame in frames])
+    for update in result.updates:
+        if get_codec(update.wire_codec).needs_reference:
+            update.wire_reference = tuner.uplink_reference(update.layer, update.expert)
+    return result
 
 
 def _run_participant_chunk(payload: bytes, participant_ids: Sequence[int],
                            round_index: int
-                           ) -> List[Tuple[int, object, List[bytes], dict, Optional[dict]]]:
+                           ) -> List[Tuple[int, object, Optional[List[bytes]], dict,
+                                           Optional[dict]]]:
     """Worker-side: run a chunk of participants' rounds on one tuner snapshot.
 
     Chunking means the (potentially large) tuner payload crosses the process
@@ -85,7 +112,7 @@ def _run_participant_chunk(payload: bytes, participant_ids: Sequence[int],
                 sim_duration=result.breakdown.total(
                     overlap_profiling=result.overlap_profiling),
                 participant=participant_id, worker_pid=os.getpid())
-        stripped, frames = _frame_result(result)
+        stripped, frames = _frame_result(tuner.frame_upload(result))
         out.append((participant_id, stripped, frames,
                     tuner.export_participant_state(participant_id), record))
     return out
@@ -117,8 +144,8 @@ class SerialExecutor(ParticipantExecutor):
                          round_index: int) -> Dict[int, object]:
         tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
         if not tracer.enabled:
-            return {participant.participant_id:
-                    tuner.participant_round(participant, round_index)
+            return {participant.participant_id: tuner.frame_upload(
+                        tuner.participant_round(participant, round_index))
                     for participant in participants}
         results: Dict[int, object] = {}
         for participant in participants:
@@ -127,7 +154,7 @@ class SerialExecutor(ParticipantExecutor):
                 result = tuner.participant_round(participant, round_index)
                 span.set(sim_duration=result.breakdown.total(
                     overlap_profiling=result.overlap_profiling))
-            results[participant.participant_id] = result
+            results[participant.participant_id] = tuner.frame_upload(result)
         return results
 
 
@@ -182,7 +209,7 @@ class ProcessPoolParticipantExecutor(ParticipantExecutor):
                 tuner.import_participant_state(participant_id, state)
                 if record is not None:
                     tracer.ingest(record)
-                collected[participant_id] = _unframe_result(result, frames)
+                collected[participant_id] = _unframe_result(tuner, result, frames)
         return {pid: collected[pid] for pid in ids}  # preserve participants order
 
     def close(self) -> None:

@@ -241,10 +241,15 @@ class Scheduler(abc.ABC):
         """Aggregate the contributors into the global model and fill ``timeline``.
 
         Updates flow through :meth:`FederatedFineTuner.transmit_updates` — a
-        pass-through under the analytic transport, framed/metered/faultable
-        byte payloads under ``transport="wire"`` — and reach the aggregation
-        topology as a generator, so the serial fold never buffers more than
-        one client's decoded updates server-side.
+        pass-through under the analytic transport, metered/faultable byte
+        payloads under ``transport="wire"``, where a contributor's
+        ``result.updates`` already hold the frames its executor made when it
+        finished (:meth:`FederatedFineTuner.frame_upload`; the async
+        scheduler's are still dense and are framed here, at delivery) — and
+        reach the aggregation topology as a generator, so the serial fold
+        never buffers more than one client's decoded updates server-side.
+        The returned per-participant results are the round's only holder of
+        its uploads: callers drop them before the next round starts.
         :meth:`FederatedFineTuner.aggregate_round_updates` routes the stream
         either straight into the (possibly sharded) server or through the
         aggregation tree; the second returned :class:`~repro.comm.ChannelStats`
@@ -286,8 +291,10 @@ class SyncScheduler(Scheduler):
     def round_results(self, tuner: FederatedFineTuner, num_rounds: int,
                       start_round: int = 0) -> Iterator[RoundResult]:
         for round_index in range(start_round, num_rounds):
-            round_result, _ = self.run_round(tuner, round_index)
-            yield round_result
+            # Indexed, not unpacked: a name bound to the per-participant
+            # results would keep the round's updates alive, across the yield,
+            # until the next round had finished.
+            yield self.run_round(tuner, round_index)[0]
 
     def run_round(self, tuner: FederatedFineTuner, round_index: int
                   ) -> Tuple[RoundResult, Dict[int, ParticipantRoundResult]]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import profile_activation
 from repro.data import make_gsm8k_like, partition_dirichlet, partition_iid, partition_statistics
 from repro.federated import (
     ExpertUpdate,
@@ -121,6 +122,39 @@ class TestParticipant:
                 assert changed, f"selected expert {key} did not move"
             else:
                 assert not changed, f"frozen expert {key} moved"
+
+    def test_local_finetune_builds_no_sample_sets_and_loses_nothing(
+            self, dataset, tiny_config, monkeypatch):
+        """Training forwards pass no ``sample_ids``: same result, same weights."""
+        def finetune(model):
+            trainer = Participant(3, dataset, resources=ParticipantResources(8, 4), seed=1)
+            batches = trainer.local_batches(8, max_batches=2,
+                                            max_seq_len=tiny_config.max_seq_len)
+            return batches, trainer.local_finetune(model, batches, learning_rate=1e-2,
+                                                   iterations=2)
+
+        lean_model = MoETransformer(tiny_config)
+        batches, lean = finetune(lean_model)
+        assert not any(samples for layer in lean_model.moe_layers()
+                       for samples in layer.last_routing.sample_ids)
+
+        # the forward local_finetune used to issue: every batch with its sample ids
+        ids_by_input = {batch.input_ids.tobytes(): batch.sample_ids for batch in batches}
+        compute_loss = MoETransformer.compute_loss
+        monkeypatch.setattr(
+            MoETransformer, "compute_loss",
+            lambda self, input_ids, **kwargs: compute_loss(
+                self, input_ids, sample_ids=ids_by_input[input_ids.tobytes()], **kwargs))
+        recording_model = MoETransformer(tiny_config)
+        _, recording = finetune(recording_model)
+        assert any(samples for layer in recording_model.moe_layers()
+                   for samples in layer.last_routing.sample_ids)
+
+        assert any(samples for layer_sets in profile_activation(lean_model, batches).sample_sets
+                   for samples in layer_sets)   # the one reader still gets its sets
+        assert lean == recording                # losses, grad norms, token counts: exact
+        for name, value in recording_model.state_dict().items():
+            assert lean_model.state_dict()[name].tobytes() == value.tobytes(), name
 
     def test_local_finetune_requires_batches(self, participant, tiny_model):
         with pytest.raises(ValueError):

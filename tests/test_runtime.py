@@ -1,5 +1,7 @@
 """Tests for the event-driven runtime: events, sampling, faults, schedulers, executor."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,30 @@ class TestSemiSyncScheduler:
             metrics.append([(r.metric_value, r.simulated_time, r.num_aggregated)
                             for r in result.rounds])
         assert metrics[0] == metrics[1]
+
+
+class TestNothingOutlivesItsRound:
+    """A round's per-participant results (and their updates) die with the round."""
+
+    @pytest.mark.parametrize("transport", ["analytic", "wire"])
+    @pytest.mark.parametrize("scheduler", ["sync", "semisync"])
+    def test_no_update_is_alive_when_the_next_round_starts(self, vocab, tiny_config,
+                                                           scheduler, transport):
+        live_at_round_start = []
+
+        class Census(ConstantMethod):
+            def before_round(self, round_index, selected):
+                gc.collect()
+                live_at_round_start.append(sum(
+                    isinstance(obj, ExpertUpdate) for obj in gc.get_objects()))
+
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, scheduler=scheduler, transport=transport,
+            deadline_quantile=0.5)
+        result = Census(server, participants, test, config=config).run(num_rounds=3)
+        assert all(r.num_aggregated > 0 for r in result.rounds)
+        # whatever other tests left behind is there before round 0 too
+        assert live_at_round_start == [live_at_round_start[0]] * 3
 
 
 class TestAsyncScheduler:

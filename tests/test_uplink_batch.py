@@ -5,20 +5,24 @@ Three layers, each held to the code it replaced (kept verbatim in
 
 * kernel — ``Codec.encode_arrays`` vs the mapped per-tensor ``encode_array``;
 * frames — ``encode_updates`` vs the mapped per-update ``encode_update``;
-* uplink — the verify-only ``transmit_updates`` (lazy ``ExpertUpdate.state``,
-  one shared read-only reference per expert and server version) vs the
+* uplink — ``frame_upload`` at the client's finish plus the send-only,
+  verify-only ``transmit_updates`` (lazy ``ExpertUpdate.state``, one shared
+  read-only reference per expert and server version) vs the
   encode-send-decode-per-expert body, on single uploads and on whole runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro.federated.aggregation as aggregation_module
+import repro.runtime.executor as executor_module
 from repro.baselines import FMDFineTuner
 from repro.comm import (
     PayloadCorruptedError,
@@ -32,14 +36,16 @@ from repro.federated import ExpertUpdate, FederatedFineTuner
 from repro.models import MoETransformer
 from repro.quantization import pack_int_code_rows
 from repro.runtime import latest_checkpoint
+from repro.runtime.executor import ProcessPoolParticipantExecutor, SerialExecutor
 
 from test_decode_fastpath import ALL_CODECS
 from test_run_checkpoint import assert_models_equal, assert_run_results_equal
-from test_runtime import build_federation
+from test_runtime import ConstantMethod, build_federation
 from uplink_oracles import (
     oracle_encode_array,
     oracle_encode_update,
     oracle_transmit_updates,
+    oracle_uplink,
     pack_int_codes,
 )
 
@@ -476,6 +482,169 @@ class TestSharedReference:
         assert_models_equal(fresh.server.global_model, cached.server.global_model)
 
 
+# ---------------------------------------------------------- client framing
+def _oracle_frames(tuner, updates):
+    codec = get_codec(tuner.wire_codec_name())
+    return [oracle_encode_update(update, codec, tuner.server.expert_state(*update.key))
+            for update in updates]
+
+
+def _identity(update):
+    """Everything a byte-holding update is, but the reference it decodes against."""
+    return (update.participant_id, update.key, update.weight, update.staleness,
+            update.wire_frame, update.wire_codec, update.wire_raw_bytes)
+
+
+class TestUploadIsFramedWhenTheClientFinishes:
+    def test_serial_executor_hands_back_bytes_not_tensors(self, vocab, tiny_config):
+        tuner, dense_tuner = _fmd(vocab, tiny_config), _fmd(vocab, tiny_config)
+        results = SerialExecutor().run_participants(tuner, tuner.participants, 0)
+        assert list(results) == [p.participant_id for p in tuner.participants]
+        for participant_id, result in results.items():
+            _, dense = _trained_updates(dense_tuner, participant_id)
+            assert [u.wire_frame for u in result.updates] == _oracle_frames(dense_tuner, dense)
+            for update, trained in zip(result.updates, dense):
+                assert vars(update)["state"] is None and update.framed
+                assert (update.participant_id, update.key, update.weight) == (
+                    trained.participant_id, trained.key, trained.weight)
+                assert update.wire_codec == WIRE["codec"]
+                assert update.wire_reference is tuner.uplink_reference(*update.key)
+                assert update.wire_raw_bytes == sum(v.nbytes for v in trained.state.values())
+
+    def test_a_round_in_flight_costs_its_wire_bytes(self, vocab, tiny_config):
+        # experts wide enough that frame headers and object overhead are small
+        tuner = _fmd(vocab, dataclasses.replace(tiny_config, d_ff=64))
+        executor = SerialExecutor()
+        executor.run_participants(tuner, tuner.participants, 0)    # caches, references
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            results = executor.run_participants(tuner, tuner.participants, 0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        updates = [update for result in results.values() for update in result.updates]
+        wire = sum(len(update.wire_frame) for update in updates)
+        dense = sum(update.wire_raw_bytes for update in updates)
+        assert dense > 10 * wire                # what holding the tensors would cost
+        assert retained <= 3 * wire + 16_384
+
+    def test_analytic_transport_returns_what_it_got(self, vocab, tiny_config, monkeypatch):
+        tuner = _fmd(vocab, tiny_config, transport="analytic", codec=None)
+        trained = {}
+        participant_round = FMDFineTuner.participant_round
+
+        def recorded(self, participant, round_index):
+            trained[participant.participant_id] = participant_round(
+                self, participant, round_index)
+            return trained[participant.participant_id]
+
+        monkeypatch.setattr(FMDFineTuner, "participant_round", recorded)
+        results = SerialExecutor().run_participants(tuner, tuner.participants, 0)
+        assert all(results[pid] is result for pid, result in trained.items())
+        assert all(update.state is not None and not update.framed
+                   for result in results.values() for update in result.updates)
+
+    def test_framing_twice_is_framing_once(self, vocab, tiny_config):
+        tuner = _fmd(vocab, tiny_config)
+        result = tuner.participant_round(tuner.participant_by_id(0), 0)
+        once = tuner.frame_upload(result)
+        assert once is not result and once.breakdown is result.breakdown
+        assert tuner.frame_upload(once) is once
+        assert [u.wire_frame for u in once.updates] == _oracle_frames(tuner, result.updates)
+
+    def test_sending_framed_updates_is_sending_the_trained_ones(self, vocab, tiny_config):
+        knobs = dict(channel_corrupt_prob=0.2, channel_loss_prob=0.1)
+        early, late = _fmd(vocab, tiny_config, **knobs), _fmd(vocab, tiny_config, **knobs)
+        for participant_id in range(3):
+            participant, updates = _trained_updates(late, participant_id)
+            want, want_stats = late.transmit_updates(participant, updates)
+            framed = early.frame_upload(
+                early.participant_round(early.participant_by_id(participant_id), 0))
+            got, got_stats = early.transmit_updates(
+                early.participant_by_id(participant_id), framed.updates)
+            assert got_stats == want_stats
+            assert [_identity(u) for u in got] == [_identity(u) for u in want]
+            for a, b in zip(got, want):
+                assert all(a.state[n].tobytes() == b.state[n].tobytes() for n in b.state)
+            assert all(update.framed for update in framed.updates)  # copies were decoded
+
+    def test_a_straggler_past_the_deadline_is_framed_and_never_sent(self, vocab, tiny_config,
+                                                                    monkeypatch):
+        """Semisync: its frames are built when it finishes, and dropped with it."""
+        def build():
+            server, participants, test, config = build_federation(
+                vocab, tiny_config, scheduler="semisync", deadline_quantile=0.5,
+                transport="wire", codec=WIRE["codec"], channel_loss_prob=0.1)
+            return ConstantMethod(server, participants, test, config=config)
+
+        with oracle_uplink(monkeypatch):
+            oracle_tuner = build()
+            expected = oracle_tuner.run(num_rounds=2)
+
+        framed = []
+        frame_upload = FederatedFineTuner.frame_upload
+        monkeypatch.setattr(
+            FederatedFineTuner, "frame_upload",
+            lambda self, result: framed.append(frame_upload(self, result)) or framed[-1])
+        tuner = build()
+        result = tuner.run(num_rounds=2)
+        assert_run_results_equal(result, expected)
+        assert_models_equal(tuner.server.global_model, oracle_tuner.server.global_model)
+        assert all(r.num_stragglers > 0 for r in result.rounds)
+        assert len(framed) == sum(r.num_aggregated + r.num_stragglers for r in result.rounds)
+        assert all(update.framed for upload in framed for update in upload.updates)
+        assert tuner.export_channel_states() == oracle_tuner.export_channel_states()
+        assert sum(channel.stats.payloads for channel in tuner._channels.values()) == sum(
+            r.num_aggregated for r in result.rounds)    # ConstantMethod: one update each
+
+
+class TestProcessExecutorShipsTheRunCodecsFrames:
+    def test_run_equals_the_serial_run(self, vocab, tiny_config):
+        serial = _fmd(vocab, tiny_config)
+        expected = serial.run(num_rounds=2)
+        pooled = _fmd(vocab, tiny_config, executor="process", executor_workers=2)
+        assert_run_results_equal(pooled.run(num_rounds=2), expected)
+        assert_models_equal(pooled.server.global_model, serial.server.global_model)
+        assert [p._round_seed for p in pooled.participants] == [
+            p._round_seed for p in serial.participants]
+
+    def test_parent_gets_frames_and_decodes_none(self, vocab, tiny_config, decode_calls,
+                                                 monkeypatch):
+        monkeypatch.setattr(executor_module, "decode_update",
+                            lambda frame: decode_calls.append(len(frame)))
+        tuner, serial = _fmd(vocab, tiny_config), _fmd(vocab, tiny_config)
+        executor = ProcessPoolParticipantExecutor(max_workers=2)
+        try:
+            results = executor.run_participants(tuner, tuner.participants, 0)
+        finally:
+            executor.close()
+        expected = SerialExecutor().run_participants(serial, serial.participants, 0)
+        assert list(results) == list(expected)
+        for participant_id, result in results.items():
+            want = expected[participant_id]
+            assert result.train_loss == want.train_loss
+            assert [_identity(u) for u in result.updates] == [
+                _identity(u) for u in want.updates]
+            assert all(u.framed and u.wire_reference is tuner.uplink_reference(*u.key)
+                       for u in result.updates)
+            delivered, _ = tuner.transmit_updates(
+                tuner.participant_by_id(participant_id), result.updates)
+            assert len(delivered) == len(result.updates)
+        assert decode_calls == []
+
+    def test_ipc_payload_is_a_fraction_of_the_fp64_one(self, vocab, tiny_config):
+        tuner = _fmd(vocab, tiny_config)
+        result = tuner.participant_round(tuner.participant_by_id(0), 0)
+        fp64 = len(pickle.dumps(executor_module._frame_result(result)))
+        framed = executor_module._frame_result(tuner.frame_upload(result))
+        assert framed[1] is None
+        assert all(update.wire_reference is None for update in framed[0].updates)
+        assert len(pickle.dumps(framed)) < 0.15 * fp64
+
+
 # ---------------------------------------------------------------- run level
 RUN_CONFIGS = {
     "flat_serial": {},
@@ -503,8 +672,7 @@ class TestRunsEqualTheOracleUplinkRuns:
     ROUNDS = 2
 
     def _oracle_run(self, monkeypatch, vocab, tiny_config, rounds, **knobs):
-        with monkeypatch.context() as patched:
-            patched.setattr(FederatedFineTuner, "transmit_updates", oracle_transmit_updates)
+        with oracle_uplink(monkeypatch):
             tuner = _fmd(vocab, tiny_config, **knobs)
             return tuner, tuner.run(num_rounds=rounds)
 

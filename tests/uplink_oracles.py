@@ -5,7 +5,8 @@ participant's whole upload: :func:`pack_int_codes`, the top-k codecs'
 per-tensor ``_select`` / ``encode_array`` (:func:`oracle_encode_array`), the
 per-update framing (:func:`oracle_encode_update`) and the
 encode-send-decode-per-expert body of ``FederatedFineTuner.transmit_updates``
-(:func:`oracle_transmit_updates`).  They exist only here:
+(:func:`oracle_transmit_updates`; :func:`oracle_uplink` patches it in with
+client-side framing off).  They exist only here:
 ``test_uplink_batch.py`` holds ``Codec.encode_arrays``,
 ``repro.comm.encode_updates`` and the verify-only uplink to them byte for
 byte, and ``benchmarks/perf_harness.py`` times the batched framing against
@@ -14,6 +15,7 @@ the mapped per-update one.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 import zlib
@@ -30,6 +32,7 @@ from repro.comm.codecs import (
     _index_dtype_for,
 )
 from repro.comm.serialization import KIND_UPDATE, MAGIC
+from repro.federated import FederatedFineTuner
 from repro.quantization import PACKABLE_BITS, quantize_array
 
 _CRC = struct.Struct("<I")
@@ -207,3 +210,14 @@ def oracle_transmit_updates(self, participant, updates):
         if raw_bytes:
             span.set(wire_density=round(stats.bytes_up / raw_bytes, 4))
     return delivered, stats
+
+
+@contextlib.contextmanager
+def oracle_uplink(monkeypatch):
+    """Every tuner built and run inside uses the whole pre-batching uplink:
+    nothing is framed when a client finishes (``frame_upload`` is the
+    identity) and :func:`oracle_transmit_updates` does it all at delivery."""
+    with monkeypatch.context() as patched:
+        patched.setattr(FederatedFineTuner, "frame_upload", lambda self, result: result)
+        patched.setattr(FederatedFineTuner, "transmit_updates", oracle_transmit_updates)
+        yield
