@@ -21,7 +21,10 @@ node — attention, ``rms_norm``, ``linear`` — against the composed oracle kep
 in ``tests/composed_oracles.py``, one µs-per-forward+backward figure each.
 ``--suite aggregation`` carries an informational ``uplink`` block of the same
 kind: frames per second of framing one participant's upload per update (the
-oracle in ``tests/uplink_oracles.py``) against ``encode_updates``.
+oracle in ``tests/uplink_oracles.py``) against ``encode_updates`` — and a
+gated ``prefold`` row: one tree-leaf fold job, a sender's frames decoded and
+folded as one group against the frame-at-a-time oracle in
+``tests/fold_oracles.py``.
 
 Configurations measured: ``loop/float64`` (the seed's per-expert dispatch
 algorithm on the float64 engine), ``batched/float64`` and ``batched/float32``
@@ -421,6 +424,15 @@ def _make_aggregation_updates(participants: int, preset: str = AGG_PRESET):
     return model, updates
 
 
+def _fold_payloads(server, frames) -> None:
+    """Decode-and-fold ``frames`` into ``server``'s model through its scratch pool."""
+    from repro.comm import StreamingAggregator
+
+    aggregator = StreamingAggregator(server.strategy, scratch=server.fold_scratch)
+    aggregator.fold_frames(frames, reference_lookup=server.expert_state)
+    aggregator.apply(server.global_model)
+
+
 def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int) -> Dict:
     """Serial fold of one round's updates vs its per-shard fold jobs.
 
@@ -428,8 +440,8 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int) -> Dict:
     out of the ratios:
 
     * ``serial_wire_fold_s`` — the serial baseline: the production fused
-      decode-and-fold path (``aggregate_payloads`` through the server's
-      persistent scratch pool), on one thread.  This is exactly what the root
+      decode-and-fold path (``StreamingAggregator.fold_frames`` through the
+      server's persistent scratch pool), on one thread.  This is exactly what the root
       of a ``transport="wire"`` deployment does today, and exactly the total
       work the service's fold jobs partition — the headline speedup compares
       like with like.  ``serial_inmemory_fold_s`` (the analytic-transport
@@ -460,8 +472,10 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int) -> Dict:
                       for framed in shard_framed if framed]
     merge_model = MoETransformer(config)
 
+    all_frames = [frame for frame, _ in all_framed]
+
     def serial_wire():
-        serial_server.aggregate_payloads(frame for frame, _ in all_framed)
+        _fold_payloads(serial_server, all_frames)
 
     def merge():
         for shard_result in worker_results:
@@ -610,7 +624,7 @@ def _bench_alloc_probe(updates) -> Dict:
     all_framed = [frame_update(update, {})[0] for update in updates]
 
     def fused():
-        server.aggregate_payloads(iter(all_framed))
+        _fold_payloads(server, all_framed)
 
     def buffered():
         server.aggregate([decode_update(frame) for frame in all_framed])
@@ -698,6 +712,58 @@ def bench_uplink(quick: bool) -> Dict:
     return out
 
 
+#: the end-to-end wire workload's leaf fold job: 8 senders x the 32 experts of
+#: ``llama_moe_mini``, framed with its codec
+PREFOLD_CODEC = "topk:0.25:int4"
+PREFOLD_PRESET = "llama_moe_mini"
+PREFOLD_SENDERS = 8
+
+
+def bench_prefold(quick: bool) -> Dict:
+    """One tree-leaf fold job, a sender's frames at a time vs a frame at a time.
+
+    ``batched`` is :func:`repro.service.fold.prefold_node_frames` (decode and
+    fold a sender's upload as one group, through a warm scratch pool, as an
+    aggregator server runs it); ``oracle`` is the frame-at-a-time job it
+    replaced, kept in ``tests/fold_oracles.py``.  Their partial frames are
+    asserted byte-identical before anything is timed.
+    """
+    sys.path.append(os.path.join(REPO_ROOT, "tests"))
+    from fold_oracles import oracle_prefold_node_frames
+    from repro.comm import ScratchPool, encode_state_dict, encode_updates, get_codec
+    from repro.service.fold import prefold_node_frames
+
+    model, updates = _make_aggregation_updates(PREFOLD_SENDERS, PREFOLD_PRESET)
+    states = {key: model.expert_state(*key) for key in model.iter_expert_ids()}
+    frames = encode_updates(updates, get_codec(PREFOLD_CODEC),
+                            [states[update.key] for update in updates])
+    framed = [(frame, 0) for frame in frames]
+    references = {key: encode_state_dict(state, get_codec("fp64"))
+                  for key, state in states.items()}
+    scratch = ScratchPool()
+
+    def batched():
+        return prefold_node_frames(None, -1, framed, references, scratch=scratch)
+
+    def oracle():
+        return oracle_prefold_node_frames(None, -1, framed, references)
+
+    if batched() != oracle():
+        raise AssertionError("batched prefold partials differ from the per-frame oracle's")
+    times = _interleaved_best_times({"batched": {"fold": batched},
+                                     "oracle": {"fold": oracle}},
+                                    2 if quick else 4, 5 if quick else 9)
+    return {
+        "codec": PREFOLD_CODEC,
+        "preset": PREFOLD_PRESET,
+        "frames": len(framed),
+        "batched_s": times["batched"]["fold"],
+        "oracle_s": times["oracle"]["fold"],
+        "batched_frames_per_s": len(framed) / times["batched"]["fold"],
+        "speedup_batched_vs_oracle": times["oracle"]["fold"] / times["batched"]["fold"],
+    }
+
+
 def run_aggregation_suite(quick: bool) -> Dict:
     """The aggregation-throughput benchmark family (``--suite aggregation``)."""
     # Quick mode trims repetitions but keeps the full workload shape: the
@@ -731,12 +797,16 @@ def run_aggregation_suite(quick: bool) -> Dict:
                  "decode compares fresh-allocation vs scratch-pool "
                  "decode_update throughput; alloc_probe tracemallocs one "
                  "warm fused round (steady_state_scratch_allocations must "
-                 "stay 0). uplink is informational (host-speed frames/s of "
+                 "stay 0). prefold is one 256-frame topk:0.25:int4 tree-leaf "
+                 "job, a sender's frames at a time vs the frame-at-a-time "
+                 "oracle (byte-identical partials asserted first). uplink is "
+                 "informational (host-speed frames/s of "
                  "framing one participant's upload, per update vs batched)."),
         "shards": shards,
         "tree": tree,
         "decode": decode,
         "alloc_probe": alloc_probe,
+        "prefold": bench_prefold(quick),
         "uplink": bench_uplink(quick),
         "headline_speedup_8shards":
             shards["8"]["speedup_critical_path_vs_serial"],
@@ -1366,6 +1436,7 @@ GATES = (
     # a warm fused round must not allocate more than the committed steady state
     Gate("aggregation", "aggregation/alloc_probe/steady_state_scratch_allocations",
          "not-above"),
+    Gate("aggregation", "aggregation/prefold/speedup_batched_vs_oracle", "higher"),
     Gate("sparse", "sparse/~workloads/*/speedup_sparse_vs_batched_forward_backward"
                    "|speedup_sparse_vs_batched_round", "higher"),
     # Wall ratios of live servers are bimodal on a small host: out-of-process
@@ -1553,6 +1624,9 @@ def main(argv=None) -> int:
             print(f"  tree {name} (depth {entry['depth']}): serial "
                   f"{entry['serial_updates_per_s']:,.0f} updates/s, critical-path "
                   f"speedup {entry['speedup_critical_path_vs_serial']:.2f}x")
+        print(f"  prefold: {agg['prefold']['frames']}-frame {agg['prefold']['codec']} leaf "
+              f"job {agg['prefold']['batched_s'] * 1e3:.1f} ms, "
+              f"{agg['prefold']['speedup_batched_vs_oracle']:.2f}x the per-frame oracle")
         for preset, entry in agg["uplink"]["presets"].items():
             parts = ", ".join(
                 f"{name} {values['batched_frames_per_s']:,.0f}/s "

@@ -43,8 +43,10 @@ class Module:
 
     # ------------------------------------------------------------- iteration
     def parameters(self) -> Iterator[Parameter]:
-        for _, param in self.named_parameters():
-            yield param
+        # named_parameters() order, without building the dotted names
+        yield from self._parameters.values()
+        for module in self._modules.values():
+            yield from module.parameters()
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         for name, param in self._parameters.items():

@@ -24,24 +24,24 @@ class FMDFineTuner(FederatedFineTuner):
     OFFLOAD_ROUND_TRIPS = 2
 
     def participant_round(self, participant: Participant, round_index: int) -> ParticipantRoundResult:
-        local_model = self.server.model_snapshot()
-        batches = participant.local_batches(
-            self.config.batch_size,
-            max_batches=self.config.max_local_batches,
-            max_seq_len=local_model.config.max_seq_len,
-        )
-        result = participant.local_finetune(
-            local_model, batches,
-            learning_rate=self.config.learning_rate,
-            trainable_experts=None,
-            iterations=self.config.local_iterations,
-        )
-        updates = expert_updates_from_model(participant.participant_id, local_model, result)
+        with self.server.training_replica() as local_model:
+            batches = participant.local_batches(
+                self.config.batch_size,
+                max_batches=self.config.max_local_batches,
+                max_seq_len=local_model.config.max_seq_len,
+            )
+            result = participant.local_finetune(
+                local_model, batches,
+                learning_rate=self.config.learning_rate,
+                trainable_experts=None,
+                iterations=self.config.local_iterations,
+            )
+            updates = expert_updates_from_model(participant.participant_id, local_model, result)
+            total_experts = sum(local_model.experts_per_layer())
 
         cost_model = self.cost_model_for(participant)
         breakdown = RoundCostBreakdown()
         if cost_model is not None:
-            total_experts = sum(local_model.experts_per_layer())
             resident = min(participant.resources.max_experts, total_experts)
             overflow = max(total_experts - resident, 0)
             swaps_per_batch = overflow * self.OFFLOAD_ROUND_TRIPS
@@ -56,6 +56,6 @@ class FMDFineTuner(FederatedFineTuner):
             updates=updates,
             breakdown=breakdown,
             train_loss=result.mean_loss,
-            report={"offloaded_experts": max(sum(local_model.experts_per_layer())
+            report={"offloaded_experts": max(total_experts
                                              - participant.resources.max_experts, 0)},
         )

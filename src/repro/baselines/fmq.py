@@ -38,7 +38,8 @@ class FMQFineTuner(FederatedFineTuner):
         return super().wire_codec_name()
 
     def participant_round(self, participant: Participant, round_index: int) -> ParticipantRoundResult:
-        local_model = quantize_model(self.server.model_snapshot(), self.bits)
+        # quantize_model leaves its source untouched and builds its own clone
+        local_model = quantize_model(self.server.global_model, self.bits)
         batches = participant.local_batches(
             self.config.batch_size,
             max_batches=self.config.max_local_batches,

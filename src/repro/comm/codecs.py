@@ -16,7 +16,16 @@ single-tensor method; the top-k family stacks same-shaped tensors as an
 once over all rows, with ``encode_array`` as its one-row case.  Either way the
 sections are byte-identical to encoding each tensor alone — the per-tensor
 top-k code this replaced is the oracle in ``tests/uplink_oracles.py``
-(``tests/test_uplink_batch.py``).
+(``tests/test_uplink_batch.py``).  Decode mirrors it:
+:meth:`~Codec.decode_arrays` reconstructs the same-shaped tensors of many
+frames as the rows of one ``(E, *shape)`` array (what the group fold,
+:meth:`StreamingAggregator.fold_frames
+<repro.comm.aggregator.StreamingAggregator.fold_frames>`, multiplies and adds
+in one go); the default fills the rows through :meth:`~Codec.decode_array`, the
+top-k family copies the references, unpacks and scatters once for all rows,
+and its ``decode_array`` is the one-row case.  The per-tensor decoders this
+replaced are the oracle in ``tests/fold_oracles.py``
+(``tests/test_fold_batch.py``).
 
 Codecs are stateless and registered by name; look one up with
 :func:`get_codec` (``"topk:<density>"`` parameterises the sparsifier inline).
@@ -38,6 +47,7 @@ from ..quantization import (
     pack_int_code_rows,
     pack_int_codes,
     quantize_array,
+    unpack_int_code_rows,
     unpack_int_codes,
 )
 
@@ -93,26 +103,65 @@ def _delta_workspace(reference: np.ndarray, shape: Tuple[int, ...],
     return flat_ref.copy(), False
 
 
-def _decode_sparse_indices(section: bytes, count: int, size: int) -> np.ndarray:
-    """Read ``count`` sparse indices, accepting both u2 and u4 widths.
+def _delta_workspaces(references: Sequence, shape: Tuple[int, ...],
+                      out: Optional[np.ndarray]) -> Tuple[np.ndarray, bool]:
+    """The row-batched :func:`_delta_workspace`: row ``r`` is ``references[r]``, flat.
+
+    ``(work, True)`` when ``work`` is ``out`` itself seen as ``(rows, size)``
+    (a contiguous float64 ``(rows, *shape)`` array), else a fresh float64
+    matrix for :func:`_deliver`.
+    """
+    rows = len(references)
+    full_shape = (rows, *shape)
+    direct = (out is not None and out.dtype == np.float64
+              and out.shape == full_shape and out.flags.c_contiguous)
+    work = out if direct else np.empty(full_shape, dtype=np.float64)
+    for row, reference in enumerate(references):
+        if getattr(reference, "shape", None) != shape:      # else: nothing to check
+            reference = _check_reference(shape, reference)
+        work[row] = reference
+    return work.reshape(rows, -1), direct
+
+
+def _sparse_index_dtype(section_len: int, count: int, size: int) -> np.dtype:
+    """The index width a ``count``-entry section of ``section_len`` bytes uses.
 
     The preferred width is the one :func:`_index_dtype_for` picks for
     ``size`` — but frames written before the narrow width existed carry u4
     indices on small tensors, so whichever width is consistent with the
     section length is accepted.
     """
+    for dtype in (_index_dtype_for(size), np.dtype(_INDEX_DTYPE),
+                  np.dtype(_NARROW_INDEX_DTYPE)):
+        if section_len == count * dtype.itemsize:
+            return dtype
+    raise PayloadCorruptedError("sparse index section length matches no index width")
+
+
+def _decode_sparse_indices(section: bytes, count: int, size: int) -> np.ndarray:
+    """Read ``count`` sparse indices, accepting both u2 and u4 widths."""
     if count == 0:
         if section:
             raise PayloadCorruptedError("sparse index section should be empty")
         return np.empty(0, dtype=np.int64)
-    for dtype in (_index_dtype_for(size), np.dtype(_INDEX_DTYPE),
-                  np.dtype(_NARROW_INDEX_DTYPE)):
-        if len(section) == count * dtype.itemsize:
-            indices = np.frombuffer(section, dtype=dtype)
-            if int(indices.max()) >= size:
-                raise PayloadCorruptedError("sparse index outside the declared tensor")
-            return indices.astype(np.int64)
-    raise PayloadCorruptedError("sparse index section length matches no index width")
+    indices = np.frombuffer(section, dtype=_sparse_index_dtype(len(section), count, size))
+    if int(indices.max()) >= size:
+        raise PayloadCorruptedError("sparse index outside the declared tensor")
+    return indices.astype(np.int64)
+
+
+def _stacked_sections(sections: Sequence[Sequence], members: Sequence[int],
+                      position: int, dtype) -> np.ndarray:
+    """Section ``position`` of every member row as one ``(len(members), n)`` array.
+
+    The member rows' sections have one length; many rows are joined into one
+    buffer (one copy of the packed bytes), one row is read where it lies.
+    """
+    if len(members) == 1:
+        data = sections[members[0]][position]
+    else:
+        data = b"".join([sections[row][position] for row in members])
+    return np.frombuffer(data, dtype=dtype).reshape(len(members), -1)
 
 
 class PayloadCorruptedError(ValueError):
@@ -178,6 +227,30 @@ class Codec(abc.ABC):
         decodes into it and returns it, bit-identical to the allocating path
         (the scratch fast path — see :mod:`repro.comm.scratch`).
         """
+
+    def decode_arrays(self, sections: Sequence[Sequence[bytes]],
+                      shape: Tuple[int, ...], dtype: np.dtype,
+                      references: Optional[Sequence[Optional[np.ndarray]]] = None,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """:meth:`decode_array` of every section list, as rows of one array.
+
+        The batch exit point of the framing layer
+        (:func:`repro.comm.serialization.decode_update_group` hands over the
+        same-named, same-shaped tensors of many frames at once).  Returns a
+        ``(len(sections), *shape)`` array of ``dtype`` whose row ``r`` is bit
+        for bit ``decode_array(sections[r], shape, dtype, references[r])``;
+        ``out``, when given, is a caller-owned array of exactly that shape and
+        dtype, filled and returned.  The default decodes row by row into it;
+        codecs whose per-tensor cost is mostly call overhead override it with
+        a kernel over all rows.
+        """
+        references = _one_reference_each(sections, references)
+        if out is None:
+            out = np.empty((len(sections), *shape), dtype=dtype)
+        for row, (tensor_sections, reference) in enumerate(zip(sections, references)):
+            self.decode_array(tensor_sections, shape, dtype, reference=reference,
+                              out=out[row, ...])   # a view, for 0-d shapes too
+        return out
 
     @abc.abstractmethod
     def wire_bytes_per_param(self, group_size: Optional[float] = None) -> float:
@@ -414,23 +487,72 @@ class TopKDeltaCodec(Codec):
                      reference: Optional[np.ndarray] = None) -> List[bytes]:
         return self.encode_arrays([array], [reference])[0]
 
+    def _row_entries(self, lengths: Tuple[int, ...],
+                     size: int) -> Optional[Tuple[int, np.dtype]]:
+        """``(k, index dtype)`` of a tensor whose sections have ``lengths``, checked.
+
+        ``None``: the tensor shipped nothing.  What a tensor's sections hold
+        is a function of their lengths alone, so rows are sorted by them.
+        """
+        if len(lengths) != 2:
+            raise PayloadCorruptedError("top-k codec expects index + value sections")
+        index_len, value_len = lengths
+        k, remainder = divmod(value_len, np.dtype(_VALUE_DTYPE).itemsize)
+        if remainder:
+            raise PayloadCorruptedError("top-k value section is not whole values")
+        if k == 0:
+            if index_len:
+                raise PayloadCorruptedError("sparse index section should be empty")
+            return None
+        return k, _sparse_index_dtype(index_len, k, size)
+
+    def _row_values(self, sections: Sequence[Sequence[bytes]], members: Sequence[int],
+                    k: int) -> np.ndarray:
+        """The ``(len(members), k)`` deltas the member rows ship."""
+        return _stacked_sections(sections, members, 1, _VALUE_DTYPE)
+
+    def decode_arrays(self, sections: Sequence[Sequence[bytes]],
+                      shape: Tuple[int, ...], dtype: np.dtype,
+                      references: Optional[Sequence[Optional[np.ndarray]]] = None,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Row-batched decode: one scatter-add per distinct entry count.
+
+        The references land in one ``(rows, size)`` float64 work matrix (``out``
+        itself when it is float64); rows whose sections have the same lengths
+        — in practice all of one sender's — are checked once and have their
+        index and value sections stacked, unpacked together and added in one
+        fancy-indexed pass; rows that shipped nothing keep their reference.
+        Row ``r`` is bit for bit what :meth:`decode_array`, the one-row case,
+        gives — the per-tensor code this replaced is the oracle in
+        ``tests/fold_oracles.py``.
+        """
+        work, direct = _delta_workspaces(
+            _one_reference_each(sections, references), shape, out)
+        size = work.shape[1]
+        buckets: Dict[Tuple[int, ...], List[int]] = {}
+        for row, tensor_sections in enumerate(sections):
+            buckets.setdefault(tuple(map(len, tensor_sections)), []).append(row)
+        flat = work.reshape(-1)
+        for lengths, members in buckets.items():
+            entries = self._row_entries(lengths, size)
+            if entries is None:
+                continue
+            k, index_dtype = entries
+            indices = _stacked_sections(sections, members, 0, index_dtype)
+            if int(indices.max()) >= size:
+                raise PayloadCorruptedError("sparse index outside the declared tensor")
+            row_starts = np.array(members, dtype=np.int64)[:, None] * size
+            flat[indices + row_starts] += self._row_values(sections, members, k)
+        if direct:
+            return out
+        return _deliver(work, (len(sections), *shape), dtype, out)
+
     def decode_array(self, sections: Sequence[bytes], shape: Tuple[int, ...],
                      dtype: np.dtype,
                      reference: Optional[np.ndarray] = None,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
-        reference = _check_reference(shape, reference)
-        if len(sections) != 2:
-            raise PayloadCorruptedError("top-k codec expects index + value sections")
-        value_width = np.dtype(_VALUE_DTYPE).itemsize
-        if len(sections[1]) % value_width:
-            raise PayloadCorruptedError("top-k value section is not whole values")
-        values = np.frombuffer(sections[1], dtype=_VALUE_DTYPE)
-        work, direct = _delta_workspace(reference, shape, out)
-        indices = _decode_sparse_indices(sections[0], values.size, work.size)
-        work[indices] += values
-        if direct:
-            return out
-        return _deliver(work, shape, dtype, out)
+        return self.decode_arrays([sections], shape, dtype, [reference],
+                                  out=None if out is None else out[None])[0]
 
     def wire_bytes_per_param(self, group_size: Optional[float] = None) -> float:
         # conservative wide-index estimate: small tensors ship u2 indices and
@@ -471,42 +593,37 @@ class TopKQuantCodec(TopKDeltaCodec):
         return [[packed[row].tobytes(), scales[row:row + 1].tobytes()]
                 for row in range(len(packed))]
 
-    def decode_array(self, sections: Sequence[bytes], shape: Tuple[int, ...],
-                     dtype: np.dtype,
-                     reference: Optional[np.ndarray] = None,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-        reference = _check_reference(shape, reference)
-        if len(sections) != 3:
+    def _row_entries(self, lengths: Tuple[int, ...],
+                     size: int) -> Optional[Tuple[int, np.dtype]]:
+        if len(lengths) != 3:
             raise PayloadCorruptedError(
                 "topk-quantized codec expects index + code + scale sections")
-        index_section, code_section, scale_section = sections
-        work, direct = _delta_workspace(reference, shape, out)
-        if not index_section and not code_section and not scale_section:
-            return out if direct else _deliver(work, shape, dtype, out)
-        scales = np.frombuffer(scale_section, dtype=_SCALE_DTYPE).astype(np.float64)
-        if scales.size != 1:
+        index_len, code_len, scale_len = lengths
+        if not index_len and not code_len and not scale_len:
+            return None
+        if scale_len != np.dtype(_SCALE_DTYPE).itemsize:
             raise PayloadCorruptedError(
                 "topk-quantized codec expects exactly one scale")
         # the index width determines k: try the width the encoder would pick
         # for this tensor first, then the other, cross-checked against the
         # packed-code section length
-        k = None
-        preferred = _index_dtype_for(work.size).itemsize
+        preferred = _index_dtype_for(size).itemsize
         for width in (preferred, 6 - preferred):  # the other of {2, 4}
-            candidate, remainder = divmod(len(index_section), width)
-            if remainder == 0 and len(code_section) == -(-candidate * self.bits // 8):
-                k = candidate
-                break
-        if k is None or k == 0:
-            raise PayloadCorruptedError(
-                "topk-quantized index and code sections disagree in length")
-        indices = _decode_sparse_indices(index_section, k, work.size)
+            k, remainder = divmod(index_len, width)
+            if k and remainder == 0 and code_len == -(-k * self.bits // 8):
+                return k, np.dtype(f"<u{width}")
+        raise PayloadCorruptedError(
+            "topk-quantized index and code sections disagree in length")
+
+    def _row_values(self, sections: Sequence[Sequence[bytes]], members: Sequence[int],
+                    k: int) -> np.ndarray:
         try:
-            codes = unpack_int_codes(code_section, self.bits, k)
+            codes = unpack_int_code_rows(
+                _stacked_sections(sections, members, 1, np.uint8), self.bits, k)
         except ValueError as exc:
             raise PayloadCorruptedError(str(exc)) from exc
-        work[indices] += codes * scales[0]
-        return out if direct else _deliver(work, shape, dtype, out)
+        scales = _stacked_sections(sections, members, 2, _SCALE_DTYPE)
+        return codes * scales.astype(np.float64)
 
     def wire_bytes_per_param(self, group_size: Optional[float] = None) -> float:
         """Analytic bytes/param: u2 indices + packed codes (+ the scale).

@@ -18,7 +18,11 @@ keep references to decoded states, which is why
 :class:`~repro.comm.aggregator.StreamingAggregator` only engages scratch
 decode for ``foldable`` strategies).  :meth:`term` buffers are separate
 storage from :meth:`take` arrays, so a fold can multiply into a term while
-reading a scratch-decoded value of the same shape.
+reading a scratch-decoded value of the same shape.  :meth:`take_rows` /
+:meth:`term_rows` are the same two kinds of storage for a *group* of
+same-shaped tensors — the ``(rows, *shape)`` work matrices of
+:meth:`StreamingAggregator.fold_frames
+<repro.comm.aggregator.StreamingAggregator.fold_frames>`.
 
 Pools are not thread-safe: every folder owns its own (a parameter server, an
 aggregation tree, each aggregator server).  Pickling a pool ships an *empty*
@@ -33,6 +37,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 _PoolKey = Tuple[Tuple[int, ...], np.dtype]
+
+
+def _row_capacity(rows: int) -> int:
+    return 1 << max(rows - 1, 0).bit_length()
 
 
 class ScratchPool:
@@ -75,6 +83,16 @@ class ScratchPool:
         self._taken.append((free, array))
         return array
 
+    def take_rows(self, rows: int, shape, dtype) -> np.ndarray:
+        """Check out an uninitialised ``(rows, *shape)`` array until :meth:`recycle`.
+
+        The work matrix of a group decode: the first ``rows`` rows of a
+        :meth:`take` array whose row count is ``rows`` rounded up to a power
+        of two, so groups of any size share a handful of buffers per tensor
+        geometry instead of leaving one behind per size.
+        """
+        return self.take((_row_capacity(rows), *shape), dtype)[:rows]
+
     def recycle(self) -> None:
         """Return every checked-out array to its free list.
 
@@ -100,6 +118,10 @@ class ScratchPool:
             buffer = self._terms[key] = np.empty(key, dtype=np.float64)
             self.allocations += 1
         return buffer
+
+    def term_rows(self, rows: int, shape) -> np.ndarray:
+        """The first ``rows`` rows of the :meth:`term` buffer :meth:`take_rows` sizes."""
+        return self.term((_row_capacity(rows), *shape))[:rows]
 
     def __reduce__(self):
         # Scratch is pure cache: crossing a pickle boundary (server snapshots,

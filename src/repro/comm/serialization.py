@@ -42,6 +42,13 @@ ever materialising a ``bytes`` frame), :func:`_decode_tensors` walks it with
 flat offset arithmetic and pre-compiled ``struct`` objects, hands codecs
 *views* of their payload sections, and ``np.frombuffer`` reads values straight
 out of the frame.
+A fold decodes a sender's frames together: :func:`parse_update` is the
+verify-and-walk half of a decode on its own, and :func:`decode_update_group`
+hands the same-named tensors of many parsed frames to one
+:meth:`Codec.decode_arrays <repro.comm.codecs.Codec.decode_arrays>` call each
+— the receiving twin of :func:`encode_updates`, bit for bit what decoding each
+frame alone gives (the per-frame decode it replaced in the fold is the oracle
+in ``tests/fold_oracles.py``).
 Passing a :class:`~repro.comm.scratch.ScratchPool` as ``scratch=`` makes the
 tensor reconstruction allocation-free too: each output array is checked out
 of the pool and filled in place via the codecs' ``out=`` fast path — see
@@ -58,7 +65,7 @@ import itertools
 import math
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +80,11 @@ KIND_STATE_DICT = 2
 FIXED_HEADER_BYTES = len(MAGIC) + 1 + 1 + 4  # magic, kind, codec_len, crc
 
 _CRC = struct.Struct("<I")
+
+#: what walking or decoding a frame that checksums but was not written by this
+#: module's encoders can raise; the decode entry points turn them into
+#: :class:`PayloadCorruptedError`
+_MALFORMED = (struct.error, KeyError, IndexError, UnicodeDecodeError, TypeError)
 
 #: pre-compiled readers for every format the frame walk touches; the shape
 #: formats (``<{ndim}I``) join lazily, so no decode ever calls
@@ -211,27 +223,29 @@ def verify_frame(data) -> memoryview:
     return body
 
 
-def _decode_tensors(body: memoryview, offset: int, codec: Codec,
-                    reference: Optional[Dict[str, np.ndarray]],
-                    scratch: Optional[ScratchPool] = None
-                    ) -> Dict[str, np.ndarray]:
-    # The per-tensor walk is THE decode hot loop: it runs with flat offset
-    # arithmetic over the body view and pre-compiled structs (no per-field
-    # reader objects or method calls).  ``unpack_from`` past the view raises
-    # ``struct.error`` and a single-byte read past it raises ``IndexError``
-    # — both converted to PayloadCorruptedError by the decode entry points —
-    # while variable-length slices are explicitly bounds-checked because a
-    # short ``memoryview`` slice would truncate silently.
+#: a frame's tensor table: ``(name, dtype token, shape)`` per tensor, frame order
+_TensorTable = Tuple[Tuple[str, str, Tuple[int, ...]], ...]
+
+
+def _walk_tensors(body: memoryview, offset: int
+                  ) -> Tuple[_TensorTable, List[List[memoryview]]]:
+    """Parse a frame's tensors into their table and their payload section views.
+
+    The one reader of the per-tensor layout :func:`_tensor_header` writes;
+    nothing is decoded.  It runs once per frame on the decode hot path, hence
+    flat offset arithmetic over the body view and pre-compiled structs (no
+    per-field reader objects or method calls).  ``unpack_from`` past the view
+    raises ``struct.error`` and a single-byte read past it raises
+    ``IndexError`` — both converted to PayloadCorruptedError by the decode
+    entry points — while variable-length slices are explicitly bounds-checked
+    because a short ``memoryview`` slice would truncate silently.
+    """
     size = len(body)
-    needs_reference = codec.needs_reference
-    decode_array = codec.decode_array
-    cast_dtype = codec.cast_wire_dtype
-    cast_itemsize = cast_dtype.itemsize if cast_dtype is not None else 0
     shape_structs = _SHAPE_STRUCTS
-    dtypes = _DTYPES
     (ntensors,) = _U16.unpack_from(body, offset)
     offset += 2
-    state: Dict[str, np.ndarray] = {}
+    table = []
+    payloads: List[List[memoryview]] = []
     for _ in range(ntensors):
         (name_len,) = _U16.unpack_from(body, offset)
         offset += 2
@@ -245,9 +259,6 @@ def _decode_tensors(body: memoryview, offset: int, codec: Codec,
         if end > size:
             raise PayloadCorruptedError("frame truncated")
         token = str(body[offset:end], "ascii")
-        dtype = dtypes.get(token)
-        if dtype is None:
-            dtype = _dtype_for(token)
         ndim = body[end]
         offset = end + 1
         compiled = shape_structs.get(ndim)
@@ -257,35 +268,6 @@ def _decode_tensors(body: memoryview, offset: int, codec: Codec,
         offset += compiled.size
         nsections = body[offset]
         offset += 1
-        if cast_dtype is not None and nsections == 1:
-            # Inlined cast-codec fast path: one section of raw wire-dtype
-            # values.  Identical arithmetic to CastCodec.decode_array (same
-            # frombuffer, same reshape, same cast kernels) with no per-tensor
-            # dispatch — this is the fp64 fold hot path.
-            (section_len,) = _U32.unpack_from(body, offset)
-            offset += 4
-            end = offset + section_len
-            if end > size:
-                raise PayloadCorruptedError("frame truncated")
-            if section_len != cast_itemsize * math.prod(shape):
-                raise PayloadCorruptedError(
-                    "payload size does not match the declared shape")
-            values = np.frombuffer(body[offset:end], dtype=cast_dtype)
-            offset = end
-            if scratch is None:
-                state[name] = values.reshape(shape).astype(dtype)
-            elif dtype == cast_dtype:
-                # True zero-copy: the wire bytes *are* the values, so under
-                # scratch (volatile-until-recycle semantics anyway) the fold
-                # reads straight out of the frame — no take, no copy.  The
-                # view is read-only and possibly unaligned; NumPy's ufunc
-                # loops handle both, and the fold only ever reads it.
-                state[name] = values.reshape(shape)
-            else:
-                out = scratch.take(shape, dtype)
-                np.copyto(out, values.reshape(shape), casting="unsafe")
-                state[name] = out
-            continue
         sections = []
         for _ in range(nsections):
             (section_len,) = _U32.unpack_from(body, offset)
@@ -295,12 +277,58 @@ def _decode_tensors(body: memoryview, offset: int, codec: Codec,
                 raise PayloadCorruptedError("frame truncated")
             sections.append(body[offset:end])
             offset = end
+        table.append((name, token, shape))
+        payloads.append(sections)
+    return tuple(table), payloads
+
+
+def _cast_values(section: memoryview, cast_dtype: np.dtype,
+                 shape: Tuple[int, ...]) -> np.ndarray:
+    """A cast codec's one section as the ``shape`` array of wire-dtype values it is.
+
+    True zero-copy: the wire bytes *are* the values, so a caller that treats
+    decoded arrays as volatile anyway (scratch semantics) reads straight out
+    of the frame — no take, no copy.  The view is read-only and possibly
+    unaligned; NumPy's ufunc loops handle both.
+    """
+    if len(section) != cast_dtype.itemsize * math.prod(shape):
+        raise PayloadCorruptedError(
+            "payload size does not match the declared shape")
+    return np.frombuffer(section, dtype=cast_dtype).reshape(shape)
+
+
+def _decode_tensors(table: _TensorTable, payloads: List[List[memoryview]],
+                    codec: Codec, reference: Optional[Dict[str, np.ndarray]],
+                    scratch: Optional[ScratchPool] = None
+                    ) -> Dict[str, np.ndarray]:
+    """One frame's parsed tensors, each decoded on its own (``decode_array``)."""
+    needs_reference = codec.needs_reference
+    decode_array = codec.decode_array
+    cast_dtype = codec.cast_wire_dtype
+    dtypes = _DTYPES
+    state: Dict[str, np.ndarray] = {}
+    for (name, token, shape), sections in zip(table, payloads):
+        dtype = dtypes.get(token)
+        if dtype is None:
+            dtype = _dtype_for(token)
+        if cast_dtype is not None and len(sections) == 1:
+            # Inlined cast-codec fast path: one section of raw wire-dtype
+            # values.  Identical arithmetic to CastCodec.decode_array (same
+            # frombuffer, same reshape, same cast kernels) with no per-tensor
+            # dispatch — this is the fp64 decode hot path.
+            values = _cast_values(sections[0], cast_dtype, shape)
+            if scratch is None:
+                state[name] = values.astype(dtype)
+            elif dtype == cast_dtype:
+                state[name] = values    # zero-copy, see _cast_values
+            else:
+                out = scratch.take(shape, dtype)
+                np.copyto(out, values, casting="unsafe")
+                state[name] = out
+            continue
         ref = None
         if needs_reference:
-            if reference is None or name not in reference:
-                raise ValueError(
-                    f"codec {codec.name!r} needs a reference for tensor {name!r}")
-            ref = reference[name]
+            ref = _reference_for(codec, reference, name)
         if scratch is not None:
             state[name] = decode_array(sections, shape, dtype, reference=ref,
                                        out=scratch.take(shape, dtype))
@@ -399,6 +427,55 @@ def encode_update(update, codec: Codec,
     return encode_updates((update,), codec, (reference,))[0]
 
 
+class ParsedUpdate(NamedTuple):
+    """One verified update frame, parsed and not yet decoded."""
+
+    participant_id: int
+    layer: int
+    expert: int
+    weight: float
+    codec: Codec
+    #: ``(name, dtype token, shape)`` per tensor, frame order
+    table: _TensorTable
+    #: per tensor its payload sections: views that alias the frame's buffer
+    sections: List[List[memoryview]]
+
+
+class DecodedGroup(NamedTuple):
+    """The frames of one :func:`decode_update_group` call that share codec and tensor table."""
+
+    #: positions (in the call's input) of the group's frames, ascending
+    frames: List[int]
+    #: ``(name, shape)`` per tensor
+    tensors: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    #: per tensor the ``shape`` arrays of the group's frames: one
+    #: ``(len(frames), *shape)`` array, or a list of views into the frames
+    #: (cast codecs under ``scratch``); either way ``values[t][r]`` belongs to
+    #: ``frames[r]``
+    values: List[Sequence[np.ndarray]]
+
+
+def parse_update(data) -> ParsedUpdate:
+    """Verify one update frame (``data``: any bytes-like buffer) and parse it.
+
+    Everything a decode checks before it touches tensor values is checked
+    here: length, CRC and magic (:func:`verify_frame`), the frame kind, a
+    registered codec, and every length of the tensor table.
+    """
+    body = verify_frame(data)
+    try:
+        kind, codec, offset = _parse_header(body)
+        if kind != KIND_UPDATE:
+            raise PayloadCorruptedError(f"expected an update frame, got kind {kind}")
+        header = _UPDATE_HEADER.unpack_from(body, offset)
+        return ParsedUpdate(*header, codec,
+                            *_walk_tensors(body, offset + _UPDATE_HEADER.size))
+    except _MALFORMED as exc:
+        # The CRC makes this unreachable for in-flight corruption; it guards
+        # against truncated or foreign-writer frames that still checksum.
+        raise PayloadCorruptedError(f"malformed update frame: {exc}") from exc
+
+
 def decode_update(data,
                   reference: Optional[Dict[str, np.ndarray]] = None,
                   reference_lookup: Optional[ReferenceLookup] = None,
@@ -412,38 +489,74 @@ def decode_update(data,
     (valid only until ``scratch.recycle()``) or read-only views into the
     frame itself — so callers must fold (or copy) them first.
     """
-    participant_id, layer, expert, weight, state = _decode_update_parts(
-        data, reference, reference_lookup, scratch)
-    return _expert_update_class()(
-        participant_id=participant_id, layer=layer, expert=expert,
-        state=state, weight=weight)
-
-
-def _decode_update_parts(data, reference, reference_lookup, scratch):
-    """:func:`decode_update` minus the ``ExpertUpdate`` construction.
-
-    The fused fold path (:meth:`StreamingAggregator.fold_payload
-    <repro.comm.aggregator.StreamingAggregator.fold_payload>`) consumes the
-    raw ``(participant_id, layer, expert, weight, state)`` tuple directly —
-    building (and immediately unpacking) a dataclass per frame is measurable
-    at wire-fold rates.
-    """
-    body = verify_frame(data)
+    parsed = parse_update(data)
     try:
-        kind, codec, offset = _parse_header(body)
-        if kind != KIND_UPDATE:
-            raise PayloadCorruptedError(f"expected an update frame, got kind {kind}")
-        participant_id, layer, expert, weight = _UPDATE_HEADER.unpack_from(
-            body, offset)
-        offset += _UPDATE_HEADER.size
-        if codec.needs_reference and reference is None and reference_lookup is not None:
-            reference = reference_lookup(layer, expert)
-        state = _decode_tensors(body, offset, codec, reference, scratch)
-    except (struct.error, KeyError, IndexError, UnicodeDecodeError, TypeError) as exc:
-        # The CRC makes this unreachable for in-flight corruption; it guards
-        # against truncated or foreign-writer frames that still checksum.
+        if (parsed.codec.needs_reference and reference is None
+                and reference_lookup is not None):
+            reference = reference_lookup(parsed.layer, parsed.expert)
+        state = _decode_tensors(parsed.table, parsed.sections, parsed.codec,
+                                reference, scratch)
+    except _MALFORMED as exc:
         raise PayloadCorruptedError(f"malformed update frame: {exc}") from exc
-    return participant_id, layer, expert, weight, state
+    return _expert_update_class()(
+        participant_id=parsed.participant_id, layer=parsed.layer,
+        expert=parsed.expert, state=state, weight=parsed.weight)
+
+
+def decode_update_group(updates: Sequence[ParsedUpdate],
+                        reference_lookup: Optional[ReferenceLookup] = None,
+                        scratch: Optional[ScratchPool] = None) -> List[DecodedGroup]:
+    """Decode many parsed update frames, same-named tensors as one array each.
+
+    The receiving twin of :func:`encode_updates`: frames that share codec and
+    tensor table (names, dtypes, shapes — one sender's experts all do) form a
+    :class:`DecodedGroup`, and each of its tensors goes through one
+    :meth:`Codec.decode_arrays <repro.comm.codecs.Codec.decode_arrays>` call.
+    What a group holds for a tensor of a frame is bit for bit what
+    :func:`decode_update` gives for it.  Delta codecs resolve their
+    references via ``reference_lookup(layer, expert)``.  With a ``scratch``
+    pool the arrays are pool-owned and volatile (valid until
+    ``scratch.recycle()``); without one they are fresh.
+    """
+    layouts: Dict[tuple, Tuple[List[int], List[list]]] = {}
+    for position, update in enumerate(updates):
+        layout = (update.codec, update.table)
+        group = layouts.get(layout)
+        if group is None:
+            group = layouts[layout] = ([], [[] for _ in update.table])
+        group[0].append(position)
+        for column, sections in zip(group[1], update.sections):
+            column.append(sections)
+    groups = []
+    try:
+        for (codec, table), (positions, columns) in layouts.items():
+            references = None
+            if codec.needs_reference:
+                references = [
+                    reference_lookup and reference_lookup(updates[position].layer,
+                                                          updates[position].expert)
+                    for position in positions]
+            values = []
+            for (name, token, shape), column in zip(table, columns):
+                dtype = _dtype_for(token)
+                if (scratch is not None and dtype == codec.cast_wire_dtype
+                        and all(len(sections) == 1 for sections in column)):
+                    # the inlined cast-codec fast path of _decode_tensors
+                    values.append([_cast_values(sections[0], dtype, shape)
+                                   for sections in column])
+                    continue
+                values.append(codec.decode_arrays(
+                    column, shape, dtype,
+                    references=None if references is None else [
+                        _reference_for(codec, reference, name)
+                        for reference in references],
+                    out=None if scratch is None else scratch.take_rows(
+                        len(column), shape, dtype)))
+            groups.append(DecodedGroup(
+                positions, tuple([(name, shape) for name, _, shape in table]), values))
+    except _MALFORMED as exc:
+        raise PayloadCorruptedError(f"malformed update frame: {exc}") from exc
+    return groups
 
 
 def encode_state_dict(state: Dict[str, np.ndarray], codec: Codec,
@@ -467,6 +580,6 @@ def decode_state_dict(data,
         kind, codec, offset = _parse_header(body)
         if kind != KIND_STATE_DICT:
             raise PayloadCorruptedError(f"expected a state-dict frame, got kind {kind}")
-        return _decode_tensors(body, offset, codec, reference, scratch)
-    except (struct.error, KeyError, IndexError, UnicodeDecodeError, TypeError) as exc:
+        return _decode_tensors(*_walk_tensors(body, offset), codec, reference, scratch)
+    except _MALFORMED as exc:
         raise PayloadCorruptedError(f"malformed state-dict frame: {exc}") from exc

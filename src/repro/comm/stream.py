@@ -8,8 +8,9 @@ begins.  :class:`FrameStream` adds exactly that — a little-endian ``u32``
 length prefix per frame — and owns the partial-read/partial-write loop both
 sides of a connection need:
 
-* **writes** loop ``sendall`` over prefix + payload, so a frame is either
-  fully queued or the stream raises;
+* **writes** ``sendall`` the prefix and then the payload — two writes of the
+  caller's own buffers, never a concatenated copy of a multi-megabyte frame —
+  so a frame is either fully queued or the stream raises;
 * **reads** accumulate ``recv`` chunks until the prefix and then the payload
   are complete, whatever boundaries the transport chose.  A clean peer close
   *between* frames reads as end-of-stream (``recv_frame() -> None``); a close
@@ -40,6 +41,9 @@ from .codecs import PayloadCorruptedError
 #: frame length prefix: little-endian unsigned 32-bit, like every other
 #: integer in the wire format
 LENGTH_PREFIX = struct.Struct("<I")
+
+#: a receive buffer up to this size is kept for reuse across frames
+RETAINED_RECV_BYTES = 1 << 16
 
 #: refuse frames larger than this (a corrupt or misaligned prefix otherwise
 #: reads as a multi-gigabyte allocation before anything fails)
@@ -115,15 +119,17 @@ class FrameStream:
         return self._sock
 
     # ------------------------------------------------------------------- send
-    def send_frame(self, payload: bytes) -> int:
-        """Queue one complete frame; returns the bytes written (prefix incl.)."""
+    def send_frame(self, payload) -> int:
+        """Queue one complete frame (any bytes-like buffer); returns the bytes
+        written (prefix incl.)."""
         sock = self._require_open()
         _check_length(len(payload), self._max_frame_bytes)
-        data = LENGTH_PREFIX.pack(len(payload)) + payload
-        sock.sendall(data)
-        self.bytes_sent += len(data)
+        sock.sendall(LENGTH_PREFIX.pack(len(payload)))
+        sock.sendall(payload)
+        sent = LENGTH_PREFIX.size + len(payload)
+        self.bytes_sent += sent
         self.frames_sent += 1
-        return len(data)
+        return sent
 
     def send_frames(self, payloads) -> int:
         """Queue several frames in one ``sendall`` (one syscall, one segment
@@ -184,8 +190,9 @@ class FrameStream:
         (empty for an empty frame, ``None`` on clean end-of-stream) feeds the
         wire decoder directly — ``decode_update``/``decode_message`` accept
         any buffer — without ever materialising a ``bytes`` frame.  It is
-        only valid until the next receive on this stream; callers that keep
-        frames (round accumulators) must copy with ``bytes(view)``.
+        only valid until the next receive on this stream (or
+        :meth:`release_recv_buffer`); callers that keep frames (round
+        accumulators) must copy with ``bytes(view)``.
         """
         prefix = self._recv_exactly(LENGTH_PREFIX.size, at_boundary=True)
         if prefix is None:
@@ -197,6 +204,18 @@ class FrameStream:
         frame = self._recv_exactly(length, at_boundary=False)
         self.frames_received += 1
         return frame
+
+    def release_recv_buffer(self) -> None:
+        """Give back a receive buffer that one large frame grew.
+
+        The buffer grows to the largest frame received and is reused, which is
+        what small request/acknowledge traffic wants; a caller that has just
+        consumed a multi-megabyte frame calls this so the stream does not sit
+        on that much memory until the next one.  Views of the old buffer are
+        dead after the call, as after a receive.
+        """
+        if len(self._recv_buffer) > RETAINED_RECV_BYTES:
+            self._recv_buffer = bytearray(LENGTH_PREFIX.size)
 
     def recv_frame(self) -> Optional[bytes]:
         """The next complete frame, or ``None`` on clean end-of-stream."""
@@ -229,11 +248,15 @@ async def read_frame(reader: asyncio.StreamReader, *,
             f"stream ended mid-frame: wanted {length} payload bytes") from error
 
 
-async def write_frame(writer: asyncio.StreamWriter, payload: bytes, *,
+async def write_frame(writer: asyncio.StreamWriter, payload, *,
                       max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
-    """Asyncio twin of :meth:`FrameStream.send_frame`; drains before returning."""
+    """Asyncio twin of :meth:`FrameStream.send_frame`; drains before returning.
+
+    ``payload`` is any bytes-like buffer; prefix and payload are written
+    separately, so the frame is never copied into a concatenation.
+    """
     _check_length(len(payload), max_frame_bytes)
-    data = LENGTH_PREFIX.pack(len(payload)) + payload
-    writer.write(data)
+    writer.write(LENGTH_PREFIX.pack(len(payload)))
+    writer.write(payload)
     await writer.drain()
-    return len(data)
+    return LENGTH_PREFIX.size + len(payload)

@@ -25,13 +25,71 @@ group-then-average FedAvg it replaced is the reference in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+import contextlib
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..comm import ScratchPool, StreamingAggregator
+from ..autograd import Parameter
 from ..models import MoETransformer
 from .aggregation import ExpertKey, ExpertUpdate
+
+
+class _TrainingReplica:
+    """The model behind :meth:`ParameterServer.training_replica` and what it mirrors."""
+
+    def __init__(self, global_model: MoETransformer) -> None:
+        self.model = MoETransformer.allocate(global_model.config)
+        self.noise_state = self.model.noise_rng.bit_generator.state
+        #: flat views of the replica's module tree (walking it costs more than
+        #: everything else a hand-out does)
+        self.params: List[Parameter] = list(self.model.parameters())
+        self.modules = list(self.model.modules())
+        #: the global model's parameters, ``parameters()`` order: the structure
+        #: this replica was built for
+        self.sources: List[Parameter] = list(global_model.parameters())
+        trained = {id(param) for layer in self.model.moe_layers()
+                   for expert in layer.experts for param in expert.parameters()}
+        #: ``(replica parameter, global parameter)`` of what training writes
+        self.experts: List[Tuple[Parameter, Parameter]] = []
+        #: ``(global parameter, its array)`` of what training only reads: the
+        #: replica's array is a read-only view of that one
+        self.shared: List[Tuple[Parameter, np.ndarray]] = []
+        for target, source in zip(self.params, self.sources, strict=True):
+            if id(target) in trained:
+                self.experts.append((target, source))
+            else:
+                view = source.data.view()
+                view.flags.writeable = False
+                target.data = view
+                self.shared.append((source, source.data))
+
+    def mirrors(self, global_model: MoETransformer) -> bool:
+        """Whether ``global_model`` still has the parameters this replica aliases."""
+        current = list(global_model.parameters())
+        return (len(current) == len(self.sources)
+                and all(now is then for now, then in zip(current, self.sources))
+                and all(source.data is array for source, array in self.shared))
+
+    def hand_out(self) -> MoETransformer:
+        """The model as a fresh copy of the global model would be."""
+        for param in self.params:
+            param.requires_grad = True
+        for module in self.modules:
+            module.training = True
+        self.model.noise_rng.bit_generator.state = self.noise_state
+        for target, source in self.experts:
+            np.copyto(target.data, source.data)
+        return self.model
+
+    def take_back(self) -> None:
+        """Drop what a training pass left on the model; parameter values stay."""
+        for param in self.params:
+            param.grad = None
+        for block in self.model.blocks:
+            block.attn.last_token_attention = None
+            block.moe.drop_pass_state()
 
 
 class ParameterServer:
@@ -69,6 +127,15 @@ class ParameterServer:
         #: folds reuse these buffers across rounds, so steady-state serial
         #: aggregation is allocation-free (ships empty through pickle)
         self.fold_scratch = ScratchPool()
+        #: the resident model of :meth:`training_replica`, built on first use
+        self._replica: Optional[_TrainingReplica] = None
+
+    def __getstate__(self) -> Dict:
+        # The replica is a cache over the global model's arrays: a pickled
+        # server (process-pool workers, tuner snapshots) rebuilds its own.
+        state = self.__dict__.copy()
+        state["_replica"] = None
+        return state
 
     # ------------------------------------------------------------ distribution
     def global_state(self) -> Dict[str, np.ndarray]:
@@ -83,6 +150,37 @@ class ParameterServer:
         ``dropout == 0 and gate_noise_std == 0``).
         """
         return MoETransformer.copy_of(self.global_model)
+
+    @contextlib.contextmanager
+    def training_replica(self) -> Iterator[MoETransformer]:
+        """The global model's current values in the server's one training model.
+
+        For a participant that trains experts only (``local_finetune`` freezes
+        everything else), in place of a :meth:`model_snapshot` per participant:
+        the model is built once per server; its expert parameters are
+        refreshed from the global model (``np.copyto``) on every entry, and
+        its other parameters *are* the global model's arrays, as read-only
+        views — writing to one raises.  What it computes is bit for bit what a
+        fresh snapshot computes, noise streams included.
+
+        The contract: the model is the caller's for the ``with`` block only.
+        On entry every parameter is trainable, the model is in train mode and
+        holds no gradient, routing record or attention cache; on exit those
+        are dropped again, so between participants it holds parameters and
+        nothing else.  The next entry overwrites the expert values, so a
+        handle kept past its block reads another participant's model.  It is
+        rebuilt when the global model's parameters are no longer the ones it
+        aliases (a replaced model, module or array) and never travels: a
+        pickled server carries none, and checkpoints never see it.  Everyone
+        who needs an independent copy calls :meth:`model_snapshot`.
+        """
+        replica = self._replica
+        if replica is None or not replica.mirrors(self.global_model):
+            replica = self._replica = _TrainingReplica(self.global_model)
+        try:
+            yield replica.hand_out()
+        finally:
+            replica.take_back()
 
     def expert_state(self, layer: int, expert: int) -> Dict[str, np.ndarray]:
         return self.global_model.expert_state(layer, expert)
@@ -170,39 +268,6 @@ class ParameterServer:
                     layer, expert, decode_state_dict(state_frame))
                 contributions[(layer, expert)] = count
         return contributions
-
-    def aggregate_payloads(self, payloads: Iterable[bytes],
-                           strategy=None) -> Dict[ExpertKey, int]:
-        """Streaming aggregation straight from framed wire payloads.
-
-        Each frame is decoded (resolving delta-codec references against the
-        *current* global expert state — i.e. the state clients downloaded)
-        and folded immediately; the model is only mutated once every payload
-        has been folded, so references stay stable throughout.  Decode and
-        fold run through the server's persistent scratch pool (foldable
-        strategies), so a steady-state round allocates nothing per update.
-        """
-        aggregators = self._make_aggregators(self._resolve_strategy(strategy))
-        use_scratch = aggregators[0].uses_scratch  # one strategy => all agree
-        if self.num_shards == 1:
-            fold_payload = aggregators[0].fold_payload
-            for payload in payloads:
-                fold_payload(payload, reference_lookup=self.expert_state)
-        else:
-            from ..comm import decode_update
-
-            scratch = self.fold_scratch if use_scratch else None
-            for payload in payloads:
-                update = decode_update(payload,
-                                       reference_lookup=self.expert_state,
-                                       scratch=scratch)
-                aggregators[self.shard_of(update.key)].add(update)
-                if scratch is not None:
-                    scratch.recycle()
-        contributions: Dict[ExpertKey, int] = {}
-        for aggregator in aggregators:
-            contributions.update(aggregator.apply(self.global_model))
-        return self._record(contributions)
 
     # ------------------------------------------------------------- durability
     def export_state(self) -> Dict:

@@ -59,13 +59,6 @@ def staleness_discount(staleness: int, exponent: float = 0.5) -> float:
 class UpdateAccumulator(abc.ABC):
     """Collects the updates of one expert key and reduces them to one state."""
 
-    #: optional :class:`~repro.comm.scratch.ScratchPool` attached by the
-    #: owning :class:`~repro.comm.StreamingAggregator` (foldable strategies
-    #: only): folds compute their ``weight * value`` terms into the pool's
-    #: persistent buffers instead of allocating.  Buffering accumulators
-    #: ignore it.
-    scratch = None
-
     def __init__(self) -> None:
         self.count = 0
         self.total_weight = 0.0
@@ -88,9 +81,16 @@ class AggregationStrategy(abc.ABC):
     """Factory of per-expert :class:`UpdateAccumulator` objects."""
 
     name: str = "base"
-    #: True when accumulators keep O(1) state per expert (pure folds); order
-    #: statistics buffer every contribution until finalize.
+    #: True when the reduction is a weighted mean of the contributions, each
+    #: weighing ``weight * discount(staleness)``: a
+    #: :class:`~repro.comm.StreamingAggregator` then keeps the running sums of
+    #: all keys itself (O(1) state per expert, whole groups of updates folded
+    #: at once) and asks the strategy for :attr:`discount` only — its
+    #: accumulators serve :meth:`aggregate` and are the arithmetic reference.
+    #: Order statistics buffer every contribution until finalize.
     foldable: bool = False
+    #: ``discount(staleness) -> factor`` on an update's weight (``None``: none)
+    discount: Optional[Callable[[int], float]] = None
 
     @abc.abstractmethod
     def make_accumulator(self) -> UpdateAccumulator:
@@ -126,7 +126,7 @@ class _FoldAccumulator(UpdateAccumulator):
     def add(self, state: State, weight: float, staleness: int = 0) -> None:
         if self._discount is not None:
             weight = weight * self._discount(staleness)
-        fold_weighted_state(self._acc, state, weight, scratch=self.scratch)
+        fold_weighted_state(self._acc, state, weight)
         self.total_weight += float(weight)
         self.count += 1
 
@@ -155,9 +155,11 @@ class StalenessFedAvgStrategy(AggregationStrategy):
             raise ValueError("staleness exponent must be non-negative")
         self.exponent = exponent
 
+    def discount(self, staleness: int) -> float:
+        return staleness_discount(staleness, self.exponent)
+
     def make_accumulator(self) -> UpdateAccumulator:
-        return _FoldAccumulator(
-            discount=lambda staleness: staleness_discount(staleness, self.exponent))
+        return _FoldAccumulator(discount=self.discount)
 
 
 # ---------------------------------------------------------- order statistics

@@ -30,7 +30,9 @@ cost-less configurations bit-identical to the historical behaviour.
 **Service pre-fold**: pass a :class:`~repro.service.ServiceAggregationPool`
 and every node of every tier folds as one job on an aggregator server — the
 job carries the node's updates as wire frames and returns the node's partial
-frames, bit-identical to the serial fold (test-enforced).
+frames, bit-identical to the serial fold (test-enforced).  Partial frames that
+the next tier's jobs will fold travel on as verified bytes; only the last
+tier's, which the root server reads, are decoded here.
 
 Tier-hop traffic is measured, not estimated: every partial crosses its node's
 channel, and the per-round byte/latency totals surface per tier as
@@ -52,6 +54,7 @@ from ..comm import (
     decode_update,
     encode_updates,
     get_codec,
+    verify_frame,
 )
 from ..obs import NULL_TRACER
 from .aggregation import ExpertKey, ExpertUpdate
@@ -66,9 +69,28 @@ EDGE_CODEC = "fp64"
 _TIER_ID_STRIDE = 1000
 
 
-def _framed(partials: List[ExpertUpdate], codec) -> List[Tuple[ExpertUpdate, bytes]]:
+#: one partial on its way up: the update (``None`` while only a pool's fold
+#: job will read it) and the wire frame it travels as
+_Partial = Tuple[Optional[ExpertUpdate], bytes]
+
+
+def _framed(partials: List[ExpertUpdate], codec) -> List[_Partial]:
     """Each of a node's partials paired with its wire frame (one framing pass)."""
     return list(zip(partials, encode_updates(partials, codec)))
+
+
+def _pool_folded(frames: List[bytes], root_bound: bool) -> List[_Partial]:
+    """The partial frames a pool's fold job returned, as a node's partials.
+
+    Partials bound for the root are decoded — the server reads their states.
+    Partials another fold job will consume stay bytes: verified here, as the
+    uplink verifies a participant's frames, and decoded once, by that job.
+    """
+    if root_bound:
+        return [(decode_update(frame), frame) for frame in frames]
+    for frame in frames:
+        verify_frame(frame)
+    return [(None, frame) for frame in frames]
 
 
 def tier_of_pseudo_id(pseudo_id: int) -> int:
@@ -280,33 +302,34 @@ class AggregationTree:
         """
         return aggregator.partials(self.pseudo_id(0, edge))
 
-    def _send(self, tier: int, node: int, partial: ExpertUpdate, frame: bytes
-              ) -> Tuple[Optional[ExpertUpdate], Optional[bytes]]:
+    def _send(self, tier: int, node: int, partial: Optional[ExpertUpdate],
+              frame: bytes) -> Optional[_Partial]:
         """Ship one framed partial over its node's channel; return what arrived.
 
-        Returns ``(delivered update, delivered frame bytes)`` — both ``None``
-        when the payload was lost or failed its CRC.  Pristine frames skip
-        the (lossless fp64) re-decode: the in-memory partial is byte-for-byte
-        what a decode would reconstruct.  A corrupted frame must fail its CRC
-        and be dropped, never fold — the same contract as the participant
-        hop; a corrupted-but-decodable payload returns the *received* bytes,
-        which are what any downstream re-decode must see.
+        Returns the delivered ``(update, frame bytes)`` — ``None`` when the
+        payload was lost or failed its CRC.  Pristine frames skip the
+        (lossless fp64) re-decode: the in-memory partial (``None`` for one
+        that travels as bytes only) is byte-for-byte what a decode would
+        reconstruct.  A corrupted frame must fail its CRC and be dropped,
+        never fold — the same contract as the participant hop; a
+        corrupted-but-decodable payload returns the *received* bytes, which
+        are what any downstream re-decode must see.
         """
         record = self.tier_channels[tier][node].send(frame, direction="up")
         self.last_tier_stats[tier].record(record)
         if not record.delivered:
-            return None, None
+            return None
         if record.corrupted:
             try:
                 return decode_update(record.payload), bytes(record.payload)
             except PayloadCorruptedError:
                 self.last_tier_stats[tier].decode_failures += 1
-                return None, None
+                return None
         return partial, frame
 
     def _fold_leaf_tier(self, updates: Iterable[ExpertUpdate], strategy,
                         pool, codec, tracer=NULL_TRACER
-                        ) -> Dict[int, List[Tuple[ExpertUpdate, bytes]]]:
+                        ) -> Dict[int, List[_Partial]]:
         """Fold participant updates into tier-0 partials, here or on ``pool``.
 
         Returns ``{node: [(partial, frame), ...]}`` in node order of first
@@ -319,7 +342,7 @@ class AggregationTree:
                            for _ in range(width)]
             for update in updates:
                 aggregators[self.edge_of(update.participant_id)].add(update)
-            partials: Dict[int, List[Tuple[ExpertUpdate, bytes]]] = {}
+            partials: Dict[int, List[_Partial]] = {}
             for node, aggregator in enumerate(aggregators):
                 self.last_tier_counts[0][node] = aggregator.num_updates
                 if len(aggregator):
@@ -340,17 +363,18 @@ class AggregationTree:
 
         framed: Dict[int, List[Tuple[bytes, int]]] = {}
         references: Dict[int, Dict] = {}
+        framed_references: Dict = {}    # the nodes' jobs share a reference's frame
         for update in updates:
             node = self.edge_of(update.participant_id)
-            framed.setdefault(node, []).append(
-                frame_update(update, references.setdefault(node, {})))
+            framed.setdefault(node, []).append(frame_update(
+                update, references.setdefault(node, {}), framed_references))
             self.last_tier_counts[0][node] += 1
         jobs = [(node, self.pseudo_id(0, node), frames, references[node])
                 for node, frames in framed.items()]
         folded = pool.prefold_nodes(strategy, jobs, timed=tracer.enabled)
         for record in pool.last_span_records:
             tracer.ingest(record)
-        return {node: [(decode_update(frame), frame) for frame in partial_frames]
+        return {node: _pool_folded(partial_frames, root_bound=self.depth == 1)
                 for node, partial_frames in folded}
 
     def aggregate(self, server, updates: Iterable[ExpertUpdate],
@@ -415,15 +439,14 @@ class AggregationTree:
                                  node=node, partials=len(current[node])) as span:
                     airtime_before = self.last_tier_stats[tier].seconds
                     for partial, frame in current[node]:
-                        delivered, delivered_frame = self._send(
-                            tier, node, partial, frame)
-                        if delivered is None:
+                        sent = self._send(tier, node, partial, frame)
+                        if sent is None:
                             continue
                         if pool is None:
-                            parents[parent].add(delivered)
+                            parents[parent].add(sent[0])
                         else:
-                            inbox.setdefault(parent, []).append(
-                                (delivered_frame, delivered.staleness))
+                            # a partial is fresh by construction: staleness 0
+                            inbox.setdefault(parent, []).append((sent[1], 0))
                     span.set(sim_duration=self.last_tier_stats[tier].seconds
                              - airtime_before)
             current = {}
@@ -435,8 +458,8 @@ class AggregationTree:
                 folded = pool.prefold_nodes(strategy, jobs, timed=tracer.enabled)
                 for record in pool.last_span_records:
                     tracer.ingest(record)
-                current = {node: [(decode_update(frame), frame)
-                                  for frame in partial_frames]
+                current = {node: _pool_folded(partial_frames,
+                                              root_bound=tier + 2 == self.depth)
                            for node, partial_frames in folded}
                 continue
             for node, aggregator in enumerate(parents):
@@ -454,9 +477,9 @@ class AggregationTree:
                                  node=node, partials=len(current[node])) as span:
                     airtime_before = self.last_tier_stats[tier].seconds
                     for partial, frame in current[node]:
-                        delivered, _ = self._send(tier, node, partial, frame)
-                        if delivered is not None:
-                            yield delivered
+                        sent = self._send(tier, node, partial, frame)
+                        if sent is not None:
+                            yield sent[0]
                     span.set(sim_duration=self.last_tier_stats[tier].seconds
                              - airtime_before)
 

@@ -148,6 +148,14 @@ class MoELayer(Module):
     def reset_routing_accumulator(self) -> None:
         self._accumulated = None
 
+    def drop_pass_state(self) -> None:
+        """Forget what forward/backward passes left here: routing records
+        (accumulation off) and the activation-sized backward workspaces."""
+        self.last_routing = None
+        self.accumulate_routing = False
+        self._accumulated = None
+        self._bwd_scratch.clear()
+
     def accumulated_routing(self) -> Optional[RoutingRecord]:
         return self._accumulated
 

@@ -135,6 +135,9 @@ class MoETransformer(Module):
 
     def _build(self, config: MoEModelConfig, rng: np.random.Generator) -> None:
         self.config = config
+        #: the one generator every ``Dropout`` and gate-noise source of this
+        #: model draws from (after the initialisers, when they drew at all)
+        self.noise_rng = rng
         # Parameters are created under the config's dtype; random draws happen
         # in float64 before casting, so a float32 model is the rounded image of
         # the float64 model built from the same seed.

@@ -14,6 +14,7 @@ from .quantizer import (
     quantize_state_dict,
     quantized_nbytes,
     state_dict_nbytes,
+    unpack_int_code_rows,
     unpack_int_codes,
 )
 
@@ -22,6 +23,7 @@ __all__ = [
     "PACKABLE_BITS",
     "pack_int_codes",
     "pack_int_code_rows",
+    "unpack_int_code_rows",
     "unpack_int_codes",
     "QuantizedArray",
     "quantize_array",

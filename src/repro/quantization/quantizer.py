@@ -106,20 +106,34 @@ def pack_int_codes(codes: np.ndarray, bits: int) -> bytes:
     return pack_int_code_rows(codes.reshape(1, -1), bits).tobytes()
 
 
-def unpack_int_codes(data: bytes, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_int_codes`: recover ``count`` signed codes."""
+def unpack_int_code_rows(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_int_code_rows`: ``count`` signed codes of every row.
+
+    ``packed`` is a ``(rows, row_bytes)`` uint8 matrix, each row packed on its
+    own (so rows of a ``count`` that is not a multiple of ``8 // bits`` end in
+    padding slots, which are dropped).
+    """
     if bits not in PACKABLE_BITS:
         raise ValueError(f"cannot byte-unpack {bits}-bit codes; packable: {PACKABLE_BITS}")
     per_byte = 8 // bits
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if raw.size * per_byte < count:
+    rows, row_bytes = packed.shape
+    if row_bytes * per_byte < count:
         raise ValueError("packed payload too short for the declared code count")
-    values = np.zeros(raw.size * per_byte, dtype=np.uint8)
+    values = np.zeros((rows, row_bytes * per_byte), dtype=np.uint8)
     mask = (1 << bits) - 1
     for slot in range(per_byte):
-        values[slot::per_byte] = (raw >> (slot * bits)) & mask
+        values[:, slot::per_byte] = (packed >> (slot * bits)) & mask
     offset = 1 << (bits - 1)
-    return values[:count].astype(np.int32) - offset
+    return values[:, :count].astype(np.int32) - offset
+
+
+def unpack_int_codes(data: bytes, bits: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_int_codes`: recover ``count`` signed codes.
+
+    The one-row case of :func:`unpack_int_code_rows`.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    return unpack_int_code_rows(raw.reshape(1, -1), bits, count)[0]
 
 
 def quantization_error(weights: np.ndarray, bits: int) -> float:

@@ -150,7 +150,7 @@ class ServiceClient:
         try:
             # Zero-copy receive: the view aliases the stream's reusable
             # buffer, and decode_message below fully materialises op + body
-            # (pickle copies what it keeps) before the next receive reuses it.
+            # (pickle copies what it keeps) before the buffer is released.
             response = stream.recv_frame_view()
         finally:
             self.stats["bytes_received"] += stream.bytes_received - received_before
@@ -158,7 +158,12 @@ class ServiceClient:
             raise ConnectionError(
                 f"server {self.name!r} closed the connection mid-request")
         self.stats["requests"] += 1
-        response_op, response_body = decode_message(response)
+        try:
+            response_op, response_body = decode_message(response)
+        finally:
+            # a fold's response is megabytes; the next one is an ADD's ack
+            del response
+            stream.release_recv_buffer()
         if response_op == OP_ERR:
             kind = (response_body.get("type")
                     if isinstance(response_body, dict) else None)

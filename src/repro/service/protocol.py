@@ -53,6 +53,7 @@ itself stays cheap and the server needs no strategy registry of its own.
 
 from __future__ import annotations
 
+import io
 import pickle
 from typing import Any, Tuple
 
@@ -107,16 +108,29 @@ class ServiceError(RuntimeError):
     """The server reported an error executing a request (``OP_ERR``)."""
 
 
-def encode_message(op: int, body: Any = None) -> bytes:
-    """One service message: magic, op byte, pickled body."""
+def encode_message(op: int, body: Any = None) -> memoryview:
+    """One service message: magic, op byte, pickled body.
+
+    The body is pickled straight into the message's buffer and the buffer is
+    returned as it is (a ``memoryview``): a multi-megabyte fold request or
+    response exists once, not once per concatenation.
+    """
     if not 0 <= op <= 255:
         raise ValueError(f"op must fit one byte, got {op}")
-    return SERVICE_MAGIC + bytes((op,)) + pickle.dumps(
-        body, protocol=pickle.HIGHEST_PROTOCOL)
+    buffer = io.BytesIO()
+    buffer.write(SERVICE_MAGIC)
+    buffer.write(bytes((op,)))
+    pickle.dump(body, buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    return buffer.getbuffer()
 
 
-def decode_message(frame: bytes) -> Tuple[int, Any]:
-    """Invert :func:`encode_message`; raises :class:`ServiceProtocolError`."""
+def decode_message(frame) -> Tuple[int, Any]:
+    """Invert :func:`encode_message`; raises :class:`ServiceProtocolError`.
+
+    ``frame`` is any bytes-like buffer and is only read: the body unpickles
+    from a view of it, and everything the result keeps is its own copy.
+    """
+    frame = memoryview(frame)
     header = len(SERVICE_MAGIC) + 1
     if len(frame) < header or frame[:len(SERVICE_MAGIC)] != SERVICE_MAGIC:
         raise ServiceProtocolError(

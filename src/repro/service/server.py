@@ -254,14 +254,23 @@ class AggregatorServer:
                 if frame is None:
                     break  # clean close between requests
                 self.stats["bytes_received"] += len(frame)
+                # A fold request, its unpickled body and its response are
+                # megabytes each: every one is dropped the moment the next
+                # exists, and none survives into the wait for the next request.
+                body = result = None
                 try:
                     op, body = decode_message(frame)
-                    response = encode_message(*self.handle_request(op, body))
+                    frame = None
+                    result = self.handle_request(op, body)
+                    body = None
+                    response = encode_message(*result)
                 except Exception as error:  # surfaced client-side, not fatal here
                     self._log(f"request failed: {error!r}")
                     response = encode_message(OP_ERR, {
                         "error": str(error), "type": type(error).__name__})
+                frame = body = result = None
                 self.stats["bytes_sent"] += await write_frame(writer, response)
+                response = None
         except ConnectionError as error:
             # Includes TruncatedFrameError: the client died mid-request.  Its
             # round token is now orphaned and will be evicted, never folded.

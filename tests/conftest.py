@@ -10,11 +10,59 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import FrameStream, ScratchPool
 from repro.data import Vocabulary, make_batches, make_gsm8k_like, partition_dirichlet
 from repro.federated import ExpertUpdate, Participant, ParticipantResources, RunConfig
+from repro.federated.server import _TrainingReplica
 from repro.models import MoEModelConfig, MoETransformer, tiny_moe
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
 from repro.systems import CONSUMER_GPU, CostModel, MemoryModel
+
+
+@pytest.fixture(autouse=True)
+def poison_on_recycle(monkeypatch):
+    """Every volatile buffer is overwritten the moment its lease ends.
+
+    The zero-copy paths hand out storage that is only valid for a while: a
+    :class:`ScratchPool` array until ``recycle()``, a ``recv_frame_view`` until
+    the stream's next receive (or ``release_recv_buffer``), the training
+    replica's expert values until the next hand-out.  Under this fixture —
+    the whole suite — recycled arrays are filled with NaN, a receive buffer
+    with ``0xFF`` before it is reused or released, and the replica's experts
+    with NaN before they are refreshed, so anything that kept reading a view
+    past its lease computes garbage and a test fails, instead of the stale
+    bytes happening to be right.
+    """
+    recycle = ScratchPool.recycle
+    recv_frame_view = FrameStream.recv_frame_view
+    release_recv_buffer = FrameStream.release_recv_buffer
+    hand_out = _TrainingReplica.hand_out
+
+    def poisoned_recycle(pool):
+        for _, array in pool._taken:
+            array.fill(np.nan if array.dtype.kind in "fc" else -1)
+        recycle(pool)
+
+    def poison_recv_buffer(stream):
+        stream._recv_buffer[:] = b"\xff" * len(stream._recv_buffer)
+
+    def poisoned_recv_frame_view(stream):
+        poison_recv_buffer(stream)
+        return recv_frame_view(stream)
+
+    def poisoned_release_recv_buffer(stream):
+        poison_recv_buffer(stream)
+        release_recv_buffer(stream)
+
+    def poisoned_hand_out(replica):
+        for target, _ in replica.experts:
+            target.data.fill(np.nan)
+        return hand_out(replica)
+
+    monkeypatch.setattr(ScratchPool, "recycle", poisoned_recycle)
+    monkeypatch.setattr(FrameStream, "recv_frame_view", poisoned_recv_frame_view)
+    monkeypatch.setattr(FrameStream, "release_recv_buffer", poisoned_release_recv_buffer)
+    monkeypatch.setattr(_TrainingReplica, "hand_out", poisoned_hand_out)
 
 
 def _updates(model, num_participants=6, seed=7, stalenesses=False):

@@ -514,7 +514,9 @@ class TestStreamingAggregation:
         payloads = [encode_update(update, codec) for update in updates]
 
         contributions_b = apply_fedavg(buffered, list(updates))
-        contributions_w = wire.aggregate_payloads(payloads)
+        aggregator = StreamingAggregator(scratch=wire.fold_scratch)
+        aggregator.fold_frames(payloads, reference_lookup=wire.expert_state)
+        contributions_w = aggregator.apply(wire.global_model)
 
         assert contributions_b == contributions_w
         state_b, state_w = buffered.state_dict(), wire.global_state()
