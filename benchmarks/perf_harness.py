@@ -19,6 +19,11 @@ Two benchmark families per model preset:
 An informational ``nodes`` block (not gated) times each fused transformer
 node — attention, ``rms_norm``, ``linear`` — against the composed oracle kept
 in ``tests/composed_oracles.py``, one µs-per-forward+backward figure each.
+A gated ``preamble`` block times Flux's per-participant preamble on one
+participant-round's inputs (DeepSeek preset): ``plan_compact_model``,
+``build_compact_model`` and ``profile_activation``, each against the path it
+replaced (SVD plan, fresh-copy build, float64 profiling copy; oracles in
+``tests/plan_oracles.py``).
 ``--suite aggregation`` carries an informational ``uplink`` block of the same
 kind: frames per second of framing one participant's upload per update (the
 oracle in ``tests/uplink_oracles.py``) against ``encode_updates`` — and a
@@ -396,6 +401,82 @@ def bench_nodes(quick: bool) -> Dict:
                    "speedup": t["composed"] / t["fused"]}
             for node, t in times.items()})
     return out
+
+
+def bench_preamble(quick: bool) -> Dict:
+    """Flux's per-participant preamble, each step against the path it replaced.
+
+    One participant-round's inputs on the end-to-end benchmark's DeepSeek
+    model (48 fine-grained experts in 3 layers, 9 tuning, 9 non-tuning slots,
+    4 profiling batches of 16): ``plan_compact_model`` from the per-version
+    expert Gram matrices vs the SVD plan, ``build_compact_model`` mounted on
+    the server's training replica vs a fresh ``copy_of`` with a new module per
+    slot, ``profile_activation`` on the float32 profiling copy vs the float64
+    one.  The oracles are in ``tests/plan_oracles.py``; equal clusters and
+    equal logits are asserted before anything is timed.
+    """
+    sys.path.append(os.path.join(REPO_ROOT, "tests"))
+    from plan_oracles import fresh_build_compact_model, svd_plan_clusters
+    from repro.analysis import profile_activation
+    from repro.autograd import no_grad
+    from repro.core import FluxConfig, build_compact_model, plan_compact_model
+    from repro.core.merging import expert_gram_matrices
+    from repro.core.profiling import PROFILING_DTYPE
+    from repro.data import Vocabulary, make_batches, make_gsm8k_like
+    from repro.federated import ParameterServer
+    from repro.models import MoETransformer, deepseek_moe_mini
+    from repro.quantization import quantize_model
+
+    vocab = Vocabulary(size=256, num_topics=8)
+    model = MoETransformer(deepseek_moe_mini(vocab_size=vocab.size, seed=0, n_layers=3))
+    dataset = make_gsm8k_like(vocab=vocab, num_samples=64, seed=0)
+    batches = make_batches(dataset.samples, 16, vocab, shuffle=False,
+                           max_seq_len=model.config.max_seq_len)
+    copies = {dtype: quantize_model(model, 4, dtype=dtype)
+              for dtype in (PROFILING_DTYPE, "float64")}
+    profile = profile_activation(copies[PROFILING_DTYPE], batches)
+    ranked = sorted(((freq, (layer, expert)) for layer, freqs in enumerate(profile.frequencies)
+                     for expert, freq in enumerate(freqs)), reverse=True)
+    tuning: Dict[int, list] = {}
+    for _, (layer, expert) in ranked[:9]:
+        tuning.setdefault(layer, []).append(expert)
+    config = FluxConfig(seed=0)
+    server = ParameterServer(model)
+    grams = expert_gram_matrices(model)
+
+    def plan():
+        return plan_compact_model(model, tuning, profile, max_non_tuning_slots=9,
+                                  config=config, expert_grams=grams)
+
+    reference = plan()
+
+    def mounted():
+        with server.training_replica() as replica:
+            build_compact_model(replica, reference, profile, config)
+
+    if svd_plan_clusters(model, reference, config).clusters_per_layer != reference.clusters:
+        raise AssertionError("the Gram-matrix plan differs from the SVD oracle's")
+    with server.training_replica() as replica, no_grad():
+        build_compact_model(replica, reference, profile, config)
+        fresh = fresh_build_compact_model(model, reference, profile, config)[0]
+        if not np.array_equal(replica(batches[0].input_ids).data,
+                              fresh(batches[0].input_ids).data):
+            raise AssertionError("the mounted compact model differs from the fresh build")
+
+    pairs = {
+        "plan_compact_model": (plan, lambda: svd_plan_clusters(model, reference, config)),
+        "build_compact_model": (
+            mounted, lambda: fresh_build_compact_model(model, reference, profile, config)),
+        "profile_activation": (
+            lambda: profile_activation(copies[PROFILING_DTYPE], batches),
+            lambda: profile_activation(copies["float64"], batches)),
+    }
+    times = _interleaved_best_times(
+        {name: {"fast": fast, "oracle": oracle} for name, (fast, oracle) in pairs.items()},
+        3 if quick else 10, 5 if quick else 9)
+    return {name: {"fast_us": t["fast"] * 1e6, "oracle_us": t["oracle"] * 1e6,
+                   "speedup": t["oracle"] / t["fast"]}
+            for name, t in times.items()}
 
 
 # ------------------------------------------------------- aggregation suite
@@ -1429,6 +1510,7 @@ class Gate(NamedTuple):
 GATES = (
     Gate("hotpath", "~presets/*/hot_loop|model_step/speedup_batched_f32_vs_loop_f64"
                     "|round_speedup_batched_f32_vs_loop_f64", "higher"),
+    Gate("hotpath", "preamble/*/speedup", "higher"),
     Gate("aggregation", "aggregation/shards/*/~speedup_critical_path_vs_serial", "higher"),
     Gate("aggregation", "aggregation/tree/*/~speedup_critical_path_vs_serial", "higher"),
     Gate("aggregation", "aggregation/decode/speedup_scratch_vs_fresh", "higher"),
@@ -1607,6 +1689,7 @@ def main(argv=None) -> int:
     else:
         result["presets"] = run_suite(args.quick)
         result["nodes"] = bench_nodes(args.quick)
+        result["preamble"] = bench_preamble(args.quick)
         if args.seed_src:
             result["seed_reference"] = bench_seed_reference(args.seed_src, args.quick)
 
@@ -1685,6 +1768,9 @@ def main(argv=None) -> int:
             print(f"  nodes @ {label}: " + ", ".join(
                 f"{node} {t['fused_us']:.0f}us ({t['speedup']:.1f}x vs composed)"
                 for node, t in entry["nodes"].items()))
+        print("  preamble: " + ", ".join(
+            f"{step} {t['fast_us']:.0f}us ({t['speedup']:.2f}x)"
+            for step, t in result["preamble"].items()) + " vs the paths they replaced")
         if args.seed_src:
             for preset, value in result["seed_reference"][
                     "speedup_batched_f32_vs_seed"].items():

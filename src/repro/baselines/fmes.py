@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 from ..analysis import ActivationProfile
 from ..core.profiling import QuantizedProfiler
 from ..federated import ExpertUpdate, Participant, ParticipantRoundResult
-from ..models import ExpertFFN, ExpertRemap, MoETransformer
+from ..models import MoETransformer
 from ..systems import RoundCostBreakdown
 from .base import FederatedFineTuner, communication_seconds
 
@@ -34,49 +34,34 @@ def select_top_activated(profile: ActivationProfile, budget: int) -> List[Expert
     return [key for _, key in scored[:budget]]
 
 
-def build_selected_model(global_model: MoETransformer, selected: List[ExpertKey]
+def build_selected_model(model: MoETransformer, selected: List[ExpertKey]
                          ) -> Tuple[MoETransformer, Dict[ExpertKey, ExpertKey]]:
-    """Compact model keeping only the selected experts; dropped experts are skipped.
+    """Make ``model`` compact in place, keeping only the selected experts.
 
-    Each layer gets one frozen zero-output expert as its last slot; every
-    non-selected original expert id is remapped onto it, which implements the
-    "skip the expert computation" behaviour the paper describes for discarded
-    experts.
+    ``model`` holds the full expert lists (a copy of the global model, or the
+    server's training replica).  Each layer keeps its selected experts — the
+    modules they are — plus one frozen zero-output expert (the layer's first
+    resident spare) as its last slot; every non-selected original expert id is
+    remapped onto it, which implements the "skip the expert computation"
+    behaviour the paper describes for discarded experts.
     """
-    compact = MoETransformer.copy_of(global_model)
     selected_by_layer: Dict[int, List[int]] = {}
     for layer, expert in selected:
         selected_by_layer.setdefault(layer, []).append(expert)
 
     slot_map: Dict[ExpertKey, ExpertKey] = {}
-    for layer in range(global_model.num_layers):
+    for layer, moe in enumerate(model.moe_layers()):
+        moe.restore_full_experts()
         keep = sorted(selected_by_layer.get(layer, []))
-        local_experts: List[ExpertFFN] = []
-        mapping: Dict[int, int] = {}
         for slot, original in enumerate(keep):
-            expert = ExpertFFN(global_model.config.d_model,
-                               global_model.get_expert(layer, original).d_ff,
-                               activation=global_model.config.activation)
-            expert.load_state(global_model.get_expert(layer, original).state())
-            local_experts.append(expert)
-            mapping[original] = slot
+            model.get_expert(layer, original).unfreeze()
             slot_map[(layer, slot)] = (layer, original)
         # Zero-output skip expert for every dropped id.
-        skip = ExpertFFN(global_model.config.d_model,
-                         global_model.config.d_ff,
-                         activation=global_model.config.activation)
-        for param in skip.parameters():
+        for param in moe.spare_expert(0).parameters():
             param.data[...] = 0.0
-        skip.freeze()
-        skip_slot = len(local_experts)
-        local_experts.append(skip)
-        num_original = global_model.experts_per_layer()[layer]
-        for original in range(num_original):
-            if original not in mapping:
-                mapping[original] = skip_slot
-        remap = ExpertRemap(num_original, mapping)
-        compact.blocks[layer].moe.set_compact_experts(local_experts, remap)
-    return compact, slot_map
+        dropped = [e for e in range(moe.num_original_experts) if e not in keep]
+        moe.mount_compact(keep, [dropped])
+    return model, slot_map
 
 
 class FMESFineTuner(FederatedFineTuner):
@@ -98,27 +83,29 @@ class FMESFineTuner(FederatedFineTuner):
         outcome = self.profiler.profile(global_model, profiling_batches, cost_model=cost_model)
         selected = select_top_activated(outcome.profile, participant.resources.max_tuning_experts)
 
-        compact, slot_map = build_selected_model(global_model, selected)
         batches = participant.local_batches(
             self.config.batch_size, max_batches=self.config.max_local_batches,
             max_seq_len=max_seq_len)
-        result = participant.local_finetune(
-            compact, batches,
-            learning_rate=self.config.learning_rate,
-            trainable_experts=set(slot_map.keys()),
-            iterations=self.config.local_iterations,
-        )
+        # Mounted on the server's resident replica for the length of the block.
+        with self.server.training_replica() as replica:
+            compact, slot_map = build_selected_model(replica, selected)
+            result = participant.local_finetune(
+                compact, batches,
+                learning_rate=self.config.learning_rate,
+                trainable_experts=set(slot_map.keys()),
+                iterations=self.config.local_iterations,
+            )
 
-        updates: List[ExpertUpdate] = []
-        for (layer, slot), (_, original) in slot_map.items():
-            weight = result.expert_token_counts.get((layer, original), result.num_samples)
-            updates.append(ExpertUpdate(
-                participant_id=participant.participant_id,
-                layer=layer,
-                expert=original,
-                state=compact.expert_state(layer, slot),
-                weight=float(max(weight, 1)),
-            ))
+            updates: List[ExpertUpdate] = []
+            for (layer, slot), (_, original) in slot_map.items():
+                weight = result.expert_token_counts.get((layer, original), result.num_samples)
+                updates.append(ExpertUpdate(
+                    participant_id=participant.participant_id,
+                    layer=layer,
+                    expert=original,
+                    state=compact.expert_state(layer, slot),
+                    weight=float(max(weight, 1)),
+                ))
 
         breakdown = RoundCostBreakdown()
         if cost_model is not None:

@@ -10,7 +10,7 @@ server FedAvg-aggregates the uploaded tuning-expert updates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from ..systems import CostModel
 from .assignment import ExpertRoleAssigner, RoleAssignment
 from .config import FluxConfig
 from .flux_client import FluxClientState
+from .merging import expert_gram_matrices
+from .profiling import PROFILING_DTYPE
 
 
 class FluxFineTuner(FederatedFineTuner):
@@ -57,6 +59,10 @@ class FluxFineTuner(FederatedFineTuner):
         #: ``((server.round_index, bits), model)``: the low-bit copy of the
         #: current global model that every participant profiles on
         self._quantized: Optional[Tuple[Tuple[int, int], MoETransformer]] = None
+        #: ``(server.round_index, grams)``: the current global model's
+        #: :func:`~repro.core.merging.expert_gram_matrices`, which every
+        #: participant plans its clusters from
+        self._expert_grams: Optional[Tuple[int, List[np.ndarray]]] = None
 
     # ------------------------------------------------------------------ hooks
     def before_round(self, round_index: int, selected: Sequence[Participant]) -> None:
@@ -80,13 +86,21 @@ class FluxFineTuner(FederatedFineTuner):
         """
         key = (self.server.round_index, self.flux_config.profiling_bits)
         if self._quantized is None or self._quantized[0] != key:
-            self._quantized = (key, quantize_model(self.server.global_model, key[1]))
+            self._quantized = (key, quantize_model(self.server.global_model, key[1],
+                                                   dtype=PROFILING_DTYPE))
         return self._quantized[1]
 
+    def expert_grams(self) -> List[np.ndarray]:
+        """The global model's per-layer expert Gram matrices, computed once per server version."""
+        version = self.server.round_index
+        if self._expert_grams is None or self._expert_grams[0] != version:
+            self._expert_grams = (version, expert_gram_matrices(self.server.global_model))
+        return self._expert_grams[1]
+
     def __getstate__(self) -> Dict:
-        # Process-pool workers get the tuner pickled; they rebuild their own copy.
+        # Process-pool workers get the tuner pickled; they rebuild their own copies.
         state = super().__getstate__()
-        state["_quantized"] = None
+        state["_quantized"] = state["_expert_grams"] = None
         return state
 
     def participant_round(self, participant: Participant, round_index: int) -> ParticipantRoundResult:
@@ -100,16 +114,20 @@ class FluxFineTuner(FederatedFineTuner):
             assignment = self.assigner.assign(round_index, utilities, budgets)[
                 participant.participant_id]
 
-        output = state.run_round(
-            global_model=self.server.global_model,
-            assignment=assignment,
-            learning_rate=self.config.learning_rate,
-            batch_size=self.config.batch_size,
-            max_batches=self.config.max_local_batches,
-            local_iterations=self.config.local_iterations,
-            cost_model=self.cost_model_for(participant),
-            quantized_model=self.quantized_global_model(),
-        )
+        # The compact model is mounted on the server's resident replica and
+        # unmounted when the block ends; the updates hold copies.
+        with self.server.training_replica() as replica:
+            output = state.run_round(
+                model=replica,
+                assignment=assignment,
+                learning_rate=self.config.learning_rate,
+                batch_size=self.config.batch_size,
+                max_batches=self.config.max_local_batches,
+                local_iterations=self.config.local_iterations,
+                cost_model=self.cost_model_for(participant),
+                quantized_model=self.quantized_global_model(),
+                expert_grams=self.expert_grams(),
+            )
         return ParticipantRoundResult(
             updates=output.updates,
             breakdown=output.breakdown,
@@ -138,7 +156,8 @@ class FluxFineTuner(FederatedFineTuner):
 
     def import_run_state(self, state: Dict) -> None:
         super().import_run_state(state)
-        self._quantized = None    # the restored global model may share its round index
+        # the restored global model may share its round index
+        self._quantized = self._expert_grams = None
         self.assigner._rng = np.random.default_rng()
         self.assigner._rng.bit_generator.state = state["assigner_rng"]
 

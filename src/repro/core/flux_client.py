@@ -15,8 +15,9 @@ and role assignment:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 
 from ..analysis import ActivationProfile
 from ..data import Batch
@@ -61,10 +62,10 @@ class FluxClientState:
         self.latest_profile: Optional[ActivationProfile] = None
 
     # ------------------------------------------------------------- profiling
-    def profile(self, global_model: MoETransformer, batches: List[Batch],
+    def profile(self, model: MoETransformer, batches: List[Batch],
                 cost_model: Optional[CostModel],
                 quantized_model: Optional[MoETransformer] = None) -> ProfilingOutcome:
-        outcome = self.profiler.profile_for_round(global_model, batches, cost_model=cost_model,
+        outcome = self.profiler.profile_for_round(model, batches, cost_model=cost_model,
                                                   quantized=quantized_model)
         self.latest_profile = outcome.profile
         if not self.utilities.utilities:
@@ -84,7 +85,7 @@ class FluxClientState:
     # ----------------------------------------------------------------- round
     def run_round(
         self,
-        global_model: MoETransformer,
+        model: MoETransformer,
         assignment: RoleAssignment,
         learning_rate: float,
         batch_size: int,
@@ -92,21 +93,28 @@ class FluxClientState:
         local_iterations: int,
         cost_model: Optional[CostModel] = None,
         quantized_model: Optional[MoETransformer] = None,
+        expert_grams: Optional[Sequence[np.ndarray]] = None,
     ) -> FluxRoundOutput:
         """Execute one full Flux round for this participant.
 
-        ``quantized_model`` is the ``config.profiling_bits`` copy of
-        ``global_model`` when the caller shares one across participants; the
-        profiler quantizes its own otherwise.
+        ``model`` holds the global model's current values and is the model
+        the round trains in: it is made compact in place
+        (:func:`~repro.core.merging.build_compact_model`) and left so — in a
+        federation it is the server's training replica, which restores itself.
+        ``quantized_model`` is the ``config.profiling_bits`` copy of ``model``
+        and ``expert_grams`` its
+        :func:`~repro.core.merging.expert_gram_matrices` when the caller
+        shares them across participants; otherwise the profiler quantizes and
+        the planner multiplies its own.
         """
         participant = self.participant
         config = self.config
-        max_seq_len = global_model.config.max_seq_len
+        max_seq_len = model.config.max_seq_len
 
         # 1. Quantized (stale) profiling on local data.
         profiling_batches = participant.local_batches(batch_size, max_batches=config.profiling_max_batches,
                                                       max_seq_len=max_seq_len)
-        outcome = self.profile(global_model, profiling_batches, cost_model, quantized_model)
+        outcome = self.profile(model, profiling_batches, cost_model, quantized_model)
         profile = outcome.profile
 
         # 2. Compact model: tuning experts + preserved exploration experts +
@@ -114,17 +122,18 @@ class FluxClientState:
         tuning_by_layer = assignment.tuning_by_layer()
         exploration_by_layer = assignment.exploration_by_layer()
         non_tuning_budget = max(participant.resources.max_non_tuning_experts
-                                - len(assignment.exploration), global_model.num_layers)
+                                - len(assignment.exploration), model.num_layers)
         plan = plan_compact_model(
-            global_model,
+            model,
             tuning_by_layer,
             profile,
             max_non_tuning_slots=non_tuning_budget,
             config=config,
             preserved_frozen=exploration_by_layer,
+            expert_grams=expert_grams,
         )
         compact, tuning_slots, exploration_slots = build_compact_model(
-            global_model, plan, profile, config)
+            model, plan, profile, config)
 
         # 3. Data-aware local fine-tuning: prefer the samples that actually
         #    flow through the tuning experts (the paper's D^e_i).

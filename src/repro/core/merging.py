@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis import ActivationProfile
-from ..models import ExpertFFN, ExpertRemap, MoETransformer
+from ..models import ExpertFFN, MoETransformer
 from .clustering import ClusteringResult, cluster_experts
 from .config import FluxConfig
 from .layer_budget import layer_budgets
@@ -72,15 +72,31 @@ def merge_weights(members: Sequence[int], frequencies: np.ndarray, attentions: n
 
 
 def merge_cluster(model: MoETransformer, layer: int, members: Sequence[int],
-                  frequencies: np.ndarray, attentions: np.ndarray, strategy: str) -> ExpertFFN:
-    """Merge the experts ``members`` of ``layer`` into one new frozen expert."""
+                  frequencies: np.ndarray, attentions: np.ndarray, strategy: str,
+                  out: Optional[ExpertFFN] = None) -> ExpertFFN:
+    """Merge the experts ``members`` of ``layer`` into one frozen expert (``out``, else new)."""
     experts = [model.get_expert(layer, int(e)) for e in members]
     weights = merge_weights(members, frequencies, attentions, strategy)
     config = model.config
     merged = ExpertFFN.merge(experts, weights, d_model=config.d_model,
-                             d_ff=experts[0].d_ff, activation=config.activation)
+                             d_ff=experts[0].d_ff, activation=config.activation, out=out)
     merged.freeze()
     return merged
+
+
+def expert_gram_matrices(model: MoETransformer) -> List[np.ndarray]:
+    """Per layer, the float64 Gram matrix ``W @ W.T`` of the flattened expert weights.
+
+    Everything clustering reads of a model's weights.  It depends on the
+    weights only, so one computation serves every participant that plans
+    against the same model version: a participant's non-tuning subset is a
+    sub-matrix.
+    """
+    grams = []
+    for layer in model.moe_layers():
+        weights = layer.expert_weight_matrix().astype(np.float64, copy=False)
+        grams.append(weights @ weights.T)
+    return grams
 
 
 def plan_compact_model(
@@ -90,6 +106,7 @@ def plan_compact_model(
     max_non_tuning_slots: int,
     config: Optional[FluxConfig] = None,
     preserved_frozen: Optional[Dict[int, Sequence[int]]] = None,
+    expert_grams: Optional[Sequence[np.ndarray]] = None,
 ) -> CompactModelPlan:
     """Decide budgets and clusters for a participant's compact model.
 
@@ -106,6 +123,9 @@ def plan_compact_model(
     preserved_frozen:
         Experts kept in original form but frozen (e.g. exploration experts);
         they occupy non-tuning slots but are not merged.
+    expert_grams:
+        :func:`expert_gram_matrices` of ``model`` when the caller already
+        holds them (one per model version serves every participant).
     """
     config = config or FluxConfig()
     num_layers = model.num_layers
@@ -138,18 +158,11 @@ def plan_compact_model(
         budgets = [0] * num_layers
 
     # Cluster the non-tuning experts of every layer.
-    features = []
-    ids = []
-    for layer in range(num_layers):
-        members = non_tuning[layer]
-        ids.append(members)
-        if members:
-            weight_matrix = model.blocks[layer].moe.expert_weight_matrix()
-            features.append(weight_matrix[np.asarray(members, dtype=np.int64)])
-        else:
-            features.append(np.zeros((0, 1)))
+    if expert_grams is None:
+        expert_grams = expert_gram_matrices(model)
+    grams = [gram[np.ix_(members, members)] for gram, members in zip(expert_grams, non_tuning)]
     clustering = cluster_experts(
-        features, ids, budgets,
+        grams, non_tuning, budgets,
         mode=config.clustering_mode,
         pca_components=config.pca_components,
         iterations=config.kmeans_iterations,
@@ -170,57 +183,41 @@ def build_compact_model(
     profile: ActivationProfile,
     config: Optional[FluxConfig] = None,
 ) -> Tuple[MoETransformer, Dict[ExpertKey, ExpertKey], Dict[ExpertKey, ExpertKey]]:
-    """Materialise the compact model described by ``plan``.
+    """Make ``model`` the compact model described by ``plan``, in place.
 
-    Returns the compact model plus two slot maps in local ``(layer, slot)``
+    ``model`` holds the full expert lists of its architecture (a copy of the
+    global model, or the server's training replica).  Its tuning and preserved
+    experts stay the modules they are, each cluster is merged into one of the
+    layer's resident spare experts, and every layer is re-routed
+    (:meth:`~repro.models.MoELayer.mount_compact`): no module is allocated and
+    only the merged weights are written.  :meth:`MoELayer.restore_full_experts
+    <repro.models.MoELayer.restore_full_experts>` gives the full model back.
+
+    Returns ``model`` plus two slot maps in local ``(layer, slot)``
     coordinates: the trainable tuning experts and the preserved-but-frozen
     experts (exploration candidates), each mapped back to the original
     ``(layer, original_id)`` so the caller can translate trained parameters or
     utility probes into federated expert coordinates.
     """
     config = config or FluxConfig()
-    compact = MoETransformer.copy_of(model)
-
     slot_to_original: Dict[ExpertKey, ExpertKey] = {}
     frozen_slot_to_original: Dict[ExpertKey, ExpertKey] = {}
-    for layer in range(model.num_layers):
-        tuning = plan.tuning_experts[layer]
-        frozen = plan.preserved_frozen[layer]
-        clusters = plan.clusters[layer]
-        frequencies = profile.frequencies[layer]
-        attentions = profile.attention_scores[layer]
-
-        local_experts: List[ExpertFFN] = []
-        mapping: Dict[int, int] = {}
-        # Trainable tuning experts occupy the first slots.
-        for slot, original in enumerate(sorted(tuning)):
-            expert = ExpertFFN.allocate(model.config.d_model,
-                                        model.get_expert(layer, original).d_ff,
-                                        activation=model.config.activation)
-            expert.load_state(model.get_expert(layer, original).state())
-            local_experts.append(expert)
-            mapping[original] = slot
+    for layer, moe in enumerate(model.moe_layers()):
+        moe.restore_full_experts()          # merges read the full list
+        # Trainable tuning experts occupy the first slots; preserved-but-frozen
+        # experts (exploration candidates) come next.
+        tuning = sorted(plan.tuning_experts[layer])
+        frozen = sorted(plan.preserved_frozen[layer])
+        for slot, original in enumerate(tuning):
+            model.get_expert(layer, original).unfreeze()
             slot_to_original[(layer, slot)] = (layer, original)
-        # Preserved-but-frozen experts (exploration candidates) come next.
-        for original in sorted(frozen):
-            expert = ExpertFFN.allocate(model.config.d_model,
-                                        model.get_expert(layer, original).d_ff,
-                                        activation=model.config.activation)
-            expert.load_state(model.get_expert(layer, original).state())
-            expert.freeze()
-            slot = len(local_experts)
-            local_experts.append(expert)
-            mapping[original] = slot
+        for slot, original in enumerate(frozen, start=len(tuning)):
+            model.get_expert(layer, original).freeze()
             frozen_slot_to_original[(layer, slot)] = (layer, original)
         # One merged frozen expert per cluster.
-        for members in clusters:
-            merged = merge_cluster(model, layer, members, frequencies, attentions,
-                                   config.merging_strategy)
-            slot = len(local_experts)
-            local_experts.append(merged)
-            for member in members:
-                mapping[member] = slot
-
-        remap = ExpertRemap(model.experts_per_layer()[layer], mapping)
-        compact.blocks[layer].moe.set_compact_experts(local_experts, remap)
-    return compact, slot_to_original, frozen_slot_to_original
+        for index, members in enumerate(plan.clusters[layer]):
+            merge_cluster(model, layer, members, profile.frequencies[layer],
+                          profile.attention_scores[layer], config.merging_strategy,
+                          out=moe.spare_expert(index))
+        moe.mount_compact(tuning + frozen, plan.clusters[layer])
+    return model, slot_to_original, frozen_slot_to_original

@@ -24,6 +24,11 @@ from ..quantization import quantize_model
 from ..systems import CostModel
 
 
+#: precision of the profiling copy: low-bit codes times a row scale need no
+#: more, and the forward-only passes over it run that much faster
+PROFILING_DTYPE = "float32"
+
+
 @dataclass
 class ProfilingOutcome:
     """A profile plus the bookkeeping needed for cost accounting."""
@@ -50,15 +55,16 @@ class QuantizedProfiler:
                 quantized: Optional[MoETransformer] = None) -> ProfilingOutcome:
         """Quantize ``model`` and measure expert activation on ``batches``.
 
-        ``quantized`` is ``quantize_model(model, self.bits)`` when the caller
-        already holds it (every participant of a round profiles the same
-        global model); profiling leaves it as it found it.
+        ``quantized`` is ``quantize_model(model, self.bits,
+        dtype=PROFILING_DTYPE)`` when the caller already holds it (every
+        participant of a round profiles the same global model); profiling
+        leaves it as it found it.
         """
         if not batches:
             raise ValueError("profiling requires at least one batch")
         used = list(batches[: self.max_batches] if self.max_batches else batches)
         if quantized is None:
-            quantized = quantize_model(model, self.bits)
+            quantized = quantize_model(model, self.bits, dtype=PROFILING_DTYPE)
         profile = profile_activation(quantized, used)
         num_tokens = sum(batch.num_tokens for batch in used)
         num_samples = sum(batch.batch_size for batch in used)

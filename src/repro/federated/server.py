@@ -90,6 +90,7 @@ class _TrainingReplica:
         for block in self.model.blocks:
             block.attn.last_token_attention = None
             block.moe.drop_pass_state()
+            block.moe.restore_full_experts()
 
 
 class ParameterServer:

@@ -26,6 +26,7 @@ it (output, every gradient, ``last_token_attention``).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -34,9 +35,15 @@ import numpy as np
 from ..autograd import Linear, Module, Tensor, is_grad_enabled
 
 
+@functools.lru_cache(maxsize=64)
 def causal_mask(seq_len: int) -> np.ndarray:
-    """Lower-triangular mask: position ``i`` may attend to ``j <= i``."""
-    return np.tril(np.ones((seq_len, seq_len), dtype=bool))
+    """Lower-triangular mask: position ``i`` may attend to ``j <= i``.
+
+    One read-only array per ``seq_len``, shared by every caller.
+    """
+    mask = np.tril(np.ones((seq_len, seq_len), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 class MultiHeadSelfAttention(Module):

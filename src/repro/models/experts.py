@@ -154,8 +154,9 @@ class ExpertFFN(Module):
 
     @staticmethod
     def merge(experts, weights, d_model: int, d_ff: int, activation: str = "silu",
-              stacked: Optional[Dict[str, np.ndarray]] = None) -> "ExpertFFN":
-        """Create a new expert whose matrices are the weighted average of ``experts``.
+              stacked: Optional[Dict[str, np.ndarray]] = None,
+              out: Optional["ExpertFFN"] = None) -> "ExpertFFN":
+        """An expert whose matrices are the weighted average of ``experts``.
 
         Parameters
         ----------
@@ -171,6 +172,9 @@ class ExpertFFN(Module):
             :meth:`~repro.models.moe_layer.MoELayer.stacked_expert_weights`)
             covering ``experts``; when given, the merge reads them directly
             instead of re-stacking per call.
+        out:
+            An expert of the members' shape and dtype to write the average
+            into (and return) instead of allocating a new one.
         """
         experts = list(experts)
         weights = np.asarray(list(weights), dtype=np.float64)
@@ -189,7 +193,9 @@ class ExpertFFN(Module):
             stacked = stack_expert_weights(experts)
         from ..autograd import default_dtype
         source_dtype = stacked["w_gate"].dtype
-        if source_dtype.kind == "f":
+        if out is not None:
+            merged = out
+        elif source_dtype.kind == "f":
             # inherit the members' dtype so merging never upcasts a float32
             # model's compacted experts back to float64
             with default_dtype(source_dtype):

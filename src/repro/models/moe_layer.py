@@ -58,11 +58,11 @@ experts).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Module, ModuleList, Tensor, is_grad_enabled, scatter_rows
+from ..autograd import Module, ModuleList, Tensor, default_dtype, is_grad_enabled, scatter_rows
 from .experts import ExpertFFN, sparsify_expert, stack_expert_weights
 from .gating import GatingNetwork, RoutingRecord
 from .rerouting import ExpertRemap
@@ -112,6 +112,11 @@ class MoELayer(Module):
             ExpertFFN(d_model, d_ff, activation=activation, rng=rng) for _ in range(num_shared_experts)
         ])
         self.remap = ExpertRemap.identity(num_experts)
+        #: resident modules :meth:`mount_compact` runs in place of experts it
+        #: does not keep; outside the parameter tree until mounted
+        self._spare_experts: List[ExpertFFN] = []
+        #: the full expert list while :meth:`mount_compact` has replaced it
+        self._full_experts: Optional[Tuple[ExpertFFN, ...]] = None
         #: routing statistics of the most recent forward pass
         self.last_routing: Optional[RoutingRecord] = None
         #: when True, routing statistics are accumulated across forward passes
@@ -144,6 +149,51 @@ class MoELayer(Module):
             )
         self.experts = ModuleList(list(experts))
         self.remap = remap
+
+    def spare_expert(self, index: int) -> ExpertFFN:
+        """The layer's ``index``-th resident spare expert, allocated on first use.
+
+        A spare holds what a compact layer runs in place of experts it does
+        not keep (a merged expert, a zero skip expert).  Its values are
+        whatever its last user wrote: fill it, then :meth:`mount_compact`.
+        """
+        while len(self._spare_experts) <= index:
+            with default_dtype(self.gate.proj.weight.data.dtype):
+                self._spare_experts.append(
+                    ExpertFFN.allocate(self.d_model, self.d_ff, activation=self.activation))
+        return self._spare_experts[index]
+
+    def mount_compact(self, kept: Sequence[int], absorbed: Sequence[Sequence[int]]) -> None:
+        """Go compact in place, on modules this layer already holds.
+
+        Slot ``s < len(kept)`` is the layer's own expert ``kept[s]`` (an
+        original id); slot ``len(kept) + i`` is ``spare_expert(i)``, frozen,
+        standing in for the original ids ``absorbed[i]`` — the caller has
+        written its values.  Between them they must cover every original id.
+        Nothing is allocated or copied, so a model that is handed from one
+        participant to the next (the server's training replica) builds each
+        compact model in its own storage; :meth:`restore_full_experts` undoes
+        the mount.
+        """
+        self.restore_full_experts()          # a second mount starts from the full list too
+        full = self._full_experts = tuple(self.experts)
+        mapping = {int(original): slot for slot, original in enumerate(kept)}
+        local = [full[int(original)] for original in kept]
+        for index, members in enumerate(absorbed):
+            spare = self.spare_expert(index)
+            spare.freeze()
+            mapping.update((int(member), len(local)) for member in members)
+            local.append(spare)
+        if len(mapping) != self.num_original_experts:
+            raise ValueError("kept and absorbed experts must cover every original expert id")
+        self.set_compact_experts(local, ExpertRemap(self.num_original_experts, mapping))
+
+    def restore_full_experts(self) -> None:
+        """Undo :meth:`mount_compact`: the full expert list and the identity remap."""
+        if self._full_experts is not None:
+            self.experts = ModuleList(list(self._full_experts))
+            self.remap = ExpertRemap.identity(self.num_original_experts)
+            self._full_experts = None
 
     def reset_routing_accumulator(self) -> None:
         self._accumulated = None
@@ -527,28 +577,25 @@ class MoELayer(Module):
                 minlength=minlength,
             )
             if sample_ids is not None:
-                flat_samples = np.repeat(np.asarray(sample_ids, dtype=np.int64), seq_len)
+                # Deduplicate (expert, batch row) pairs rather than (expert,
+                # sample id) pairs: the key space is experts x batch whatever
+                # the ids are — small enough for a bincount presence scan —
+                # and the present keys come out sorted, so each expert's rows
+                # are one slice of them: one ``set.update`` per expert that
+                # has any.
+                ids = np.asarray(sample_ids, dtype=np.int64)
+                batch = len(ids)
+                rows = np.repeat(np.arange(batch), seq_len)
                 if flat_mask is not None:
-                    flat_samples = flat_samples[flat_mask]
-                samples = np.repeat(flat_samples, self.top_k)
-                if samples.size and samples.min() >= 0:
-                    # Encode (expert, sample) pairs as scalars: deduplicating
-                    # 1-D keys is much cheaper than np.unique(..., axis=0) on
-                    # pair rows, and when the key space is small a bincount
-                    # presence scan beats the hash/sort entirely.
-                    modulus = int(samples.max()) + 1
-                    keys = flat_ids * modulus
-                    keys += samples
-                    key_space = modulus * self.num_original_experts
-                    if key_space <= 4 * keys.size + 1024:
-                        unique_keys = np.flatnonzero(np.bincount(keys, minlength=key_space))
-                    else:
-                        unique_keys = np.unique(keys)
-                    for key in unique_keys:
-                        record.sample_ids[int(key) // modulus].add(int(key) % modulus)
-                else:
-                    for expert_id, sample in zip(flat_ids, samples):
-                        record.sample_ids[int(expert_id)].add(int(sample))
+                    rows = rows[flat_mask]
+                keys = flat_ids * batch
+                keys += np.repeat(rows, self.top_k)
+                present = np.flatnonzero(np.bincount(keys, minlength=batch * minlength))
+                bounds = np.searchsorted(present, np.arange(minlength + 1) * batch).tolist()
+                samples = ids[present % batch].tolist()
+                for expert_id, (first, last) in enumerate(zip(bounds, bounds[1:])):
+                    if first < last:
+                        record.sample_ids[expert_id].update(samples[first:last])
         record.total_tokens = total_tokens
         self.last_routing = record
         if self.accumulate_routing:

@@ -24,6 +24,7 @@ The model exposes the hooks Flux needs:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -119,16 +120,19 @@ class MoETransformer(Module):
         return model
 
     @classmethod
-    def copy_of(cls, model: "MoETransformer") -> "MoETransformer":
+    def copy_of(cls, model: "MoETransformer", dtype: Optional[str] = None) -> "MoETransformer":
         """A fresh ``cls(model.config)``-shaped model holding ``model``'s parameter values.
 
         The one way to copy a model: :meth:`allocate` (nothing is drawn; its
         caveat applies) and each parameter copied once, in ``parameters()``
         order, straight from ``model`` — no name-keyed state dict in between.
         ``model`` must have the module tree its config builds (not a compact
-        model).
+        model).  ``dtype`` (``"float32"`` / ``"float64"``) makes the copy a
+        model of that precision, its values ``model``'s rounded to it; the
+        default is ``model``'s own.
         """
-        clone = cls.allocate(model.config)
+        config = model.config if dtype is None else dataclasses.replace(model.config, dtype=dtype)
+        clone = cls.allocate(config)
         for target, source in zip(clone.parameters(), model.parameters(), strict=True):
             target.data[...] = source.data
         return clone

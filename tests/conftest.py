@@ -26,17 +26,20 @@ def poison_on_recycle(monkeypatch):
     The zero-copy paths hand out storage that is only valid for a while: a
     :class:`ScratchPool` array until ``recycle()``, a ``recv_frame_view`` until
     the stream's next receive (or ``release_recv_buffer``), the training
-    replica's expert values until the next hand-out.  Under this fixture —
-    the whole suite — recycled arrays are filled with NaN, a receive buffer
-    with ``0xFF`` before it is reused or released, and the replica's experts
-    with NaN before they are refreshed, so anything that kept reading a view
-    past its lease computes garbage and a test fails, instead of the stale
-    bytes happening to be right.
+    replica's expert values — and the compact expert lists and merged spare
+    experts mounted on it — until its ``with`` block ends.  Under this
+    fixture — the whole suite — recycled arrays are filled with NaN, a receive
+    buffer with ``0xFF`` before it is reused or released, and the replica's
+    experts, spares included, with NaN when it is taken back (a list that was
+    mounted holds only those modules) and again before they are refreshed, so
+    anything that kept reading a view past its lease computes garbage and a
+    test fails, instead of the stale bytes happening to be right.
     """
     recycle = ScratchPool.recycle
     recv_frame_view = FrameStream.recv_frame_view
     release_recv_buffer = FrameStream.release_recv_buffer
     hand_out = _TrainingReplica.hand_out
+    take_back = _TrainingReplica.take_back
 
     def poisoned_recycle(pool):
         for _, array in pool._taken:
@@ -54,15 +57,27 @@ def poison_on_recycle(monkeypatch):
         poison_recv_buffer(stream)
         release_recv_buffer(stream)
 
-    def poisoned_hand_out(replica):
+    def poison_replica_experts(replica):
         for target, _ in replica.experts:
             target.data.fill(np.nan)
+        for layer in replica.model.moe_layers():
+            for spare in layer._spare_experts:
+                for param in spare.parameters():
+                    param.data.fill(np.nan)
+
+    def poisoned_hand_out(replica):
+        poison_replica_experts(replica)
         return hand_out(replica)
+
+    def poisoned_take_back(replica):
+        take_back(replica)
+        poison_replica_experts(replica)
 
     monkeypatch.setattr(ScratchPool, "recycle", poisoned_recycle)
     monkeypatch.setattr(FrameStream, "recv_frame_view", poisoned_recv_frame_view)
     monkeypatch.setattr(FrameStream, "release_recv_buffer", poisoned_release_recv_buffer)
     monkeypatch.setattr(_TrainingReplica, "hand_out", poisoned_hand_out)
+    monkeypatch.setattr(_TrainingReplica, "take_back", poisoned_take_back)
 
 
 def _updates(model, num_participants=6, seed=7, stalenesses=False):

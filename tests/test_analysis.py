@@ -46,6 +46,12 @@ class TestProfileActivation:
         for fa, fb in zip(profile_a.frequencies, profile_b.frequencies):
             assert np.allclose(fa, fb)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_leaves_the_model_in_the_mode_it_came_in(self, tiny_model, gsm_batches, training):
+        tiny_model.train(training)
+        profile_activation(tiny_model, gsm_batches[:1])
+        assert all(module.training is training for module in tiny_model.modules())
+
     def test_layer_variance_and_matrix(self, tiny_model, gsm_batches):
         profile = profile_activation(tiny_model, gsm_batches)
         assert profile.layer_variance().shape == (tiny_model.num_layers,)

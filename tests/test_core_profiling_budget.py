@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import repro.core.finetuner as finetuner_module
 import repro.core.profiling as profiling_module
+from repro.core.profiling import PROFILING_DTYPE
 from repro.autograd import Adam
 from repro.core import (
     FluxConfig,
@@ -18,11 +19,14 @@ from repro.core import (
     single_expert_budgets,
     uniform_layer_budgets,
 )
-from repro.models import MoETransformer
-from repro.models.presets import ARCHITECTURE_DESCRIPTORS
+from repro.analysis import profile_activation
+from repro.data import Vocabulary, make_batches, make_gsm8k_like
+from repro.models import MoETransformer, tiny_moe
+from repro.models.presets import ARCHITECTURE_DESCRIPTORS, PRESETS, get_preset
 from repro.quantization import quantize_model
 from repro.systems import CONSUMER_GPU, CostModel, MemoryModel
 
+from plan_oracles import state_dict_quantize_model
 from test_run_checkpoint import assert_models_equal, assert_run_results_equal
 from test_runtime import build_federation
 
@@ -144,6 +148,49 @@ def profiles_equal(a, b) -> bool:
             and a.sample_sets == b.sample_sets and a.total_tokens == b.total_tokens)
 
 
+class TestProfilingPrecision:
+    """The profiling copy is float32: low-bit codes times a row scale need no more."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_copy_routes_like_the_float64_copy(self, preset, seed):
+        vocab = Vocabulary(size=96, num_topics=4)
+        model = MoETransformer(get_preset(preset, vocab_size=vocab.size, seed=seed))
+        dataset = make_gsm8k_like(vocab=vocab, num_samples=48, seed=seed)
+        batches = make_batches(dataset.samples, 16, vocab, shuffle=False,
+                               max_seq_len=model.config.max_seq_len)
+        single = quantize_model(model, 4, dtype=PROFILING_DTYPE)
+        assert {param.data.dtype for param in single.parameters()} == {np.dtype("float32")}
+        got = profile_activation(single, batches)
+        want = profile_activation(quantize_model(model, 4), batches)
+        assert got.total_tokens == want.total_tokens
+        assert got.sample_sets == want.sample_sets
+        for mine, theirs in zip(got.token_counts, want.token_counts):
+            assert np.array_equal(mine, theirs)
+        for mine, theirs in zip(got.frequencies, want.frequencies):
+            assert np.array_equal(mine, theirs)
+        for mine, theirs in zip(got.attention_scores, want.attention_scores):
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_without_dtype_byte_equal_to_the_state_dict_path(self, vocab, bits, dtype):
+        """FMQ's model (and every caller that asks for no dtype) is what it was."""
+        model = MoETransformer(tiny_moe(vocab_size=vocab.size, dtype=dtype))
+        got, want = quantize_model(model, bits), state_dict_quantize_model(model, bits)
+        assert got.config == want.config == model.config
+        for (name, mine), (_, theirs) in zip(got.named_parameters(), want.named_parameters(),
+                                             strict=True):
+            assert mine.data.dtype == theirs.data.dtype, name
+            assert mine.data.tobytes() == theirs.data.tobytes(), name
+
+    def test_values_are_the_float64_quantization_rounded_once(self, tiny_model):
+        single = quantize_model(tiny_model, 4, dtype="float32")
+        double = quantize_model(tiny_model, 4)
+        for mine, theirs in zip(single.parameters(), double.parameters(), strict=True):
+            assert np.array_equal(mine.data, theirs.data.astype(np.float32))
+
+
 class TestSharedQuantizedCopy:
     """One low-bit copy of the global model per server version, shared by its participants."""
 
@@ -162,9 +209,9 @@ class TestSharedQuantizedCopy:
         calls = []
 
         def recording(caller):
-            def quantize(model, bits):
+            def quantize(model, bits, dtype):
                 calls.append((caller, bits, model.state_dict()))
-                return quantize_model(model, bits)
+                return quantize_model(model, bits, dtype=dtype)
             return quantize
 
         monkeypatch.setattr(finetuner_module, "quantize_model", recording("tuner"))
@@ -186,7 +233,7 @@ class TestSharedQuantizedCopy:
         assert version == 2 and tuner.server.round_index == 3
         last_round_model = MoETransformer(tiny_config)
         last_round_model.load_state_dict(states[-1])
-        assert_models_equal(held, quantize_model(last_round_model, bits))
+        assert_models_equal(held, quantize_model(last_round_model, bits, dtype=PROFILING_DTYPE))
 
     @pytest.mark.parametrize("knobs", [
         {},
@@ -236,7 +283,7 @@ class TestSharedQuantizedCopy:
         profiler = QuantizedProfiler(bits=4)
         own = profiler.profile(tiny_model, gsm_batches)
         assert len(quantizations) == 1
-        copy = quantize_model(tiny_model, 4)
+        copy = quantize_model(tiny_model, 4, dtype=PROFILING_DTYPE)
         before = copy.state_dict()
         for _ in range(2):      # a second participant profiles on the same copy
             given_copy = profiler.profile(tiny_model, gsm_batches, quantized=copy)

@@ -88,7 +88,8 @@ class TestDegenerateModels:
         plan = plan_compact_model(tiny_model, tuning, profile,
                                   max_non_tuning_slots=tiny_model.num_layers)
         assert plan.num_merged_inputs() == 0
-        compact, tuning_slots, frozen = build_compact_model(tiny_model, plan, profile)
+        compact, tuning_slots, frozen = build_compact_model(MoETransformer.copy_of(tiny_model), plan,
+                                                            profile)
         assert len(frozen) == 0
         assert sum(compact.local_experts_per_layer()) == sum(tiny_model.experts_per_layer())
 

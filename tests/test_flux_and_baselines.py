@@ -53,7 +53,7 @@ class TestBaselineHelpers:
     def test_build_selected_model_skips_dropped_experts(self, tiny_model, gsm_batches):
         profile = profile_activation(tiny_model, gsm_batches)
         selected = select_top_activated(profile, 2)
-        compact, slot_map = build_selected_model(tiny_model, selected)
+        compact, slot_map = build_selected_model(MoETransformer.copy_of(tiny_model), selected)
         assert len(slot_map) == 2
         # every layer keeps its selected experts plus one zero "skip" expert
         for layer, count in enumerate(compact.local_experts_per_layer()):

@@ -29,7 +29,7 @@ from repro.core import (
 from repro.core.assignment import RoleAssignment
 from repro.core.gradient_estimation import ProbePrefix
 from repro.data import Batch, make_batches, make_gsm8k_like
-from repro.federated import Participant, ParticipantResources
+from repro.federated import ParameterServer, Participant, ParticipantResources
 from repro.models import MoETransformer, tiny_moe
 from repro.quantization import quantize_model
 from repro.runtime import latest_checkpoint
@@ -101,7 +101,8 @@ def compact_model(model, batches):
     plan = plan_compact_model(model, {layer: [1] for layer in layers}, profile,
                               max_non_tuning_slots=model.num_layers,
                               preserved_frozen={layer: [3] for layer in layers})
-    compact, tuning_slots, frozen_slots = build_compact_model(model, plan, profile)
+    compact, tuning_slots, frozen_slots = build_compact_model(
+        MoETransformer.copy_of(model), plan, profile)
     assert not any(block.moe.remap.is_identity() for block in compact.blocks)
     return compact, tuning_slots, frozen_slots
 
@@ -350,9 +351,11 @@ def test_client_builds_one_prefix_per_participant_round(vocab, tiny_model, monke
     monkeypatch.setattr(CountingPrefix, "built", [])
     monkeypatch.setattr(flux_client, "ProbePrefix", CountingPrefix)
     monkeypatch.setattr(flux_client, "estimate_expert_gradient", counted)
+    server = ParameterServer(tiny_model)
     for expected_rounds in (1, 2):
-        state.run_round(global_model=tiny_model, assignment=assignment, learning_rate=5e-3,
-                        batch_size=8, max_batches=1, local_iterations=1)
+        with server.training_replica() as replica:
+            state.run_round(model=replica, assignment=assignment, learning_rate=5e-3,
+                            batch_size=8, max_batches=1, local_iterations=1)
         assert CountingPrefix.built == [(1, [0, 1])] * expected_rounds
         assert len(estimates) == 3 * expected_rounds
     assert len({id(prefix) for prefix in estimates[:3]}) == 1

@@ -19,6 +19,14 @@ class TestCausalMask:
         assert np.all(np.diag(mask))
 
 
+    def test_one_read_only_mask_per_length(self):
+        mask = causal_mask(5)
+        assert causal_mask(5) is mask and causal_mask(6) is not mask
+        assert np.array_equal(mask, np.tril(np.ones((5, 5), dtype=bool)))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 1] = True
+
+
 class TestMultiHeadSelfAttention:
     def _layer(self, d_model=16, n_heads=4):
         return MultiHeadSelfAttention(d_model, n_heads, rng=np.random.default_rng(0))

@@ -131,6 +131,22 @@ class TestMoELayer:
         assert all_samples <= {11, 22}
         assert all_samples  # at least one expert saw a sample
 
+    @pytest.mark.parametrize("sample_ids", [[11, 22], [3, 3], [0, 4000]],
+                             ids=["dense-keys", "one-sample", "sparse-keys"])
+    def test_sample_sets_equal_the_pair_by_pair_walk(self, sample_ids):
+        layer = self._layer()
+        mask = np.ones((2, 5), dtype=bool)
+        mask[1, 2:] = False
+        layer(self._input(), sample_ids=np.array(sample_ids), token_mask=mask)
+        top_idx, _, _ = layer.gate(Tensor(self._input().data.reshape(10, 8)), with_probs=False)
+        want = [set() for _ in range(layer.num_original_experts)]
+        for token in np.flatnonzero(mask.reshape(-1)):
+            for expert in top_idx[token]:
+                want[int(expert)].add(sample_ids[token // 5])
+        assert layer.last_routing.sample_ids == want
+        assert all(type(sample) is int
+                   for samples in layer.last_routing.sample_ids for sample in samples)
+
     def test_token_mask_excludes_padding_from_stats(self):
         layer = self._layer()
         mask = np.ones((2, 5), dtype=bool)
