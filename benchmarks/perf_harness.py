@@ -604,28 +604,32 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int) -> Dict:
     non-parallel remainder (channel hops, inner-tier folds, root aggregate)
     = ``serial_s - decode_s - leaf_fold_s``.
     """
-    from repro.comm import ScratchPool, decode_update, get_codec
+    from repro.comm import ScratchPool, decode_update
     from repro.federated import AggregationTree, ParameterServer
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
-    from repro.service.fold import frame_update, prefold_node_frames
+    from repro.service.fold import frame_update, prefold_node_frames, prefold_nodes
 
     config = get_preset(AGG_PRESET.replace("_", "-"))
     tree = AggregationTree(tiers)
     server = ParameterServer(MoETransformer(config))
-    codec = get_codec("fp64")
     all_framed = [frame_update(update, {}) for update in updates]
     node_framed: Dict[int, list] = {}
+    leaf_updates: Dict[int, list] = {}
     for update, framed in zip(updates, all_framed):
-        node_framed.setdefault(tree.edge_of(update.participant_id), []).append(framed)
+        node = tree.edge_of(update.participant_id)
+        node_framed.setdefault(node, []).append(framed)
+        leaf_updates.setdefault(node, []).append(update)
+    leaf_jobs = [(node, tree.pseudo_id(0, node), leaf_updates[node])
+                 for node in sorted(leaf_updates)]
     scratch = ScratchPool()   # warm across jobs, as an aggregator server's is
+    leaf_scratch = ScratchPool()
 
     def serial_wire():
         tree.aggregate(server, iter([decode_update(frame) for frame, _ in all_framed]))
 
     def leaf_fold():
-        tree.reset_round_metrics()
-        tree._fold_leaf_tier(iter(updates), None, None, codec)
+        prefold_nodes(None, leaf_jobs, scratch=leaf_scratch)
 
     fns = {
         "serial_wire": {"fold": serial_wire},
@@ -692,10 +696,12 @@ def _bench_alloc_probe(updates) -> Dict:
     """Tracemalloc probe of one *warm* fold round: peak temporary bytes of
     the fused scratch path vs the buffered decode-then-fold path, plus the
     scratch pool's steady-state allocation count (must stay 0 — any new
-    ``np.empty`` inside a warm round is a fast-path regression).
+    ``np.empty`` inside a warm round is a fast-path regression).  The fused
+    path is the serial executor's: ``server.aggregate`` over the byte-holding
+    updates a wire uplink delivers, decoded by the fold dispatch.
     """
     from repro.comm import decode_update
-    from repro.federated import ShardedParameterServer
+    from repro.federated import ExpertUpdate, ShardedParameterServer
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
     from repro.service.fold import frame_update
@@ -703,9 +709,12 @@ def _bench_alloc_probe(updates) -> Dict:
     config = get_preset(AGG_PRESET.replace("_", "-"))
     server = ShardedParameterServer(MoETransformer(config), num_shards=1)
     all_framed = [frame_update(update, {})[0] for update in updates]
+    delivered = [ExpertUpdate(update.participant_id, update.layer, update.expert, None,
+                              update.weight, wire_frame=frame, wire_codec="fp64")
+                 for update, frame in zip(updates, all_framed)]
 
     def fused():
-        _fold_payloads(server, all_framed)
+        server.aggregate(delivered)
 
     def buffered():
         server.aggregate([decode_update(frame) for frame in all_framed])

@@ -6,8 +6,10 @@ the best fixed setting because it explores early (when utility estimates are
 poor) and exploits late.
 """
 
+import pytest
 
 from common import (
+    FAST,
     build_federation,
     default_flux_config,
     default_rounds,
@@ -43,6 +45,11 @@ def _measure():
     return results
 
 
+@pytest.mark.xfail(
+    FAST, strict=True, raises=AssertionError,
+    reason="fast mode: dynamic eps 0.300 < 0.75 x best fixed 0.450 (measured on c482e88; "
+           "single-seed maxima of a 40-sample metric — ROADMAP's reproduction-gate item). "
+           "Strict: the nightly lane goes red the day this starts passing.")
 def test_fig19_dynamic_epsilon(benchmark):
     results = benchmark.pedantic(_measure, rounds=1, iterations=1)
 

@@ -7,9 +7,11 @@ discarding experts, and FMQ loses the most to quantization error.
 """
 
 import numpy as np
+import pytest
 
 from common import (
     DATASETS,
+    FAST,
     METHODS,
     default_rounds,
     print_header,
@@ -45,6 +47,11 @@ def _measure():
     return table
 
 
+@pytest.mark.xfail(
+    FAST, strict=True, raises=AssertionError,
+    reason="fast mode, llama/dolly: Flux 0.109 < 0.65 x FMD 0.275 (measured on c482e88; "
+           "ROADMAP's reproduction-gate item has the bisection plan). "
+           "Strict: the nightly lane goes red the day this starts passing.")
 def test_table2_final_accuracy(benchmark):
     table = benchmark.pedantic(_measure, rounds=1, iterations=1)
 

@@ -12,7 +12,7 @@ transport via :class:`~repro.federated.RunConfig` (``codec=``,
 ``transport="wire"``).
 """
 
-from .aggregator import StreamingAggregator, finalize_weighted_sum, fold_weighted_state
+from .aggregator import StreamingAggregator, finalize_weighted_sum
 from .channel import Channel, ChannelStats, TransferRecord
 from .scratch import ScratchPool
 from .codecs import (
@@ -74,7 +74,6 @@ __all__ = [
     "read_frame",
     "write_frame",
     "StreamingAggregator",
-    "fold_weighted_state",
     "finalize_weighted_sum",
     "ScratchPool",
     "Channel",

@@ -19,9 +19,10 @@ value * weight`` in arrival order, the first contribution assigned.
 The references it is held to are in ``tests/fold_oracles.py``: the
 frame-at-a-time decode-and-fold this replaced (``tests/test_fold_batch.py``:
 every partial frame and shard aggregate byte for byte), and the
-group-then-average FedAvg, built on the same :func:`fold_weighted_state` /
-:func:`finalize_weighted_sum` pair in the same arrival order; they agree bit
-for bit wherever a key's total weight is positive.
+group-then-average FedAvg over the per-key running-sum accumulator the
+strategies used to own (it lives there now, finalized by the same
+:func:`finalize_weighted_sum`), in the same arrival order; they agree bit for
+bit wherever a key's total weight is positive.
 
 The aggregator is strategy-aware (:mod:`repro.federated.strategies`): pass a
 strategy name or instance and every expert key folds through that strategy's
@@ -32,7 +33,7 @@ per run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .scratch import ScratchPool
 from .serialization import (
     DecodedGroup,
     ParsedUpdate,
-    decode_update,
     decode_update_group,
     parse_update,
 )
@@ -50,41 +50,6 @@ ExpertKey = Tuple[int, int]
 #: most frames one group fold takes on: bounds its work matrices (a sender
 #: with more experts than this folds as several groups)
 MAX_GROUP_FRAMES = 64
-
-
-def fold_weighted_state(acc: Dict[str, np.ndarray], state: Dict[str, np.ndarray],
-                        weight: float,
-                        scratch: Optional[ScratchPool] = None) -> None:
-    """Fold ``weight * state`` into ``acc`` in place (float64 accumulators).
-
-    With a ``scratch`` pool the ``weight * value`` term is computed into the
-    pool's persistent per-shape term buffer instead of a fresh allocation —
-    same multiply loop (``dtype=float64`` forced either way), same add, so
-    the running sums are bit-identical to the allocating fold.
-    """
-    weight = float(weight)
-    if weight < 0:
-        raise ValueError("aggregation weights must be non-negative")
-    # keys() views compare set-wise in C — no per-fold set construction
-    if acc and state.keys() != acc.keys():
-        raise ValueError("cannot fold states with mismatched tensor names")
-    term_of = scratch.term if scratch is not None else None
-    for name, value in state.items():
-        running = acc.get(name)
-        if running is None:
-            # the accumulator owns this array, so it cannot come from scratch
-            acc[name] = np.multiply(value, weight, dtype=np.float64)
-        elif term_of is None:
-            running += np.multiply(value, weight, dtype=np.float64)
-        else:
-            shape = getattr(value, "shape", None)
-            if shape is None:
-                value = np.asarray(value)
-                shape = value.shape
-            term = term_of(shape)
-            np.multiply(value, weight, out=term, dtype=np.float64,
-                        casting="unsafe")
-            np.add(running, term, out=running)
 
 
 def finalize_weighted_sum(acc: Dict[str, np.ndarray],
@@ -155,16 +120,6 @@ class StreamingAggregator:
         #: foldable strategies: ``(keys, *shape)`` float64 running sums per
         #: ``(name, shape)``; row ``r`` belongs to the key whose row is ``r``
         self._sums: Dict[Tuple[str, tuple], np.ndarray] = {}
-
-    @property
-    def uses_scratch(self) -> bool:
-        """Whether this aggregator folds through a scratch pool.
-
-        ``False`` for buffering strategies even when one was passed — callers
-        deciding whether to scratch-decode payloads must check this, not the
-        constructor argument.
-        """
-        return self._scratch is not None
 
     def __len__(self) -> int:
         return len(self._accs)
@@ -297,10 +252,6 @@ class StreamingAggregator:
         self.add_state(update.key, update.state, update.weight,
                        getattr(update, "staleness", 0))
 
-    def add_updates(self, updates: Iterable) -> None:
-        for update in updates:
-            self.add(update)
-
     def fold_frames(self, frames: Sequence, stalenesses: Optional[Sequence[int]] = None,
                     reference_lookup=None) -> None:
         """Decode and fold wire frames, in order — the fused decode-and-fold hot path.
@@ -344,33 +295,6 @@ class StreamingAggregator:
         finally:
             if scratch is not None:
                 scratch.recycle()
-
-    def fold_payload(self, data,
-                     reference: Optional[Dict[str, np.ndarray]] = None,
-                     reference_lookup=None, staleness: int = 0) -> None:
-        """Decode one wire frame and fold it: :meth:`fold_frames` of one frame."""
-        if reference is not None:
-            def reference_lookup(layer, expert):  # noqa: ARG001 — the one frame's
-                return reference
-        self.fold_frames([data], [staleness], reference_lookup)
-
-    def add_payload(self, data,
-                    reference: Optional[Dict[str, np.ndarray]] = None,
-                    reference_lookup=None):
-        """Decode one wire frame, fold it and return the decoded update.
-
-        With a scratch pool the *returned* update's state references volatile
-        scratch storage; it is a peek at what was folded, not a value to
-        retain.
-        """
-        scratch = self._scratch
-        update = decode_update(data, reference=reference,
-                               reference_lookup=reference_lookup,
-                               scratch=scratch)
-        self.add(update)
-        if scratch is not None:
-            scratch.recycle()
-        return update
 
     # --------------------------------------------------------------- finalizing
     def partials(self, participant_id: int) -> list:

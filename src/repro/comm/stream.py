@@ -131,31 +131,6 @@ class FrameStream:
         self.frames_sent += 1
         return sent
 
-    def send_frames(self, payloads) -> int:
-        """Queue several frames in one ``sendall`` (one syscall, one segment
-        train).  Returns total bytes written.
-
-        A transport primitive for senders whose payloads are already encoded;
-        note the fold client deliberately does *not* batch its window this
-        way — pre-encoding a burst serializes all client-side encoding ahead
-        of the server's ingest, which measures slower on shared-CPU hosts
-        than encode-one-send-one.
-
-        Each payload is length-checked *before* anything is queued, so an
-        oversized frame raises with the stream's framing still intact (no
-        partial batch ever hits the wire).
-        """
-        sock = self._require_open()
-        payloads = list(payloads)
-        for payload in payloads:
-            _check_length(len(payload), self._max_frame_bytes)
-        data = b"".join(LENGTH_PREFIX.pack(len(payload)) + payload
-                        for payload in payloads)
-        sock.sendall(data)
-        self.bytes_sent += len(data)
-        self.frames_sent += len(payloads)
-        return len(data)
-
     # ------------------------------------------------------------------- recv
     def _recv_exactly(self, num_bytes: int, *, at_boundary: bool) -> Optional[memoryview]:
         """Read exactly ``num_bytes`` into the reusable buffer, across

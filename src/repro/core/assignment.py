@@ -30,6 +30,11 @@ class RoleAssignment:
     exploration: List[ExpertKey]       # forward-only utility probing
     candidates: List[ExpertKey]        # solution of optimisation problem (4)
     epsilon: float
+    #: report only: the smallest utility gap this assignment's two float-ranked
+    #: cuts were decided by — candidates against the experts outside the
+    #: budget, and exploitation against the other candidates.  0.0 is an exact
+    #: tie (broken by expert key); ``inf`` when neither cut dropped anything.
+    min_margin: float = float("inf")
 
     @property
     def tuning_experts(self) -> List[ExpertKey]:
@@ -46,6 +51,15 @@ class RoleAssignment:
         for layer, expert in self.exploration:
             grouped.setdefault(layer, []).append(expert)
         return grouped
+
+
+def _cut_margin(utilities: Dict[ExpertKey, float], kept: Sequence[ExpertKey],
+                dropped: Sequence[ExpertKey]) -> float:
+    """Utility gap between the lowest kept and the highest dropped expert."""
+    if not kept or not dropped:
+        return float("inf")
+    return (min(utilities[key] for key in kept)
+            - max(utilities[key] for key in dropped))
 
 
 def solve_candidate_selection(utilities: Dict[ExpertKey, float], budget: int) -> List[ExpertKey]:
@@ -97,12 +111,18 @@ class ExpertRoleAssigner:
                 participant_utilities.setdefault(key, 0.0)
             candidates = solve_candidate_selection(participant_utilities, budget)
             exploitation, exploration = self._split(candidates, participant_utilities, epsilon)
+            chosen, exploited = set(candidates), set(exploitation)
             assignments[participant_id] = RoleAssignment(
                 participant_id=participant_id,
                 exploitation=exploitation,
                 exploration=exploration,
                 candidates=candidates,
                 epsilon=epsilon,
+                min_margin=min(
+                    _cut_margin(participant_utilities, candidates,
+                                [key for key in participant_utilities if key not in chosen]),
+                    _cut_margin(participant_utilities, exploitation,
+                                [key for key in candidates if key not in exploited])),
             )
         return assignments
 
@@ -122,7 +142,8 @@ class ExpertRoleAssigner:
 
         exploration: List[ExpertKey] = []
         if num_explore > 0:
-            pool = [key for key in self.all_experts if key not in set(exploitation)]
+            exploited = set(exploitation)
+            pool = [key for key in self.all_experts if key not in exploited]
             if pool:
                 picked = self._rng.choice(len(pool), size=min(num_explore, len(pool)), replace=False)
                 exploration = [pool[int(i)] for i in picked]

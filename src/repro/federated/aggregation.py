@@ -31,11 +31,13 @@ class ExpertUpdate:
     :attr:`wire_codec` / :attr:`wire_reference` / :attr:`wire_raw_bytes`; the
     uplink sends those bytes and only verifies what arrives.  The first read
     of ``state`` decodes exactly those bytes against exactly that reference
-    (:func:`repro.comm.decode_update`) and keeps the result.  A fold that
-    consumes frames (the service dispatch forwards ``wire_frame`` verbatim)
-    never reads it, so each frame is decoded once, by whoever folds it;
-    everything that does read it — the serial fold, order-statistic
-    strategies, ``==``, ``repr``, ``dataclasses.replace`` — sees the bits an
+    (:func:`repro.comm.decode_update`) and keeps the result.  No fold reads
+    it: the fold dispatch (:mod:`repro.service.fold`) hands a framed update's
+    bytes to :meth:`~repro.comm.StreamingAggregator.fold_frames`, here or on
+    an aggregator server, so each frame is decoded once, by whoever folds it,
+    and nothing dense outlives the fold.  ``state`` stays the documented
+    accessor: everything that does read it — ``==``, ``repr``,
+    ``dataclasses.replace``, a caller inspecting an upload — sees the bits an
     eager decode at the uplink would have produced (and ends
     :attr:`framed`: the value then lives in two places).
     """

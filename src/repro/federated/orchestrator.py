@@ -364,7 +364,7 @@ class FederatedFineTuner(abc.ABC):
                 server, self.config.num_shards)
         self.topology = make_topology(self.config,
                                       participant_costs=self._participant_upload_costs())
-        self._aggregation_pool = make_aggregation_pool(self.config)
+        self._aggregation_pool = self.server.fold_pool = make_aggregation_pool(self.config)
         # --- observability: a RunTelemetry when config.telemetry is on, else
         # the shared no-op NullTelemetry; the server shares the tracer so its
         # per-shard folds appear in the same trace.
@@ -372,8 +372,7 @@ class FederatedFineTuner(abc.ABC):
 
         self.telemetry = make_telemetry(self.config)
         self.server.tracer = self.telemetry.tracer
-        if self._aggregation_pool is not None:
-            self.server.fold_pool = self._aggregation_pool
+        if self.config.aggregation_executor == "service":
             # repro_service_* byte/connection counters land in the run's
             # metrics registry (no-op registry when telemetry is off)
             self._aggregation_pool.bind_telemetry(self.telemetry)
@@ -711,7 +710,11 @@ class FederatedFineTuner(abc.ABC):
             self._legacy_scheduler.executor.close()
             self._legacy_scheduler = None
             self._legacy_scheduler_key = None
-        if self._aggregation_pool is not None:
+        self._drain_aggregation_service()
+
+    def _drain_aggregation_service(self) -> None:
+        """Shut the fold servers down (they restart lazily); nothing to do under ``"serial"``."""
+        if self.config.aggregation_executor == "service":
             self._aggregation_pool.close()
 
     def _server_aggregation_time(self, num_updates: int) -> float:
@@ -770,5 +773,4 @@ class FederatedFineTuner(abc.ABC):
                               resume=resume)
         finally:
             self.telemetry.finish()
-            if self._aggregation_pool is not None:
-                self._aggregation_pool.close()
+            self._drain_aggregation_service()

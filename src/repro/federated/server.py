@@ -15,12 +15,13 @@ Two server flavours share one interface:
     global parameters — sharding changes *where* state lives, not the math.
 
 Both accept a pluggable :class:`~repro.federated.strategies.AggregationStrategy`
-(default: weighted FedAvg).  There is one fold: updates stream into per-shard
-:class:`~repro.comm.StreamingAggregator`'s, on this thread or — with a
-:class:`~repro.service.ServiceAggregationPool` attached — as one fold job per
-shard on the aggregator servers, bit for bit the same result.  The buffered
-group-then-average FedAvg it replaced is the reference in
-``tests/fold_oracles.py``.
+(default: weighted FedAvg).  There is one fold and one way to reach it:
+:meth:`ParameterServer.aggregate` buckets a round's updates by shard and hands
+the buckets, one job a shard, to :func:`repro.service.fold.fold_shards`
+together with :attr:`ParameterServer.fold_pool`.  Whether a job folds on this
+thread or on an aggregator server is decided there and nowhere in this module;
+the result is bit for bit the same.  The buffered group-then-average FedAvg
+the streaming fold replaced is the reference in ``tests/fold_oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..comm import ScratchPool, StreamingAggregator
+from ..comm import ScratchPool
 from ..autograd import Parameter
 from ..models import MoETransformer
 from .aggregation import ExpertKey, ExpertUpdate
@@ -98,10 +99,9 @@ class ParameterServer:
 
     The server never sees raw data: participants upload expert parameter
     states (plus scalar statistics such as utilities), and download refreshed
-    expert parameters at the start of the next round.  Aggregation streams:
-    each update folds into a per-expert accumulator as it arrives, so peak
-    server memory under FedAvg is one update plus the running sums — O(1) in
-    the number of clients.  ``strategy`` (a name or an
+    expert parameters at the start of the next round.  Aggregation folds each
+    update into a per-expert accumulator, so under FedAvg the fold's own state
+    is the running sums — O(1) in the number of clients.  ``strategy`` (a name or an
     :class:`~repro.federated.strategies.AggregationStrategy`) replaces the
     FedAvg reduction with e.g. a coordinate-wise trimmed mean or median.
     """
@@ -117,16 +117,15 @@ class ParameterServer:
         self.round_index = 0
         #: number of contributions each expert received over the whole run
         self.contribution_counts: Dict[ExpertKey, int] = {}
-        #: optional :class:`~repro.service.ServiceAggregationPool`: with one
-        #: attached (and more than one shard) the per-shard folds run on the
-        #: aggregator servers instead of on the server thread
+        #: optional :class:`~repro.service.ServiceAggregationPool`, passed to
+        #: the fold dispatcher with every round's shard jobs
         self.fold_pool = None
         #: span tracer for per-shard fold spans; the fine-tuner shares its
         #: run telemetry tracer here, the no-op default costs nothing
         self.tracer = NULL_TRACER
-        #: persistent decode/fold scratch: payload decode and the weighted
-        #: folds reuse these buffers across rounds, so steady-state serial
-        #: aggregation is allocation-free (ships empty through pickle)
+        #: persistent decode/fold scratch of the folds that run on this thread:
+        #: reused across rounds, so their steady state is allocation-free
+        #: (ships empty through pickle)
         self.fold_scratch = ScratchPool()
         #: the resident model of :meth:`training_replica`, built on first use
         self._replica: Optional[_TrainingReplica] = None
@@ -190,84 +189,37 @@ class ParameterServer:
         return {key: self.expert_state(*key) for key in keys}
 
     # ------------------------------------------------------------- aggregation
-    def _resolve_strategy(self, strategy):
-        return strategy if strategy is not None else self.strategy
-
-    def _make_aggregators(self, strategy) -> List[StreamingAggregator]:
-        """One streaming aggregator per shard (flat servers have one).
-
-        All shards share the server's persistent scratch pool — they fold
-        sequentially on the server thread, so the pool's term buffers never
-        see concurrent use.
-        """
-        return [StreamingAggregator(strategy, scratch=self.fold_scratch)
-                for _ in range(self.num_shards)]
-
     def shard_of(self, key: ExpertKey) -> int:
         """The shard responsible for ``key`` (always 0 on a flat server)."""
         return 0
-
-    def _record(self, contributions: Dict[ExpertKey, int]) -> Dict[ExpertKey, int]:
-        for key, count in contributions.items():
-            self.contribution_counts[key] = self.contribution_counts.get(key, 0) + count
-        self.round_index += 1
-        return contributions
 
     def aggregate(self, updates: Iterable[ExpertUpdate],
                   strategy=None) -> Dict[ExpertKey, int]:
         """Aggregate the received expert updates into the global model.
 
-        The updates iterable is consumed one element at a time through
-        per-shard :class:`~repro.comm.StreamingAggregator`'s — pass a
-        generator and no more than one update is ever buffered server-side.
-        ``strategy`` overrides the server's construction-time strategy for
-        this call.  A key whose contributions all weigh zero cannot be
-        averaged and raises.
+        The updates are bucketed by shard in arrival order and each non-empty
+        bucket folds as one job (:func:`repro.service.fold.fold_shards`: on
+        this thread, or on :attr:`fold_pool`'s servers); the folded experts
+        are then written into the global model.  ``strategy`` overrides the
+        server's construction-time strategy for this call.  A key whose
+        contributions all weigh zero cannot be averaged and raises before
+        anything is written.
         """
-        effective = self._resolve_strategy(strategy)
-        if self.fold_pool is not None and self.num_shards > 1:
-            return self._record(self._aggregate_pooled(updates, effective))
-        aggregators = self._make_aggregators(effective)
+        from ..service.fold import fold_shards  # late: repro.service imports this package
+
+        buckets: List[List[ExpertUpdate]] = [[] for _ in range(self.num_shards)]
         for update in updates:
-            aggregators[self.shard_of(update.key)].add(update)
+            buckets[self.shard_of(update.key)].append(update)
+        jobs = [(shard, bucket) for shard, bucket in enumerate(buckets) if bucket]
         contributions: Dict[ExpertKey, int] = {}
-        for shard, aggregator in enumerate(aggregators):
-            with self.tracer.span("fold_shard", category="fold", shard=shard,
-                                  num_updates=aggregator.num_updates):
-                contributions.update(aggregator.apply(self.global_model))
-        return self._record(contributions)
-
-    def _aggregate_pooled(self, updates: Iterable[ExpertUpdate],
-                          strategy) -> Dict[ExpertKey, int]:
-        """Fold the shards as one job each on :attr:`fold_pool`'s servers.
-
-        Each update travels as the frame it arrived as, else as a lossless
-        fp64 frame (:func:`~repro.service.fold.frame_update`), bucketed by
-        shard in arrival order; the servers run the serial per-shard fold on
-        exactly those bytes, so the result is bit-identical to serial
-        (test-enforced).  One round's frames are buffered here, trading the
-        serial path's O(1) memory for folds that run off this process.
-        """
-        from ..comm import decode_state_dict
-        from ..service.fold import frame_update
-
-        shard_frames: List[List] = [[] for _ in range(self.num_shards)]
-        shard_refs: List[Dict] = [{} for _ in range(self.num_shards)]
-        for update in updates:
-            shard = self.shard_of(update.key)
-            shard_frames[shard].append(frame_update(update, shard_refs[shard]))
-        jobs = [(shard, framed, shard_refs[shard])
-                for shard, framed in enumerate(shard_frames) if framed]
-        contributions: Dict[ExpertKey, int] = {}
-        folded = self.fold_pool.fold_shards(strategy, jobs,
-                                            timed=self.tracer.enabled)
-        for record in self.fold_pool.last_span_records:
-            self.tracer.ingest(record)
-        for _, shard_result in folded:
-            for (layer, expert), state_frame, count in shard_result:
-                self.global_model.load_expert_state(
-                    layer, expert, decode_state_dict(state_frame))
-                contributions[(layer, expert)] = count
+        for _, folded in fold_shards(strategy if strategy is not None else self.strategy,
+                                     jobs, self.fold_pool, scratch=self.fold_scratch,
+                                     tracer=self.tracer):
+            for key, state, count in folded:
+                self.global_model.load_expert_state(*key, state)
+                contributions[key] = count
+                self.contribution_counts[key] = self.contribution_counts.get(key, 0) + count
+        self.round_index += 1
         return contributions
 
     # ------------------------------------------------------------- durability
@@ -379,8 +331,8 @@ def make_server(global_model: MoETransformer, config=None,
 def make_aggregation_pool(config):
     """The fold executor a :class:`~repro.federated.RunConfig` selects.
 
-    ``None`` for ``"serial"`` (folds run on the server thread), a
-    :class:`~repro.service.ServiceAggregationPool` for ``"service"``.
+    ``None`` for ``"serial"`` (the dispatcher folds every job on the calling
+    thread), a :class:`~repro.service.ServiceAggregationPool` for ``"service"``.
     """
     if config.aggregation_executor == "serial":
         return None

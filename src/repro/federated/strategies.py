@@ -8,10 +8,9 @@ topology — flat server, expert shards, edge aggregators — composes with any 
 them:
 
 ``fedavg``
-    Weighted average, implemented as the exact sequential fold the streaming
-    server path has always used (:func:`~repro.comm.aggregator.fold_weighted_state`
-    / :func:`~repro.comm.aggregator.finalize_weighted_sum`), so selecting it
-    explicitly is bit-identical to the legacy default.
+    Weighted average: the sequential fold of
+    :class:`~repro.comm.StreamingAggregator`, which keeps the running sums
+    itself, so selecting it explicitly is bit-identical to the default.
 
 ``trimmed_mean``
     Coordinate-wise trimmed mean (Yin et al.): per scalar coordinate, drop the
@@ -32,9 +31,10 @@ them:
     ``server.aggregate`` use; combining it with the asynchronous scheduler is
     rejected at config time (the discount would apply twice).
 
-A strategy produces per-expert *accumulators*; foldable strategies (FedAvg
-family) keep O(1) state per expert, order statistics (trimmed mean, median)
-buffer their contributions until :meth:`UpdateAccumulator.finalize`.
+Foldable strategies (the FedAvg family) keep O(1) state per expert, in the
+aggregator; order statistics (trimmed mean, median) produce per-expert
+*accumulators* that buffer their contributions until
+:meth:`UpdateAccumulator.finalize`.
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm.aggregator import finalize_weighted_sum, fold_weighted_state
+from ..comm.aggregator import StreamingAggregator
 
 State = Dict[str, np.ndarray]
+
+#: the key :meth:`AggregationStrategy.aggregate` folds its states under
+_ONE_KEY = (0, 0)
 
 
 def staleness_discount(staleness: int, exponent: float = 0.5) -> float:
@@ -78,70 +81,50 @@ class UpdateAccumulator(abc.ABC):
 
 
 class AggregationStrategy(abc.ABC):
-    """Factory of per-expert :class:`UpdateAccumulator` objects."""
+    """How the updates of one expert key become one state."""
 
     name: str = "base"
     #: True when the reduction is a weighted mean of the contributions, each
     #: weighing ``weight * discount(staleness)``: a
     #: :class:`~repro.comm.StreamingAggregator` then keeps the running sums of
     #: all keys itself (O(1) state per expert, whole groups of updates folded
-    #: at once) and asks the strategy for :attr:`discount` only — its
-    #: accumulators serve :meth:`aggregate` and are the arithmetic reference.
-    #: Order statistics buffer every contribution until finalize.
+    #: at once) and asks the strategy for :attr:`discount` only.  Otherwise
+    #: every key gets one :meth:`make_accumulator`, which buffers its
+    #: contributions until finalize (order statistics).
     foldable: bool = False
     #: ``discount(staleness) -> factor`` on an update's weight (``None``: none)
     discount: Optional[Callable[[int], float]] = None
 
-    @abc.abstractmethod
     def make_accumulator(self) -> UpdateAccumulator:
-        """A fresh accumulator for one expert key."""
+        """A fresh accumulator for one expert key (non-:attr:`foldable` strategies)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines no per-key accumulator "
+            "(a foldable strategy's sums are the aggregator's)")
 
     def aggregate(self, states: Sequence[State], weights: Sequence[float],
                   stalenesses: Optional[Sequence[int]] = None) -> State:
-        """Convenience one-shot aggregation of pre-collected states."""
+        """Convenience one-shot aggregation of pre-collected states.
+
+        The states of one (anonymous) expert key through a
+        :class:`~repro.comm.StreamingAggregator` — the fold every server runs.
+        """
+        if not states:
+            raise ValueError("cannot aggregate an empty list of states")
         if len(states) != len(weights):
             raise ValueError("one weight per state is required")
         stale = stalenesses if stalenesses is not None else [0] * len(states)
-        acc = self.make_accumulator()
+        aggregator = StreamingAggregator(self)
         for state, weight, staleness in zip(states, weights, stale):
-            acc.add(state, weight, staleness=staleness)
-        return acc.finalize()
+            aggregator.add_state(_ONE_KEY, state, weight, staleness)
+        return aggregator.finalize()[_ONE_KEY]
 
 
 # -------------------------------------------------------------------- fedavg
-class _FoldAccumulator(UpdateAccumulator):
-    """Weighted running sum — the exact streaming-FedAvg arithmetic."""
-
-    def __init__(self, discount: Optional[Callable[[int], float]] = None) -> None:
-        super().__init__()
-        self._acc: State = {}
-        self._discount = discount
-
-    @property
-    def finalizable(self) -> bool:
-        # A weighted mean needs positive total weight; the individual states
-        # are gone, so all-zero weights cannot fall back to a uniform mean.
-        return self.total_weight > 0
-
-    def add(self, state: State, weight: float, staleness: int = 0) -> None:
-        if self._discount is not None:
-            weight = weight * self._discount(staleness)
-        fold_weighted_state(self._acc, state, weight)
-        self.total_weight += float(weight)
-        self.count += 1
-
-    def finalize(self) -> State:
-        return finalize_weighted_sum(self._acc, self.total_weight)
-
-
 class FedAvgStrategy(AggregationStrategy):
-    """Weighted FedAvg: the legacy fold, bit-identical to the historical path."""
+    """Weighted FedAvg: the aggregator's running weighted sums, finalized by the total."""
 
     name = "fedavg"
     foldable = True
-
-    def make_accumulator(self) -> UpdateAccumulator:
-        return _FoldAccumulator()
 
 
 class StalenessFedAvgStrategy(AggregationStrategy):
@@ -157,9 +140,6 @@ class StalenessFedAvgStrategy(AggregationStrategy):
 
     def discount(self, staleness: int) -> float:
         return staleness_discount(staleness, self.exponent)
-
-    def make_accumulator(self) -> UpdateAccumulator:
-        return _FoldAccumulator(discount=self.discount)
 
 
 # ---------------------------------------------------------- order statistics

@@ -27,12 +27,17 @@ evenly across edges instead of piling onto ``pid % num_edges``.  Without cost
 information it degrades to the stable round-robin assignment, which keeps
 cost-less configurations bit-identical to the historical behaviour.
 
-**Service pre-fold**: pass a :class:`~repro.service.ServiceAggregationPool`
-and every node of every tier folds as one job on an aggregator server — the
-job carries the node's updates as wire frames and returns the node's partial
-frames, bit-identical to the serial fold (test-enforced).  Partial frames that
-the next tier's jobs will fold travel on as verified bytes; only the last
-tier's, which the root server reads, are decoded here.
+**One loop, one dispatcher.**  :meth:`AggregationTree.aggregate` is one loop
+over tiers: fill each node's inbox, fold the tier, send every partial over its
+node's channel into the parent's inbox, hand the last tier's deliveries to the
+root server.  "Fold the tier" is :func:`repro.service.fold.prefold_nodes` — a
+list of jobs, one per node, each the node's updates in arrival order — and
+that function alone decides whether a job folds on this thread or, with a
+:class:`~repro.service.ServiceAggregationPool`, on an aggregator server; the
+two are bit-identical (test-enforced) and this module has no branch on which
+one ran.  A partial is one :class:`~repro.federated.aggregation.ExpertUpdate`
+that owns the fp64 frame it travels as; one that came back from a server holds
+those bytes only and is decoded once, by whoever folds it next.
 
 Tier-hop traffic is measured, not estimated: every partial crosses its node's
 channel, and the per-round byte/latency totals surface per tier as
@@ -50,11 +55,7 @@ from ..comm import (
     ChannelStats,
     PayloadCorruptedError,
     ScratchPool,
-    StreamingAggregator,
     decode_update,
-    encode_updates,
-    get_codec,
-    verify_frame,
 )
 from ..obs import NULL_TRACER
 from .aggregation import ExpertKey, ExpertUpdate
@@ -67,30 +68,6 @@ EDGE_CODEC = "fp64"
 #: its partials as ``-(k * _TIER_ID_STRIDE + j + 1)``, so tier 0 keeps the
 #: historical ``-(edge + 1)`` ids and logs can tell tiers apart.
 _TIER_ID_STRIDE = 1000
-
-
-#: one partial on its way up: the update (``None`` while only a pool's fold
-#: job will read it) and the wire frame it travels as
-_Partial = Tuple[Optional[ExpertUpdate], bytes]
-
-
-def _framed(partials: List[ExpertUpdate], codec) -> List[_Partial]:
-    """Each of a node's partials paired with its wire frame (one framing pass)."""
-    return list(zip(partials, encode_updates(partials, codec)))
-
-
-def _pool_folded(frames: List[bytes], root_bound: bool) -> List[_Partial]:
-    """The partial frames a pool's fold job returned, as a node's partials.
-
-    Partials bound for the root are decoded — the server reads their states.
-    Partials another fold job will consume stay bytes: verified here, as the
-    uplink verifies a participant's frames, and decoded once, by that job.
-    """
-    if root_bound:
-        return [(decode_update(frame), frame) for frame in frames]
-    for frame in frames:
-        verify_frame(frame)
-    return [(None, frame) for frame in frames]
 
 
 def tier_of_pseudo_id(pseudo_id: int) -> int:
@@ -247,9 +224,8 @@ class AggregationTree:
         self.last_tier_counts: List[List[int]] = [[0] * w for w in widths]
         #: per-tier measured channel stats of the most recent round
         self.last_tier_stats: List[ChannelStats] = [ChannelStats() for _ in widths]
-        #: persistent fold scratch for the *serial* tier folds (service folds
-        #: use their server's pool); every serial fold this tree ever runs
-        #: shares these term buffers
+        #: persistent fold scratch of the tier folds that run on this thread
+        #: (an aggregator server folds into its own)
         self._fold_scratch = ScratchPool()
 
     # ----------------------------------------------------------------- shape
@@ -288,123 +264,97 @@ class AggregationTree:
         return -(tier * _TIER_ID_STRIDE + node + 1)
 
     # -------------------------------------------------------------- aggregation
-    def partial_updates(self, edge: int,
-                        aggregator: StreamingAggregator) -> List[ExpertUpdate]:
-        """A tier-0 node's pre-folded partials, one update per expert key.
+    def _send(self, tier: int, node: int,
+              partial: ExpertUpdate) -> Optional[ExpertUpdate]:
+        """Ship one partial's frame over its node's channel; return what arrived.
 
-        The partial's weight is the group's accumulated (post-discount)
-        weight, so the parent's weighted fold treats the group exactly as one
-        heavy contributor.  Partials carry a negative pseudo participant id
-        (``-(edge + 1)`` at tier 0) so logs can tell tiers apart.
-
-        Keys whose group contributed only zero-weight FedAvg updates are
-        dropped: a zero-weight group simply contributes nothing upward.
+        ``None`` when the payload was lost or failed its CRC.  A pristine
+        frame skips the (lossless fp64) re-decode: the partial that was sent
+        is byte for byte what arrived.  A corrupted frame must fail its CRC
+        and be dropped, never fold — the same contract as the participant
+        hop; a corrupted-but-decodable payload arrives as the decode of the
+        *received* bytes, carrying those bytes.
         """
-        return aggregator.partials(self.pseudo_id(0, edge))
-
-    def _send(self, tier: int, node: int, partial: Optional[ExpertUpdate],
-              frame: bytes) -> Optional[_Partial]:
-        """Ship one framed partial over its node's channel; return what arrived.
-
-        Returns the delivered ``(update, frame bytes)`` — ``None`` when the
-        payload was lost or failed its CRC.  Pristine frames skip the
-        (lossless fp64) re-decode: the in-memory partial (``None`` for one
-        that travels as bytes only) is byte-for-byte what a decode would
-        reconstruct.  A corrupted frame must fail its CRC and be dropped,
-        never fold — the same contract as the participant hop; a
-        corrupted-but-decodable payload returns the *received* bytes, which
-        are what any downstream re-decode must see.
-        """
-        record = self.tier_channels[tier][node].send(frame, direction="up")
+        record = self.tier_channels[tier][node].send(partial.wire_frame, direction="up")
         self.last_tier_stats[tier].record(record)
         if not record.delivered:
             return None
-        if record.corrupted:
-            try:
-                return decode_update(record.payload), bytes(record.payload)
-            except PayloadCorruptedError:
-                self.last_tier_stats[tier].decode_failures += 1
-                return None
-        return partial, frame
-
-    def _fold_leaf_tier(self, updates: Iterable[ExpertUpdate], strategy,
-                        pool, codec, tracer=NULL_TRACER
-                        ) -> Dict[int, List[_Partial]]:
-        """Fold participant updates into tier-0 partials, here or on ``pool``.
-
-        Returns ``{node: [(partial, frame), ...]}`` in node order of first
-        appearance; per-node partial order is accumulator insertion order
-        either way, so service and serial folds are bit-identical.
-        """
-        width = self.tiers[0]
-        if pool is None:
-            aggregators = [StreamingAggregator(strategy, scratch=self._fold_scratch)
-                           for _ in range(width)]
-            for update in updates:
-                aggregators[self.edge_of(update.participant_id)].add(update)
-            partials: Dict[int, List[_Partial]] = {}
-            for node, aggregator in enumerate(aggregators):
-                self.last_tier_counts[0][node] = aggregator.num_updates
-                if len(aggregator):
-                    # The serial fold streams updates into all nodes at once,
-                    # so the span covers the node's partial extraction (its
-                    # finalize work) and framing; service folds time the whole
-                    # subtree fold on their server instead.
-                    with tracer.span("prefold_node", category="fold", node=node,
-                                     tier=0, num_updates=aggregator.num_updates):
-                        partials[node] = _framed(
-                            self.partial_updates(node, aggregator), codec)
-            return partials
-        # Service pre-fold: one job per node, carrying its updates as the
-        # frames they arrived as (else lossless fp64 frames) plus one framed
-        # reference per delta-coded expert key; see
-        # :func:`~repro.service.fold.frame_update`.
-        from ..service.fold import frame_update
-
-        framed: Dict[int, List[Tuple[bytes, int]]] = {}
-        references: Dict[int, Dict] = {}
-        framed_references: Dict = {}    # the nodes' jobs share a reference's frame
-        for update in updates:
-            node = self.edge_of(update.participant_id)
-            framed.setdefault(node, []).append(frame_update(
-                update, references.setdefault(node, {}), framed_references))
-            self.last_tier_counts[0][node] += 1
-        jobs = [(node, self.pseudo_id(0, node), frames, references[node])
-                for node, frames in framed.items()]
-        folded = pool.prefold_nodes(strategy, jobs, timed=tracer.enabled)
-        for record in pool.last_span_records:
-            tracer.ingest(record)
-        return {node: _pool_folded(partial_frames, root_bound=self.depth == 1)
-                for node, partial_frames in folded}
+        if not record.corrupted:
+            return partial
+        try:
+            arrived = decode_update(record.payload)
+        except PayloadCorruptedError:
+            self.last_tier_stats[tier].decode_failures += 1
+            return None
+        arrived.wire_frame, arrived.wire_codec = bytes(record.payload), EDGE_CODEC
+        return arrived
 
     def aggregate(self, server, updates: Iterable[ExpertUpdate],
                   strategy=None, pool=None, tracer=None
                   ) -> Tuple[Dict[ExpertKey, int], ChannelStats]:
         """Run one round of N-tier aggregation into ``server``.
 
-        Consumes ``updates`` one at a time (a generator streams straight into
-        the tier-0 accumulators), folds each into its participant's node,
-        ships every node's partials over its metered channel as framed
-        payloads tier by tier, and hands the last tier's delivered partials
-        to ``server.aggregate``.  Returns the root's contribution counts
-        (partials folded per key — what the root actually received) plus the
-        cross-tier total of the measured :class:`ChannelStats` (per-tier
-        breakdowns stay in :attr:`last_tier_stats`).
+        Sorts ``updates`` into their participants' tier-0 inboxes, then tier
+        by tier: folds every node's inbox into its partials — one per expert
+        key, weighing the group's accumulated (post-discount) weight, stamped
+        with the node's pseudo id; a key whose group contributed only
+        zero-weight FedAvg updates contributes nothing upward — and ships
+        them over the node's metered channel as framed payloads into the
+        parent's inbox.  The last tier's delivered partials go to
+        ``server.aggregate``.  Nodes fold and send in index order, so channel
+        fault sequences are deterministic.  Returns the root's contribution
+        counts (partials folded per key — what the root actually received)
+        plus the cross-tier total of the measured :class:`ChannelStats`
+        (per-tier breakdowns stay in :attr:`last_tier_stats`).
 
-        ``pool`` (a :class:`~repro.service.ServiceAggregationPool`) moves
-        every tier's node folds onto the aggregator servers.  A service fold
-        buffers each node's update frames before dispatch, trading the serial
-        path's one-update-at-a-time memory profile for folds off this process.
+        ``pool`` (a :class:`~repro.service.ServiceAggregationPool`) is handed
+        to :func:`repro.service.fold.prefold_nodes` with every tier's jobs;
+        that is where "here or on an aggregator server" is decided.
 
         ``tracer`` (a :class:`~repro.obs.Tracer`) records per-node fold spans
         and per-(tier, node) transfer spans; ``None`` is the no-op tracer.
         """
+        from ..service.fold import prefold_nodes  # late: repro.service imports this module
+
         self.reset_round_metrics()
         if tracer is None:
             tracer = NULL_TRACER
-        codec = get_codec(EDGE_CODEC)
-        current = self._fold_leaf_tier(updates, strategy, pool, codec, tracer)
-        return self._propagate(server, current, strategy, codec, tracer, pool)
+        #: per node of the tier being folded, what it received, arrival order;
+        #: after the last tier, the root's one inbox
+        inboxes: Dict[int, List[ExpertUpdate]] = {}
+        for update in updates:
+            inboxes.setdefault(self.edge_of(update.participant_id), []).append(update)
+        for tier in range(self.depth):
+            stats = self.last_tier_stats[tier]
+            jobs = [(node, self.pseudo_id(tier, node), inboxes[node])
+                    for node in sorted(inboxes)]
+            folded = prefold_nodes(strategy, jobs, pool,
+                                   scratch=self._fold_scratch, tracer=tracer)
+            for node, _, inbox in jobs:     # what *was* folded: after the fold
+                self.last_tier_counts[tier][node] = len(inbox)
+            inboxes = {}
+            for node, partials in folded:
+                parent = self.parent_of(tier, node) if tier + 1 < self.depth else 0
+                with tracer.span("tier_send", category="transfer", tier=tier,
+                                 node=node, partials=len(partials)) as span:
+                    airtime_before = stats.seconds
+                    for partial in partials:
+                        arrived = self._send(tier, node, partial)
+                        if arrived is not None:
+                            inboxes.setdefault(parent, []).append(arrived)
+                    span.set(sim_duration=stats.seconds - airtime_before)
+        # Known wart, kept as it is: a last-tier partial that came back from a
+        # service fold is decoded here and handed over without its frame, so a
+        # pooled root re-encodes it.  The frozen benchmarks/e2e test asserts
+        # comm.encode_update.calls > 0 on fmd_wire_service, and ROADMAP
+        # reserves the removal for the [benchmark] PR.
+        contributions = server.aggregate(
+            [decode_update(partial.wire_frame) if partial.framed else partial
+             for partial in inboxes.get(0, ())], strategy=strategy)
+        totals = ChannelStats()
+        for tier_stats in self.last_tier_stats:
+            totals.merge(tier_stats)
+        return contributions, totals
 
     def reset_round_metrics(self) -> None:
         """Zero the per-round counts/stats.
@@ -415,79 +365,6 @@ class AggregationTree:
         """
         self.last_tier_counts = [[0] * width for width in self.tiers]
         self.last_tier_stats = [ChannelStats() for _ in self.tiers]
-
-    def _propagate(self, server, current, strategy, codec,
-                   tracer=NULL_TRACER, pool=None
-                   ) -> Tuple[Dict[ExpertKey, int], ChannelStats]:
-        """Ship tier-0 partials up the tree and into the root server."""
-        # Inner tiers: deliver each node's partials to its parent aggregator,
-        # re-fold, re-frame.  Nodes iterate in index order so channel fault
-        # sequences are deterministic.  With a fold pool attached every inner
-        # node becomes its own fold job — independent subtrees at each tier
-        # fold on their aggregator servers instead of serializing on this
-        # loop; the jobs carry the delivered frames in arrival order, so the
-        # server's fold is bit-identical to the serial parent aggregator
-        # (test-enforced).
-        for tier in range(self.depth - 1):
-            parents = ([StreamingAggregator(strategy, scratch=self._fold_scratch)
-                        for _ in range(self.tiers[tier + 1])]
-                       if pool is None else [])
-            inbox: Dict[int, List[Tuple[bytes, int]]] = {}
-            for node in sorted(current):
-                parent = self.parent_of(tier, node)
-                with tracer.span("tier_send", category="transfer", tier=tier,
-                                 node=node, partials=len(current[node])) as span:
-                    airtime_before = self.last_tier_stats[tier].seconds
-                    for partial, frame in current[node]:
-                        sent = self._send(tier, node, partial, frame)
-                        if sent is None:
-                            continue
-                        if pool is None:
-                            parents[parent].add(sent[0])
-                        else:
-                            # a partial is fresh by construction: staleness 0
-                            inbox.setdefault(parent, []).append((sent[1], 0))
-                    span.set(sim_duration=self.last_tier_stats[tier].seconds
-                             - airtime_before)
-            current = {}
-            if pool is not None:
-                jobs = [(node, self.pseudo_id(tier + 1, node), inbox[node])
-                        for node in sorted(inbox)]
-                for node, _, framed in jobs:
-                    self.last_tier_counts[tier + 1][node] = len(framed)
-                folded = pool.prefold_nodes(strategy, jobs, timed=tracer.enabled)
-                for record in pool.last_span_records:
-                    tracer.ingest(record)
-                current = {node: _pool_folded(partial_frames,
-                                              root_bound=tier + 2 == self.depth)
-                           for node, partial_frames in folded}
-                continue
-            for node, aggregator in enumerate(parents):
-                self.last_tier_counts[tier + 1][node] = aggregator.num_updates
-                if len(aggregator):
-                    with tracer.span("fold_node", category="fold", tier=tier + 1,
-                                     node=node, num_updates=aggregator.num_updates):
-                        current[node] = _framed(
-                            aggregator.partials(self.pseudo_id(tier + 1, node)), codec)
-
-        def delivered_partials():
-            tier = self.depth - 1
-            for node in sorted(current):
-                with tracer.span("tier_send", category="transfer", tier=tier,
-                                 node=node, partials=len(current[node])) as span:
-                    airtime_before = self.last_tier_stats[tier].seconds
-                    for partial, frame in current[node]:
-                        sent = self._send(tier, node, partial, frame)
-                        if sent is not None:
-                            yield sent[0]
-                    span.set(sim_duration=self.last_tier_stats[tier].seconds
-                             - airtime_before)
-
-        contributions = server.aggregate(delivered_partials(), strategy=strategy)
-        totals = ChannelStats()
-        for tier_stats in self.last_tier_stats:
-            totals.merge(tier_stats)
-        return contributions, totals
 
     # ------------------------------------------------------------- durability
     def export_state(self) -> Dict:

@@ -246,8 +246,9 @@ class Scheduler(abc.ABC):
         ``result.updates`` already hold the frames its executor made when it
         finished (:meth:`FederatedFineTuner.frame_upload`; the async
         scheduler's are still dense and are framed here, at delivery) — and
-        reach the aggregation topology as a generator, so the serial fold
-        never buffers more than one client's decoded updates server-side.
+        reach the aggregation topology as a generator; the fold dispatch
+        buckets them into its jobs by reference (under the wire transport
+        byte-holding updates, decoded by the fold that consumes them).
         The returned per-participant results are the round's only holder of
         its uploads: callers drop them before the next round starts.
         :meth:`FederatedFineTuner.aggregate_round_updates` routes the stream
@@ -277,6 +278,37 @@ class Scheduler(abc.ABC):
         timeline.server_time = tuner._server_aggregation_time(num_updates)
         tuner.after_aggregation(round_index, results)
         return results, losses, stats, edge_stats, tier_stats
+
+    @staticmethod
+    def _round_result(tuner: FederatedFineTuner, timeline: RoundTimeline,
+                      losses: List[float], simulated_time: float, duration: float,
+                      wire: ChannelStats, edge: ChannelStats,
+                      tiers: List[ChannelStats], **bookkeeping) -> RoundResult:
+        """The :class:`RoundResult` of an aggregated round (evaluates the global model).
+
+        ``bookkeeping`` is the scheduler's own counts (``num_selected``,
+        ``num_stragglers``, ``mean_staleness``, ...); everything else is what
+        :meth:`_aggregate_round` measured.
+        """
+        return RoundResult(
+            round_index=timeline.round_index,
+            train_loss=float(np.mean(losses)) if losses else 0.0,
+            metric_value=tuner.evaluate(),
+            simulated_time=simulated_time,
+            round_duration=duration,
+            timeline=timeline,
+            wire_bytes=wire.total_bytes,
+            wire_seconds=wire.seconds,
+            payloads_lost=wire.lost,
+            payloads_corrupted=wire.corrupted,
+            edge_bytes=edge.total_bytes,
+            edge_seconds=edge.seconds,
+            edge_payloads=edge.payloads,
+            tier_bytes=[s.total_bytes for s in tiers],
+            tier_seconds=[s.seconds for s in tiers],
+            tier_payloads=[s.payloads for s in tiers],
+            **bookkeeping,
+        )
 
     @staticmethod
     def _result_duration(result: ParticipantRoundResult) -> float:
@@ -311,28 +343,11 @@ class SyncScheduler(Scheduler):
             simulated_time = tuner.clock.advance(duration)
             span.set(sim_time=simulated_time, sim_duration=duration,
                      aggregated=len(results))
-        round_result = RoundResult(
-            round_index=round_index,
-            train_loss=float(np.mean(losses)) if losses else 0.0,
-            metric_value=tuner.evaluate(),
-            simulated_time=simulated_time,
-            round_duration=duration,
-            timeline=timeline,
-            num_selected=len(selected),
-            num_aggregated=len(results),
+        round_result = self._round_result(
+            tuner, timeline, losses, simulated_time, duration, wire, edge, tiers,
+            num_selected=len(selected), num_aggregated=len(results),
             num_dropped=num_dropped,
-            num_stragglers=sum(1 for _, _, _, fault in entries if fault.is_straggler),
-            wire_bytes=wire.total_bytes,
-            wire_seconds=wire.seconds,
-            payloads_lost=wire.lost,
-            payloads_corrupted=wire.corrupted,
-            edge_bytes=edge.total_bytes,
-            edge_seconds=edge.seconds,
-            edge_payloads=edge.payloads,
-            tier_bytes=[s.total_bytes for s in tiers],
-            tier_seconds=[s.seconds for s in tiers],
-            tier_payloads=[s.payloads for s in tiers],
-        )
+            num_stragglers=sum(1 for _, _, _, fault in entries if fault.is_straggler))
         return round_result, results
 
 
@@ -389,28 +404,10 @@ class SemiSyncScheduler(Scheduler):
             simulated_time = tuner.clock.advance(duration)
             span.set(sim_time=simulated_time, sim_duration=duration,
                      deadline=deadline, aggregated=len(results))
-        return RoundResult(
-            round_index=round_index,
-            train_loss=float(np.mean(losses)) if losses else 0.0,
-            metric_value=tuner.evaluate(),
-            simulated_time=simulated_time,
-            round_duration=duration,
-            timeline=timeline,
-            num_selected=len(selected),
-            num_aggregated=len(results),
-            num_dropped=num_dropped,
-            num_stragglers=num_stragglers,
-            wire_bytes=wire.total_bytes,
-            wire_seconds=wire.seconds,
-            payloads_lost=wire.lost,
-            payloads_corrupted=wire.corrupted,
-            edge_bytes=edge.total_bytes,
-            edge_seconds=edge.seconds,
-            edge_payloads=edge.payloads,
-            tier_bytes=[s.total_bytes for s in tiers],
-            tier_seconds=[s.seconds for s in tiers],
-            tier_payloads=[s.payloads for s in tiers],
-        )
+        return self._round_result(
+            tuner, timeline, losses, simulated_time, duration, wire, edge, tiers,
+            num_selected=len(selected), num_aggregated=len(results),
+            num_dropped=num_dropped, num_stragglers=num_stragglers)
 
 
 @dataclass
@@ -690,28 +687,11 @@ class AsyncScheduler(Scheduler):
             timeline.duration_override = duration
             simulated_time = tuner.clock.advance(duration)
             span.set(sim_time=simulated_time, sim_duration=duration)
-        return RoundResult(
-            round_index=version,
-            train_loss=float(np.mean(losses)) if losses else 0.0,
-            metric_value=tuner.evaluate(),
-            simulated_time=simulated_time,
-            round_duration=duration,
-            timeline=timeline,
-            num_selected=len(buffer) + num_dropped,
-            num_aggregated=len(buffer),
+        return self._round_result(
+            tuner, timeline, losses, simulated_time, duration, wire, edge, tiers,
+            num_selected=len(buffer) + num_dropped, num_aggregated=len(buffer),
             num_dropped=num_dropped,
-            mean_staleness=float(np.mean(stalenesses)) if stalenesses else 0.0,
-            wire_bytes=wire.total_bytes,
-            wire_seconds=wire.seconds,
-            payloads_lost=wire.lost,
-            payloads_corrupted=wire.corrupted,
-            edge_bytes=edge.total_bytes,
-            edge_seconds=edge.seconds,
-            edge_payloads=edge.payloads,
-            tier_bytes=[s.total_bytes for s in tiers],
-            tier_seconds=[s.seconds for s in tiers],
-            tier_payloads=[s.payloads for s in tiers],
-        )
+            mean_staleness=float(np.mean(stalenesses)) if stalenesses else 0.0)
 
 
 SCHEDULERS = ("sync", "semisync", "async")

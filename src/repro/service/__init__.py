@@ -14,14 +14,16 @@ in-host tests, TCP for multi-process topologies.  The pieces:
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the blocking
   per-server connection with reconnect/retry/timeout and token-scoped
   round replay.
-* :mod:`~repro.service.fold` — the fold jobs both ends share:
-  :func:`frame_update` (an update as the frame it arrived as, else a lossless
-  fp64 frame) and the two server-side folds over such frames.
+* :mod:`~repro.service.fold` — the fold dispatcher (``prefold_nodes`` /
+  ``fold_shards``: the one place that decides whether a job folds locally or
+  on a server) and the fold jobs both ends share: :func:`frame_update` (an
+  update as the frame it carries, else a lossless fp64 frame) and the two
+  server-side folds over such frames.
 * :mod:`~repro.service.pool` — :class:`ServiceAggregationPool`, the fold
   executor behind ``RunConfig(aggregation_executor="service")``.
 
 The service fold plane is bit-identical to the serial one (the same
-streaming fold over the bytes the serial path decodes; test-enforced) and
+``fold_frames`` call over the same bytes; test-enforced) and
 survives a hard-killed server mid-round by respawning and replaying the
 round — see the CI ``service-smoke`` lane and ``scripts/service_smoke.py``.
 Connections open with an ``OP_HELLO`` version handshake

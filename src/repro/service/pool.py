@@ -1,8 +1,7 @@
 """The ``aggregation_executor="service"`` fold plane: a pool of live servers.
 
-:class:`ServiceAggregationPool` is the fold executor the
-:class:`~repro.federated.topology.AggregationTree` and the
-:class:`~repro.federated.ShardedParameterServer` dispatch to —
+:class:`ServiceAggregationPool` is the fold executor the dispatcher in
+:mod:`repro.service.fold` hands a tier's or a root's framed jobs to —
 ``fold_shards`` / ``prefold_nodes`` / ``last_span_records`` / ``close`` —
 when ``RunConfig(aggregation_executor="service")`` routes every fold through
 long-lived :class:`~repro.service.server.AggregatorServer`'s.

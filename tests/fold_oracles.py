@@ -3,8 +3,9 @@
 **Buffered FedAvg.**  What ``ParameterServer.aggregate`` ran by default before
 the streaming fold became the only fold: group a round's updates by expert key
 (:func:`group_updates`), average each group with a sequential weighted fold
-(:func:`fedavg_states`) and load the result (:func:`apply_fedavg`).  They
-exist only here: ``test_fold_oracle.py`` holds
+(:func:`fedavg_states`, built on :func:`fold_weighted_state`, the per-key
+running-sum fold ``repro.comm.aggregator`` had before its sum matrices) and
+load the result (:func:`apply_fedavg`).  They exist only here: ``test_fold_oracle.py`` holds
 :class:`repro.comm.StreamingAggregator` — serial, sharded and as the service's
 fold jobs — to them bit for bit.  The one behaviour the streaming fold does
 not share is :func:`fedavg_states`'s uniform mean over a key whose weights
@@ -16,8 +17,9 @@ decoded on its own (:func:`oracle_decode_update_parts`, with the per-tensor
 top-k decoders :func:`oracle_topk_decode_array` /
 :func:`oracle_topk_quant_decode_array`), folded into one accumulator per
 expert key through the strategy's own accumulator
-(:class:`OracleAggregator`; FedAvg's is
-:func:`~repro.comm.aggregator.fold_weighted_state`), in arrival order
+(:class:`OracleAggregator`; the FedAvg family's is :class:`_FoldAccumulator`,
+which ``repro.federated.strategies`` had until the aggregator's own sums made
+it a second FedAvg), in arrival order
 (:func:`oracle_fold_frames`).  ``test_fold_batch.py`` holds
 :meth:`StreamingAggregator.fold_frames
 <repro.comm.StreamingAggregator.fold_frames>` and the fold jobs built on it to
@@ -40,7 +42,7 @@ from repro.comm import (
     get_codec,
     verify_frame,
 )
-from repro.comm.aggregator import finalize_weighted_sum, fold_weighted_state
+from repro.comm.aggregator import finalize_weighted_sum
 from repro.comm.codecs import (
     PayloadCorruptedError,
     TopKDeltaCodec,
@@ -61,9 +63,68 @@ from repro.comm.serialization import (
     _shape_struct,
 )
 from repro.federated.aggregation import ExpertKey, ExpertUpdate
-from repro.federated.strategies import get_strategy
+from repro.federated.strategies import UpdateAccumulator, get_strategy
 from repro.models import MoETransformer
 from repro.quantization import unpack_int_codes
+
+
+def fold_weighted_state(acc: Dict[str, np.ndarray], state: Dict[str, np.ndarray],
+                        weight: float, scratch=None) -> None:
+    """Fold ``weight * state`` into ``acc`` in place (float64 accumulators).
+
+    With a ``scratch`` pool the ``weight * value`` term is computed into the
+    pool's persistent per-shape term buffer instead of a fresh allocation —
+    same multiply loop (``dtype=float64`` forced either way), same add, so
+    the running sums are bit-identical to the allocating fold.
+    """
+    weight = float(weight)
+    if weight < 0:
+        raise ValueError("aggregation weights must be non-negative")
+    # keys() views compare set-wise in C — no per-fold set construction
+    if acc and state.keys() != acc.keys():
+        raise ValueError("cannot fold states with mismatched tensor names")
+    term_of = scratch.term if scratch is not None else None
+    for name, value in state.items():
+        running = acc.get(name)
+        if running is None:
+            # the accumulator owns this array, so it cannot come from scratch
+            acc[name] = np.multiply(value, weight, dtype=np.float64)
+        elif term_of is None:
+            running += np.multiply(value, weight, dtype=np.float64)
+        else:
+            shape = getattr(value, "shape", None)
+            if shape is None:
+                value = np.asarray(value)
+                shape = value.shape
+            term = term_of(shape)
+            np.multiply(value, weight, out=term, dtype=np.float64,
+                        casting="unsafe")
+            np.add(running, term, out=running)
+
+
+class _FoldAccumulator(UpdateAccumulator):
+    """Weighted running sum — the exact streaming-FedAvg arithmetic."""
+
+    def __init__(self, discount=None) -> None:
+        super().__init__()
+        self._acc: Dict[str, np.ndarray] = {}
+        self._discount = discount
+
+    @property
+    def finalizable(self) -> bool:
+        # A weighted mean needs positive total weight; the individual states
+        # are gone, so all-zero weights cannot fall back to a uniform mean.
+        return self.total_weight > 0
+
+    def add(self, state, weight: float, staleness: int = 0) -> None:
+        if self._discount is not None:
+            weight = weight * self._discount(staleness)
+        fold_weighted_state(self._acc, state, weight)
+        self.total_weight += float(weight)
+        self.count += 1
+
+    def finalize(self) -> Dict[str, np.ndarray]:
+        return finalize_weighted_sum(self._acc, self.total_weight)
 
 
 def fedavg_states(states: Sequence[Dict[str, np.ndarray]],
@@ -71,9 +132,9 @@ def fedavg_states(states: Sequence[Dict[str, np.ndarray]],
                   scratch=None) -> Dict[str, np.ndarray]:
     """Weighted average of several identically shaped state dicts.
 
-    Implemented as a sequential weighted fold over the states (the same
-    :func:`~repro.comm.aggregator.fold_weighted_state` the streaming server
-    path uses), so buffered and streaming aggregation are bit-identical.
+    Implemented as a sequential weighted fold over the states
+    (:func:`fold_weighted_state`: the arithmetic of the streaming server
+    path), so buffered and streaming aggregation are bit-identical.
     ``scratch`` (a :class:`~repro.comm.scratch.ScratchPool`) reuses the
     pool's term buffers for the per-state multiplies — same arithmetic,
     no per-fold allocation.
@@ -309,7 +370,9 @@ class OracleAggregator:
         _, layer, expert, weight, state = oracle_decode_update_parts(data, reference_lookup)
         acc = self._accs.get((layer, expert))
         if acc is None:
-            acc = self._accs[(layer, expert)] = self.strategy.make_accumulator()
+            acc = self._accs[(layer, expert)] = (
+                _FoldAccumulator(self.strategy.discount) if self.strategy.foldable
+                else self.strategy.make_accumulator())
         acc.add(state, weight, staleness)
 
     def contributions(self) -> Dict[ExpertKey, int]:

@@ -885,33 +885,6 @@ class TestStreamTransport:
         sender.close()
         receiver.close()
 
-    def test_send_frames_batches_into_one_write(self):
-        """The batched write primitive: several frames in one ``sendall``,
-        indistinguishable on the wire from per-frame sends."""
-        sender, receiver = self._pair()
-        payloads = [b"", b"one", b"two" * 300]
-        written = sender.send_frames(payloads)
-        assert written == sum(LENGTH_PREFIX.size + len(p) for p in payloads)
-        assert sender.frames_sent == 3
-        assert [receiver.recv_frame() for _ in payloads] == payloads
-        assert receiver.bytes_received == sender.bytes_sent == written
-        sender.close()
-        receiver.close()
-
-    def test_send_frames_oversize_rejected_before_any_byte(self):
-        """One oversized payload anywhere in the batch aborts the whole batch
-        pre-write, so the stream's framing stays intact."""
-        left, right = socket.socketpair()
-        sender = FrameStream(left, max_frame_bytes=16)
-        receiver = FrameStream(right)
-        with pytest.raises(PayloadCorruptedError):
-            sender.send_frames([b"fine", b"z" * 17, b"also-fine"])
-        assert sender.bytes_sent == 0 and sender.frames_sent == 0
-        sender.send_frames([b"fine"])  # the stream is still usable
-        assert receiver.recv_frame() == b"fine"
-        sender.close()
-        receiver.close()
-
     def test_peer_death_mid_batch_truncates_cleanly(self):
         """A sender dying inside a batched write leaves complete frames
         readable and the torn tail as TruncatedFrameError, like any other

@@ -257,17 +257,17 @@ def test_scratch_fold_bit_identical(strategy):
         frames.append(encode_update(update, codec))
 
     plain = StreamingAggregator(strategy)
-    assert not plain.uses_scratch
-    scratched = StreamingAggregator(strategy, scratch=ScratchPool())
-    assert scratched.uses_scratch
+    pool = ScratchPool()
+    one_by_one = StreamingAggregator(strategy, scratch=pool)
     folded = StreamingAggregator(strategy, scratch=ScratchPool())
     for frame in frames:
         plain.add(decode_update(frame))
-        scratched.add_payload(frame)
-        folded.fold_payload(frame)
+        one_by_one.fold_frames([frame])
+    assert pool.allocations > 0             # the fold did decode into the pool
+    folded.fold_frames(frames)
 
     want = plain.finalize()
-    for other in (scratched.finalize(), folded.finalize()):
+    for other in (one_by_one.finalize(), folded.finalize()):
         assert want.keys() == other.keys()
         for key in want:
             for name in want[key]:
@@ -278,9 +278,11 @@ def test_scratch_fold_bit_identical(strategy):
 
 @pytest.mark.parametrize("strategy", ["trimmed_mean", "median"])
 def test_buffering_strategies_refuse_scratch(strategy):
-    aggregator = StreamingAggregator(strategy, scratch=ScratchPool())
-    assert not aggregator.uses_scratch
-    # and the fold still works (decoding without scratch) and matches plain
+    pool = ScratchPool()
+    aggregator = StreamingAggregator(strategy, scratch=pool)
+    # the fold works (decoding without scratch: the accumulators keep the
+    # decoded states, a recycled array under them would be corruption) and
+    # matches plain
     rng = np.random.default_rng(9)
     codec = get_codec("fp64")
     plain = StreamingAggregator(strategy)
@@ -289,8 +291,9 @@ def test_buffering_strategies_refuse_scratch(strategy):
                               state=_make_state(rng, [(6, 6)], "<f8"),
                               weight=1.0)
         frame = encode_update(update, codec)
-        aggregator.fold_payload(frame)
+        aggregator.fold_frames([frame])
         plain.add(decode_update(frame))
+    assert pool.allocations == 0
     want, got = plain.finalize(), aggregator.finalize()
     for key in want:
         for name in want[key]:

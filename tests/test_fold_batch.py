@@ -29,6 +29,7 @@ from repro.comm import (
     PayloadCorruptedError,
     ScratchPool,
     StreamingAggregator,
+    decode_update,
     encode_state_dict,
     encode_updates,
     get_codec,
@@ -402,6 +403,43 @@ class TestWholeRuns:
         experts = sum(tiny_config.experts_per_layer())
         assert len(decoded) == 2 * 2 * experts    # rounds x last-tier nodes x keys
 
+    def test_a_serial_round_decodes_in_the_fold_and_keeps_bytes(
+            self, vocab, tiny_config, monkeypatch):
+        """The local fold decodes each frame once, by group, and leaves no dense state.
+
+        Nothing reads a framed update's lazy ``state``: every delivered update
+        still holds bytes only after the round, and the per-frame
+        ``decode_update`` (what that read calls) never ran.
+        """
+        import repro.comm
+        import repro.comm.serialization as serialization
+        import repro.federated.aggregation as aggregation
+        import repro.federated.topology as topology
+
+        per_frame = []
+        for module in (repro.comm, serialization, aggregation, topology):
+            monkeypatch.setattr(module, "decode_update",
+                                lambda *args, **kw: per_frame.append(args) or 1 / 0)
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, num_clients=4, aggregation_executor="serial", **self.KNOBS)
+        tuner = FMDFineTuner(server, participants, test, config=config)
+        delivered = []
+        transmit = tuner.transmit_updates
+
+        def recording(participant, updates):
+            arrived, stats = transmit(participant, updates)
+            delivered.extend(arrived)
+            return arrived, stats
+
+        tuner.transmit_updates = recording
+        before = tuner.server.global_model.expert_state(0, 0)
+        tuner.run(1)
+        experts = sum(tiny_config.experts_per_layer())
+        assert len(delivered) == 4 * experts and not per_frame
+        assert all(update.framed for update in delivered)
+        after = tuner.server.global_model.expert_state(0, 0)
+        assert any(not np.array_equal(before[name], after[name]) for name in before)
+
 
 # ------------------------------------------------------------ volatile views
 class TestPoisonOnRecycle:
@@ -418,8 +456,9 @@ class TestPoisonOnRecycle:
 
     def test_a_view_kept_past_the_fold_is_garbage(self):
         framed, _ = _job("int4", participants=1, dtype=np.float32)
-        aggregator = StreamingAggregator(scratch=ScratchPool())
-        peek = aggregator.add_payload(framed[0][0])     # decoded into scratch
+        pool = ScratchPool()
+        peek = decode_update(framed[0][0], scratch=pool)    # decoded into scratch
+        pool.recycle()                                      # ... as a fold does when done
         assert all(np.isnan(value).all() for value in peek.state.values())
 
     def test_released_and_reused_receive_buffers_read_ff(self):

@@ -10,7 +10,11 @@ Three checks, each against the real thing (SysMoBench's discipline, PAPERS.md):
   (``plan_oracles``), on every participant-round of both Flux workloads of the
   end-to-end benchmark;
 * the two mechanisms that make it so: distinct initial centroids and
-  lowest-index tie-breaking.
+  lowest-index tie-breaking;
+* report only, the round's other float-ranked choice — the utility ranking of
+  role assignment (``RoleAssignment.min_margin``: the gap at the budget cut
+  and at the exploit cut), on the same runs: positive, or an exact tie that
+  the expert key broke.
 
 ``REPRO_STABILITY_DRAWS`` sets the number of perturbations (100; the nightly
 lane runs 1000).
@@ -82,33 +86,66 @@ def test_replanning_under_weight_noise_never_flips_a_cluster(preset, seed):
 
 # ------------------------------------------------------- equal clusters vs SVD
 def _federation_plans(name, seed, tmp_path):
-    """Every plan of one end-to-end Flux run, with the SVD oracle's clusters beside it."""
+    """Every plan of one end-to-end Flux run, with the SVD oracle's clusters beside it.
+
+    And every role assignment, with the utilities it ranked:
+    ``(utilities, RoleAssignment)`` per participant-round.
+    """
     workloads = e2e_workloads()
     workload = workloads.WORKLOADS[name]
     tuner = workloads.build(workload, seed, str(tmp_path))
-    plans = []
+    plans, roles = [], []
     plan_model = flux_client.plan_compact_model
+    assign = tuner.assigner.assign
 
     def recording(model, *args, **kwargs):
         plan = plan_model(model, *args, **kwargs)
         plans.append((plan, svd_plan_clusters(model, plan, kwargs["config"])))
         return plan
 
+    def recording_roles(round_index, utilities, budgets):
+        assignments = assign(round_index, utilities, budgets)
+        unseen = dict.fromkeys(tuner.assigner.all_experts, 0.0)    # as ``assign`` ranks them
+        roles.extend(({**unseen, **utilities.get(pid, {})}, assignment)
+                     for pid, assignment in assignments.items())
+        return assignments
+
     flux_client.plan_compact_model = recording
+    tuner.assigner.assign = recording_roles
     try:
         tuner.run(num_rounds=workload.rounds)
     finally:
         flux_client.plan_compact_model = plan_model
         tuner.close()
-    assert len(plans) == workload.rounds * tuner.config.participants_per_round
-    return plans
+    assert len(plans) == len(roles) == workload.rounds * tuner.config.participants_per_round
+    return plans, roles
+
+
+def _cut_is_ranked(utilities, kept, dropped) -> bool:
+    """Every kept expert outranks every dropped one: by utility, an exact tie by key."""
+    def rank(key):
+        return -utilities[key], key
+
+    return not kept or not dropped or max(map(rank, kept)) < min(map(rank, dropped))
 
 
 @pytest.mark.parametrize("seed", [0] + [pytest.param(s, marks=pytest.mark.slow)
                                         for s in (1, 2, 43)])
 @pytest.mark.parametrize("name", ["flux_explore", "flux_exploit_deepseek"])
 def test_gram_pca_plans_the_clusters_the_svd_planned(name, seed, tmp_path):
-    plans = _federation_plans(name, seed, tmp_path)
+    plans, roles = _federation_plans(name, seed, tmp_path)
+    margins = [role.min_margin for _, role in roles]
+    assert all(margin >= 0 for margin in margins) and any(np.isfinite(margins))
+    for utilities, role in roles:
+        # > 0, or an exact tie and the lower key won: never a near-tie decided
+        # by anything but the ranking
+        dropped = [key for key in role.candidates if key not in role.exploitation]
+        assert _cut_is_ranked(utilities, role.exploitation, dropped)
+        assert _cut_is_ranked(utilities, role.candidates,
+                              [key for key in utilities if key not in role.candidates])
+    print(f"{name} seed {seed}: smallest utility margin "
+          f"{min(margins):.3g}, smallest positive "
+          f"{min((m for m in margins if m > 0), default=float('inf')):.3g}")
     for plan, oracle in plans:
         assert plan.clusters == oracle.clusters_per_layer
         assert no_cluster_empty(plan)

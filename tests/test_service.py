@@ -1,7 +1,8 @@
 """The socket-backed aggregation service (repro.service).
 
 Covers the protocol envelope, bit-identity of service folds against the
-serial plane (strategies x shard counts, strategies x tree depths, and full
+serial plane (strategies x shard counts, transports x strategies x tree depths
+x shard counts — partial frames, counts, channel stats, expert bytes — and full
 runs on the sharded 3-tier topology — the acceptance invariant; the fold
 arithmetic itself is held to the buffered oracle in ``test_fold_oracle.py``),
 kill+resume durability
@@ -18,8 +19,10 @@ import time
 
 import pytest
 
+from repro.comm import Channel, encode_updates, get_codec
 from repro.federated import (
     AggregationTree,
+    ExpertUpdate,
     ParameterServer,
     RunConfig,
     ShardedParameterServer,
@@ -27,7 +30,7 @@ from repro.federated import (
 )
 from repro.federated.strategies import AggregationStrategy, picklable_strategy
 from repro.obs import MetricsRegistry
-from repro.runtime import latest_checkpoint
+from repro.runtime import ChannelFaultInjector, latest_checkpoint
 from repro.service import fold
 from repro.service import (
     DEFAULT_WINDOW,
@@ -63,9 +66,37 @@ SHARDED_3TIER = dict(num_shards=2, edge_tiers=(2, 2), aggregation="trimmed_mean"
                      participants_per_round=4)
 
 
+#: one tree shape per benched depth
+TREE_TIERS = {1: (2,), 2: (3, 2), 3: (2, 2, 2)}
+
+
 def frame_update(update):
     """One update as a fold job's ``(frame, staleness)`` pair (no references kept)."""
     return fold.frame_update(update, {})
+
+
+def _wire_updates(model, updates, codec_name="topk:0.25:int4"):
+    """``updates`` as a wire uplink delivers them: bytes, a sender's upload framed in one pass."""
+    codec = get_codec(codec_name)
+    references = {key: model.expert_state(*key) for key in model.iter_expert_ids()}
+    uploads = {}
+    for update in updates:
+        uploads.setdefault(update.participant_id, []).append(update)
+    delivered = []
+    for upload in uploads.values():
+        against = [references[update.key] for update in upload]
+        for update, reference, frame in zip(upload, against,
+                                            encode_updates(upload, codec, against)):
+            delivered.append(ExpertUpdate(
+                update.participant_id, update.layer, update.expert, None, update.weight,
+                staleness=update.staleness, wire_frame=frame, wire_codec=codec.name,
+                wire_reference=reference))
+    return delivered
+
+
+def _expert_bytes(model) -> bytes:
+    return b"".join(value.tobytes() for key in model.iter_expert_ids()
+                    for _, value in sorted(model.expert_state(*key).items()))
 
 
 @pytest.fixture(scope="module")
@@ -125,29 +156,65 @@ class TestServiceFoldsBitEqualSerial:
         assert serial.last_shard_contributions == service.last_shard_contributions
         _assert_models_equal(serial_model, service_model)
 
-    @pytest.mark.parametrize("strategy", [None, "trimmed_mean", "median"])
-    @pytest.mark.parametrize("tiers", [(2,), (3, 2), (2, 2, 2)])
-    def test_tree_prefold_matches_serial(self, tiny_config, service_pool, strategy,
-                                         tiers):
-        serial_model = MoETransformer(tiny_config)
-        service_model = MoETransformer(tiny_config)
-        service_model.load_state_dict(serial_model.state_dict())
-        updates = _updates(serial_model, num_participants=8)
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["fedavg", "staleness_fedavg",
+                                          "trimmed_mean", "median"])
+    @pytest.mark.parametrize("transport", ["analytic", "wire"])
+    def test_tree_prefold_matches_serial(self, tiny_config, service_pool, transport,
+                                         strategy, depth, num_shards):
+        """Every partial frame, count, channel stat and expert byte, both executors."""
 
-        serial_tree = AggregationTree(tiers, latency_s=0.05)
-        serial_contrib, serial_stats = serial_tree.aggregate(
-            ParameterServer(serial_model), iter(updates), strategy=strategy)
-        service_tree = AggregationTree(tiers, latency_s=0.05)
-        service_contrib, service_stats = service_tree.aggregate(
-            ParameterServer(service_model), iter(updates), strategy=strategy,
-            pool=service_pool)
+        def run(pool):
+            model = MoETransformer(tiny_config)
+            updates = _updates(model, num_participants=8,
+                               stalenesses=(strategy == "staleness_fedavg"))
+            if transport == "wire":
+                updates = _wire_updates(model, updates)
+            server = (ShardedParameterServer(model, num_shards=num_shards)
+                      if num_shards > 1 else ParameterServer(model))
+            server.fold_pool = pool
+            tree = AggregationTree(TREE_TIERS[depth], latency_s=0.05)
+            sent, send = [], tree._send
+            tree._send = lambda tier, node, partial: (
+                sent.append((tier, node, partial.wire_frame)) or send(tier, node, partial))
+            contributions, totals = tree.aggregate(server, iter(updates),
+                                                   strategy=strategy, pool=pool)
+            if transport == "wire":     # whoever folded them, it was from the bytes
+                assert all(update.framed for update in updates)
+            return (contributions, sent, tree.last_tier_counts, tree.last_tier_stats,
+                    totals, _expert_bytes(model))
 
-        assert serial_contrib == service_contrib
-        assert serial_tree.last_tier_counts == service_tree.last_tier_counts
-        assert serial_stats.total_bytes == service_stats.total_bytes
-        assert serial_stats.payloads == service_stats.payloads
-        assert serial_stats.seconds == service_stats.seconds
-        _assert_models_equal(serial_model, service_model)
+        serial, service = run(None), run(service_pool)
+        assert len(serial[1]) == len(service[1]) > 0
+        assert serial == service
+
+    def test_lossy_tier_channels_drop_what_they_dropped(self, tiny_config, service_pool):
+        """Seeded loss and corruption on every tier hop, under each executor.
+
+        The pinned counts are what the forked serial and service paths both
+        produced before they became one dispatch (measured on ``c482e88``).
+        """
+
+        def run(pool):
+            model = MoETransformer(tiny_config)
+            faults = ChannelFaultInjector(loss_prob=0.3, corrupt_prob=0.3, seed=4)
+            tiers = (3, 2)
+            tree = AggregationTree(tiers, channels=[
+                [Channel(participant_id=node, faults=faults, latency_s=0.05)
+                 for node in range(width)] for width in tiers])
+            server = ShardedParameterServer(model, num_shards=2)
+            server.fold_pool = pool
+            contributions, totals = tree.aggregate(
+                server, iter(_updates(model, num_participants=8)), pool=pool)
+            assert contributions == {(0, 0): 2, (0, 1): 2, (0, 2): 2, (0, 3): 1}
+            assert tree.last_tier_counts == [[24, 24, 16], [9, 4]]
+            assert [(s.payloads, s.lost, s.corrupted, s.decode_failures)
+                    for s in tree.last_tier_stats] == [(24, 7, 4, 4), (10, 2, 1, 1)]
+            assert (totals.payloads, totals.total_bytes) == (34, 212704.0)
+            return _expert_bytes(model)
+
+        assert run(None) == run(service_pool)
 
     def test_generator_fold_matches_serial(self, tiny_config, service_pool):
         serial_model = MoETransformer(tiny_config)
