@@ -1158,8 +1158,7 @@ def _bench_service_tree(updates, tiers, iters: int, reps: int,
     folds its children's partial frames as fresh fold jobs (the inner-tier
     service routing), down to the roots.  Both sides execute identical jobs
     in the same order, so the gated ratio isolates transport overhead — here
-    including one RPC round per inner node, the cost the pipelined ADD
-    window bounds.
+    including one request per node, inner nodes included.
     """
     from repro.comm import ScratchPool
     from repro.federated.topology import AggregationTree
@@ -1255,8 +1254,8 @@ def run_service_suite() -> Dict:
     service plane (both transports) against the same fold jobs run serially
     on the calling thread, plus an RPC round-trip microbenchmark per
     transport.  The gated metric is the machine-independent wall-time *ratio*
-    of the two, which a regression in stream framing, the RPC envelope, or
-    the client chunking would move.
+    of the two, which a regression in stream framing or the RPC envelope
+    would move.
     """
     from repro.service import ServiceAggregationPool
 
@@ -1303,7 +1302,7 @@ def run_service_suite() -> Dict:
                  "calling thread, service through fold_shards on live "
                  "servers.  wall_ratio_service_vs_serial is the gated cost "
                  "ratio (>1 = the transport costs that much on this host): "
-                 "stream framing, RPC envelope, pipelined ADD windows, "
+                 "stream framing, RPC envelope (one request a job), "
                  "server hand-over.  tree is the same ratio over a full "
                  "depth-3 tree fold with inner tiers routed through the "
                  "plane; wire_bytes compares the bytes of the jobs' frames "

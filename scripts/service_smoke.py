@@ -14,14 +14,14 @@ folds also route through the servers — the smoke then additionally requires
 inner-tier routing actually happened over the wire.
 
 ``--kill-server`` additionally hard-kills one aggregator server (SIGKILL on
-the child process) at the start of the final round, while the run is live.
-The next fold request to that server finds a dead connection; the client
-reconnects — respawning the server on a fresh port — and replays the whole
-round under a fresh token.  Combined with ``--edge-tiers 2,2`` the kill lands
-on a server that owns inner-tier folds, so the heal path covers a mid-tree
-death.  The smoke asserts the run still completes, the results are still
-bit-identical to the serial reference, and the respawn / reconnect /
-replayed-round counters all fired.
+the child process) in the middle of a request of the final round: after the
+header and half the frames of its first leaf fold job have been written.
+The rest of the request meets a dead connection; the client reconnects —
+respawning the server on a fresh port — and resends the whole request.
+Combined with ``--edge-tiers 2,2`` the killed server also owns inner-tier
+folds, so the respawned one serves a mid-tree fold next.  The smoke asserts
+the run still completes, the results are still bit-identical to the serial
+reference, and the respawn / reconnect / resent-request counters all fired.
 
 Per-server logs land under ``<workdir>/logs`` (``--log-dir`` overrides); the
 CI ``service-smoke`` job uploads them as an artifact when the smoke fails.
@@ -56,12 +56,15 @@ from repro import (  # noqa: E402
     partition_dirichlet,
     tiny_moe,
 )
+from repro.federated.topology import tier_of_pseudo_id  # noqa: E402
 from repro.obs import (  # noqa: E402
     JSONL_FILE,
     format_table,
     load_events,
     tier_table,
 )
+from repro.service import encode_message  # noqa: E402
+from repro.service.protocol import OP_FOLD_NODE  # noqa: E402
 
 NUM_ROUNDS = 3
 NUM_SERVERS = 2
@@ -106,25 +109,46 @@ def build_tuner(backend: str, transport: str, edge_tiers: tuple[int, ...],
     if not kill_server:
         return FMDFineTuner(server, participants, test, config=run_config)
 
-    class KillsAServerMidRun(FMDFineTuner):
-        """Hard-kills one live aggregator server at the start of the last round."""
+    class KillsAServerMidRequest(FMDFineTuner):
+        """Hard-kills one live aggregator server inside a last-round request."""
 
         def before_round(self, round_index, selected):
             rounds_seen = getattr(self, "_smoke_rounds_seen", 0) + 1
             self._smoke_rounds_seen = rounds_seen
             if rounds_seen == NUM_ROUNDS:
-                pool = self._aggregation_pool
-                victim = pool._servers[0] if pool._servers else None
-                if victim is None or not victim.alive:
-                    raise AssertionError(
-                        "kill round reached but no live spawned server to kill "
-                        "— the fold plane never started?")
-                victim.kill()
-                print(f"    killed {KILLED_SERVER} (pid {victim.process.pid}) "
-                      f"before round {rounds_seen}/{NUM_ROUNDS}", flush=True)
+                arm_mid_request_kill(self._aggregation_pool, rounds_seen)
             super().before_round(round_index, selected)
 
-    return KillsAServerMidRun(server, participants, test, config=run_config)
+    return KillsAServerMidRequest(server, participants, test, config=run_config)
+
+
+def arm_mid_request_kill(pool, round_number: int) -> None:
+    """SIGKILL server 0 after the header and half the frames of its next leaf job.
+
+    The rest of the request is written to the dead connection, which fails
+    either there or when the response is read; the client's resend is what
+    has to heal it.
+    """
+    victim = pool._servers[0] if pool._servers else None
+    if victim is None or not victim.alive:
+        raise AssertionError("kill round reached but no live spawned server to kill "
+                             "— the fold plane never started?")
+    client = pool._clients[0]
+    send = client._send_request
+
+    def send_and_kill(stream, op, body, frames=()):
+        if op != OP_FOLD_NODE or tier_of_pseudo_id(body["pseudo_id"]) != 0 or len(frames) < 2:
+            return send(stream, op, body, frames)
+        client._send_request = send  # one kill per run
+        half = len(frames) // 2
+        stream.send_frames([encode_message(op, body), *frames[:half]])
+        victim.kill()
+        print(f"    killed {KILLED_SERVER} (pid {victim.process.pid}) after "
+              f"{half} of {len(frames)} frames of a leaf job in round "
+              f"{round_number}/{NUM_ROUNDS}", flush=True)
+        stream.send_frames(frames[half:])
+
+    client._send_request = send_and_kill
 
 
 def check_service_counters(registry, killed: bool,
@@ -180,8 +204,8 @@ def main() -> int:
                              ">= 2 (e.g. '2,2') routes inner-tier folds "
                              "through the servers too")
     parser.add_argument("--kill-server", action="store_true",
-                        help="hard-kill one aggregator server at the start of "
-                             "the final round and require the run to heal")
+                        help="hard-kill one aggregator server in the middle of "
+                             "a final-round request and require the run to heal")
     args = parser.parse_args()
 
     if args.kill_server and args.transport != "tcp":
@@ -205,7 +229,8 @@ def main() -> int:
     reference_tuner = build_tuner("serial", args.transport, edge_tiers)
     reference = reference_tuner.run(num_rounds=NUM_ROUNDS)
 
-    kill_note = ", hard-killing server0 in the last round" if args.kill_server else ""
+    kill_note = (", hard-killing server0 mid-request in the last round"
+                 if args.kill_server else "")
     print(f"[2/2] service: {NUM_SERVERS} {args.transport} aggregator "
           f"servers{kill_note}", flush=True)
     service_tuner = build_tuner("service", args.transport, edge_tiers,

@@ -38,17 +38,17 @@ that uplink: checksum only, nothing decoded (see
 Decode is zero-copy up to the tensor values: :func:`verify_frame` CRCs a
 ``memoryview`` of the input (``bytes``, ``bytearray`` or ``memoryview`` — a
 :meth:`~repro.comm.stream.FrameStream.recv_frame_view` buffer decodes without
-ever materialising a ``bytes`` frame), :func:`_decode_tensors` walks it with
+ever materialising a ``bytes`` frame), :func:`_walk_tensors` walks it with
 flat offset arithmetic and pre-compiled ``struct`` objects, hands codecs
 *views* of their payload sections, and ``np.frombuffer`` reads values straight
 out of the frame.
-A fold decodes a sender's frames together: :func:`parse_update` is the
-verify-and-walk half of a decode on its own, and :func:`decode_update_group`
-hands the same-named tensors of many parsed frames to one
-:meth:`Codec.decode_arrays <repro.comm.codecs.Codec.decode_arrays>` call each
-— the receiving twin of :func:`encode_updates`, bit for bit what decoding each
-frame alone gives (the per-frame decode it replaced in the fold is the oracle
-in ``tests/fold_oracles.py``).
+There is one decode: :func:`parse_update` is its verify-and-walk half, and
+:func:`decode_update_group` hands the same-named tensors of many parsed frames
+to one :meth:`Codec.decode_arrays <repro.comm.codecs.Codec.decode_arrays>`
+call each — the receiving twin of :func:`encode_updates`.
+:func:`decode_update` and :func:`decode_state_dict` are its one-frame case
+(the per-frame decode the group replaced in the fold is the oracle in
+``tests/fold_oracles.py``).
 Passing a :class:`~repro.comm.scratch.ScratchPool` as ``scratch=`` makes the
 tensor reconstruction allocation-free too: each output array is checked out
 of the pool and filled in place via the codecs' ``out=`` fast path — see
@@ -282,59 +282,23 @@ def _walk_tensors(body: memoryview, offset: int
     return tuple(table), payloads
 
 
-def _cast_values(section: memoryview, cast_dtype: np.dtype,
+def _cast_values(sections: List[memoryview], cast_dtype: np.dtype,
                  shape: Tuple[int, ...]) -> np.ndarray:
     """A cast codec's one section as the ``shape`` array of wire-dtype values it is.
 
     True zero-copy: the wire bytes *are* the values, so a caller that treats
     decoded arrays as volatile anyway (scratch semantics) reads straight out
     of the frame — no take, no copy.  The view is read-only and possibly
-    unaligned; NumPy's ufunc loops handle both.
+    unaligned; NumPy's ufunc loops handle both.  Checked as
+    :meth:`CastCodec.decode_array <repro.comm.codecs.CastCodec.decode_array>`
+    checks, which this inlines.
     """
-    if len(section) != cast_dtype.itemsize * math.prod(shape):
+    if len(sections) != 1:
+        raise PayloadCorruptedError("cast codec expects exactly one section")
+    if len(sections[0]) != cast_dtype.itemsize * math.prod(shape):
         raise PayloadCorruptedError(
             "payload size does not match the declared shape")
-    return np.frombuffer(section, dtype=cast_dtype).reshape(shape)
-
-
-def _decode_tensors(table: _TensorTable, payloads: List[List[memoryview]],
-                    codec: Codec, reference: Optional[Dict[str, np.ndarray]],
-                    scratch: Optional[ScratchPool] = None
-                    ) -> Dict[str, np.ndarray]:
-    """One frame's parsed tensors, each decoded on its own (``decode_array``)."""
-    needs_reference = codec.needs_reference
-    decode_array = codec.decode_array
-    cast_dtype = codec.cast_wire_dtype
-    dtypes = _DTYPES
-    state: Dict[str, np.ndarray] = {}
-    for (name, token, shape), sections in zip(table, payloads):
-        dtype = dtypes.get(token)
-        if dtype is None:
-            dtype = _dtype_for(token)
-        if cast_dtype is not None and len(sections) == 1:
-            # Inlined cast-codec fast path: one section of raw wire-dtype
-            # values.  Identical arithmetic to CastCodec.decode_array (same
-            # frombuffer, same reshape, same cast kernels) with no per-tensor
-            # dispatch — this is the fp64 decode hot path.
-            values = _cast_values(sections[0], cast_dtype, shape)
-            if scratch is None:
-                state[name] = values.astype(dtype)
-            elif dtype == cast_dtype:
-                state[name] = values    # zero-copy, see _cast_values
-            else:
-                out = scratch.take(shape, dtype)
-                np.copyto(out, values, casting="unsafe")
-                state[name] = out
-            continue
-        ref = None
-        if needs_reference:
-            ref = _reference_for(codec, reference, name)
-        if scratch is not None:
-            state[name] = decode_array(sections, shape, dtype, reference=ref,
-                                       out=scratch.take(shape, dtype))
-        else:
-            state[name] = decode_array(sections, shape, dtype, reference=ref)
-    return state
+    return np.frombuffer(sections[0], dtype=cast_dtype).reshape(shape)
 
 
 def _parse_header(body: memoryview) -> Tuple[int, Codec, int]:
@@ -428,7 +392,10 @@ def encode_update(update, codec: Codec,
 
 
 class ParsedUpdate(NamedTuple):
-    """One verified update frame, parsed and not yet decoded."""
+    """One verified frame, parsed and not yet decoded.
+
+    A state-dict frame has no update header: its first four fields are ``None``.
+    """
 
     participant_id: int
     layer: int
@@ -449,10 +416,29 @@ class DecodedGroup(NamedTuple):
     #: ``(name, shape)`` per tensor
     tensors: Tuple[Tuple[str, Tuple[int, ...]], ...]
     #: per tensor the ``shape`` arrays of the group's frames: one
-    #: ``(len(frames), *shape)`` array, or a list of views into the frames
-    #: (cast codecs under ``scratch``); either way ``values[t][r]`` belongs to
-    #: ``frames[r]``
+    #: ``(len(frames), *shape)`` array, or a list (cast codecs: fresh arrays
+    #: without ``scratch``, views into the frames at the wire dtype); either
+    #: way ``values[t][r]`` belongs to ``frames[r]``
     values: List[Sequence[np.ndarray]]
+
+
+def _parse(data, kind: int) -> ParsedUpdate:
+    """Verify one frame of ``kind`` (any bytes-like buffer) and parse it."""
+    body = verify_frame(data)
+    what = "update" if kind == KIND_UPDATE else "state-dict"
+    try:
+        found, codec, offset = _parse_header(body)
+        if found != kind:
+            raise PayloadCorruptedError(f"expected a {what} frame, got kind {found}")
+        header = (None,) * 4
+        if kind == KIND_UPDATE:
+            header = _UPDATE_HEADER.unpack_from(body, offset)
+            offset += _UPDATE_HEADER.size
+        return ParsedUpdate(*header, codec, *_walk_tensors(body, offset))
+    except _MALFORMED as exc:
+        # The CRC makes this unreachable for in-flight corruption; it guards
+        # against truncated or foreign-writer frames that still checksum.
+        raise PayloadCorruptedError(f"malformed {what} frame: {exc}") from exc
 
 
 def parse_update(data) -> ParsedUpdate:
@@ -462,18 +448,14 @@ def parse_update(data) -> ParsedUpdate:
     here: length, CRC and magic (:func:`verify_frame`), the frame kind, a
     registered codec, and every length of the tensor table.
     """
-    body = verify_frame(data)
-    try:
-        kind, codec, offset = _parse_header(body)
-        if kind != KIND_UPDATE:
-            raise PayloadCorruptedError(f"expected an update frame, got kind {kind}")
-        header = _UPDATE_HEADER.unpack_from(body, offset)
-        return ParsedUpdate(*header, codec,
-                            *_walk_tensors(body, offset + _UPDATE_HEADER.size))
-    except _MALFORMED as exc:
-        # The CRC makes this unreachable for in-flight corruption; it guards
-        # against truncated or foreign-writer frames that still checksum.
-        raise PayloadCorruptedError(f"malformed update frame: {exc}") from exc
+    return _parse(data, KIND_UPDATE)
+
+
+def _decode_one(parsed: ParsedUpdate, reference_lookup: Optional[ReferenceLookup],
+                scratch: Optional[ScratchPool]) -> Dict[str, np.ndarray]:
+    """One parsed frame's state: the one-frame case of :func:`decode_update_group`."""
+    ((_, tensors, values),) = decode_update_group((parsed,), reference_lookup, scratch)
+    return {name: rows[0] for (name, _), rows in zip(tensors, values)}
 
 
 def decode_update(data,
@@ -490,14 +472,9 @@ def decode_update(data,
     frame itself — so callers must fold (or copy) them first.
     """
     parsed = parse_update(data)
-    try:
-        if (parsed.codec.needs_reference and reference is None
-                and reference_lookup is not None):
-            reference = reference_lookup(parsed.layer, parsed.expert)
-        state = _decode_tensors(parsed.table, parsed.sections, parsed.codec,
-                                reference, scratch)
-    except _MALFORMED as exc:
-        raise PayloadCorruptedError(f"malformed update frame: {exc}") from exc
+    if reference is not None:
+        reference_lookup = lambda layer, expert: reference  # noqa: E731
+    state = _decode_one(parsed, reference_lookup, scratch)
     return _expert_update_class()(
         participant_id=parsed.participant_id, layer=parsed.layer,
         expert=parsed.expert, state=state, weight=parsed.weight)
@@ -512,8 +489,8 @@ def decode_update_group(updates: Sequence[ParsedUpdate],
     tensor table (names, dtypes, shapes — one sender's experts all do) form a
     :class:`DecodedGroup`, and each of its tensors goes through one
     :meth:`Codec.decode_arrays <repro.comm.codecs.Codec.decode_arrays>` call.
-    What a group holds for a tensor of a frame is bit for bit what
-    :func:`decode_update` gives for it.  Delta codecs resolve their
+    :func:`decode_update` and :func:`decode_state_dict` are its one-frame
+    case.  Delta codecs resolve their
     references via ``reference_lookup(layer, expert)``.  With a ``scratch``
     pool the arrays are pool-owned and volatile (valid until
     ``scratch.recycle()``); without one they are fresh.
@@ -537,21 +514,29 @@ def decode_update_group(updates: Sequence[ParsedUpdate],
                                                           updates[position].expert)
                     for position in positions]
             values = []
+            cast = codec.cast_wire_dtype
             for (name, token, shape), column in zip(table, columns):
                 dtype = _dtype_for(token)
-                if (scratch is not None and dtype == codec.cast_wire_dtype
-                        and all(len(sections) == 1 for sections in column)):
-                    # the inlined cast-codec fast path of _decode_tensors
-                    values.append([_cast_values(sections[0], dtype, shape)
+                if cast is None:
+                    values.append(codec.decode_arrays(
+                        column, shape, dtype,
+                        references=None if references is None else [
+                            _reference_for(codec, reference, name)
+                            for reference in references],
+                        out=None if scratch is None else scratch.take_rows(
+                            len(column), shape, dtype)))
+                elif scratch is None:       # fresh copies, as CastCodec.decode_array
+                    values.append([_cast_values(sections, cast, shape).astype(dtype)
                                    for sections in column])
-                    continue
-                values.append(codec.decode_arrays(
-                    column, shape, dtype,
-                    references=None if references is None else [
-                        _reference_for(codec, reference, name)
-                        for reference in references],
-                    out=None if scratch is None else scratch.take_rows(
-                        len(column), shape, dtype)))
+                elif dtype == cast:         # the values where they lie
+                    values.append([_cast_values(sections, cast, shape)
+                                   for sections in column])
+                else:
+                    out = scratch.take_rows(len(column), shape, dtype)
+                    for row, sections in enumerate(column):
+                        np.copyto(out[row, ...], _cast_values(sections, cast, shape),
+                                  casting="unsafe")
+                    values.append(out)
             groups.append(DecodedGroup(
                 positions, tuple([(name, shape) for name, _, shape in table]), values))
     except _MALFORMED as exc:
@@ -575,11 +560,5 @@ def decode_state_dict(data,
 
     ``scratch`` decodes into pool-owned arrays, as :func:`decode_update` does.
     """
-    body = verify_frame(data)
-    try:
-        kind, codec, offset = _parse_header(body)
-        if kind != KIND_STATE_DICT:
-            raise PayloadCorruptedError(f"expected a state-dict frame, got kind {kind}")
-        return _decode_tensors(*_walk_tensors(body, offset), codec, reference, scratch)
-    except _MALFORMED as exc:
-        raise PayloadCorruptedError(f"malformed state-dict frame: {exc}") from exc
+    return _decode_one(_parse(data, KIND_STATE_DICT),
+                       lambda layer, expert: reference, scratch)

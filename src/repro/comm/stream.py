@@ -8,9 +8,11 @@ begins.  :class:`FrameStream` adds exactly that — a little-endian ``u32``
 length prefix per frame — and owns the partial-read/partial-write loop both
 sides of a connection need:
 
-* **writes** ``sendall`` the prefix and then the payload — two writes of the
-  caller's own buffers, never a concatenated copy of a multi-megabyte frame —
-  so a frame is either fully queued or the stream raises;
+* **writes** gather each frame's prefix and payload — the caller's own
+  buffers, never a concatenated copy of a multi-megabyte frame — and a batch
+  of frames (:meth:`FrameStream.send_frames`: a whole fold job) goes out in
+  the same gathered writes, so frames are either fully queued or the stream
+  raises;
 * **reads** accumulate ``recv`` chunks until the prefix and then the payload
   are complete, whatever boundaries the transport chose.  A clean peer close
   *between* frames reads as end-of-stream (``recv_frame() -> None``); a close
@@ -48,6 +50,9 @@ RETAINED_RECV_BYTES = 1 << 16
 #: refuse frames larger than this (a corrupt or misaligned prefix otherwise
 #: reads as a multi-gigabyte allocation before anything fails)
 MAX_FRAME_BYTES = 1 << 30
+
+#: buffers one gathered write takes (``IOV_MAX`` on Linux and the BSDs)
+MAX_WRITE_BUFFERS = 1024
 
 
 class TruncatedFrameError(PayloadCorruptedError, ConnectionError):
@@ -122,14 +127,40 @@ class FrameStream:
     def send_frame(self, payload) -> int:
         """Queue one complete frame (any bytes-like buffer); returns the bytes
         written (prefix incl.)."""
+        return self.send_frames((payload,))
+
+    def send_frames(self, payloads) -> int:
+        """Queue complete frames in order, in as few writes as the socket takes.
+
+        One gathered ``sendmsg`` per :data:`MAX_WRITE_BUFFERS` buffers, each
+        frame its prefix and then the caller's own buffer — never joined into
+        one job-sized copy.  A write the socket takes only in part resumes
+        where it stopped.  Returns the bytes written (prefixes incl.).
+        """
         sock = self._require_open()
-        _check_length(len(payload), self._max_frame_bytes)
-        sock.sendall(LENGTH_PREFIX.pack(len(payload)))
-        sock.sendall(payload)
-        sent = LENGTH_PREFIX.size + len(payload)
-        self.bytes_sent += sent
-        self.frames_sent += 1
-        return sent
+        buffers = []
+        frames = 0
+        for frames, payload in enumerate(payloads, 1):
+            view = memoryview(payload).cast("B")
+            _check_length(len(view), self._max_frame_bytes)
+            buffers.append(memoryview(LENGTH_PREFIX.pack(len(view))))
+            if len(view):
+                buffers.append(view)
+        total = 0
+        index = 0
+        while index < len(buffers):
+            sent = sock.sendmsg(buffers[index:index + MAX_WRITE_BUFFERS])
+            total += sent
+            self.bytes_sent += sent
+            while sent:
+                head = buffers[index]
+                if sent < len(head):
+                    buffers[index] = head[sent:]
+                    break
+                sent -= len(head)
+                index += 1
+        self.frames_sent += frames
+        return total
 
     # ------------------------------------------------------------------- recv
     def _recv_exactly(self, num_bytes: int, *, at_boundary: bool) -> Optional[memoryview]:

@@ -339,12 +339,6 @@ def restore_run_state(tuner, scheduler, checkpoint: Dict) -> Dict:
         topology.import_state(topology_state)
     tuner.import_run_state(checkpoint["tuner_extra"])
     scheduler.restore_state(checkpoint["scheduler_state"], tuner)
-    pool = getattr(tuner, "_aggregation_pool", None)
-    if hasattr(pool, "on_resume"):
-        # service backend: rebuild server-side accumulators to the snapshot
-        # (empty — snapshots land between rounds), dropping any half-round
-        # state a surviving server still holds from the killed run
-        pool.on_resume(checkpoint)
     return {
         "tracker": checkpoint["tracker"],
         "run_timeline": checkpoint["run_timeline"],

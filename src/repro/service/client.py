@@ -5,33 +5,24 @@ A :class:`ServiceClient` owns one connection to one
 ``connect()`` factory, so TCP, ``socketpair`` and respawn-on-death transports
 all look the same) and turns protocol round trips into method calls.
 
-Failure handling is transactional at *round* granularity: a fold round is an
-``OP_ADD`` chunk sequence followed by one flush, and the client buffers
-nothing — the pool hands it the round's frames, so when the connection dies
-anywhere inside the round (``ConnectionError``, a socket timeout, a
-mid-frame :class:`~repro.comm.TruncatedFrameError`), the client reconnects
-with backoff and replays the whole round under a **fresh token**.  The dead
-attempt's half-accumulated state is thereby orphaned server-side (never
-folded, evicted at the server's next flush), which is what makes retries
-safe: a round folds from exactly one complete token or not at all.
-
-The ADD sequence is *pipelined*: up to ``window`` chunks ride the connection
-before the client reads an acknowledgement (the server answers every request,
-in order, so the sender drains exactly as many acks as it sent before the
-flush round-trips), and the round's *final* chunk rides the flush body
-itself — so a round that fits one chunk (every tree-node prefold in
-practice) is a single request/response, and every round saves one round
-trip.  On TCP this removes the per-chunk RTT stall from the fold critical
-path; correctness is unchanged because the whole-round-replay semantics
-above never depended on *when* an ack is read — a connection that dies with
-a window in flight just replays the round.  Each (re)connect opens
-with an ``OP_HELLO`` version handshake, so mismatched peers fail fast with a
-typed :class:`~repro.service.protocol.ServiceProtocolError` (never retried)
-instead of corrupting a round.
+A fold job is one request: a small header, then the job's frames — the
+updates' own wire frames and the fp64 reference frames — each its own stream
+frame, written in a batch of gathered writes
+(:meth:`~repro.comm.stream.FrameStream.send_frames`), then one response.  The
+server keeps nothing between requests, so failure handling is just a resend:
+when the connection dies anywhere inside a request (``ConnectionError``, a
+socket timeout, a mid-frame :class:`~repro.comm.TruncatedFrameError`), the
+client reconnects with backoff and sends the same request again.  The client
+buffers nothing of its own — the pool hands it the job's frames.  Any other
+failure (an ``OP_ERR``, a typed protocol error) also drops the connection
+before it propagates, so the next request starts on a fresh connection at a
+request boundary.  Each (re)connect opens with an ``OP_HELLO`` version
+handshake, so mismatched peers fail fast with a typed
+:class:`~repro.service.protocol.ServiceProtocolError` (never retried).
 
 Retries assume the ``connect`` factory can produce a working connection
 again — for spawned servers the pool's factory respawns a dead process
-first, which is how a hard-killed server mid-round heals (the CI
+first, which is how a hard-killed server mid-request heals (the CI
 ``service-smoke`` lane exercises exactly this).  When attempts are
 exhausted, :class:`ServiceUnavailableError` surfaces to the run loop.
 """
@@ -44,14 +35,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..comm.stream import FrameStream
 from .protocol import (
-    OP_ADD,
     OP_ERR,
-    OP_FLUSH_NODE,
-    OP_FLUSH_SHARD,
+    OP_FOLD_NODE,
+    OP_FOLD_SHARD,
     OP_HELLO,
     OP_OK,
     OP_PING,
-    OP_RESET,
     OP_SHUTDOWN,
     OP_STATS,
     PROTOCOL_VERSION,
@@ -61,16 +50,6 @@ from .protocol import (
     decode_message,
     encode_message,
 )
-
-#: frames per OP_ADD chunk: small enough that a round is a multi-request
-#: streaming conversation (exercising the accumulator-between-requests path),
-#: large enough that envelope overhead stays negligible
-DEFAULT_CHUNK_FRAMES = 32
-
-#: OP_ADD chunks in flight before the sender waits for an acknowledgement;
-#: bounded so a slow server applies backpressure through the window rather
-#: than through unbounded client-side socket buffering
-DEFAULT_WINDOW = 8
 
 
 class ServiceUnavailableError(ConnectionError):
@@ -87,22 +66,15 @@ class ServiceClient:
     def __init__(self, connect: Callable[[], "FrameStream"], *,
                  name: str = "server0",
                  retry_attempts: int = 3, retry_delay_s: float = 0.05,
-                 timeout_s: float = 30.0,
-                 chunk_frames: int = DEFAULT_CHUNK_FRAMES,
-                 window: int = DEFAULT_WINDOW) -> None:
+                 timeout_s: float = 30.0) -> None:
         if retry_attempts < 1:
             raise ValueError("retry_attempts must be positive")
-        if window < 1:
-            raise ValueError("window must be positive")
         self._connect = connect
         self.name = name
         self.retry_attempts = int(retry_attempts)
         self.retry_delay_s = float(retry_delay_s)
         self.timeout_s = float(timeout_s)
-        self.chunk_frames = int(chunk_frames)
-        self.window = int(window)
         self._stream: Optional[FrameStream] = None
-        self._token_counter = 0
         #: lifetime transport counters, drained into ``repro_service_*``
         #: metrics by the pool
         self.stats: Dict[str, int] = {
@@ -121,7 +93,7 @@ class ServiceClient:
             # server speaking another protocol version rejects it with a
             # typed ServiceProtocolError (pre-versioning servers reject the
             # unknown op the same way), which is NOT retried — mismatched
-            # peers fail fast instead of replaying a round they can never
+            # peers fail fast instead of resending a request they can never
             # complete.
             self._round_trip(OP_HELLO, {"version": PROTOCOL_VERSION})
         return self._stream
@@ -136,16 +108,21 @@ class ServiceClient:
         self._drop_stream()
 
     # --------------------------------------------------------------- requests
-    def _send_request(self, stream: FrameStream, op: int, body) -> None:
-        """Ship one request frame without waiting for its response."""
+    def _send_request(self, stream: FrameStream, op: int, body,
+                      frames: Sequence = ()) -> None:
+        """Write one request — its header, then the frames it announces."""
         sent_before = stream.bytes_sent
+        # The header is small: as bytes, it leaves no view of the encoder's
+        # buffer in the traceback of a failed write, which the cycle
+        # collector could otherwise tear down in the wrong order.
+        header = bytes(encode_message(op, body))
         try:
-            stream.send_frame(encode_message(op, body))
+            stream.send_frames([header, *frames])
         finally:
             self.stats["bytes_sent"] += stream.bytes_sent - sent_before
 
     def _recv_response(self, stream: FrameStream) -> object:
-        """Read + check the next (in-order) response on the stream."""
+        """Read + check the response to the request just sent."""
         received_before = stream.bytes_received
         try:
             # Zero-copy receive: the view aliases the stream's reusable
@@ -161,7 +138,7 @@ class ServiceClient:
         try:
             response_op, response_body = decode_message(response)
         finally:
-            # a fold's response is megabytes; the next one is an ADD's ack
+            # a fold's response is megabytes; the next one may be a ping's
             del response
             stream.release_recv_buffer()
         if response_op == OP_ERR:
@@ -184,35 +161,35 @@ class ServiceClient:
                 f"{response_op}")
         return response_body
 
-    def _round_trip(self, op: int, body) -> object:
+    def _round_trip(self, op: int, body, frames: Sequence = ()) -> object:
         """One request/response on the live stream (no retry at this level)."""
         stream = self._ensure_stream()
-        self._send_request(stream, op, body)
+        self._send_request(stream, op, body, frames)
         return self._recv_response(stream)
 
-    def _with_retries(self, transaction: Callable[[], object]) -> object:
-        """Run ``transaction`` (one or more round trips), replaying it whole
-        on connection failure, with backoff, up to ``retry_attempts``."""
+    def call(self, op: int, body=None, frames: Sequence = ()):
+        """One request, resent whole on connection failure, with backoff, up
+        to ``retry_attempts`` times."""
         last_error: Optional[BaseException] = None
         for attempt in range(self.retry_attempts):
             if attempt:
                 self.stats["reconnects"] += 1
                 time.sleep(self.retry_delay_s * attempt)
             try:
-                return transaction()
-            except (ConnectionError, OSError) as error:
-                # Covers socket timeouts (TimeoutError is an OSError) and
-                # TruncatedFrameError (a ConnectionError): the attempt's
-                # token dies with the connection; the replay gets a new one.
-                last_error = error
+                return self._round_trip(op, body, frames)
+            except OSError as error:
+                # Socket timeouts and ConnectionError, TruncatedFrameError
+                # included: the request is resent on a new connection.
                 self._drop_stream()
+                last_error = error
+            except BaseException:
+                # Anything else may have left the connection between a
+                # request and its response: the next request redials.
+                self._drop_stream()
+                raise
         raise ServiceUnavailableError(
             f"server {self.name!r} unreachable after {self.retry_attempts} "
             f"attempt(s): {last_error!r}") from last_error
-
-    def call(self, op: int, body=None):
-        """One retried request (for the single-round-trip ops)."""
-        return self._with_retries(lambda: self._round_trip(op, body))
 
     # ------------------------------------------------------------ service API
     def ping(self) -> Dict:
@@ -220,9 +197,6 @@ class ServiceClient:
 
     def server_stats(self) -> Dict:
         return self.call(OP_STATS)
-
-    def reset(self) -> Dict:
-        return self.call(OP_RESET)
 
     def shutdown(self) -> None:
         """Graceful drain: ack'd stop; the server exits after this returns."""
@@ -232,53 +206,26 @@ class ServiceClient:
             pass  # already dead (or dying) is a successful shutdown
         self._drop_stream()
 
-    def _next_token(self) -> str:
-        self._token_counter += 1
-        return f"{id(self)}-{self._token_counter}"
+    def _fold(self, op: int, strategy, header: Dict,
+              framed: Sequence[Tuple[bytes, int]],
+              references: Optional[Dict]) -> Tuple[object, Optional[dict]]:
+        """Send one fold job as one request; returns the result and span record.
 
-    def _fold_round(self, frames: Sequence[Tuple[bytes, int]], flush_op: int,
-                    flush_body: Dict) -> Tuple[object, Optional[dict]]:
-        """ADD-chunk the round's frames (pipelined), flush, return the result.
-
-        Up to :attr:`window` ADD chunks are in flight before an ack is read;
-        every outstanding ack is drained before the flush round-trips, so a
-        fold never flushes past an unacknowledged window.  Chunks are encoded
-        and sent one at a time (never pre-encoded as a batch: on a
-        shared-CPU host that would serialize all client-side encoding ahead
-        of the server's ingest), and the final chunk rides the flush body —
-        a ≤ ``chunk_frames`` round is one single request/response.  Any
-        failure inside the window — including an error ack for an *earlier*
-        chunk — aborts the attempt and the round replays whole under a fresh
-        token.
+        ``references`` maps ``(layer, expert)`` keys to the fp64 reference
+        frames of the job's delta-coded frames; they follow the update frames
+        in key order.
         """
-
-        def transaction():
-            token = self._next_token()  # fresh per attempt (see module docstring)
-            stream = self._ensure_stream()
-            chunks = [list(frames[start:start + self.chunk_frames])
-                      for start in range(0, len(frames), self.chunk_frames)]
-            flush = dict(flush_body, token=token)
-            if chunks:
-                flush["frames"] = chunks.pop()  # final chunk rides the flush
-            inflight = 0
-            for chunk in chunks:
-                if inflight >= self.window:
-                    self._recv_response(stream)
-                    inflight -= 1
-                self._send_request(stream, OP_ADD,
-                                   {"token": token, "frames": chunk})
-                inflight += 1
-            while inflight:
-                self._recv_response(stream)
-                inflight -= 1
-            body = self._round_trip(flush_op, flush)
-            return body["result"], body.get("record")
-
+        keys = list(references or {})
+        header = dict(header, strategy=self._pickle_strategy(strategy),
+                      count=len(framed),
+                      stalenesses=[int(staleness) for _, staleness in framed],
+                      references=keys)
+        frames = [frame for frame, _ in framed] + [references[key] for key in keys]
         reconnects_before = self.stats["reconnects"]
-        result = self._with_retries(transaction)
+        body = self.call(op, header, frames)
         if self.stats["reconnects"] != reconnects_before:
             self.stats["retried_rounds"] += 1
-        return result
+        return body["result"], body.get("record")
 
     @staticmethod
     def _pickle_strategy(strategy) -> Optional[bytes]:
@@ -295,16 +242,12 @@ class ServiceClient:
                      ) -> Tuple[List[bytes], Optional[dict]]:
         """Fold one tree node's framed updates into partial frames.
 
-        ``references`` maps ``(layer, expert)``
-        keys to fp64 reference frames for any reference-requiring codec among
-        ``frames``; it rides the flush body — not the ADDs — so a replayed
-        round reships it automatically and the server stores nothing per-token.
+        ``references`` maps ``(layer, expert)`` keys to fp64 reference frames
+        for any reference-requiring codec among ``frames``.
         """
-        body = {"strategy": self._pickle_strategy(strategy),
-                "node": int(node), "pseudo_id": int(pseudo_id), "timed": timed}
-        if references:
-            body["references"] = references
-        return self._fold_round(frames, OP_FLUSH_NODE, body)
+        return self._fold(OP_FOLD_NODE, strategy,
+                          {"node": int(node), "pseudo_id": int(pseudo_id), "timed": timed},
+                          frames, references)
 
     def fold_shard(self, strategy, shard: int,
                    frames: Sequence[Tuple[bytes, int]], timed: bool = False,
@@ -315,8 +258,5 @@ class ServiceClient:
 
         ``references`` semantics match :meth:`prefold_node`.
         """
-        body = {"strategy": self._pickle_strategy(strategy),
-                "shard": int(shard), "timed": timed}
-        if references:
-            body["references"] = references
-        return self._fold_round(frames, OP_FLUSH_SHARD, body)
+        return self._fold(OP_FOLD_SHARD, strategy,
+                          {"shard": int(shard), "timed": timed}, frames, references)

@@ -18,16 +18,17 @@ wake-up per hand-over, which ties the fold's wall time to the host's wake-up
 latency.
 
 Payload: a job is its updates as ``(wire frame, staleness)`` pairs plus an
-optional trailing references dict that rides the flush body — see
-:mod:`repro.service.fold`, the one module both ends share.  ADDs are pipelined
-client-side in a bounded ``window`` (see :mod:`repro.service.client`).
+optional trailing references dict — see :mod:`repro.service.fold`, the one
+module both ends share — and travels as exactly one request (see
+:mod:`repro.service.client`): a fold call of N jobs is N requests.
 
-Failure handling: each client retries its whole round with
-backoff (see :mod:`repro.service.client`); for *spawned* servers the dial
-factory first respawns a dead process on a fresh port, so a hard-killed
-server mid-round heals transparently — the round replays against the
-replacement and the run completes (the CI ``service-smoke`` lane kills one
-mid-round to enforce exactly this).  ``close()`` is the graceful drain: every
+Failure handling: each client resends a job's request with backoff (see
+:mod:`repro.service.client`); for *spawned* servers the dial factory first
+respawns a dead process on a fresh port, so a server hard-killed mid-request
+heals transparently — the request is resent to the replacement and the run
+completes (the CI ``service-smoke`` lane kills one mid-request to enforce
+exactly this).  Servers keep nothing between requests, so a resumed run needs
+no server-side cleanup either.  ``close()`` is the graceful drain: every
 server gets an ack'd ``OP_SHUTDOWN``, spawned processes are joined, and the
 pool lazily restarts for a next run.
 
@@ -58,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..comm.serialization import frame_codec_name
 from ..comm.stream import FrameStream
 from ..federated.topology import tier_of_pseudo_id
-from .client import DEFAULT_CHUNK_FRAMES, DEFAULT_WINDOW, ServiceClient
+from .client import ServiceClient
 from .server import InProcessServer, ServerProcess, spawn_server
 
 #: spawned-server default when ``aggregation_workers`` is unset: enough for
@@ -76,8 +77,6 @@ class ServiceAggregationPool:
                  addresses: Optional[Sequence[Tuple[str, int]]] = None,
                  retry_attempts: int = 3, retry_delay_s: float = 0.05,
                  timeout_s: float = 30.0,
-                 chunk_frames: int = DEFAULT_CHUNK_FRAMES,
-                 window: int = DEFAULT_WINDOW,
                  log_dir: Optional[str] = None) -> None:
         if transport not in TRANSPORTS:
             raise ValueError(f"unknown service transport {transport!r} "
@@ -101,8 +100,6 @@ class ServiceAggregationPool:
         self.retry_attempts = int(retry_attempts)
         self.retry_delay_s = float(retry_delay_s)
         self.timeout_s = float(timeout_s)
-        self.chunk_frames = int(chunk_frames)
-        self.window = int(window)
         self.log_dir = log_dir
         #: server-measured fold span records of the most recent ``timed=True``
         #: call (cleared per call), for the caller's tracer to ingest
@@ -137,9 +134,9 @@ class ServiceAggregationPool:
 
     def _dial_tcp(self, host: str, port: int) -> FrameStream:
         sock = socket.create_connection((host, port), timeout=self.timeout_s)
-        # Without NODELAY, Nagle holds each request's sub-MSS tail segment
-        # whenever earlier data is unacked — which is precisely the pipelined
-        # window's steady state.  (asyncio already sets it server-side.)
+        # Without NODELAY, Nagle holds a request's sub-MSS tail segment until
+        # the segments before it are acknowledged, and the server answers
+        # nothing before the tail.  (asyncio already sets it server-side.)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return FrameStream(sock)
 
@@ -148,7 +145,7 @@ class ServiceAggregationPool:
 
         Called on every (re)connect, so for spawned servers it is also the
         supervisor: a dead server process is respawned on a fresh port before
-        dialing, which — combined with round-level replay in the client — is
+        dialing, which — combined with the client resending the request — is
         what lets a run survive a hard-killed aggregator.
         """
         if self.addresses is not None:
@@ -192,9 +189,7 @@ class ServiceAggregationPool:
                           name=self._server_name(index),
                           retry_attempts=self.retry_attempts,
                           retry_delay_s=self.retry_delay_s,
-                          timeout_s=self.timeout_s,
-                          chunk_frames=self.chunk_frames,
-                          window=self.window)
+                          timeout_s=self.timeout_s)
             for index in range(self.num_servers)]
         self._locks = [threading.Lock() for _ in range(self.num_servers)]
         if self.transport != "socketpair":
@@ -234,24 +229,6 @@ class ServiceAggregationPool:
         if self._dispatch is not None:
             self._dispatch.shutdown(wait=True)
             self._dispatch = None
-
-    # -------------------------------------------------------------- durability
-    def on_resume(self, checkpoint: Dict) -> None:  # noqa: ARG002 — snapshot-keyed hook
-        """Rebuild server accumulators to match the snapshot being resumed.
-
-        Checkpoints land *between* rounds, when every round accumulator has
-        been flushed — the snapshot's accumulator state is empty by
-        construction, so freshly spawned servers are already correct.  What
-        can disagree is a *surviving* server (externally managed, or reused
-        across ``run()`` calls) still holding the half-accumulated round the
-        killed run never flushed: reset every reachable server so the resumed
-        rounds refold from clean accumulators, bit-identical to the
-        uninterrupted run.
-        """
-        if not self._clients:
-            return  # servers not started yet: they spawn empty, i.e. correct
-        for client in self._clients:
-            client.reset()
 
     # ------------------------------------------------------------------ folds
     def _count(self, metric: str, value, **labels) -> None:

@@ -1,44 +1,38 @@
 """Request/response message format of the aggregation service.
 
-One service message is one :mod:`repro.comm.stream` frame whose payload is::
+Every request and response starts with one :mod:`repro.comm.stream` frame
+whose payload is::
 
     b"RWS1" | op (u8) | pickled body
 
 ``RWS1`` deliberately parallels the serialization layer's ``RWP1``: the
-*contents* that matter — the expert updates and folded states inside request
-bodies — travel as ordinary CRC-checked ``RWP1`` wire frames (the frame an
-update arrived as, else lossless fp64); the service layer
-only wraps them in an op byte and a pickled envelope for the RPC bookkeeping
-(round tokens, shard/node ids, strategy).
+*contents* that matter — the expert updates and folded states a fold job
+carries — travel as ordinary CRC-checked ``RWP1`` wire frames (the frame an
+update arrived as, else lossless fp64); the service layer only adds an op
+byte and a small pickled header (shard/node ids, strategy, stalenesses).
 
-Requests (client → server):
+Requests (client → server), each answered by exactly one response:
 
 * ``OP_HELLO`` — protocol-version negotiation, sent once per connection
   before anything else.  The server acks a matching
   :data:`PROTOCOL_VERSION` and rejects a mismatch with a typed
   :class:`ServiceProtocolError` — and a *pre-versioning* server rejects the
   unknown op the same way — so an incompatible client/server pair fails
-  fast on connect instead of mid-round.  Servers still serve HELLO-less
-  connections (old clients keep working against new servers).
+  fast on connect instead of mid-round.  Servers also serve HELLO-less
+  connections.
 * ``OP_PING`` — liveness + server identity.
-* ``OP_ADD`` — append one chunk of ``(frame, staleness)`` pairs to the round
-  accumulator named by ``token``.  A token the server has not seen starts a
-  fresh accumulator, so a reconnecting client replays its round under a new
-  token and any half-filled accumulator from the dead connection is simply
-  abandoned (and evicted at the next flush).  Each frame's declared codec is
-  validated on arrival: a tag missing from the codec registry raises a typed
-  :class:`UnknownCodecError` (surfaced client-side as the same class), never
-  a downstream decode/pickle failure.  Clients may pipeline a bounded window
-  of ADDs before reading acks — responses are returned in request order on
-  each connection, so the sender drains exactly as many acks as it sent.
-* ``OP_FLUSH_NODE`` / ``OP_FLUSH_SHARD`` — fold the token's accumulated
-  frames with the request's strategy and return the node partials / per-key
-  shard aggregates, clearing the accumulator.  These call
+* ``OP_FOLD_NODE`` / ``OP_FOLD_SHARD`` — one whole fold job.  The header
+  body is ``{strategy, node | shard (+ pseudo_id), timed, count,
+  stalenesses, references}``: ``count`` update frames follow it, then one
+  fp64 reference frame per ``references`` key (:func:`announced_frames`),
+  each its own stream frame.  The server reads all of them, checks every
+  frame's declared codec (a tag missing from the codec registry is a typed
+  :class:`UnknownCodecError`, surfaced client-side as the same class), runs
   :func:`repro.service.fold.prefold_node_frames` /
-  :func:`~repro.service.fold.fold_shard_frames`, which run the serial
-  server's streaming fold — which is what makes the service backend
-  bit-identical to serial folds.
-* ``OP_RESET`` — drop every pending accumulator (checkpoint-resume hygiene).
+  :func:`~repro.service.fold.fold_shard_frames` — the local fold, which is
+  what makes the service backend bit-identical to it — and answers the
+  node partials / per-key shard aggregates.  Nothing outlives the request,
+  so a client whose connection died anywhere inside one resends it whole.
 * ``OP_STATS`` — the server's lifetime counters.
 * ``OP_SHUTDOWN`` — graceful drain: the server acks, stops accepting, and
   exits once open connections finish.
@@ -47,7 +41,7 @@ Responses are ``OP_OK`` with a result body, or ``OP_ERR`` carrying the
 server-side error string (re-raised client-side as :class:`ServiceError`).
 
 Strategies cross the wire pre-pickled (via
-:func:`repro.federated.strategies.picklable_strategy`), so the envelope pickle
+:func:`repro.federated.strategies.picklable_strategy`), so the header pickle
 itself stays cheap and the server needs no strategy registry of its own.
 """
 
@@ -55,22 +49,21 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 #: service envelope magic (the inner payloads are RWP1 frames)
 SERVICE_MAGIC = b"RWS1"
 
 #: spoken protocol version, negotiated via ``OP_HELLO``.  v2 added HELLO
-#: itself, per-frame codec validation on ADD, pipelined ADD windows and
-#: per-job reference shipping on flush; v3 dropped the ``streaming`` flag of
-#: the ``OP_FLUSH_SHARD`` body.  The envelope format is unchanged.
-PROTOCOL_VERSION = 3
+#: itself; v3 dropped the ``streaming`` flag of the shard fold; v4 made a
+#: fold job one request (its frames follow the header as stream frames) and
+#: dropped the ADD chunks, round tokens and RESET.  The envelope format is
+#: unchanged.
+PROTOCOL_VERSION = 4
 
 OP_PING = 1
-OP_ADD = 2
-OP_FLUSH_NODE = 3
-OP_FLUSH_SHARD = 4
-OP_RESET = 5
+OP_FOLD_NODE = 3
+OP_FOLD_SHARD = 4
 OP_STATS = 6
 OP_SHUTDOWN = 7
 OP_HELLO = 8
@@ -79,10 +72,8 @@ OP_ERR = 65
 
 OP_NAMES = {
     OP_PING: "ping",
-    OP_ADD: "add",
-    OP_FLUSH_NODE: "flush_node",
-    OP_FLUSH_SHARD: "flush_shard",
-    OP_RESET: "reset",
+    OP_FOLD_NODE: "fold_node",
+    OP_FOLD_SHARD: "fold_shard",
     OP_STATS: "stats",
     OP_SHUTDOWN: "shutdown",
     OP_HELLO: "hello",
@@ -101,7 +92,7 @@ class ServiceProtocolError(ValueError):
 
 
 class UnknownCodecError(ServiceProtocolError):
-    """An ADD payload declares a codec id missing from the codec registry."""
+    """A fold job's frame declares a codec id missing from the codec registry."""
 
 
 class ServiceError(RuntimeError):
@@ -112,8 +103,8 @@ def encode_message(op: int, body: Any = None) -> memoryview:
     """One service message: magic, op byte, pickled body.
 
     The body is pickled straight into the message's buffer and the buffer is
-    returned as it is (a ``memoryview``): a multi-megabyte fold request or
-    response exists once, not once per concatenation.
+    returned as it is (a ``memoryview``): a multi-megabyte fold response
+    exists once, not once per concatenation.
     """
     if not 0 <= op <= 255:
         raise ValueError(f"op must fit one byte, got {op}")
@@ -143,3 +134,22 @@ def decode_message(frame) -> Tuple[int, Any]:
     except Exception as error:
         raise ServiceProtocolError(f"undecodable message body: {error}") from error
     return op, body
+
+
+def announced_frames(op: int, body: Any) -> Optional[int]:
+    """How many ``RWP1`` frames follow a request's header on the stream.
+
+    A fold header announces its ``count`` update frames plus one reference
+    frame per ``references`` key; any other request announces none.  ``None``
+    marks a malformed fold header — ``count`` not a non-negative int, or
+    ``references`` not a list — which announces no frames and is answered
+    with an error.
+    """
+    if op not in (OP_FOLD_NODE, OP_FOLD_SHARD):
+        return 0
+    if not isinstance(body, dict):
+        return None
+    count, keys = body.get("count"), body.get("references")
+    if type(count) is not int or count < 0 or not isinstance(keys, list):
+        return None
+    return count + len(keys)

@@ -1,15 +1,17 @@
 """Long-lived aggregator servers: the fold plane as a socket service.
 
 An :class:`AggregatorServer` is one persistent fold node that outlives rounds
-(and runs): it keeps its round accumulators, lifetime
-counters and connections between folds, and speaks the
-:mod:`repro.service.protocol` messages over the length-prefixed
+(and runs) and holds nothing between requests but its scratch pool and
+lifetime counters: a fold job is one request — a header and the job's frames
+— answered by one response, so a request cut short by a dead connection
+leaves nothing behind and resending it is the whole recovery.  It
+speaks the :mod:`repro.service.protocol` messages over the length-prefixed
 :mod:`repro.comm.stream` transport.  One asyncio accept loop per server
 handles any number of concurrent client connections, so the shard folds and
 tier-0 subtree pre-folds of one round — or of several concurrent runs — can
 stream into the same server in parallel.
 
-The fold math is deliberately *not* implemented here: flush requests call
+The fold math is deliberately *not* implemented here: fold requests call
 :func:`repro.service.fold.fold_shard_frames` /
 :func:`~repro.service.fold.prefold_node_frames`, which run the serial server's
 :class:`~repro.comm.StreamingAggregator` over the job's frames, so a service
@@ -41,35 +43,45 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..comm import frame_codec_name, get_codec
+from ..comm import PayloadCorruptedError, frame_codec_name, get_codec
 from ..comm.scratch import ScratchPool
-from ..comm.stream import read_frame, write_frame
+from ..comm.stream import TruncatedFrameError, read_frame, write_frame
 from ..federated.topology import tier_of_pseudo_id
 from ..obs import span_record
 from .fold import fold_shard_frames, prefold_node_frames
 from .protocol import (
-    OP_ADD,
     OP_ERR,
-    OP_FLUSH_NODE,
-    OP_FLUSH_SHARD,
+    OP_FOLD_NODE,
+    OP_FOLD_SHARD,
     OP_HELLO,
     OP_NAMES,
     OP_OK,
     OP_PING,
-    OP_RESET,
     OP_SHUTDOWN,
     OP_STATS,
     PROTOCOL_VERSION,
     ServiceProtocolError,
     UnknownCodecError,
+    announced_frames,
     decode_message,
     encode_message,
 )
 
-#: abandoned round accumulators to retain before evicting the oldest — a
-#: client that died mid-round replays under a fresh token, so its orphaned
-#: accumulator is garbage the moment the replacement token appears
-_MAX_PENDING_TOKENS = 32
+
+def _check_codec(frame: bytes) -> None:
+    """Reject a frame whose declared codec the registry does not know.
+
+    Raised as the typed :class:`UnknownCodecError`, with the offending tag in
+    the message — never an opaque decode failure deep inside the fold.
+    """
+    try:
+        codec_name = frame_codec_name(frame)
+    except ValueError as error:
+        raise ServiceProtocolError(f"fold job frame is not an RWP1 frame: {error}") from error
+    try:
+        get_codec(codec_name)
+    except KeyError:
+        raise UnknownCodecError(f"fold job frame declares unknown codec {codec_name!r}") from None
 
 
 class AggregatorServer:
@@ -86,11 +98,6 @@ class AggregatorServer:
         self.port = port  # 0 = ephemeral; rebound by start()
         self.name = name
         self.log_path = log_path
-        #: round accumulators: token -> buffered (frame, staleness) pairs.
-        #: This is the state that persists *between* requests — a round's
-        #: updates accumulate across any number of OP_ADD chunks until a
-        #: flush folds and clears them.
-        self._pending: Dict[str, List[Tuple[bytes, int]]] = {}
         #: persistent decode/fold scratch shared by every fold this server
         #: ever runs — the long-lived service is the best case for scratch
         #: reuse, since the buffers stay warm *across rounds and runs*.
@@ -102,7 +109,7 @@ class AggregatorServer:
             "started_wall": time.time(),
             "connections_total": 0,
             "requests_total": 0,
-            "frames_added": 0,
+            "frames_received": 0,
             "rounds_folded": 0,
             "bytes_received": 0,
             "bytes_sent": 0,
@@ -124,48 +131,49 @@ class AggregatorServer:
         self._log_handle.flush()
 
     # ----------------------------------------------------------- request core
-    def _flush_frames(self, token: str) -> List[Tuple[bytes, int]]:
-        frames = self._pending.pop(token, [])
-        # Every successful flush also evicts the oldest abandoned tokens so a
-        # flaky client cannot grow the server without bound.
-        while len(self._pending) > _MAX_PENDING_TOKENS:
-            self._pending.pop(next(iter(self._pending)))
-        return frames
-
-    @staticmethod
-    def _validated_pairs(raw_frames) -> List[Tuple[bytes, int]]:
-        """Type- and codec-check one ADD chunk before it enters an accumulator.
-
-        A frame declaring a codec the registry does not know raises the typed
-        :class:`UnknownCodecError` *now* — at ADD time, with the offending tag
-        in the message — instead of surfacing as an opaque decode failure (or
-        worse, a pickle error) when the flush finally folds the round.
-        """
-        from ..comm import frame_codec_name, get_codec
-
-        pairs: List[Tuple[bytes, int]] = []
-        for frame, staleness in raw_frames:
-            frame = bytes(frame)
-            try:
-                codec_name = frame_codec_name(frame)
-            except ValueError as error:
-                raise ServiceProtocolError(f"ADD payload is not an RWP1 "
-                                           f"frame: {error}") from error
-            try:
-                get_codec(codec_name)
-            except KeyError:
-                raise UnknownCodecError(
-                    f"ADD frame declares unknown codec {codec_name!r}") from None
-            pairs.append((frame, int(staleness)))
-        return pairs
+    def _fold(self, op: int, body) -> Tuple[int, object]:
+        """Check and fold one job; ``body["frames"]`` holds its received frames."""
+        if (announced_frames(op, body) is None
+                or len(body.get("stalenesses", ())) != body["count"]):
+            raise ServiceProtocolError(
+                "malformed fold header: it needs a non-negative int count, a "
+                "references list and one staleness per update frame")
+        count, keys, frames = body["count"], body["references"], body["frames"]
+        for frame in frames:
+            _check_codec(frame)
+        framed = list(zip(frames[:count], map(int, body["stalenesses"])))
+        references = {tuple(key): frame for key, frame in zip(keys, frames[count:])}
+        strategy = (pickle.loads(body["strategy"])
+                    if body.get("strategy") is not None else None)
+        wall_start = time.time()
+        perf_start = time.perf_counter()
+        if op == OP_FOLD_NODE:
+            pseudo_id = int(body["pseudo_id"])
+            result: object = prefold_node_frames(
+                strategy, pseudo_id, framed, references, scratch=self._scratch)
+            record_name, attrs = "prefold_node", {
+                "node": int(body["node"]), "tier": tier_of_pseudo_id(pseudo_id)}
+        else:
+            result = fold_shard_frames(strategy, framed, references, scratch=self._scratch)
+            record_name, attrs = "fold_shard", {"shard": int(body["shard"])}
+        self.stats["rounds_folded"] += 1
+        record = None
+        if body.get("timed"):
+            record = span_record(
+                record_name, "fold", wall_start, time.perf_counter() - perf_start,
+                num_updates=count, worker_pid=os.getpid(),
+                transport="service", server=self.name, **attrs)
+        self._log(f"{OP_NAMES[op]}: folded {count} frame(s)")
+        return OP_OK, {"result": result, "record": record}
 
     def handle_request(self, op: int, body) -> Tuple[int, object]:
         """Execute one request; returns the ``(op, body)`` of the response.
 
-        Synchronous on purpose: fold work is CPU-bound, and interleaving two
-        folds on one event loop would only slow both down.  Concurrency
-        across *servers* (one per shard/subtree) is the service plane's
-        parallelism.
+        A fold request's frames have been read by the connection loop and
+        ride ``body["frames"]``.  Synchronous on purpose: fold work is
+        CPU-bound, and interleaving two folds on one event loop would only
+        slow both down.  Concurrency across *servers* (one per shard/subtree)
+        is the service plane's parallelism.
         """
         self.stats["requests_total"] += 1
         if op == OP_HELLO:
@@ -180,57 +188,10 @@ class AggregatorServer:
         if op == OP_PING:
             return OP_OK, {"pid": os.getpid(), "name": self.name,
                            "rounds_folded": self.stats["rounds_folded"]}
-        if op == OP_ADD:
-            validated = self._validated_pairs(body["frames"])
-            pairs = self._pending.setdefault(str(body["token"]), [])
-            pairs.extend(validated)
-            self.stats["frames_added"] += len(validated)
-            return OP_OK, {"buffered": len(pairs)}
-        if op in (OP_FLUSH_NODE, OP_FLUSH_SHARD):
-            # Flush-borne final chunk (see client ``_fold_round``): the last
-            # ADD chunk of a round rides the flush body, saving one round
-            # trip — validated exactly like an OP_ADD chunk, and *before*
-            # the accumulator pops so a codec rejection leaves the pending
-            # state untouched.
-            tail: List[Tuple[bytes, int]] = []
-            if body.get("frames"):
-                tail = self._validated_pairs(body["frames"])
-                self.stats["frames_added"] += len(tail)
-            frames = self._flush_frames(str(body["token"])) + tail
-            strategy = (pickle.loads(body["strategy"])
-                        if body.get("strategy") is not None else None)
-            references = body.get("references")
-            wall_start = time.time()
-            perf_start = time.perf_counter()
-            if op == OP_FLUSH_NODE:
-                pseudo_id = int(body["pseudo_id"])
-                result: object = prefold_node_frames(
-                    strategy, pseudo_id, frames, references,
-                    scratch=self._scratch)
-                record_name, attrs = "prefold_node", {
-                    "node": int(body["node"]),
-                    "tier": tier_of_pseudo_id(pseudo_id)}
-            else:
-                result = fold_shard_frames(
-                    strategy, frames, references, scratch=self._scratch)
-                record_name, attrs = "fold_shard", {"shard": int(body["shard"])}
-            self.stats["rounds_folded"] += 1
-            record = None
-            if body.get("timed"):
-                record = span_record(
-                    record_name, "fold", wall_start,
-                    time.perf_counter() - perf_start,
-                    num_updates=len(frames), worker_pid=os.getpid(),
-                    transport="service", server=self.name, **attrs)
-            self._log(f"{OP_NAMES[op]}: folded {len(frames)} frame(s)")
-            return OP_OK, {"result": result, "record": record}
-        if op == OP_RESET:
-            dropped = sum(len(pairs) for pairs in self._pending.values())
-            self._pending.clear()
-            self._log(f"reset: dropped {dropped} buffered frame(s)")
-            return OP_OK, {"dropped_frames": dropped}
+        if op in (OP_FOLD_NODE, OP_FOLD_SHARD):
+            return self._fold(op, body)
         if op == OP_STATS:
-            return OP_OK, dict(self.stats, pending_tokens=len(self._pending))
+            return OP_OK, dict(self.stats)
         if op == OP_SHUTDOWN:
             self._log("shutdown requested")
             if self._shutdown is not None:
@@ -239,6 +200,30 @@ class AggregatorServer:
         raise ServiceProtocolError(f"server cannot handle op {op}")
 
     # ------------------------------------------------------------ connections
+    async def _read_request(self, reader: asyncio.StreamReader):
+        """The next request's ``(op, body)``, its frames read; ``None`` on a clean close.
+
+        A header that does not decode cannot say how many frames follow it,
+        so it raises :class:`ServiceProtocolError` and the connection closes.
+        """
+        header = await read_frame(reader)
+        if header is None:
+            return None
+        received = len(header)
+        op, body = decode_message(header)
+        frames: List[bytes] = []
+        for _ in range(announced_frames(op, body) or 0):
+            frame = await read_frame(reader)
+            if frame is None:
+                raise TruncatedFrameError("stream ended inside a fold request")
+            received += len(frame)
+            frames.append(frame)
+        if op in (OP_FOLD_NODE, OP_FOLD_SHARD) and isinstance(body, dict):
+            body["frames"] = frames
+        self.stats["bytes_received"] += received
+        self.stats["frames_received"] += len(frames)
+        return op, body
+
     async def handle_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         """Serve one client connection until it closes (or shutdown)."""
@@ -250,31 +235,30 @@ class AggregatorServer:
         self._log("connection opened")
         try:
             while True:
-                frame = await read_frame(reader)
-                if frame is None:
+                request = await self._read_request(reader)
+                if request is None:
                     break  # clean close between requests
-                self.stats["bytes_received"] += len(frame)
-                # A fold request, its unpickled body and its response are
-                # megabytes each: every one is dropped the moment the next
-                # exists, and none survives into the wait for the next request.
-                body = result = None
+                # Every announced frame has been read, so whatever the answer,
+                # the connection is at a request boundary.  A job's frames and
+                # its response are megabytes each: both are dropped the moment
+                # the next exists, and none survives into the wait for the
+                # next request.
                 try:
-                    op, body = decode_message(frame)
-                    frame = None
-                    result = self.handle_request(op, body)
-                    body = None
+                    result = self.handle_request(*request)
+                    request = None
                     response = encode_message(*result)
                 except Exception as error:  # surfaced client-side, not fatal here
                     self._log(f"request failed: {error!r}")
                     response = encode_message(OP_ERR, {
                         "error": str(error), "type": type(error).__name__})
-                frame = body = result = None
+                request = result = None
                 self.stats["bytes_sent"] += await write_frame(writer, response)
                 response = None
-        except ConnectionError as error:
-            # Includes TruncatedFrameError: the client died mid-request.  Its
-            # round token is now orphaned and will be evicted, never folded.
-            self._log(f"connection lost: {error!r}")
+        except (ConnectionError, PayloadCorruptedError, ServiceProtocolError) as error:
+            # A client that died mid-request (TruncatedFrameError), an
+            # oversized frame or an undecodable header: nothing was applied,
+            # and the client resends the whole request.
+            self._log(f"connection dropped: {error!r}")
         finally:
             writer.close()
             try:
