@@ -87,18 +87,24 @@ class MultiHeadSelfAttention(Module):
         probs *= scale
         mask = causal_mask(seq_len)[None, None, :, :]
         if attention_mask is not None:
-            mask = mask & np.asarray(attention_mask, dtype=bool)[:, None, None, :]
+            real = np.asarray(attention_mask, dtype=bool)
+            mask = mask & real[:, None, None, :]
         probs += np.where(mask, 0.0, -1e9).astype(probs.dtype, copy=False)
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
 
-        # Attention received by token j: average of probs[..., :, j] over heads
-        # and query positions that are allowed to attend.  This is recorded as
-        # plain data (no gradient) — it is a profiling signal, not a loss term.
-        received = probs.mean(axis=1).sum(axis=1)  # (batch, seq)
-        valid_queries = mask.sum(axis=(1, 2)).astype(np.float64)  # (batch, seq) queries that can see each key
-        received = received / np.maximum(valid_queries, 1.0)
+        # Attention received by token j: average of probs[..., i, j] over heads
+        # and over the real query rows i allowed to attend to j.  A padding
+        # query reads nothing, so it counts toward no token's score.  This is
+        # recorded as plain data (no gradient) — it is a profiling signal, not
+        # a loss term.
+        received = probs.mean(axis=1)                      # (batch, query, key)
+        readers = mask[:, 0]                               # queries that can see each key
+        if attention_mask is not None:
+            received = received * real[:, :, None]
+            readers = readers & real[:, :, None]
+        received = received.sum(axis=1) / np.maximum(readers.sum(axis=1), 1.0)  # (batch, seq)
         if attention_mask is not None:
             received = received * np.asarray(attention_mask, dtype=np.float64)
         self.last_token_attention = received

@@ -54,8 +54,14 @@ def composed_attention(self, x, attention_mask=None):
     probs = scores.softmax(axis=-1)
 
     attn_data = probs.data
-    received = attn_data.mean(axis=1).sum(axis=1)
-    valid_queries = mask.sum(axis=(1, 2)).astype(np.float64)
+    if attention_mask is None:
+        received = attn_data.mean(axis=1).sum(axis=1)
+        valid_queries = mask.sum(axis=(1, 2)).astype(np.float64)
+    else:
+        # padding queries count toward no token's score
+        real_queries = np.asarray(attention_mask, dtype=bool)[:, None, :, None]
+        received = (attn_data * real_queries).mean(axis=1).sum(axis=1)
+        valid_queries = (mask & real_queries).sum(axis=(1, 2)).astype(np.float64)
     received = received / np.maximum(valid_queries, 1.0)
     if attention_mask is not None:
         received = received * np.asarray(attention_mask, dtype=np.float64)

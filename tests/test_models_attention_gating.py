@@ -57,6 +57,22 @@ class TestMultiHeadSelfAttention:
         assert np.allclose(received[0, 3:], 0.0)
         assert received[0, 0] > 0
 
+    def test_padding_queries_count_toward_no_score(self):
+        """Real tokens' attention received is an average over real queries only:
+        what sits in the padding rows cannot move it."""
+        attn = self._layer()
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 6, 16))
+        mask = np.array([[True] * 6, [True] * 3 + [False] * 3])
+        attn(Tensor(x), attention_mask=mask)
+        before = attn.last_token_attention.copy()
+        x[1, 3:] = rng.standard_normal((3, 16)) * 10.0
+        attn(Tensor(x), attention_mask=mask)
+        assert np.array_equal(attn.last_token_attention, before)
+        # the padded row alone: token 0 is seen by queries 0-2, each averaging to 1 over keys
+        attn(Tensor(x[1:, :3]))
+        assert np.allclose(attn.last_token_attention[0], before[1, :3], rtol=1e-12)
+
     def test_causality_first_token_independent_of_future(self):
         attn = self._layer()
         rng = np.random.default_rng(3)
