@@ -28,7 +28,10 @@ from .rouge import corpus_rouge_l
 def evaluate_model(model: MoETransformer, dataset: SyntheticDataset,
                    batch_size: int = 16, max_samples: Optional[int] = None,
                    seed: int = 0) -> float:
-    """Return the dataset's metric (ROUGE-L or accuracy) for ``model``."""
+    """Return the dataset's metric (ROUGE-L or accuracy) for ``model``.
+
+    The model leaves in the train/eval mode it came in.
+    """
     samples = dataset.samples
     if max_samples is not None and len(samples) > max_samples:
         rng = np.random.default_rng(seed)
@@ -40,13 +43,14 @@ def evaluate_model(model: MoETransformer, dataset: SyntheticDataset,
     batches = make_batches(samples, batch_size=batch_size, vocab=dataset.vocab,
                            shuffle=False, max_seq_len=model.config.max_seq_len)
     task = dataset.spec.task_type
+    was_training = model.training
     model.eval()
     try:
         if task is TaskType.GENERATION:
             return _evaluate_generation(model, batches)
         return _evaluate_classification(model, batches, dataset)
     finally:
-        model.train()
+        model.train(was_training)
 
 
 def _predictions(model: MoETransformer, batch: Batch) -> np.ndarray:

@@ -114,6 +114,14 @@ class TestEvaluateModel:
         evaluate_model(model, dataset, max_samples=5)
         assert model.training
 
+    def test_eval_mode_model_stays_in_eval_mode(self, vocab, tiny_config):
+        model = MoETransformer(tiny_config)
+        model.eval()
+        dataset = make_gsm8k_like(vocab=vocab, num_samples=10, seed=0)
+        evaluate_model(model, dataset, max_samples=5)
+        assert not model.training
+        assert not any(module.training for module in model.modules())
+
     def test_relative_accuracy(self):
         assert relative_accuracy(0.3, 0.6) == pytest.approx(0.5)
         with pytest.raises(ValueError):
