@@ -207,19 +207,29 @@ def _suffix_losses(model: MoETransformer, start: int, outputs: List[np.ndarray],
 
     The copies are concatenated along the batch axis and run through blocks
     ``start…``, the LM head and a per-copy mean cross-entropy in one pass (in
-    as few passes as ``_MAX_STACKED_SEQUENCES`` allows).
+    as few passes as ``_MAX_STACKED_SEQUENCES`` allows).  As in
+    :meth:`~repro.models.MoETransformer.compute_loss`, only the supervised
+    positions of each copy are read, and their losses are placed back at full
+    length before each copy's sum.
     """
-    supervised = max(int((batch.labels != IGNORE_INDEX).sum()), 1)
+    targets = batch.labels.reshape(-1)
+    read = np.flatnonzero(targets != IGNORE_INDEX)
+    if not read.size:
+        return np.zeros(len(outputs))
     per_pass = max(_MAX_STACKED_SEQUENCES // batch.batch_size, 1)
     losses = []
     for first in range(0, len(outputs), per_pass):
         chunk = outputs[first:first + per_pass]
         copies = len(chunk)
+        copy_read = (read + targets.size * np.arange(copies)[:, None]).reshape(-1)
         x = model.run_blocks(Tensor(np.concatenate(chunk, axis=0)), start,
-                             attention_mask=np.tile(batch.attention_mask, (copies, 1)))
-        token_losses = F.cross_entropy(model.logits(x), np.tile(batch.labels, (copies, 1)),
-                                       ignore_index=IGNORE_INDEX, reduction="none")
-        losses.append(token_losses.data.reshape(copies, -1).sum(axis=1) * (1.0 / supervised))
+                             attention_mask=np.tile(batch.attention_mask, (copies, 1)),
+                             read=copy_read)
+        token_losses = F.cross_entropy(model.logits(x), np.tile(targets[read], copies),
+                                       reduction="none")
+        placed = np.zeros((copies, targets.size), dtype=token_losses.data.dtype)
+        placed[:, read] = token_losses.data.reshape(copies, read.size)
+        losses.append(placed.sum(axis=1) * (1.0 / read.size))
     return np.concatenate(losses).astype(np.float64)
 
 

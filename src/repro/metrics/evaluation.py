@@ -53,9 +53,10 @@ def evaluate_model(model: MoETransformer, dataset: SyntheticDataset,
         model.train(was_training)
 
 
-def _predictions(model: MoETransformer, batch: Batch) -> np.ndarray:
+def _predictions(model: MoETransformer, batch: Batch, read: np.ndarray) -> np.ndarray:
+    """Logits ``(len(read), vocab)`` of the flat positions ``read`` of ``batch``."""
     with no_grad():
-        logits = model.forward(batch.input_ids, attention_mask=batch.attention_mask)
+        logits = model.forward(batch.input_ids, attention_mask=batch.attention_mask, read=read)
     return logits.data
 
 
@@ -63,16 +64,19 @@ def _evaluate_generation(model: MoETransformer, batches) -> float:
     candidates = []
     references = []
     for batch in batches:
-        logits = _predictions(model, batch)
-        predicted = np.argmax(logits, axis=-1)
-        for row, sample in enumerate(batch.samples):
-            answer_positions = np.flatnonzero(batch.labels[row] >= 0)
-            if answer_positions.size == 0:
-                continue
-            reference = batch.labels[row, answer_positions]
-            candidate = predicted[row, answer_positions]
-            candidates.append(candidate.tolist())
-            references.append(reference.tolist())
+        answers = batch.labels >= 0
+        read = np.flatnonzero(answers)
+        if not read.size:
+            continue
+        predicted = np.argmax(_predictions(model, batch, read), axis=-1)
+        # ``read`` is row-major, so each sample's answer is one run of it
+        lengths = answers.sum(axis=1)
+        for reference, candidate in zip(
+                np.split(batch.labels.reshape(-1)[read], np.cumsum(lengths)[:-1]),
+                np.split(predicted, np.cumsum(lengths)[:-1])):
+            if reference.size:
+                candidates.append(candidate.tolist())
+                references.append(reference.tolist())
     return corpus_rouge_l(candidates, references)
 
 
@@ -87,20 +91,20 @@ def _evaluate_classification(model: MoETransformer, batches, dataset: SyntheticD
     correct = 0
     total = 0
     for batch in batches:
-        logits = _predictions(model, batch)
-        for row, sample in enumerate(batch.samples):
-            # The supervised answer token (digit or choice) directly follows
-            # the ANSWER marker; its label position is the first non-ignored
-            # label whose value lies in the answer-token set.
-            answer_positions = np.flatnonzero(np.isin(batch.labels[row], answer_tokens))
-            if answer_positions.size == 0:
-                continue
-            position = int(answer_positions[0])
-            true_token = int(batch.labels[row, position])
-            scores = logits[row, position, answer_tokens]
-            predicted_token = int(answer_tokens[int(np.argmax(scores))])
-            correct += int(predicted_token == true_token)
-            total += 1
+        # The supervised answer token (digit or choice) directly follows the
+        # ANSWER marker; its label position is the first non-ignored label
+        # whose value lies in the answer-token set.  That position is the one
+        # a sample's forward pass reads.
+        is_answer = np.isin(batch.labels, answer_tokens)
+        rows = np.flatnonzero(is_answer.any(axis=1))
+        if not rows.size:
+            continue
+        read = rows * batch.labels.shape[1] + np.argmax(is_answer[rows], axis=1)
+        true_tokens = batch.labels.reshape(-1)[read]
+        scores = _predictions(model, batch, read)[:, answer_tokens]
+        predicted_tokens = answer_tokens[np.argmax(scores, axis=1)]
+        correct += int((predicted_tokens == true_tokens).sum())
+        total += rows.size
     if total == 0:
         return 0.0
     return correct / total

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..autograd import Dropout, Embedding, Linear, Module, ModuleList, RMSNorm, Tensor
 from ..autograd import functional as F
+from ..autograd import place_rows, take_rows
 from ..autograd import default_dtype, no_grad
 from ..autograd.init import AllocationOnlyGenerator
 from .attention import MultiHeadSelfAttention
@@ -174,17 +175,24 @@ class MoETransformer(Module):
 
     def run_blocks(self, x: Tensor, start: int = 0, stop: Optional[int] = None,
                    attention_mask: Optional[np.ndarray] = None,
-                   sample_ids: Optional[np.ndarray] = None) -> Tensor:
+                   sample_ids: Optional[np.ndarray] = None,
+                   read: Optional[np.ndarray] = None) -> Tensor:
         """Push the residual stream ``x`` through blocks ``[start, stop)``.
 
         ``x`` is the output of :meth:`embed` (``start == 0``) or of block
         ``start - 1``; ``stop=None`` runs to the last block.  The batch axis of
         ``x`` is free: independent copies of a batch may be concatenated along
         it, with ``attention_mask`` tiled to match.
+
+        ``read`` — flat indices into the ``batch * seq`` rows of the output —
+        names the rows the caller consumes; the pass then returns only those,
+        ``(len(read), d_model)``.
         """
         for block in self.blocks[start:stop]:
             x = block(x, attention_mask=attention_mask, sample_ids=sample_ids)
-        return x
+        if read is None:
+            return x
+        return take_rows(x.reshape(-1, x.shape[-1]), read)
 
     def _project(self, hidden: Tensor) -> Tensor:
         if self.lm_head is not None:
@@ -192,29 +200,47 @@ class MoETransformer(Module):
         return F.linear(hidden, self.token_embedding.weight)
 
     def logits(self, x: Tensor) -> Tensor:
-        """Final norm + LM head on the output of the last block: ``(batch, seq, vocab)``."""
+        """Final norm + LM head on the output of the last block (or on rows of it)."""
         return self._project(self.final_norm(x))
 
     def forward_hidden(self, input_ids: np.ndarray,
                        attention_mask: Optional[np.ndarray] = None,
-                       sample_ids: Optional[np.ndarray] = None) -> Tensor:
-        """Return final-layer token embeddings ``(batch, seq, d_model)``."""
+                       sample_ids: Optional[np.ndarray] = None,
+                       read: Optional[np.ndarray] = None) -> Tensor:
+        """Return final-layer token embeddings ``(batch, seq, d_model)``.
+
+        With ``read`` (flat row indices, as :meth:`run_blocks` takes them) only
+        those rows: ``(len(read), d_model)``.
+        """
         x = self.run_blocks(self.embed(input_ids), attention_mask=attention_mask,
-                            sample_ids=sample_ids)
+                            sample_ids=sample_ids, read=read)
         return self.final_norm(x)
 
     def forward(self, input_ids: np.ndarray,
                 attention_mask: Optional[np.ndarray] = None,
-                sample_ids: Optional[np.ndarray] = None) -> Tensor:
-        """Return next-token logits ``(batch, seq, vocab)``."""
+                sample_ids: Optional[np.ndarray] = None,
+                read: Optional[np.ndarray] = None) -> Tensor:
+        """Return next-token logits ``(batch, seq, vocab)``.
+
+        With ``read`` (flat indices into the ``batch * seq`` positions) the
+        final norm and the LM head run on those positions only and the result
+        is their logits, ``(len(read), vocab)``.
+        """
         return self._project(self.forward_hidden(
-            input_ids, attention_mask=attention_mask, sample_ids=sample_ids))
+            input_ids, attention_mask=attention_mask, sample_ids=sample_ids, read=read))
 
     def compute_loss(self, input_ids: np.ndarray, labels: Optional[np.ndarray] = None,
                      attention_mask: Optional[np.ndarray] = None,
                      sample_ids: Optional[np.ndarray] = None,
                      ignore_index: int = -100) -> Tensor:
-        """Causal language-modelling loss (labels default to shifted inputs)."""
+        """Causal language-modelling loss (labels default to shifted inputs).
+
+        The mean cross-entropy over the supervised positions, which are the
+        only rows the forward pass reads.  Their losses are placed back at
+        full length before the sum, so the sum adds the same terms in the same
+        order as a loss over every position.  A batch with no supervised
+        position has a zero loss with nothing to differentiate.
+        """
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if input_ids.ndim == 1:
             input_ids = input_ids[None, :]
@@ -224,8 +250,14 @@ class MoETransformer(Module):
             if attention_mask is not None:
                 mask = np.asarray(attention_mask, dtype=bool)
                 labels[:, :-1] = np.where(mask[:, 1:], labels[:, :-1], ignore_index)
-        logits = self.forward(input_ids, attention_mask=attention_mask, sample_ids=sample_ids)
-        return F.cross_entropy(logits, labels, ignore_index=ignore_index)
+        targets = np.asarray(labels, dtype=np.int64).reshape(-1)
+        read = np.flatnonzero(targets != ignore_index)
+        logits = self.forward(input_ids, attention_mask=attention_mask, sample_ids=sample_ids,
+                              read=read)
+        if not read.size:
+            return Tensor(np.zeros((), dtype=logits.dtype))
+        losses = F.cross_entropy(logits, targets[read], reduction="none")
+        return place_rows(losses, read, targets.size).sum() * (1.0 / read.size)
 
     def greedy_generate(self, prompt_ids: np.ndarray, max_new_tokens: int = 16) -> np.ndarray:
         """Greedy decoding used by the ROUGE-based evaluation."""
