@@ -60,7 +60,7 @@ class _LayerEntry:
 
     residual: Tensor            # output of the block's attention half
     normed: Tensor              # ``moe_norm(residual)``, the MoE sub-layer's input
-    active_slots: np.ndarray    # local expert slots that receive at least one token
+    active_slots: np.ndarray    # local expert slots that receive at least one real token
 
 
 class ProbePrefix:
@@ -107,8 +107,9 @@ class ProbePrefix:
             residual = block.attention_half(x, attention_mask=mask)
             normed = block.moe_norm(residual)
             routed, _, _ = block.moe.gate(normed.reshape(-1, normed.shape[-1]), with_probs=False)
+            real = routed[np.asarray(mask, dtype=bool).reshape(-1)]    # padding reaches no expert
             self.entries[layer].append(_LayerEntry(
-                residual, normed, np.unique(block.moe.remap.apply(routed))))
+                residual, normed, np.unique(block.moe.remap.apply(real))))
             if layer != wanted[-1]:
                 x = block.moe_half(residual, token_attention=block.attn.last_token_attention,
                                    attention_mask=mask, normed=normed)
@@ -171,6 +172,9 @@ def estimate_expert_gradient(
         directions = [{name: rng.standard_normal(value.shape) for name, value in original.items()}
                       for _ in range(num_perturbations)]
         block = model.blocks[layer]
+        # the last block's experts run only on the rows the loss reads
+        reads = [_supervised_rows(batch) if layer == model.num_layers - 1 else None
+                 for batch in batches]
         was_training = model.training
         model.eval()
         try:
@@ -182,10 +186,10 @@ def estimate_expert_gradient(
                     for signed_sigma in (sigma, -sigma):
                         target.load_state({name: original[name] + signed_sigma * direction[name]
                                            for name in original})
-                        for outputs, batch, entry in zip(perturbed, batches, entries):
+                        for outputs, batch, entry, read in zip(perturbed, batches, entries, reads):
                             outputs.append(block.moe_half(
                                 entry.residual, attention_mask=batch.attention_mask,
-                                normed=entry.normed).data)
+                                normed=entry.normed, read=read).data)
                 losses = np.mean([_suffix_losses(model, layer + 1, outputs, batch)
                                   for outputs, batch in zip(perturbed, batches)], axis=0)
         finally:
@@ -201,6 +205,11 @@ def estimate_expert_gradient(
                             num_perturbations=num_perturbations)
 
 
+def _supervised_rows(batch: Batch) -> np.ndarray:
+    """Flat indices of ``batch``'s supervised positions: the rows its loss reads."""
+    return np.flatnonzero(batch.labels.reshape(-1) != IGNORE_INDEX)
+
+
 def _suffix_losses(model: MoETransformer, start: int, outputs: List[np.ndarray],
                    batch: Batch) -> np.ndarray:
     """Loss of each copy in ``outputs`` (one batch leaving block ``start - 1``).
@@ -213,7 +222,7 @@ def _suffix_losses(model: MoETransformer, start: int, outputs: List[np.ndarray],
     length before each copy's sum.
     """
     targets = batch.labels.reshape(-1)
-    read = np.flatnonzero(targets != IGNORE_INDEX)
+    read = _supervised_rows(batch)
     if not read.size:
         return np.zeros(len(outputs))
     per_pass = max(_MAX_STACKED_SEQUENCES // batch.batch_size, 1)

@@ -11,12 +11,26 @@ shorter than the number of original experts the gate routes over, with an
 slots (tuning experts preserved 1:1, non-tuning experts collapsed onto merged
 experts).
 
+Live rows
+---------
+A row reaches an expert only if something reads its output.  Padding
+(``token_mask`` False) is read by nothing: the gate still scores it, but its
+assignments are dropped before dispatch, so it reaches no routed or shared
+expert and its output row is exactly 0.  A caller that reads only some rows
+says so with ``read`` (the transformer's last block, on the rows its loss or
+evaluation reads); experts then run on the real rows among those alone.
+Routing statistics are unaffected: they count every real token, read or not.
+The gradient-presence rule follows: an expert whose only rows were dropped
+gets no gradient at all (not a zero one), so an optimizer takes no step on
+it, and which experts step does not depend on what sits in the padding.
+Every dispatch mode below obeys both rules.
+
 Dispatch modes
 --------------
 ``dispatch="batched"`` (the default) is a *segment-grouped* GEMM in one fused
 graph node.  Token-slot assignments are stably argsorted by expert slot and
 the routed rows gathered **once** into one contiguous ``(A, d_model)`` buffer
-in slot order (``A = tokens * top_k``, whatever the routing), so every expert
+in slot order (``A = live tokens * top_k``, whatever the routing), so every expert
 that received tokens owns a contiguous row range of it.  Each such expert's
 three SwiGLU GEMMs run on its own rows with ``np.matmul(..., out=...)`` into
 slices of shared ``(A, d_ff)`` buffers, reading its weight matrices where they
@@ -62,7 +76,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Module, ModuleList, Tensor, default_dtype, is_grad_enabled, scatter_rows
+from ..autograd import (
+    Module,
+    ModuleList,
+    Tensor,
+    default_dtype,
+    is_grad_enabled,
+    place_rows,
+    scatter_rows,
+    take_rows,
+)
 from .experts import ExpertFFN, sparsify_expert, stack_expert_weights
 from .gating import GatingNetwork, RoutingRecord
 from .rerouting import ExpertRemap
@@ -76,6 +99,21 @@ SPARSE_DENSITY_THRESHOLD = 0.5
 
 #: activations the batched dispatch path can evaluate on stacked tensors
 _BATCHABLE_ACTIVATIONS = ("silu", "gelu", "relu")
+
+
+def _live_rows(num_tokens: int, token_mask: Optional[np.ndarray],
+               read: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Sorted indices of the tokens an expert must see, or None for all of them.
+
+    A token is live when it is real (``token_mask``) and, if the caller
+    names the rows it reads (``read``), one of them.
+    """
+    live = None if token_mask is None else np.asarray(token_mask, dtype=bool).reshape(num_tokens)
+    if read is not None:
+        wanted = np.zeros(num_tokens, dtype=bool)
+        wanted[read] = True
+        live = wanted if live is None else live & wanted
+    return None if live is None or live.all() else np.flatnonzero(live)
 
 
 class MoELayer(Module):
@@ -216,6 +254,7 @@ class MoELayer(Module):
         token_attention: Optional[np.ndarray] = None,
         sample_ids: Optional[np.ndarray] = None,
         token_mask: Optional[np.ndarray] = None,
+        read: Optional[np.ndarray] = None,
     ) -> Tensor:
         """Route and transform a batch of token representations.
 
@@ -230,8 +269,14 @@ class MoELayer(Module):
             Optional ``(batch,)`` integer sample identifiers; used to record
             which samples touch which expert (the paper's :math:`D^e_i`).
         token_mask:
-            Optional ``(batch, seq)`` boolean mask; padding tokens are still
-            transformed (cheaply) but excluded from routing statistics.
+            Optional ``(batch, seq)`` boolean mask of real tokens.  Padding is
+            routed but reaches no expert, routed or shared: its output row is
+            exactly 0, and it is left out of the routing statistics.
+        read:
+            Optional flat indices into the ``batch * seq`` rows whose output
+            the caller reads.  Experts then run on the real rows among them
+            only, and every other row's output is exactly 0.  The routing
+            statistics still count every real token.
         """
         batch, seq_len, d_model = x.shape
         num_tokens = batch * seq_len
@@ -243,15 +288,21 @@ class MoELayer(Module):
         else:
             local_idx = self.remap.apply(top_idx)
 
+        rows = _live_rows(num_tokens, token_mask, read)
         if self.dispatch in ("batched", "sparse") and self._can_batch():
             combined = self._combine_batched(flat, local_idx, top_weights, num_tokens, d_model,
-                                             sparse=self.dispatch == "sparse")
+                                             sparse=self.dispatch == "sparse", rows=rows)
         else:
-            combined = self._combine_loop(flat, local_idx, top_weights, num_tokens, d_model)
+            combined = self._combine_loop(flat, local_idx, top_weights, num_tokens, d_model,
+                                          rows=rows)
 
         out = combined
-        for shared in self.shared_experts:
-            out = out + shared(flat)
+        if self.shared_experts and (rows is None or rows.size):
+            shared_in = flat if rows is None else take_rows(flat, rows)
+            for shared in self.shared_experts:
+                shared_out = shared(shared_in)
+                out = out + (shared_out if rows is None
+                             else place_rows(shared_out, rows, num_tokens))
         return out.reshape(batch, seq_len, d_model)
 
     def route(
@@ -296,10 +347,21 @@ class MoELayer(Module):
         return True
 
     def _combine_loop(self, flat: Tensor, local_idx: np.ndarray, top_weights: Tensor,
-                      num_tokens: int, d_model: int) -> Tensor:
-        """Legacy per-expert dispatch: one gather/FFN/scatter per active expert."""
+                      num_tokens: int, d_model: int,
+                      rows: Optional[np.ndarray] = None) -> Tensor:
+        """Legacy per-expert dispatch: one gather/FFN/scatter per active expert.
+
+        ``rows`` (sorted token indices, ``None`` for all) are the live tokens;
+        the others' assignments are dropped, so their output rows are 0.
+        """
         combined = Tensor(np.zeros((num_tokens, d_model), dtype=flat.data.dtype))
+        if rows is not None:
+            dropped = np.ones(num_tokens, dtype=bool)
+            dropped[rows] = False
+            local_idx = np.where(dropped[:, None], -1, local_idx)    # -1: no slot
         for slot in np.unique(local_idx):
+            if slot < 0:
+                continue
             slot_mask = local_idx == slot  # (num_tokens, top_k)
             token_rows, k_positions = np.nonzero(slot_mask)
             if token_rows.size == 0:
@@ -342,21 +404,27 @@ class MoELayer(Module):
         return channels
 
     def _combine_batched(self, flat: Tensor, local_idx: np.ndarray, top_weights: Tensor,
-                         num_tokens: int, d_model: int, sparse: bool = False) -> Tensor:
+                         num_tokens: int, d_model: int, sparse: bool = False,
+                         rows: Optional[np.ndarray] = None) -> Tensor:
         """Segment-grouped dispatch: one gather, then GEMMs on each expert's own rows.
 
         Assignments are stably argsorted by expert slot and the routed rows
         gathered once into a contiguous ``(A, d_model)`` buffer in slot order
-        (``A = tokens * top_k`` whatever the routing), so expert ``j`` owns
-        the row range ``[rows[j], rows[j + 1])`` and its three GEMMs run on
-        exactly those rows, reading its weight matrices in place and writing
-        into slices of shared buffers.  Nothing is padded to the busiest
-        expert and no weight is stacked; every GEMM has the loop path's
-        shapes and operand layouts, which is what keeps the two
+        (``A = live tokens * top_k`` whatever the routing), so expert ``j``
+        owns the row range ``[bounds[j], bounds[j + 1])`` and its three GEMMs
+        run on exactly those rows, reading its weight matrices in place and
+        writing into slices of shared buffers.  Nothing is padded to the
+        busiest expert and no weight is stacked; every GEMM has the loop
+        path's shapes and operand layouts, which is what keeps the two
         bit-identical.  Only experts that received tokens are visited, so
         gradients reach exactly the parameters the loop path reaches; the
         activations and the top-k combine run once over all assignments, and
         the layer is one autograd node.
+
+        ``rows`` (sorted token indices, ``None`` for all) are the live tokens:
+        the assignments of every other token are dropped before the sort, so
+        its output row, its gate-weight gradient and its input gradient are
+        exactly 0, and an expert it alone was routed to gets no gradient.
 
         With ``sparse=True`` expert ``j`` runs at its own live width: its
         operands are the live rows of its matrices and its slice of the
@@ -364,10 +432,23 @@ class MoELayer(Module):
         skipped channels are emitted as exact zeros, matching the dense path.
         """
         top_k = local_idx.shape[1]
+        weights = top_weights.data
+        if rows is not None:
+            local_idx, weights = local_idx[rows], weights[rows]
+        num_live = local_idx.shape[0]
         num_assign = local_idx.size
         dtype = flat.data.dtype
         if num_assign == 0:
             return Tensor(np.zeros((num_tokens, d_model), dtype=dtype))
+
+        def at_rows(live: np.ndarray) -> np.ndarray:
+            """A per-live-token array at full ``num_tokens`` height (0 elsewhere)."""
+            if rows is None:
+                return live
+            full = np.zeros((num_tokens,) + live.shape[1:], dtype=live.dtype)
+            full[rows] = live
+            return full
+
         slots = local_idx.reshape(-1)                      # (A,) assignment → slot
         # Stable integer argsort uses radix internally; a uint8 key makes it a
         # single-pass radix instead of eight passes over int64.
@@ -393,13 +474,13 @@ class MoELayer(Module):
             w_up = [p.data[live] for p, live in zip(up_params, channels)]
             w_down = [p.data[:, live] for p, live in zip(down_params, channels)]
             widths = [live.size for live in channels]
-        rows = bounds.tolist()
-        counts = [rows[j + 1] - rows[j] for j in segments]
+        edges = bounds.tolist()
+        counts = [edges[j + 1] - edges[j] for j in segments]
         ffn = np.concatenate(([0], np.cumsum(np.multiply(counts, widths)))).tolist()
 
         def by_rows(buffer: np.ndarray) -> list:
             """Expert ``j``'s row range of an ``(A, d_model)`` buffer."""
-            return [buffer[rows[j]:rows[j + 1]] for j in segments]
+            return [buffer[edges[j]:edges[j + 1]] for j in segments]
 
         def split(buffer: np.ndarray) -> list:
             """Expert ``j``'s ``(count_j, width_j)`` view of a flat FFN-side buffer."""
@@ -408,6 +489,8 @@ class MoELayer(Module):
         # ---- forward: gather → per-segment gate/up GEMMs → activation →
         # per-segment down GEMM → un-permute → combine over top-k
         token_of = order // top_k                          # token of each sorted assignment
+        if rows is not None:
+            token_of = rows[token_of]
         x = flat.data[token_of]                            # (A, d) routed rows, slot order
         x_segs = by_rows(x)
         gate_pre = np.empty(ffn[-1], dtype=dtype)
@@ -436,15 +519,14 @@ class MoELayer(Module):
         y = np.empty_like(y_sorted)
         y[order] = y_sorted                                # a permutation: plain assignment
         # single-pass weighted combine over the top-k axis
-        out_data = np.einsum("tkd,tk->td", y.reshape(num_tokens, top_k, d_model),
-                             top_weights.data.reshape(num_tokens, top_k))
+        out_data = at_rows(np.einsum("tkd,tk->td", y.reshape(num_live, top_k, d_model), weights))
 
         parents = (flat, top_weights) + tuple(gate_params + up_params + down_params)
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(out_data, requires_grad=requires, _prev=parents if requires else ())
         if not requires:
             return out
-        w_sorted = top_weights.data.reshape(num_assign, 1)[order]
+        w_sorted = weights.reshape(num_assign, 1)[order]
 
         def full_height(j: int, compact: np.ndarray) -> np.ndarray:
             """Segment ``j``'s ``(width_j, d_model)`` gradient at full ``d_ff`` height."""
@@ -464,7 +546,7 @@ class MoELayer(Module):
             if top_weights.requires_grad:
                 g_weights = np.empty(num_assign, dtype=dtype)
                 g_weights[order] = (g_y * y_sorted).sum(axis=1)
-                top_weights._accumulate(g_weights.reshape(num_tokens, top_k), owned=True)
+                top_weights._accumulate(at_rows(g_weights.reshape(num_live, top_k)), owned=True)
             np.multiply(g_y, w_sorted, out=g_y)
             # whether anything upstream of the down projection wants a gradient
             inner = flat.requires_grad or any(p.requires_grad for p in gate_params + up_params)
@@ -518,7 +600,7 @@ class MoELayer(Module):
                 g_x += g_x_up
                 g_y[order] = g_x       # back to assignment order (g_y is free by now)
                 flat._accumulate(
-                    g_y.reshape(num_tokens, top_k, d_model).sum(axis=1), owned=True)
+                    at_rows(g_y.reshape(num_live, top_k, d_model).sum(axis=1)), owned=True)
 
         out._backward = _backward
         return out

@@ -20,6 +20,18 @@ The model exposes the hooks Flux needs:
   ``L`` (the forward-only gradient probe, paper §6.2) can keep everything
   below ``L`` and re-run the rest.  ``forward`` and ``forward_hidden`` are
   these same pieces run end to end: there is one forward path.
+
+A position is computed only as far as something reads it.  Padding reaches
+no expert in any block (see :mod:`repro.models.moe_layer`).  The forward
+path's one ``read`` argument — flat indices into the ``batch * seq``
+positions — names the positions the caller consumes; the last block then
+runs its experts on those rows alone, and the final norm and the LM head see
+only them.  :meth:`MoETransformer.compute_loss` reads the supervised
+positions, and evaluation reads the answer positions.  Attention, norms and
+routers still run on every position, since real rows read each other through
+attention and the routing statistics count every real token.  An expert
+reached only by rows nobody reads gets no gradient, so an optimizer does not
+step it.
 """
 
 from __future__ import annotations
@@ -73,26 +85,31 @@ class MoETransformerBlock(Module):
     def moe_half(self, x: Tensor, token_attention: Optional[np.ndarray] = None,
                  attention_mask: Optional[np.ndarray] = None,
                  sample_ids: Optional[np.ndarray] = None,
-                 normed: Optional[Tensor] = None) -> Tensor:
+                 normed: Optional[Tensor] = None,
+                 read: Optional[np.ndarray] = None) -> Tensor:
         """MoE sub-layer plus its residual, applied to the output of :meth:`attention_half`.
 
         ``token_attention`` is the attention half's bookkeeping signal (routing
         statistics only).  ``normed`` is ``self.moe_norm(x)`` when the caller
-        already holds it.
+        already holds it.  Padding reaches no expert, and with ``read`` (flat
+        row indices) neither does any row outside it: such a row leaves as
+        its residual alone, for no reader.
         """
         moe_out = self.moe(
             self.moe_norm(x) if normed is None else normed,
             token_attention=token_attention,
             sample_ids=sample_ids,
             token_mask=attention_mask,
+            read=read,
         )
         return x + self.dropout(moe_out)
 
     def forward(self, x: Tensor, attention_mask: Optional[np.ndarray] = None,
-                sample_ids: Optional[np.ndarray] = None) -> Tensor:
+                sample_ids: Optional[np.ndarray] = None,
+                read: Optional[np.ndarray] = None) -> Tensor:
         x = self.attention_half(x, attention_mask=attention_mask)
         return self.moe_half(x, token_attention=self.attn.last_token_attention,
-                             attention_mask=attention_mask, sample_ids=sample_ids)
+                             attention_mask=attention_mask, sample_ids=sample_ids, read=read)
 
 
 class MoETransformer(Module):
@@ -186,10 +203,14 @@ class MoETransformer(Module):
 
         ``read`` — flat indices into the ``batch * seq`` rows of the output —
         names the rows the caller consumes; the pass then returns only those,
-        ``(len(read), d_model)``.
+        ``(len(read), d_model)``, and the last block it runs computes its
+        experts on them alone.
         """
-        for block in self.blocks[start:stop]:
-            x = block(x, attention_mask=attention_mask, sample_ids=sample_ids)
+        blocks = self.blocks[start:stop]
+        for index, block in enumerate(blocks):
+            last = index == len(blocks) - 1
+            x = block(x, attention_mask=attention_mask, sample_ids=sample_ids,
+                      read=read if last else None)
         if read is None:
             return x
         return take_rows(x.reshape(-1, x.shape[-1]), read)
