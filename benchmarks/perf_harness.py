@@ -24,6 +24,10 @@ participant-round's inputs (DeepSeek preset): ``plan_compact_model``,
 ``build_compact_model`` and ``profile_activation``, each against the path it
 replaced (SVD plan, fresh-copy build, float64 profiling copy; oracles in
 ``tests/plan_oracles.py``).
+A gated ``read_rows`` block times ``compute_loss`` + backward on one padded
+16-sequence batch (llama and DeepSeek) and ``evaluate_model`` (llama), each
+computing a position only as far as something reads it, against every
+position computed (the oracle in ``tests/read_oracles.py``).
 ``--suite aggregation`` carries an informational ``uplink`` block of the same
 kind: frames per second of framing one participant's upload per update (the
 oracle in ``tests/uplink_oracles.py``) against ``encode_updates`` — and a
@@ -477,6 +481,73 @@ def bench_preamble(quick: bool) -> Dict:
     return {name: {"fast_us": t["fast"] * 1e6, "oracle_us": t["oracle"] * 1e6,
                    "speedup": t["oracle"] / t["fast"]}
             for name, t in times.items()}
+
+
+def bench_read_rows(quick: bool) -> Dict:
+    """Positions computed only as far as they are read, against every position computed.
+
+    ``compute_loss`` + backward of one padded 16-sequence gsm8k batch, with
+    only the experts trainable as ``local_finetune`` trains them, on the
+    end-to-end benchmark's llama and DeepSeek models; and ``evaluate_model``
+    of the llama model on 64 gsm8k samples.  The oracle,
+    ``tests/read_oracles.py``, runs every row through every expert and the LM
+    head on every position.  Equal losses (1e-12) and equal metrics are
+    asserted before anything is timed.
+    """
+    sys.path.append(os.path.join(REPO_ROOT, "tests"))
+    from read_oracles import every_position_computed
+    from repro.data import IGNORE_INDEX, Vocabulary, make_batches, make_gsm8k_like
+    from repro.metrics import evaluate_model
+    from repro.models import MoETransformer, deepseek_moe_mini, llama_moe_mini
+
+    vocab = Vocabulary(size=256, num_topics=8)
+    dataset = make_gsm8k_like(vocab=vocab, num_samples=64, seed=0)
+    models = {
+        "llama": MoETransformer(llama_moe_mini(vocab_size=vocab.size, seed=0)),
+        "deepseek": MoETransformer(deepseek_moe_mini(vocab_size=vocab.size, seed=0, n_layers=3)),
+    }
+    batch = make_batches(dataset.samples[:16], 16, vocab, shuffle=False, max_seq_len=64)[0]
+
+    def loss_step(model):
+        def run():
+            loss = model.compute_loss(batch.input_ids, labels=batch.labels,
+                                      attention_mask=batch.attention_mask)
+            loss.backward()
+            model.zero_grad()
+            return loss.item()
+        return run
+
+    def evaluate():
+        return evaluate_model(models["llama"], dataset, batch_size=16)
+
+    def oracle(fn):
+        def run():
+            with every_position_computed():
+                return fn()
+        return run
+
+    pairs = {}
+    for name, model in models.items():
+        model.freeze_non_expert_parameters()
+        pairs[f"compute_loss_{name}"] = (loss_step(model), oracle(loss_step(model)))
+    pairs["evaluate_model"] = (evaluate, oracle(evaluate))
+    for name, (fast, slow) in pairs.items():
+        got, want = fast(), slow()
+        if not np.isclose(got, want, rtol=1e-12, atol=0.0):
+            raise AssertionError(f"{name}: {got!r} differs from the oracle's {want!r}")
+    times = _interleaved_best_times(
+        {name: {"fast": fast, "oracle": slow} for name, (fast, slow) in pairs.items()},
+        3 if quick else 10, 5 if quick else 9)
+    positions = batch.attention_mask.size
+    out: Dict = {
+        "batch": {"sequences": batch.batch_size, "seq_len": batch.seq_len,
+                  "pad_share": 1.0 - batch.num_tokens / positions,
+                  "read_share": float((batch.labels != IGNORE_INDEX).sum()) / positions},
+    }
+    out.update((name, {"fast_us": t["fast"] * 1e6, "oracle_us": t["oracle"] * 1e6,
+                       "speedup": t["oracle"] / t["fast"]})
+               for name, t in times.items())
+    return out
 
 
 # ------------------------------------------------------- aggregation suite
@@ -1519,6 +1590,7 @@ GATES = (
     Gate("hotpath", "~presets/*/hot_loop|model_step/speedup_batched_f32_vs_loop_f64"
                     "|round_speedup_batched_f32_vs_loop_f64", "higher"),
     Gate("hotpath", "preamble/*/speedup", "higher"),
+    Gate("hotpath", "read_rows/*/speedup", "higher"),
     Gate("aggregation", "aggregation/shards/*/~speedup_critical_path_vs_serial", "higher"),
     Gate("aggregation", "aggregation/tree/*/~speedup_critical_path_vs_serial", "higher"),
     Gate("aggregation", "aggregation/decode/speedup_scratch_vs_fresh", "higher"),
@@ -1698,6 +1770,7 @@ def main(argv=None) -> int:
         result["presets"] = run_suite(args.quick)
         result["nodes"] = bench_nodes(args.quick)
         result["preamble"] = bench_preamble(args.quick)
+        result["read_rows"] = bench_read_rows(args.quick)
         if args.seed_src:
             result["seed_reference"] = bench_seed_reference(args.seed_src, args.quick)
 
@@ -1779,6 +1852,10 @@ def main(argv=None) -> int:
         print("  preamble: " + ", ".join(
             f"{step} {t['fast_us']:.0f}us ({t['speedup']:.2f}x)"
             for step, t in result["preamble"].items()) + " vs the paths they replaced")
+        print("  read rows: " + ", ".join(
+            f"{step} {t['fast_us']:.0f}us ({t['speedup']:.2f}x)"
+            for step, t in result["read_rows"].items() if "speedup" in t)
+            + " vs every position computed")
         if args.seed_src:
             for preset, value in result["seed_reference"][
                     "speedup_batched_f32_vs_seed"].items():

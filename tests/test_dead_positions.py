@@ -9,10 +9,11 @@ here, on the ``tiny``, ``llama`` and ``deepseek`` mini presets:
   bit-identical: the loss, every expert gradient (value and presence), the
   routing records, the attention received, ``evaluate_model``,
   ``profile_activation`` and ``estimate_expert_gradient``;
-* losslessness — against the same state and batch with every row live (the
-  dispatch before the rule), the loss and the gradient of every expert a live
-  row reaches agree to 1e-12, an expert only dead rows reach has an all-zero
-  gradient there, and the routing records count the same tokens and samples.
+* losslessness — against the same state and batch with every position
+  computed (``read_oracles.every_position_computed``), the loss and the
+  gradient of every expert a live row reaches agree to 1e-12, an expert only
+  dead rows reach has an all-zero gradient there, and the routing records
+  count the same tokens and samples.
   Their float sums agree to 1e-12, not bit for bit: an expert GEMM over fewer
   rows may round differently on small shapes, and the next layer's gate sees
   that.
@@ -36,7 +37,8 @@ from repro.data import IGNORE_INDEX, make_batches, make_dolly_like, make_gsm8k_l
 from repro.federated import Participant
 from repro.metrics import evaluate_model
 from repro.models import MoELayer, MoETransformer, deepseek_moe_mini, llama_moe_mini, tiny_moe
-from repro.models import moe_layer
+
+from read_oracles import every_position_computed
 
 PRESETS = {"tiny": tiny_moe, "llama": llama_moe_mini, "deepseek": deepseek_moe_mini}
 
@@ -169,17 +171,13 @@ def test_the_reference_observation_is_not_trivial(setups):
     assert any(g is None for g in deepseek.values())
 
 
-# ---------------------------------------------------- every-row-live oracle
-def every_row_live(*_args):
-    return None
-
-
+# ------------------------------------------------------ every-position oracle
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_matches_the_every_row_live_oracle(setups, preset):
+def test_matches_the_every_position_oracle(setups, preset):
     model, batches, _, _, _ = setups[preset]
     for batch in batches:
         got = training_pass(model, batch)
-        with mock.patch.object(moe_layer, "_live_rows", every_row_live):
+        with every_position_computed():
             want = training_pass(model, batch)
         np.testing.assert_allclose(got["loss"], want["loss"], rtol=1e-12, atol=0)
         for name, oracle in want["grads"].items():
