@@ -70,10 +70,9 @@ def _evaluate_generation(model: MoETransformer, batches) -> float:
             continue
         predicted = np.argmax(_predictions(model, batch, read), axis=-1)
         # ``read`` is row-major, so each sample's answer is one run of it
-        lengths = answers.sum(axis=1)
-        for reference, candidate in zip(
-                np.split(batch.labels.reshape(-1)[read], np.cumsum(lengths)[:-1]),
-                np.split(predicted, np.cumsum(lengths)[:-1])):
+        bounds = np.cumsum(answers.sum(axis=1))[:-1]
+        for reference, candidate in zip(np.split(batch.labels.reshape(-1)[read], bounds),
+                                        np.split(predicted, bounds)):
             if reference.size:
                 candidates.append(candidate.tolist())
                 references.append(reference.tolist())

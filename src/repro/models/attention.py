@@ -96,7 +96,8 @@ class MultiHeadSelfAttention(Module):
 
         # Attention received by token j: average of probs[..., i, j] over heads
         # and over the real query rows i allowed to attend to j.  A padding
-        # query reads nothing, so it counts toward no token's score.  This is
+        # query reads nothing, so it counts toward no token's score, and a
+        # padding token, which no query may attend to, scores 0.  This is
         # recorded as plain data (no gradient) — it is a profiling signal, not
         # a loss term.
         received = probs.mean(axis=1)                      # (batch, query, key)
@@ -104,10 +105,8 @@ class MultiHeadSelfAttention(Module):
         if attention_mask is not None:
             received = received * real[:, :, None]
             readers = readers & real[:, :, None]
-        received = received.sum(axis=1) / np.maximum(readers.sum(axis=1), 1.0)  # (batch, seq)
-        if attention_mask is not None:
-            received = received * np.asarray(attention_mask, dtype=np.float64)
-        self.last_token_attention = received
+        self.last_token_attention = (received.sum(axis=1)
+                                     / np.maximum(readers.sum(axis=1), 1.0))  # (batch, seq)
 
         context = to_tokens(probs @ v)
         out_data = (context @ o_param.data.T).reshape(batch, seq_len, d_model)

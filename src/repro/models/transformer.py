@@ -43,8 +43,7 @@ import numpy as np
 
 from ..autograd import Dropout, Embedding, Linear, Module, ModuleList, RMSNorm, Tensor
 from ..autograd import functional as F
-from ..autograd import place_rows, take_rows
-from ..autograd import default_dtype, no_grad
+from ..autograd import default_dtype, no_grad, place_rows, take_rows
 from ..autograd.init import AllocationOnlyGenerator
 from .attention import MultiHeadSelfAttention
 from .config import MoEModelConfig
