@@ -1,7 +1,7 @@
 """Perf-regression harness for the MoE training hot path.
 
-Times the throughput of the expert-dispatch hot loop and of full-model
-training steps for every (dispatch, dtype) configuration of the tensor
+Times the throughput of the MoE layer's expert hot loop and of full-model
+training steps for every (kernel, dtype) configuration of the tensor
 engine, and writes the results to ``BENCH_hotpath.json`` so later PRs have a
 measured trajectory to defend.
 
@@ -30,14 +30,17 @@ computing a position only as far as something reads it, against every
 position computed (the oracle in ``tests/read_oracles.py``).
 ``--suite aggregation`` carries an informational ``uplink`` block of the same
 kind: frames per second of framing one participant's upload per update (the
-oracle in ``tests/uplink_oracles.py``) against ``encode_updates`` — and a
-gated ``prefold`` row: one tree-leaf fold job, a sender's frames decoded and
-folded as one group against the frame-at-a-time oracle in
-``tests/fold_oracles.py``.
+oracle in ``tests/uplink_oracles.py``) against ``encode_updates`` — two more
+informational blocks, ``wire`` (the composed ``topk:0.25:int4`` codec's frame
+bytes against its analytic size) and ``checkpoint`` (a sparse-delta snapshot
+against a full one), and a gated ``prefold`` row: one tree-leaf fold job, a
+sender's frames decoded and folded as one group against the frame-at-a-time
+oracle in ``tests/fold_oracles.py``.
 
-Configurations measured: ``loop/float64`` (the seed's per-expert dispatch
-algorithm on the float64 engine), ``batched/float64`` and ``batched/float32``
-(the segment-grouped fast path).  ``--seed-src`` additionally benchmarks a
+Configurations measured: ``loop/float64`` (the per-expert loop, the oracle
+``loop_oracle`` in ``tests/composed_oracles.py`` puts a layer or model on, on
+the float64 engine), ``batched/float64`` and ``batched/float32`` (the MoE
+layer's segment-grouped kernel).  ``--seed-src`` additionally benchmarks a
 pristine seed checkout (same driver, via a subprocess) and records it under
 ``seed_reference``.
 
@@ -76,20 +79,8 @@ if os.path.isdir(os.path.join(REPO_ROOT, "src")):
 
 import numpy as np  # noqa: E402
 
-#: benchmarked (dispatch, dtype) configurations
+#: benchmarked (kernel, dtype) configurations; ``loop`` is the test oracle
 CONFIGS = (("loop", "float64"), ("batched", "float64"), ("batched", "float32"))
-
-#: hot-loop-only extra configuration: zero-skipping sparse dispatch over
-#: experts sparsified to SPARSE_DENSITY (quantized to SPARSE_BITS).  Not a
-#: like-for-like model with the dense configs — it is bit-identical to
-#: ``batched`` *on the same sparsified weights*, which is what the dedicated
-#: ``--suite sparse`` gates.
-HOT_EXTRA_CONFIGS = (("sparse", "float32"),)
-
-#: expert channel density / fake-quantization width used by every sparse
-#: benchmark (25% live channels, ternary-ish int2 codes)
-SPARSE_DENSITY = 0.25
-SPARSE_BITS = 2
 
 #: the fast path and the baseline the speedup headline compares
 FAST_CONFIG = "batched/float32"
@@ -136,58 +127,48 @@ def _interleaved_best_times(config_fns: Dict[str, Dict], iters: int, reps: int) 
     return best
 
 
-def _make_layer(preset: str, dispatch: Optional[str], dtype: Optional[str]):
-    """Build the preset's MoE layer; kwargs degrade gracefully on seed code."""
+def _make_layer(preset: str, dtype: Optional[str]):
+    """The preset's MoE layer; ``dtype=None`` (a seed checkout's worker) builds
+    it under the engine's default dtype."""
     from repro.models.moe_layer import MoELayer
     from repro.models.presets import get_preset
 
     config = get_preset(preset.replace("_", "-"))
-    kwargs = {}
-    if dispatch is not None:
-        kwargs["dispatch"] = dispatch
-    try:
-        from repro.autograd import default_dtype
-    except ImportError:  # seed checkout: float64 engine only
-        default_dtype = None
     rng = np.random.default_rng(0)
 
     def build():
-        try:
-            return MoELayer(d_model=config.d_model, d_ff=config.d_ff,
-                            num_experts=config.experts_per_layer()[0],
-                            top_k=config.top_k, rng=rng, **kwargs)
-        except TypeError:  # seed checkout: no dispatch kwarg
-            return MoELayer(d_model=config.d_model, d_ff=config.d_ff,
-                            num_experts=config.experts_per_layer()[0],
-                            top_k=config.top_k, rng=rng)
+        return MoELayer(d_model=config.d_model, d_ff=config.d_ff,
+                        num_experts=config.experts_per_layer()[0],
+                        top_k=config.top_k, rng=rng)
 
-    if default_dtype is not None and dtype is not None:
-        with default_dtype(dtype):
-            return build()
-    return build()
+    if dtype is None:
+        return build()
+    from repro.autograd import default_dtype
+    with default_dtype(dtype):
+        return build()
 
 
-def _make_model(preset: str, dispatch: Optional[str], dtype: Optional[str]):
+def _make_model(preset: str, dtype: Optional[str]):
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
 
-    if dispatch is not None and dtype is not None:
-        try:
-            config = get_preset(preset.replace("_", "-"), dtype=dtype, dispatch=dispatch)
-            return MoETransformer(config)
-        except TypeError:
-            pass  # seed checkout: no dtype/dispatch knobs
-    return MoETransformer(get_preset(preset.replace("_", "-")))
+    kwargs = {} if dtype is None else {"dtype": dtype}
+    return MoETransformer(get_preset(preset.replace("_", "-"), **kwargs))
 
 
-def build_hot_loop(preset: str, dispatch: Optional[str], dtype: Optional[str],
+def _on_kernel(module, kernel: Optional[str]):
+    """``module``, on the per-expert loop oracle when ``kernel == "loop"``."""
+    if kernel == "loop":
+        sys.path.append(os.path.join(REPO_ROOT, "tests"))
+        from composed_oracles import loop_oracle
+        loop_oracle(module)
+    return module
+
+
+def build_hot_loop(preset: str, kernel: Optional[str], dtype: Optional[str],
                    tokens: int) -> Dict:
     """Phase closures for the MoE hot-loop microbenchmark of one config."""
-    layer = _make_layer(preset, dispatch, dtype)
-    if dispatch == "sparse":
-        # The sparse fast path only pays off on structurally-sparsified
-        # experts; on dense weights it falls back to the batched plan.
-        layer.sparsify_experts(SPARSE_DENSITY, bits=SPARSE_BITS)
+    layer = _on_kernel(_make_layer(preset, dtype), kernel)
     return _layer_phases(layer, tokens, dtype or "float64")
 
 
@@ -206,7 +187,7 @@ def _layer_phases(layer, tokens: int, np_dtype: str) -> Dict:
 
     # Precomputed output gradient: backward from the layer output directly
     # instead of through a reduction node, so the measurement isolates the
-    # dispatch hot loop rather than the benchmark driver.
+    # expert hot loop rather than the benchmark driver.
     grad_ones = np.ones(x.shape, dtype=np_dtype)
 
     def forward():
@@ -228,12 +209,12 @@ def _layer_phases(layer, tokens: int, np_dtype: str) -> Dict:
     return {"forward": forward, "forward_backward": forward_backward, "round": round_step}
 
 
-def build_model_step(preset: str, dispatch: Optional[str], dtype: Optional[str],
+def build_model_step(preset: str, kernel: Optional[str], dtype: Optional[str],
                      tokens: int) -> Dict:
     """Phase closures for the full-model training-round benchmark."""
     from repro.autograd import Adam
 
-    model = _make_model(preset, dispatch, dtype)
+    model = _on_kernel(_make_model(preset, dtype), kernel)
     seq_len = min(32, model.config.max_seq_len)
     batch = max(tokens // seq_len, 1)
     ids = np.random.default_rng(0).integers(0, model.config.vocab_size, size=(batch, seq_len))
@@ -268,18 +249,18 @@ def _hot_loop_result(times: Dict[str, float], tokens: int, round_fn) -> Dict[str
     }
 
 
-def bench_hot_loop(preset: str, dispatch: Optional[str], dtype: Optional[str],
+def bench_hot_loop(preset: str, kernel: Optional[str], dtype: Optional[str],
                    tokens: int, iters: int, reps: int) -> Dict[str, float]:
     """MoE layer forward / forward+backward / round throughput (tokens/s)."""
-    phases = build_hot_loop(preset, dispatch, dtype, tokens)
+    phases = build_hot_loop(preset, kernel, dtype, tokens)
     times = {name: _best_time(fn, iters, reps) for name, fn in phases.items()}
     return _hot_loop_result(times, tokens, phases["round"])
 
 
-def bench_model_step(preset: str, dispatch: Optional[str], dtype: Optional[str],
+def bench_model_step(preset: str, kernel: Optional[str], dtype: Optional[str],
                      tokens: int, iters: int, reps: int) -> Dict[str, float]:
     """Full-model loss + backward + optimizer step throughput (tokens/s)."""
-    phases = build_model_step(preset, dispatch, dtype, tokens)
+    phases = build_model_step(preset, kernel, dtype, tokens)
     seq_len = 32  # matches build_model_step batching
     actual_tokens = max(tokens // seq_len, 1) * seq_len
     per_round = _best_time(phases["round"], iters, reps)
@@ -309,14 +290,14 @@ def run_suite(quick: bool) -> Dict:
     suite: Dict = {}
     for preset in PRESET_NAMES:
         step_tokens = min(tokens, 1024)
-        hot_builds = {f"{dispatch}/{dtype}": build_hot_loop(preset, dispatch, dtype, tokens)
-                      for dispatch, dtype in CONFIGS + HOT_EXTRA_CONFIGS}
+        hot_builds = {f"{kernel}/{dtype}": build_hot_loop(preset, kernel, dtype, tokens)
+                      for kernel, dtype in CONFIGS}
         hot_times = _interleaved_best_times(hot_builds, iters, reps)
         hot_configs = {name: _hot_loop_result(times, tokens, hot_builds[name]["round"])
                        for name, times in hot_times.items()}
         step_builds = {
-            f"{dispatch}/{dtype}": build_model_step(preset, dispatch, dtype, step_tokens)
-            for dispatch, dtype in CONFIGS}
+            f"{kernel}/{dtype}": build_model_step(preset, kernel, dtype, step_tokens)
+            for kernel, dtype in CONFIGS}
         step_times = _interleaved_best_times(step_builds, max(iters // 2, 1), reps)
         actual_step_tokens = max(step_tokens // 32, 1) * 32
         step_configs = {name: {"round_tokens_per_s": actual_step_tokens / times["round"],
@@ -330,12 +311,6 @@ def run_suite(quick: bool) -> Dict:
                     _speedup(hot_configs, "forward_backward_tokens_per_s"),
                 "round_speedup_batched_f32_vs_loop_f64":
                     _speedup(hot_configs, "round_tokens_per_s"),
-                # informational: sparse runs a sparsified model, so this is a
-                # work-reduction ratio, not a like-for-like config speedup
-                # (the apples-to-apples gate lives in --suite sparse)
-                "round_speedup_sparse_f32_vs_batched_f32": (
-                    hot_configs["sparse/float32"]["round_tokens_per_s"]
-                    / hot_configs["batched/float32"]["round_tokens_per_s"]),
             },
             "model_step": {
                 "tokens": min(tokens, 1024),
@@ -925,6 +900,113 @@ def bench_prefold(quick: bool) -> Dict:
     }
 
 
+#: the composed codec whose frame bytes the informational ``wire`` block checks
+WIRE_CODEC = "topk:0.25:int4"
+
+
+def _bench_wire(iters: int, reps: int) -> Dict:
+    """Composed ``topk:<density>:int<bits>`` codec: bytes + throughput.
+
+    Encodes one expert's delta under the composed sparse codec and under
+    ``fp64``, and cross-checks the measured frame size against the codec's
+    ``wire_bytes_per_param`` analytics (the wire-cost model the federated
+    layer's :class:`ExchangePlan` reports).
+    """
+    from repro.comm import encode_state_dict, decode_state_dict, get_codec
+    from repro.models import MoETransformer
+    from repro.models.presets import get_preset
+
+    codec = get_codec(WIRE_CODEC)
+    dense = get_codec("fp64")
+    model = MoETransformer(get_preset("llama-moe-mini"))
+    reference = model.expert_state(0, 0)
+    rng = np.random.default_rng(0)
+    state = {key: value + 0.01 * rng.normal(size=value.shape)
+             for key, value in reference.items()}
+    params = sum(value.size for value in state.values())
+
+    sparse_frame = encode_state_dict(state, codec, reference=reference)
+    dense_frame = encode_state_dict(state, dense)
+    analytic = sum(value.size * codec.wire_bytes_per_param(group_size=value.size)
+                   for value in state.values())
+
+    fns = {
+        "encode": {"wire": lambda: encode_state_dict(state, codec,
+                                                     reference=reference)},
+        "decode": {"wire": lambda: decode_state_dict(sparse_frame,
+                                                     reference=reference)},
+        "encode_fp64": {"wire": lambda: encode_state_dict(state, dense)},
+    }
+    times = _interleaved_best_times(fns, iters, reps)
+    return {
+        "codec": WIRE_CODEC,
+        "params_per_expert": params,
+        "measured_frame_bytes": len(sparse_frame),
+        "analytic_payload_bytes": analytic,
+        "measured_vs_analytic_rel_err":
+            abs(len(sparse_frame) - analytic) / analytic,
+        "fp64_frame_bytes": len(dense_frame),
+        "bytes_ratio_vs_fp64": len(sparse_frame) / len(dense_frame),
+        "encode_params_per_s": params / times["encode"]["wire"],
+        "decode_params_per_s": params / times["decode"]["wire"],
+        "fp64_encode_params_per_s": params / times["encode_fp64"]["wire"],
+    }
+
+
+def _bench_checkpoint(iters: int, reps: int) -> Dict:
+    """Full vs sparse-delta model snapshot cost (time and bytes on disk).
+
+    The delta snapshot simulates one federated round: only a top-k slice of
+    the experts' parameters moved since the previous snapshot, which is
+    exactly the regime ``checkpoint_delta_every`` targets.
+    """
+    import shutil
+    import tempfile
+
+    from repro.models import MoETransformer
+    from repro.models.checkpoint import save_state_checkpoint, save_state_delta
+    from repro.models.presets import get_preset
+
+    model = MoETransformer(get_preset("llama-moe-mini"))
+    previous = {key: np.array(value, copy=True)
+                for key, value in model.state_dict().items()}
+    rng = np.random.default_rng(0)
+    current = {}
+    for key, value in previous.items():
+        updated = np.array(value, copy=True)
+        flat = updated.reshape(-1)
+        touched = rng.choice(flat.size, size=max(1, flat.size // 20),
+                             replace=False)
+        flat[touched] += 0.01
+        current[key] = updated
+
+    tmp = tempfile.mkdtemp(prefix="bench-ckpt-")
+    try:
+        full_path = os.path.join(tmp, "full.npz")
+        delta_path = os.path.join(tmp, "model.delta")
+        fns = {
+            "full": {"save": lambda: save_state_checkpoint(
+                current, model.config, full_path)},
+            "delta": {"save": lambda: save_state_delta(
+                current, previous, delta_path)},
+        }
+        times = _interleaved_best_times(fns, iters, reps)
+        full_bytes = os.path.getsize(full_path)
+        delta_bytes = os.path.getsize(delta_path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return {
+        "params": sum(value.size for value in previous.values()),
+        "touched_fraction": 0.05,
+        "full_save_s": times["full"]["save"],
+        "delta_save_s": times["delta"]["save"],
+        "full_bytes": full_bytes,
+        "delta_bytes": delta_bytes,
+        "delta_bytes_ratio": delta_bytes / full_bytes,
+        "delta_save_speedup": times["full"]["save"] / times["delta"]["save"],
+    }
+
+
 def run_aggregation_suite(quick: bool) -> Dict:
     """The aggregation-throughput benchmark family (``--suite aggregation``)."""
     # Quick mode trims repetitions but keeps the full workload shape: the
@@ -962,192 +1044,21 @@ def run_aggregation_suite(quick: bool) -> Dict:
                  "job, a sender's frames at a time vs the frame-at-a-time "
                  "oracle (byte-identical partials asserted first). uplink is "
                  "informational (host-speed frames/s of "
-                 "framing one participant's upload, per update vs batched)."),
+                 "framing one participant's upload, per update vs batched), "
+                 "and so are wire (composed topk+int codec frame size vs its "
+                 "own analytics and vs fp64) and checkpoint (full vs "
+                 "sparse-delta snapshot of the same model state, 5% of "
+                 "parameters touched)."),
         "shards": shards,
         "tree": tree,
         "decode": decode,
         "alloc_probe": alloc_probe,
         "prefold": bench_prefold(quick),
         "uplink": bench_uplink(quick),
+        "wire": _bench_wire(max(iters, 5), reps),
+        "checkpoint": _bench_checkpoint(max(iters // 2, 2), reps),
         "headline_speedup_8shards":
             shards["8"]["speedup_critical_path_vs_serial"],
-    }
-
-
-# ------------------------------------------------------------- sparse suite
-#: (name, d_model, d_ff, num_experts, top_k) layer shapes for --suite sparse;
-#: the first is the llama-moe-mini layer shape, the second a mid-size layer
-#: where zero skipping pays off even more
-SPARSE_WORKLOADS = (("llama_moe_mini", 32, 64, 8, 2),
-                    ("mid_64x256", 64, 256, 8, 2))
-
-
-def _make_sparsified_layer(d_model: int, d_ff: int, num_experts: int,
-                           top_k: int, dispatch: str):
-    """A float32 MoE layer sparsified in place; same seed => same weights."""
-    from repro.autograd import default_dtype
-    from repro.models.moe_layer import MoELayer
-
-    rng = np.random.default_rng(0)
-    with default_dtype("float32"):
-        layer = MoELayer(d_model=d_model, d_ff=d_ff, num_experts=num_experts,
-                         top_k=top_k, rng=rng, dispatch=dispatch)
-    layer.sparsify_experts(SPARSE_DENSITY, bits=SPARSE_BITS)
-    return layer
-
-
-def _bench_sparse_kernels(workload, tokens: int, iters: int, reps: int) -> Dict:
-    """batched vs sparse dispatch over identical sparsified expert weights."""
-    name, d_model, d_ff, num_experts, top_k = workload
-    builds = {
-        dispatch: _layer_phases(
-            _make_sparsified_layer(d_model, d_ff, num_experts, top_k, dispatch),
-            tokens, "float32")
-        for dispatch in ("batched", "sparse")
-    }
-    times = _interleaved_best_times(builds, iters, reps)
-    configs = {dispatch: _hot_loop_result(phase_times, tokens,
-                                          builds[dispatch]["round"])
-               for dispatch, phase_times in times.items()}
-    return {
-        "d_model": d_model, "d_ff": d_ff, "num_experts": num_experts,
-        "top_k": top_k, "tokens": tokens,
-        "configs": configs,
-        "speedup_sparse_vs_batched_forward_backward": (
-            configs["sparse"]["forward_backward_tokens_per_s"]
-            / configs["batched"]["forward_backward_tokens_per_s"]),
-        "speedup_sparse_vs_batched_round": (
-            configs["sparse"]["round_tokens_per_s"]
-            / configs["batched"]["round_tokens_per_s"]),
-    }
-
-
-def _bench_sparse_wire(iters: int, reps: int) -> Dict:
-    """Composed ``topk:<density>:int<bits>`` codec: bytes + throughput.
-
-    Encodes one expert's delta under the composed sparse codec and under
-    ``fp64``, and cross-checks the measured frame size against the codec's
-    ``wire_bytes_per_param`` analytics (the wire-cost model the federated
-    layer's :class:`ExchangePlan` reports).
-    """
-    from repro.comm import encode_state_dict, decode_state_dict, get_codec
-    from repro.models import MoETransformer
-    from repro.models.presets import get_preset
-
-    codec_name = f"topk:{SPARSE_DENSITY:g}:int4"
-    codec = get_codec(codec_name)
-    dense = get_codec("fp64")
-    model = MoETransformer(get_preset("llama-moe-mini"))
-    reference = model.expert_state(0, 0)
-    rng = np.random.default_rng(0)
-    state = {key: value + 0.01 * rng.normal(size=value.shape)
-             for key, value in reference.items()}
-    params = sum(value.size for value in state.values())
-
-    sparse_frame = encode_state_dict(state, codec, reference=reference)
-    dense_frame = encode_state_dict(state, dense)
-    analytic = sum(value.size * codec.wire_bytes_per_param(group_size=value.size)
-                   for value in state.values())
-
-    fns = {
-        "encode": {"wire": lambda: encode_state_dict(state, codec,
-                                                     reference=reference)},
-        "decode": {"wire": lambda: decode_state_dict(sparse_frame,
-                                                     reference=reference)},
-        "encode_fp64": {"wire": lambda: encode_state_dict(state, dense)},
-    }
-    times = _interleaved_best_times(fns, iters, reps)
-    return {
-        "codec": codec_name,
-        "params_per_expert": params,
-        "measured_frame_bytes": len(sparse_frame),
-        "analytic_payload_bytes": analytic,
-        "measured_vs_analytic_rel_err":
-            abs(len(sparse_frame) - analytic) / analytic,
-        "fp64_frame_bytes": len(dense_frame),
-        "bytes_ratio_vs_fp64": len(sparse_frame) / len(dense_frame),
-        "encode_params_per_s": params / times["encode"]["wire"],
-        "decode_params_per_s": params / times["decode"]["wire"],
-        "fp64_encode_params_per_s": params / times["encode_fp64"]["wire"],
-    }
-
-
-def _bench_sparse_checkpoint(iters: int, reps: int) -> Dict:
-    """Full vs sparse-delta model snapshot cost (time and bytes on disk).
-
-    The delta snapshot simulates one federated round: only a top-k slice of
-    the experts' parameters moved since the previous snapshot, which is
-    exactly the regime ``checkpoint_delta_every`` targets.
-    """
-    import shutil
-    import tempfile
-
-    from repro.models import MoETransformer
-    from repro.models.checkpoint import save_state_checkpoint, save_state_delta
-    from repro.models.presets import get_preset
-
-    model = MoETransformer(get_preset("llama-moe-mini"))
-    previous = {key: np.array(value, copy=True)
-                for key, value in model.state_dict().items()}
-    rng = np.random.default_rng(0)
-    current = {}
-    for key, value in previous.items():
-        updated = np.array(value, copy=True)
-        flat = updated.reshape(-1)
-        touched = rng.choice(flat.size, size=max(1, flat.size // 20),
-                             replace=False)
-        flat[touched] += 0.01
-        current[key] = updated
-
-    tmp = tempfile.mkdtemp(prefix="bench-sparse-ckpt-")
-    try:
-        full_path = os.path.join(tmp, "full.npz")
-        delta_path = os.path.join(tmp, "model.delta")
-        fns = {
-            "full": {"save": lambda: save_state_checkpoint(
-                current, model.config, full_path)},
-            "delta": {"save": lambda: save_state_delta(
-                current, previous, delta_path)},
-        }
-        times = _interleaved_best_times(fns, iters, reps)
-        full_bytes = os.path.getsize(full_path)
-        delta_bytes = os.path.getsize(delta_path)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return {
-        "params": sum(value.size for value in previous.values()),
-        "touched_fraction": 0.05,
-        "full_save_s": times["full"]["save"],
-        "delta_save_s": times["delta"]["save"],
-        "full_bytes": full_bytes,
-        "delta_bytes": delta_bytes,
-        "delta_bytes_ratio": delta_bytes / full_bytes,
-        "delta_save_speedup": times["full"]["save"] / times["delta"]["save"],
-    }
-
-
-def run_sparse_suite(quick: bool) -> Dict:
-    """The sparse/ternary fast-path benchmark family (``--suite sparse``)."""
-    tokens = 1024
-    iters = 3 if quick else 10
-    reps = 4 if quick else 6
-    workloads = {w[0]: _bench_sparse_kernels(w, tokens, iters, reps)
-                 for w in SPARSE_WORKLOADS}
-    return {
-        "density": SPARSE_DENSITY,
-        "bits": SPARSE_BITS,
-        "workloads": workloads,
-        "wire": _bench_sparse_wire(max(iters, 5), reps),
-        "checkpoint": _bench_sparse_checkpoint(max(iters // 2, 2), reps),
-        "note": ("workloads: batched vs sparse dispatch over *identical* "
-                 "sparsified+quantized expert weights (bit-identical outputs, "
-                 "test-enforced) — the speedup is pure zero skipping.  wire: "
-                 "composed topk+int codec frame size vs its own analytics and "
-                 "vs fp64.  checkpoint: full vs sparse-delta snapshot of the "
-                 "same model state (5% of parameters touched)."),
-        "headline_speedup": min(
-            entry["speedup_sparse_vs_batched_forward_backward"]
-            for entry in workloads.values()),
     }
 
 
@@ -1511,10 +1422,10 @@ def _worker(spec_json: str) -> None:
     """Run one benchmark family in-process and print JSON (seed subprocess)."""
     spec = json.loads(spec_json)
     if spec["family"] == "hot_loop":
-        result = bench_hot_loop(spec["preset"], spec.get("dispatch"), spec.get("dtype"),
+        result = bench_hot_loop(spec["preset"], spec.get("kernel"), spec.get("dtype"),
                                 spec["tokens"], spec["iters"], spec["reps"])
     else:
-        result = bench_model_step(spec["preset"], spec.get("dispatch"), spec.get("dtype"),
+        result = bench_model_step(spec["preset"], spec.get("kernel"), spec.get("dtype"),
                                   spec["tokens"], spec["iters"], spec["reps"])
     print(json.dumps(result))
 
@@ -1599,8 +1510,6 @@ GATES = (
     Gate("aggregation", "aggregation/alloc_probe/steady_state_scratch_allocations",
          "not-above"),
     Gate("aggregation", "aggregation/prefold/speedup_batched_vs_oracle", "higher"),
-    Gate("sparse", "sparse/~workloads/*/speedup_sparse_vs_batched_forward_backward"
-                   "|speedup_sparse_vs_batched_round", "higher"),
     # Wall ratios of live servers are bimodal on a small host: out-of-process
     # servers either get a core of their own or share the caller's (tcp at 2
     # shards: 0.9x or 1.8x of serial), and in-process ones hand the GIL over on
@@ -1705,18 +1614,15 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller token counts / fewer repetitions (CI smoke)")
     parser.add_argument("--suite",
-                        choices=("hotpath", "aggregation", "telemetry", "sparse",
-                                 "service"),
+                        choices=("hotpath", "aggregation", "telemetry", "service"),
                         default="hotpath",
-                        help="hotpath: MoE dispatch/training throughput (default); "
+                        help="hotpath: MoE kernel/training throughput (default); "
                              "aggregation: server-side fold throughput, serial vs "
                              "its per-shard/per-node fold jobs, across shard counts "
-                             "and tree depths; "
+                             "and tree depths, plus composed codec wire bytes and "
+                             "full vs delta checkpoint cost; "
                              "telemetry: repro.obs tracing overhead, run-level "
                              "on-vs-off ratio plus span microbenchmarks; "
-                             "sparse: zero-skipping dispatch vs batched on "
-                             "sparsified experts, composed sparse codec wire "
-                             "bytes, full vs delta checkpoint cost; "
                              "service: socket-backed aggregator servers vs the "
                              "same fold jobs run serially, per transport, plus "
                              "RPC round-trip latency")
@@ -1742,7 +1648,6 @@ def main(argv=None) -> int:
     default_output = {"hotpath": "BENCH_hotpath.json",
                       "aggregation": "BENCH_aggregation.json",
                       "telemetry": "BENCH_telemetry.json",
-                      "sparse": "BENCH_sparse.json",
                       "service": "BENCH_service.json"}[args.suite]
     output = args.output or os.path.join(REPO_ROOT, default_output)
     result = {
@@ -1762,8 +1667,6 @@ def main(argv=None) -> int:
         result["aggregation"] = run_aggregation_suite(args.quick)
     elif args.suite == "telemetry":
         result["telemetry"] = run_telemetry_suite(args.quick)
-    elif args.suite == "sparse":
-        result["sparse"] = run_sparse_suite(args.quick)
     elif args.suite == "service":
         result["service"] = run_service_suite()
     else:
@@ -1797,26 +1700,17 @@ def main(argv=None) -> int:
                 f"({values['speedup_batched_vs_oracle']:.2f}x)"
                 for name, values in entry["codecs"].items())
             print(f"  uplink {preset}: encode_updates {parts} vs the per-update oracle")
-        print(f"  headline: {agg['headline_speedup_8shards']:.2f}x fold throughput "
-              "at 8 shards (critical path vs serial)")
-    elif args.suite == "sparse":
-        sparse = result["sparse"]
-        for name, entry in sparse["workloads"].items():
-            print(f"  {name} (d_model={entry['d_model']}, d_ff={entry['d_ff']}): "
-                  f"sparse vs batched fwd+bwd "
-                  f"{entry['speedup_sparse_vs_batched_forward_backward']:.2f}x, "
-                  f"round {entry['speedup_sparse_vs_batched_round']:.2f}x")
-        wire = sparse["wire"]
+        wire = agg["wire"]
         print(f"  wire {wire['codec']}: {wire['measured_frame_bytes']} B/expert "
               f"measured vs {wire['analytic_payload_bytes']:.0f} B analytic "
               f"({wire['measured_vs_analytic_rel_err']:.1%} off), "
               f"{wire['bytes_ratio_vs_fp64']:.3f}x of fp64")
-        ckpt = sparse["checkpoint"]
+        ckpt = agg["checkpoint"]
         print(f"  checkpoint: delta {ckpt['delta_bytes']} B vs full "
               f"{ckpt['full_bytes']} B ({ckpt['delta_bytes_ratio']:.3f}x), "
               f"save {ckpt['delta_save_speedup']:.2f}x faster")
-        print(f"  headline: {sparse['headline_speedup']:.2f}x minimum hot-loop "
-              f"(fwd+bwd) speedup at density {sparse['density']:g}")
+        print(f"  headline: {agg['headline_speedup_8shards']:.2f}x fold throughput "
+              "at 8 shards (critical path vs serial)")
     elif args.suite == "service":
         service = result["service"]
         for shards, entry in service["shards"].items():

@@ -28,7 +28,7 @@ replaced are the oracle in ``tests/fold_oracles.py``
 (``tests/test_fold_batch.py``).
 
 Codecs are stateless and registered by name; look one up with
-:func:`get_codec` (``"topk:<density>"`` parameterises the sparsifier inline).
+:func:`get_codec` (``"topk:<density>"`` parameterises the top-k codec inline).
 Every codec also reports an analytic :meth:`~Codec.wire_bytes_per_param` so
 the historical :class:`~repro.federated.communication.ExchangePlan` estimates
 can be cross-checked against measured payload sizes.
@@ -562,7 +562,7 @@ class TopKDeltaCodec(Codec):
 
 
 class TopKQuantCodec(TopKDeltaCodec):
-    """Composed sparsify + quantize: top-k deltas shipped as packed ints.
+    """Composed top-k + quantize: top-k deltas shipped as packed ints.
 
     ``topk:<density>:int<bits>`` keeps the top-k selection of
     :class:`TopKDeltaCodec` but bit-packs the surviving values with the same
@@ -712,8 +712,8 @@ def available_codecs() -> List[str]:
 def get_codec(name: str) -> Codec:
     """Look up a codec by tag.
 
-    ``"topk:<density>"`` builds a parameterised sparsifier inline and
-    ``"topk:<density>:int<bits>"`` the composed sparsify+quantize codec.
+    ``"topk:<density>"`` builds a parameterised top-k codec inline and
+    ``"topk:<density>:int<bits>"`` the composed top-k + quantize codec.
     """
     codec = _REGISTRY.get(name)
     if codec is not None:

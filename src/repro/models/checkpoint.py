@@ -23,6 +23,10 @@ from .transformer import MoETransformer
 
 _CONFIG_KEY = "__config_json__"
 
+#: ``MoEModelConfig`` fields that no longer exist (``dispatch``: the MoE layer
+#: has one kernel), dropped from an older archive's embedded config on load
+_RETIRED_CONFIG_FIELDS = frozenset({"dispatch"})
+
 
 def save_checkpoint(model: MoETransformer, path: Union[str, "os.PathLike[str]"]) -> str:
     """Serialise model parameters and config to ``path`` (``.npz``).
@@ -149,6 +153,5 @@ def _config_from_archive(archive) -> MoEModelConfig:
     if _CONFIG_KEY not in archive.files:
         raise KeyError("checkpoint is missing its embedded config")
     raw = json.loads(str(archive[_CONFIG_KEY]))
-    if isinstance(raw.get("num_experts"), list):
-        raw["num_experts"] = list(raw["num_experts"])
-    return MoEModelConfig(**raw)
+    return MoEModelConfig(**{key: value for key, value in raw.items()
+                             if key not in _RETIRED_CONFIG_FIELDS})

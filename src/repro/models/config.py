@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Union
 
+from .experts import ACTIVATIONS
+
 
 @dataclass
 class MoEModelConfig:
@@ -36,10 +38,6 @@ class MoEModelConfig:
     #: parameter/compute dtype of the built model: "float64" (numerics default)
     #: or "float32" (training/benchmark fast path, ~2x GEMM throughput)
     dtype: str = "float64"
-    #: expert execution strategy: "batched" grouped GEMMs, "sparse"
-    #: (zero-skipping grouped GEMMs over structurally-sparsified experts) or
-    #: the legacy per-expert "loop" (kept for equivalence testing)
-    dispatch: str = "batched"
 
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads != 0:
@@ -48,8 +46,8 @@ class MoEModelConfig:
             raise ValueError("top_k must be at least 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
-        if self.dispatch not in ("batched", "sparse", "loop"):
-            raise ValueError("dispatch must be 'batched', 'sparse' or 'loop'")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         experts = self.experts_per_layer()
         if any(e < 1 for e in experts):
             raise ValueError("every layer needs at least one expert")

@@ -12,14 +12,16 @@ from ..autograd.init import AllocationOnlyGenerator
 #: per-expert weight matrices in stacking order
 EXPERT_WEIGHT_KEYS = ("w_gate", "w_up", "w_down")
 
+#: the activations an expert (and the MoE layer's fused kernel) evaluates
+ACTIVATIONS = ("silu", "gelu", "relu")
+
 
 def stack_expert_weights(experts: Sequence["ExpertFFN"]) -> Dict[str, np.ndarray]:
     """Stack each weight matrix of ``experts`` into one ``(num_experts, ...)`` array.
 
-    The returned arrays are the canonical "stacked" representation used by the
-    batched MoE dispatch path, clustering features and weighted merging —
-    consumers read slices of these arrays instead of re-stacking flattened
-    per-expert vectors on every call.
+    The returned arrays are the canonical "stacked" representation used by
+    clustering features and weighted merging — consumers read slices of these
+    arrays instead of re-stacking flattened per-expert vectors on every call.
     """
     experts = list(experts)
     if not experts:
@@ -28,49 +30,6 @@ def stack_expert_weights(experts: Sequence["ExpertFFN"]) -> Dict[str, np.ndarray
         key: np.stack([getattr(expert, key).weight.data for expert in experts])
         for key in EXPERT_WEIGHT_KEYS
     }
-
-
-def sparsify_expert(expert: "ExpertFFN", density: float,
-                    bits: Optional[int] = None) -> np.ndarray:
-    """Structured channel sparsification (+ optional fake low-bit quantization).
-
-    Scores every ``d_ff`` channel by the squared L2 mass of its gate row, up
-    row and down column, zeroes the lowest-scoring ``1 - density`` fraction
-    across all three matrices **in place**, and — when ``bits`` is given —
-    round-trips each matrix through symmetric per-row quantization
-    (:func:`repro.quantization.quantize_array`).
-
-    The zeroed channels are *exactly* dead afterwards: zero entries always
-    quantize to code 0 (so quantization preserves them), a channel whose gate
-    row and up row are both zero contributes exactly zero to the layer output,
-    and every gradient it receives is exactly zero — which is what lets the
-    ``dispatch="sparse"`` fast path skip those rows bit-identically, and keeps
-    them dead under further SGD/Adam fine-tuning.
-
-    Returns the (sorted) indices of the surviving channels.
-    """
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    gate = expert.w_gate.weight.data
-    up = expert.w_up.weight.data
-    down = expert.w_down.weight.data
-    d_ff = gate.shape[0]
-    keep = max(1, int(np.ceil(density * d_ff)))
-    if keep < d_ff:
-        scores = (np.square(gate).sum(axis=1) + np.square(up).sum(axis=1)
-                  + np.square(down).sum(axis=0))
-        kept = np.sort(np.argpartition(scores, -keep)[-keep:])
-        dead = np.setdiff1d(np.arange(d_ff), kept, assume_unique=True)
-        gate[dead] = 0.0
-        up[dead] = 0.0
-        down[:, dead] = 0.0
-    else:
-        kept = np.arange(d_ff)
-    if bits is not None:
-        from ..quantization import quantize_array  # deferred: package cycle
-        for matrix in (gate, up, down):
-            matrix[...] = quantize_array(matrix, bits).dequantize()
-    return kept
 
 
 class ExpertFFN(Module):
@@ -86,6 +45,8 @@ class ExpertFFN(Module):
     def __init__(self, d_model: int, d_ff: int, activation: str = "silu",
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; supported: {ACTIVATIONS}")
         self.d_model = d_model
         self.d_ff = d_ff
         self.activation = activation
@@ -110,9 +71,7 @@ class ExpertFFN(Module):
             return x.silu()
         if self.activation == "gelu":
             return x.gelu()
-        if self.activation == "relu":
-            return x.relu()
-        raise ValueError(f"unknown activation: {self.activation}")
+        return x.relu()
 
     def forward(self, x: Tensor) -> Tensor:
         return self.w_down(self._activate(self.w_gate(x)) * self.w_up(x))

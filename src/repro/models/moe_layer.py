@@ -23,15 +23,16 @@ Routing statistics are unaffected: they count every real token, read or not.
 The gradient-presence rule follows: an expert whose only rows were dropped
 gets no gradient at all (not a zero one), so an optimizer takes no step on
 it, and which experts step does not depend on what sits in the padding.
-Every dispatch mode below obeys both rules.
+The kernel below and its fallback obey both rules.
 
-Dispatch modes
---------------
-``dispatch="batched"`` (the default) is a *segment-grouped* GEMM in one fused
-graph node.  Token-slot assignments are stably argsorted by expert slot and
-the routed rows gathered **once** into one contiguous ``(A, d_model)`` buffer
-in slot order (``A = live tokens * top_k``, whatever the routing), so every expert
-that received tokens owns a contiguous row range of it.  Each such expert's
+Kernel
+------
+The experts run in one *segment-grouped* GEMM node,
+:meth:`MoELayer._combine_batched`; no option selects it.  Token-slot
+assignments are stably argsorted by expert slot and the routed rows gathered
+**once** into one contiguous ``(A, d_model)`` buffer in slot order
+(``A = live tokens * top_k``, whatever the routing), so every expert that
+received tokens owns a contiguous row range of it.  Each such expert's
 three SwiGLU GEMMs run on its own rows with ``np.matmul(..., out=...)`` into
 slices of shared ``(A, d_ff)`` buffers, reading its weight matrices where they
 live.  What is **never** built: a workspace padded to the busiest expert's
@@ -46,28 +47,17 @@ has O(1) nodes per layer instead of O(num_experts).
 ``expand_rows`` are the composable building blocks of grouped layouts, kept as
 public autograd ops.)
 
-``dispatch="sparse"`` is the same loop at each expert's own *live width*, for
-ternary/low-bit-quantized experts: after structured sparsification
-(:func:`~repro.models.experts.sparsify_expert` zeroes whole ``d_ff`` channels,
-and per-row quantization preserves those zeros exactly), each forward derives
-the per-expert live-channel index lists and expert ``j``'s GEMMs read only its
-live rows, writing ``count_j * live_j`` elements of the (flat) FFN-side
-buffers — no padding to the widest live count.  Skipped channels have both
-their gate and up rows all-zero, which makes their output contribution and
-every parameter gradient exactly zero in the dense path — so skipping them is
-equivalence-preserving (to a few ULP on single-token experts, where BLAS's
-gemv regroups its partial sums once the zeros leave the inner dimension;
-exact otherwise), and the test suite enforces it.  When the mean live density
-exceeds :data:`SPARSE_DENSITY_THRESHOLD` the layer runs the dense segments
-(the compaction would cost more than it saves).
-
-``dispatch="loop"`` is the per-expert Python loop (one gather, FFN call and
-``scatter_rows`` per expert), kept as the test oracle.  A segment's GEMMs have
-exactly the loop's shapes and operand layouts, so the fused node reproduces
-its outputs, gate-weight gradients and expert gradients bit for bit, in
-float64 and float32; the layer silently falls back to the loop when the
-expert list cannot be batched (e.g. LoRA-wrapped or shape-heterogeneous
-experts).
+The fallback is :meth:`MoELayer._combine_loop`, the per-expert Python loop
+(one gather, FFN call and ``scatter_rows`` per expert), which calls each
+expert module as it is.  A layer runs it when some local expert is not a
+plain :class:`~repro.models.experts.ExpertFFN` — a
+:class:`~repro.models.lora.LoRAExpert`, the paper's adapter integration.  The
+loop is also the kernel's test oracle: a segment's GEMMs have exactly the
+loop's shapes and operand layouts, so the fused node reproduces its outputs,
+gate-weight gradients and expert gradients bit for bit, in float64 and
+float32.  Every expert of a layer has the layer's ``(d_model, d_ff)`` and an
+activation the kernel evaluates: both are checked where experts enter
+(:class:`~repro.models.experts.ExpertFFN`, :meth:`MoELayer.set_compact_experts`).
 """
 
 from __future__ import annotations
@@ -86,19 +76,9 @@ from ..autograd import (
     scatter_rows,
     take_rows,
 )
-from .experts import ExpertFFN, sparsify_expert, stack_expert_weights
+from .experts import ExpertFFN, stack_expert_weights
 from .gating import GatingNetwork, RoutingRecord
 from .rerouting import ExpertRemap
-
-#: dispatch strategies understood by :class:`MoELayer`
-DISPATCH_MODES = ("batched", "sparse", "loop")
-
-#: mean live-channel density above which ``dispatch="sparse"`` falls back to
-#: the dense batched stacking (compaction overhead would outweigh the savings)
-SPARSE_DENSITY_THRESHOLD = 0.5
-
-#: activations the batched dispatch path can evaluate on stacked tensors
-_BATCHABLE_ACTIVATIONS = ("silu", "gelu", "relu")
 
 
 def _live_rows(num_tokens: int, token_mask: Optional[np.ndarray],
@@ -129,19 +109,14 @@ class MoELayer(Module):
         activation: str = "silu",
         gate_noise_std: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        dispatch: str = "batched",
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng()
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(f"unknown dispatch mode {dispatch!r}; supported: {DISPATCH_MODES}")
         self.d_model = d_model
         self.d_ff = d_ff
         self.num_original_experts = num_experts
         self.top_k = top_k
         self.activation = activation
-        #: expert execution strategy: ``"batched"``, ``"sparse"`` or ``"loop"``
-        self.dispatch = dispatch
         self.gate = GatingNetwork(d_model, num_experts, top_k, noise_std=gate_noise_std, rng=rng)
         self.experts = ModuleList([
             ExpertFFN(d_model, d_ff, activation=activation, rng=rng) for _ in range(num_experts)
@@ -176,10 +151,14 @@ class MoELayer(Module):
         """Replace the local expert list with a compact set plus a remap.
 
         Used by Flux clients (tuning experts + merged non-tuning experts) and
-        by the FMES baseline (selected experts only, others re-routed).
+        by the FMES baseline (selected experts only, others re-routed).  Every
+        expert must have the layer's ``(d_model, d_ff)``.
         """
         if remap.num_original != self.num_original_experts:
             raise ValueError("remap must cover the original expert count")
+        if any((expert.d_model, expert.d_ff) != (self.d_model, self.d_ff) for expert in experts):
+            raise ValueError(
+                f"every expert must have the layer's (d_model, d_ff) = ({self.d_model}, {self.d_ff})")
         max_slot = int(remap.table.max())
         if max_slot >= len(experts):
             raise ValueError(
@@ -289,14 +268,8 @@ class MoELayer(Module):
             local_idx = self.remap.apply(top_idx)
 
         rows = _live_rows(num_tokens, token_mask, read)
-        if self.dispatch in ("batched", "sparse") and self._can_batch():
-            combined = self._combine_batched(flat, local_idx, top_weights, num_tokens, d_model,
-                                             sparse=self.dispatch == "sparse", rows=rows)
-        else:
-            combined = self._combine_loop(flat, local_idx, top_weights, num_tokens, d_model,
-                                          rows=rows)
-
-        out = combined
+        combine = self._combine_batched if self._can_batch() else self._combine_loop
+        out = combine(flat, local_idx, top_weights, num_tokens, d_model, rows=rows)
         if self.shared_experts and (rows is None or rows.size):
             shared_in = flat if rows is None else take_rows(flat, rows)
             for shared in self.shared_experts:
@@ -334,23 +307,17 @@ class MoELayer(Module):
 
     # ------------------------------------------------------ expert execution
     def _can_batch(self) -> bool:
-        """Whether every local expert fits the grouped-GEMM fast path."""
-        for expert in self.experts:
-            if type(expert) is not ExpertFFN:
-                return False
-            if expert.activation not in _BATCHABLE_ACTIVATIONS:
-                return False
-            if expert.w_gate.weight.shape != (expert.d_ff, expert.d_model):
-                return False
-            if (expert.d_model, expert.d_ff) != (self.experts[0].d_model, self.experts[0].d_ff):
-                return False
-        return True
+        """Whether every local expert is a plain :class:`ExpertFFN` (a LoRA-wrapped one is not)."""
+        return all(type(expert) is ExpertFFN for expert in self.experts)
 
     def _combine_loop(self, flat: Tensor, local_idx: np.ndarray, top_weights: Tensor,
                       num_tokens: int, d_model: int,
                       rows: Optional[np.ndarray] = None) -> Tensor:
-        """Legacy per-expert dispatch: one gather/FFN/scatter per active expert.
+        """The per-expert loop: one gather/FFN/scatter per active expert.
 
+        Runs experts :meth:`_combine_batched` cannot (any module that is not a
+        plain :class:`ExpertFFN`), and is that kernel's test oracle: the same
+        signature and, on plain experts, the same results bit for bit.
         ``rows`` (sorted token indices, ``None`` for all) are the live tokens;
         the others' assignments are dropped, so their output rows are 0.
         """
@@ -374,39 +341,10 @@ class MoELayer(Module):
             combined = combined + scatter_rows(weighted, token_rows, num_tokens)
         return combined
 
-    def sparsify_experts(self, density: float, bits: Optional[int] = None) -> float:
-        """Structured-sparsify (and optionally fake-quantize) every local expert.
-
-        Applies :func:`~repro.models.experts.sparsify_expert` to each expert
-        in place; the surviving channels are exactly the rows the
-        ``dispatch="sparse"`` fast path will execute.  Returns the realised
-        mean live-channel density.
-        """
-        live = 0
-        for expert in self.experts:
-            live += sparsify_expert(expert, density, bits=bits).size
-        return live / max(1, len(self.experts) * self.d_ff)
-
-    def _sparse_plan(self, gate_params, up_params):
-        """Per-expert live ``d_ff`` channels, or None when too dense to pay off.
-
-        A channel is *live* when its gate row or up row holds any nonzero —
-        the exact complement of the channels whose forward contribution and
-        parameter gradients are all exactly zero in the dense path (both rows
-        zero forces the activation input, the up projection, and therefore
-        every downstream product to exact zeros).
-        """
-        channels = [np.flatnonzero((gate.data != 0.0).any(axis=1) | (up.data != 0.0).any(axis=1))
-                    for gate, up in zip(gate_params, up_params)]
-        d_ff = gate_params[0].data.shape[0]
-        if sum(live.size for live in channels) > SPARSE_DENSITY_THRESHOLD * len(channels) * d_ff:
-            return None
-        return channels
-
     def _combine_batched(self, flat: Tensor, local_idx: np.ndarray, top_weights: Tensor,
-                         num_tokens: int, d_model: int, sparse: bool = False,
+                         num_tokens: int, d_model: int,
                          rows: Optional[np.ndarray] = None) -> Tensor:
-        """Segment-grouped dispatch: one gather, then GEMMs on each expert's own rows.
+        """Segment-grouped kernel: one gather, then GEMMs on each expert's own rows.
 
         Assignments are stably argsorted by expert slot and the routed rows
         gathered once into a contiguous ``(A, d_model)`` buffer in slot order
@@ -425,11 +363,6 @@ class MoELayer(Module):
         the assignments of every other token are dropped before the sort, so
         its output row, its gate-weight gradient and its input gradient are
         exactly 0, and an expert it alone was routed to gets no gradient.
-
-        With ``sparse=True`` expert ``j`` runs at its own live width: its
-        operands are the live rows of its matrices and its slice of the
-        (flat) FFN-side buffers is ``count_j * live_j`` long; gradients of
-        skipped channels are emitted as exact zeros, matching the dense path.
         """
         top_k = local_idx.shape[1]
         weights = top_weights.data
@@ -464,27 +397,13 @@ class MoELayer(Module):
         gate_params = [e.w_gate.weight for e in experts]
         up_params = [e.w_up.weight for e in experts]
         down_params = [e.w_down.weight for e in experts]
-        channels = self._sparse_plan(gate_params, up_params) if sparse else None
-        if channels is None:
-            w_gate, w_up, w_down = ([p.data for p in params]
-                                    for params in (gate_params, up_params, down_params))
-            widths = [d_ff] * len(experts)
-        else:
-            w_gate = [p.data[live] for p, live in zip(gate_params, channels)]
-            w_up = [p.data[live] for p, live in zip(up_params, channels)]
-            w_down = [p.data[:, live] for p, live in zip(down_params, channels)]
-            widths = [live.size for live in channels]
+        w_gate, w_up, w_down = ([p.data for p in params]
+                                for params in (gate_params, up_params, down_params))
         edges = bounds.tolist()
-        counts = [edges[j + 1] - edges[j] for j in segments]
-        ffn = np.concatenate(([0], np.cumsum(np.multiply(counts, widths)))).tolist()
 
         def by_rows(buffer: np.ndarray) -> list:
-            """Expert ``j``'s row range of an ``(A, d_model)`` buffer."""
+            """Expert ``j``'s row range of an ``(A, ...)`` buffer."""
             return [buffer[edges[j]:edges[j + 1]] for j in segments]
-
-        def split(buffer: np.ndarray) -> list:
-            """Expert ``j``'s ``(count_j, width_j)`` view of a flat FFN-side buffer."""
-            return [buffer[ffn[j]:ffn[j + 1]].reshape(counts[j], widths[j]) for j in segments]
 
         # ---- forward: gather → per-segment gate/up GEMMs → activation →
         # per-segment down GEMM → un-permute → combine over top-k
@@ -493,9 +412,9 @@ class MoELayer(Module):
             token_of = rows[token_of]
         x = flat.data[token_of]                            # (A, d) routed rows, slot order
         x_segs = by_rows(x)
-        gate_pre = np.empty(ffn[-1], dtype=dtype)
-        up = np.empty(ffn[-1], dtype=dtype)
-        for j, x_seg, gate_seg, up_seg in zip(segments, x_segs, split(gate_pre), split(up)):
+        gate_pre = np.empty((num_assign, d_ff), dtype=dtype)
+        up = np.empty((num_assign, d_ff), dtype=dtype)
+        for j, x_seg, gate_seg, up_seg in zip(segments, x_segs, by_rows(gate_pre), by_rows(up)):
             np.matmul(x_seg, w_gate[j].T, out=gate_seg)
             np.matmul(x_seg, w_up[j].T, out=up_seg)
         if activation == "silu":
@@ -512,7 +431,7 @@ class MoELayer(Module):
         else:
             act = np.maximum(gate_pre, 0.0)
         hidden = act * up
-        hidden_segs = split(hidden)
+        hidden_segs = by_rows(hidden)
         y_sorted = np.empty((num_assign, d_model), dtype=dtype)
         for j, hidden_seg, y_seg in zip(segments, hidden_segs, by_rows(y_sorted)):
             np.matmul(hidden_seg, w_down[j].T, out=y_seg)
@@ -528,14 +447,6 @@ class MoELayer(Module):
             return out
         w_sorted = weights.reshape(num_assign, 1)[order]
 
-        def full_height(j: int, compact: np.ndarray) -> np.ndarray:
-            """Segment ``j``'s ``(width_j, d_model)`` gradient at full ``d_ff`` height."""
-            if channels is None:
-                return compact
-            full = np.zeros((d_ff, d_model), dtype=dtype)   # skipped channels: exact zeros
-            full[channels[j]] = compact
-            return full
-
         # ---- backward: mirrors the op-by-op chain segment by segment (same
         # evaluation order as the composed graph, so loop/batched stay
         # bit-identical).  Large temporaries live in persistent per-layer
@@ -550,23 +461,22 @@ class MoELayer(Module):
             np.multiply(g_y, w_sorted, out=g_y)
             # whether anything upstream of the down projection wants a gradient
             inner = flat.requires_grad or any(p.requires_grad for p in gate_params + up_params)
-            capacity = num_assign * max(widths)
-            g_hidden = self._scratch("g_hidden", (capacity,), dtype)[:ffn[-1]]
-            for j, g_seg, g_hidden_seg in zip(segments, by_rows(g_y), split(g_hidden)):
+            ffn_shape = (num_assign, d_ff)
+            g_hidden = self._scratch("g_hidden", ffn_shape, dtype)
+            for j, g_seg, g_hidden_seg in zip(segments, by_rows(g_y), by_rows(g_hidden)):
                 if inner:
                     np.matmul(g_seg, w_down[j], out=g_hidden_seg)
                 if down_params[j].requires_grad:
-                    down_params[j]._accumulate(
-                        full_height(j, np.matmul(hidden_segs[j].T, g_seg)).T, owned=True)
+                    down_params[j]._accumulate(np.matmul(hidden_segs[j].T, g_seg).T, owned=True)
             if not inner:
                 return
-            g_gate = self._scratch("g_gate", (capacity,), dtype)[:ffn[-1]]
-            g_up = self._scratch("g_up", (capacity,), dtype)[:ffn[-1]]
+            g_gate = self._scratch("g_gate", ffn_shape, dtype)
+            g_up = self._scratch("g_up", ffn_shape, dtype)
             np.multiply(g_hidden, up, out=g_gate)
             np.multiply(g_hidden, act, out=g_up)
             if activation == "silu":
                 # d_act = sig * (1 + gate_pre * (1 - sig))
-                d_act = self._scratch("d_act", (capacity,), dtype)[:ffn[-1]]
+                d_act = self._scratch("d_act", ffn_shape, dtype)
                 np.subtract(1.0, sig, out=d_act)
                 np.multiply(gate_pre, d_act, out=d_act)
                 d_act += 1.0
@@ -584,13 +494,11 @@ class MoELayer(Module):
             g_x = self._scratch("g_x", (num_assign, d_model), dtype)
             g_x_up = self._scratch("g_x_up", (num_assign, d_model), dtype)
             for j, g_gate_seg, g_up_seg, g_x_seg, g_x_up_seg in zip(
-                    segments, split(g_gate), split(g_up), by_rows(g_x), by_rows(g_x_up)):
+                    segments, by_rows(g_gate), by_rows(g_up), by_rows(g_x), by_rows(g_x_up)):
                 if gate_params[j].requires_grad:
-                    gate_params[j]._accumulate(
-                        full_height(j, np.matmul(x_segs[j].T, g_gate_seg).T), owned=True)
+                    gate_params[j]._accumulate(np.matmul(x_segs[j].T, g_gate_seg).T, owned=True)
                 if up_params[j].requires_grad:
-                    up_params[j]._accumulate(
-                        full_height(j, np.matmul(x_segs[j].T, g_up_seg).T), owned=True)
+                    up_params[j]._accumulate(np.matmul(x_segs[j].T, g_up_seg).T, owned=True)
                 if flat.requires_grad:
                     # Two GEMMs (not one over a concatenated 2f axis): separate
                     # dot products + add keep the loop path's summation grouping.

@@ -71,7 +71,6 @@ class MoETransformerBlock(Module):
             activation=config.activation,
             gate_noise_std=config.gate_noise_std,
             rng=rng,
-            dispatch=config.dispatch,
         )
         self.dropout = Dropout(config.dropout, rng=rng)
 

@@ -7,6 +7,10 @@ compositions of generic autograd ops this repo shipped before ``F.linear``,
 ``model.forward`` passes.  They exist only here: ``test_fused_nodes.py`` holds
 the fused versions to them, and ``benchmarks/perf_harness.py`` times each node
 against its oracle.
+
+``loop_oracle`` puts a layer or model on the MoE layer's per-expert loop, the
+oracle of its segment-grouped kernel (``test_moe_dispatch.py``; the harness's
+``loop/float64`` configuration).
 """
 
 from __future__ import annotations
@@ -15,7 +19,21 @@ import numpy as np
 
 from repro.analysis import ActivationProfile
 from repro.autograd import Tensor, no_grad
-from repro.models import causal_mask
+from repro.models import MoELayer, causal_mask
+
+
+def loop_oracle(module):
+    """``module``, its MoE layers running the per-expert loop.
+
+    Each :class:`MoELayer` in ``module`` (a layer or a model) gets its
+    ``_combine_batched`` rebound to its own ``_combine_loop``; the two share
+    one signature, so ``forward`` runs the loop unawares.  The rebinding is
+    the instance's: a model built or copied later runs the kernel again.
+    """
+    for layer in module.modules():
+        if isinstance(layer, MoELayer):
+            layer._combine_batched = layer._combine_loop
+    return module
 
 
 def composed_linear(x, weight, bias=None):

@@ -36,8 +36,16 @@ from repro.core import estimate_expert_gradient
 from repro.data import IGNORE_INDEX, make_batches, make_dolly_like, make_gsm8k_like
 from repro.federated import Participant
 from repro.metrics import evaluate_model
-from repro.models import MoELayer, MoETransformer, deepseek_moe_mini, llama_moe_mini, tiny_moe
+from repro.models import (
+    LoRAExpert,
+    MoELayer,
+    MoETransformer,
+    deepseek_moe_mini,
+    llama_moe_mini,
+    tiny_moe,
+)
 
+from composed_oracles import loop_oracle
 from read_oracles import every_position_computed
 
 PRESETS = {"tiny": tiny_moe, "llama": llama_moe_mini, "deepseek": deepseek_moe_mini}
@@ -206,11 +214,17 @@ def test_read_rows_are_the_full_forward_rows(setups):
 
 
 # ------------------------------------------------------------- the MoE layer
-@pytest.mark.parametrize("dispatch", ["batched", "sparse", "loop"])
+@pytest.mark.parametrize("kernel", ["batched", "loop", "lora"])
 @pytest.mark.parametrize("shared", [0, 1])
-def test_dead_rows_output_zero_and_pull_no_gradient(dispatch, shared):
-    layer = MoELayer(16, 24, 6, 2, num_shared_experts=shared, rng=np.random.default_rng(0),
-                     dispatch=dispatch)
+def test_dead_rows_output_zero_and_pull_no_gradient(kernel, shared):
+    """On the kernel, on the loop oracle, and on the loop as LoRA-wrapped experts run it."""
+    layer = MoELayer(16, 24, 6, 2, num_shared_experts=shared, rng=np.random.default_rng(0))
+    if kernel == "loop":
+        loop_oracle(layer)
+    elif kernel == "lora":
+        for index, expert in enumerate(layer.experts):
+            layer.experts[index] = LoRAExpert(expert, rank=2, rng=np.random.default_rng(index))
+        assert not layer._can_batch()
     x = Tensor(np.random.default_rng(1).standard_normal((2, 5, 16)), requires_grad=True)
     mask = np.array([[True] * 5, [True, True, False, False, False]])
     read = np.array([0, 3, 4, 6, 8])                    # 8 is padding
@@ -226,7 +240,8 @@ def test_dead_rows_output_zero_and_pull_no_gradient(dispatch, shared):
     live[[0, 3, 4, 6]] = True
     reached = set(top_idx[live].reshape(-1).tolist())
     for index, expert in enumerate(layer.experts):
-        assert (expert.w_up.weight.grad is not None) == (index in reached), index
+        pulled = any(param.grad is not None for param in expert.parameters())
+        assert pulled == (index in reached), index
     for expert in layer.shared_experts:
         assert expert.w_up.weight.grad is not None
 

@@ -34,6 +34,7 @@ from repro.models import MoETransformer, tiny_moe
 from repro.quantization import quantize_model
 from repro.runtime import latest_checkpoint
 
+from composed_oracles import loop_oracle
 from test_run_checkpoint import assert_models_equal, assert_run_results_equal
 from test_runtime import build_federation
 
@@ -143,7 +144,7 @@ class TestAgainstLegacyOracle:
             assert_matches_oracle(model, batches, layer, 1, RTOL["float64"])
 
     def test_loop_dispatch(self, vocab, gsm_dataset):
-        model = build_model(vocab, dispatch="loop")
+        model = loop_oracle(build_model(vocab))
         batches = probe_batches(gsm_dataset, vocab, model)
         assert_matches_oracle(model, batches, 1, 3, RTOL["float64"], num_perturbations=2)
 

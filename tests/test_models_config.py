@@ -36,6 +36,10 @@ class TestMoEModelConfig:
         with pytest.raises(ValueError):
             MoEModelConfig(n_layers=2, num_experts=[4, 0])
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="activation"):
+            MoEModelConfig(activation="softplus")
+
     def test_with_experts_returns_new_config(self):
         config = MoEModelConfig()
         custom = config.with_experts([2, 2, 2, 2])

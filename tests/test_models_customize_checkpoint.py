@@ -1,5 +1,6 @@
 """Tests for customized MoE construction and checkpoint save/load APIs."""
 
+import json
 import os
 
 import numpy as np
@@ -124,6 +125,20 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.local_experts_per_layer() == [2, 4]
+
+    def test_archive_embedding_the_retired_dispatch_field_loads(self, tiny_model, tmp_path):
+        """Archives written while ``MoEModelConfig`` had ``dispatch`` carry it; it is dropped."""
+        path = save_checkpoint(tiny_model, os.path.join(tmp_path, "model.npz"))
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        config = json.loads(str(arrays["__config_json__"]))
+        config["dispatch"] = "loop"
+        arrays["__config_json__"] = np.array(json.dumps(config))
+        np.savez(path, **arrays)
+        loaded = load_checkpoint(path)
+        assert loaded.config == tiny_model.config
+        for a, b in zip(tiny_model.parameters(), loaded.parameters(), strict=True):
+            assert np.array_equal(a.data, b.data)
 
 
 class TestSaveCheckpointReturnPath:

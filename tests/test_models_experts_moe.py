@@ -41,8 +41,10 @@ class TestExpertFFN:
         for activation in ("silu", "gelu", "relu"):
             expert = ExpertFFN(4, 8, activation=activation, rng=np.random.default_rng(0))
             assert expert(Tensor(np.ones((2, 4)))).shape == (2, 4)
-        with pytest.raises(ValueError):
-            ExpertFFN(4, 8, activation="softplus")(Tensor(np.ones((1, 4))))
+
+    def test_unknown_activation_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="softplus"):
+            ExpertFFN(4, 8, activation="softplus")
 
     def test_merge_weighted_average(self):
         a, b = make_expert(1), make_expert(2)
@@ -203,6 +205,15 @@ class TestMoELayer:
         remap = ExpertRemap(4, {3: 5})
         with pytest.raises(ValueError):
             layer.set_compact_experts([ExpertFFN(8, 16)], remap)
+
+    @pytest.mark.parametrize("d_model, d_ff", [(8, 12), (6, 16)])
+    def test_set_compact_experts_rejects_other_dims(self, d_model, d_ff):
+        layer = self._layer()
+        experts = list(layer.experts)
+        experts[2] = ExpertFFN(d_model, d_ff)
+        with pytest.raises(ValueError, match="d_model, d_ff"):
+            layer.set_compact_experts(experts, ExpertRemap.identity(4))
+        assert layer.experts[2] is not experts[2]          # the layer is left as it was
 
     def test_gradients_reach_selected_experts_only(self):
         layer = self._layer()

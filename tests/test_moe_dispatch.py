@@ -1,23 +1,19 @@
-"""Equivalence and dtype tests for the batched MoE dispatch fast path.
+"""Equivalence and dtype tests for the MoE layer's segment-grouped kernel.
 
-The segment-grouped dispatch reproduces the per-expert loop oracle
-bit-for-bit (outputs, gate-weight gradients and every expert-parameter
-gradient, float64 and float32): each expert's GEMMs have the loop's shapes and
-operand layouts, single-token experts included — ``_assert_bit_identical`` is
-plain equality.  Two deviations of a few ULP remain, pinned by
-``_assert_within_ulps``: (1) the *layer input's* gradient (and the router
-weights fed by it) when the router also back-propagates into that input — the
-loop adds each expert's contribution to it one by one, the fused node adds
-their sum, and a three-term float sum depends on its grouping
-(``TestSegmentKernel`` drives the kernels directly, where the input gradient
-is exact too); (2) ``dispatch="sparse"`` vs the dense paths on experts that
-received exactly one token, where BLAS runs a gemv whose partial sums regroup
-when the dead channels are dropped from its inner dimension.  float32 must be
-allclose to float64, and a float32 end-to-end training run must converge to
-the float64 trajectory within tolerance.
+The kernel reproduces the per-expert loop oracle bit-for-bit (outputs,
+gate-weight gradients and every expert-parameter gradient, float64 and
+float32): each expert's GEMMs have the loop's shapes and operand layouts,
+single-token experts included — ``_assert_bit_identical`` is plain equality.
+One deviation of a few ULP remains, pinned by ``_assert_within_ulps``: the
+*layer input's* gradient (and the router weights fed by it) when the router
+also back-propagates into that input — the loop adds each expert's
+contribution to it one by one, the fused node adds their sum, and a
+three-term float sum depends on its grouping (``TestSegmentKernel`` drives
+the kernels directly, where the input gradient is exact too).  float32 must
+be allclose to float64, and a float32 end-to-end training run must converge
+to the float64 trajectory within tolerance.  The loop reaches a layer or
+model through ``composed_oracles.loop_oracle``.
 """
-
-import functools
 
 import numpy as np
 import pytest
@@ -40,26 +36,29 @@ from repro.models.lora import apply_lora_to_experts
 from repro.models.presets import tiny_moe
 from repro.quantization import quantize_array
 
+from composed_oracles import loop_oracle
+
 
 def _assert_bit_identical(a, b, context=""):
     assert np.array_equal(np.asarray(a), np.asarray(b)), context
 
 
 def _assert_within_ulps(a, b, context=""):
-    """Within a few ULP of the array's magnitude (the two cases of the module docstring)."""
+    """Within a few ULP of the array's magnitude (the case of the module docstring)."""
     a, b = np.asarray(a), np.asarray(b)
     scale = max(float(np.max(np.abs(a))), 1.0)
     max_diff = float(np.max(np.abs(a - b)))
     assert max_diff <= 8 * np.finfo(a.dtype).eps * scale, (context, max_diff)
 
 
-def _layer_pair(dispatch_a="loop", dispatch_b="batched", dtype="float64", **kwargs):
+def _layer_pair(dtype="float64", **kwargs):
+    """Two layers with the same weights: the one on the loop oracle, then the kernel's."""
     defaults = dict(d_model=16, d_ff=24, num_experts=6, top_k=2)
     defaults.update(kwargs)
     with default_dtype(dtype):
-        a = MoELayer(rng=np.random.default_rng(0), dispatch=dispatch_a, **defaults)
-        b = MoELayer(rng=np.random.default_rng(0), dispatch=dispatch_b, **defaults)
-    return a, b
+        a = MoELayer(rng=np.random.default_rng(0), **defaults)
+        b = MoELayer(rng=np.random.default_rng(0), **defaults)
+    return loop_oracle(a), b
 
 
 def _run(layer, x, sample_ids=None):
@@ -113,8 +112,8 @@ class TestDispatchEquivalence:
         _assert_within_ulps(gx_a, gx_b)
 
     def test_float32_allclose_to_float64(self):
-        a64, _ = _layer_pair("loop", "loop")
-        b32, _ = _layer_pair("batched", "batched", dtype="float32")
+        a64, _ = _layer_pair()
+        _, b32 = _layer_pair(dtype="float32")
         x = np.random.default_rng(4).standard_normal((2, 8, 16))
         out_a, _, _ = _run(a64, x)
         out_b, _, _ = _run(b32, x.astype(np.float32))
@@ -161,126 +160,11 @@ class TestDispatchEquivalence:
         clone = pickle.loads(pickle.dumps(layer))
         assert clone._bwd_scratch == {}
 
-    def test_invalid_dispatch_rejected(self):
-        with pytest.raises(ValueError):
-            MoELayer(8, 8, 4, 2, dispatch="vectorised")
-
     def test_lora_wrapped_experts_fall_back_to_loop(self):
         config = tiny_moe()
         model = MoETransformer(config)
         apply_lora_to_experts(model, rank=2, seed=0)
         assert not model.blocks[0].moe._can_batch()
-        ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 8))
-        loss = model.compute_loss(ids)
-        loss.backward()
-        assert np.isfinite(loss.item())
-
-
-class TestSparseDispatch:
-    """The zero-skipping sparse path vs the dense paths on sparsified weights."""
-
-    def _sparsified_pair(self, dispatch_a="batched", dtype="float64",
-                         density=0.25, bits=2, **kwargs):
-        a, b = _layer_pair(dispatch_a, "sparse", dtype=dtype, **kwargs)
-        realised_a = a.sparsify_experts(density, bits=bits)
-        realised_b = b.sparsify_experts(density, bits=bits)
-        assert realised_a == realised_b  # same seed, same deterministic prune
-        return a, b
-
-    @pytest.mark.parametrize("activation", ["silu", "gelu", "relu"])
-    def test_sparse_bit_identical_to_batched(self, activation):
-        a, b = self._sparsified_pair(activation=activation)
-        x = np.random.default_rng(11).standard_normal((3, 7, 16))
-        out_a, gx_a, gp_a = _run(a, x, sample_ids=np.arange(3))
-        out_b, gx_b, gp_b = _run(b, x, sample_ids=np.arange(3))
-        _assert_within_ulps(out_a, out_b)
-        _assert_within_ulps(gx_a, gx_b)
-        for name in gp_a:
-            if gp_a[name] is None:
-                assert gp_b[name] is None
-            else:
-                _assert_within_ulps(gp_a[name], gp_b[name], name)
-
-    def test_sparse_bit_identical_to_loop(self):
-        a, b = self._sparsified_pair(dispatch_a="loop")
-        x = np.random.default_rng(12).standard_normal((2, 6, 16))
-        out_a, gx_a, _ = _run(a, x)
-        out_b, gx_b, _ = _run(b, x)
-        _assert_within_ulps(out_a, out_b)
-        _assert_within_ulps(gx_a, gx_b)
-
-    def test_sparse_bit_identical_float32(self):
-        a, b = self._sparsified_pair(dtype="float32")
-        x = np.random.default_rng(13).standard_normal((2, 5, 16)).astype(np.float32)
-        out_a, gx_a, _ = _run(a, x)
-        out_b, gx_b, _ = _run(b, x)
-        assert out_b.dtype == np.float32
-        _assert_within_ulps(out_a, out_b)
-        _assert_within_ulps(gx_a, gx_b)
-
-    def test_dense_weights_fall_back_to_batched(self):
-        """At full density the sparse plan declines and the dense path runs."""
-        a, b = _layer_pair("batched", "sparse")
-        gate_params = [e.w_gate.weight for e in b.experts]
-        up_params = [e.w_up.weight for e in b.experts]
-        assert b._sparse_plan(gate_params, up_params) is None
-        x = np.random.default_rng(14).standard_normal((2, 4, 16))
-        out_a, gx_a, _ = _run(a, x)
-        out_b, gx_b, _ = _run(b, x)
-        _assert_within_ulps(out_a, out_b)
-        _assert_within_ulps(gx_a, gx_b)
-
-    def test_sparsify_returns_realised_density(self):
-        _, layer = _layer_pair()
-        realised = layer.sparsify_experts(0.25)
-        assert realised == pytest.approx(np.ceil(0.25 * 24) / 24)
-
-    def test_sparsify_validates_density(self):
-        _, layer = _layer_pair()
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                layer.sparsify_experts(bad)
-
-    def test_quantization_preserves_dead_channels(self):
-        """Zeroed channels survive the fake-quantization round trip exactly."""
-        _, layer = _layer_pair()
-        from repro.models.experts import sparsify_expert
-
-        expert = layer.experts[0]
-        kept = sparsify_expert(expert, 0.25, bits=2)
-        dead = np.setdiff1d(np.arange(24), kept)
-        assert dead.size == 24 - kept.size
-        assert not expert.w_gate.weight.data[dead].any()
-        assert not expert.w_up.weight.data[dead].any()
-        assert not expert.w_down.weight.data[:, dead].any()
-        # and the kept channels are non-trivially quantized, not wiped
-        assert expert.w_gate.weight.data[kept].any()
-
-    def test_dead_channels_stay_dead_after_training_step(self):
-        from repro.models.experts import sparsify_expert
-
-        _, layer = _layer_pair()
-        kept_per_expert = [
-            np.setdiff1d(np.arange(24), sparsify_expert(e, 0.25, bits=2))
-            for e in layer.experts
-        ]
-        x = np.random.default_rng(15).standard_normal((2, 6, 16))
-        optimizer = Adam(list(layer.parameters()), lr=1e-2)
-        for _ in range(3):
-            out = layer(Tensor(x, requires_grad=True))
-            out.sum().backward()
-            optimizer.step()
-            optimizer.zero_grad()
-        for expert, dead in zip(layer.experts, kept_per_expert):
-            assert not expert.w_gate.weight.data[dead].any()
-            assert not expert.w_up.weight.data[dead].any()
-            assert not expert.w_down.weight.data[:, dead].any()
-
-    def test_model_config_accepts_sparse_dispatch(self):
-        config = tiny_moe(dispatch="sparse")
-        model = MoETransformer(config)
-        for layer in model.moe_layers():
-            assert layer.dispatch == "sparse"
         ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 8))
         loss = model.compute_loss(ids)
         loss.backward()
@@ -300,19 +184,13 @@ def _kernel(layer, combine, x, local_idx, weights, flat_grad=True):
     return {name: value for name, value in produced.items() if value is not None}
 
 
-def _assert_kernel_matches_loop(layer, x, local_idx, weights, sparse=False, flat_grad=True):
-    """``_combine_batched`` equals the ``_combine_loop`` oracle in everything it
-    produces (a few ULP only for sparse runs with a single-token expert)."""
+def _assert_kernel_matches_loop(layer, x, local_idx, weights, flat_grad=True):
+    """``_combine_batched`` equals the ``_combine_loop`` oracle in everything it produces."""
     oracle = _kernel(layer, layer._combine_loop, x, local_idx, weights, flat_grad)
-    fast = _kernel(layer, functools.partial(layer._combine_batched, sparse=sparse),
-                   x, local_idx, weights, flat_grad)
+    fast = _kernel(layer, layer._combine_batched, x, local_idx, weights, flat_grad)
     assert oracle.keys() == fast.keys()
-    single_token_expert = (np.bincount(local_idx.reshape(-1)) == 1).any()
     for name in oracle:
-        if sparse and single_token_expert:
-            _assert_within_ulps(oracle[name], fast[name], name)
-        else:
-            _assert_bit_identical(oracle[name], fast[name], name)
+        _assert_bit_identical(oracle[name], fast[name], name)
     return fast
 
 
@@ -395,25 +273,6 @@ class TestSegmentKernel:
                            else {"w_gate", "w_up", "w_down"})
         assert ("flat" in fast) == (frozen in ("some_experts", "gate_and_up"))
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_sparse_runs_each_expert_at_its_own_width(self, dtype):
-        from repro.models.experts import sparsify_expert
-
-        _, layer = _layer_pair(dtype=dtype)
-        densities = (0.1, 0.2, 0.25, 0.3, 0.5, 0.15)
-        widths = [sparsify_expert(e, density, bits=2).size
-                  for e, density in zip(layer.experts, densities)]
-        assert len(set(widths)) == len(widths)
-        for key in ("w_gate", "w_up", "w_down"):           # expert 2: no live channel at all
-            getattr(layer.experts[2], key).weight.data[...] = 0.0
-        plan = layer._sparse_plan([e.w_gate.weight for e in layer.experts],
-                                  [e.w_up.weight for e in layer.experts])
-        assert [live.size for live in plan] == widths[:2] + [0] + widths[3:]
-        for seed in range(4):
-            rng, x, weights = self._inputs(layer, 21, 2, dtype, seed)
-            _assert_kernel_matches_loop(layer, x, _random_routing(rng, 21, 6, 2), weights,
-                                        sparse=True)
-
     def test_adam_step_on_adopted_gradients_matches_reference(self):
         """Weight gradients arrive as whatever array the segment GEMM produced
         (here: transposed views); equal values must mean equal updates."""
@@ -439,19 +298,22 @@ class TestSegmentKernel:
 
 
 class TestRunLevelOracle:
-    """Whole federated runs under ``dispatch="batched"`` against the same runs
-    under the ``dispatch="loop"`` oracle."""
+    """Whole federated runs on the kernel against the same runs on the loop
+    oracle: every model such a run builds or copies (the global model, the
+    training replica, the quantized profiling copies) is made by
+    ``MoETransformer._build``, which the oracle run routes through
+    ``loop_oracle``."""
 
     @pytest.mark.parametrize("method", ["fmd", "flux"])
-    def test_two_round_run_matches_loop_oracle(self, method, build_federation, vocab):
+    def test_two_round_run_matches_loop_oracle(self, method, build_federation, vocab,
+                                               monkeypatch):
         from repro.baselines import FMDFineTuner
         from repro.core import FluxConfig, FluxFineTuner
         from repro.federated import ParameterServer
 
-        def run(dispatch):
+        def run():
             participants, test, cost_models, config = build_federation()
-            server = ParameterServer(MoETransformer(tiny_moe(vocab_size=vocab.size,
-                                                             dispatch=dispatch)))
+            server = ParameterServer(MoETransformer(tiny_moe(vocab_size=vocab.size)))
             if method == "fmd":
                 tuner = FMDFineTuner(server, participants, test, cost_models=cost_models,
                                      config=config)
@@ -462,8 +324,15 @@ class TestRunLevelOracle:
                       for r in tuner.run(num_rounds=2).rounds]
             return np.array(curves), server.global_state()
 
-        curves, state = run("batched")
-        oracle_curves, oracle_state = run("loop")
+        build = MoETransformer._build
+
+        def build_on_the_loop(model, *args):
+            build(model, *args)
+            loop_oracle(model)
+
+        curves, state = run()
+        monkeypatch.setattr(MoETransformer, "_build", build_on_the_loop)
+        oracle_curves, oracle_state = run()
         assert np.allclose(curves, oracle_curves, rtol=1e-12, atol=0)
         assert state.keys() == oracle_state.keys()
         for name in state:
@@ -563,11 +432,9 @@ class TestDtypeThreading:
         with pytest.raises(ValueError):
             default_dtype("int32")
 
-    def test_config_validates_dtype_and_dispatch(self):
+    def test_config_validates_dtype(self):
         with pytest.raises(ValueError):
             tiny_moe(dtype="float16")
-        with pytest.raises(ValueError):
-            tiny_moe(dispatch="grouped")
 
     def test_quantizer_preserves_dtype(self):
         weights32 = np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32)

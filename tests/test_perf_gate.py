@@ -50,7 +50,7 @@ def _with(path, value):
 
 def test_every_suite_has_a_row_and_a_known_direction():
     assert {gate.suite for gate in GATES} == {
-        "hotpath", "aggregation", "sparse", "service", "telemetry"}
+        "hotpath", "aggregation", "service", "telemetry"}
     assert {gate.direction for gate in GATES} == {"higher", "lower", "not-above"}
 
 
@@ -149,9 +149,9 @@ def test_an_entry_only_the_current_run_has_is_not_gated(capsys):
 
 
 def test_a_baseline_without_the_suite_fails(capsys):
-    code, lines = _run("sparse", COMMITTED, capsys)
+    code, lines = _run("service", COMMITTED, capsys, committed={"telemetry": {}})
     assert code == 1
-    assert lines == ["[MISSING] BASE.json carries no sparse suite baseline; a gated "
+    assert lines == ["[MISSING] BASE.json carries no service suite baseline; a gated "
                      "suite without a committed reference cannot pass"]
     assert _run("hotpath", COMMITTED, capsys, committed={"telemetry": {}})[0] == 1
 
