@@ -1,8 +1,16 @@
 """Tests for model configuration and full-scale architecture descriptors."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.models import ARCHITECTURE_DESCRIPTORS, MoEModelConfig, get_preset, table1_rows
+from repro.models import (
+    ARCHITECTURE_DESCRIPTORS,
+    MoEModelConfig,
+    MoETransformer,
+    get_preset,
+    table1_rows,
+)
 from repro.models.presets import deepseek_moe_mini, llama_moe_mini, tiny_moe
 
 
@@ -39,6 +47,15 @@ class TestMoEModelConfig:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="activation"):
             MoEModelConfig(activation="softplus")
+
+    @pytest.mark.parametrize("activation", ["silu", "gelu", "relu"])
+    def test_supported_activation_reaches_every_expert(self, activation):
+        config = replace(tiny_moe(), activation=activation, num_shared_experts=1)
+        model = MoETransformer(config)
+        for layer in model.moe_layers():
+            experts = list(layer.experts) + list(layer.shared_experts)
+            assert len(experts) == layer.num_original_experts + 1
+            assert {expert.activation for expert in experts} == {activation}
 
     def test_with_experts_returns_new_config(self):
         config = MoEModelConfig()

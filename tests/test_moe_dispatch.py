@@ -31,7 +31,7 @@ from repro.autograd import (
     set_default_dtype,
     take_rows,
 )
-from repro.models import ExpertFFN, ExpertRemap, MoELayer, MoETransformer
+from repro.models import ExpertFFN, ExpertRemap, LoRAExpert, MoELayer, MoETransformer
 from repro.models.lora import apply_lora_to_experts
 from repro.models.presets import tiny_moe
 from repro.quantization import quantize_array
@@ -169,6 +169,77 @@ class TestDispatchEquivalence:
         loss = model.compute_loss(ids)
         loss.backward()
         assert np.isfinite(loss.item())
+
+
+class TestKernelChoice:
+    """``forward`` picks its kernel from the layer's experts, on every call:
+    the segment-grouped kernel while all are plain :class:`ExpertFFN`, the
+    per-expert loop as soon as one is LoRA-wrapped.  No option selects either."""
+
+    def _kernels_run(self, layer, seed=0):
+        """The combine kernels one forward of ``layer`` ran, in order."""
+        ran = []
+        for name in ("_combine_batched", "_combine_loop"):
+            def counted(*args, _kernel=getattr(layer, name), _name=name, **kwargs):
+                ran.append(_name)
+                return _kernel(*args, **kwargs)
+            setattr(layer, name, counted)
+        x = np.random.default_rng(seed).standard_normal((2, 5, layer.d_model))
+        layer(Tensor(x))
+        for name in ("_combine_batched", "_combine_loop"):
+            delattr(layer, name)
+        return ran
+
+    @pytest.mark.parametrize("shared", [0, 1])
+    def test_plain_experts_run_the_kernel(self, shared):
+        _, layer = _layer_pair(num_shared_experts=shared)
+        assert self._kernels_run(layer) == ["_combine_batched"]
+
+    @pytest.mark.parametrize("compact", ["set_compact_experts", "mount_compact"])
+    def test_compact_experts_run_the_kernel(self, compact):
+        """Merged and spare experts are plain experts of the layer's dims."""
+        _, layer = _layer_pair(num_experts=4)
+        if compact == "set_compact_experts":
+            remap, _, _ = ExpertRemap.from_clusters(4, tuning_experts=[0], clusters=[[1, 2, 3]])
+            merged = ExpertFFN.merge([layer.experts[i] for i in (1, 2, 3)], [1, 1, 1],
+                                     d_model=16, d_ff=24)
+            layer.set_compact_experts([layer.experts[0], merged], remap)
+        else:
+            layer.spare_expert(0).load_state(layer.experts[1].state())
+            layer.mount_compact([0, 3], [[1, 2]])
+        assert layer.num_local_experts == (2 if compact == "set_compact_experts" else 3)
+        assert self._kernels_run(layer) == ["_combine_batched"]
+
+    def test_one_lora_expert_sends_the_layer_to_the_loop(self):
+        _, layer = _layer_pair()
+        plain = layer.experts[3]
+        layer.experts[3] = LoRAExpert(plain, rank=2, rng=np.random.default_rng(0))
+        assert self._kernels_run(layer) == ["_combine_loop"]
+        layer.experts[3] = plain                          # unwrapped: the kernel again
+        assert self._kernels_run(layer) == ["_combine_batched"]
+
+    @pytest.mark.parametrize("activation", ["silu", "gelu", "relu"])
+    def test_fresh_lora_layer_matches_the_kernel(self, activation):
+        """A LoRA adapter starts at zero, so a freshly wrapped layer on the loop
+        computes what its plain twin computes on the kernel."""
+        lora, plain = _layer_pair(activation=activation)
+        for index, expert in enumerate(lora.experts):
+            lora.experts[index] = LoRAExpert(expert, rank=2, rng=np.random.default_rng(index))
+        x = np.random.default_rng(8).standard_normal((2, 6, 16))
+        out_lora, gx_lora, _ = _run(lora, x)
+        out_plain, gx_plain, _ = _run(plain, x)
+        _assert_bit_identical(out_lora, out_plain)
+        _assert_within_ulps(gx_lora, gx_plain)
+
+    def test_loop_oracle_reaches_every_layer_of_a_model(self):
+        config = tiny_moe()
+        oracle, model = loop_oracle(MoETransformer(config)), MoETransformer(config)
+        assert all(layer._combine_batched == layer._combine_loop
+                   for layer in oracle.moe_layers())
+        assert not any(layer._combine_batched == layer._combine_loop
+                       for layer in model.moe_layers())
+        ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 8))
+        _assert_bit_identical(oracle(ids).data, model(ids).data)
 
 
 def _kernel(layer, combine, x, local_idx, weights, flat_grad=True):
