@@ -45,9 +45,8 @@ The ``RunConfig`` runtime block selects the :mod:`repro.runtime` execution
 engine: ``scheduler`` picks the aggregation policy (``"sync"`` — the default,
 the paper's synchronous loop; ``"semisync"`` — deadline-based with straggler
 dropping; ``"async"`` — FedBuff-style buffered aggregation with
-staleness-discounted updates), ``sampler`` the client-selection policy,
-``dropout_prob``/``straggler_prob`` seeded fault injection, and
-``executor="process"`` parallel local training across worker processes::
+staleness-discounted updates), ``sampler`` the client-selection policy and
+``dropout_prob``/``straggler_prob`` seeded fault injection::
 
     async_config = RunConfig(scheduler="async", buffer_size=4,
                              participants_per_round=8, straggler_prob=0.2)
@@ -109,11 +108,9 @@ from .runtime import (
     AvailabilityTraceSampler,
     EventQueue,
     FaultInjector,
-    ProcessPoolParticipantExecutor,
     ResourceAwareSampler,
     Scheduler,
     SemiSyncScheduler,
-    SerialExecutor,
     SyncScheduler,
     UniformSampler,
     make_scheduler,
@@ -207,8 +204,6 @@ __all__ = [
     "ResourceAwareSampler",
     "AvailabilityTraceSampler",
     "FaultInjector",
-    "SerialExecutor",
-    "ProcessPoolParticipantExecutor",
     # service (persistent socket-backed aggregation servers)
     "AggregatorServer",
     "spawn_server",

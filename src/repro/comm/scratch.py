@@ -25,9 +25,7 @@ same-shaped tensors — the ``(rows, *shape)`` work matrices of
 <repro.comm.aggregator.StreamingAggregator.fold_frames>`.
 
 Pools are not thread-safe: every folder owns its own (a parameter server, an
-aggregation tree, each aggregator server).  Pickling a pool ships an *empty*
-pool — buffers are pure cache, and a pool riding a pickled server/tuner
-snapshot must not bloat the payload.
+aggregation tree, each aggregator server).
 """
 
 from __future__ import annotations
@@ -122,11 +120,6 @@ class ScratchPool:
     def term_rows(self, rows: int, shape) -> np.ndarray:
         """The first ``rows`` rows of the :meth:`term` buffer :meth:`take_rows` sizes."""
         return self.term((_row_capacity(rows), *shape))[:rows]
-
-    def __reduce__(self):
-        # Scratch is pure cache: crossing a pickle boundary (server snapshots,
-        # tuner payloads to training workers) ships an empty pool.
-        return (type(self), ())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ScratchPool(free={sum(map(len, self._free.values()))}, "

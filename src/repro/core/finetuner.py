@@ -97,12 +97,6 @@ class FluxFineTuner(FederatedFineTuner):
             self._expert_grams = (version, expert_gram_matrices(self.server.global_model))
         return self._expert_grams[1]
 
-    def __getstate__(self) -> Dict:
-        # Process-pool workers get the tuner pickled; they rebuild their own copies.
-        state = super().__getstate__()
-        state["_quantized"] = state["_expert_grams"] = None
-        return state
-
     def participant_round(self, participant: Participant, round_index: int) -> ParticipantRoundResult:
         state = self.states[participant.participant_id]
         assignment = self._assignments.get(participant.participant_id)

@@ -11,8 +11,7 @@ participant's local work and returns its expert updates plus a cost breakdown.
 to the scheduler selected by :attr:`RunConfig.scheduler` (synchronous FedAvg by
 default, reproducing the legacy loop exactly; deadline-based semi-synchronous
 and FedBuff-style asynchronous aggregation otherwise), which also applies
-client sampling, fault injection and — for round-based schedulers — optional
-process-pool parallel local training.
+client sampling and fault injection.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ class RunConfig:
     dropout_prob: float = 0.0
     straggler_prob: float = 0.0
     straggler_slowdown: float = 4.0
-
-    # --- runtime: local-training executor (repro.runtime.executor)
-    executor: str = "serial"                 # "serial" | "process"
-    executor_workers: Optional[int] = None
 
     # --- comm: wire transport (repro.comm)
     transport: str = "analytic"              # "analytic" | "wire"
@@ -174,8 +169,6 @@ class RunConfig:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.sampler not in ("uniform", "resource_aware", "availability"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.executor not in ("serial", "process"):
-            raise ValueError(f"unknown executor {self.executor!r}")
         if self.transport not in ("analytic", "wire"):
             raise ValueError(f"unknown transport {self.transport!r}")
         for name in ("dropout_prob", "straggler_prob",
@@ -396,17 +389,17 @@ class FederatedFineTuner(abc.ABC):
     def export_participant_state(self, participant_id: int) -> Dict:
         """Picklable snapshot of everything ``participant_round`` mutated.
 
-        The process-pool executor runs ``participant_round`` on a *copy* of
-        this fine-tuner; replaying the export via
-        :meth:`import_participant_state` makes parallel execution
-        observationally identical to serial execution.  Subclasses that keep
-        extra per-client state (e.g. Flux) must extend both methods.
+        The run checkpoint's per-participant hook: a snapshot stores one export
+        per participant and a resumed run replays them via
+        :meth:`import_participant_state`, so the continuation draws what the
+        uninterrupted run would have.  Subclasses that keep extra per-client
+        state (e.g. Flux) must extend both methods.
         """
         participant = self.participant_by_id(participant_id)
         return {"round_seed": participant._round_seed}
 
     def import_participant_state(self, participant_id: int, state: Dict) -> None:
-        """Apply a worker-side :meth:`export_participant_state` snapshot."""
+        """Apply an :meth:`export_participant_state` snapshot."""
         participant = self.participant_by_id(participant_id)
         participant._round_seed = state["round_seed"]
 
@@ -485,13 +478,6 @@ class FederatedFineTuner(abc.ABC):
                 value.setflags(write=False)
         return reference
 
-    def __getstate__(self) -> Dict:
-        # Process-pool workers get the tuner pickled and frame their uploads
-        # against their own copy of the server: same version, same bits.
-        state = self.__dict__.copy()
-        state["_uplink_references"] = None
-        return state
-
     def frame_upload(self, result: ParticipantRoundResult) -> ParticipantRoundResult:
         """Turn a finished participant's upload into the bytes it sends.
 
@@ -502,13 +488,13 @@ class FederatedFineTuner(abc.ABC):
         (:attr:`ExpertUpdate.framed
         <repro.federated.aggregation.ExpertUpdate.framed>`): the dense states
         die here, so a round in flight costs its wire bytes, not its tensors.
-        The participant executors call this the moment ``participant_round``
-        returns — valid under the sync and semisync schedulers, where the
-        server cannot advance between a participant's finish and its
-        delivery.  The async scheduler discounts weights and deltas against
-        the server's state *at delivery*, so it leaves framing to
-        :meth:`transmit_updates`.  Returns its input under the analytic
-        transport and for an upload that is already framed.
+        :func:`~repro.runtime.scheduler.run_participants` calls this the
+        moment ``participant_round`` returns — valid under the sync and
+        semisync schedulers, where the server cannot advance between a
+        participant's finish and its delivery.  The async scheduler discounts
+        weights and deltas against the server's state *at delivery*, so it
+        leaves framing to :meth:`transmit_updates`.  Returns its input under
+        the analytic transport and for an upload that is already framed.
         """
         framed = self._frame_updates(result.updates)
         return result if framed is result.updates else replace(result, updates=framed)
@@ -538,13 +524,14 @@ class FederatedFineTuner(abc.ABC):
         pass straight through and nothing is metered — the legacy behaviour.
         Under ``transport="wire"`` this is the sending half of the uplink:
         the upload is framed by :meth:`frame_upload`'s code (a no-op for what
-        the executors framed at the client's finish; the encode itself for
-        the async scheduler and direct callers) and every frame is sent over
-        the participant's :class:`~repro.comm.Channel` (charging measured
-        airtime, applying loss/corruption faults).  The server side verifies
-        a delivered frame's checksum and does *not* decode it: the delivered
-        update carries the frame, and its ``state`` is decoded when first read
-        (see :class:`~repro.federated.aggregation.ExpertUpdate`).  A frame the
+        :func:`~repro.runtime.scheduler.run_participants` framed at the
+        client's finish; the encode itself for the async scheduler and direct
+        callers) and every frame is sent over the participant's
+        :class:`~repro.comm.Channel` (charging measured airtime, applying
+        loss/corruption faults).  The server side verifies a delivered
+        frame's checksum and does *not* decode it: the delivered update
+        carries the frame, and its ``state`` is decoded when first read (see
+        :class:`~repro.federated.aggregation.ExpertUpdate`).  A frame the
         channel corrupted is decoded on the spot, so lost payloads and frames
         that fail their checksum never reach aggregation.
 
@@ -675,45 +662,31 @@ class FederatedFineTuner(abc.ABC):
         """Execute one synchronous federated round (legacy API).
 
         Equivalent to one :class:`~repro.runtime.SyncScheduler` round with the
-        sampler, fault injection and executor configured in :attr:`config`
-        (uniform / none / serial by default) — regardless of
-        ``config.scheduler``.  The scheduler is cached and rebuilt when the
-        relevant config fields change; call :meth:`close` to release its
-        worker pool when you drive rounds manually with ``executor="process"``.
+        sampler and fault injection configured in :attr:`config` (uniform /
+        none by default) — regardless of ``config.scheduler``.  The scheduler
+        is cached and rebuilt when the relevant config fields change.
         """
-        from ..runtime import FaultInjector, SyncScheduler, make_executor, make_sampler
+        from ..runtime import FaultInjector, SyncScheduler, make_sampler
 
         key = (self.config.sampler, id(self.config.availability_trace),
-               self.config.executor, self.config.executor_workers,
                self.config.dropout_prob, self.config.straggler_prob,
                self.config.straggler_slowdown, self.config.seed)
         if self._legacy_scheduler is None or self._legacy_scheduler_key != key:
-            self.close()
             sampler = None if self.config.sampler == "uniform" else make_sampler(self.config)
             self._legacy_scheduler = SyncScheduler(
-                sampler=sampler,
-                faults=FaultInjector.from_config(self.config),
-                executor=make_executor(self.config),
-            )
+                sampler=sampler, faults=FaultInjector.from_config(self.config))
             self._legacy_scheduler_key = key
         return self._legacy_scheduler.run_round(self, round_index)
 
     def close(self) -> None:
         """Release runtime resources held by the tuner (idempotent).
 
-        Covers the legacy :meth:`run_round` scheduler's worker pool and the
-        aggregation service pool (``aggregation_executor="service"``); both are
-        lazily recreated on next use, so closing between runs is always safe.
-        :meth:`run` closes them itself when it finishes.
+        Shuts the aggregation service's fold servers down
+        (``aggregation_executor="service"``; nothing to do under ``"serial"``).
+        They restart lazily on next use, so closing between runs — or between
+        :meth:`run_round` calls — is always safe.  :meth:`run` closes the tuner
+        itself when it finishes.
         """
-        if self._legacy_scheduler is not None:
-            self._legacy_scheduler.executor.close()
-            self._legacy_scheduler = None
-            self._legacy_scheduler_key = None
-        self._drain_aggregation_service()
-
-    def _drain_aggregation_service(self) -> None:
-        """Shut the fold servers down (they restart lazily); nothing to do under ``"serial"``."""
         if self.config.aggregation_executor == "service":
             self._aggregation_pool.close()
 
@@ -773,4 +746,4 @@ class FederatedFineTuner(abc.ABC):
                               resume=resume)
         finally:
             self.telemetry.finish()
-            self._drain_aggregation_service()
+            self.close()

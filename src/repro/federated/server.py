@@ -125,17 +125,9 @@ class ParameterServer:
         self.tracer = NULL_TRACER
         #: persistent decode/fold scratch of the folds that run on this thread:
         #: reused across rounds, so their steady state is allocation-free
-        #: (ships empty through pickle)
         self.fold_scratch = ScratchPool()
         #: the resident model of :meth:`training_replica`, built on first use
         self._replica: Optional[_TrainingReplica] = None
-
-    def __getstate__(self) -> Dict:
-        # The replica is a cache over the global model's arrays: a pickled
-        # server (process-pool workers, tuner snapshots) rebuilds its own.
-        state = self.__dict__.copy()
-        state["_replica"] = None
-        return state
 
     # ------------------------------------------------------------ distribution
     def global_state(self) -> Dict[str, np.ndarray]:
@@ -170,9 +162,9 @@ class ParameterServer:
         nothing else.  The next entry overwrites the expert values, so a
         handle kept past its block reads another participant's model.  It is
         rebuilt when the global model's parameters are no longer the ones it
-        aliases (a replaced model, module or array) and never travels: a
-        pickled server carries none, and checkpoints never see it.  Everyone
-        who needs an independent copy calls :meth:`model_snapshot`.
+        aliases (a replaced model, module or array), and checkpoints never see
+        it.  Everyone who needs an independent copy calls
+        :meth:`model_snapshot`.
         """
         replica = self._replica
         if replica is None or not replica.mirrors(self.global_model):

@@ -513,13 +513,6 @@ class MoELayer(Module):
         out._backward = _backward
         return out
 
-    def __getstate__(self):
-        # Scratch workspaces are activation-sized and purely transient; keep
-        # them out of pickles (e.g. process-pool fine-tuner snapshots).
-        state = self.__dict__.copy()
-        state["_bwd_scratch"] = {}
-        return state
-
     def _scratch(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """Persistent backward scratch buffer, reallocated only on shape change.
 

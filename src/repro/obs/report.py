@@ -36,7 +36,7 @@ def round_table(events: Iterable[Dict]) -> Table:
     """Per-round wall/simulated time and phase breakdown.
 
     The phase columns sum the wall durations of each round's ``train``,
-    ``fold`` and ``transfer`` spans (including worker-ingested ones), which
+    ``fold`` and ``transfer`` spans (including server-ingested folds), which
     is the trace-level analogue of the paper's overhead-breakdown figure.
     """
     per_round: Dict[int, Dict[str, float]] = defaultdict(

@@ -25,7 +25,7 @@ no-op lifecycle methods, so instrumentation sites never branch on a flag.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Optional
 
 from .export import (
     CHROME_TRACE_FILE,
@@ -200,15 +200,6 @@ class RunTelemetry:
         self.registry.counter("repro_checkpoints_total",
                               mode=mode, write=write).inc()
         self.registry.histogram("repro_checkpoint_seconds").observe(duration_s)
-
-    # ----------------------------------------------------------- pickling
-    # The tuner (which holds this object) is pickled into pool workers; the
-    # open file handle stays behind and workers, with a different pid, never
-    # write even if they unpickle a copy.
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        state["_handle"] = None
-        return state
 
 
 def make_telemetry(config) -> "RunTelemetry | NullTelemetry":

@@ -4,7 +4,7 @@ A :class:`Span` is one timed unit of run structure — ``run > round >
 select/train/transmit/fold/checkpoint`` — carrying *both* clocks:
 
 * **real time**: a ``time.time()`` wall-clock start (comparable across
-  processes on one host, which is what lets process-pool workers contribute
+  processes on one host, which is what lets aggregator servers contribute
   spans) plus a ``time.perf_counter()``-measured duration;
 * **simulated time**: the event-clock seconds the run charges for the same
   work (``sim_time`` / ``sim_duration``), set wherever the simulation knows
@@ -17,10 +17,10 @@ attributed (and, on resume, pruned) by round index.  Finished spans are
 handed to a ``sink`` callable — :class:`repro.obs.run.RunTelemetry` appends
 them to the JSONL event log.
 
-Worker processes cannot share the parent's tracer; they measure their work as
-plain dicts (:func:`span_record`) that travel back through the pool alongside
-the result frames and are re-parented into the live trace via
-:meth:`Tracer.ingest`.
+Aggregator servers (:mod:`repro.service`) are the only code that runs
+outside the coordinator's tracer: they measure each fold job as a plain dict
+(:func:`span_record`) that travels back with the job's result and is
+re-parented into the live trace via :meth:`Tracer.ingest`.
 
 :class:`NullTracer` is the default when telemetry is off: ``span()`` returns
 a pre-built no-op context manager, so instrumentation sites cost one
@@ -125,7 +125,7 @@ class NullTracer:
         return _NULL_CONTEXT
 
     def ingest(self, record: Dict, **kwargs) -> None:  # noqa: ARG002
-        """Discard a worker-produced span record."""
+        """Discard an aggregator server's span record."""
 
     def current_round(self) -> Optional[int]:
         return None
@@ -137,9 +137,10 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Records nested spans and streams finished ones to ``sink``.
 
-    The tracer is single-threaded by design: the run loop, aggregation plane
-    and exporters all live on the coordinator thread, and worker processes
-    contribute via :meth:`ingest` rather than sharing the stack.
+    The tracer is single-threaded by design: the run loop, participant
+    training, serial folds and exporters all live on the coordinator thread,
+    and aggregator servers contribute via :meth:`ingest` rather than sharing
+    the stack.
     """
 
     enabled = True
@@ -192,12 +193,12 @@ class Tracer:
             self.sink(span)
 
     def ingest(self, record: Dict, round: Optional[int] = None) -> None:
-        """Adopt a worker-produced :func:`span_record` into the live trace.
+        """Adopt an aggregator server's :func:`span_record` into the live trace.
 
-        The record becomes a child of the currently open span (worker spans
-        are measured while their dispatching round/fold span is open), keeps
-        its worker-measured wall start and duration, and inherits the
-        enclosing round unless the record or caller pins one.
+        The record becomes a child of the currently open span (a server's
+        fold is measured while its dispatching fold span is open), keeps its
+        server-measured wall start and duration, and inherits the enclosing
+        round unless the record or caller pins one.
         """
         parent = self._stack[-1] if self._stack else None
         if round is None:
@@ -232,10 +233,10 @@ def span_record(name: str, category: str, wall_start: float, duration_s: float,
                 sim_duration: Optional[float] = None, **attrs) -> Dict:
     """A picklable span measurement for work done outside the tracer's process.
 
-    Training workers and aggregator servers cannot reach the coordinator's
-    tracer; they time their job with ``time.time()`` / ``time.perf_counter()`` and ship one of
-    these dicts back alongside their result frames, which the parent adopts
-    via :meth:`Tracer.ingest`.
+    Aggregator servers cannot reach the coordinator's tracer; they time a
+    fold job with ``time.time()`` / ``time.perf_counter()`` and ship one of
+    these dicts back with its result, which the coordinator adopts via
+    :meth:`Tracer.ingest`.
     """
     record = {"name": name, "cat": category, "wall_start": float(wall_start),
               "duration_s": float(duration_s), "attrs": dict(attrs)}

@@ -1,10 +1,9 @@
 """Event-driven federated execution engine.
 
 This package owns *when* and *on what* participant work runs — client
-sampling, fault injection, the simulated event clock, sync/semi-sync/async
-aggregation policies and (optionally) a process pool for parallel local
-training — while the *work itself* stays behind
-:meth:`~repro.federated.orchestrator.FederatedFineTuner.participant_round`.
+sampling, fault injection, the simulated event clock and the
+sync/semi-sync/async aggregation policies — while the *work itself* stays
+behind :meth:`~repro.federated.orchestrator.FederatedFineTuner.participant_round`.
 Select a policy via :attr:`RunConfig.scheduler` (``"sync"`` | ``"semisync"`` |
 ``"async"``) or pass a :class:`Scheduler` instance to
 :meth:`FederatedFineTuner.run` directly.
@@ -22,12 +21,6 @@ from .checkpoint import (
     write_run_checkpoint,
 )
 from .events import Event, EventQueue
-from .executor import (
-    ParticipantExecutor,
-    ProcessPoolParticipantExecutor,
-    SerialExecutor,
-    make_executor,
-)
 from .faults import (
     ChannelFaultInjector,
     ChannelFaultOutcome,
@@ -73,10 +66,6 @@ __all__ = [
     "ChannelFaultInjector",
     "ChannelFaultOutcome",
     "scale_breakdown",
-    "ParticipantExecutor",
-    "SerialExecutor",
-    "ProcessPoolParticipantExecutor",
-    "make_executor",
     "Scheduler",
     "SyncScheduler",
     "SemiSyncScheduler",

@@ -89,13 +89,14 @@ _RESUMABLE_CONFIG_FIELDS = frozenset(
      "service_retry_delay_s", "service_timeout_s", "service_log_dir"})
 
 #: ``RunConfig`` fields of older trees that no longer exist.  None of them
-#: changed a run's bits (buffered == streaming FedAvg and every service
-#: payload mode were test-enforced equal when they were removed), so a saved
-#: config that carries them still resumes: they are dropped from the saved
-#: side, and ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.
+#: changed a run's bits (buffered == streaming FedAvg, every service payload
+#: mode and the participant process pool == the serial loop were
+#: test-enforced equal when they were removed), so a saved config that
+#: carries them still resumes: they are dropped from the saved side, and
+#: ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.
 _RETIRED_CONFIG_FIELDS = frozenset(
     {"streaming_aggregation", "service_codec", "service_window",
-     "num_edge_aggregators"})
+     "num_edge_aggregators", "executor", "executor_workers"})
 
 
 def _config_snapshot(config) -> Dict:

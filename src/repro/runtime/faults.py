@@ -9,12 +9,11 @@ nothing.
 
 Every draw comes from a generator derived from ``(seed, round, participant)``
 rather than from call order or module-level ``np.random``, so fault outcomes
-are reproducible run-to-run *and* independent of execution order — the serial
-and process-pool executors see identical faults.  The same keying makes the
-injectors *stateless between rounds*: a resumed run
-(:mod:`repro.runtime.checkpoint`) replays exactly the faults the interrupted
-run would have seen without the checkpoint having to capture any injector
-state.  (The :class:`ChannelFaultInjector` stream is keyed on each channel's
+are reproducible run-to-run *and* independent of the order participants
+train in.  The same keying makes the injectors *stateless between rounds*: a
+resumed run (:mod:`repro.runtime.checkpoint`) replays exactly the faults the
+interrupted run would have seen without the checkpoint having to capture any
+injector state.  (The :class:`ChannelFaultInjector` stream is keyed on each channel's
 payload sequence number, which *is* checkpointed — by the channel itself via
 :meth:`repro.comm.Channel.export_state`.)
 """

@@ -8,8 +8,8 @@ trigger — while the *work* of one participant round stays behind
 :class:`SyncScheduler`
     The paper's synchronous FedAvg loop: everyone selected trains, the round
     ends when the slowest participant finishes, the server aggregates.  With
-    the default sampler/executor and no fault injection this reproduces the
-    legacy ``FederatedFineTuner`` loop bit-for-bit.
+    the default sampler and no fault injection this reproduces the legacy
+    ``FederatedFineTuner`` loop bit-for-bit.
 
 :class:`SemiSyncScheduler`
     Deadline-based aggregation: the round ends at a fixed deadline (or a
@@ -51,9 +51,30 @@ from ..metrics import PerformanceTracker
 from ..obs import NULL_TELEMETRY
 from ..systems import RoundTimeline, RunTimeline
 from .events import EventQueue
-from .executor import ParticipantExecutor, SerialExecutor, make_executor
 from .faults import FaultInjector, FaultOutcome, scale_breakdown
 from .sampling import ClientSampler, UniformSampler, make_sampler
+
+
+def run_participants(tuner: FederatedFineTuner, participants: Sequence[Participant],
+                     round_index: int) -> Dict[int, ParticipantRoundResult]:
+    """Run ``participant_round`` for every participant, in order; results keyed by id.
+
+    Each result is framed (:meth:`FederatedFineTuner.frame_upload`) the moment
+    its round returns.  Participants of one round are independent: each trains
+    against the global model as of the round start and mutates only its own
+    state.  Under telemetry every participant's round is one
+    ``participant_round`` span carrying its simulated duration.
+    """
+    tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+    results: Dict[int, ParticipantRoundResult] = {}
+    for participant in participants:
+        with tracer.span("participant_round", category="train",
+                         participant=participant.participant_id) as span:
+            result = tuner.participant_round(participant, round_index)
+            span.set(sim_duration=result.breakdown.total(
+                overlap_profiling=result.overlap_profiling))
+        results[participant.participant_id] = tuner.frame_upload(result)
+    return results
 
 
 class Scheduler(abc.ABC):
@@ -65,13 +86,11 @@ class Scheduler(abc.ABC):
         self,
         sampler: Optional[ClientSampler] = None,
         faults: Optional[FaultInjector] = None,
-        executor: Optional[ParticipantExecutor] = None,
     ) -> None:
         #: ``None`` delegates full-round selection to the fine-tuner's
         #: (overridable) ``select_participants`` — the uniform legacy policy.
         self.sampler = sampler
         self.faults = faults or FaultInjector()
-        self.executor = executor or SerialExecutor()
 
     # ------------------------------------------------------------------- loop
     def run(self, tuner: FederatedFineTuner, num_rounds: int,
@@ -152,15 +171,12 @@ class Scheduler(abc.ABC):
                         if stop_at_target and round_result.metric_value >= goal:
                             break
         finally:
-            try:
-                if checkpointer is not None:
-                    checkpointer.finish()
-                    for record in checkpointer.drain_records():
-                        telemetry.record_checkpoint(
-                            record.path, record.duration_s,
-                            mode=record.mode, write=record.write)
-            finally:
-                self.executor.close()
+            if checkpointer is not None:
+                checkpointer.finish()
+                for record in checkpointer.drain_records():
+                    telemetry.record_checkpoint(
+                        record.path, record.duration_s,
+                        mode=record.mode, write=record.write)
         return RunResult(method=tuner.name, tracker=tracker, timeline=run_timeline,
                          rounds=rounds)
 
@@ -222,7 +238,7 @@ class Scheduler(abc.ABC):
                         for p in selected}
             survivors = [p for p in selected if not outcomes[p.participant_id].dropped]
             span.set(selected=len(selected), survivors=len(survivors))
-        raw_results = self.executor.run_participants(tuner, survivors, round_index)
+        raw_results = run_participants(tuner, survivors, round_index)
         entries = []
         for participant in survivors:
             result = raw_results[participant.participant_id]
@@ -243,8 +259,8 @@ class Scheduler(abc.ABC):
         Updates flow through :meth:`FederatedFineTuner.transmit_updates` — a
         pass-through under the analytic transport, metered/faultable byte
         payloads under ``transport="wire"``, where a contributor's
-        ``result.updates`` already hold the frames its executor made when it
-        finished (:meth:`FederatedFineTuner.frame_upload`; the async
+        ``result.updates`` already hold the frames :func:`run_participants` made
+        when it finished (:meth:`FederatedFineTuner.frame_upload`; the async
         scheduler's are still dense and are framed here, at delivery) — and
         reach the aggregation topology as a generator; the fold dispatch
         buckets them into its jobs by reference (under the wire transport
@@ -705,23 +721,17 @@ def make_scheduler(config) -> Scheduler:
     sampler = None if getattr(config, "sampler", "uniform") == "uniform" \
         else make_sampler(config)
     faults = FaultInjector.from_config(config)
-    if name == "async" and getattr(config, "executor", "serial") != "serial":
-        raise ValueError(
-            "scheduler='async' executes clients serially at their simulated start "
-            "times and cannot use executor="
-            f"{config.executor!r}; use executor='serial'")
-    executor = make_executor(config)
     if name == "sync":
-        return SyncScheduler(sampler, faults, executor)
+        return SyncScheduler(sampler, faults)
     if name == "semisync":
         return SemiSyncScheduler(
-            sampler, faults, executor,
+            sampler, faults,
             deadline_seconds=getattr(config, "deadline_seconds", None),
             deadline_quantile=getattr(config, "deadline_quantile", 0.8),
         )
     if name == "async":
         return AsyncScheduler(
-            sampler, faults, executor,
+            sampler, faults,
             buffer_size=getattr(config, "buffer_size", 4),
             staleness_exponent=getattr(config, "staleness_exponent", 0.5),
             concurrency=getattr(config, "async_concurrency", None),

@@ -113,18 +113,6 @@ class ServiceAggregationPool:
         self._respawns: List[int] = []
 
     # -------------------------------------------------------------- lifecycle
-    def __getstate__(self):
-        # The pool crosses pickle boundaries (the tuner ships to training
-        # workers under ``executor="process"``) resource-less: live sockets,
-        # server handles and thread pools stay behind; the unpickled copy can
-        # lazily start its own servers if it ever folds.
-        state = self.__dict__.copy()
-        for live in ("_servers", "_clients", "_locks", "_published", "_respawns"):
-            state[live] = []
-        state["_dispatch"] = None
-        state["_registry"] = None
-        return state
-
     def bind_telemetry(self, telemetry) -> None:
         """Adopt the run's metrics registry (``None``-registry telemetry is off)."""
         self._registry = getattr(telemetry, "registry", None)

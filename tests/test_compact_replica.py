@@ -164,13 +164,3 @@ class TestRunsEqualFreshCopyRuns:
         assert_run_results_equal(shared.run(1), alone.run(1))
         assert shared.server._replica is replica
         assert_models_equal(shared.server.global_model, alone.server.global_model)
-
-    def test_process_workers_mount_on_their_own(self, vocab, tiny_config):
-        serial = _tuner(FluxFineTuner, vocab, tiny_config)
-        pooled = _tuner(FluxFineTuner, vocab, tiny_config, executor="process",
-                        executor_workers=2)
-        try:
-            assert_run_results_equal(serial.run(2), pooled.run(2))
-            assert_models_equal(serial.server.global_model, pooled.server.global_model)
-        finally:
-            pooled.close()

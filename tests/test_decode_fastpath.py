@@ -8,7 +8,6 @@ memoryview reader (never an over-read or a silent partial decode), and the
 :class:`ScratchPool` itself recycles instead of allocating in steady state.
 """
 
-import pickle
 import socket
 import struct
 import zlib
@@ -91,14 +90,6 @@ class TestScratchPool:
         assert pool.term((4, 4)) is term
         pool.recycle()
         assert pool.term((4, 4)) is term
-
-    def test_pickle_ships_an_empty_pool(self):
-        pool = ScratchPool()
-        pool.take((8, 8), np.dtype("<f8"))
-        pool.term((8, 8))
-        clone = pickle.loads(pickle.dumps(pool))
-        assert clone.allocations == 0
-        assert clone._free == {} and clone._terms == {} and clone._taken == []
 
 
 # ----------------------------------------------------- decode bit-identity

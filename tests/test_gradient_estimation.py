@@ -404,11 +404,6 @@ class TestRunsEqualTheOracleRun:
         tuner = flux_tuner(vocab, tiny_config)
         self.assert_same_run(tuner, tuner.run(num_rounds=self.ROUNDS), oracle_run)
 
-    def test_process_pool_clients(self, vocab, tiny_config, oracle_run):
-        tuner = flux_tuner(vocab, tiny_config, executor="process", executor_workers=2)
-        self.assert_same_run(tuner, tuner.run(num_rounds=self.ROUNDS), oracle_run)
-        assert tuner._quantized is None, "workers quantize their own copy"
-
     def test_kill_and_resume(self, vocab, tiny_config, oracle_run, tmp_path):
         durable = dict(checkpoint_every=1, checkpoint_dir=str(tmp_path))
         killed = flux_tuner(vocab, tiny_config, **durable)

@@ -150,16 +150,6 @@ class TestDispatchEquivalence:
         out_b = b(Tensor(x))
         assert out_a.shape == out_b.shape == (0, 5, 16)
 
-    def test_scratch_buffers_not_pickled(self):
-        import pickle
-        _, layer = _layer_pair()
-        x = np.random.default_rng(0).standard_normal((2, 4, 16))
-        inp = Tensor(x, requires_grad=True)
-        layer(inp).sum().backward()
-        assert layer._bwd_scratch  # populated by the fused backward
-        clone = pickle.loads(pickle.dumps(layer))
-        assert clone._bwd_scratch == {}
-
     def test_lora_wrapped_experts_fall_back_to_loop(self):
         config = tiny_moe()
         model = MoETransformer(config)

@@ -1,11 +1,11 @@
 """repro.obs: span tracing, metrics registry, exporters, and run telemetry.
 
-Unit layer: tracer nesting/round inheritance/worker ingest, counter/gauge/
-histogram semantics, snapshot/restore durability, JSONL torn-line tolerance,
-resume pruning, Chrome-trace and Prometheus rendering.
+Unit layer: tracer nesting/round inheritance/server-record ingest,
+counter/gauge/histogram semantics, snapshot/restore durability, JSONL
+torn-line tolerance, resume pruning, Chrome-trace and Prometheus rendering.
 
-Integration layer: a pooled sharded 3-tier wire run with telemetry on must
-produce a Chrome trace whose run/round/train/fold/transfer spans nest
+Integration layer: a service-folded sharded 3-tier wire run with telemetry on
+must produce a Chrome trace whose run/round/train/fold/transfer spans nest
 correctly, per-tier byte counters that match ``RoundResult.tier_bytes``
 exactly, and bit-identical run results to the same run with telemetry off;
 a checkpointed run resumed mid-flight must append to the same trace without
@@ -30,7 +30,6 @@ from repro.obs import (
     MetricsRegistry,
     NULL_TELEMETRY,
     NULL_TRACER,
-    RunTelemetry,
     Tracer,
     category_table,
     chrome_trace,
@@ -79,18 +78,18 @@ class TestTracer:
     def test_ingest_adopts_worker_record(self):
         finished = []
         tracer = Tracer(sink=finished.append)
-        record = span_record("participant_round", "train", wall_start=123.0,
-                             duration_s=0.5, sim_duration=7.0, participant=4)
+        record = span_record("fold_shard", "fold", wall_start=123.0,
+                             duration_s=0.5, sim_duration=7.0, shard=4)
         with tracer.span("round", category="round", round=2) as rnd:
             tracer.ingest(record)
         adopted = finished[0]
-        assert adopted.name == "participant_round"
+        assert adopted.name == "fold_shard"
         assert adopted.parent_id == rnd.span_id
         assert adopted.round == 2          # inherited at ingest time
-        assert adopted.wall_start == 123.0  # worker-measured clocks survive
+        assert adopted.wall_start == 123.0  # server-measured clocks survive
         assert adopted.duration_s == 0.5
         assert adopted.sim_duration == 7.0
-        assert adopted.attributes["participant"] == 4
+        assert adopted.attributes["shard"] == 4
 
     def test_span_set_attaches_sim_clock_and_attrs(self):
         tracer = Tracer()
@@ -206,7 +205,7 @@ class TestExporters:
 
 
 # ------------------------------------------------------------- run telemetry
-#: worker/coordinator wall-clock skew allowance for interval-nesting checks
+#: aggregator-server/coordinator wall-clock skew allowance for interval-nesting checks
 NEST_EPS_US = 5_000.0
 
 
@@ -277,6 +276,7 @@ class TestRunTelemetry:
         train = [e for e in spans if e["cat"] == "train"]
         assert len(train) == sum(r.num_aggregated for r in result.rounds)
         assert all(e["round"] in (0, 1) for e in train)
+        assert all(e.get("sim_duration") is not None for e in train)
         # tier pre-folds and shard folds come back from the aggregator servers
         assert any(e["name"] == "prefold_node" for e in spans)
         assert any(e["name"] == "fold_shard" for e in spans)
@@ -336,23 +336,6 @@ class TestRunTelemetry:
             assert a.tier_bytes == b.tier_bytes
             assert a.simulated_time == b.simulated_time
 
-    def test_process_executor_train_spans_ingested(self, vocab, tiny_config,
-                                                   tmp_path):
-        """Worker-side train spans travel back through the training pool."""
-        server, participants, test, config = build_federation(
-            vocab, tiny_config, participants_per_round=3,
-            executor="process", executor_workers=2,
-            telemetry=True, telemetry_dir=str(tmp_path))
-        tuner = ConstantMethod(server, participants, test, config=config)
-        tuner.run(1)
-        events = load_events(os.path.join(str(tmp_path), JSONL_FILE))
-        train = [e for e in events
-                 if e.get("type") == "span" and e["cat"] == "train"]
-        assert len(train) == 3
-        coordinator = os.getpid()
-        assert all(e["attrs"]["worker_pid"] != coordinator for e in train)
-        assert all(e.get("sim_duration") is not None for e in train)
-
     def test_resume_appends_without_duplicate_round_spans(self, vocab,
                                                           tiny_config, tmp_path):
         trace_dir = tmp_path / "trace"
@@ -378,18 +361,6 @@ class TestRunTelemetry:
         metric_rounds = sorted(e["round"] for e in events
                                if e.get("type") == "metrics")
         assert metric_rounds == [0, 1, 2, 3]
-
-    def test_telemetry_survives_pickling_without_handle(self, tmp_path):
-        import pickle
-
-        telemetry = RunTelemetry(str(tmp_path))
-        telemetry.begin()
-        telemetry.registry.counter("repro_rounds_total").inc()
-        clone = pickle.loads(pickle.dumps(telemetry))
-        assert clone._handle is None
-        assert not clone._writable()  # same pid but no handle
-        assert clone.registry.counter_value("repro_rounds_total") == 1
-        telemetry.finish()
 
 
 # ------------------------------------------------------------------- report

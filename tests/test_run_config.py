@@ -18,7 +18,6 @@ RUN_CONFIG_FIELDS = {
     "staleness_exponent", "async_concurrency",
     "sampler", "availability_trace",
     "dropout_prob", "straggler_prob", "straggler_slowdown",
-    "executor", "executor_workers",
     "transport", "codec", "channel_loss_prob", "channel_corrupt_prob",
     "channel_latency_s",
     "aggregation", "trim_ratio", "num_shards", "edge_tiers", "edge_grouping",
@@ -34,7 +33,7 @@ RUN_CONFIG_FIELDS = {
 
 def test_the_exact_set_of_fields():
     assert {field.name for field in dataclasses.fields(RunConfig)} == RUN_CONFIG_FIELDS
-    assert len(RUN_CONFIG_FIELDS) == 47
+    assert len(RUN_CONFIG_FIELDS) == 45
 
 
 class TestRetiredKeywords:
@@ -59,3 +58,7 @@ class TestRetiredKeywords:
             RunConfig(num_edge_aggregators=2)
         with pytest.raises(TypeError, match="service_window"):
             RunConfig(service_window=3)
+        with pytest.raises(TypeError, match="'executor'"):
+            RunConfig(executor="process")
+        with pytest.raises(TypeError, match="executor_workers"):
+            RunConfig(executor_workers=2)

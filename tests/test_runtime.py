@@ -1,4 +1,4 @@
-"""Tests for the event-driven runtime: events, sampling, faults, schedulers, executor."""
+"""Tests for the event-driven runtime: events, sampling, faults, schedulers."""
 
 import gc
 
@@ -261,6 +261,20 @@ class TestSyncSchedulerEquivalence:
         assert round_result.num_selected == len(participants)
         assert round_result.num_aggregated == len(participants)
 
+    def test_run_round_twice_then_close_twice(self, vocab, tiny_config):
+        """run_round keeps one scheduler on the tuner; close() is idempotent."""
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, num_clients=3)
+        tuner = ConstantMethod(server, participants, test, config=config)
+        first, results = tuner.run_round(0)
+        scheduler = tuner._legacy_scheduler
+        second, _ = tuner.run_round(1)
+        assert tuner._legacy_scheduler is scheduler
+        assert len(results) == 3
+        assert second.round_index == 1
+        tuner.close()
+        tuner.close()
+
     def test_sync_dropout_reduces_aggregated(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
             vocab, tiny_config, dropout_prob=0.5, seed=3)
@@ -450,10 +464,6 @@ class TestAsyncScheduler:
         assert set(result.rounds[0].timeline.participant_times) == {0}
         assert len(result.rounds[1].timeline.participant_times) > 1
 
-    def test_async_rejects_process_executor(self):
-        with pytest.raises(ValueError, match="serial"):
-            make_scheduler(RunConfig(scheduler="async", executor="process"))
-
     def test_async_staleness_is_bounded_by_version(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
             vocab, tiny_config, scheduler="async", buffer_size=1, async_concurrency=4)
@@ -473,8 +483,6 @@ class TestSchedulerFactory:
             RunConfig(scheduler="nope")
         with pytest.raises(ValueError):
             RunConfig(dropout_prob=2.0)
-        with pytest.raises(ValueError):
-            RunConfig(executor="threads")
 
     def test_availability_sampler_requires_trace(self):
         with pytest.raises(ValueError):
@@ -509,22 +517,6 @@ class TestFluxUnderRuntime:
             assert round_result.simulated_time == expected["simulated_time"]
         assert result.total_time == pytest.approx(reference[-1]["simulated_time"])
 
-    @pytest.mark.slow
-    def test_flux_process_executor_matches_serial(self, vocab, tiny_config):
-        serial = self._flux_tuner(vocab, tiny_config).run(num_rounds=2)
-        parallel_tuner = self._flux_tuner(vocab, tiny_config, executor="process")
-        parallel = parallel_tuner.run(num_rounds=2)
-        for a, b in zip(serial.rounds, parallel.rounds):
-            assert a.train_loss == b.train_loss
-            assert a.metric_value == b.metric_value
-            assert a.simulated_time == b.simulated_time
-        # Flux per-client state (utility EMA) must have been replayed too.
-        baseline_states = self._flux_tuner(vocab, tiny_config)
-        baseline_states.run(num_rounds=2)
-        for pid, state in parallel_tuner.states.items():
-            expected = baseline_states.states[pid].utilities.as_dict()
-            assert state.utilities.as_dict() == expected
-
     def test_flux_semisync_and_async_run(self, vocab, tiny_config):
         for kwargs in ({"scheduler": "semisync", "deadline_quantile": 0.7},
                        {"scheduler": "async", "buffer_size": 2, "async_concurrency": 2}):
@@ -533,38 +525,3 @@ class TestFluxUnderRuntime:
             assert all(0.0 <= r.metric_value <= 1.0 for r in result.rounds)
             assert result.total_time > 0
 
-
-# ------------------------------------------------------------------- executor
-class TestExecutorEquivalence:
-    def _run(self, vocab, tiny_config, executor):
-        server, participants, test, config = build_federation(
-            vocab, tiny_config, num_clients=3, executor=executor)
-        if executor == "process":
-            config.executor_workers = 2
-        tuner = ConstantMethod(server, participants, test, config=config)
-        result = tuner.run(num_rounds=2)
-        state = {p.participant_id: p._round_seed for p in participants}
-        return result, state
-
-    def test_process_pool_matches_serial(self, vocab, tiny_config):
-        serial_result, serial_state = self._run(vocab, tiny_config, "serial")
-        process_result, process_state = self._run(vocab, tiny_config, "process")
-        assert process_state == serial_state  # mutated client state replayed
-        for a, b in zip(serial_result.rounds, process_result.rounds):
-            assert a.train_loss == b.train_loss
-            assert a.metric_value == b.metric_value
-            assert a.simulated_time == b.simulated_time
-
-    def test_run_round_legacy_api_with_process_executor(self, vocab, tiny_config):
-        """run_round stores the scheduler on the tuner; the live pool must not
-        end up inside the pickled payload shipped to the workers."""
-        server, participants, test, config = build_federation(
-            vocab, tiny_config, num_clients=3, executor="process", executor_workers=2)
-        tuner = ConstantMethod(server, participants, test, config=config)
-        first, results = tuner.run_round(0)
-        second, _ = tuner.run_round(1)  # pool exists on the tuner by now
-        assert len(results) == 3
-        assert second.round_index == 1
-        tuner.close()
-        assert tuner._legacy_scheduler is None  # idempotent release
-        tuner.close()

@@ -14,7 +14,6 @@ request per job), the ``repro_service_*`` telemetry, and the pool machinery
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 from types import SimpleNamespace
@@ -317,20 +316,6 @@ class TestServiceRuns:
             assert a.simulated_time == b.simulated_time
             assert a.edge_bytes == b.edge_bytes
             assert a.tier_bytes == b.tier_bytes
-        _assert_models_equal(serial_tuner.server.global_model,
-                             service_tuner.server.global_model)
-
-    def test_training_pool_and_service_compose(self, vocab, tiny_config):
-        """executor='process' pickles the tuner; live servers must survive it."""
-        knobs = dict(num_shards=2, edge_tiers=(2,), participants_per_round=3)
-        serial_result, serial_tuner = self._run(vocab, tiny_config, **knobs)
-        service_result, service_tuner = self._run(
-            vocab, tiny_config, executor="process", executor_workers=2,
-            aggregation_executor="service", aggregation_workers=2,
-            service_transport="socketpair", **knobs)
-        for a, b in zip(serial_result.rounds, service_result.rounds):
-            assert a.train_loss == b.train_loss
-            assert a.metric_value == b.metric_value
         _assert_models_equal(serial_tuner.server.global_model,
                              service_tuner.server.global_model)
 
@@ -885,19 +870,6 @@ class TestServiceMachinery:
             ServiceAggregationPool(0)
         assert ServiceAggregationPool(
             addresses=[("h", 1), ("h", 2)]).num_servers == 2
-
-    def test_pool_pickles_resource_less(self, tiny_config):
-        pool = ServiceAggregationPool(1, transport="socketpair")
-        try:
-            model = MoETransformer(tiny_config)
-            framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-            pool.fold_shards(None, [(0, framed)])
-            clone = pickle.loads(pickle.dumps(pool))
-            assert clone._clients == [] and clone._servers == []
-            assert clone.num_servers == 1
-            assert clone.transport == "socketpair"
-        finally:
-            pool.close()
 
     def test_close_idempotent_and_lazily_restarts(self, tiny_config):
         pool = ServiceAggregationPool(1, transport="socketpair")

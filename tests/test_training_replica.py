@@ -4,8 +4,8 @@ The oracle is what the replica replaced — a ``MoETransformer.copy_of`` the
 global model per participant: whole FMD and FMQ runs, and a direct
 trainable-subset ``local_finetune``, must come out bit for bit the same.  The
 rest is the hand-out contract: nothing but parameters between participants,
-read-only shared arrays, never pickled or checkpointed, rebuilt when the
-global model's structure changes.
+read-only shared arrays, never checkpointed, rebuilt when the global model's
+structure changes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import hashlib
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from repro.federated import ParameterServer
 from repro.models import ExpertFFN, MoETransformer
 from repro.quantization import quantize_model
 from repro.runtime import latest_checkpoint
-from repro.runtime.executor import ProcessPoolParticipantExecutor
 
 from test_run_checkpoint import assert_models_equal, assert_run_results_equal
 from test_runtime import build_federation
@@ -206,41 +204,6 @@ class TestHandOutContract:
 
 
 class TestNeverTravels:
-    def _trained_tuner(self, vocab, tiny_config, **knobs):
-        server, participants, test, config = build_federation(vocab, tiny_config, **knobs)
-        tuner = FMDFineTuner(server, participants, test, config=config)
-        tuner.run_round(0)
-        assert tuner.server._replica is not None
-        return tuner
-
-    def test_a_pickled_tuner_carries_none(self, vocab, tiny_config):
-        tuner = self._trained_tuner(vocab, tiny_config)
-        payload = pickle.dumps(tuner, protocol=pickle.HIGHEST_PROTOCOL)
-        replica, tuner.server._replica = tuner.server._replica, None
-        assert payload == pickle.dumps(tuner, protocol=pickle.HIGHEST_PROTOCOL)
-        tuner.server._replica = replica
-        clone = pickle.loads(payload)
-        assert clone.server._replica is None
-        with clone.server.training_replica() as model:  # and builds its own
-            assert_models_equal(model, clone.server.global_model)
-        tuner.close()
-
-    def test_process_workers_build_their_own(self, vocab, tiny_config):
-        serial = self._trained_tuner(vocab, tiny_config)
-        pooled = self._trained_tuner(vocab, tiny_config)
-        executor = ProcessPoolParticipantExecutor(max_workers=2)
-        try:
-            got = executor.run_participants(pooled, pooled.participants, 1)
-        finally:
-            executor.close()
-        for participant in serial.participants:
-            want = serial.participant_round(participant, 1)
-            result = got[participant.participant_id]
-            assert result.train_loss == want.train_loss
-            for a, b in zip(result.updates, want.updates):
-                assert all(a.state[name].tobytes() == b.state[name].tobytes()
-                           for name in b.state)
-
     def test_checkpoints_never_see_it(self, vocab, tiny_config, tmp_path, monkeypatch):
         knobs = dict(checkpoint_every=1)
         replica_dir, oracle_dir = str(tmp_path / "replica"), str(tmp_path / "oracle")

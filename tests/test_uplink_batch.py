@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 import repro.federated.aggregation as aggregation_module
-import repro.runtime.executor as executor_module
 from repro.baselines import FMDFineTuner
 from repro.comm import (
     PayloadCorruptedError,
@@ -36,7 +35,7 @@ from repro.federated import ExpertUpdate, FederatedFineTuner
 from repro.models import MoETransformer
 from repro.quantization import pack_int_code_rows
 from repro.runtime import latest_checkpoint
-from repro.runtime.executor import ProcessPoolParticipantExecutor, SerialExecutor
+from repro.runtime.scheduler import run_participants
 
 from test_decode_fastpath import ALL_CODECS
 from test_run_checkpoint import assert_models_equal, assert_run_results_equal
@@ -458,11 +457,10 @@ class TestSharedReference:
         for name, value in tuner.server.expert_state(*third[0].key).items():
             assert np.array_equal(third[0].wire_reference[name], value)
 
-    def test_dropped_on_resume_and_not_pickled(self, vocab, tiny_config):
+    def test_dropped_on_resume(self, vocab, tiny_config):
         tuner = _fmd(vocab, tiny_config)
         tuner.transmit_updates(*_trained_updates(tuner))
         assert tuner._uplink_references is not None
-        assert pickle.loads(pickle.dumps(tuner))._uplink_references is None
         tuner.import_run_state(tuner.export_run_state())
         assert tuner._uplink_references is None
 
@@ -496,9 +494,9 @@ def _identity(update):
 
 
 class TestUploadIsFramedWhenTheClientFinishes:
-    def test_serial_executor_hands_back_bytes_not_tensors(self, vocab, tiny_config):
+    def test_participant_loop_hands_back_bytes_not_tensors(self, vocab, tiny_config):
         tuner, dense_tuner = _fmd(vocab, tiny_config), _fmd(vocab, tiny_config)
-        results = SerialExecutor().run_participants(tuner, tuner.participants, 0)
+        results = run_participants(tuner, tuner.participants, 0)
         assert list(results) == [p.participant_id for p in tuner.participants]
         for participant_id, result in results.items():
             _, dense = _trained_updates(dense_tuner, participant_id)
@@ -514,13 +512,12 @@ class TestUploadIsFramedWhenTheClientFinishes:
     def test_a_round_in_flight_costs_its_wire_bytes(self, vocab, tiny_config):
         # experts wide enough that frame headers and object overhead are small
         tuner = _fmd(vocab, dataclasses.replace(tiny_config, d_ff=64))
-        executor = SerialExecutor()
-        executor.run_participants(tuner, tuner.participants, 0)    # caches, references
+        run_participants(tuner, tuner.participants, 0)    # caches, references
         gc.collect()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            results = executor.run_participants(tuner, tuner.participants, 0)
+            results = run_participants(tuner, tuner.participants, 0)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -542,7 +539,7 @@ class TestUploadIsFramedWhenTheClientFinishes:
             return trained[participant.participant_id]
 
         monkeypatch.setattr(FMDFineTuner, "participant_round", recorded)
-        results = SerialExecutor().run_participants(tuner, tuner.participants, 0)
+        results = run_participants(tuner, tuner.participants, 0)
         assert all(results[pid] is result for pid, result in trained.items())
         assert all(update.state is not None and not update.framed
                    for result in results.values() for update in result.updates)
@@ -599,50 +596,6 @@ class TestUploadIsFramedWhenTheClientFinishes:
         assert tuner.export_channel_states() == oracle_tuner.export_channel_states()
         assert sum(channel.stats.payloads for channel in tuner._channels.values()) == sum(
             r.num_aggregated for r in result.rounds)    # ConstantMethod: one update each
-
-
-class TestProcessExecutorShipsTheRunCodecsFrames:
-    def test_run_equals_the_serial_run(self, vocab, tiny_config):
-        serial = _fmd(vocab, tiny_config)
-        expected = serial.run(num_rounds=2)
-        pooled = _fmd(vocab, tiny_config, executor="process", executor_workers=2)
-        assert_run_results_equal(pooled.run(num_rounds=2), expected)
-        assert_models_equal(pooled.server.global_model, serial.server.global_model)
-        assert [p._round_seed for p in pooled.participants] == [
-            p._round_seed for p in serial.participants]
-
-    def test_parent_gets_frames_and_decodes_none(self, vocab, tiny_config, decode_calls,
-                                                 monkeypatch):
-        monkeypatch.setattr(executor_module, "decode_update",
-                            lambda frame: decode_calls.append(len(frame)))
-        tuner, serial = _fmd(vocab, tiny_config), _fmd(vocab, tiny_config)
-        executor = ProcessPoolParticipantExecutor(max_workers=2)
-        try:
-            results = executor.run_participants(tuner, tuner.participants, 0)
-        finally:
-            executor.close()
-        expected = SerialExecutor().run_participants(serial, serial.participants, 0)
-        assert list(results) == list(expected)
-        for participant_id, result in results.items():
-            want = expected[participant_id]
-            assert result.train_loss == want.train_loss
-            assert [_identity(u) for u in result.updates] == [
-                _identity(u) for u in want.updates]
-            assert all(u.framed and u.wire_reference is tuner.uplink_reference(*u.key)
-                       for u in result.updates)
-            delivered, _ = tuner.transmit_updates(
-                tuner.participant_by_id(participant_id), result.updates)
-            assert len(delivered) == len(result.updates)
-        assert decode_calls == []
-
-    def test_ipc_payload_is_a_fraction_of_the_fp64_one(self, vocab, tiny_config):
-        tuner = _fmd(vocab, tiny_config)
-        result = tuner.participant_round(tuner.participant_by_id(0), 0)
-        fp64 = len(pickle.dumps(executor_module._frame_result(result)))
-        framed = executor_module._frame_result(tuner.frame_upload(result))
-        assert framed[1] is None
-        assert all(update.wire_reference is None for update in framed[0].updates)
-        assert len(pickle.dumps(framed)) < 0.15 * fp64
 
 
 # ---------------------------------------------------------------- run level
