@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.obs import (
     MetricsRegistry,
     NULL_TELEMETRY,
     NULL_TRACER,
+    RunTelemetry,
     Tracer,
     category_table,
     chrome_trace,
@@ -361,6 +363,43 @@ class TestRunTelemetry:
         metric_rounds = sorted(e["round"] for e in events
                                if e.get("type") == "metrics")
         assert metric_rounds == [0, 1, 2, 3]
+
+    def test_spans_before_begin_are_counted_not_written(self, tmp_path):
+        telemetry = RunTelemetry(str(tmp_path / "trace"))
+        with telemetry.tracer.span("fold_shard", category="fold"):
+            pass
+        assert telemetry.registry.histogram("repro_fold_seconds").count == 1
+        assert not os.path.exists(telemetry.jsonl_path)
+
+    def test_a_forked_child_writes_no_events(self, tmp_path):
+        """TCP aggregator servers are forked from a traced coordinator: only
+        the process that opened the event log may append to it."""
+        telemetry = RunTelemetry(str(tmp_path))
+        telemetry.begin()
+        with telemetry.tracer.span("run", category="run"):
+            pass
+        round_result = SimpleNamespace(
+            round_index=0, simulated_time=1.0, round_duration=1.0, wire_bytes=0,
+            wire_seconds=0.0, tier_bytes=[], tier_payloads=[], edge_bytes=0,
+            payloads_lost=0, payloads_corrupted=0, num_stragglers=0,
+            num_dropped=0, num_aggregated=1)
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                with telemetry.tracer.span("fold_shard", category="fold"):
+                    pass
+                telemetry.end_round(round_result)
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(child, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        telemetry.end_round(round_result)
+        telemetry.finish()
+        events = load_events(telemetry.jsonl_path)
+        assert [(e["type"], e.get("name")) for e in events] == [
+            ("span", "run"), ("metrics", None)]
 
 
 # ------------------------------------------------------------------- report

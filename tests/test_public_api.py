@@ -2,6 +2,7 @@
 
 import importlib
 
+import pytest
 
 import repro
 
@@ -28,6 +29,16 @@ class TestPublicAPI:
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
+
+    def test_no_participant_executor(self):
+        """Participants train in one in-process loop that no option selects."""
+        import repro.runtime
+
+        for name in ("ParticipantExecutor", "SerialExecutor",
+                     "ProcessPoolParticipantExecutor", "make_executor"):
+            assert not hasattr(repro, name) and not hasattr(repro.runtime, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.executor")
 
     def test_method_names_are_distinct(self):
         names = {repro.FluxFineTuner.name, repro.FMDFineTuner.name,

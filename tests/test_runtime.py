@@ -1,10 +1,13 @@
-"""Tests for the event-driven runtime: events, sampling, faults, schedulers."""
+"""Tests for the event-driven runtime: events, sampling, faults, the participant
+loop, schedulers."""
 
 import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.runtime.scheduler as scheduler_module
 from repro.data import make_gsm8k_like, partition_dirichlet
 from repro.federated import (
     ExpertUpdate,
@@ -28,6 +31,8 @@ from repro.runtime import (
     make_scheduler,
     scale_breakdown,
 )
+from repro.obs import Tracer
+from repro.runtime.scheduler import run_participants
 from repro.systems import RoundCostBreakdown, RoundTimeline, heterogeneous_fleet
 
 
@@ -229,6 +234,131 @@ def legacy_reference_run(tuner, num_rounds):
             "participant_times": dict(timeline.participant_times),
         })
     return history
+
+
+# ----------------------------------------------------------- participant loop
+class _LoggingTuner:
+    """Just what :func:`run_participants` touches, logging every call."""
+
+    def __init__(self, log, fail_on=None):
+        self.log = log
+        self.fail_on = fail_on
+
+    def participant_round(self, participant, round_index):
+        pid = participant.participant_id
+        self.log.append(("train", pid, round_index))
+        if pid == self.fail_on:
+            raise RuntimeError(f"participant {pid} failed")
+        return ParticipantRoundResult(
+            updates=[], train_loss=float(pid),
+            breakdown=RoundCostBreakdown(profiling=2.0, training=pid + 1.0,
+                                         communication=0.5),
+            overlap_profiling=pid % 2 == 1)
+
+    def frame_upload(self, result):
+        self.log.append(("frame", int(result.train_loss)))
+        return ParticipantRoundResult(updates=result.updates, breakdown=result.breakdown,
+                                      train_loss=result.train_loss,
+                                      overlap_profiling=result.overlap_profiling,
+                                      report={"framed": True})
+
+
+def _traced(tuner, log=None):
+    finished = []
+
+    def sink(span):
+        finished.append(span)
+        if log is not None:
+            log.append(("span", span.attributes["participant"]))
+
+    tuner.telemetry = SimpleNamespace(tracer=Tracer(sink=sink))
+    return finished
+
+
+def _stub_participants(*ids):
+    return [SimpleNamespace(participant_id=pid) for pid in ids]
+
+
+class TestParticipantLoop:
+    def test_trains_then_frames_each_participant_in_turn(self):
+        log = []
+        results = run_participants(_LoggingTuner(log), _stub_participants(2, 0, 1), 7)
+        assert log == [("train", 2, 7), ("frame", 2), ("train", 0, 7), ("frame", 0),
+                       ("train", 1, 7), ("frame", 1)]
+        assert list(results) == [2, 0, 1]
+        assert all(result.report == {"framed": True} for result in results.values())
+
+    def test_no_participants_train_nobody(self):
+        log = []
+        assert run_participants(_LoggingTuner(log), [], 0) == {}
+        assert log == []
+
+    def test_a_failing_participant_stops_the_round(self):
+        log = []
+        tuner = _LoggingTuner(log, fail_on=0)
+        finished = _traced(tuner)
+        with pytest.raises(RuntimeError, match="participant 0"):
+            run_participants(tuner, _stub_participants(1, 0, 2), 0)
+        assert log == [("train", 1, 0), ("frame", 1), ("train", 0, 0)]
+        # the failed participant's span still closed, without a simulated duration
+        assert [(s.attributes["participant"], s.sim_duration) for s in finished] == [
+            (1, 4.0), (0, None)]
+        assert tuner.telemetry.tracer.current_round() is None
+
+    def test_one_train_span_per_participant_with_its_cost(self):
+        tuner = _LoggingTuner([])
+        finished = _traced(tuner)
+        participants = _stub_participants(0, 1, 2)
+        run_participants(tuner, participants, 0)
+        assert [(s.name, s.category) for s in finished] == [
+            ("participant_round", "train")] * 3
+        assert [s.attributes["participant"] for s in finished] == [0, 1, 2]
+        # odd ids overlap profiling with the uplink: 0.5 s of their 2 s is hidden
+        assert [s.sim_duration for s in finished] == [3.5, 4.0, 5.5]
+
+    def test_train_spans_nest_in_the_open_round(self):
+        tuner = _LoggingTuner([])
+        finished = _traced(tuner)
+        tracer = tuner.telemetry.tracer
+        with tracer.span("round", category="round", round=3) as round_span:
+            run_participants(tuner, _stub_participants(0, 1), 3)
+        train = [s for s in finished if s.category == "train"]
+        assert [s.parent_id for s in train] == [round_span.span_id] * 2
+        assert [s.round for s in train] == [3, 3]
+
+    def test_the_span_times_training_not_framing(self):
+        log = []
+        tuner = _LoggingTuner(log)
+        _traced(tuner, log)
+        run_participants(tuner, _stub_participants(0, 1), 0)
+        assert log == [("train", 0, 0), ("span", 0), ("frame", 0),
+                       ("train", 1, 0), ("span", 1), ("frame", 1)]
+
+    @pytest.mark.parametrize("scheduler, calls", [
+        ("sync", [[0, 1, 2]]), ("semisync", [[0, 1, 2]]), ("async", [])],
+        ids=["sync", "semisync", "async"])
+    def test_round_based_schedulers_train_through_it(self, vocab, tiny_config,
+                                                     monkeypatch, scheduler, calls):
+        """The async scheduler trains one client at a time and frames at delivery."""
+        seen = []
+
+        def recorded(tuner, participants, round_index):
+            seen.append([p.participant_id for p in participants])
+            return run_participants(tuner, participants, round_index)
+
+        monkeypatch.setattr(scheduler_module, "run_participants", recorded)
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, num_clients=3, scheduler=scheduler, buffer_size=1,
+            deadline_quantile=1.0)
+        result = ConstantMethod(server, participants, test, config=config).run(1)
+        assert seen == calls
+        assert result.rounds[0].num_aggregated == (3 if calls else 1)
+
+    @pytest.mark.parametrize("scheduler_cls",
+                             [SyncScheduler, SemiSyncScheduler, AsyncScheduler])
+    def test_schedulers_take_no_executor(self, scheduler_cls):
+        with pytest.raises(TypeError, match="executor"):
+            scheduler_cls(executor=object())
 
 
 # ----------------------------------------------------------------- schedulers
