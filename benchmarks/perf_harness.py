@@ -599,10 +599,8 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int) -> Dict:
                       for framed in shard_framed if framed]
     merge_model = MoETransformer(config)
 
-    all_frames = [frame for frame, _ in all_framed]
-
     def serial_wire():
-        _fold_payloads(serial_server, all_frames)
+        _fold_payloads(serial_server, all_framed)
 
     def merge():
         for shard_result in worker_results:
@@ -672,14 +670,14 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int) -> Dict:
     leaf_scratch = ScratchPool()
 
     def serial_wire():
-        tree.aggregate(server, iter([decode_update(frame) for frame, _ in all_framed]))
+        tree.aggregate(server, iter([decode_update(frame) for frame in all_framed]))
 
     def leaf_fold():
         prefold_nodes(None, leaf_jobs, scratch=leaf_scratch)
 
     fns = {
         "serial_wire": {"fold": serial_wire},
-        "decode": {"fold": lambda: [decode_update(frame) for frame, _ in all_framed]},
+        "decode": {"fold": lambda: [decode_update(frame) for frame in all_framed]},
         "leaf": {"fold": leaf_fold},
     }
     for node, framed in sorted(node_framed.items()):
@@ -712,7 +710,7 @@ def _bench_decode(updates, iters: int, reps: int) -> Dict:
     from repro.comm import ScratchPool, decode_update
     from repro.service.fold import frame_update
 
-    all_framed = [frame_update(update, {})[0] for update in updates]
+    all_framed = [frame_update(update, {}) for update in updates]
     scratch = ScratchPool()
 
     def fresh():
@@ -754,7 +752,7 @@ def _bench_alloc_probe(updates) -> Dict:
 
     config = get_preset(AGG_PRESET.replace("_", "-"))
     server = ShardedParameterServer(MoETransformer(config), num_shards=1)
-    all_framed = [frame_update(update, {})[0] for update in updates]
+    all_framed = [frame_update(update, {}) for update in updates]
     delivered = [ExpertUpdate(update.participant_id, update.layer, update.expert, None,
                               update.weight, wire_frame=frame, wire_codec="fp64")
                  for update, frame in zip(updates, all_framed)]
@@ -873,16 +871,15 @@ def bench_prefold(quick: bool) -> Dict:
     states = {key: model.expert_state(*key) for key in model.iter_expert_ids()}
     frames = encode_updates(updates, get_codec(PREFOLD_CODEC),
                             [states[update.key] for update in updates])
-    framed = [(frame, 0) for frame in frames]
     references = {key: encode_state_dict(state, get_codec("fp64"))
                   for key, state in states.items()}
     scratch = ScratchPool()
 
     def batched():
-        return prefold_node_frames(None, -1, framed, references, scratch=scratch)
+        return prefold_node_frames(None, -1, frames, references, scratch=scratch)
 
     def oracle():
-        return oracle_prefold_node_frames(None, -1, framed, references)
+        return oracle_prefold_node_frames(None, -1, frames, references)
 
     if batched() != oracle():
         raise AssertionError("batched prefold partials differ from the per-frame oracle's")
@@ -892,10 +889,10 @@ def bench_prefold(quick: bool) -> Dict:
     return {
         "codec": PREFOLD_CODEC,
         "preset": PREFOLD_PRESET,
-        "frames": len(framed),
+        "frames": len(frames),
         "batched_s": times["batched"]["fold"],
         "oracle_s": times["oracle"]["fold"],
-        "batched_frames_per_s": len(framed) / times["batched"]["fold"],
+        "batched_frames_per_s": len(frames) / times["batched"]["fold"],
         "speedup_batched_vs_oracle": times["oracle"]["fold"] / times["batched"]["fold"],
     }
 
@@ -1119,10 +1116,10 @@ def _bench_service_fold(updates, num_shards: int, iters: int, reps: int,
     for update in updates:
         shard_framed.setdefault(router.shard_of(update.key), []).append(
             frame_update(update, {}))
-    jobs = sorted(shard_framed.items())
+    jobs = [(shard, framed, {}) for shard, framed in sorted(shard_framed.items())]
 
     fns = {"serial": {"fold": lambda: [
-        fold_shard_frames(None, framed, scratch=scratch) for _, framed in jobs]}}
+        fold_shard_frames(None, framed, scratch=scratch) for _, framed, _ in jobs]}}
     for transport, pool in service_pools.items():
         fns[f"service_{transport}"] = {
             "fold": lambda pool=pool: pool.fold_shards(None, jobs)}
@@ -1150,24 +1147,23 @@ def _bench_service_tree(updates, tiers, iters: int, reps: int,
     scratch = ScratchPool()
     framed = [frame_update(u, {}) for u in updates]
     leaf: Dict[int, list] = {}
-    for index, pair in enumerate(framed):
-        leaf.setdefault(index % tiers[0], []).append(pair)
+    for index, frame in enumerate(framed):
+        leaf.setdefault(index % tiers[0], []).append(frame)
 
     def serial_prefold(jobs):
         return [(node, prefold_node_frames(None, pseudo_id, node_frames,
                                            scratch=scratch))
-                for node, pseudo_id, node_frames in jobs]
+                for node, pseudo_id, node_frames, _ in jobs]
 
     def fold_tree(prefold):
         current = leaf
         for tier in range(len(tiers)):
-            jobs = [(node, tree.pseudo_id(tier, node), node_frames)
+            jobs = [(node, tree.pseudo_id(tier, node), node_frames, {})
                     for node, node_frames in sorted(current.items())]
             fan_in = tiers[tier + 1] if tier + 1 < len(tiers) else 1
             current = {}
             for node, partials in prefold(jobs):
-                current.setdefault(node % fan_in, []).extend(
-                    (partial, 0) for partial in partials)
+                current.setdefault(node % fan_in, []).extend(partials)
         return current
 
     fns = {"serial": {"fold": lambda: fold_tree(serial_prefold)}}
@@ -1215,9 +1211,8 @@ def _bench_service_wire_bytes(updates, num_shards: int) -> Dict:
                                           reference=references[update.key])
         update.wire_codec = codec.name
         update.wire_reference = references[update.key]
-        frame, _ = frame_update(
-            update, shard_refs.setdefault(router.shard_of(update.key), {}))
-        wire_bytes += len(frame)
+        wire_bytes += len(frame_update(
+            update, shard_refs.setdefault(router.shard_of(update.key), {})))
     wire_bytes += sum(len(frame) for refs in shard_refs.values()
                       for frame in refs.values())
     return {
@@ -1254,7 +1249,7 @@ def run_service_suite() -> Dict:
     try:
         # Spawn the servers outside the timings.
         for pool in service_pools.values():
-            pool.prefold_nodes(None, [(0, -1, [])])
+            pool.prefold_nodes(None, [(0, -1, [], {})])
         shards = {str(n): _bench_service_fold(updates, n, iters, reps,
                                               service_pools)
                   for n in SERVICE_SHARD_COUNTS}

@@ -133,12 +133,12 @@ class StreamingAggregator:
         return {key: acc.count for key, acc in self._accs.items()}
 
     def total_weight(self, key: ExpertKey) -> float:
-        """Sum of the (possibly discounted) weights folded for ``key``."""
+        """Sum of the weights folded for ``key``."""
         return self._accs[key].total_weight
 
     # ------------------------------------------------------------------ folding
     def _fold_group(self, keys: Sequence[ExpertKey], weights: Sequence[float],
-                    stalenesses: Sequence[int], groups: Sequence[DecodedGroup]) -> None:
+                    groups: Sequence[DecodedGroup]) -> None:
         """Fold one contribution per (distinct) key; ``groups`` hold their tensors.
 
         Under a foldable strategy everything is checked before anything is
@@ -154,17 +154,11 @@ class StreamingAggregator:
                 for row, position in enumerate(positions):
                     members[position].add(
                         {name: value[row] for (name, _), value in zip(tensors, values)},
-                        weights[position], stalenesses[position])
+                        weights[position])
             return
-        discount = self.strategy.discount
-        factors = []
-        for weight, staleness in zip(weights, stalenesses):
-            if discount is not None:
-                weight = weight * discount(staleness)
-            weight = float(weight)
-            if weight < 0:
-                raise ValueError("aggregation weights must be non-negative")
-            factors.append(weight)
+        factors = [float(weight) for weight in weights]
+        if any(factor < 0 for factor in factors):
+            raise ValueError("aggregation weights must be non-negative")
         members = [accs.get(key) for key in keys]
         for positions, tensors, _ in groups:
             for position in positions:
@@ -240,20 +234,18 @@ class StreamingAggregator:
                 np.add(sums[row], row_term, out=sums[row])
 
     def add_state(self, key: ExpertKey, state: Dict[str, np.ndarray],
-                  weight: float, staleness: int = 0) -> None:
+                  weight: float) -> None:
         """Fold one in-memory state: a group of one."""
         values = [[np.asarray(value)] for value in state.values()]
-        self._fold_group((key,), (weight,), (staleness,), ((
+        self._fold_group((key,), (weight,), ((
             (0,), tuple([(name, value[0].shape) for name, value in zip(state, values)]),
             values),))
 
     def add(self, update) -> None:
         """Fold one :class:`~repro.federated.aggregation.ExpertUpdate`."""
-        self.add_state(update.key, update.state, update.weight,
-                       getattr(update, "staleness", 0))
+        self.add_state(update.key, update.state, update.weight)
 
-    def fold_frames(self, frames: Sequence, stalenesses: Optional[Sequence[int]] = None,
-                    reference_lookup=None) -> None:
+    def fold_frames(self, frames: Sequence, reference_lookup=None) -> None:
         """Decode and fold wire frames, in order — the fused decode-and-fold hot path.
 
         Consecutive frames with distinct expert keys (a sender's upload; at
@@ -265,32 +257,26 @@ class StreamingAggregator:
         scratch pool (and a foldable strategy) the arrays are pool-owned and
         recycled per group — zero allocations in steady state.
 
-        Wire frames carry no staleness: pass ``stalenesses`` (one per frame)
-        when the transport tracks it out of band.  Delta codecs resolve their
-        references via ``reference_lookup(layer, expert)``.  A group with a
-        frame that fails verification or decoding raises and folds nothing
-        (earlier groups stay folded).
+        Delta codecs resolve their references via ``reference_lookup(layer,
+        expert)``.  A group with a frame that fails verification or decoding
+        raises and folds nothing (earlier groups stay folded).
         """
-        if stalenesses is None:
-            stalenesses = [0] * len(frames)
-        start = 0
         group: Dict[ExpertKey, ParsedUpdate] = {}
-        for position, frame in enumerate(frames):
+        for frame in frames:
             parsed = parse_update(frame)
             key = (parsed.layer, parsed.expert)
             if key in group or len(group) == MAX_GROUP_FRAMES:
-                self._fold_parsed(group, stalenesses[start:position], reference_lookup)
-                start, group = position, {}
+                self._fold_parsed(group, reference_lookup)
+                group = {}
             group[key] = parsed
         if group:
-            self._fold_parsed(group, stalenesses[start:], reference_lookup)
+            self._fold_parsed(group, reference_lookup)
 
-    def _fold_parsed(self, group: Dict[ExpertKey, ParsedUpdate],
-                     stalenesses: Sequence[int], reference_lookup) -> None:
+    def _fold_parsed(self, group: Dict[ExpertKey, ParsedUpdate], reference_lookup) -> None:
         scratch = self._scratch
         parsed = list(group.values())
         try:
-            self._fold_group(list(group), [update.weight for update in parsed], stalenesses,
+            self._fold_group(list(group), [update.weight for update in parsed],
                              decode_update_group(parsed, reference_lookup, scratch))
         finally:
             if scratch is not None:
@@ -300,7 +286,7 @@ class StreamingAggregator:
     def partials(self, participant_id: int) -> list:
         """Pre-folded partial aggregates, one update per finalizable key.
 
-        Each partial carries the key's accumulated (post-discount) weight, so
+        Each partial carries the key's accumulated weight, so
         a downstream weighted fold treats this aggregator's whole input as one
         heavy contributor — the building block of hierarchical aggregation
         (:mod:`repro.federated.topology`) and of the service's node pre-folds

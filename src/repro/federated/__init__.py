@@ -21,13 +21,11 @@ from .strategies import (
     AggregationStrategy,
     FedAvgStrategy,
     MedianStrategy,
-    StalenessFedAvgStrategy,
     TrimmedMeanStrategy,
     available_strategies,
     get_strategy,
     picklable_strategy,
     register_strategy,
-    staleness_discount,
     strategy_from_config,
 )
 from .topology import (
@@ -57,13 +55,11 @@ __all__ = [
     "FedAvgStrategy",
     "TrimmedMeanStrategy",
     "MedianStrategy",
-    "StalenessFedAvgStrategy",
     "register_strategy",
     "get_strategy",
     "available_strategies",
     "picklable_strategy",
     "strategy_from_config",
-    "staleness_discount",
     "AggregationTree",
     "GroupingPolicy",
     "RoundRobinGrouping",

@@ -47,11 +47,6 @@ class ExpertUpdate:
     expert: int
     state: Optional[Dict[str, np.ndarray]]
     weight: float = 1.0
-    #: server versions elapsed since the contributor downloaded the model —
-    #: in-memory metadata consumed by the ``staleness_fedavg`` strategy; it
-    #: does not travel in wire frames (the asynchronous scheduler discounts
-    #: weights before transmission, so the wire format stays stable).
-    staleness: int = 0
     #: the exact wire frame this update is sent as and arrived as
     #: (``transport="wire"`` only) — downstream fold dispatch forwards it
     #: verbatim instead of re-encoding the decoded state as fp64, which is

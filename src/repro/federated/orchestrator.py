@@ -86,13 +86,7 @@ class RunConfig:
     channel_latency_s: float = 0.0
 
     # --- aggregation topology (repro.federated.{strategies,server,topology})
-    #: aggregation strategy: "fedavg" | "trimmed_mean" | "median" |
-    #: "staleness_fedavg".  Note: the built-in round-based schedulers always
-    #: produce staleness-0 updates, so "staleness_fedavg" only discounts when
-    #: a custom scheduler (or direct ``server.aggregate`` use) stamps
-    #: ``ExpertUpdate.staleness``; with scheduler="async" it is rejected (the
-    #: async scheduler already pre-discounts weights).
-    aggregation: str = "fedavg"
+    aggregation: str = "fedavg"              # "fedavg" | "trimmed_mean" | "median"
     trim_ratio: float = 0.1                  # trimmed_mean: fraction trimmed per side
     num_shards: int = 1                      # expert shards at the root server
     #: aggregator-tier widths, participant-facing first: ``(6, 2)`` is
@@ -194,13 +188,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown aggregation strategy {self.aggregation!r} "
                 f"(expected one of {', '.join(available_strategies())})")
-        if self.scheduler == "async" and self.aggregation == "staleness_fedavg":
-            raise ValueError(
-                "scheduler='async' already discounts update weights by the "
-                "FedBuff staleness factor; combining it with "
-                "aggregation='staleness_fedavg' would apply the discount twice "
-                "— use aggregation='fedavg' (async) or a round-based scheduler "
-                "(staleness_fedavg)")
         if not 0.0 <= self.trim_ratio < 0.5:
             raise ValueError("trim_ratio must be in [0, 0.5)")
         if self.num_shards < 1:

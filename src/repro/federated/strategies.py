@@ -20,18 +20,11 @@ them:
 ``median``
     Coordinate-wise median, the classic robust aggregation baseline.
 
-``staleness_fedavg``
-    FedAvg with each update's weight discounted by the polynomial FedBuff
-    factor ``(1 + staleness) ** -exponent``.  This is the *same* formula the
-    asynchronous scheduler applies (it delegates to
-    :func:`staleness_discount`), exposed as a strategy so buffered/offline
-    aggregation of stale updates uses one implementation.  It discounts based
-    on ``ExpertUpdate.staleness``, which the built-in round-based schedulers
-    leave at 0 — the strategy is for custom schedulers and direct
-    ``server.aggregate`` use; combining it with the asynchronous scheduler is
-    rejected at config time (the discount would apply twice).
+A strategy sees weights only: the asynchronous scheduler's FedBuff discount
+is already in an update's weight when the update is folded
+(:class:`repro.runtime.scheduler.AsyncScheduler`).
 
-Foldable strategies (the FedAvg family) keep O(1) state per expert, in the
+The foldable strategy (FedAvg) keeps O(1) state per expert, in the
 aggregator; order statistics (trimmed mean, median) produce per-expert
 *accumulators* that buffer their contributions until
 :meth:`UpdateAccumulator.finalize`.
@@ -52,13 +45,6 @@ State = Dict[str, np.ndarray]
 _ONE_KEY = (0, 0)
 
 
-def staleness_discount(staleness: int, exponent: float = 0.5) -> float:
-    """FedBuff's polynomial staleness discount for an update's weight."""
-    if exponent < 0:
-        raise ValueError("staleness exponent must be non-negative")
-    return float((1.0 + max(staleness, 0)) ** -exponent)
-
-
 class UpdateAccumulator(abc.ABC):
     """Collects the updates of one expert key and reduces them to one state."""
 
@@ -72,7 +58,7 @@ class UpdateAccumulator(abc.ABC):
         return self.count > 0
 
     @abc.abstractmethod
-    def add(self, state: State, weight: float, staleness: int = 0) -> None:
+    def add(self, state: State, weight: float) -> None:
         """Fold (or buffer) one contribution."""
 
     @abc.abstractmethod
@@ -84,16 +70,12 @@ class AggregationStrategy(abc.ABC):
     """How the updates of one expert key become one state."""
 
     name: str = "base"
-    #: True when the reduction is a weighted mean of the contributions, each
-    #: weighing ``weight * discount(staleness)``: a
+    #: True when the reduction is the weighted mean of the contributions: a
     #: :class:`~repro.comm.StreamingAggregator` then keeps the running sums of
     #: all keys itself (O(1) state per expert, whole groups of updates folded
-    #: at once) and asks the strategy for :attr:`discount` only.  Otherwise
-    #: every key gets one :meth:`make_accumulator`, which buffers its
-    #: contributions until finalize (order statistics).
+    #: at once).  Otherwise every key gets one :meth:`make_accumulator`, which
+    #: buffers its contributions until finalize (order statistics).
     foldable: bool = False
-    #: ``discount(staleness) -> factor`` on an update's weight (``None``: none)
-    discount: Optional[Callable[[int], float]] = None
 
     def make_accumulator(self) -> UpdateAccumulator:
         """A fresh accumulator for one expert key (non-:attr:`foldable` strategies)."""
@@ -101,8 +83,7 @@ class AggregationStrategy(abc.ABC):
             f"{type(self).__name__} defines no per-key accumulator "
             "(a foldable strategy's sums are the aggregator's)")
 
-    def aggregate(self, states: Sequence[State], weights: Sequence[float],
-                  stalenesses: Optional[Sequence[int]] = None) -> State:
+    def aggregate(self, states: Sequence[State], weights: Sequence[float]) -> State:
         """Convenience one-shot aggregation of pre-collected states.
 
         The states of one (anonymous) expert key through a
@@ -112,10 +93,9 @@ class AggregationStrategy(abc.ABC):
             raise ValueError("cannot aggregate an empty list of states")
         if len(states) != len(weights):
             raise ValueError("one weight per state is required")
-        stale = stalenesses if stalenesses is not None else [0] * len(states)
         aggregator = StreamingAggregator(self)
-        for state, weight, staleness in zip(states, weights, stale):
-            aggregator.add_state(_ONE_KEY, state, weight, staleness)
+        for state, weight in zip(states, weights):
+            aggregator.add_state(_ONE_KEY, state, weight)
         return aggregator.finalize()[_ONE_KEY]
 
 
@@ -127,21 +107,6 @@ class FedAvgStrategy(AggregationStrategy):
     foldable = True
 
 
-class StalenessFedAvgStrategy(AggregationStrategy):
-    """FedAvg with per-update weights discounted by ``(1+staleness)**-exponent``."""
-
-    name = "staleness_fedavg"
-    foldable = True
-
-    def __init__(self, exponent: float = 0.5) -> None:
-        if exponent < 0:
-            raise ValueError("staleness exponent must be non-negative")
-        self.exponent = exponent
-
-    def discount(self, staleness: int) -> float:
-        return staleness_discount(staleness, self.exponent)
-
-
 # ---------------------------------------------------------- order statistics
 class _BufferingAccumulator(UpdateAccumulator):
     """Keeps every contribution; subclasses reduce the stacked coordinates."""
@@ -150,7 +115,7 @@ class _BufferingAccumulator(UpdateAccumulator):
         super().__init__()
         self._states: List[State] = []
 
-    def add(self, state: State, weight: float, staleness: int = 0) -> None:
+    def add(self, state: State, weight: float) -> None:
         if weight < 0:
             raise ValueError("aggregation weights must be non-negative")
         if self._states and set(state) != set(self._states[0]):
@@ -249,8 +214,8 @@ def picklable_strategy(spec) -> Optional[AggregationStrategy]:
 
     Service aggregation (:class:`~repro.service.ServiceAggregationPool`)
     ships the *strategy object* to the aggregator servers and rebuilds
-    accumulators there, so a strategy's construction-time state (trim ratios,
-    staleness exponents, …) must pickle.  All built-in strategies do; a custom
+    accumulators there, so a strategy's construction-time state (a trim ratio,
+    …) must pickle.  All built-in strategies do; a custom
     strategy holding e.g. a lambda or an open handle fails here with a clear
     error instead of a server-side one.  ``None`` (the FedAvg default) passes
     through untouched.
@@ -281,13 +246,9 @@ def strategy_from_config(config) -> Optional[AggregationStrategy]:
         return None
     if name == "trimmed_mean":
         return TrimmedMeanStrategy(trim_ratio=getattr(config, "trim_ratio", 0.1))
-    if name == "staleness_fedavg":
-        return StalenessFedAvgStrategy(
-            exponent=getattr(config, "staleness_exponent", 0.5))
     return get_strategy(name)
 
 
 register_strategy("fedavg", FedAvgStrategy)
 register_strategy("trimmed_mean", TrimmedMeanStrategy)
 register_strategy("median", MedianStrategy)
-register_strategy("staleness_fedavg", StalenessFedAvgStrategy)

@@ -296,7 +296,7 @@ class AggregationTree:
 
         Sorts ``updates`` into their participants' tier-0 inboxes, then tier
         by tier: folds every node's inbox into its partials — one per expert
-        key, weighing the group's accumulated (post-discount) weight, stamped
+        key, weighing the group's accumulated weight, stamped
         with the node's pseudo id; a key whose group contributed only
         zero-weight FedAvg updates contributes nothing upward — and ships
         them over the node's metered channel as framed payloads into the

@@ -93,7 +93,9 @@ _RESUMABLE_CONFIG_FIELDS = frozenset(
 #: mode and the participant process pool == the serial loop were
 #: test-enforced equal when they were removed), so a saved config that
 #: carries them still resumes: they are dropped from the saved side, and
-#: ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.
+#: ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.  A
+#: retired strategy is re-spelt too: ``aggregation="staleness_fedavg"`` was
+#: FedAvg under every scheduler that accepted it.
 _RETIRED_CONFIG_FIELDS = frozenset(
     {"streaming_aggregation", "service_codec", "service_window",
      "num_edge_aggregators", "executor", "executor_workers"})
@@ -110,6 +112,8 @@ def _config_snapshot(config) -> Dict:
     items = dict(config if isinstance(config, dict) else asdict(config))
     if items.get("num_edge_aggregators") and items.get("edge_tiers") is None:
         items["edge_tiers"] = (int(items["num_edge_aggregators"]),)
+    if items.get("aggregation") == "staleness_fedavg":
+        items["aggregation"] = "fedavg"
     return {key: value for key, value in items.items()
             if key not in _RESUMABLE_CONFIG_FIELDS
             and key not in _RETIRED_CONFIG_FIELDS}

@@ -489,13 +489,10 @@ class AsyncScheduler(Scheduler):
     def staleness_discount(self, staleness: int) -> float:
         """FedBuff's polynomial staleness discount for an update's weight.
 
-        Delegates to the canonical implementation in
-        :mod:`repro.federated.strategies`, which also backs the
-        ``staleness_fedavg`` aggregation strategy.
+        The only place a staleness reaches a weight: the fold plane folds the
+        discounted weights it is handed and knows nothing of staleness.
         """
-        from ..federated.strategies import staleness_discount
-
-        return staleness_discount(staleness, self.staleness_exponent)
+        return float((1.0 + max(staleness, 0)) ** -self.staleness_exponent)
 
     # ------------------------------------------------------------- durability
     def export_state(self) -> Dict:
@@ -691,7 +688,7 @@ class AsyncScheduler(Scheduler):
                 discount = self.staleness_discount(staleness)
                 result = entry["result"]
                 discounted = replace(result, updates=[
-                    replace(update, weight=update.weight * discount, staleness=staleness)
+                    replace(update, weight=update.weight * discount)
                     for update in result.updates])
                 contributors.append((entry["participant"], discounted))
 

@@ -206,8 +206,7 @@ class ServiceClient:
             pass  # already dead (or dying) is a successful shutdown
         self._drop_stream()
 
-    def _fold(self, op: int, strategy, header: Dict,
-              framed: Sequence[Tuple[bytes, int]],
+    def _fold(self, op: int, strategy, header: Dict, framed: Sequence[bytes],
               references: Optional[Dict]) -> Tuple[object, Optional[dict]]:
         """Send one fold job as one request; returns the result and span record.
 
@@ -217,10 +216,8 @@ class ServiceClient:
         """
         keys = list(references or {})
         header = dict(header, strategy=self._pickle_strategy(strategy),
-                      count=len(framed),
-                      stalenesses=[int(staleness) for _, staleness in framed],
-                      references=keys)
-        frames = [frame for frame, _ in framed] + [references[key] for key in keys]
+                      count=len(framed), references=keys)
+        frames = list(framed) + [references[key] for key in keys]
         reconnects_before = self.stats["reconnects"]
         body = self.call(op, header, frames)
         if self.stats["reconnects"] != reconnects_before:
@@ -237,7 +234,7 @@ class ServiceClient:
                             protocol=pickle.HIGHEST_PROTOCOL)
 
     def prefold_node(self, strategy, node: int, pseudo_id: int,
-                     frames: Sequence[Tuple[bytes, int]], timed: bool = False,
+                     frames: Sequence[bytes], timed: bool = False,
                      references: Optional[Dict] = None,
                      ) -> Tuple[List[bytes], Optional[dict]]:
         """Fold one tree node's framed updates into partial frames.
@@ -250,7 +247,7 @@ class ServiceClient:
                           frames, references)
 
     def fold_shard(self, strategy, shard: int,
-                   frames: Sequence[Tuple[bytes, int]], timed: bool = False,
+                   frames: Sequence[bytes], timed: bool = False,
                    references: Optional[Dict] = None,
                    ) -> Tuple[List[Tuple[Tuple[int, int], bytes, int]],
                               Optional[dict]]:

@@ -11,11 +11,11 @@ server, and their ``pool`` argument is the whole decision: without a pool the
 job folds on a local :class:`~repro.comm.StreamingAggregator` (a framed update
 through :meth:`~repro.comm.StreamingAggregator.fold_frames`, a sender's upload
 at a time, into the caller's scratch pool; a dense one through ``add``); with
-one, every update becomes the ``(wire frame, staleness)`` pair a service job
-carries (:func:`frame_update`) and the
-:class:`~repro.service.ServiceAggregationPool` runs the jobs on its servers.
+one, every update becomes the wire frame a service job carries
+(:func:`frame_update`) and the :class:`~repro.service.ServiceAggregationPool`
+runs the jobs on its servers.
 
-**Jobs.**  The aggregator servers fold a job's pairs with
+**Jobs.**  The aggregator servers fold a job's frames with
 :func:`fold_shard_frames` / :func:`prefold_node_frames`: the same
 ``fold_frames`` call over the same bytes in the same order, so a service fold
 equals the local fold bit for bit (``tests/test_service.py``), and the fold
@@ -49,19 +49,14 @@ from ..obs import NULL_TRACER
 #: dtype, so a service fold stays bit-identical to the local fold
 JOB_CODEC = "fp64"
 
-FramedUpdate = Tuple[bytes, int]
+FramedUpdate = bytes
 State = Dict[str, np.ndarray]
 
 
 def frame_update(update, references: Dict[ExpertKey, bytes],
                  framed_references: Optional[Dict[int, Tuple[object, bytes]]] = None
                  ) -> FramedUpdate:
-    """One update as the ``(wire frame, staleness)`` pair service jobs consume.
-
-    Staleness rides alongside the frame because it is in-memory metadata that
-    deliberately does not travel in wire frames (the schedulers discount
-    weights before transmission); the ``staleness_fedavg`` strategy still
-    needs it server-side to discount exactly as a local fold would.
+    """One update as the wire frame a service job carries.
 
     An update that carries a frame (a wire-transport upload, a tree partial)
     is forwarded as that frame (``update.wire_frame``): its state *is* the
@@ -90,16 +85,15 @@ def frame_update(update, references: Dict[ExpertKey, bytes],
             references[update.key] = held[1]
     if frame is None:
         frame = encode_update(update, get_codec(JOB_CODEC))
-    return frame, update.staleness
+    return frame
 
 
 # ------------------------------------------------------------- the one fold
-def _fold_pairs(aggregator: StreamingAggregator, framed: Sequence[FramedUpdate],
+def _fold_framed(aggregator: StreamingAggregator, framed: Sequence[FramedUpdate],
                  references: Dict[ExpertKey, State]) -> None:
-    """Fold ``(frame, staleness)`` pairs, in order, a sender's upload as one group."""
+    """Fold frames, in order, a sender's upload as one group."""
     aggregator.fold_frames(
-        [frame for frame, _ in framed], [int(staleness) for _, staleness in framed],
-        reference_lookup=lambda layer, expert: references.get((layer, expert)))
+        framed, reference_lookup=lambda layer, expert: references.get((layer, expert)))
 
 
 def _fold_updates(strategy, updates: Sequence[ExpertUpdate],
@@ -107,7 +101,7 @@ def _fold_updates(strategy, updates: Sequence[ExpertUpdate],
     """Fold one job's updates here, in arrival order, into a fresh aggregator.
 
     A framed update is decoded by the fold, with its neighbours (runs of
-    framed updates go through :func:`_fold_pairs` against the reference
+    framed updates go through :func:`_fold_framed` against the reference
     states they carry) and into ``scratch``: its lazy ``state`` is never read,
     so nothing dense outlives the fold.  An update that holds a state folds
     through ``add``; the run before it is folded first, so every key sees its
@@ -118,23 +112,23 @@ def _fold_updates(strategy, updates: Sequence[ExpertUpdate],
     references: Dict[ExpertKey, State] = {}
     for update in updates:
         if update.framed:
-            framed.append((update.wire_frame, update.staleness))
+            framed.append(update.wire_frame)
             if update.wire_reference is not None:
                 references[update.key] = update.wire_reference
             continue
         if framed:
-            _fold_pairs(aggregator, framed, references)
+            _fold_framed(aggregator, framed, references)
             framed = []
         aggregator.add(update)
     if framed:
-        _fold_pairs(aggregator, framed, references)
+        _fold_framed(aggregator, framed, references)
     return aggregator
 
 
 def _fold_job_frames(strategy, framed: Sequence[FramedUpdate],
                      references: Optional[Dict[ExpertKey, bytes]],
                      scratch: Optional[ScratchPool]) -> StreamingAggregator:
-    """Fold a service job's pairs, in order, into a fresh aggregator.
+    """Fold a service job's frames, in order, into a fresh aggregator.
 
     Frames decode into ``scratch`` (an aggregator server passes its own
     :class:`~repro.comm.ScratchPool`, which stays warm across every round it
@@ -146,7 +140,7 @@ def _fold_job_frames(strategy, framed: Sequence[FramedUpdate],
     # The references are only read, and their frames outlive the fold: decoded
     # under a pool of their own (never recycled) they are views of the frames.
     views = ScratchPool()
-    _fold_pairs(aggregator, framed,
+    _fold_framed(aggregator, framed,
                  {key: decode_state_dict(frame, scratch=views)
                   for key, frame in (references or {}).items()})
     return aggregator
@@ -188,8 +182,7 @@ def prefold_node_frames(strategy, pseudo_id: int, framed: Sequence[FramedUpdate]
 def _on_servers(pool, fold, strategy, jobs: Sequence[Tuple], tracer) -> List[Tuple]:
     """Run ``jobs`` through ``fold`` (``pool.prefold_nodes`` / ``pool.fold_shards``).
 
-    Each job goes with its updates as service pairs plus the references they
-    need; the fold spans the servers measured go to ``tracer``.
+    Each job goes with its updates as frames plus the references they need; the fold spans the servers measured go to ``tracer``.
     """
     framed_references: Dict = {}    # jobs dispatched together share a reference's frame
     service_jobs = []

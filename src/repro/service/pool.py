@@ -17,9 +17,10 @@ hand the lock over at every NumPy call that releases it, one cross-thread
 wake-up per hand-over, which ties the fold's wall time to the host's wake-up
 latency.
 
-Payload: a job is its updates as ``(wire frame, staleness)`` pairs plus an
-optional trailing references dict — see :mod:`repro.service.fold`, the one
-module both ends share — and travels as exactly one request (see
+Payload: a job is its updates' wire frames plus the references dict their
+delta frames decode against (``{}`` when none do) — see
+:mod:`repro.service.fold`, the one module both ends share — and travels as
+exactly one request (see
 :mod:`repro.service.client`): a fold call of N jobs is N requests.
 
 Failure handling: each client resends a job's request with backoff (see
@@ -255,7 +256,7 @@ class ServiceAggregationPool:
             return
         by_codec: Dict[str, int] = {}
         for framed in framed_lists:
-            for frame, _ in framed:
+            for frame in framed:
                 try:
                     codec = frame_codec_name(frame)
                 except ValueError:
@@ -265,7 +266,7 @@ class ServiceAggregationPool:
             self._count("repro_service_frame_bytes_total", by_codec[codec],
                         codec=codec)
         self._count("repro_service_reference_bytes_total", sum(
-            len(frame) for references in references_list if references
+            len(frame) for references in references_list
             for frame in references.values()))
 
     def _run_jobs(self, kind: str, jobs: Sequence[Tuple], run_one) -> List:
@@ -292,43 +293,39 @@ class ServiceAggregationPool:
         return out
 
     def fold_shards(self, strategy,
-                    jobs: Sequence[Tuple[int, Sequence[Tuple[bytes, int]]]],
+                    jobs: Sequence[Tuple[int, Sequence[bytes], Dict]],
                     timed: bool = False
                     ) -> List[Tuple[int, List[Tuple[Tuple[int, int], bytes, int]]]]:
-        """Fold every shard's framed updates on its pinned server (job order).
+        """Fold every shard's frames on its pinned server (job order).
 
-        Jobs are ``(shard, framed)`` or ``(shard, framed, references)``.
+        Jobs are ``(shard, frames, references)``.
         """
 
         def run_one(client: ServiceClient, job):
-            shard, framed = job[0], job[1]
+            shard, framed, references = job
             result, record = client.fold_shard(
-                strategy, shard, framed, timed=timed,
-                references=job[2] if len(job) > 2 else None)
+                strategy, shard, framed, timed=timed, references=references)
             return shard, result, record
 
         out = self._run_jobs("shard", jobs, run_one)
-        self._count_payloads([job[1] for job in jobs],
-                             [job[2] if len(job) > 2 else None for job in jobs])
+        self._count_payloads([job[1] for job in jobs], [job[2] for job in jobs])
         return out
 
     def prefold_nodes(self, strategy,
-                      jobs: Sequence[Tuple[int, int, Sequence[Tuple[bytes, int]]]],
+                      jobs: Sequence[Tuple[int, int, Sequence[bytes], Dict]],
                       timed: bool = False) -> List[Tuple[int, List[bytes]]]:
-        """Pre-fold every tree node's framed updates on its pinned server.
+        """Pre-fold every tree node's frames on its pinned server.
 
-        Jobs are ``(node, pseudo_id, framed)`` or
-        ``(node, pseudo_id, framed, references)``.  The pseudo id also names
-        the node's tree tier, counted into
+        Jobs are ``(node, pseudo_id, frames, references)``.  The pseudo id
+        also names the node's tree tier, counted into
         ``repro_service_tier_folds_total{tier=...}`` so inner-tier routing is
         visible in run reports.
         """
 
         def run_one(client: ServiceClient, job):
-            node, pseudo_id, framed = job[0], job[1], job[2]
+            node, pseudo_id, framed, references = job
             result, record = client.prefold_node(
-                strategy, node, pseudo_id, framed, timed=timed,
-                references=job[3] if len(job) > 3 else None)
+                strategy, node, pseudo_id, framed, timed=timed, references=references)
             return node, result, record
 
         out = self._run_jobs("node", jobs, run_one)
@@ -337,8 +334,7 @@ class ServiceAggregationPool:
             for tier in sorted(set(tiers)):
                 self._count("repro_service_tier_folds_total",
                             tiers.count(tier), tier=tier)
-        self._count_payloads([job[2] for job in jobs],
-                             [job[3] if len(job) > 3 else None for job in jobs])
+        self._count_payloads([job[2] for job in jobs], [job[3] for job in jobs])
         return out
 
     # -------------------------------------------------------------- inspection

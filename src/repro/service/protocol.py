@@ -9,7 +9,7 @@ whose payload is::
 *contents* that matter — the expert updates and folded states a fold job
 carries — travel as ordinary CRC-checked ``RWP1`` wire frames (the frame an
 update arrived as, else lossless fp64); the service layer only adds an op
-byte and a small pickled header (shard/node ids, strategy, stalenesses).
+byte and a small pickled header (shard/node ids, strategy, frame count).
 
 Requests (client → server), each answered by exactly one response:
 
@@ -23,7 +23,7 @@ Requests (client → server), each answered by exactly one response:
 * ``OP_PING`` — liveness + server identity.
 * ``OP_FOLD_NODE`` / ``OP_FOLD_SHARD`` — one whole fold job.  The header
   body is ``{strategy, node | shard (+ pseudo_id), timed, count,
-  stalenesses, references}``: ``count`` update frames follow it, then one
+  references}``: ``count`` update frames follow it, then one
   fp64 reference frame per ``references`` key (:func:`announced_frames`),
   each its own stream frame.  The server reads all of them, checks every
   frame's declared codec (a tag missing from the codec registry is a typed
@@ -57,9 +57,10 @@ SERVICE_MAGIC = b"RWS1"
 #: spoken protocol version, negotiated via ``OP_HELLO``.  v2 added HELLO
 #: itself; v3 dropped the ``streaming`` flag of the shard fold; v4 made a
 #: fold job one request (its frames follow the header as stream frames) and
-#: dropped the ADD chunks, round tokens and RESET.  The envelope format is
-#: unchanged.
-PROTOCOL_VERSION = 4
+#: dropped the ADD chunks, round tokens and RESET; v5 left the fold header
+#: its frame count and reference keys as its only per-job lists.  The
+#: envelope format is unchanged.
+PROTOCOL_VERSION = 5
 
 OP_PING = 1
 OP_FOLD_NODE = 3

@@ -133,15 +133,14 @@ class AggregatorServer:
     # ----------------------------------------------------------- request core
     def _fold(self, op: int, body) -> Tuple[int, object]:
         """Check and fold one job; ``body["frames"]`` holds its received frames."""
-        if (announced_frames(op, body) is None
-                or len(body.get("stalenesses", ())) != body["count"]):
+        if announced_frames(op, body) is None:
             raise ServiceProtocolError(
-                "malformed fold header: it needs a non-negative int count, a "
-                "references list and one staleness per update frame")
+                "malformed fold header: it needs a non-negative int count and a "
+                "references list")
         count, keys, frames = body["count"], body["references"], body["frames"]
         for frame in frames:
             _check_codec(frame)
-        framed = list(zip(frames[:count], map(int, body["stalenesses"])))
+        framed = frames[:count]
         references = {tuple(key): frame for key, frame in zip(keys, frames[count:])}
         strategy = (pickle.loads(body["strategy"])
                     if body.get("strategy") is not None else None)

@@ -80,7 +80,7 @@ def poison_on_recycle(monkeypatch):
     monkeypatch.setattr(_TrainingReplica, "take_back", poisoned_take_back)
 
 
-def _updates(model, num_participants=6, seed=7, stalenesses=False):
+def _updates(model, num_participants=6, seed=7):
     """One update per (participant, expert): noisy copies of ``model``'s experts."""
     rng = np.random.default_rng(seed)
     updates = []
@@ -88,9 +88,8 @@ def _updates(model, num_participants=6, seed=7, stalenesses=False):
         for layer, expert in model.iter_expert_ids():
             state = {name: value + 0.01 * rng.normal(size=value.shape)
                      for name, value in model.expert_state(layer, expert).items()}
-            updates.append(ExpertUpdate(
-                pid, layer, expert, state, weight=float(pid % 3 + 1),
-                staleness=(pid % 4) if stalenesses else 0))
+            updates.append(ExpertUpdate(pid, layer, expert, state,
+                                        weight=float(pid % 3 + 1)))
     return updates
 
 

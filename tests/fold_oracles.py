@@ -17,7 +17,7 @@ decoded on its own (:func:`oracle_decode_update_parts`, with the per-tensor
 top-k decoders :func:`oracle_topk_decode_array` /
 :func:`oracle_topk_quant_decode_array`), folded into one accumulator per
 expert key through the strategy's own accumulator
-(:class:`OracleAggregator`; the FedAvg family's is :class:`_FoldAccumulator`,
+(:class:`OracleAggregator`; FedAvg's is :class:`_FoldAccumulator`,
 which ``repro.federated.strategies`` had until the aggregator's own sums made
 it a second FedAvg), in arrival order
 (:func:`oracle_fold_frames`).  ``test_fold_batch.py`` holds
@@ -105,10 +105,9 @@ def fold_weighted_state(acc: Dict[str, np.ndarray], state: Dict[str, np.ndarray]
 class _FoldAccumulator(UpdateAccumulator):
     """Weighted running sum — the exact streaming-FedAvg arithmetic."""
 
-    def __init__(self, discount=None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._acc: Dict[str, np.ndarray] = {}
-        self._discount = discount
 
     @property
     def finalizable(self) -> bool:
@@ -116,9 +115,7 @@ class _FoldAccumulator(UpdateAccumulator):
         # are gone, so all-zero weights cannot fall back to a uniform mean.
         return self.total_weight > 0
 
-    def add(self, state, weight: float, staleness: int = 0) -> None:
-        if self._discount is not None:
-            weight = weight * self._discount(staleness)
+    def add(self, state, weight: float) -> None:
         fold_weighted_state(self._acc, state, weight)
         self.total_weight += float(weight)
         self.count += 1
@@ -366,14 +363,14 @@ class OracleAggregator:
         self.strategy = get_strategy(strategy if strategy is not None else "fedavg")
         self._accs: Dict[ExpertKey, object] = {}
 
-    def fold_payload(self, data, reference_lookup=None, staleness: int = 0) -> None:
+    def fold_payload(self, data, reference_lookup=None) -> None:
         _, layer, expert, weight, state = oracle_decode_update_parts(data, reference_lookup)
         acc = self._accs.get((layer, expert))
         if acc is None:
             acc = self._accs[(layer, expert)] = (
-                _FoldAccumulator(self.strategy.discount) if self.strategy.foldable
+                _FoldAccumulator() if self.strategy.foldable
                 else self.strategy.make_accumulator())
-        acc.add(state, weight, staleness)
+        acc.add(state, weight)
 
     def contributions(self) -> Dict[ExpertKey, int]:
         return {key: acc.count for key, acc in self._accs.items()}
@@ -392,7 +389,7 @@ class OracleAggregator:
 
 
 def oracle_fold_frames(strategy, framed, references) -> OracleAggregator:
-    """Fold a job's ``(frame, staleness)`` pairs, in order, into one aggregator."""
+    """Fold a job's frames, in order, into one aggregator."""
     aggregator = OracleAggregator(strategy)
     states = {key: decode_state_dict(frame)
               for key, frame in (references or {}).items()}
@@ -401,8 +398,8 @@ def oracle_fold_frames(strategy, framed, references) -> OracleAggregator:
         return states.get((layer, expert))
 
     fold_payload = aggregator.fold_payload
-    for frame, staleness in framed:
-        fold_payload(frame, reference_lookup=lookup, staleness=int(staleness))
+    for frame in framed:
+        fold_payload(frame, reference_lookup=lookup)
     return aggregator
 
 

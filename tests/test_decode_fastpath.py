@@ -236,7 +236,7 @@ def test_wrong_kind_and_bad_magic_raise():
 
 
 # --------------------------------------------------------- fold bit-identity
-@pytest.mark.parametrize("strategy", ["fedavg", "staleness_fedavg"])
+@pytest.mark.parametrize("strategy", ["fedavg"])
 def test_scratch_fold_bit_identical(strategy):
     rng = np.random.default_rng(21)
     codec = get_codec("fp64")

@@ -49,14 +49,13 @@ from test_run_checkpoint import assert_models_equal
 from test_runtime import build_federation
 
 CODECS = ["fp64", "fp32", "int4", "topk", "topk:0.25:int4", "sparse-delta"]
-STRATEGIES = ["fedavg", "staleness_fedavg", "trimmed_mean", "median"]
+STRATEGIES = ["fedavg", "trimmed_mean", "median"]
 SHAPES = {"w_gate": (6, 4), "w_up": (6, 4), "w_down": (4, 6), "bias": (5,)}
 PSEUDO_ID = -3
 
 
 def _job(codec_name, participants=4, keys=((0, 0), (0, 1), (1, 0)), seed=0,
-         shapes=SHAPES, dtype=np.float64, weights=None, stalenesses=None,
-         movement=0.05):
+         shapes=SHAPES, dtype=np.float64, weights=None, movement=0.05):
     """``(framed, references)`` of a fold job: every participant uploads every key."""
     rng = np.random.default_rng(seed)
     codec = get_codec(codec_name)
@@ -72,8 +71,7 @@ def _job(codec_name, participants=4, keys=((0, 0), (0, 1), (1, 0)), seed=0,
             for layer, expert in keys]
         references = ([base[update.key] for update in updates]
                       if codec.needs_reference else None)
-        for frame in encode_updates(updates, codec, references):
-            framed.append((frame, 0 if stalenesses is None else stalenesses[pid]))
+        framed.extend(encode_updates(updates, codec, references))
     references = ({key: encode_state_dict(state, get_codec("fp64"))
                    for key, state in base.items()} if codec.needs_reference else {})
     return framed, references
@@ -152,7 +150,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
     @pytest.mark.parametrize("codec_name", CODECS)
     def test_every_codec_and_strategy(self, codec_name, strategy):
         dtype = np.float32 if codec_name in ("fp32", "int4") else np.float64
-        framed, references = _job(codec_name, dtype=dtype, stalenesses=[0, 2, 1, 5],
+        framed, references = _job(codec_name, dtype=dtype,
                                   seed=zlib.crc32(codec_name.encode()))
         partials = _assert_jobs_equal(strategy, framed, references, ScratchPool())
         assert len(partials) == 3
@@ -164,7 +162,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
         moved, _ = _job("topk:0.25:int4", seed=0)
         framed[1], framed[5] = moved[1], moved[5]
         assert any(all(len(section) == 0 for section in sections)
-                   for sections in parse_update(framed[0][0]).sections)
+                   for sections in parse_update(framed[0]).sections)
         _assert_jobs_equal(strategy, framed, references, ScratchPool())
 
     @pytest.mark.parametrize("codec_name", ["topk:0.3:int4", "topk:0.3", "topk:0.3:int2"])
@@ -175,7 +173,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
     def test_wide_indices(self):
         framed, references = _job("topk:0.01:int4", participants=2, keys=((0, 0), (0, 1)),
                                   shapes={"w": (1, 66_000)})
-        index_section = parse_update(framed[0][0]).sections[0][0]
+        index_section = parse_update(framed[0]).sections[0][0]
         assert len(index_section) == 4 * 660
         _assert_jobs_equal("fedavg", framed, references, ScratchPool())
 
@@ -198,7 +196,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
         assert len(keys) > MAX_GROUP_FRAMES
         _assert_jobs_equal("fedavg", framed, references, ScratchPool())
 
-    @pytest.mark.parametrize("strategy", ["fedavg", "staleness_fedavg", "median"])
+    @pytest.mark.parametrize("strategy", ["fedavg", "median"])
     def test_mixed_codecs_in_one_job(self, strategy):
         sparse, references = _job("topk:0.25:int4", seed=1)
         dense, _ = _job("fp64", seed=2)
@@ -276,7 +274,7 @@ class TestABadFrameInTheMiddleOfAGroup:
     def test_same_exception_and_nothing_of_it_folded(self, damage, strategy):
         framed, references = _job("topk:0.25:int4", participants=3)
         bad = 4                                   # second sender, key (0, 1)
-        framed[bad] = (damage(framed[bad][0]), 0)
+        framed[bad] = damage(framed[bad])
         with pytest.raises(PayloadCorruptedError) as oracle_error:
             oracle_fold_frames(strategy, framed, references)
         from repro.comm import decode_state_dict
@@ -284,8 +282,7 @@ class TestABadFrameInTheMiddleOfAGroup:
         states = {key: decode_state_dict(frame) for key, frame in references.items()}
         aggregator = StreamingAggregator(strategy, scratch=ScratchPool())
         with pytest.raises(PayloadCorruptedError) as error:
-            aggregator.fold_frames([frame for frame, _ in framed],
-                                   reference_lookup=lambda layer, expert:
+            aggregator.fold_frames(framed, reference_lookup=lambda layer, expert:
                                    states[(layer, expert)])
         assert type(error.value) is type(oracle_error.value)
         assert str(error.value) == str(oracle_error.value)
@@ -317,10 +314,8 @@ def _jobs(draw):
         dtype = draw(st.sampled_from([np.float64, np.float32]))
         weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
                                 min_size=participants, max_size=participants))
-        stalenesses = draw(st.lists(st.integers(0, 4),
-                                    min_size=participants, max_size=participants))
         part, refs = _job(codec_name, participants=participants, keys=keys, seed=seed,
-                          dtype=dtype, weights=weights, stalenesses=stalenesses,
+                          dtype=dtype, weights=weights,
                           movement=draw(st.sampled_from([0.0, 0.05])),
                           shapes={"w": (3, 5), "v": (7,)})
         framed.extend(part)
@@ -457,7 +452,7 @@ class TestPoisonOnRecycle:
     def test_a_view_kept_past_the_fold_is_garbage(self):
         framed, _ = _job("int4", participants=1, dtype=np.float32)
         pool = ScratchPool()
-        peek = decode_update(framed[0][0], scratch=pool)    # decoded into scratch
+        peek = decode_update(framed[0], scratch=pool)    # decoded into scratch
         pool.recycle()                                      # ... as a fold does when done
         assert all(np.isnan(value).all() for value in peek.state.values())
 
@@ -489,7 +484,7 @@ def test_the_oracle_decodes_what_decode_update_decodes():
     for codec_name in CODECS:
         framed, references = _job(codec_name, participants=1)
         states = {key: decode_state_dict(frame) for key, frame in references.items()}
-        for frame, _ in framed:
+        for frame in framed:
             _, layer, expert, weight, state = oracle_decode_update_parts(
                 frame, lambda layer, expert: states.get((layer, expert)))
             update = decode_update(frame, reference=states.get((layer, expert)))

@@ -40,6 +40,16 @@ class TestPublicAPI:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.runtime.executor")
 
+    def test_no_staleness_strategy(self):
+        """Staleness discounts weights in the async scheduler, not in a strategy."""
+        import repro.federated
+        import repro.federated.strategies
+
+        for name in ("StalenessFedAvgStrategy", "staleness_discount"):
+            assert not hasattr(repro, name) and not hasattr(repro.federated, name)
+            assert name not in repro.federated.__all__
+            assert not hasattr(repro.federated.strategies, name)
+
     def test_method_names_are_distinct(self):
         names = {repro.FluxFineTuner.name, repro.FMDFineTuner.name,
                  repro.FMQFineTuner.name, repro.FMESFineTuner.name}

@@ -282,12 +282,14 @@ class TestCheckpointMechanics:
         dict(aggregation_executor="process", aggregation_workers=2),
         dict(executor="serial", executor_workers=None),
         dict(executor="process", executor_workers=2),
+        dict(aggregation="staleness_fedavg"),
         dict(streaming_aggregation=False, service_codec="wire", service_window=8,
              num_edge_aggregators=2, edge_tiers=None,
-             aggregation_executor="process", executor="process", executor_workers=2),
+             aggregation_executor="process", executor="process", executor_workers=2,
+             aggregation="staleness_fedavg"),
     ], ids=["buffered", "streaming", "service-payload", "legacy-tier-knob",
             "both-tier-knobs", "process-pool", "serial-participants",
-            "participant-pool", "all"])
+            "participant-pool", "staleness-fedavg", "all"])
     def test_resume_from_a_config_with_retired_fields(self, vocab, tiny_config,
                                                       tmp_path, parent_keys):
         """A snapshot whose saved RunConfig carries fields this tree retired

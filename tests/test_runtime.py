@@ -35,6 +35,8 @@ from repro.obs import Tracer
 from repro.runtime.scheduler import run_participants
 from repro.systems import RoundCostBreakdown, RoundTimeline, heterogeneous_fleet
 
+from fold_oracles import fedavg_states
+
 
 # --------------------------------------------------------------------- events
 class TestEventQueue:
@@ -535,6 +537,50 @@ class TestAsyncScheduler:
         assert AsyncScheduler(staleness_exponent=0.0).staleness_discount(7) == 1.0
         assert AsyncScheduler(staleness_exponent=1.0).staleness_discount(1) == \
             pytest.approx(0.5)
+
+    @staticmethod
+    def _aggregate_stale_and_fresh(vocab, tiny_config, exponent):
+        """One async aggregation at version 3 of a buffer whose four updates of
+        expert (0, 0) are 0, 2, 0 and 3 versions stale; returns the written
+        state, the expected discounted-FedAvg inputs and the round."""
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, scheduler="async", staleness_exponent=exponent)
+        tuner = ConstantMethod(server, participants, test, config=config)
+        template = server.global_model.expert_state(0, 0)
+        rng = np.random.default_rng(17)
+        states, weights, buffer = [], [2.0, 1.0, 0.5, 3.0], []
+        for participant, weight, start_version in zip(participants, weights, [3, 1, 3, 0]):
+            state = {name: rng.normal(size=value.shape) for name, value in template.items()}
+            states.append(state)
+            update = ExpertUpdate(participant.participant_id, 0, 0, dict(state), weight)
+            buffer.append({"participant": participant, "start_version": start_version,
+                           "finish_time": 1.0, "result": ParticipantRoundResult(
+                               updates=[update], breakdown=RoundCostBreakdown(training=1.0),
+                               train_loss=0.0)})
+        scheduler = make_scheduler(config)
+        round_result = scheduler._aggregate(tuner, 3, buffer, 0, 1.0, 0.0)
+        return server.global_model.expert_state(0, 0), states, weights, round_result
+
+    def test_the_discounted_weights_reach_the_fold(self, vocab, tiny_config):
+        written, states, weights, round_result = self._aggregate_stale_and_fresh(
+            vocab, tiny_config, exponent=0.5)
+        discounted = [weight * (1 + staleness) ** -0.5
+                      for weight, staleness in zip(weights, [0, 2, 0, 3])]
+        expected = fedavg_states(states, discounted)
+        assert round_result.mean_staleness == 1.25
+        for name, value in expected.items():
+            assert written[name].tobytes() == value.tobytes(), name
+        undiscounted = fedavg_states(states, weights)
+        assert any(not np.array_equal(written[name], undiscounted[name])
+                   for name in expected)
+
+    def test_exponent_zero_is_the_undiscounted_mean(self, vocab, tiny_config):
+        written, states, weights, round_result = self._aggregate_stale_and_fresh(
+            vocab, tiny_config, exponent=0.0)
+        expected = fedavg_states(states, weights)
+        assert round_result.mean_staleness == 1.25
+        for name, value in expected.items():
+            assert written[name].tobytes() == value.tobytes(), name
 
     def test_async_run_produces_aggregations(self, vocab, tiny_config):
         server, participants, test, config = build_federation(

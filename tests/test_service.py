@@ -61,7 +61,7 @@ from conftest import _assert_models_equal, _updates
 from test_runtime import ConstantMethod, build_federation
 from repro.models import MoETransformer
 
-STRATEGIES = [None, "fedavg", "trimmed_mean", "median", "staleness_fedavg"]
+STRATEGIES = [None, "fedavg", "trimmed_mean", "median"]
 
 #: the acceptance topology: expert shards at the root under a two-tier
 #: aggregation tree (participants → edges → super-edges → root)
@@ -74,7 +74,7 @@ TREE_TIERS = {1: (2,), 2: (3, 2), 3: (2, 2, 2)}
 
 
 def frame_update(update):
-    """One update as a fold job's ``(frame, staleness)`` pair (no references kept)."""
+    """One update as a fold job's frame (no references kept)."""
     return fold.frame_update(update, {})
 
 
@@ -92,8 +92,7 @@ def _wire_updates(model, updates, codec_name="topk:0.25:int4"):
                                             encode_updates(upload, codec, against)):
             delivered.append(ExpertUpdate(
                 update.participant_id, update.layer, update.expert, None, update.weight,
-                staleness=update.staleness, wire_frame=frame, wire_codec=codec.name,
-                wire_reference=reference))
+                wire_frame=frame, wire_codec=codec.name, wire_reference=reference))
     return delivered
 
 
@@ -110,10 +109,9 @@ def service_pool():
     pool.close()
 
 
-def _fold_header(count, stalenesses=None, references=()):
+def _fold_header(count, references=()):
     """A fold request's header body, as :class:`ServiceClient` builds it."""
     return {"strategy": None, "shard": 0, "timed": False, "count": count,
-            "stalenesses": [0] * count if stalenesses is None else stalenesses,
             "references": list(references)}
 
 
@@ -121,7 +119,7 @@ def _fold_header(count, stalenesses=None, references=()):
 class TestProtocol:
     def test_round_trip_every_op(self):
         for op in OP_NAMES:
-            body = dict(_fold_header(2, [0, 3], [(0, 1)]), op=OP_NAMES[op])
+            body = dict(_fold_header(2, [(0, 1)]), op=OP_NAMES[op])
             assert decode_message(encode_message(op, body)) == (op, body)
 
     def test_fold_header_announces_its_frames(self):
@@ -135,8 +133,8 @@ class TestProtocol:
         assert announced_frames(OP_FOLD_SHARD, None) is None
 
     def test_deleted_ops_are_unknown(self):
-        """v4 has no ADD (2) and no RESET (5): a v3 peer's requests fail to decode."""
-        assert PROTOCOL_VERSION == 4
+        """No ADD (2) and no RESET (5) since v4: a v3 peer's requests fail to decode."""
+        assert PROTOCOL_VERSION == 5
         for op in (2, 5):
             message = bytearray(encode_message(OP_PING, None))
             message[4] = op
@@ -172,8 +170,7 @@ class TestServiceFoldsBitEqualSerial:
         serial_model = MoETransformer(tiny_config)
         service_model = MoETransformer(tiny_config)
         service_model.load_state_dict(serial_model.state_dict())
-        updates = _updates(serial_model,
-                           stalenesses=(strategy == "staleness_fedavg"))
+        updates = _updates(serial_model)
 
         serial = ShardedParameterServer(serial_model, num_shards=num_shards)
         serial_contrib = serial.aggregate(list(updates), strategy=strategy)
@@ -187,8 +184,7 @@ class TestServiceFoldsBitEqualSerial:
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    @pytest.mark.parametrize("strategy", ["fedavg", "staleness_fedavg",
-                                          "trimmed_mean", "median"])
+    @pytest.mark.parametrize("strategy", ["fedavg", "trimmed_mean", "median"])
     @pytest.mark.parametrize("transport", ["analytic", "wire"])
     def test_tree_prefold_matches_serial(self, tiny_config, service_pool, transport,
                                          strategy, depth, num_shards):
@@ -196,8 +192,7 @@ class TestServiceFoldsBitEqualSerial:
 
         def run(pool):
             model = MoETransformer(tiny_config)
-            updates = _updates(model, num_participants=8,
-                               stalenesses=(strategy == "staleness_fedavg"))
+            updates = _updates(model, num_participants=8)
             if transport == "wire":
                 updates = _wire_updates(model, updates)
             server = (ShardedParameterServer(model, num_shards=num_shards)
@@ -419,7 +414,7 @@ class TestServiceRuns:
             framed = [frame_update(u) for u in _updates(MoETransformer(tiny_config))]
             torn = FrameStream(socket.create_connection(survivor.address))
             torn.send_frames([encode_message(OP_FOLD_SHARD, _fold_header(len(framed))),
-                              *[frame for frame, _ in framed[:len(framed) // 2]]])
+                              *framed[:len(framed) // 2]])
             torn.close()
 
             server, participants, test, config = build_federation(
@@ -546,11 +541,11 @@ class TestServiceWireCodec:
             framed = [frame_update(u) for u in _updates(MoETransformer(tiny_config),
                                                         num_participants=1)]
             with pytest.raises(UnknownCodecError, match="nope"):
-                client.fold_shard(None, 0, [(bogus, 0)])
+                client.fold_shard(None, 0, [bogus])
             with pytest.raises(UnknownCodecError, match="nope"):
                 client.prefold_node(None, 0, -1, framed, references={(0, 0): bogus})
             with pytest.raises(ServiceProtocolError, match="not an RWP1"):
-                client.fold_shard(None, 0, [(b"garbage", 0)])
+                client.fold_shard(None, 0, [b"garbage"])
             assert client.stats["reconnects"] == 0  # fail fast, no replay
         finally:
             client.shutdown()
@@ -569,7 +564,34 @@ class TestServiceWireCodec:
             assert ack["name"] == "versioned"
             with pytest.raises(ServiceProtocolError, match="version"):
                 client.call(OP_HELLO, {"version": PROTOCOL_VERSION + 1})
+            # a v4 peer sends a staleness per frame in its fold headers
+            with pytest.raises(ServiceProtocolError, match="version 4,"):
+                client.call(OP_HELLO, {"version": 4})
             assert client.stats["reconnects"] == 0
+        finally:
+            client.shutdown()
+            server.close()
+
+    def test_a_fold_header_is_ids_count_and_reference_keys(self, tiny_config):
+        """The v5 header has no per-frame list besides its frames: it folds as sent."""
+        server = InProcessServer(name="v5")
+        client = ServiceClient(lambda: FrameStream(server.connect()),
+                               name="v5", retry_delay_s=0.0)
+        framed = [frame_update(u) for u in _updates(MoETransformer(tiny_config),
+                                                    num_participants=2)]
+        headers, send = [], client._send_request
+
+        def recording(stream, op, body, frames=()):
+            if op == OP_FOLD_SHARD:
+                headers.append(body)
+            return send(stream, op, body, frames)
+
+        client._send_request = recording
+        try:
+            result, _ = client.fold_shard(None, 0, framed)
+            assert [sorted(header) for header in headers] == [
+                ["count", "references", "shard", "strategy", "timed"]]
+            assert result == fold.fold_shard_frames(None, framed)
         finally:
             client.shutdown()
             server.close()
@@ -619,12 +641,11 @@ def _request_cuts(num_frames):
 
 
 def _wire_job(tiny_config, num_participants=2):
-    """A delta-coded fold job: its ``(frame, staleness)`` pairs and reference frames."""
+    """A delta-coded fold job: its frames and reference frames."""
     model = MoETransformer(tiny_config)
     references = {}
     framed = [fold.frame_update(update, references)
-              for update in _wire_updates(model, _updates(model, num_participants,
-                                                          stalenesses=True))]
+              for update in _wire_updates(model, _updates(model, num_participants))]
     return framed, references
 
 
@@ -643,10 +664,8 @@ class TestFoldRequest:
 
         def fold(client):
             if kind == "shard":
-                return client.fold_shard("staleness_fedavg", 3, framed,
-                                         references=references)
-            return client.prefold_node("staleness_fedavg", 1, -2, framed,
-                                       references=references)
+                return client.fold_shard("fedavg", 3, framed, references=references)
+            return client.prefold_node("fedavg", 1, -2, framed, references=references)
 
         try:
             baseline = self._client(server)
@@ -709,9 +728,9 @@ class TestFoldRequest:
                                           server="server0")
 
         try:
-            pool.fold_shards(None, [(shard, framed) for shard in range(3)])
+            pool.fold_shards(None, [(shard, framed, {}) for shard in range(3)])
             assert requests() == 1 + 3  # HELLO, then one request a job
-            pool.prefold_nodes(None, [(node, -1 - node, framed) for node in range(2)])
+            pool.prefold_nodes(None, [(node, -1 - node, framed, {}) for node in range(2)])
             assert requests() == 1 + 3 + 2
         finally:
             pool.close()
@@ -725,7 +744,7 @@ class TestFoldRequest:
         try:
             bogus = b"RWP1" + bytes((1, 4)) + b"nope" + b"body-never-reached"
             with pytest.raises(UnknownCodecError, match="nope"):
-                client.fold_shard(None, 0, [(bogus, 0)] * 100)
+                client.fold_shard(None, 0, [bogus] * 100)
             assert client.ping()["name"] == "rejected"
         finally:
             client.shutdown()
@@ -736,10 +755,10 @@ class TestFoldRequest:
         stays at a request boundary; an undecodable header closes it."""
         server = InProcessServer(name="raw")
         updates = _updates(MoETransformer(tiny_config), num_participants=1)
-        frames = [frame_update(u)[0] for u in updates]
+        frames = [frame_update(u) for u in updates]
         for update in updates:
             update.weight = 0.0
-        weightless = [frame_update(u)[0] for u in updates]
+        weightless = [frame_update(u) for u in updates]
         bogus = b"RWP1" + bytes((1, 4)) + b"nope" + b"body-never-reached"
         stream = FrameStream(server.connect())
 
@@ -779,9 +798,9 @@ class TestServiceFailover:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=3)]
-            expected = pool.fold_shards(None, [(0, framed)])
+            expected = pool.fold_shards(None, [(0, framed, {})])
             pool._servers[0].kill()
-            healed = pool.fold_shards(None, [(0, framed)])
+            healed = pool.fold_shards(None, [(0, framed, {})])
             assert healed == expected
             assert registry.counter_value("repro_service_respawns_total",
                                           server="server0") == 1
@@ -875,10 +894,10 @@ class TestServiceMachinery:
         pool = ServiceAggregationPool(1, transport="socketpair")
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        first = pool.fold_shards(None, [(0, framed)])
+        first = pool.fold_shards(None, [(0, framed, {})])
         pool.close()
         pool.close()
-        again = pool.fold_shards(None, [(0, framed)])  # fresh servers
+        again = pool.fold_shards(None, [(0, framed, {})])  # fresh servers
         assert again == first
         pool.close()
 
@@ -889,7 +908,7 @@ class TestServiceMachinery:
         framed = [frame_update(u) for u in _updates(model, num_participants=1)]
         before = set(threading.enumerate())
         pool = ServiceAggregationPool(2, transport="socketpair")
-        pool.fold_shards(None, [(0, framed)])
+        pool.fold_shards(None, [(0, framed, {})])
         assert pool._clients[1].stats["connections"] == 0
         pool.close()
         assert set(threading.enumerate()) <= before
@@ -912,13 +931,13 @@ class TestServiceMachinery:
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=1)]
         with pytest.raises(TypeError, match="cannot cross a process boundary"):
-            service_pool.fold_shards(LambdaStrategy(), [(0, framed)])
+            service_pool.fold_shards(LambdaStrategy(), [(0, framed, {})])
 
     def test_results_keep_job_order_across_servers(self, tiny_config,
                                                    service_pool):
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        jobs = [(shard, framed) for shard in (5, 2, 9, 0)]
+        jobs = [(shard, framed, {}) for shard in (5, 2, 9, 0)]
         results = service_pool.fold_shards(None, jobs)
         assert [shard for shard, _ in results] == [5, 2, 9, 0]
         folded = results[0][1]
@@ -930,7 +949,7 @@ class TestServiceMachinery:
         every client call of a fold runs on the thread that asked for it."""
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        jobs = [(shard, framed) for shard in (0, 1, 2, 3)]
+        jobs = [(shard, framed, {}) for shard in (0, 1, 2, 3)]
         pool = ServiceAggregationPool(2, transport="socketpair")
         callers = set()
         before = set(threading.enumerate())

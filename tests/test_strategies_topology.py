@@ -21,16 +21,13 @@ from repro.federated.strategies import (
     AggregationStrategy,
     FedAvgStrategy,
     MedianStrategy,
-    StalenessFedAvgStrategy,
     TrimmedMeanStrategy,
     available_strategies,
     get_strategy,
     register_strategy,
-    staleness_discount,
     strategy_from_config,
 )
 from repro.models import MoETransformer
-from repro.runtime import AsyncScheduler
 
 from fold_oracles import fedavg_states
 from test_runtime import ConstantMethod, build_federation
@@ -46,8 +43,8 @@ def _states(rng, n, shapes=((3, 4), (4,))):
 # ------------------------------------------------------------------ registry
 class TestRegistry:
     def test_builtin_strategies_registered(self):
-        assert {"fedavg", "trimmed_mean", "median", "staleness_fedavg"} <= set(
-            available_strategies())
+        assert {"fedavg", "trimmed_mean", "median"} <= set(available_strategies())
+        assert "staleness_fedavg" not in available_strategies()
 
     def test_get_strategy_by_name_and_instance(self):
         median = get_strategy("median")
@@ -71,7 +68,7 @@ class TestRegistry:
                         self.total_weight = 0.0
                         self.state = None
 
-                    def add(self, state, weight, staleness=0):
+                    def add(self, state, weight):
                         if self.state is None:
                             self.state = state
                         self.count += 1
@@ -103,21 +100,14 @@ class TestRegistry:
                                                  trim_ratio=0.25))
         assert isinstance(trimmed, TrimmedMeanStrategy)
         assert trimmed.trim_ratio == 0.25
-        stale = strategy_from_config(RunConfig(aggregation="staleness_fedavg",
-                                               staleness_exponent=1.5))
-        assert isinstance(stale, StalenessFedAvgStrategy)
-        assert stale.exponent == 1.5
 
     def test_run_config_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown aggregation strategy"):
             RunConfig(aggregation="krum")
-
-    def test_async_rejects_double_staleness_discount(self):
-        # The async scheduler already discounts weights by the FedBuff factor.
-        with pytest.raises(ValueError, match="twice"):
-            RunConfig(scheduler="async", aggregation="staleness_fedavg")
-        # Round-based schedulers may use the strategy directly.
-        RunConfig(scheduler="sync", aggregation="staleness_fedavg")
+        # retired: the async scheduler is the one place a staleness discounts
+        for scheduler in ("sync", "async"):
+            with pytest.raises(ValueError, match="unknown aggregation strategy"):
+                RunConfig(scheduler=scheduler, aggregation="staleness_fedavg")
 
     def test_run_config_validates_topology_knobs(self):
         with pytest.raises(ValueError):
@@ -196,31 +186,6 @@ class TestStrategyMath:
                   {"w": np.array([100.0, 0.0])}]
         result = MedianStrategy().aggregate(states, [1.0] * 3)
         assert np.array_equal(result["w"], np.array([1.0, 0.0]))
-
-    def test_staleness_fedavg_matches_manual_discounting(self):
-        rng = np.random.default_rng(6)
-        states = _states(rng, 3)
-        weights = [2.0, 1.0, 3.0]
-        stalenesses = [0, 2, 5]
-        result = StalenessFedAvgStrategy(exponent=0.5).aggregate(
-            states, weights, stalenesses=stalenesses)
-        discounted = [w * staleness_discount(s, 0.5)
-                      for w, s in zip(weights, stalenesses)]
-        expected = fedavg_states(states, discounted)
-        for name in expected:
-            assert np.array_equal(result[name], expected[name])
-
-    def test_async_scheduler_delegates_to_shared_discount(self):
-        scheduler = AsyncScheduler(staleness_exponent=0.7)
-        for staleness in (0, 1, 3, 10):
-            assert scheduler.staleness_discount(staleness) == \
-                staleness_discount(staleness, 0.7)
-
-    def test_staleness_travels_on_expert_updates(self):
-        update = ExpertUpdate(0, 0, 0, {"w": np.zeros(2)}, weight=1.0, staleness=3)
-        agg = StreamingAggregator("staleness_fedavg")
-        agg.add(update)
-        assert agg.total_weight((0, 0)) == staleness_discount(3, 0.5)
 
     def test_buffering_rejects_mismatched_tensor_names(self):
         acc = MedianStrategy().make_accumulator()

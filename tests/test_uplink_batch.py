@@ -364,8 +364,8 @@ class TestDeliveredStateIsDecodedWhenRead:
         assert lazy_stats == eager_stats
         assert len(lazy) == len(eager) > 1
         for got, want in zip(lazy, eager):
-            assert (got.participant_id, got.layer, got.expert, got.staleness) == (
-                want.participant_id, want.layer, want.expert, want.staleness)
+            assert (got.participant_id, got.layer, got.expert) == (
+                want.participant_id, want.layer, want.expert)
             assert got.weight == want.weight and type(got.weight) is type(want.weight)
             assert (got.wire_frame, got.wire_codec) == (want.wire_frame, want.wire_codec)
             assert list(got.state) == list(want.state)
@@ -386,8 +386,8 @@ class TestDeliveredStateIsDecodedWhenRead:
         for name, value in shipped.state.items():
             assert value.tobytes() == expected[name].tobytes()
 
-        heavier = dataclasses.replace(update, weight=2.0 * update.weight, staleness=3)
-        assert (heavier.weight, heavier.staleness) == (2.0 * update.weight, 3)
+        heavier = dataclasses.replace(update, weight=2.0 * update.weight)
+        assert heavier.weight == 2.0 * update.weight
         assert heavier.wire_frame == update.wire_frame
         for name, value in heavier.state.items():
             assert value.tobytes() == expected[name].tobytes()
@@ -489,7 +489,7 @@ def _oracle_frames(tuner, updates):
 
 def _identity(update):
     """Everything a byte-holding update is, but the reference it decodes against."""
-    return (update.participant_id, update.key, update.weight, update.staleness,
+    return (update.participant_id, update.key, update.weight,
             update.wire_frame, update.wire_codec, update.wire_raw_bytes)
 
 
