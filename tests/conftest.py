@@ -16,6 +16,7 @@ from repro.federated import ExpertUpdate, Participant, ParticipantResources, Run
 from repro.federated.server import _TrainingReplica
 from repro.models import MoEModelConfig, MoETransformer, tiny_moe
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
+from repro.runtime import AsyncScheduler
 from repro.systems import CONSUMER_GPU, CostModel, MemoryModel
 
 
@@ -80,16 +81,27 @@ def poison_on_recycle(monkeypatch):
     monkeypatch.setattr(_TrainingReplica, "take_back", poisoned_take_back)
 
 
-def _updates(model, num_participants=6, seed=7):
-    """One update per (participant, expert): noisy copies of ``model``'s experts."""
+def async_weight(weight, staleness, exponent=0.5):
+    """``weight`` as an async aggregation ships it: ``weight · (1 + staleness) ** -exponent``."""
+    return weight * AsyncScheduler(staleness_exponent=exponent).staleness_discount(staleness)
+
+
+def _updates(model, num_participants=6, seed=7, stale=False):
+    """One update per (participant, expert): noisy copies of ``model``'s experts.
+
+    ``stale`` weights participant ``pid``'s updates as an async aggregation
+    does when they are ``pid % 4`` versions stale.
+    """
     rng = np.random.default_rng(seed)
     updates = []
     for pid in range(num_participants):
+        weight = float(pid % 3 + 1)
+        if stale:
+            weight = async_weight(weight, pid % 4)
         for layer, expert in model.iter_expert_ids():
             state = {name: value + 0.01 * rng.normal(size=value.shape)
                      for name, value in model.expert_state(layer, expert).items()}
-            updates.append(ExpertUpdate(pid, layer, expert, state,
-                                        weight=float(pid % 3 + 1)))
+            updates.append(ExpertUpdate(pid, layer, expert, state, weight=weight))
     return updates
 
 

@@ -29,6 +29,8 @@ from repro.comm import (
 from repro.comm.serialization import MAGIC
 from repro.federated import ExpertUpdate
 
+from conftest import async_weight
+
 #: every registered codec family, parameterised variants included
 ALL_CODECS = [
     "fp64", "fp32", "fp16",
@@ -238,13 +240,22 @@ def test_wrong_kind_and_bad_magic_raise():
 # --------------------------------------------------------- fold bit-identity
 @pytest.mark.parametrize("strategy", ["fedavg"])
 def test_scratch_fold_bit_identical(strategy):
+    _check_scratch_fold(strategy, [float(pid % 3) + 0.5 for pid in range(6)])
+
+
+def test_scratch_fold_of_async_weights_bit_identical():
+    """Staleness-discounted weights, as async ships them, fold as given."""
+    _check_scratch_fold("fedavg", [async_weight(float(pid % 3) + 0.5, pid % 4)
+                                   for pid in range(6)])
+
+
+def _check_scratch_fold(strategy, weights):
     rng = np.random.default_rng(21)
     codec = get_codec("fp64")
     frames = []
-    for pid in range(6):
+    for pid, weight in enumerate(weights):
         update = ExpertUpdate(participant_id=pid, layer=0, expert=1,
-                              state=_make_state(rng, SHAPES, "<f8"),
-                              weight=float(pid % 3) + 0.5)
+                              state=_make_state(rng, SHAPES, "<f8"), weight=weight)
         frames.append(encode_update(update, codec))
 
     plain = StreamingAggregator(strategy)

@@ -39,6 +39,7 @@ from repro.comm.serialization import parse_update
 from repro.federated import ExpertUpdate
 from repro.service.fold import fold_shard_frames, prefold_node_frames
 
+from conftest import async_weight
 from fold_oracles import (
     oracle_decode_update_parts,
     oracle_fold_frames,
@@ -52,6 +53,10 @@ CODECS = ["fp64", "fp32", "int4", "topk", "topk:0.25:int4", "sparse-delta"]
 STRATEGIES = ["fedavg", "trimmed_mean", "median"]
 SHAPES = {"w_gate": (6, 4), "w_up": (6, 4), "w_down": (4, 6), "bias": (5,)}
 PSEUDO_ID = -3
+#: :func:`_job`'s default weights as an async aggregation ships them, the
+#: four participants 0, 2, 1 and 5 versions stale
+ASYNC_WEIGHTS = [async_weight(float(pid % 3 + 1), staleness)
+                 for pid, staleness in enumerate([0, 2, 1, 5])]
 
 
 def _job(codec_name, participants=4, keys=((0, 0), (0, 1), (1, 0)), seed=0,
@@ -75,6 +80,14 @@ def _job(codec_name, participants=4, keys=((0, 0), (0, 1), (1, 0)), seed=0,
     references = ({key: encode_state_dict(state, get_codec("fp64"))
                    for key, state in base.items()} if codec.needs_reference else {})
     return framed, references
+
+
+def _mixed_codec_job(weights=None):
+    """A job whose senders' frames interleave a sparse, a dense and a narrow codec."""
+    sparse, references = _job("topk:0.25:int4", seed=1, weights=weights)
+    dense, _ = _job("fp64", seed=2, weights=weights)
+    narrow, _ = _job("fp32", seed=3, dtype=np.float32, weights=weights)
+    return [frame for trio in zip(sparse, dense, narrow) for frame in trio], references
 
 
 def _assert_jobs_equal(strategy, framed, references, scratch=None):
@@ -196,13 +209,21 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
         assert len(keys) > MAX_GROUP_FRAMES
         _assert_jobs_equal("fedavg", framed, references, ScratchPool())
 
+    @pytest.mark.parametrize("codec_name", CODECS)
+    def test_async_weights(self, codec_name):
+        """Staleness-discounted weights, as async ships them, fold as given."""
+        dtype = np.float32 if codec_name in ("fp32", "int4") else np.float64
+        framed, references = _job(codec_name, dtype=dtype, weights=ASYNC_WEIGHTS,
+                                  seed=zlib.crc32(codec_name.encode()))
+        partials = _assert_jobs_equal("fedavg", framed, references, ScratchPool())
+        assert len(partials) == 3
+
     @pytest.mark.parametrize("strategy", ["fedavg", "median"])
     def test_mixed_codecs_in_one_job(self, strategy):
-        sparse, references = _job("topk:0.25:int4", seed=1)
-        dense, _ = _job("fp64", seed=2)
-        narrow, _ = _job("fp32", seed=3, dtype=np.float32)
-        framed = [frame for trio in zip(sparse, dense, narrow) for frame in trio]
-        _assert_jobs_equal(strategy, framed, references, ScratchPool())
+        _assert_jobs_equal(strategy, *_mixed_codec_job(), ScratchPool())
+
+    def test_mixed_codecs_in_one_job_with_async_weights(self):
+        _assert_jobs_equal("fedavg", *_mixed_codec_job(weights=ASYNC_WEIGHTS), ScratchPool())
 
     def test_senders_with_different_experts(self):
         """Rows that are neither consecutive nor all of an age."""

@@ -539,12 +539,12 @@ class TestAsyncScheduler:
             pytest.approx(0.5)
 
     @staticmethod
-    def _aggregate_stale_and_fresh(vocab, tiny_config, exponent):
+    def _aggregate_stale_and_fresh(vocab, tiny_config, exponent, **knobs):
         """One async aggregation at version 3 of a buffer whose four updates of
         expert (0, 0) are 0, 2, 0 and 3 versions stale; returns the written
         state, the expected discounted-FedAvg inputs and the round."""
         server, participants, test, config = build_federation(
-            vocab, tiny_config, scheduler="async", staleness_exponent=exponent)
+            vocab, tiny_config, scheduler="async", staleness_exponent=exponent, **knobs)
         tuner = ConstantMethod(server, participants, test, config=config)
         template = server.global_model.expert_state(0, 0)
         rng = np.random.default_rng(17)
@@ -558,12 +558,30 @@ class TestAsyncScheduler:
                                updates=[update], breakdown=RoundCostBreakdown(training=1.0),
                                train_loss=0.0)})
         scheduler = make_scheduler(config)
-        round_result = scheduler._aggregate(tuner, 3, buffer, 0, 1.0, 0.0)
-        return server.global_model.expert_state(0, 0), states, weights, round_result
+        try:
+            round_result = scheduler._aggregate(tuner, 3, buffer, 0, 1.0, 0.0)
+        finally:
+            tuner.close()
+        return tuner.server.global_model.expert_state(0, 0), states, weights, round_result
 
     def test_the_discounted_weights_reach_the_fold(self, vocab, tiny_config):
         written, states, weights, round_result = self._aggregate_stale_and_fresh(
             vocab, tiny_config, exponent=0.5)
+        self._assert_discounted_fedavg(written, states, weights, round_result)
+
+    @pytest.mark.parametrize("knobs", [
+        dict(num_shards=2),
+        dict(num_shards=2, transport="wire", codec="fp64", aggregation_executor="service",
+             aggregation_workers=2, service_transport="socketpair"),
+    ], ids=["sharded", "wire-service"])
+    def test_the_discounted_weights_reach_every_fold_plane(self, vocab, tiny_config, knobs):
+        """The weights cross the wire and the fold service as the scheduler set them."""
+        written, states, weights, round_result = self._aggregate_stale_and_fresh(
+            vocab, tiny_config, exponent=0.5, **knobs)
+        self._assert_discounted_fedavg(written, states, weights, round_result)
+
+    @staticmethod
+    def _assert_discounted_fedavg(written, states, weights, round_result):
         discounted = [weight * (1 + staleness) ** -0.5
                       for weight, staleness in zip(weights, [0, 2, 0, 3])]
         expected = fedavg_states(states, discounted)

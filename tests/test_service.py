@@ -163,24 +163,35 @@ class TestProtocol:
 
 # ------------------------------------------------------- fold-plane identity
 class TestServiceFoldsBitEqualSerial:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("num_shards", [2, 4, 8])
-    def test_sharded_fold_matches_serial(self, tiny_config, service_pool, strategy,
-                                         num_shards):
+    @staticmethod
+    def _check_sharded_fold(tiny_config, pool, strategy, num_shards, stale=False):
         serial_model = MoETransformer(tiny_config)
         service_model = MoETransformer(tiny_config)
         service_model.load_state_dict(serial_model.state_dict())
-        updates = _updates(serial_model)
+        updates = _updates(serial_model, stale=stale)
 
         serial = ShardedParameterServer(serial_model, num_shards=num_shards)
         serial_contrib = serial.aggregate(list(updates), strategy=strategy)
         service = ShardedParameterServer(service_model, num_shards=num_shards)
-        service.fold_pool = service_pool
+        service.fold_pool = pool
         service_contrib = service.aggregate(list(updates), strategy=strategy)
 
         assert serial_contrib == service_contrib
         assert serial.last_shard_contributions == service.last_shard_contributions
         _assert_models_equal(serial_model, service_model)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_sharded_fold_matches_serial(self, tiny_config, service_pool, strategy,
+                                         num_shards):
+        self._check_sharded_fold(tiny_config, service_pool, strategy, num_shards)
+
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_sharded_fold_of_async_weights_matches_serial(self, tiny_config, service_pool,
+                                                          num_shards):
+        """Staleness-discounted weights, as async ships them, fold as given."""
+        self._check_sharded_fold(tiny_config, service_pool, "fedavg", num_shards,
+                                 stale=True)
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -189,10 +200,24 @@ class TestServiceFoldsBitEqualSerial:
     def test_tree_prefold_matches_serial(self, tiny_config, service_pool, transport,
                                          strategy, depth, num_shards):
         """Every partial frame, count, channel stat and expert byte, both executors."""
+        self._check_tree_prefold(tiny_config, service_pool, transport, strategy, depth,
+                                 num_shards)
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("transport", ["analytic", "wire"])
+    def test_tree_prefold_of_async_weights_matches_serial(self, tiny_config, service_pool,
+                                                          transport, depth, num_shards):
+        """Staleness-discounted weights cross every tier hop as given, both executors."""
+        self._check_tree_prefold(tiny_config, service_pool, transport, "fedavg", depth,
+                                 num_shards, stale=True)
+
+    @staticmethod
+    def _check_tree_prefold(tiny_config, service_pool, transport, strategy, depth,
+                            num_shards, stale=False):
         def run(pool):
             model = MoETransformer(tiny_config)
-            updates = _updates(model, num_participants=8)
+            updates = _updates(model, num_participants=8, stale=stale)
             if transport == "wire":
                 updates = _wire_updates(model, updates)
             server = (ShardedParameterServer(model, num_shards=num_shards)
