@@ -28,6 +28,9 @@ A gated ``read_rows`` block times ``compute_loss`` + backward on one padded
 16-sequence batch (llama and DeepSeek) and ``evaluate_model`` (llama), each
 computing a position only as far as something reads it, against every
 position computed (the oracle in ``tests/read_oracles.py``).
+A gated ``optimizer`` block times a fresh participant's 1-step and 3-step
+Adam inside FMD participant rounds on the llama model's training replica,
+against the per-parameter Adam in ``tests/optim_oracles.py``.
 ``--suite aggregation`` carries an informational ``uplink`` block of the same
 kind: frames per second of framing one participant's upload per update (the
 oracle in ``tests/uplink_oracles.py``) against ``encode_updates`` — two more
@@ -522,6 +525,92 @@ def bench_read_rows(quick: bool) -> Dict:
     out.update((name, {"fast_us": t["fast"] * 1e6, "oracle_us": t["oracle"] * 1e6,
                        "speedup": t["oracle"] / t["fast"]})
                for name, t in times.items())
+    return out
+
+
+def bench_optimizer(quick: bool) -> Dict:
+    """A fresh participant's Adam against the per-parameter oracle, in place.
+
+    FMD participants fine-tune every expert of the end-to-end benchmark's
+    llama model (96 expert matrices, float64) on the server's training
+    replica, one after another, on 1 or 3 batches of 4 gsm8k samples (the
+    ``fmd_wire_service`` shape, then three steps).  Only the optimizer is
+    timed — its construction, its steps and its release — inside real
+    participant rounds, so every step sees the cache and heap a forward and
+    backward leave behind, as in a run.  The flat :class:`~repro.autograd.Adam` steps in the
+    replica's resident storage; the oracle (``tests/optim_oracles.py``)
+    allocates its moments and scratch per participant and zero-fills the
+    moments on the first step.  Equal replicas (bit for bit) after the same
+    participants are asserted before anything is timed.
+    """
+    sys.path.append(os.path.join(REPO_ROOT, "tests"))
+    import repro.federated.client as client
+    from optim_oracles import PerParameterAdam
+    from repro.data import Vocabulary, make_batches, make_gsm8k_like
+    from repro.federated import ParameterServer, Participant
+    from repro.models import MoETransformer, llama_moe_mini
+
+    vocab = Vocabulary(size=256, num_topics=8)
+    dataset = make_gsm8k_like(vocab=vocab, num_samples=96, seed=0)
+    server = ParameterServer(MoETransformer(llama_moe_mini(vocab_size=vocab.size, seed=0)))
+    batches = [make_batches(dataset.samples[12 * pid:12 * pid + 12], 4, vocab, shuffle=False,
+                            max_seq_len=64) for pid in range(8)]
+    participant = Participant(0, dataset)
+    spent = [0.0]
+    alive = []                      # the participant's optimizer, until it is timed dying
+
+    def timed(optimizer_class):
+        class Timed(optimizer_class):
+            def __init__(self, params, lr, buffers=None):
+                start = time.perf_counter()
+                if optimizer_class is client.Adam:
+                    super().__init__(params, lr=lr, buffers=buffers)
+                else:
+                    super().__init__(params, lr=lr)
+                spent[0] += time.perf_counter() - start
+                alive.append(self)
+
+            def step(self):
+                start = time.perf_counter()
+                super().step()
+                spent[0] += time.perf_counter() - start
+        return Timed
+
+    sides = {"fast": timed(client.Adam), "oracle": timed(PerParameterAdam)}
+
+    def round_of(side, steps):
+        """Each participant's optimizer seconds, one pass over the participants."""
+        adam, client.Adam = client.Adam, sides[side]
+        times = []
+        try:
+            for local in batches:
+                spent[0] = 0.0
+                with server.training_replica() as model:
+                    participant.local_finetune(model, local[:steps], learning_rate=1e-2)
+                start = time.perf_counter()
+                alive.clear()           # the last reference: frees what the optimizer holds
+                times.append(spent[0] + time.perf_counter() - start)
+        finally:
+            client.Adam = adam
+        return times
+
+    finals = []
+    for side in sides:
+        round_of(side, 3)
+        finals.append([param.data.tobytes() for param in server._replica.model.parameters()])
+    if finals[0] != finals[1]:
+        raise AssertionError("the flat Adam's participants differ from the oracle's")
+
+    out: Dict = {}
+    for steps in (1, 3):
+        # best of the repetitions per participant, summed over the participants
+        best = {side: [float("inf")] * len(batches) for side in sides}
+        for _ in range(5 if quick else 9):
+            for side in sides:
+                best[side] = list(map(min, best[side], round_of(side, steps)))
+        fast, oracle = (sum(best[side]) / len(batches) for side in sides)
+        out[f"{steps}_step"] = {"fast_us": fast * 1e6, "oracle_us": oracle * 1e6,
+                                "speedup": oracle / fast}
     return out
 
 
@@ -1497,6 +1586,7 @@ GATES = (
                     "|round_speedup_batched_f32_vs_loop_f64", "higher"),
     Gate("hotpath", "preamble/*/speedup", "higher"),
     Gate("hotpath", "read_rows/*/speedup", "higher"),
+    Gate("hotpath", "optimizer/*/speedup", "higher"),
     Gate("aggregation", "aggregation/shards/*/~speedup_critical_path_vs_serial", "higher"),
     Gate("aggregation", "aggregation/tree/*/~speedup_critical_path_vs_serial", "higher"),
     Gate("aggregation", "aggregation/decode/speedup_scratch_vs_fresh", "higher"),
@@ -1669,6 +1759,7 @@ def main(argv=None) -> int:
         result["nodes"] = bench_nodes(args.quick)
         result["preamble"] = bench_preamble(args.quick)
         result["read_rows"] = bench_read_rows(args.quick)
+        result["optimizer"] = bench_optimizer(args.quick)
         if args.seed_src:
             result["seed_reference"] = bench_seed_reference(args.seed_src, args.quick)
 
@@ -1745,6 +1836,10 @@ def main(argv=None) -> int:
             f"{step} {t['fast_us']:.0f}us ({t['speedup']:.2f}x)"
             for step, t in result["read_rows"].items() if "speedup" in t)
             + " vs every position computed")
+        print("  optimizer: " + ", ".join(
+            f"{steps} {t['fast_us']:.0f}us ({t['speedup']:.2f}x)"
+            for steps, t in result["optimizer"].items())
+            + " per fresh participant vs the per-parameter Adam")
         if args.seed_src:
             for preset, value in result["seed_reference"][
                     "speedup_batched_f32_vs_seed"].items():

@@ -23,7 +23,7 @@ from .nn import (
     RMSNorm,
     Sequential,
 )
-from .optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
+from .optim import SGD, Adam, AdamBuffers, AdamW, Optimizer, clip_grad_norm
 from .tensor import (
     Tensor,
     concatenate,

@@ -28,6 +28,11 @@ class Parameter(Tensor):
 class Module:
     """Base class for all neural-network modules."""
 
+    #: bumped whenever this module registers a parameter or a submodule, so
+    #: whoever keeps a flat copy of a tree can tell, without walking it again,
+    #: that the tree is still the one it copied
+    registry_version: int = 0
+
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
@@ -37,8 +42,10 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self.__dict__.setdefault("_parameters", OrderedDict())[name] = value
+            self.__dict__["registry_version"] = self.registry_version + 1
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
+            self.__dict__["registry_version"] = self.registry_version + 1
         object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------- iteration
@@ -224,6 +231,7 @@ class ModuleList(Module):
         index = len(self._items)
         self._items.append(module)
         self._modules[str(index)] = module
+        self.registry_version += 1
         return self
 
     def __getitem__(self, index: int) -> Module:
@@ -232,6 +240,7 @@ class ModuleList(Module):
     def __setitem__(self, index: int, module: Module) -> None:
         self._items[index] = module
         self._modules[str(index)] = module
+        self.registry_version += 1
 
     def __len__(self) -> int:
         return len(self._items)

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..autograd import Adam, Parameter
+from ..autograd import Adam, AdamBuffers, Module, Parameter
 from ..data import Batch, Sample, SyntheticDataset, make_batches
 from ..models import MoETransformer
 from ..systems import CONSUMER_GPU, CostModel, DeviceProfile, MemoryModel
@@ -66,6 +66,75 @@ class LocalTrainResult:
     expert_grad_norms: Dict[ExpertKey, float] = field(default_factory=dict)
     #: token assignments observed per expert (original-id coordinates)
     expert_token_counts: Dict[ExpertKey, int] = field(default_factory=dict)
+
+
+class ExpertTraining:
+    """What expert-only fine-tuning needs of a model, resolved once and kept on it.
+
+    :meth:`Participant.local_finetune` freezes everything but the routed
+    experts, puts the model in train mode and steps an :class:`Adam` over
+    the trainable experts.  A walk of the module tree for each of those costs
+    more than a participant's whole optimizer step, so :meth:`of` resolves
+    the tree once per model: :attr:`frozen` (every parameter outside the
+    routed experts), :attr:`modules` (the tree, flat; an expert a compact
+    mount brings in later is not in it, and no expert reads the train mode)
+    and :attr:`buffers`
+    (the :class:`~repro.autograd.AdamBuffers` every optimizer of the model
+    steps in, so only the first one allocates).  The routed experts are read
+    from the layers on every call, because a compact mount swaps them; an
+    expert module's parameter list is resolved the first time it is seen.
+    Everything else in the tree must stay as it was at the first call, and
+    in this package it does: only routed experts are ever replaced.
+    """
+
+    def __init__(self, model: MoETransformer) -> None:
+        routed = {id(param) for layer in model.moe_layers()
+                  for expert in layer.experts for param in expert.parameters()}
+        self.frozen: List[Parameter] = [
+            param for param in model.parameters() if id(param) not in routed]
+        self.modules: List[Module] = list(model.modules())
+        self.buffers = AdamBuffers()
+        self._expert_params: Dict[Module, List[Parameter]] = {}
+
+    @classmethod
+    def of(cls, model: MoETransformer) -> "ExpertTraining":
+        """``model``'s :class:`ExpertTraining`, resolved on first use."""
+        training = model.__dict__.get("expert_training")
+        if training is None:
+            training = model.expert_training = cls(model)
+        return training
+
+    def train_mode(self) -> None:
+        """``model.train()`` over the resolved tree; a flag already set is not rewritten."""
+        for module in self.modules:
+            if not module.training:
+                module.training = True
+
+    def select(self, model: MoETransformer, trainable_experts: Optional[Set[ExpertKey]]
+               ) -> Tuple[Dict[ExpertKey, List[Parameter]], List[Parameter]]:
+        """Freeze all but ``trainable_experts`` (every routed expert when ``None``).
+
+        Returns each local expert's parameters by key and the trainable
+        ones, in ``model.parameters()`` order.
+        """
+        for param in self.frozen:
+            param.requires_grad = False
+        known = self._expert_params
+        expert_params: Dict[ExpertKey, List[Parameter]] = {}
+        trainable: List[Parameter] = []
+        for layer_index, layer in enumerate(model.moe_layers()):
+            for expert_index, expert in enumerate(layer.experts):
+                parameters = known.get(expert)
+                if parameters is None:
+                    parameters = known[expert] = list(expert.parameters())
+                key = (layer_index, expert_index)
+                expert_params[key] = parameters
+                selected = trainable_experts is None or key in trainable_experts
+                for param in parameters:
+                    param.requires_grad = selected
+                if selected:
+                    trainable.extend(parameters)
+        return expert_params, trainable
 
 
 class Participant:
@@ -148,33 +217,23 @@ class Participant:
         Only routed experts receive gradients.  When ``trainable_experts`` is
         given, experts outside the set are frozen (Flux / FMES); ``None`` makes
         every *local* expert trainable (FMD / FMQ).  Expert keys refer to the
-        model's local expert slots.
+        model's local expert slots.  What is frozen, the module tree and the
+        optimizer's storage come from the model's :class:`ExpertTraining`.
         """
         if not batches:
             raise ValueError("local_finetune requires at least one batch")
-        model.freeze_non_expert_parameters()
-        # Resolved once per call: ``parameters()`` walks the module tree.
-        expert_params: Dict[ExpertKey, List[Parameter]] = {
-            (layer_index, expert_index): list(expert.parameters())
-            for layer_index, layer in enumerate(model.moe_layers())
-            for expert_index, expert in enumerate(layer.experts)
-        }
-        if trainable_experts is not None:
-            for key, expert_parameters in expert_params.items():
-                for param in expert_parameters:
-                    param.requires_grad = key in trainable_experts
-
-        params = [p for p in model.parameters() if p.requires_grad]
+        training = ExpertTraining.of(model)
+        expert_params, params = training.select(model, trainable_experts)
         if not params:
             raise ValueError("no trainable experts selected")
-        optimizer = Adam(params, lr=learning_rate)
+        optimizer = Adam(params, lr=learning_rate, buffers=training.buffers)
 
         grad_sq: Dict[ExpertKey, float] = {}
         token_counts: Dict[ExpertKey, int] = {}
         losses: List[float] = []
         total_tokens = 0
 
-        model.train()
+        training.train_mode()
         for _ in range(max(iterations, 1)):
             for batch in batches:
                 optimizer.zero_grad()

@@ -32,9 +32,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..comm import ScratchPool
-from ..autograd import Parameter
+from ..autograd import Module, Parameter
 from ..models import MoETransformer
 from .aggregation import ExpertKey, ExpertUpdate
+from .client import ExpertTraining
 
 
 class _TrainingReplica:
@@ -43,22 +44,24 @@ class _TrainingReplica:
     def __init__(self, global_model: MoETransformer) -> None:
         self.model = MoETransformer.allocate(global_model.config)
         self.noise_state = self.model.noise_rng.bit_generator.state
-        #: flat views of the replica's module tree (walking it costs more than
+        #: what local fine-tuning resolves on the model (frozen parameters,
+        #: module tree, optimizer storage), resolved here once
+        self.training = ExpertTraining.of(self.model)
+        #: the replica's parameters, flat (walking the tree costs more than
         #: everything else a hand-out does)
         self.params: List[Parameter] = list(self.model.parameters())
-        self.modules = list(self.model.modules())
-        #: the global model's parameters, ``parameters()`` order: the structure
-        #: this replica was built for
-        self.sources: List[Parameter] = list(global_model.parameters())
-        trained = {id(param) for layer in self.model.moe_layers()
-                   for expert in layer.experts for param in expert.parameters()}
+        #: every module of the global model's tree with its registry version:
+        #: the structure this replica was built for
+        self.registries: List[Tuple[Module, int]] = [
+            (module, module.registry_version) for module in global_model.modules()]
+        frozen = {id(param) for param in self.training.frozen}
         #: ``(replica parameter, global parameter)`` of what training writes
         self.experts: List[Tuple[Parameter, Parameter]] = []
         #: ``(global parameter, its array)`` of what training only reads: the
         #: replica's array is a read-only view of that one
         self.shared: List[Tuple[Parameter, np.ndarray]] = []
-        for target, source in zip(self.params, self.sources, strict=True):
-            if id(target) in trained:
+        for target, source in zip(self.params, global_model.parameters(), strict=True):
+            if id(target) not in frozen:
                 self.experts.append((target, source))
             else:
                 view = source.data.view()
@@ -68,17 +71,18 @@ class _TrainingReplica:
 
     def mirrors(self, global_model: MoETransformer) -> bool:
         """Whether ``global_model`` still has the parameters this replica aliases."""
-        current = list(global_model.parameters())
-        return (len(current) == len(self.sources)
-                and all(now is then for now, then in zip(current, self.sources))
+        return (self.registries[0][0] is global_model
+                and all(module.registry_version == version
+                        for module, version in self.registries)
                 and all(source.data is array for source, array in self.shared))
 
     def hand_out(self) -> MoETransformer:
         """The model as a fresh copy of the global model would be."""
         for param in self.params:
             param.requires_grad = True
-        for module in self.modules:
-            module.training = True
+        self.training.train_mode()
+        # the last participant's optimizer, if anyone kept it, can no longer step
+        self.training.buffers.release()
         self.model.noise_rng.bit_generator.state = self.noise_state
         for target, source in self.experts:
             np.copyto(target.data, source.data)
@@ -159,12 +163,15 @@ class ParameterServer:
         On entry every parameter is trainable, the model is in train mode and
         holds no gradient, routing record or attention cache; on exit those
         are dropped again, so between participants it holds parameters and
-        nothing else.  The next entry overwrites the expert values, so a
-        handle kept past its block reads another participant's model.  It is
-        rebuilt when the global model's parameters are no longer the ones it
-        aliases (a replaced model, module or array), and checkpoints never see
-        it.  Everyone who needs an independent copy calls
-        :meth:`model_snapshot`.
+        the optimizer storage of its :class:`~repro.federated.client.ExpertTraining`
+        (moments nobody reads before a step writes them; every entry ends
+        the last optimizer's lease on them).  The next entry overwrites the
+        expert values, so a handle kept past its block reads another
+        participant's model.  It is rebuilt when the global model's
+        parameters are no longer the ones it aliases (a replaced model,
+        module or array: a module's ``registry_version`` moved), and
+        checkpoints never see it.  Everyone who needs an independent copy
+        calls :meth:`model_snapshot`.
         """
         replica = self._replica
         if replica is None or not replica.mirrors(self.global_model):

@@ -138,7 +138,8 @@ class MoELayer(Module):
         # Persistent backward-pass scratch buffers of the fused batched
         # dispatch (backward-internal temporaries only — never tensors a
         # graph node retains), reused across steps to avoid re-faulting
-        # freshly-mmapped pages every iteration.
+        # freshly-mmapped pages every iteration.  ``MoETransformer`` hands
+        # all its layers one dict.
         self._bwd_scratch: Dict[str, np.ndarray] = {}
 
     # ---------------------------------------------------------------- config
@@ -514,16 +515,19 @@ class MoELayer(Module):
         return out
 
     def _scratch(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """Persistent backward scratch buffer, reallocated only on shape change.
+        """Persistent backward scratch: the leading rows of a grow-only buffer.
 
-        Allocated zeroed: consumers that skip re-zeroing rely on stale
-        contents being finite (never NaN/Inf heap garbage).
+        Reallocated only when it has fewer rows than ``shape`` asks for (or
+        another row shape or dtype), and then allocated zeroed: consumers
+        that skip re-zeroing rely on stale contents being finite (never
+        NaN/Inf heap garbage).
         """
         buf = self._bwd_scratch.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
+        if (buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]
+                or buf.dtype != dtype):
             buf = np.zeros(shape, dtype=dtype)
             self._bwd_scratch[name] = buf
-        return buf
+        return buf[:shape[0]]
 
     # ------------------------------------------------------ routing statistics
     def _record_routing(self, top_idx: np.ndarray, top_weights: Tensor,

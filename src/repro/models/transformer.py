@@ -168,6 +168,11 @@ class MoETransformer(Module):
                 MoETransformerBlock(config, num_experts, rng=rng)
                 for num_experts in config.experts_per_layer()
             ])
+            # One backward runs one block's MoE closure at a time and keeps
+            # none of its scratch, so the layers share one set of buffers.
+            scratch: Dict[str, np.ndarray] = {}
+            for block in self.blocks:
+                block.moe._bwd_scratch = scratch
             self.final_norm = RMSNorm(config.d_model, eps=config.rms_norm_eps)
             if config.tie_embeddings:
                 self.lm_head = None

@@ -32,8 +32,9 @@ def poison_on_recycle(monkeypatch):
     fixture — the whole suite — recycled arrays are filled with NaN, the
     handed-out part of a receive buffer (every byte before its read cursor)
     with ``0xFF`` before it is reused or released, and the replica's
-    experts, spares included, with NaN when it is taken back (a list that was
-    mounted holds only those modules) and again before they are refreshed, so
+    experts, spares included, and its resident optimizer state with NaN when
+    it is taken back (a list that was mounted holds only those modules) and
+    again before they are refreshed, so
     anything that kept reading a view past its lease computes garbage and a
     test fails, instead of the stale bytes happening to be right.
     """
@@ -69,6 +70,8 @@ def poison_on_recycle(monkeypatch):
             for spare in layer._spare_experts:
                 for param in spare.parameters():
                     param.data.fill(np.nan)
+        for array in replica.training.buffers._arrays.values():
+            array.fill(np.nan)
 
     def poisoned_hand_out(replica):
         poison_replica_experts(replica)

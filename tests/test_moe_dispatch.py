@@ -358,6 +358,35 @@ class TestSegmentKernel:
             _assert_bit_identical(a, b)
 
 
+class TestBackwardScratch:
+    """The kernel's backward scratch only grows and hands out leading rows."""
+
+    def test_shrinking_and_growing_batches_match_a_fresh_layer(self):
+        _, layer = _layer_pair()
+        sizes = [21, 9, 30, 4, 30]
+        bases = []
+        for step, num_tokens in enumerate(sizes):
+            rng = np.random.default_rng(step)
+            x = rng.standard_normal((num_tokens, layer.d_model))
+            local_idx = _random_routing(rng, num_tokens, 6, 2)
+            weights = rng.random((num_tokens, 2))
+            _, fresh = _layer_pair()                    # an empty scratch every time
+            got = _kernel(layer, layer._combine_batched, x, local_idx, weights, True)
+            want = _kernel(fresh, fresh._combine_batched, x, local_idx, weights, True)
+            for name in want:
+                _assert_bit_identical(got[name], want[name], name)
+            bases.append(layer._bwd_scratch["g_y"])
+        assert bases[1] is bases[0]                     # 9 rows: a view of the 21-row buffer
+        assert bases[2] is not bases[1]                 # 30 rows: grown
+        assert bases[4] is bases[3] is bases[2]
+        assert bases[2].shape == (30 * 2, layer.d_model)
+
+    def test_a_models_layers_share_one_scratch(self, tiny_config):
+        model = MoETransformer(tiny_config)
+        scratches = {id(layer._bwd_scratch) for layer in model.moe_layers()}
+        assert len(scratches) == 1
+
+
 class TestRunLevelOracle:
     """Whole federated runs on the kernel against the same runs on the loop
     oracle: every model such a run builds or copies (the global model, the
@@ -590,10 +619,10 @@ class TestFusedOptimizers:
         param.grad = np.ones(4)
         opt = Adam([param], lr=0.01)
         opt.step()
-        scratch_ids = {id(buf) for buf in opt._scratch.values()}
+        scratch_ids = {id(buf) for buf in opt._buffers._arrays.values()}
         param.grad = np.full(4, 2.0)
         opt.step()
-        assert {id(buf) for buf in opt._scratch.values()} == scratch_ids
+        assert {id(buf) for buf in opt._buffers._arrays.values()} == scratch_ids
 
 
 class TestStackedWeightHelpers:

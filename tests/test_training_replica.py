@@ -14,13 +14,19 @@ import contextlib
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.autograd.optim as optim_module
 import repro.baselines.fmq as fmq_module
+from optim_oracles import PerParameterAdam
+from repro.autograd import Adam, Linear, Parameter
 from repro.baselines import FMDFineTuner, FMQFineTuner
 from repro.federated import ParameterServer
+from repro.federated.server import _TrainingReplica
+from repro.federated.client import ExpertTraining
 from repro.models import ExpertFFN, MoETransformer
 from repro.quantization import quantize_model
 from repro.runtime import latest_checkpoint
@@ -109,6 +115,93 @@ class TestReplicaEqualsFreshCopies:
                     [p.requires_grad for p in fresh.parameters()]
 
 
+def _bits(model):
+    return [np.ascontiguousarray(param.data).tobytes() for param in model.parameters()]
+
+
+class TestResidentOptimizerState:
+    """The replica's optimizer storage is reused, never carried over: every
+    participant steps as a fresh optimizer on a fresh model would."""
+
+    def test_consecutive_participants_match_fresh_models(self, vocab, tiny_config):
+        server, participants, _, config = build_federation(vocab, tiny_config)
+        _, twins, _, _ = build_federation(vocab, tiny_config)
+        for participant, twin in zip(participants[:3], twins[:3]):
+            with server.training_replica() as model:
+                got = participant.local_finetune(
+                    model, participant.local_batches(config.batch_size, max_batches=2),
+                    iterations=2)
+                fresh = MoETransformer.copy_of(server.global_model)
+                want = twin.local_finetune(
+                    fresh, twin.local_batches(config.batch_size, max_batches=2), iterations=2)
+                assert got == want
+                assert _bits(model) == _bits(fresh)
+
+    @pytest.mark.parametrize("schedule", [
+        [{(0, 0), (1, 2)}, {(0, 0), (0, 1), (1, 2)}],          # (0, 1) first touched at t = 2
+        [{(0, 0), (0, 1), (1, 2)}, {(0, 0), (1, 2)}, {(0, 1)}],  # (0, 1) absent at t = 2
+    ], ids=["first_touch_at_2", "absent_at_2"])
+    def test_experts_joining_and_leaving(self, tiny_config, schedule):
+        server = ParameterServer(MoETransformer(tiny_config))
+        rng = np.random.default_rng(3)
+        for _ in range(2):                  # the second pass steps on warm, stale storage
+            with server.training_replica() as model:
+                training = ExpertTraining.of(model)
+                expert_params, params = training.select(model, None)
+                fresh = MoETransformer.copy_of(server.global_model)
+                fresh_params, twins = ExpertTraining(fresh).select(fresh, None)
+                flat = Adam(params, lr=1e-2, buffers=training.buffers)
+                oracle = PerParameterAdam(twins, lr=1e-2)
+                for present in schedule:
+                    for key, group in expert_params.items():
+                        for param, twin in zip(group, fresh_params[key]):
+                            grad = rng.standard_normal(param.data.shape) \
+                                if key in present else None
+                            param.grad = twin.grad = grad
+                    flat.step()
+                    oracle.step()
+                    assert _bits(model) == _bits(fresh)
+
+    def test_an_optimizer_kept_past_its_block_cannot_step(self, tiny_config):
+        server = ParameterServer(MoETransformer(tiny_config))
+        with server.training_replica() as model:
+            training = ExpertTraining.of(model)
+            kept = Adam(training.select(model, None)[1], lr=1e-2, buffers=training.buffers)
+        with server.training_replica():
+            with pytest.raises(RuntimeError, match="taken over or released"):
+                kept.step()
+
+    def test_a_warm_replica_allocates_no_optimizer_buffer(self, vocab, tiny_config,
+                                                          monkeypatch):
+        server, participants, _, config = build_federation(vocab, tiny_config)
+        only_optim = [tracemalloc.Filter(True, optim_module.__file__)]
+        allocated = []
+        step = Adam.step
+
+        def measured(optimizer):
+            step(optimizer)
+            after = tracemalloc.take_snapshot().filter_traces(only_optim)
+            allocated.append(sum(max(stat.size_diff, 0)
+                                 for stat in after.compare_to(before, "lineno")))
+
+        monkeypatch.setattr(Adam, "step", measured)
+        tracemalloc.start()
+        try:
+            for participant in participants[:2]:
+                with server.training_replica() as model:
+                    before = tracemalloc.take_snapshot().filter_traces(only_optim)
+                    participant.local_finetune(
+                        model, participant.local_batches(config.batch_size, max_batches=1))
+        finally:
+            tracemalloc.stop()
+        moment_bytes = sum(param.data.nbytes for param in
+                           ExpertTraining.of(server._replica.model).select(
+                               server._replica.model, None)[1])
+        cold, warm = allocated
+        assert cold >= 3 * moment_bytes                 # m, v and the gradient gather
+        assert warm < moment_bytes / 4                  # bookkeeping only
+
+
 class TestHandOutContract:
     def test_holds_parameters_only_between_participants(self, vocab, tiny_config,
                                                         monkeypatch):
@@ -192,6 +285,32 @@ class TestHandOutContract:
         server.global_model = MoETransformer(dataclasses.replace(tiny_config, seed=9))
         with server.training_replica() as other:
             assert_models_equal(other, server.global_model)
+
+    def test_rebuilt_when_any_module_registers_something_new(self, tiny_config):
+        """``mirrors`` reads registry versions, not the tree: a parameter or a
+        module replaced anywhere is seen without walking."""
+        server = ParameterServer(MoETransformer(tiny_config))
+        with server.training_replica() as model:
+            first = model
+        norm = server.global_model.final_norm
+        norm.weight = Parameter(norm.weight.data * 3.0)
+        with server.training_replica() as model:
+            assert model is not first
+            assert_models_equal(model, server.global_model)
+        attention = server.global_model.blocks[1].attn
+        attention.q_proj = Linear(tiny_config.d_model, tiny_config.d_model, bias=False,
+                                  rng=np.random.default_rng(4))
+        with server.training_replica() as again:
+            assert again is not model
+            assert_models_equal(again, server.global_model)
+
+    def test_built_once_a_run(self, vocab, tiny_config, monkeypatch):
+        built = []
+        init = _TrainingReplica.__init__
+        monkeypatch.setattr(_TrainingReplica, "__init__",
+                            lambda replica, model: built.append(1) or init(replica, model))
+        _run(FMDFineTuner, vocab, tiny_config, rounds=3)
+        assert len(built) == 1
 
     def test_model_snapshot_stays_an_independent_copy(self, tiny_config):
         server = ParameterServer(MoETransformer(tiny_config))
