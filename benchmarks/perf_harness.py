@@ -644,7 +644,7 @@ def _fold_payloads(server, frames) -> None:
     """Decode-and-fold ``frames`` into ``server``'s model through its scratch pool."""
     from repro.comm import StreamingAggregator
 
-    aggregator = StreamingAggregator(server.strategy, scratch=server.fold_scratch)
+    aggregator = StreamingAggregator(scratch=server.fold_scratch)
     aggregator.fold_frames(frames, reference_lookup=server.expert_state)
     aggregator.apply(server.global_model)
 
@@ -684,7 +684,7 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int) -> Dict:
     for update, framed in zip(updates, all_framed):
         shard_framed[serial_server.shard_of(update.key)].append(framed)
     scratch = ScratchPool()   # warm across jobs, as an aggregator server's is
-    worker_results = [fold_shard_frames(None, framed, scratch=scratch)
+    worker_results = [fold_shard_frames(framed, scratch=scratch)
                       for framed in shard_framed if framed]
     merge_model = MoETransformer(config)
 
@@ -704,7 +704,7 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int) -> Dict:
         if framed:
             fns[f"job{shard}"] = {
                 "fold": lambda framed=framed: fold_shard_frames(
-                    None, framed, scratch=scratch)}
+                    framed, scratch=scratch)}
 
     times = _interleaved_best_times(fns, iters, reps)
     serial_s = times["serial_wire"]["fold"]
@@ -762,7 +762,7 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int) -> Dict:
         tree.aggregate(server, iter([decode_update(frame) for frame in all_framed]))
 
     def leaf_fold():
-        prefold_nodes(None, leaf_jobs, scratch=leaf_scratch)
+        prefold_nodes(leaf_jobs, scratch=leaf_scratch)
 
     fns = {
         "serial_wire": {"fold": serial_wire},
@@ -772,7 +772,7 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int) -> Dict:
     for node, framed in sorted(node_framed.items()):
         fns[f"job{node}"] = {
             "fold": lambda node=node, framed=framed: prefold_node_frames(
-                None, tree.pseudo_id(0, node), framed, scratch=scratch)}
+                tree.pseudo_id(0, node), framed, scratch=scratch)}
 
     times = _interleaved_best_times(fns, iters, reps)
     serial_s = times["serial_wire"]["fold"]
@@ -965,10 +965,10 @@ def bench_prefold(quick: bool) -> Dict:
     scratch = ScratchPool()
 
     def batched():
-        return prefold_node_frames(None, -1, frames, references, scratch=scratch)
+        return prefold_node_frames(-1, frames, references, scratch=scratch)
 
     def oracle():
-        return oracle_prefold_node_frames(None, -1, frames, references)
+        return oracle_prefold_node_frames(-1, frames, references)
 
     if batched() != oracle():
         raise AssertionError("batched prefold partials differ from the per-frame oracle's")
@@ -1208,10 +1208,10 @@ def _bench_service_fold(updates, num_shards: int, iters: int, reps: int,
     jobs = [(shard, framed, {}) for shard, framed in sorted(shard_framed.items())]
 
     fns = {"serial": {"fold": lambda: [
-        fold_shard_frames(None, framed, scratch=scratch) for _, framed, _ in jobs]}}
+        fold_shard_frames(framed, scratch=scratch) for _, framed, _ in jobs]}}
     for transport, pool in service_pools.items():
         fns[f"service_{transport}"] = {
-            "fold": lambda pool=pool: pool.fold_shards(None, jobs)}
+            "fold": lambda pool=pool: pool.fold_shards(jobs)}
     times = _interleaved_best_times(fns, iters, reps)
     return dict(_service_ratios(times, len(updates), service_pools),
                 num_jobs=len(jobs))
@@ -1240,7 +1240,7 @@ def _bench_service_tree(updates, tiers, iters: int, reps: int,
         leaf.setdefault(index % tiers[0], []).append(frame)
 
     def serial_prefold(jobs):
-        return [(node, prefold_node_frames(None, pseudo_id, node_frames,
+        return [(node, prefold_node_frames(pseudo_id, node_frames,
                                            scratch=scratch))
                 for node, pseudo_id, node_frames, _ in jobs]
 
@@ -1259,7 +1259,7 @@ def _bench_service_tree(updates, tiers, iters: int, reps: int,
     for transport, pool in service_pools.items():
         fns[f"service_{transport}"] = {
             "fold": lambda pool=pool: fold_tree(
-                lambda jobs: pool.prefold_nodes(None, jobs))}
+                lambda jobs: pool.prefold_nodes(jobs))}
     times = _interleaved_best_times(fns, iters, reps)
     return dict(_service_ratios(times, len(updates), service_pools),
                 tiers=list(tiers))
@@ -1338,7 +1338,7 @@ def run_service_suite() -> Dict:
     try:
         # Spawn the servers outside the timings.
         for pool in service_pools.values():
-            pool.prefold_nodes(None, [(0, -1, [], {})])
+            pool.prefold_nodes([(0, -1, [], {})])
         shards = {str(n): _bench_service_fold(updates, n, iters, reps,
                                               service_pools)
                   for n in SERVICE_SHARD_COUNTS}

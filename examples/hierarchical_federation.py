@@ -1,6 +1,6 @@
-"""Sharded, hierarchical, robust, resumable federation — the full topology stack.
+"""Sharded, hierarchical, resumable federation — the full topology stack.
 
-This example runs the same federated fine-tuning job three production knobs
+This example runs the same federated fine-tuning job two production knobs
 away from the flat defaults:
 
 * **4 expert shards** (:class:`~repro.federated.ShardedParameterServer`): the
@@ -13,9 +13,9 @@ away from the flat defaults:
   Because every participant has a cost model, the participant→edge assignment
   is **cost-aware** by default: a greedy bin-pack on upload cost balances the
   per-edge upload makespan instead of ``pid % num_edges``.
-* **Trimmed-mean aggregation** (``aggregation="trimmed_mean"``): per
-  coordinate, the extreme contributions are trimmed before averaging —
-  robust to corrupted or adversarial clients.
+
+Every fold — edge, super-edge and shard — is weighted FedAvg, so the tree's
+weighted mean of weighted means is the flat weighted mean up to rounding.
 
 It then scales the topology to a **3-tier parallel tree**
 (``edge_tiers=(3, 2)``: participants → 3 edges → 2 super-edges → root) with
@@ -93,8 +93,6 @@ def topology_config(checkpoint_dir: str | None = None, **overrides) -> RunConfig
         num_shards=4,
         edge_tiers=(3,),
         edge_latency_s=0.01,
-        aggregation="trimmed_mean",
-        trim_ratio=0.2,
         # --- durability ---
         checkpoint_every=CHECKPOINT_EVERY if checkpoint_dir else 0,
         checkpoint_dir=checkpoint_dir,
@@ -126,7 +124,7 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     print(f"reference: uninterrupted {NUM_ROUNDS}-round run "
-          "(4 shards, 3 edges, trimmed mean)")
+          "(4 shards, 3 edges, FedAvg)")
     reference_tuner = build_tuner(topology_config())
     reference = reference_tuner.run(num_rounds=NUM_ROUNDS)
 

@@ -13,8 +13,7 @@ For every configuration in the matrix, three phases:
 
 Matrix:
 
-* ``sharded-edges`` — 2 expert shards, one edge tier, trimmed mean (the
-  historical smoke).
+* ``sharded-edges`` — 2 expert shards, one edge tier (the historical smoke).
 * ``service-tree`` — 3-tier aggregation tree (participants → 2 edges →
   2 super-edges → root), 2 shards, and the whole fold plane behind in-process
   (``socketpair``) aggregator servers — the kill lands while a fold backend is
@@ -66,19 +65,14 @@ KILL_AT_ROUND = 3  # after the round-2 snapshot, before the run completes
 #: the hard-kill/resume matrix: config-name -> RunConfig overrides
 #: (``checkpoint_every`` here overrides the matrix-wide default cadence)
 CONFIGS = {
-    "sharded-edges": dict(
-        num_shards=2, edge_tiers=(2,),
-        aggregation="trimmed_mean", trim_ratio=0.2,
-    ),
+    "sharded-edges": dict(num_shards=2, edge_tiers=(2,)),
     "service-tree": dict(
         num_shards=2, edge_tiers=(2, 2),
-        aggregation="trimmed_mean", trim_ratio=0.2,
         aggregation_executor="service", aggregation_workers=2,
         service_transport="socketpair",
     ),
     "delta-chain": dict(
         num_shards=2, edge_tiers=(2,),
-        aggregation="trimmed_mean", trim_ratio=0.2,
         checkpoint_every=1, checkpoint_delta_every=4, checkpoint_async=True,
     ),
 }

@@ -74,7 +74,6 @@ KILLED_SERVER = "server0"  # pool._server_name(0): the kill target
 #: the edge-tier widths come from ``--edge-tiers``
 TOPOLOGY = dict(
     num_shards=2,
-    aggregation="trimmed_mean", trim_ratio=0.2,
     participants_per_round=4,
 )
 

@@ -90,8 +90,6 @@ from .federated import (
     RunConfig,
     RunResult,
     ShardedParameterServer,
-    available_strategies,
-    get_strategy,
 )
 from .metrics import PerformanceTracker, evaluate_model
 from .obs import (
@@ -162,8 +160,6 @@ __all__ = [
     "ParameterServer",
     "ShardedParameterServer",
     "AggregationTree",
-    "get_strategy",
-    "available_strategies",
     "FederatedFineTuner",
     "RunConfig",
     "RunResult",

@@ -8,8 +8,8 @@ building the participant communication plan.
 
 Because the baselines only implement ``participant_round``, they inherit the
 whole server-side aggregation topology for free: their updates aggregate
-under whatever :class:`~repro.federated.strategies.AggregationStrategy`,
-shard count and edge tier :class:`~repro.federated.RunConfig` selects, and
+by weighted FedAvg under whatever shard count and edge tier
+:class:`~repro.federated.RunConfig` selects, and
 their runs checkpoint/resume through :mod:`repro.runtime.checkpoint` with no
 method-specific state to capture (all baseline cross-round state lives in
 the participants' batch seeds, which the checkpoint layer already snapshots).

@@ -1,9 +1,9 @@
 """Constant-memory streaming aggregation of expert updates — the one fold.
 
 :class:`StreamingAggregator` folds each update into a per-expert accumulator
-the moment it arrives; under the default FedAvg strategy the accumulator is a
-running weighted sum, so peak server memory is one group of updates plus the
-running sums, independent of how many clients contributed.  Every fold in the
+the moment it arrives.  Weighted FedAvg is the only reduction, so the
+accumulator is a running weighted sum and peak server memory is one group of
+updates plus the running sums, independent of how many clients contributed.  Every fold in the
 repo — the serial servers, the aggregation tree's tiers, the service's fold
 jobs — is this class.
 
@@ -19,16 +19,9 @@ value * weight`` in arrival order, the first contribution assigned.
 The references it is held to are in ``tests/fold_oracles.py``: the
 frame-at-a-time decode-and-fold this replaced (``tests/test_fold_batch.py``:
 every partial frame and shard aggregate byte for byte), and the
-group-then-average FedAvg over the per-key running-sum accumulator the
-strategies used to own (it lives there now, finalized by the same
-:func:`finalize_weighted_sum`), in the same arrival order; they agree bit for
-bit wherever a key's total weight is positive.
-
-The aggregator is strategy-aware (:mod:`repro.federated.strategies`): pass a
-strategy name or instance and every expert key folds through that strategy's
-accumulator instead.  Order statistics (``trimmed_mean``, ``median``) buffer
-their contributions per key — streaming then bounds memory per *expert*, not
-per run.
+group-then-average FedAvg over a per-key running-sum accumulator (finalized by
+the same :func:`finalize_weighted_sum`), in the same arrival order; they agree
+bit for bit wherever a key's total weight is positive.
 """
 
 from __future__ import annotations
@@ -63,10 +56,9 @@ def finalize_weighted_sum(acc: Dict[str, np.ndarray],
 class _SumRow:
     """One expert key's row of an aggregator's running-sum matrices.
 
-    The per-key face of a foldable strategy's state — count, total weight,
-    :meth:`finalize` — so everything that reads accumulators treats foldable
-    and buffering strategies alike.  The sums themselves live in the owning
-    aggregator's ``(keys, *shape)`` matrices, one per ``(name, shape)``.
+    The per-key face of the running sums — count, total weight,
+    :meth:`finalize`.  The sums themselves live in the owning aggregator's
+    ``(keys, *shape)`` matrices, one per ``(name, shape)``.
     """
 
     __slots__ = ("_sums", "row", "tensors", "count", "total_weight")
@@ -79,12 +71,6 @@ class _SumRow:
         self.count = 0
         self.total_weight = 0.0
 
-    @property
-    def finalizable(self) -> bool:
-        # A weighted mean needs positive total weight; the individual states
-        # are gone, so all-zero weights cannot fall back to a uniform mean.
-        return self.total_weight > 0
-
     def finalize(self) -> Dict[str, np.ndarray]:
         return finalize_weighted_sum(
             {name: self._sums[name, shape][self.row] for name, shape in self.tensors or ()},
@@ -92,33 +78,19 @@ class _SumRow:
 
 
 class StreamingAggregator:
-    """Folds expert updates, a group at a time, into per-expert accumulators.
+    """Folds expert updates, a group at a time, into per-expert weighted sums.
 
-    ``strategy`` selects the per-expert reduction
-    (:mod:`repro.federated.strategies`); ``None`` is weighted FedAvg.
-    All-zero FedAvg weights cannot be averaged (the individual states are
-    gone by finalize time); feeding only zero-weight updates for a key raises
-    at :meth:`finalize`.
+    All-zero weights cannot be averaged (the individual states are gone by
+    finalize time); feeding only zero-weight updates for a key raises at
+    :meth:`finalize`.
     """
 
-    def __init__(self, strategy=None,
-                 scratch: Optional[ScratchPool] = None) -> None:
-        # Late import: repro.federated.strategies imports the fold primitives
-        # from this module at load time, so the dependency must stay one-way
-        # at import time and resolve here at construction time.
-        from ..federated.strategies import get_strategy
-
-        self.strategy = get_strategy(strategy if strategy is not None else "fedavg")
-        # Scratch only engages for foldable strategies: buffering accumulators
-        # (trimmed_mean, median) retain references to the decoded states, and
-        # a recycled scratch array under a retained reference is corruption.
-        self._foldable = bool(self.strategy.foldable)
-        self._scratch = scratch if self._foldable else None
-        #: per key: a :class:`_SumRow` (foldable strategies) or the strategy's
-        #: own accumulator (buffering ones), in first-contribution order
-        self._accs: Dict[ExpertKey, object] = {}
-        #: foldable strategies: ``(keys, *shape)`` float64 running sums per
-        #: ``(name, shape)``; row ``r`` belongs to the key whose row is ``r``
+    def __init__(self, scratch: Optional[ScratchPool] = None) -> None:
+        self._scratch = scratch
+        #: per key, in first-contribution order
+        self._accs: Dict[ExpertKey, _SumRow] = {}
+        #: ``(keys, *shape)`` float64 running sums per ``(name, shape)``; row
+        #: ``r`` belongs to the key whose row is ``r``
         self._sums: Dict[Tuple[str, tuple], np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -132,30 +104,15 @@ class StreamingAggregator:
         """Updates folded so far, per expert key."""
         return {key: acc.count for key, acc in self._accs.items()}
 
-    def total_weight(self, key: ExpertKey) -> float:
-        """Sum of the weights folded for ``key``."""
-        return self._accs[key].total_weight
-
     # ------------------------------------------------------------------ folding
     def _fold_group(self, keys: Sequence[ExpertKey], weights: Sequence[float],
                     groups: Sequence[DecodedGroup]) -> None:
         """Fold one contribution per (distinct) key; ``groups`` hold their tensors.
 
-        Under a foldable strategy everything is checked before anything is
-        folded, so a group folds whole or not at all.
+        Everything is checked before anything is folded, so a group folds
+        whole or not at all.
         """
         accs = self._accs
-        if not self._foldable:
-            members = [accs.get(key) for key in keys]
-            for position, key in enumerate(keys):
-                if members[position] is None:
-                    members[position] = accs[key] = self.strategy.make_accumulator()
-            for positions, tensors, values in groups:
-                for row, position in enumerate(positions):
-                    members[position].add(
-                        {name: value[row] for (name, _), value in zip(tensors, values)},
-                        weights[position])
-            return
         factors = [float(weight) for weight in weights]
         if any(factor < 0 for factor in factors):
             raise ValueError("aggregation weights must be non-negative")
@@ -254,8 +211,8 @@ class StreamingAggregator:
         group's same-named tensors decode as one array each and fold with one
         multiply and one add each.  A key's contributions fold in frame order,
         so the sums are bit for bit those of folding frame by frame.  With a
-        scratch pool (and a foldable strategy) the arrays are pool-owned and
-        recycled per group — zero allocations in steady state.
+        scratch pool the arrays are pool-owned and recycled per group — zero
+        allocations in steady state.
 
         Delta codecs resolve their references via ``reference_lookup(layer,
         expert)``.  A group with a frame that fails verification or decoding
@@ -284,15 +241,15 @@ class StreamingAggregator:
 
     # --------------------------------------------------------------- finalizing
     def partials(self, participant_id: int) -> list:
-        """Pre-folded partial aggregates, one update per finalizable key.
+        """Pre-folded partial aggregates, one update per key of positive weight.
 
         Each partial carries the key's accumulated weight, so
         a downstream weighted fold treats this aggregator's whole input as one
         heavy contributor — the building block of hierarchical aggregation
         (:mod:`repro.federated.topology`) and of the service's node pre-folds
-        (:mod:`repro.service.fold`).  Unfinalizable keys (only zero-weight
-        FedAvg contributions) are dropped.  ``participant_id`` is the pseudo
-        id stamped on the partials (aggregator tiers use negative ids).
+        (:mod:`repro.service.fold`).  Keys with only zero-weight contributions
+        are dropped (they cannot be averaged).  ``participant_id`` is the
+        pseudo id stamped on the partials (aggregator tiers use negative ids).
         """
         from ..federated.aggregation import ExpertUpdate
 
@@ -301,23 +258,19 @@ class StreamingAggregator:
                 participant_id=participant_id,
                 layer=layer,
                 expert=expert,
-                state=state,
-                weight=self.total_weight((layer, expert)),
+                state=acc.finalize(),
+                weight=acc.total_weight,
             )
-            for (layer, expert), state in self.finalize(skip_unfinalizable=True).items()
+            for (layer, expert), acc in self._accs.items() if acc.total_weight > 0
         ]
 
-    def finalize(self, skip_unfinalizable: bool = False
-                 ) -> Dict[ExpertKey, Dict[str, np.ndarray]]:
+    def finalize(self) -> Dict[ExpertKey, Dict[str, np.ndarray]]:
         """Aggregated state per expert key (leaves the aggregator intact).
 
-        ``skip_unfinalizable=True`` silently drops keys whose accumulator
-        cannot produce a result — under FedAvg, keys that received only
-        zero-weight contributions (the states are gone, so no uniform-mean
-        fallback is possible) — instead of raising.
+        A key that received only zero-weight contributions raises: the states
+        are gone, so no uniform-mean fallback is possible.
         """
-        return {key: acc.finalize() for key, acc in self._accs.items()
-                if not skip_unfinalizable or getattr(acc, "finalizable", True)}
+        return {key: acc.finalize() for key, acc in self._accs.items()}
 
     def apply(self, model) -> Dict[ExpertKey, int]:
         """Write the aggregated experts into ``model``; returns contributions."""

@@ -13,10 +13,8 @@ misses so benchmarks (and CI) can assert exactly that.
 
 Pools are deliberately dumb about ownership: arrays handed out by
 :meth:`take` are *volatile* — valid only until the next :meth:`recycle` —
-so they must never be retained (buffering strategies like ``trimmed_mean``
-keep references to decoded states, which is why
-:class:`~repro.comm.aggregator.StreamingAggregator` only engages scratch
-decode for ``foldable`` strategies).  :meth:`term` buffers are separate
+so they must never be retained: the fold reads a decoded value into its
+running sums and lets go of it.  :meth:`term` buffers are separate
 storage from :meth:`take` arrays, so a fold can multiply into a term while
 reading a scratch-decoded value of the same shape.  :meth:`take_rows` /
 :meth:`term_rows` are the same two kinds of storage for a *group* of

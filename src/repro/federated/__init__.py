@@ -17,17 +17,6 @@ from .server import (
     make_aggregation_pool,
     make_server,
 )
-from .strategies import (
-    AggregationStrategy,
-    FedAvgStrategy,
-    MedianStrategy,
-    TrimmedMeanStrategy,
-    available_strategies,
-    get_strategy,
-    picklable_strategy,
-    register_strategy,
-    strategy_from_config,
-)
 from .topology import (
     AggregationTree,
     CallableGrouping,
@@ -51,15 +40,6 @@ __all__ = [
     "ShardedParameterServer",
     "make_server",
     "make_aggregation_pool",
-    "AggregationStrategy",
-    "FedAvgStrategy",
-    "TrimmedMeanStrategy",
-    "MedianStrategy",
-    "register_strategy",
-    "get_strategy",
-    "available_strategies",
-    "picklable_strategy",
-    "strategy_from_config",
     "AggregationTree",
     "GroupingPolicy",
     "RoundRobinGrouping",

@@ -3,7 +3,7 @@
 Following the paper, participants exchange only *expert* parameters: each
 participant uploads the post-training state of the experts it tuned plus a
 weight (how many tokens contributed).  The server folds them per expert
-(:class:`~repro.comm.StreamingAggregator`, weighted FedAvg by default) and
+(:class:`~repro.comm.StreamingAggregator`, weighted FedAvg) and
 writes the result back into the global model.
 """
 

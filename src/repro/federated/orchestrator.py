@@ -85,9 +85,7 @@ class RunConfig:
     #: reporting, not time-to-accuracy
     channel_latency_s: float = 0.0
 
-    # --- aggregation topology (repro.federated.{strategies,server,topology})
-    aggregation: str = "fedavg"              # "fedavg" | "trimmed_mean" | "median"
-    trim_ratio: float = 0.1                  # trimmed_mean: fraction trimmed per side
+    # --- aggregation topology (repro.federated.{server,topology})
     num_shards: int = 1                      # expert shards at the root server
     #: aggregator-tier widths, participant-facing first: ``(6, 2)`` is
     #: participants → 6 edges → 2 super-edges → root; ``None`` is the flat,
@@ -182,14 +180,6 @@ class RunConfig:
                 get_codec(self.codec)  # fail fast on unknown codec tags
             except KeyError as exc:
                 raise ValueError(str(exc)) from exc
-        from .strategies import available_strategies
-
-        if self.aggregation not in available_strategies():
-            raise ValueError(
-                f"unknown aggregation strategy {self.aggregation!r} "
-                f"(expected one of {', '.join(available_strategies())})")
-        if not 0.0 <= self.trim_ratio < 0.5:
-            raise ValueError("trim_ratio must be in [0, 0.5)")
         if self.num_shards < 1:
             raise ValueError("num_shards must be positive")
         if self.edge_tiers is not None:
@@ -331,14 +321,12 @@ class FederatedFineTuner(abc.ABC):
         #: ``(server.round_index, {expert key: state})``: the delta-codec
         #: references of the current server version, see :meth:`uplink_reference`
         self._uplink_references: Optional[Tuple[int, Dict]] = None
-        # --- aggregation topology: strategy, expert shards, edge tier.
-        # With the defaults (fedavg / 1 shard / 0 edges) every hook below is a
+        # --- aggregation topology: expert shards, edge tier.
+        # With the defaults (1 shard / 0 edges) every hook below is a
         # pass-through and the behaviour is bit-identical to the flat legacy
         # path.
-        from .strategies import strategy_from_config
         from .topology import make_topology
 
-        self.aggregation_strategy = strategy_from_config(self.config)
         if self.config.num_shards > 1 and server.num_shards != self.config.num_shards:
             self.server = ShardedParameterServer.from_server(
                 server, self.config.num_shards)
@@ -595,11 +583,9 @@ class FederatedFineTuner(abc.ABC):
         with tracer.span("aggregate", category="fold") as span:
             if self.topology is not None:
                 contributions, edge_stats = self.topology.aggregate(
-                    self.server, updates, strategy=self.aggregation_strategy,
-                    pool=self._aggregation_pool, tracer=tracer)
+                    self.server, updates, pool=self._aggregation_pool, tracer=tracer)
             else:
-                contributions = self.server.aggregate(
-                    updates, strategy=self.aggregation_strategy)
+                contributions = self.server.aggregate(updates)
                 edge_stats = ChannelStats()
             span.set(num_keys=len(contributions),
                      num_updates=sum(contributions.values()))

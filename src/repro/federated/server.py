@@ -14,8 +14,8 @@ Two server flavours share one interface:
     already independent across keys, so any shard count produces bit-identical
     global parameters — sharding changes *where* state lives, not the math.
 
-Both accept a pluggable :class:`~repro.federated.strategies.AggregationStrategy`
-(default: weighted FedAvg).  There is one fold and one way to reach it:
+Both aggregate by weighted FedAvg, the only reduction.  There is one fold and
+one way to reach it:
 :meth:`ParameterServer.aggregate` buckets a round's updates by shard and hands
 the buckets, one job a shard, to :func:`repro.service.fold.fold_shards`
 together with :attr:`ParameterServer.fold_pool`.  Whether a job folds on this
@@ -104,20 +104,17 @@ class ParameterServer:
     The server never sees raw data: participants upload expert parameter
     states (plus scalar statistics such as utilities), and download refreshed
     expert parameters at the start of the next round.  Aggregation folds each
-    update into a per-expert accumulator, so under FedAvg the fold's own state
-    is the running sums — O(1) in the number of clients.  ``strategy`` (a name or an
-    :class:`~repro.federated.strategies.AggregationStrategy`) replaces the
-    FedAvg reduction with e.g. a coordinate-wise trimmed mean or median.
+    update into a per-expert weighted sum (FedAvg), so the fold's own state
+    is the running sums — O(1) in the number of clients.
     """
 
     #: flat servers own the whole key space
     num_shards: int = 1
 
-    def __init__(self, global_model: MoETransformer, strategy=None) -> None:
+    def __init__(self, global_model: MoETransformer) -> None:
         from ..obs import NULL_TRACER
 
         self.global_model = global_model
-        self.strategy = strategy
         self.round_index = 0
         #: number of contributions each expert received over the whole run
         self.contribution_counts: Dict[ExpertKey, int] = {}
@@ -192,16 +189,13 @@ class ParameterServer:
         """The shard responsible for ``key`` (always 0 on a flat server)."""
         return 0
 
-    def aggregate(self, updates: Iterable[ExpertUpdate],
-                  strategy=None) -> Dict[ExpertKey, int]:
+    def aggregate(self, updates: Iterable[ExpertUpdate]) -> Dict[ExpertKey, int]:
         """Aggregate the received expert updates into the global model.
 
         The updates are bucketed by shard in arrival order and each non-empty
         bucket folds as one job (:func:`repro.service.fold.fold_shards`: on
         this thread, or on :attr:`fold_pool`'s servers); the folded experts
-        are then written into the global model.  ``strategy`` overrides the
-        server's construction-time strategy for this call.  A key whose
-        contributions all weigh zero cannot be averaged and raises before
+        are then written into the global model.  A key whose contributions all weigh zero cannot be averaged and raises before
         anything is written.
         """
         from ..service.fold import fold_shards  # late: repro.service imports this package
@@ -211,8 +205,7 @@ class ParameterServer:
             buckets[self.shard_of(update.key)].append(update)
         jobs = [(shard, bucket) for shard, bucket in enumerate(buckets) if bucket]
         contributions: Dict[ExpertKey, int] = {}
-        for _, folded in fold_shards(strategy if strategy is not None else self.strategy,
-                                     jobs, self.fold_pool, scratch=self.fold_scratch,
+        for _, folded in fold_shards(jobs, self.fold_pool, scratch=self.fold_scratch,
                                      tracer=self.tracer):
             for key, state, count in folded:
                 self.global_model.load_expert_state(*key, state)
@@ -268,11 +261,10 @@ class ShardedParameterServer(ParameterServer):
     deployment would use for re-balancing).
     """
 
-    def __init__(self, global_model: MoETransformer, num_shards: int = 1,
-                 strategy=None) -> None:
+    def __init__(self, global_model: MoETransformer, num_shards: int = 1) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be positive")
-        super().__init__(global_model, strategy=strategy)
+        super().__init__(global_model)
         self.num_shards = int(num_shards)
         counts = global_model.experts_per_layer()
         offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -284,11 +276,10 @@ class ShardedParameterServer(ParameterServer):
         self.last_shard_contributions: List[int] = [0] * self.num_shards
 
     @classmethod
-    def from_server(cls, server: ParameterServer, num_shards: int,
-                    strategy=None) -> "ShardedParameterServer":
+    def from_server(cls, server: ParameterServer,
+                    num_shards: int) -> "ShardedParameterServer":
         """Re-home an existing flat server's model (and counts) onto shards."""
-        sharded = cls(server.global_model, num_shards=num_shards,
-                      strategy=strategy if strategy is not None else server.strategy)
+        sharded = cls(server.global_model, num_shards=num_shards)
         sharded.round_index = server.round_index
         sharded.contribution_counts = dict(server.contribution_counts)
         return sharded
@@ -307,9 +298,8 @@ class ShardedParameterServer(ParameterServer):
                        if flat % self.num_shards == shard),
                       key=lambda key: self._flat_index[key])
 
-    def aggregate(self, updates: Iterable[ExpertUpdate],
-                  strategy=None) -> Dict[ExpertKey, int]:
-        contributions = super().aggregate(updates, strategy=strategy)
+    def aggregate(self, updates: Iterable[ExpertUpdate]) -> Dict[ExpertKey, int]:
+        contributions = super().aggregate(updates)
         shard_counts = [0] * self.num_shards
         for key, count in contributions.items():
             shard_counts[self.shard_of(key)] += count
@@ -317,14 +307,12 @@ class ShardedParameterServer(ParameterServer):
         return contributions
 
 
-def make_server(global_model: MoETransformer, config=None,
-                strategy=None) -> ParameterServer:
+def make_server(global_model: MoETransformer, config=None) -> ParameterServer:
     """Build the server a :class:`~repro.federated.RunConfig` describes."""
     num_shards = int(getattr(config, "num_shards", 1) or 1) if config is not None else 1
     if num_shards > 1:
-        return ShardedParameterServer(global_model, num_shards=num_shards,
-                                      strategy=strategy)
-    return ParameterServer(global_model, strategy=strategy)
+        return ShardedParameterServer(global_model, num_shards=num_shards)
+    return ParameterServer(global_model)
 
 
 def make_aggregation_pool(config):

@@ -3,21 +3,17 @@
 A production fleet of millions cannot upload every expert update to one root
 server.  :class:`AggregationTree` inserts *N tiers* of aggregator nodes
 between the participants and the (possibly sharded) parameter server: each
-tier-0 node pre-folds its participant group's updates with the run's
-aggregation strategy and forwards **one wire-framed partial aggregate per
-expert key** — carrying the group's accumulated weight — over a metered
+tier-0 node pre-folds its participant group's updates (weighted FedAvg, the
+one fold) and forwards **one wire-framed partial aggregate per expert key** —
+carrying the group's accumulated weight — over a metered
 :class:`~repro.comm.Channel` to its parent node; inner tiers fold the partials
 they receive and forward their own partials upward, until the last tier's
 partials stream into the root server.  Because the root aggregates partials
 exactly as it would aggregate client updates, trees of any depth compose with
-expert sharding and with any
-:class:`~repro.federated.strategies.AggregationStrategy`.
+expert sharding.
 
-For weighted FedAvg an N-tier weighted-mean-of-weighted-means is
-mathematically the flat weighted mean (floating-point association differs,
-the values agree to rounding).  Order statistics (trimmed mean, median)
-become their standard hierarchical approximations: each tier applies the
-robust reduction to what it received.
+An N-tier weighted-mean-of-weighted-means is mathematically the flat weighted
+mean (floating-point association differs, the values agree to rounding).
 
 **Group assignment** is pluggable (:class:`GroupingPolicy`).  The default for
 runs with per-participant cost models is :class:`CostAwareGrouping`: a greedy
@@ -290,7 +286,7 @@ class AggregationTree:
         return arrived
 
     def aggregate(self, server, updates: Iterable[ExpertUpdate],
-                  strategy=None, pool=None, tracer=None
+                  pool=None, tracer=None
                   ) -> Tuple[Dict[ExpertKey, int], ChannelStats]:
         """Run one round of N-tier aggregation into ``server``.
 
@@ -298,7 +294,7 @@ class AggregationTree:
         by tier: folds every node's inbox into its partials — one per expert
         key, weighing the group's accumulated weight, stamped
         with the node's pseudo id; a key whose group contributed only
-        zero-weight FedAvg updates contributes nothing upward — and ships
+        zero-weight updates contributes nothing upward — and ships
         them over the node's metered channel as framed payloads into the
         parent's inbox.  The last tier's delivered partials go to
         ``server.aggregate``.  Nodes fold and send in index order, so channel
@@ -328,8 +324,7 @@ class AggregationTree:
             stats = self.last_tier_stats[tier]
             jobs = [(node, self.pseudo_id(tier, node), inboxes[node])
                     for node in sorted(inboxes)]
-            folded = prefold_nodes(strategy, jobs, pool,
-                                   scratch=self._fold_scratch, tracer=tracer)
+            folded = prefold_nodes(jobs, pool, scratch=self._fold_scratch, tracer=tracer)
             for node, _, inbox in jobs:     # what *was* folded: after the fold
                 self.last_tier_counts[tier][node] = len(inbox)
             inboxes = {}
@@ -350,7 +345,7 @@ class AggregationTree:
         # reserves the removal for the [benchmark] PR.
         contributions = server.aggregate(
             [decode_update(partial.wire_frame) if partial.framed else partial
-             for partial in inboxes.get(0, ())], strategy=strategy)
+             for partial in inboxes.get(0, ())])
         totals = ChannelStats()
         for tier_stats in self.last_tier_stats:
             totals.merge(tier_stats)

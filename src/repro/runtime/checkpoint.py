@@ -93,12 +93,20 @@ _RESUMABLE_CONFIG_FIELDS = frozenset(
 #: mode and the participant process pool == the serial loop were
 #: test-enforced equal when they were removed), so a saved config that
 #: carries them still resumes: they are dropped from the saved side, and
-#: ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.  A
-#: retired strategy is re-spelt too: ``aggregation="staleness_fedavg"`` was
-#: FedAvg under every scheduler that accepted it.
+#: ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.
+#: ``aggregation`` / ``trim_ratio`` went when weighted FedAvg became the only
+#: fold: a run saved under ``"fedavg"`` (or ``"staleness_fedavg"``, FedAvg
+#: under every scheduler that accepted it) resumes; any other saved value
+#: refuses (:data:`_FEDAVG_AGGREGATIONS`).
 _RETIRED_CONFIG_FIELDS = frozenset(
     {"streaming_aggregation", "service_codec", "service_window",
-     "num_edge_aggregators", "executor", "executor_workers"})
+     "num_edge_aggregators", "executor", "executor_workers",
+     "aggregation", "trim_ratio"})
+
+#: saved ``aggregation`` values that were weighted FedAvg.  Any other
+#: (``"trimmed_mean"``, ``"median"``) names a reduction that is gone, so no
+#: continuation could match the saved run
+_FEDAVG_AGGREGATIONS = frozenset({"fedavg", "staleness_fedavg"})
 
 
 def _config_snapshot(config) -> Dict:
@@ -112,8 +120,11 @@ def _config_snapshot(config) -> Dict:
     items = dict(config if isinstance(config, dict) else asdict(config))
     if items.get("num_edge_aggregators") and items.get("edge_tiers") is None:
         items["edge_tiers"] = (int(items["num_edge_aggregators"]),)
-    if items.get("aggregation") == "staleness_fedavg":
-        items["aggregation"] = "fedavg"
+    if items.get("aggregation", "fedavg") not in _FEDAVG_AGGREGATIONS:
+        raise ValueError(
+            f"checkpoint was written under aggregation={items['aggregation']!r}, "
+            "a retired aggregation strategy; weighted FedAvg is the only fold "
+            "now, so this run cannot be resumed")
     return {key: value for key, value in items.items()
             if key not in _RESUMABLE_CONFIG_FIELDS
             and key not in _RETIRED_CONFIG_FIELDS}

@@ -29,7 +29,6 @@ exhausted, :class:`ServiceUnavailableError` surfaces to the run loop.
 
 from __future__ import annotations
 
-import pickle
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -206,7 +205,7 @@ class ServiceClient:
             pass  # already dead (or dying) is a successful shutdown
         self._drop_stream()
 
-    def _fold(self, op: int, strategy, header: Dict, framed: Sequence[bytes],
+    def _fold(self, op: int, header: Dict, framed: Sequence[bytes],
               references: Optional[Dict]) -> Tuple[object, Optional[dict]]:
         """Send one fold job as one request; returns the result and span record.
 
@@ -215,8 +214,7 @@ class ServiceClient:
         in key order.
         """
         keys = list(references or {})
-        header = dict(header, strategy=self._pickle_strategy(strategy),
-                      count=len(framed), references=keys)
+        header = dict(header, count=len(framed), references=keys)
         frames = list(framed) + [references[key] for key in keys]
         reconnects_before = self.stats["reconnects"]
         body = self.call(op, header, frames)
@@ -224,17 +222,8 @@ class ServiceClient:
             self.stats["retried_rounds"] += 1
         return body["result"], body.get("record")
 
-    @staticmethod
-    def _pickle_strategy(strategy) -> Optional[bytes]:
-        if strategy is None:
-            return None
-        from ..federated.strategies import picklable_strategy
-
-        return pickle.dumps(picklable_strategy(strategy),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-
-    def prefold_node(self, strategy, node: int, pseudo_id: int,
-                     frames: Sequence[bytes], timed: bool = False,
+    def prefold_node(self, node: int, pseudo_id: int, frames: Sequence[bytes],
+                     timed: bool = False,
                      references: Optional[Dict] = None,
                      ) -> Tuple[List[bytes], Optional[dict]]:
         """Fold one tree node's framed updates into partial frames.
@@ -242,12 +231,11 @@ class ServiceClient:
         ``references`` maps ``(layer, expert)`` keys to fp64 reference frames
         for any reference-requiring codec among ``frames``.
         """
-        return self._fold(OP_FOLD_NODE, strategy,
+        return self._fold(OP_FOLD_NODE,
                           {"node": int(node), "pseudo_id": int(pseudo_id), "timed": timed},
                           frames, references)
 
-    def fold_shard(self, strategy, shard: int,
-                   frames: Sequence[bytes], timed: bool = False,
+    def fold_shard(self, shard: int, frames: Sequence[bytes], timed: bool = False,
                    references: Optional[Dict] = None,
                    ) -> Tuple[List[Tuple[Tuple[int, int], bytes, int]],
                               Optional[dict]]:
@@ -255,5 +243,5 @@ class ServiceClient:
 
         ``references`` semantics match :meth:`prefold_node`.
         """
-        return self._fold(OP_FOLD_SHARD, strategy,
-                          {"shard": int(shard), "timed": timed}, frames, references)
+        return self._fold(OP_FOLD_SHARD, {"shard": int(shard), "timed": timed},
+                          frames, references)

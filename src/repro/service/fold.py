@@ -96,7 +96,7 @@ def _fold_framed(aggregator: StreamingAggregator, framed: Sequence[FramedUpdate]
         framed, reference_lookup=lambda layer, expert: references.get((layer, expert)))
 
 
-def _fold_updates(strategy, updates: Sequence[ExpertUpdate],
+def _fold_updates(updates: Sequence[ExpertUpdate],
                   scratch: Optional[ScratchPool]) -> StreamingAggregator:
     """Fold one job's updates here, in arrival order, into a fresh aggregator.
 
@@ -107,7 +107,7 @@ def _fold_updates(strategy, updates: Sequence[ExpertUpdate],
     through ``add``; the run before it is folded first, so every key sees its
     contributions in arrival order.
     """
-    aggregator = StreamingAggregator(strategy, scratch=scratch)
+    aggregator = StreamingAggregator(scratch=scratch)
     framed: List[FramedUpdate] = []
     references: Dict[ExpertKey, State] = {}
     for update in updates:
@@ -125,7 +125,7 @@ def _fold_updates(strategy, updates: Sequence[ExpertUpdate],
     return aggregator
 
 
-def _fold_job_frames(strategy, framed: Sequence[FramedUpdate],
+def _fold_job_frames(framed: Sequence[FramedUpdate],
                      references: Optional[Dict[ExpertKey, bytes]],
                      scratch: Optional[ScratchPool]) -> StreamingAggregator:
     """Fold a service job's frames, in order, into a fresh aggregator.
@@ -136,7 +136,7 @@ def _fold_job_frames(strategy, framed: Sequence[FramedUpdate],
     reference a job carries was recorded for a delta frame of that job
     (:func:`frame_update`), so all of them are decoded up front.
     """
-    aggregator = StreamingAggregator(strategy, scratch=scratch)
+    aggregator = StreamingAggregator(scratch=scratch)
     # The references are only read, and their frames outlive the fold: decoded
     # under a pool of their own (never recycled) they are views of the frames.
     views = ScratchPool()
@@ -156,16 +156,16 @@ def _shard_result(aggregator: StreamingAggregator) -> List[Tuple[ExpertKey, Stat
 
 
 # --------------------------------------------------------- server-side jobs
-def fold_shard_frames(strategy, framed: Sequence[FramedUpdate],
+def fold_shard_frames(framed: Sequence[FramedUpdate],
                       references: Optional[Dict[ExpertKey, bytes]] = None,
                       scratch=None) -> List[Tuple[ExpertKey, bytes, int]]:
     """Fold one shard's job to ``(key, fp64 state-dict frame, count)`` triples."""
     codec = get_codec(JOB_CODEC)
     return [(key, encode_state_dict(state, codec), count) for key, state, count
-            in _shard_result(_fold_job_frames(strategy, framed, references, scratch))]
+            in _shard_result(_fold_job_frames(framed, references, scratch))]
 
 
-def prefold_node_frames(strategy, pseudo_id: int, framed: Sequence[FramedUpdate],
+def prefold_node_frames(pseudo_id: int, framed: Sequence[FramedUpdate],
                         references: Optional[Dict[ExpertKey, bytes]] = None,
                         scratch=None) -> List[bytes]:
     """Pre-fold one aggregation-tree node's job to its partials' fp64 frames.
@@ -174,12 +174,12 @@ def prefold_node_frames(strategy, pseudo_id: int, framed: Sequence[FramedUpdate]
     participant id — byte for byte what the local tier fold frames for the
     upward hop.
     """
-    aggregator = _fold_job_frames(strategy, framed, references, scratch)
+    aggregator = _fold_job_frames(framed, references, scratch)
     return encode_updates(aggregator.partials(pseudo_id), get_codec(JOB_CODEC))
 
 
 # ----------------------------------------------------------------- dispatch
-def _on_servers(pool, fold, strategy, jobs: Sequence[Tuple], tracer) -> List[Tuple]:
+def _on_servers(pool, fold, jobs: Sequence[Tuple], tracer) -> List[Tuple]:
     """Run ``jobs`` through ``fold`` (``pool.prefold_nodes`` / ``pool.fold_shards``).
 
     Each job goes with its updates as frames plus the references they need; the fold spans the servers measured go to ``tracer``.
@@ -190,7 +190,7 @@ def _on_servers(pool, fold, strategy, jobs: Sequence[Tuple], tracer) -> List[Tup
         references: Dict[ExpertKey, bytes] = {}
         service_jobs.append((*head, [frame_update(update, references, framed_references)
                                      for update in updates], references))
-    folded = fold(strategy, service_jobs, timed=tracer.enabled)
+    folded = fold(service_jobs, timed=tracer.enabled)
     for record in pool.last_span_records:
         tracer.ingest(record)
     return folded
@@ -208,14 +208,14 @@ def _received_partial(frame: bytes) -> ExpertUpdate:
                         wire_frame=frame, wire_codec=JOB_CODEC)
 
 
-def prefold_nodes(strategy, jobs: Sequence[Tuple[int, int, Sequence[ExpertUpdate]]],
+def prefold_nodes(jobs: Sequence[Tuple[int, int, Sequence[ExpertUpdate]]],
                   pool=None, *, scratch: Optional[ScratchPool] = None,
                   tracer=NULL_TRACER) -> List[Tuple[int, List[ExpertUpdate]]]:
     """Pre-fold one tree tier: ``(node, pseudo_id, updates)`` jobs → ``(node, partials)``.
 
-    A node's partials are one update per finalizable expert key, carrying the
-    group's accumulated weight, the node's pseudo participant id and their
-    lossless fp64 ``wire_frame`` — the bytes the upward hop sends.  Folded
+    A node's partials are one update per expert key of positive weight,
+    carrying the group's accumulated weight, the node's pseudo participant id
+    and their lossless fp64 ``wire_frame`` — the bytes the upward hop sends.  Folded
     here they hold their dense state too; folded on ``pool``'s servers they
     hold the returned bytes only.  Partial order is accumulator insertion
     order either way, so the two are bit-identical.  ``tracer`` gets one fold
@@ -223,21 +223,21 @@ def prefold_nodes(strategy, jobs: Sequence[Tuple[int, int, Sequence[ExpertUpdate
     """
     if pool is not None:
         return [(node, [_received_partial(frame) for frame in frames])
-                for node, frames in _on_servers(pool, pool.prefold_nodes, strategy, jobs, tracer)]
+                for node, frames in _on_servers(pool, pool.prefold_nodes, jobs, tracer)]
     codec = get_codec(JOB_CODEC)
     out = []
     for node, pseudo_id, updates in jobs:
         tier = tier_of_pseudo_id(pseudo_id)
         with tracer.span("prefold_node" if tier == 0 else "fold_node", category="fold",
                          node=node, tier=tier, num_updates=len(updates)):
-            partials = _fold_updates(strategy, updates, scratch).partials(pseudo_id)
+            partials = _fold_updates(updates, scratch).partials(pseudo_id)
             for partial, frame in zip(partials, encode_updates(partials, codec)):
                 partial.wire_frame, partial.wire_codec = frame, JOB_CODEC
         out.append((node, partials))
     return out
 
 
-def fold_shards(strategy, jobs: Sequence[Tuple[int, Sequence[ExpertUpdate]]],
+def fold_shards(jobs: Sequence[Tuple[int, Sequence[ExpertUpdate]]],
                 pool=None, *, scratch: Optional[ScratchPool] = None,
                 tracer=NULL_TRACER
                 ) -> List[Tuple[int, List[Tuple[ExpertKey, State, int]]]]:
@@ -248,10 +248,10 @@ def fold_shards(strategy, jobs: Sequence[Tuple[int, Sequence[ExpertUpdate]]],
     """
     if pool is not None:
         return [(shard, [(key, decode_state_dict(frame), count) for key, frame, count in result])
-                for shard, result in _on_servers(pool, pool.fold_shards, strategy, jobs, tracer)]
+                for shard, result in _on_servers(pool, pool.fold_shards, jobs, tracer)]
     out = []
     for shard, updates in jobs:
         with tracer.span("fold_shard", category="fold", shard=shard,
                          num_updates=len(updates)):
-            out.append((shard, _shard_result(_fold_updates(strategy, updates, scratch))))
+            out.append((shard, _shard_result(_fold_updates(updates, scratch))))
     return out

@@ -292,8 +292,7 @@ class ServiceAggregationPool:
         self._publish_metrics()
         return out
 
-    def fold_shards(self, strategy,
-                    jobs: Sequence[Tuple[int, Sequence[bytes], Dict]],
+    def fold_shards(self, jobs: Sequence[Tuple[int, Sequence[bytes], Dict]],
                     timed: bool = False
                     ) -> List[Tuple[int, List[Tuple[Tuple[int, int], bytes, int]]]]:
         """Fold every shard's frames on its pinned server (job order).
@@ -304,15 +303,14 @@ class ServiceAggregationPool:
         def run_one(client: ServiceClient, job):
             shard, framed, references = job
             result, record = client.fold_shard(
-                strategy, shard, framed, timed=timed, references=references)
+                shard, framed, timed=timed, references=references)
             return shard, result, record
 
         out = self._run_jobs("shard", jobs, run_one)
         self._count_payloads([job[1] for job in jobs], [job[2] for job in jobs])
         return out
 
-    def prefold_nodes(self, strategy,
-                      jobs: Sequence[Tuple[int, int, Sequence[bytes], Dict]],
+    def prefold_nodes(self, jobs: Sequence[Tuple[int, int, Sequence[bytes], Dict]],
                       timed: bool = False) -> List[Tuple[int, List[bytes]]]:
         """Pre-fold every tree node's frames on its pinned server.
 
@@ -325,7 +323,7 @@ class ServiceAggregationPool:
         def run_one(client: ServiceClient, job):
             node, pseudo_id, framed, references = job
             result, record = client.prefold_node(
-                strategy, node, pseudo_id, framed, timed=timed, references=references)
+                node, pseudo_id, framed, timed=timed, references=references)
             return node, result, record
 
         out = self._run_jobs("node", jobs, run_one)

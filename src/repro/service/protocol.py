@@ -9,7 +9,7 @@ whose payload is::
 *contents* that matter — the expert updates and folded states a fold job
 carries — travel as ordinary CRC-checked ``RWP1`` wire frames (the frame an
 update arrived as, else lossless fp64); the service layer only adds an op
-byte and a small pickled header (shard/node ids, strategy, frame count).
+byte and a small pickled header (shard/node ids, frame count, reference keys).
 
 Requests (client → server), each answered by exactly one response:
 
@@ -22,8 +22,7 @@ Requests (client → server), each answered by exactly one response:
   connections.
 * ``OP_PING`` — liveness + server identity.
 * ``OP_FOLD_NODE`` / ``OP_FOLD_SHARD`` — one whole fold job.  The header
-  body is ``{strategy, node | shard (+ pseudo_id), timed, count,
-  references}``: ``count`` update frames follow it, then one
+  body is ``{node | shard (+ pseudo_id), timed, count, references}``: ``count`` update frames follow it, then one
   fp64 reference frame per ``references`` key (:func:`announced_frames`),
   each its own stream frame.  The server reads all of them, checks every
   frame's declared codec (a tag missing from the codec registry is a typed
@@ -40,9 +39,8 @@ Requests (client → server), each answered by exactly one response:
 Responses are ``OP_OK`` with a result body, or ``OP_ERR`` carrying the
 server-side error string (re-raised client-side as :class:`ServiceError`).
 
-Strategies cross the wire pre-pickled (via
-:func:`repro.federated.strategies.picklable_strategy`), so the header pickle
-itself stays cheap and the server needs no strategy registry of its own.
+The fold is weighted FedAvg and nothing else, so a fold header names no
+reduction: the server runs the one fold on what the header announces.
 """
 
 from __future__ import annotations
@@ -58,9 +56,10 @@ SERVICE_MAGIC = b"RWS1"
 #: itself; v3 dropped the ``streaming`` flag of the shard fold; v4 made a
 #: fold job one request (its frames follow the header as stream frames) and
 #: dropped the ADD chunks, round tokens and RESET; v5 left the fold header
-#: its frame count and reference keys as its only per-job lists.  The
+#: its frame count and reference keys as its only per-job lists; v6 dropped
+#: the fold header's pickled reduction (FedAvg is the only fold).  The
 #: envelope format is unchanged.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 OP_PING = 1
 OP_FOLD_NODE = 3

@@ -37,7 +37,6 @@ Three ways to run one:
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import threading
 import time
@@ -145,18 +144,16 @@ class AggregatorServer:
             _check_codec(frame)
         framed = frames[:count]
         references = {tuple(key): frame for key, frame in zip(keys, frames[count:])}
-        strategy = (pickle.loads(body["strategy"])
-                    if body.get("strategy") is not None else None)
         wall_start = time.time()
         perf_start = time.perf_counter()
         if op == OP_FOLD_NODE:
             pseudo_id = int(body["pseudo_id"])
             result: object = prefold_node_frames(
-                strategy, pseudo_id, framed, references, scratch=self._scratch)
+                pseudo_id, framed, references, scratch=self._scratch)
             record_name, attrs = "prefold_node", {
                 "node": int(body["node"]), "tier": tier_of_pseudo_id(pseudo_id)}
         else:
-            result = fold_shard_frames(strategy, framed, references, scratch=self._scratch)
+            result = fold_shard_frames(framed, references, scratch=self._scratch)
             record_name, attrs = "fold_shard", {"shard": int(body["shard"])}
         self.stats["rounds_folded"] += 1
         record = None

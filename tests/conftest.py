@@ -93,21 +93,42 @@ def async_weight(weight, staleness, exponent=0.5):
     return weight * AsyncScheduler(staleness_exponent=exponent).staleness_discount(staleness)
 
 
-def _updates(model, num_participants=6, seed=7, stale=False):
+#: how :func:`_updates` weighs a round's participants and which experts each touches
+UPDATE_PROFILES = ("graded", "equal", "spread", "partial")
+
+
+def _profile_weight(profile, pid):
+    if profile == "equal":
+        return 1.0
+    if profile == "spread":
+        return 10.0 ** (pid % 5 - 2)
+    return float(pid % 3 + 1)
+
+
+def _updates(model, num_participants=6, seed=7, stale=False, profile="graded"):
     """One update per (participant, expert): noisy copies of ``model``'s experts.
 
+    ``profile`` is one of :data:`UPDATE_PROFILES`: ``graded`` weighs
+    participant ``pid`` ``pid % 3 + 1``; ``equal`` weighs everyone 1 (the
+    unweighted mean); ``spread`` weighs across four orders of magnitude
+    (0.01 … 100); ``partial`` is graded, but each participant skips every
+    third expert, so an expert's group differs in size from its neighbours'.
     ``stale`` weights participant ``pid``'s updates as an async aggregation
     does when they are ``pid % 4`` versions stale.
     """
+    if profile not in UPDATE_PROFILES:
+        raise ValueError(f"unknown update profile {profile!r}")
     rng = np.random.default_rng(seed)
     updates = []
     for pid in range(num_participants):
-        weight = float(pid % 3 + 1)
+        weight = _profile_weight(profile, pid)
         if stale:
             weight = async_weight(weight, pid % 4)
         for layer, expert in model.iter_expert_ids():
             state = {name: value + 0.01 * rng.normal(size=value.shape)
                      for name, value in model.expert_state(layer, expert).items()}
+            if profile == "partial" and (layer + expert + pid) % 3 == 0:
+                continue
             updates.append(ExpertUpdate(pid, layer, expert, state, weight=weight))
     return updates
 

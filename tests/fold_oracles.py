@@ -16,10 +16,9 @@ sender's frames decoded and folded as one group: every frame walked and
 decoded on its own (:func:`oracle_decode_update_parts`, with the per-tensor
 top-k decoders :func:`oracle_topk_decode_array` /
 :func:`oracle_topk_quant_decode_array`), folded into one accumulator per
-expert key through the strategy's own accumulator
-(:class:`OracleAggregator`; FedAvg's is :class:`_FoldAccumulator`,
-which ``repro.federated.strategies`` had until the aggregator's own sums made
-it a second FedAvg), in arrival order
+expert key through a per-key running-sum accumulator
+(:class:`OracleAggregator` over :class:`_FoldAccumulator`, the FedAvg
+accumulator the aggregator had before its own sum matrices), in arrival order
 (:func:`oracle_fold_frames`).  ``test_fold_batch.py`` holds
 :meth:`StreamingAggregator.fold_frames
 <repro.comm.StreamingAggregator.fold_frames>` and the fold jobs built on it to
@@ -63,7 +62,6 @@ from repro.comm.serialization import (
     _shape_struct,
 )
 from repro.federated.aggregation import ExpertKey, ExpertUpdate
-from repro.federated.strategies import UpdateAccumulator, get_strategy
 from repro.models import MoETransformer
 from repro.quantization import unpack_int_codes
 
@@ -102,18 +100,13 @@ def fold_weighted_state(acc: Dict[str, np.ndarray], state: Dict[str, np.ndarray]
             np.add(running, term, out=running)
 
 
-class _FoldAccumulator(UpdateAccumulator):
+class _FoldAccumulator:
     """Weighted running sum — the exact streaming-FedAvg arithmetic."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self.count = 0
+        self.total_weight = 0.0
         self._acc: Dict[str, np.ndarray] = {}
-
-    @property
-    def finalizable(self) -> bool:
-        # A weighted mean needs positive total weight; the individual states
-        # are gone, so all-zero weights cannot fall back to a uniform mean.
-        return self.total_weight > 0
 
     def add(self, state, weight: float) -> None:
         fold_weighted_state(self._acc, state, weight)
@@ -357,40 +350,36 @@ def oracle_decode_update_parts(data, reference_lookup):
 
 
 class OracleAggregator:
-    """One strategy accumulator per expert key, fed one decoded frame at a time."""
+    """One FedAvg accumulator per expert key, fed one decoded frame at a time."""
 
-    def __init__(self, strategy=None) -> None:
-        self.strategy = get_strategy(strategy if strategy is not None else "fedavg")
-        self._accs: Dict[ExpertKey, object] = {}
+    def __init__(self) -> None:
+        self._accs: Dict[ExpertKey, _FoldAccumulator] = {}
 
     def fold_payload(self, data, reference_lookup=None) -> None:
         _, layer, expert, weight, state = oracle_decode_update_parts(data, reference_lookup)
         acc = self._accs.get((layer, expert))
         if acc is None:
-            acc = self._accs[(layer, expert)] = (
-                _FoldAccumulator() if self.strategy.foldable
-                else self.strategy.make_accumulator())
+            acc = self._accs[(layer, expert)] = _FoldAccumulator()
         acc.add(state, weight)
 
     def contributions(self) -> Dict[ExpertKey, int]:
         return {key: acc.count for key, acc in self._accs.items()}
 
-    def finalize(self, skip_unfinalizable: bool = False
-                 ) -> Dict[ExpertKey, Dict[str, np.ndarray]]:
-        return {key: acc.finalize() for key, acc in self._accs.items()
-                if not skip_unfinalizable or getattr(acc, "finalizable", True)}
+    def finalize(self) -> Dict[ExpertKey, Dict[str, np.ndarray]]:
+        return {key: acc.finalize() for key, acc in self._accs.items()}
 
     def partials(self, participant_id: int) -> List[ExpertUpdate]:
+        """One partial per key of positive weight (zero-weight keys cannot average)."""
         return [
             ExpertUpdate(participant_id=participant_id, layer=layer, expert=expert,
-                         state=state, weight=self._accs[(layer, expert)].total_weight)
-            for (layer, expert), state in self.finalize(skip_unfinalizable=True).items()
+                         state=acc.finalize(), weight=acc.total_weight)
+            for (layer, expert), acc in self._accs.items() if acc.total_weight > 0
         ]
 
 
-def oracle_fold_frames(strategy, framed, references) -> OracleAggregator:
+def oracle_fold_frames(framed, references) -> OracleAggregator:
     """Fold a job's frames, in order, into one aggregator."""
-    aggregator = OracleAggregator(strategy)
+    aggregator = OracleAggregator()
     states = {key: decode_state_dict(frame)
               for key, frame in (references or {}).items()}
 
@@ -403,18 +392,18 @@ def oracle_fold_frames(strategy, framed, references) -> OracleAggregator:
     return aggregator
 
 
-def oracle_fold_shard_frames(strategy, framed, references=None
+def oracle_fold_shard_frames(framed, references=None
                              ) -> List[Tuple[ExpertKey, bytes, int]]:
     """``fold_shard_frames`` over the frame-at-a-time fold."""
-    aggregator = oracle_fold_frames(strategy, framed, references)
+    aggregator = oracle_fold_frames(framed, references)
     codec = get_codec("fp64")
     counts = aggregator.contributions()
     return [(key, encode_state_dict(state, codec), counts[key])
             for key, state in aggregator.finalize().items()]
 
 
-def oracle_prefold_node_frames(strategy, pseudo_id: int, framed,
+def oracle_prefold_node_frames(pseudo_id: int, framed,
                                references=None) -> List[bytes]:
     """``prefold_node_frames`` over the frame-at-a-time fold."""
-    aggregator = oracle_fold_frames(strategy, framed, references)
+    aggregator = oracle_fold_frames(framed, references)
     return encode_updates(aggregator.partials(pseudo_id), get_codec("fp64"))

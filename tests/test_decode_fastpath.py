@@ -238,18 +238,17 @@ def test_wrong_kind_and_bad_magic_raise():
 
 
 # --------------------------------------------------------- fold bit-identity
-@pytest.mark.parametrize("strategy", ["fedavg"])
-def test_scratch_fold_bit_identical(strategy):
-    _check_scratch_fold(strategy, [float(pid % 3) + 0.5 for pid in range(6)])
+def test_scratch_fold_bit_identical():
+    _check_scratch_fold([float(pid % 3) + 0.5 for pid in range(6)])
 
 
 def test_scratch_fold_of_async_weights_bit_identical():
     """Staleness-discounted weights, as async ships them, fold as given."""
-    _check_scratch_fold("fedavg", [async_weight(float(pid % 3) + 0.5, pid % 4)
-                                   for pid in range(6)])
+    _check_scratch_fold([async_weight(float(pid % 3) + 0.5, pid % 4)
+                         for pid in range(6)])
 
 
-def _check_scratch_fold(strategy, weights):
+def _check_scratch_fold(weights):
     rng = np.random.default_rng(21)
     codec = get_codec("fp64")
     frames = []
@@ -258,10 +257,10 @@ def _check_scratch_fold(strategy, weights):
                               state=_make_state(rng, SHAPES, "<f8"), weight=weight)
         frames.append(encode_update(update, codec))
 
-    plain = StreamingAggregator(strategy)
+    plain = StreamingAggregator()
     pool = ScratchPool()
-    one_by_one = StreamingAggregator(strategy, scratch=pool)
-    folded = StreamingAggregator(strategy, scratch=ScratchPool())
+    one_by_one = StreamingAggregator(scratch=pool)
+    folded = StreamingAggregator(scratch=ScratchPool())
     for frame in frames:
         plain.add(decode_update(frame))
         one_by_one.fold_frames([frame])
@@ -276,30 +275,6 @@ def _check_scratch_fold(strategy, weights):
                 got = other[key][name]
                 assert got.dtype == want[key][name].dtype
                 np.testing.assert_array_equal(want[key][name], got)
-
-
-@pytest.mark.parametrize("strategy", ["trimmed_mean", "median"])
-def test_buffering_strategies_refuse_scratch(strategy):
-    pool = ScratchPool()
-    aggregator = StreamingAggregator(strategy, scratch=pool)
-    # the fold works (decoding without scratch: the accumulators keep the
-    # decoded states, a recycled array under them would be corruption) and
-    # matches plain
-    rng = np.random.default_rng(9)
-    codec = get_codec("fp64")
-    plain = StreamingAggregator(strategy)
-    for pid in range(5):
-        update = ExpertUpdate(participant_id=pid, layer=0, expert=0,
-                              state=_make_state(rng, [(6, 6)], "<f8"),
-                              weight=1.0)
-        frame = encode_update(update, codec)
-        aggregator.fold_frames([frame])
-        plain.add(decode_update(frame))
-    assert pool.allocations == 0
-    want, got = plain.finalize(), aggregator.finalize()
-    for key in want:
-        for name in want[key]:
-            np.testing.assert_array_equal(want[key][name], got[key][name])
 
 
 # ------------------------------------------------------ stream view receive

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import profile_activation
+from repro.comm import StreamingAggregator
 from repro.data import make_gsm8k_like, partition_dirichlet, partition_iid, partition_statistics
 from repro.federated import (
     ExpertUpdate,
@@ -15,37 +16,48 @@ from repro.federated import (
     RunConfig,
 )
 from repro.federated.communication import ExchangePlan
-from repro.federated.strategies import FedAvgStrategy
 from repro.models import MoETransformer
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
 from repro.systems import CONSUMER_GPU, CostModel, MemoryModel, RoundCostBreakdown
 
+from fold_oracles import fedavg_states
+
+
+def _fold_one_key(states, weights):
+    """The production fold (``StreamingAggregator``) over one expert key."""
+    aggregator = StreamingAggregator()
+    for state, weight in zip(states, weights):
+        aggregator.add_state((0, 0), state, weight)
+    return aggregator.finalize()[(0, 0)]
+
 
 class TestFedAvg:
-    """The per-key FedAvg reduction (the buffered reference it replaced is
-    tested, and compared to it, in ``test_fold_oracle.py``)."""
+    """The per-key FedAvg reduction, held to the buffered reference
+    ``fold_oracles.fedavg_states`` (compared at scale in ``test_fold_oracle.py``)."""
 
     def test_weighted_average(self):
         states = [{"w": np.zeros((2, 2))}, {"w": np.ones((2, 2))}]
-        averaged = FedAvgStrategy().aggregate(states, [1.0, 3.0])
+        averaged = _fold_one_key(states, [1.0, 3.0])
         assert np.allclose(averaged["w"], 0.75)
+        assert np.array_equal(averaged["w"], fedavg_states(states, [1.0, 3.0])["w"])
 
     def test_zero_weights_rejected(self):
         states = [{"w": np.zeros(2)}, {"w": np.ones(2) * 2}]
         with pytest.raises(ValueError, match="non-positive total weight"):
-            FedAvgStrategy().aggregate(states, [0.0, 0.0])
+            _fold_one_key(states, [0.0, 0.0])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            FedAvgStrategy().aggregate([{"w": np.zeros(2)}], [-1.0])
+            _fold_one_key([{"w": np.zeros(2)}], [-1.0])
 
-    def test_empty_states_rejected(self):
-        with pytest.raises(ValueError):
-            FedAvgStrategy().aggregate([], [])
+    def test_empty_fold_finalizes_nothing(self):
+        aggregator = StreamingAggregator()
+        assert aggregator.finalize() == {}
+        assert aggregator.partials(-1) == []
 
-    def test_mismatched_weights_rejected(self):
-        with pytest.raises(ValueError):
-            FedAvgStrategy().aggregate([{"w": np.zeros(2)}], [1.0, 2.0])
+    def test_mismatched_tensor_names_rejected(self):
+        with pytest.raises(ValueError, match="mismatched tensor names"):
+            _fold_one_key([{"w": np.zeros(2)}, {"v": np.zeros(2)}], [1.0, 2.0])
 
     def test_aggregate_loads_into_model(self, tiny_model):
         zero_state = {k: np.zeros_like(v) for k, v in tiny_model.expert_state(0, 0).items()}

@@ -7,7 +7,7 @@ Three layers, each held to the code it replaced (kept verbatim in
 * fold jobs — ``prefold_node_frames`` / ``fold_shard_frames`` over
   ``StreamingAggregator.fold_frames`` (a sender's frames decoded and folded as
   one group) vs the per-frame walk, decode and per-key accumulators: every
-  partial frame and every shard aggregate, for every codec and strategy, on
+  partial frame and every shard aggregate, for every codec and weighting, on
   regular and ragged jobs, and the same exception on a bad frame;
 * runs — a service run on a 2-tier, 2-shard tree whose every fold job is
   compared with the oracle while it runs, against the serial run.
@@ -50,13 +50,15 @@ from test_run_checkpoint import assert_models_equal
 from test_runtime import build_federation
 
 CODECS = ["fp64", "fp32", "int4", "topk", "topk:0.25:int4", "sparse-delta"]
-STRATEGIES = ["fedavg", "trimmed_mean", "median"]
 SHAPES = {"w_gate": (6, 4), "w_up": (6, 4), "w_down": (4, 6), "bias": (5,)}
 PSEUDO_ID = -3
 #: :func:`_job`'s default weights as an async aggregation ships them, the
 #: four participants 0, 2, 1 and 5 versions stale
 ASYNC_WEIGHTS = [async_weight(float(pid % 3 + 1), staleness)
                  for pid, staleness in enumerate([0, 2, 1, 5])]
+#: a four-participant job's weights: :func:`_job`'s default, the unweighted
+#: mean, and four orders of magnitude apart
+WEIGHTINGS = {"graded": None, "equal": [1.0] * 4, "spread": [0.01, 100.0, 1.0, 0.1]}
 
 
 def _job(codec_name, participants=4, keys=((0, 0), (0, 1), (1, 0)), seed=0,
@@ -90,13 +92,13 @@ def _mixed_codec_job(weights=None):
     return [frame for trio in zip(sparse, dense, narrow) for frame in trio], references
 
 
-def _assert_jobs_equal(strategy, framed, references, scratch=None):
-    want_partials = oracle_prefold_node_frames(strategy, PSEUDO_ID, framed, references)
-    want_shard = oracle_fold_shard_frames(strategy, framed, references)
+def _assert_jobs_equal(framed, references, scratch=None):
+    want_partials = oracle_prefold_node_frames(PSEUDO_ID, framed, references)
+    want_shard = oracle_fold_shard_frames(framed, references)
     for pool in (scratch, None):
-        assert prefold_node_frames(strategy, PSEUDO_ID, framed, references,
+        assert prefold_node_frames(PSEUDO_ID, framed, references,
                                    scratch=pool) == want_partials
-        assert fold_shard_frames(strategy, framed, references, scratch=pool) == want_shard
+        assert fold_shard_frames(framed, references, scratch=pool) == want_shard
     return want_partials
 
 
@@ -159,47 +161,47 @@ def oracle_row(codec, sections, shape, dtype, reference):
 
 # ----------------------------------------------------------------- fold jobs
 class TestFoldJobsEqualTheFrameAtATimeFold:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
     @pytest.mark.parametrize("codec_name", CODECS)
-    def test_every_codec_and_strategy(self, codec_name, strategy):
+    def test_every_codec_and_weighting(self, codec_name, weighting):
         dtype = np.float32 if codec_name in ("fp32", "int4") else np.float64
-        framed, references = _job(codec_name, dtype=dtype,
+        framed, references = _job(codec_name, dtype=dtype, weights=WEIGHTINGS[weighting],
                                   seed=zlib.crc32(codec_name.encode()))
-        partials = _assert_jobs_equal(strategy, framed, references, ScratchPool())
+        partials = _assert_jobs_equal(framed, references, ScratchPool())
         assert len(partials) == 3
 
-    @pytest.mark.parametrize("strategy", ["fedavg", "median"])
-    def test_all_zero_deltas_and_partly_moved_experts(self, strategy):
+    @pytest.mark.parametrize("codec_name", ["topk:0.25:int4", "sparse-delta"])
+    def test_all_zero_deltas_and_partly_moved_experts(self, codec_name):
         """Experts nobody routed to ship empty sections; some ship fewer entries."""
-        framed, references = _job("topk:0.25:int4", movement=0.0)
-        moved, _ = _job("topk:0.25:int4", seed=0)
+        framed, references = _job(codec_name, movement=0.0)
+        moved, _ = _job(codec_name, seed=0)
         framed[1], framed[5] = moved[1], moved[5]
         assert any(all(len(section) == 0 for section in sections)
                    for sections in parse_update(framed[0]).sections)
-        _assert_jobs_equal(strategy, framed, references, ScratchPool())
+        _assert_jobs_equal(framed, references, ScratchPool())
 
     @pytest.mark.parametrize("codec_name", ["topk:0.3:int4", "topk:0.3", "topk:0.3:int2"])
     def test_odd_entry_counts(self, codec_name):
         framed, references = _job(codec_name, shapes={"w": (5, 2), "v": (11,)})
-        _assert_jobs_equal("fedavg", framed, references, ScratchPool())
+        _assert_jobs_equal(framed, references, ScratchPool())
 
     def test_wide_indices(self):
         framed, references = _job("topk:0.01:int4", participants=2, keys=((0, 0), (0, 1)),
                                   shapes={"w": (1, 66_000)})
         index_section = parse_update(framed[0]).sections[0][0]
         assert len(index_section) == 4 * 660
-        _assert_jobs_equal("fedavg", framed, references, ScratchPool())
+        _assert_jobs_equal(framed, references, ScratchPool())
 
-    @pytest.mark.parametrize("strategy", ["fedavg", "trimmed_mean"])
-    def test_a_key_twice_within_one_sender(self, strategy):
-        framed, references = _job("topk:0.25:int4", participants=3)
+    @pytest.mark.parametrize("codec_name", ["topk:0.25:int4", "fp64"])
+    def test_a_key_twice_within_one_sender(self, codec_name):
+        framed, references = _job(codec_name, participants=3)
         framed = framed[:3] + [framed[1], framed[1]] + framed[3:]   # (0, 1) three times
-        _assert_jobs_equal(strategy, framed, references, ScratchPool())
+        _assert_jobs_equal(framed, references, ScratchPool())
 
-    @pytest.mark.parametrize("strategy", ["fedavg", "median"])
-    def test_one_frame_groups(self, strategy):
-        framed, references = _job("topk", participants=5, keys=((2, 3),))
-        _assert_jobs_equal(strategy, framed, references, ScratchPool())
+    @pytest.mark.parametrize("codec_name", ["topk", "fp64"])
+    def test_one_frame_groups(self, codec_name):
+        framed, references = _job(codec_name, participants=5, keys=((2, 3),))
+        _assert_jobs_equal(framed, references, ScratchPool())
 
     def test_more_keys_than_one_group_holds(self):
         keys = tuple((layer, expert) for layer in range(2)
@@ -207,7 +209,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
         framed, references = _job("topk:0.25:int4", participants=2, keys=keys,
                                   shapes={"w": (4, 3)})
         assert len(keys) > MAX_GROUP_FRAMES
-        _assert_jobs_equal("fedavg", framed, references, ScratchPool())
+        _assert_jobs_equal(framed, references, ScratchPool())
 
     @pytest.mark.parametrize("codec_name", CODECS)
     def test_async_weights(self, codec_name):
@@ -215,41 +217,41 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
         dtype = np.float32 if codec_name in ("fp32", "int4") else np.float64
         framed, references = _job(codec_name, dtype=dtype, weights=ASYNC_WEIGHTS,
                                   seed=zlib.crc32(codec_name.encode()))
-        partials = _assert_jobs_equal("fedavg", framed, references, ScratchPool())
+        partials = _assert_jobs_equal(framed, references, ScratchPool())
         assert len(partials) == 3
 
-    @pytest.mark.parametrize("strategy", ["fedavg", "median"])
-    def test_mixed_codecs_in_one_job(self, strategy):
-        _assert_jobs_equal(strategy, *_mixed_codec_job(), ScratchPool())
+    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+    def test_mixed_codecs_in_one_job(self, weighting):
+        _assert_jobs_equal(*_mixed_codec_job(WEIGHTINGS[weighting]), ScratchPool())
 
     def test_mixed_codecs_in_one_job_with_async_weights(self):
-        _assert_jobs_equal("fedavg", *_mixed_codec_job(weights=ASYNC_WEIGHTS), ScratchPool())
+        _assert_jobs_equal(*_mixed_codec_job(weights=ASYNC_WEIGHTS), ScratchPool())
 
     def test_senders_with_different_experts(self):
         """Rows that are neither consecutive nor all of an age."""
         first, references = _job("topk:0.25:int4", keys=((0, 0), (0, 1), (0, 2), (0, 3)))
         framed = ([first[i] for i in (0, 1, 2)] + [first[i] for i in (7, 4)]
                   + [first[i] for i in (9, 11, 8, 10)] + [first[14]])
-        _assert_jobs_equal("fedavg", framed, references, ScratchPool())
+        _assert_jobs_equal(framed, references, ScratchPool())
 
     def test_zero_weights(self):
         framed, references = _job("topk:0.25:int4", weights=[0.0, 2.0, 0.0, 1.0])
-        _assert_jobs_equal("fedavg", framed, references, ScratchPool())
+        _assert_jobs_equal(framed, references, ScratchPool())
         # a key with zero-weight contributions only: dropped upward, refused at a shard
         framed, references = _job("fp64", participants=2, weights=[0.0, 0.0])
-        assert prefold_node_frames("fedavg", PSEUDO_ID, framed, references) == []
-        assert oracle_prefold_node_frames("fedavg", PSEUDO_ID, framed, references) == []
+        assert prefold_node_frames(PSEUDO_ID, framed, references) == []
+        assert oracle_prefold_node_frames(PSEUDO_ID, framed, references) == []
         for fold in (fold_shard_frames, oracle_fold_shard_frames):
             with pytest.raises(ValueError, match="non-positive total weight"):
-                fold("fedavg", framed, references)
+                fold(framed, references)
 
-    @pytest.mark.parametrize("strategy", ["fedavg", "median"])
-    def test_negative_weight_is_the_same_error(self, strategy):
-        framed, references = _job("fp64", weights=[1.0, -2.0, 1.0, 1.0])
+    @pytest.mark.parametrize("codec_name", ["fp64", "topk:0.25:int4"])
+    def test_negative_weight_is_the_same_error(self, codec_name):
+        framed, references = _job(codec_name, weights=[1.0, -2.0, 1.0, 1.0])
         errors = []
         for fold in (fold_shard_frames, oracle_fold_shard_frames):
             with pytest.raises(ValueError) as caught:
-                fold(strategy, framed, references)
+                fold(framed, references)
             errors.append(str(caught.value))
         assert errors[0] == errors[1] == "aggregation weights must be non-negative"
 
@@ -259,7 +261,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
         errors = []
         for fold in (fold_shard_frames, oracle_fold_shard_frames):
             with pytest.raises(ValueError) as caught:
-                fold("fedavg", framed + other, references)
+                fold(framed + other, references)
             errors.append(str(caught.value))
         assert errors[0] == errors[1] == "cannot fold states with mismatched tensor names"
 
@@ -291,17 +293,17 @@ class TestABadFrameInTheMiddleOfAGroup:
         _index_out_of_range,
         lambda frame: b"",
     ], ids=["bit-flip", "truncated", "truncated-resealed", "index-out-of-range", "empty"])
-    @pytest.mark.parametrize("strategy", ["fedavg", "median"])
-    def test_same_exception_and_nothing_of_it_folded(self, damage, strategy):
-        framed, references = _job("topk:0.25:int4", participants=3)
+    @pytest.mark.parametrize("codec_name", ["topk:0.25:int4", "topk"])
+    def test_same_exception_and_nothing_of_it_folded(self, damage, codec_name):
+        framed, references = _job(codec_name, participants=3)
         bad = 4                                   # second sender, key (0, 1)
         framed[bad] = damage(framed[bad])
         with pytest.raises(PayloadCorruptedError) as oracle_error:
-            oracle_fold_frames(strategy, framed, references)
+            oracle_fold_frames(framed, references)
         from repro.comm import decode_state_dict
 
         states = {key: decode_state_dict(frame) for key, frame in references.items()}
-        aggregator = StreamingAggregator(strategy, scratch=ScratchPool())
+        aggregator = StreamingAggregator(scratch=ScratchPool())
         with pytest.raises(PayloadCorruptedError) as error:
             aggregator.fold_frames(framed, reference_lookup=lambda layer, expert:
                                    states[(layer, expert)])
@@ -316,7 +318,7 @@ class TestABadFrameInTheMiddleOfAGroup:
         errors = []
         for fold in (fold_shard_frames, oracle_fold_shard_frames):
             with pytest.raises(ValueError) as caught:
-                fold("fedavg", framed, references)
+                fold(framed, references)
             errors.append(str(caught.value))
         assert errors[0] == errors[1]
         assert "needs a reference" in errors[0]
@@ -350,15 +352,15 @@ class TestRandomJobs:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
-    @given(job=_jobs(), strategy=st.sampled_from(STRATEGIES))
-    def test_any_job_folds_like_the_oracle(self, job, strategy):
+    @given(job=_jobs())
+    def test_any_job_folds_like_the_oracle(self, job):
         framed, references = job
         outcomes = []
         for node, shard in ((oracle_prefold_node_frames, oracle_fold_shard_frames),
                             (prefold_node_frames, fold_shard_frames)):
             try:
-                outcomes.append((node(strategy, PSEUDO_ID, framed, references),
-                                 shard(strategy, framed, references)))
+                outcomes.append((node(PSEUDO_ID, framed, references),
+                                 shard(framed, references)))
             except ValueError as error:     # a key left with zero total weight
                 outcomes.append(("error", str(error)))
         assert outcomes[0] == outcomes[1]
@@ -379,17 +381,15 @@ class TestWholeRuns:
             self, vocab, tiny_config, monkeypatch):
         checked = {"node": 0, "shard": 0}
 
-        def checked_prefold(strategy, pseudo_id, framed, references=None, scratch=None):
-            result = prefold_node_frames(strategy, pseudo_id, framed, references,
-                                         scratch=scratch)
-            assert result == oracle_prefold_node_frames(
-                strategy, pseudo_id, framed, references)
+        def checked_prefold(pseudo_id, framed, references=None, scratch=None):
+            result = prefold_node_frames(pseudo_id, framed, references, scratch=scratch)
+            assert result == oracle_prefold_node_frames(pseudo_id, framed, references)
             checked["node"] += 1
             return result
 
-        def checked_shard(strategy, framed, references=None, scratch=None):
-            result = fold_shard_frames(strategy, framed, references, scratch=scratch)
-            assert result == oracle_fold_shard_frames(strategy, framed, references)
+        def checked_shard(framed, references=None, scratch=None):
+            result = fold_shard_frames(framed, references, scratch=scratch)
+            assert result == oracle_fold_shard_frames(framed, references)
             checked["shard"] += 1
             return result
 

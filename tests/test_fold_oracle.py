@@ -86,7 +86,7 @@ def _check_against_oracle(tiny_config, updates, num_shards):
     job_model = MoETransformer(tiny_config)
     counts = {}
     for framed in jobs.values():
-        for key, state_frame, count in fold_shard_frames(None, framed, scratch=scratch):
+        for key, state_frame, count in fold_shard_frames(framed, scratch=scratch):
             job_model.load_expert_state(*key, decode_state_dict(state_frame))
             counts[key] = count
     assert counts == expected

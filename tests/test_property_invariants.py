@@ -9,9 +9,10 @@ from hypothesis.extra.numpy import arrays
 from repro.core import EpsilonSchedule, merge_weights, normalize_utilities, solve_candidate_selection
 from repro.core.layer_budget import uniform_layer_budgets
 from repro.data import Vocabulary
-from repro.federated.strategies import FedAvgStrategy
 from repro.models import ExpertRemap
 from repro.quantization import quantize_array
+
+from fold_oracles import fedavg_states
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -27,7 +28,7 @@ def test_fedavg_stays_within_convex_hull(states_list, data):
     weights = data.draw(st.lists(st.floats(min_value=0.01, max_value=10.0),
                                  min_size=len(states_list), max_size=len(states_list)))
     states = [{"w": s} for s in states_list]
-    averaged = FedAvgStrategy().aggregate(states, weights)["w"]
+    averaged = fedavg_states(states, weights)["w"]
     stacked = np.stack(states_list)
     assert np.all(averaged <= stacked.max(axis=0) + 1e-9)
     assert np.all(averaged >= stacked.min(axis=0) - 1e-9)

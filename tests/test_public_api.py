@@ -43,15 +43,20 @@ class TestPublicAPI:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.runtime.executor")
 
-    def test_no_staleness_strategy(self):
-        """Staleness discounts weights in the async scheduler, not in a strategy."""
+    def test_no_aggregation_strategies(self):
+        """Weighted FedAvg is the only fold: no strategy, registry or accumulator."""
+        import repro.comm
         import repro.federated
-        import repro.federated.strategies
 
-        for name in ("StalenessFedAvgStrategy", "staleness_discount"):
-            assert not hasattr(repro, name) and not hasattr(repro.federated, name)
-            assert name not in repro.federated.__all__
-            assert not hasattr(repro.federated.strategies, name)
+        for name in ("AggregationStrategy", "FedAvgStrategy", "TrimmedMeanStrategy",
+                     "MedianStrategy", "StalenessFedAvgStrategy", "UpdateAccumulator",
+                     "register_strategy", "get_strategy", "available_strategies",
+                     "picklable_strategy", "strategy_from_config", "staleness_discount"):
+            for module in (repro, repro.federated, repro.comm):
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in getattr(module, "__all__", ())
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.federated.strategies")
 
     def test_one_framing_implementation(self):
         """FrameStream is the only length-prefixed framing: no asyncio twins."""

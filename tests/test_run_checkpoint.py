@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.baselines import FMDFineTuner
 from repro.core import FluxConfig, FluxFineTuner
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
 from repro.runtime import latest_checkpoint, load_run_checkpoint
@@ -115,13 +116,12 @@ class TestResumeEquivalence:
             channel_loss_prob=0.2,
             dropout_prob=0.2, straggler_prob=0.3)
 
-    def test_resume_with_sharded_hierarchical_trimmed_mean(self, vocab, tiny_config,
-                                                           tmp_path):
+    def test_resume_with_sharded_hierarchical(self, vocab, tiny_config, tmp_path):
         resumed = self._resume_pair(
             vocab, tiny_config, build_constant_tuner,
             _checkpoint_dir=tmp_path / "topo",
             participants_per_round=3, num_shards=2, edge_tiers=(2,),
-            edge_latency_s=0.05, aggregation="trimmed_mean", trim_ratio=0.2)
+            edge_latency_s=0.05)
         assert all(r.edge_payloads > 0 for r in resumed.rounds)
 
     def test_flux_resume_matches_uninterrupted(self, vocab, tiny_config, tmp_path):
@@ -252,9 +252,8 @@ class TestCheckpointMechanics:
         build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=1)
         snapshot = latest_checkpoint(str(tmp_path))
 
-        drifted = build_constant_tuner(vocab, tiny_config,
-                                       aggregation="trimmed_mean", **durable)
-        with pytest.raises(ValueError, match="aggregation"):
+        drifted = build_constant_tuner(vocab, tiny_config, num_shards=2, **durable)
+        with pytest.raises(ValueError, match="differing fields: num_shards"):
             drifted.run(num_rounds=2, resume_from=snapshot)
 
         # Cadence and retention are allowed, non-diverging changes: both are
@@ -282,14 +281,15 @@ class TestCheckpointMechanics:
         dict(aggregation_executor="process", aggregation_workers=2),
         dict(executor="serial", executor_workers=None),
         dict(executor="process", executor_workers=2),
-        dict(aggregation="staleness_fedavg"),
+        dict(aggregation="fedavg", trim_ratio=0.1),
+        dict(aggregation="staleness_fedavg", trim_ratio=0.2),
         dict(streaming_aggregation=False, service_codec="wire", service_window=8,
              num_edge_aggregators=2, edge_tiers=None,
              aggregation_executor="process", executor="process", executor_workers=2,
-             aggregation="staleness_fedavg"),
+             aggregation="staleness_fedavg", trim_ratio=0.1),
     ], ids=["buffered", "streaming", "service-payload", "legacy-tier-knob",
             "both-tier-knobs", "process-pool", "serial-participants",
-            "participant-pool", "staleness-fedavg", "all"])
+            "participant-pool", "fedavg", "staleness-fedavg", "all"])
     def test_resume_from_a_config_with_retired_fields(self, vocab, tiny_config,
                                                       tmp_path, parent_keys):
         """A snapshot whose saved RunConfig carries fields this tree retired
@@ -320,6 +320,21 @@ class TestCheckpointMechanics:
         with pytest.raises(ValueError, match="differing fields: edge_tiers"):
             build_constant_tuner(vocab, tiny_config, **durable).run(
                 num_rounds=2, resume_from=snapshot)
+
+    @pytest.mark.parametrize("aggregation", ["trimmed_mean", "median"])
+    def test_resume_refuses_a_retired_order_statistic(self, vocab, tiny_config, tmp_path,
+                                                      aggregation):
+        """A run that was not FedAvg cannot continue as FedAvg: it refuses by name,
+        not as a generic config mismatch."""
+        durable = dict(participants_per_round=3, checkpoint_every=1,
+                       checkpoint_dir=str(tmp_path))
+        build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=1)
+        snapshot = latest_checkpoint(str(tmp_path))
+        self._rewrite_saved_config(snapshot, aggregation=aggregation, trim_ratio=0.2)
+        with pytest.raises(ValueError, match=f"aggregation='{aggregation}'.*retired") as error:
+            build_constant_tuner(vocab, tiny_config, **durable).run(
+                num_rounds=2, resume_from=snapshot)
+        assert "differing fields" not in str(error.value)
 
     def test_resume_restores_edge_channel_positions(self, vocab, tiny_config,
                                                     tmp_path):
@@ -584,3 +599,43 @@ class _DummyScheduler:
 
     def export_state(self):
         return None
+
+
+# ------------------------------------------------ snapshots of an older tree
+#: snapshots written at commit c200527, while ``RunConfig`` still had
+#: ``aggregation`` / ``trim_ratio``: each is the round-2 snapshot of a run of
+#: ``build_federation(vocab, tiny_config, checkpoint_every=2, **knobs)`` for 2
+#: rounds, with the knobs below
+PARENT_CHECKPOINTS = os.path.join(os.path.dirname(__file__), "data", "checkpoints_c200527")
+#: an FMD run over 2 expert shards under a 2-tier aggregation tree (FedAvg)
+PARENT_FEDAVG_KNOBS = dict(participants_per_round=3, num_shards=2, edge_tiers=(2, 2),
+                           edge_latency_s=0.05)
+#: a ``ConstantMethod`` run with ``aggregation="trimmed_mean", trim_ratio=0.2``
+PARENT_TRIMMED_KNOBS = dict(participants_per_round=3)
+
+
+class TestSnapshotsOfTheParentTree:
+    def test_sharded_tree_fedavg_snapshot_resumes_to_the_uninterrupted_run(
+            self, vocab, tiny_config, tmp_path):
+        def tuner(**extra):
+            server, participants, test, config = build_federation(
+                vocab, tiny_config, **PARENT_FEDAVG_KNOBS, **extra)
+            return FMDFineTuner(server, participants, test, config=config)
+
+        uninterrupted = tuner()
+        expected = uninterrupted.run(num_rounds=3)
+        snapshot = os.path.join(PARENT_CHECKPOINTS, "fedavg_sharded_tree", "round_00002")
+        assert load_run_checkpoint(snapshot)["run_config"]["aggregation"] == "fedavg"
+        resumed_tuner = tuner(checkpoint_every=2, checkpoint_dir=str(tmp_path))
+        resumed = resumed_tuner.run(num_rounds=3, resume_from=snapshot)
+        assert_run_results_equal(resumed, expected)
+        assert_models_equal(resumed_tuner.server.global_model,
+                            uninterrupted.server.global_model)
+
+    def test_trimmed_mean_snapshot_refuses_to_resume(self, vocab, tiny_config, tmp_path):
+        snapshot = os.path.join(PARENT_CHECKPOINTS, "trimmed_mean", "round_00002")
+        tuner = build_constant_tuner(vocab, tiny_config, **PARENT_TRIMMED_KNOBS,
+                                     checkpoint_every=2, checkpoint_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="aggregation='trimmed_mean'.*retired"):
+            tuner.run(num_rounds=3, resume_from=snapshot)
+        assert os.listdir(tmp_path) == []

@@ -20,7 +20,7 @@ RUN_CONFIG_FIELDS = {
     "dropout_prob", "straggler_prob", "straggler_slowdown",
     "transport", "codec", "channel_loss_prob", "channel_corrupt_prob",
     "channel_latency_s",
-    "aggregation", "trim_ratio", "num_shards", "edge_tiers", "edge_grouping",
+    "num_shards", "edge_tiers", "edge_grouping",
     "edge_latency_s",
     "aggregation_executor", "aggregation_workers",
     "service_transport", "service_retry_attempts", "service_retry_delay_s",
@@ -33,7 +33,7 @@ RUN_CONFIG_FIELDS = {
 
 def test_the_exact_set_of_fields():
     assert {field.name for field in dataclasses.fields(RunConfig)} == RUN_CONFIG_FIELDS
-    assert len(RUN_CONFIG_FIELDS) == 45
+    assert len(RUN_CONFIG_FIELDS) == 43
 
 
 class TestRetiredKeywords:
@@ -58,6 +58,12 @@ class TestRetiredKeywords:
             RunConfig(num_edge_aggregators=2)
         with pytest.raises(TypeError, match="service_window"):
             RunConfig(service_window=3)
+        # FedAvg is the only fold: no reduction to select, none to tune
+        for retired in ("fedavg", "trimmed_mean", "median", "staleness_fedavg"):
+            with pytest.raises(TypeError, match="aggregation"):
+                RunConfig(aggregation=retired)
+        with pytest.raises(TypeError, match="trim_ratio"):
+            RunConfig(trim_ratio=0.2)
         with pytest.raises(TypeError, match="'executor'"):
             RunConfig(executor="process")
         with pytest.raises(TypeError, match="executor_workers"):

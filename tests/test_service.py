@@ -1,8 +1,9 @@
 """The socket-backed aggregation service (repro.service).
 
 Covers the protocol envelope, bit-identity of service folds against the
-serial plane (strategies x shard counts, transports x strategies x tree depths
-x shard counts — partial frames, counts, channel stats, expert bytes — and full
+serial plane (weight profiles x shard counts, transports x weight profiles x
+tree depths x shard counts — partial frames, counts, channel stats, expert
+bytes — and full
 runs on the sharded 3-tier topology — the acceptance invariant; the fold
 arithmetic itself is held to the buffered oracle in ``test_fold_oracle.py``),
 kill+resume durability
@@ -31,7 +32,6 @@ from repro.federated import (
     ShardedParameterServer,
     make_aggregation_pool,
 )
-from repro.federated.strategies import AggregationStrategy, picklable_strategy
 from repro.obs import MetricsRegistry
 from repro.runtime import ChannelFaultInjector, latest_checkpoint
 from repro.service import fold
@@ -60,16 +60,13 @@ import repro.service.server as service_server
 from repro.service.server import AggregatorServer, InProcessServer, spawn_server
 from repro.comm.stream import LENGTH_PREFIX, FrameStream
 
-from conftest import _assert_models_equal, _updates
+from conftest import UPDATE_PROFILES, _assert_models_equal, _updates
 from test_runtime import ConstantMethod, build_federation
 from repro.models import MoETransformer
 
-STRATEGIES = [None, "fedavg", "trimmed_mean", "median"]
-
 #: the acceptance topology: expert shards at the root under a two-tier
 #: aggregation tree (participants → edges → super-edges → root)
-SHARDED_3TIER = dict(num_shards=2, edge_tiers=(2, 2), aggregation="trimmed_mean",
-                     participants_per_round=4)
+SHARDED_3TIER = dict(num_shards=2, edge_tiers=(2, 2), participants_per_round=4)
 
 
 #: one tree shape per benched depth
@@ -114,7 +111,7 @@ def service_pool():
 
 def _fold_header(count, references=()):
     """A fold request's header body, as :class:`ServiceClient` builds it."""
-    return {"strategy": None, "shard": 0, "timed": False, "count": count,
+    return {"shard": 0, "timed": False, "count": count,
             "references": list(references)}
 
 
@@ -137,7 +134,7 @@ class TestProtocol:
 
     def test_deleted_ops_are_unknown(self):
         """No ADD (2) and no RESET (5) since v4: a v3 peer's requests fail to decode."""
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
         for op in (2, 5):
             message = bytearray(encode_message(OP_PING, None))
             message[4] = op
@@ -167,44 +164,44 @@ class TestProtocol:
 # ------------------------------------------------------- fold-plane identity
 class TestServiceFoldsBitEqualSerial:
     @staticmethod
-    def _check_sharded_fold(tiny_config, pool, strategy, num_shards, stale=False):
+    def _check_sharded_fold(tiny_config, pool, num_shards, stale=False,
+                            profile="graded"):
         serial_model = MoETransformer(tiny_config)
         service_model = MoETransformer(tiny_config)
         service_model.load_state_dict(serial_model.state_dict())
-        updates = _updates(serial_model, stale=stale)
+        updates = _updates(serial_model, stale=stale, profile=profile)
 
         serial = ShardedParameterServer(serial_model, num_shards=num_shards)
-        serial_contrib = serial.aggregate(list(updates), strategy=strategy)
+        serial_contrib = serial.aggregate(list(updates))
         service = ShardedParameterServer(service_model, num_shards=num_shards)
         service.fold_pool = pool
-        service_contrib = service.aggregate(list(updates), strategy=strategy)
+        service_contrib = service.aggregate(list(updates))
 
         assert serial_contrib == service_contrib
         assert serial.last_shard_contributions == service.last_shard_contributions
         _assert_models_equal(serial_model, service_model)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("profile", UPDATE_PROFILES)
     @pytest.mark.parametrize("num_shards", [2, 4, 8])
-    def test_sharded_fold_matches_serial(self, tiny_config, service_pool, strategy,
-                                         num_shards):
-        self._check_sharded_fold(tiny_config, service_pool, strategy, num_shards)
+    def test_sharded_fold_matches_serial(self, tiny_config, service_pool, num_shards,
+                                         profile):
+        self._check_sharded_fold(tiny_config, service_pool, num_shards, profile=profile)
 
     @pytest.mark.parametrize("num_shards", [2, 4, 8])
     def test_sharded_fold_of_async_weights_matches_serial(self, tiny_config, service_pool,
                                                           num_shards):
         """Staleness-discounted weights, as async ships them, fold as given."""
-        self._check_sharded_fold(tiny_config, service_pool, "fedavg", num_shards,
-                                 stale=True)
+        self._check_sharded_fold(tiny_config, service_pool, num_shards, stale=True)
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    @pytest.mark.parametrize("strategy", ["fedavg", "trimmed_mean", "median"])
+    @pytest.mark.parametrize("profile", UPDATE_PROFILES)
     @pytest.mark.parametrize("transport", ["analytic", "wire"])
     def test_tree_prefold_matches_serial(self, tiny_config, service_pool, transport,
-                                         strategy, depth, num_shards):
+                                         profile, depth, num_shards):
         """Every partial frame, count, channel stat and expert byte, both executors."""
-        self._check_tree_prefold(tiny_config, service_pool, transport, strategy, depth,
-                                 num_shards)
+        self._check_tree_prefold(tiny_config, service_pool, transport, depth, num_shards,
+                                 profile=profile)
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -212,15 +209,15 @@ class TestServiceFoldsBitEqualSerial:
     def test_tree_prefold_of_async_weights_matches_serial(self, tiny_config, service_pool,
                                                           transport, depth, num_shards):
         """Staleness-discounted weights cross every tier hop as given, both executors."""
-        self._check_tree_prefold(tiny_config, service_pool, transport, "fedavg", depth,
+        self._check_tree_prefold(tiny_config, service_pool, transport, depth,
                                  num_shards, stale=True)
 
     @staticmethod
-    def _check_tree_prefold(tiny_config, service_pool, transport, strategy, depth,
-                            num_shards, stale=False):
+    def _check_tree_prefold(tiny_config, service_pool, transport, depth,
+                            num_shards, stale=False, profile="graded"):
         def run(pool):
             model = MoETransformer(tiny_config)
-            updates = _updates(model, num_participants=8, stale=stale)
+            updates = _updates(model, num_participants=8, stale=stale, profile=profile)
             if transport == "wire":
                 updates = _wire_updates(model, updates)
             server = (ShardedParameterServer(model, num_shards=num_shards)
@@ -230,8 +227,7 @@ class TestServiceFoldsBitEqualSerial:
             sent, send = [], tree._send
             tree._send = lambda tier, node, partial: (
                 sent.append((tier, node, partial.wire_frame)) or send(tier, node, partial))
-            contributions, totals = tree.aggregate(server, iter(updates),
-                                                   strategy=strategy, pool=pool)
+            contributions, totals = tree.aggregate(server, iter(updates), pool=pool)
             if transport == "wire":     # whoever folded them, it was from the bytes
                 assert all(update.framed for update in updates)
             return (contributions, sent, tree.last_tier_counts, tree.last_tier_stats,
@@ -322,10 +318,10 @@ class TestServiceRuns:
     @pytest.mark.parametrize("knobs", [
         SHARDED_3TIER,
         {"num_shards": 4},
-        {"edge_tiers": (3, 2), "num_shards": 2, "aggregation": "trimmed_mean"},
+        {"edge_tiers": (3, 2), "num_shards": 2},
         {"edge_tiers": (2, 2), "transport": "wire"},
         {"edge_tiers": (2, 2), "transport": "wire", "codec": "topk:0.25:int4"},
-    ], ids=["sharded-3tier", "shards", "tree+trim", "tree+wire", "tree+sparse-wire"])
+    ], ids=["sharded-3tier", "shards", "tree3x2+shards", "tree+wire", "tree+sparse-wire"])
     def test_service_run_matches_serial(self, vocab, tiny_config, knobs):
         """Acceptance: the service backend is bit-identical to serial (on the
         sharded 3-tier topology first of all)."""
@@ -569,11 +565,11 @@ class TestServiceWireCodec:
             framed = [frame_update(u) for u in _updates(MoETransformer(tiny_config),
                                                         num_participants=1)]
             with pytest.raises(UnknownCodecError, match="nope"):
-                client.fold_shard(None, 0, [bogus])
+                client.fold_shard(0, [bogus])
             with pytest.raises(UnknownCodecError, match="nope"):
-                client.prefold_node(None, 0, -1, framed, references={(0, 0): bogus})
+                client.prefold_node(0, -1, framed, references={(0, 0): bogus})
             with pytest.raises(ServiceProtocolError, match="not an RWP1"):
-                client.fold_shard(None, 0, [b"garbage"])
+                client.fold_shard(0, [b"garbage"])
             assert client.stats["reconnects"] == 0  # fail fast, no replay
         finally:
             client.shutdown()
@@ -595,16 +591,20 @@ class TestServiceWireCodec:
             # a v4 peer sends a staleness per frame in its fold headers
             with pytest.raises(ServiceProtocolError, match="version 4,"):
                 client.call(OP_HELLO, {"version": 4})
+            # a v5 peer pickles a strategy into every fold header
+            with pytest.raises(ServiceProtocolError, match="version 5,"):
+                client.call(OP_HELLO, {"version": 5})
             assert client.stats["reconnects"] == 0
         finally:
             client.shutdown()
             server.close()
 
     def test_a_fold_header_is_ids_count_and_reference_keys(self, tiny_config):
-        """The v5 header has no per-frame list besides its frames: it folds as sent."""
-        server = InProcessServer(name="v5")
+        """The v6 header has no per-frame list besides its frames and names no
+        reduction: it folds as sent."""
+        server = InProcessServer(name="v6")
         client = ServiceClient(lambda: FrameStream(server.connect()),
-                               name="v5", retry_delay_s=0.0)
+                               name="v6", retry_delay_s=0.0)
         framed = [frame_update(u) for u in _updates(MoETransformer(tiny_config),
                                                     num_participants=2)]
         headers, send = [], client._send_request
@@ -616,10 +616,10 @@ class TestServiceWireCodec:
 
         client._send_request = recording
         try:
-            result, _ = client.fold_shard(None, 0, framed)
+            result, _ = client.fold_shard(0, framed)
             assert [sorted(header) for header in headers] == [
-                ["count", "references", "shard", "strategy", "timed"]]
-            assert result == fold.fold_shard_frames(None, framed)
+                ["count", "references", "shard", "timed"]]
+            assert result == fold.fold_shard_frames(framed)
         finally:
             client.shutdown()
             server.close()
@@ -692,8 +692,8 @@ class TestFoldRequest:
 
         def fold(client):
             if kind == "shard":
-                return client.fold_shard("fedavg", 3, framed, references=references)
-            return client.prefold_node("fedavg", 1, -2, framed, references=references)
+                return client.fold_shard(3, framed, references=references)
+            return client.prefold_node(1, -2, framed, references=references)
 
         try:
             baseline = self._client(server)
@@ -721,7 +721,7 @@ class TestFoldRequest:
         framed, references = _wire_job(tiny_config)
         pool = ServiceAggregationPool(1, transport="tcp", retry_delay_s=0.01)
         try:
-            expected = pool.fold_shards(None, [(0, framed, references)])
+            expected = pool.fold_shards([(0, framed, references)])
             client = pool._clients[0]
             real_send = client._send_request
             killed = []
@@ -736,7 +736,7 @@ class TestFoldRequest:
                 stream.send_frames(frames[half:])
 
             client._send_request = killer_send
-            healed = pool.fold_shards(None, [(0, framed, references)])
+            healed = pool.fold_shards([(0, framed, references)])
             assert killed and pool._servers[0].process.pid != killed[0]
             assert healed == expected
             assert client.stats["retried_rounds"] == 1
@@ -756,9 +756,9 @@ class TestFoldRequest:
                                           server="server0")
 
         try:
-            pool.fold_shards(None, [(shard, framed, {}) for shard in range(3)])
+            pool.fold_shards([(shard, framed, {}) for shard in range(3)])
             assert requests() == 1 + 3  # HELLO, then one request a job
-            pool.prefold_nodes(None, [(node, -1 - node, framed, {}) for node in range(2)])
+            pool.prefold_nodes([(node, -1 - node, framed, {}) for node in range(2)])
             assert requests() == 1 + 3 + 2
         finally:
             pool.close()
@@ -772,7 +772,7 @@ class TestFoldRequest:
         try:
             bogus = b"RWP1" + bytes((1, 4)) + b"nope" + b"body-never-reached"
             with pytest.raises(UnknownCodecError, match="nope"):
-                client.fold_shard(None, 0, [bogus] * 100)
+                client.fold_shard(0, [bogus] * 100)
             assert client.ping()["name"] == "rejected"
         finally:
             client.shutdown()
@@ -826,9 +826,9 @@ class TestServiceFailover:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=3)]
-            expected = pool.fold_shards(None, [(0, framed, {})])
+            expected = pool.fold_shards([(0, framed, {})])
             pool._servers[0].kill()
-            healed = pool.fold_shards(None, [(0, framed, {})])
+            healed = pool.fold_shards([(0, framed, {})])
             assert healed == expected
             assert registry.counter_value("repro_service_respawns_total",
                                           server="server0") == 1
@@ -922,10 +922,10 @@ class TestServiceMachinery:
         pool = ServiceAggregationPool(1, transport="socketpair")
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        first = pool.fold_shards(None, [(0, framed, {})])
+        first = pool.fold_shards([(0, framed, {})])
         pool.close()
         pool.close()
-        again = pool.fold_shards(None, [(0, framed, {})])  # fresh servers
+        again = pool.fold_shards([(0, framed, {})])  # fresh servers
         assert again == first
         pool.close()
 
@@ -936,37 +936,17 @@ class TestServiceMachinery:
         framed = [frame_update(u) for u in _updates(model, num_participants=1)]
         before = set(threading.enumerate())
         pool = ServiceAggregationPool(2, transport="socketpair")
-        pool.fold_shards(None, [(0, framed, {})])
+        pool.fold_shards([(0, framed, {})])
         assert pool._clients[1].stats["connections"] == 0
         pool.close()
         assert set(threading.enumerate()) <= before
-
-    def test_unpicklable_strategy_fails_with_clear_error(self, tiny_config,
-                                                         service_pool):
-        class LambdaStrategy(AggregationStrategy):
-            name = "lambda_strategy"
-
-            def __init__(self):
-                self.hook = lambda: None  # deliberately unpicklable
-
-            def make_accumulator(self):
-                raise NotImplementedError
-
-        with pytest.raises(TypeError, match="cannot cross a process boundary"):
-            picklable_strategy(LambdaStrategy())
-        assert picklable_strategy(None) is None
-        # ... and that is the error a service fold surfaces, before any byte moves
-        model = MoETransformer(tiny_config)
-        framed = [frame_update(u) for u in _updates(model, num_participants=1)]
-        with pytest.raises(TypeError, match="cannot cross a process boundary"):
-            service_pool.fold_shards(LambdaStrategy(), [(0, framed, {})])
 
     def test_results_keep_job_order_across_servers(self, tiny_config,
                                                    service_pool):
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
         jobs = [(shard, framed, {}) for shard in (5, 2, 9, 0)]
-        results = service_pool.fold_shards(None, jobs)
+        results = service_pool.fold_shards(jobs)
         assert [shard for shard, _ in results] == [5, 2, 9, 0]
         folded = results[0][1]
         assert all(result == folded for _, result in results)
@@ -991,7 +971,7 @@ class TestServiceMachinery:
                     return _original(*args, **kwargs)
 
                 client.fold_shard = recording
-            results = pool.fold_shards(None, jobs)
+            results = pool.fold_shards(jobs)
             names = [thread.name for thread in set(threading.enumerate()) - before]
         finally:
             pool.close()
@@ -1070,7 +1050,7 @@ class TestServerLoop:
         switch interval)."""
         framed = [frame_update(u) for u in _updates(MoETransformer(tiny_config),
                                                     num_participants=1)]
-        expected = fold.fold_shard_frames(None, framed)
+        expected = fold.fold_shard_frames(framed)
         active, peak = [0], [0]
         fold_shard_frames = service_server.fold_shard_frames
 
@@ -1092,7 +1072,7 @@ class TestServerLoop:
         def work(client):
             try:
                 for _ in range(5):
-                    results.append(client.fold_shard(None, 0, framed)[0])
+                    results.append(client.fold_shard(0, framed)[0])
             except Exception as error:  # reported by the assertion below
                 errors.append(error)
 

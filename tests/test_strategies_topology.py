@@ -1,4 +1,4 @@
-"""Aggregation strategies, the sharded server, and the hierarchical topology."""
+"""The FedAvg fold, the sharded server, and the hierarchical topology."""
 
 from __future__ import annotations
 
@@ -17,16 +17,6 @@ from repro.federated import (
     make_server,
     make_topology,
 )
-from repro.federated.strategies import (
-    AggregationStrategy,
-    FedAvgStrategy,
-    MedianStrategy,
-    TrimmedMeanStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    strategy_from_config,
-)
 from repro.models import MoETransformer
 
 from fold_oracles import fedavg_states
@@ -40,78 +30,9 @@ def _states(rng, n, shapes=((3, 4), (4,))):
     ]
 
 
-# ------------------------------------------------------------------ registry
-class TestRegistry:
-    def test_builtin_strategies_registered(self):
-        assert {"fedavg", "trimmed_mean", "median"} <= set(available_strategies())
-        assert "staleness_fedavg" not in available_strategies()
-
-    def test_get_strategy_by_name_and_instance(self):
-        median = get_strategy("median")
-        assert isinstance(median, MedianStrategy)
-        assert get_strategy(median) is median
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(KeyError, match="unknown aggregation strategy"):
-            get_strategy("krum")
-
-    def test_custom_strategy_registration(self):
-        class FirstWins(AggregationStrategy):
-            name = "first_wins"
-
-            def make_accumulator(self):
-                strategy = self
-
-                class Acc:
-                    def __init__(self):
-                        self.count = 0
-                        self.total_weight = 0.0
-                        self.state = None
-
-                    def add(self, state, weight):
-                        if self.state is None:
-                            self.state = state
-                        self.count += 1
-                        self.total_weight += weight
-
-                    def finalize(self):
-                        return self.state
-
-                del strategy
-                return Acc()
-
-        register_strategy("first_wins", FirstWins)
-        try:
-            rng = np.random.default_rng(0)
-            states = _states(rng, 3)
-            result = get_strategy("first_wins").aggregate(states, [1.0, 1.0, 1.0])
-            assert result["w0"] is states[0]["w0"]
-        finally:
-            # Keep the global registry clean for other tests.
-            import repro.federated.strategies as mod
-
-            del mod._REGISTRY["first_wins"]
-
-    def test_strategy_from_config_default_is_none(self):
-        assert strategy_from_config(RunConfig()) is None
-
-    def test_strategy_from_config_threads_parameters(self):
-        trimmed = strategy_from_config(RunConfig(aggregation="trimmed_mean",
-                                                 trim_ratio=0.25))
-        assert isinstance(trimmed, TrimmedMeanStrategy)
-        assert trimmed.trim_ratio == 0.25
-
-    def test_run_config_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown aggregation strategy"):
-            RunConfig(aggregation="krum")
-        # retired: the async scheduler is the one place a staleness discounts
-        for scheduler in ("sync", "async"):
-            with pytest.raises(ValueError, match="unknown aggregation strategy"):
-                RunConfig(scheduler=scheduler, aggregation="staleness_fedavg")
-
+# ------------------------------------------------------------ config knobs
+class TestRunConfigKnobs:
     def test_run_config_validates_topology_knobs(self):
-        with pytest.raises(ValueError):
-            RunConfig(trim_ratio=0.5)
         with pytest.raises(ValueError):
             RunConfig(num_shards=0)
         with pytest.raises(ValueError):
@@ -122,76 +43,44 @@ class TestRegistry:
             RunConfig(checkpoint_every=2)
 
 
-# ---------------------------------------------------------------- strategies
-class TestStrategyMath:
-    def test_fedavg_strategy_bit_identical_to_fedavg_states(self):
+# -------------------------------------------------------------------- fedavg
+class TestFedAvgMath:
+    def test_streaming_fold_bit_identical_to_fedavg_states(self):
         rng = np.random.default_rng(1)
         states = _states(rng, 5)
         weights = [1.0, 2.5, 0.5, 4.0, 1.25]
-        via_strategy = FedAvgStrategy().aggregate(states, weights)
-        via_legacy = fedavg_states(states, weights)
-        for name in via_legacy:
-            assert np.array_equal(via_strategy[name], via_legacy[name])
+        aggregator = StreamingAggregator()
+        for state, weight in zip(states, weights):
+            aggregator.add_state((0, 0), state, weight)
+        folded = aggregator.finalize()[(0, 0)]
+        via_oracle = fedavg_states(states, weights)
+        for name in via_oracle:
+            assert np.array_equal(folded[name], via_oracle[name])
 
-    def test_streaming_aggregator_explicit_fedavg_matches_default(self):
-        rng = np.random.default_rng(2)
-        states = _states(rng, 4)
-        default, explicit = StreamingAggregator(), StreamingAggregator("fedavg")
-        for i, state in enumerate(states):
-            default.add_state((0, 0), state, float(i + 1))
-            explicit.add_state((0, 0), state, float(i + 1))
-        a, b = default.finalize()[(0, 0)], explicit.finalize()[(0, 0)]
-        for name in a:
-            assert np.array_equal(a[name], b[name])
-        assert default.total_weight((0, 0)) == explicit.total_weight((0, 0))
-
-    def test_trimmed_mean_discards_outlier(self):
-        rng = np.random.default_rng(3)
-        honest = _states(rng, 4)
-        poisoned = {name: np.full_like(value, 1e9)
-                    for name, value in honest[0].items()}
-        result = TrimmedMeanStrategy(trim_ratio=0.25).aggregate(
-            honest + [poisoned], [1.0] * 5)
-        for name, value in result.items():
-            # The surviving coordinates are a mean over 3 of the 4 honest
-            # contributions — far from the 1e9 outlier.
-            assert np.all(np.abs(value) < 1e3), name
-
-    def test_trimmed_mean_zero_trim_is_unweighted_mean(self):
+    def test_equal_weights_fold_to_the_unweighted_mean(self):
         rng = np.random.default_rng(4)
         states = _states(rng, 3)
-        result = TrimmedMeanStrategy(trim_ratio=0.0).aggregate(states, [1.0] * 3)
+        aggregator = StreamingAggregator()
+        for state in states:
+            aggregator.add_state((0, 0), state, 1.0)
+        folded = aggregator.finalize()[(0, 0)]
         for name in states[0]:
-            expected = np.mean([s[name] for s in states], axis=0)
-            assert np.allclose(result[name], expected)
+            assert np.allclose(folded[name], np.mean([s[name] for s in states], axis=0))
 
-    def test_trimmed_mean_never_trims_everything(self):
+    def test_scaling_every_weight_by_a_power_of_two_changes_no_bit(self):
+        """Only the weights' ratios matter: an exact rescale folds to the same bytes."""
         rng = np.random.default_rng(5)
-        states = _states(rng, 2)
-        # ratio 0.49 with n=2 would trim 0 each side: k = min(0, 0) = 0.
-        result = TrimmedMeanStrategy(trim_ratio=0.49).aggregate(states, [1.0, 1.0])
-        for name in states[0]:
-            assert np.allclose(result[name],
-                               np.mean([s[name] for s in states], axis=0))
-
-    def test_trim_ratio_validation(self):
-        with pytest.raises(ValueError):
-            TrimmedMeanStrategy(trim_ratio=0.5)
-        with pytest.raises(ValueError):
-            TrimmedMeanStrategy(trim_ratio=-0.1)
-
-    def test_median_is_coordinatewise(self):
-        states = [{"w": np.array([0.0, 10.0])},
-                  {"w": np.array([1.0, -10.0])},
-                  {"w": np.array([100.0, 0.0])}]
-        result = MedianStrategy().aggregate(states, [1.0] * 3)
-        assert np.array_equal(result["w"], np.array([1.0, 0.0]))
-
-    def test_buffering_rejects_mismatched_tensor_names(self):
-        acc = MedianStrategy().make_accumulator()
-        acc.add({"a": np.zeros(2)}, 1.0)
-        with pytest.raises(ValueError, match="mismatched tensor names"):
-            acc.add({"b": np.zeros(2)}, 1.0)
+        states = _states(rng, 4)
+        weights = [1.0, 2.5, 0.75, 3.0]
+        folds = []
+        for scale in (1.0, 4.0, 0.125):
+            aggregator = StreamingAggregator()
+            for state, weight in zip(states, weights):
+                aggregator.add_state((0, 0), state, scale * weight)
+            folds.append(aggregator.finalize()[(0, 0)])
+        for folded in folds[1:]:
+            for name in folds[0]:
+                assert np.array_equal(folded[name], folds[0][name])
 
 
 # ------------------------------------------------------------ sharded server
@@ -265,19 +154,18 @@ class TestShardedParameterServer:
         contributions = server.aggregate(iter(self._updates(model)))
         assert sum(contributions.values()) > 0
 
-    def test_strategy_override_applies_per_shard(self, tiny_config):
+    def test_each_shard_folds_fedavg(self, tiny_config):
+        """Every key, whichever shard owns it, is the FedAvg of its contributions."""
         model = MoETransformer(tiny_config)
-        baseline = model.expert_state(0, 0)
-        server = ShardedParameterServer(model, num_shards=2,
-                                        strategy=TrimmedMeanStrategy(0.25))
-        honest = [ExpertUpdate(pid, 0, 0, dict(baseline), weight=1.0)
-                  for pid in range(4)]
-        poisoned = ExpertUpdate(9, 0, 0,
-                                {name: np.full_like(value, 1e9)
-                                 for name, value in baseline.items()}, weight=1.0)
-        server.aggregate(honest + [poisoned])
-        for name, value in model.expert_state(0, 0).items():
-            assert np.allclose(value, baseline[name]), name
+        server = ShardedParameterServer(model, num_shards=2)
+        updates = self._updates(model)
+        server.aggregate(list(updates))
+        assert all(server.last_shard_contributions)
+        for key in model.iter_expert_ids():
+            mine = [update for update in updates if update.key == key]
+            want = fedavg_states([u.state for u in mine], [u.weight for u in mine])
+            for name, value in model.expert_state(*key).items():
+                assert np.array_equal(value, want[name]), (key, name)
 
     def test_from_server_preserves_bookkeeping(self, tiny_config):
         flat = ParameterServer(MoETransformer(tiny_config))
@@ -397,7 +285,7 @@ class TestSingleTierTopology:
         _, stats = topo.aggregate(ParameterServer(model), iter(updates))
         assert stats.seconds == pytest.approx(0.25 * stats.payloads)
 
-    def test_topology_composes_with_sharding_and_trimming(self, tiny_config):
+    def test_topology_composes_with_sharding(self, tiny_config):
         model = MoETransformer(tiny_config)
         baseline = {key: model.expert_state(*key)
                     for key in list(model.iter_expert_ids())[:2]}
@@ -408,8 +296,7 @@ class TestSingleTierTopology:
                 updates.append(ExpertUpdate(pid, key[0], key[1], dict(state),
                                             weight=1.0))
         topo = AggregationTree((2,))
-        contributions, _ = topo.aggregate(server, iter(updates),
-                                          strategy=TrimmedMeanStrategy(0.25))
+        contributions, _ = topo.aggregate(server, iter(updates))
         assert set(contributions) == set(baseline)
         for key, state in baseline.items():
             for name, value in server.expert_state(*key).items():
@@ -436,19 +323,25 @@ class TestSingleTierTopology:
         for name, value in model.expert_state(0, 0).items():
             assert np.array_equal(value, untouched[name]), name
 
-    def test_zero_weight_groups_still_fold_under_median(self, tiny_config):
-        """Weight-agnostic strategies are unaffected by zero weights."""
+    def test_zero_weight_updates_beside_weighted_ones_add_nothing(self, tiny_config):
+        """Each edge holds one weighted and one zero-weight update: nothing is
+        dropped, and the zero-weight states move no value."""
         model = MoETransformer(tiny_config)
-        target = {name: np.full_like(value, 2.0)
-                  for name, value in model.expert_state(0, 0).items()}
-        updates = [ExpertUpdate(pid, 0, 0, dict(target), weight=0.0)
-                   for pid in range(3)]
-        topo = AggregationTree((1,))
-        contributions, _ = topo.aggregate(ParameterServer(model), iter(updates),
-                                          strategy=MedianStrategy())
-        assert (0, 0) in contributions
+        start = {name: value.copy() for name, value in model.expert_state(0, 0).items()}
+        weighted = [ExpertUpdate(pid, 0, 0, {name: value + float(pid + 1)
+                                             for name, value in start.items()},
+                                 weight=1.0)
+                    for pid in range(2)]
+        zero = [ExpertUpdate(pid, 0, 0, {name: value + 99.0
+                                         for name, value in start.items()},
+                             weight=0.0)
+                for pid in range(2, 4)]
+        topo = AggregationTree((2,))
+        contributions, _ = topo.aggregate(ParameterServer(model),
+                                          iter(weighted + zero))
+        assert contributions == {(0, 0): 2}     # both edges' partials fold
         for name, value in model.expert_state(0, 0).items():
-            assert np.array_equal(value, target[name])
+            assert np.allclose(value, start[name] + 1.5), name
 
     def test_make_topology_from_config(self):
         assert make_topology(RunConfig()) is None
@@ -561,7 +454,7 @@ class TestAggregationTree:
             assert tier_stats.seconds == pytest.approx(0.5 * tier_stats.payloads)
         assert stats.total_bytes == sum(s.total_bytes for s in tree.last_tier_stats)
 
-    def test_depth_two_composes_with_sharding_and_strategy(self, tiny_config):
+    def test_depth_two_composes_with_sharding(self, tiny_config):
         model = MoETransformer(tiny_config)
         server = ShardedParameterServer(model, num_shards=2)
         baseline = {key: model.expert_state(*key)
@@ -569,8 +462,7 @@ class TestAggregationTree:
         updates = [ExpertUpdate(pid, key[0], key[1], dict(state), weight=1.0)
                    for pid in range(8) for key, state in baseline.items()]
         tree = AggregationTree((4, 2))
-        contributions, _ = tree.aggregate(server, iter(updates),
-                                          strategy=TrimmedMeanStrategy(0.25))
+        contributions, _ = tree.aggregate(server, iter(updates))
         assert set(contributions) == set(baseline)
         for key, state in baseline.items():
             for name, value in server.expert_state(*key).items():
@@ -700,12 +592,11 @@ class TestRunLevelTopology:
         result = tuner.run(2)
         return result, tuner.server.global_model.state_dict()
 
-    def test_flat_explicit_fedavg_bit_identical_to_default(self, vocab, tiny_config):
-        """aggregation='fedavg', 1 shard, 0 edges == the pre-refactor default."""
+    def test_flat_explicit_knobs_bit_identical_to_default(self, vocab, tiny_config):
+        """1 shard, 0 edges, spelt out == the pre-refactor default."""
         base_result, base_state = self._run_states(vocab, tiny_config)
         expl_result, expl_state = self._run_states(
-            vocab, tiny_config, aggregation="fedavg", num_shards=1,
-            edge_tiers=None)
+            vocab, tiny_config, num_shards=1, edge_tiers=None)
         for a, b in zip(base_result.rounds, expl_result.rounds):
             assert a.train_loss == b.train_loss
             assert a.metric_value == b.metric_value
@@ -722,10 +613,10 @@ class TestRunLevelTopology:
         for name in base_state:
             assert np.array_equal(base_state[name], shard_state[name]), name
 
-    def test_trimmed_mean_run_under_each_scheduler(self, vocab, tiny_config):
-        for scheduler in ("sync", "semisync", "async"):
-            server, participants, test, config = build_federation(
-                vocab, tiny_config, aggregation="trimmed_mean", trim_ratio=0.2,
-                scheduler=scheduler, participants_per_round=3)
-            result = ConstantMethod(server, participants, test, config=config).run(2)
-            assert len(result.rounds) == 2
+    @pytest.mark.parametrize("scheduler", ["sync", "semisync", "async"])
+    def test_sharded_tree_run_under_each_scheduler(self, vocab, tiny_config, scheduler):
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, num_shards=2, edge_tiers=(2,),
+            scheduler=scheduler, participants_per_round=3)
+        result = ConstantMethod(server, participants, test, config=config).run(2)
+        assert len(result.rounds) == 2

@@ -612,8 +612,8 @@ RUN_CONFIGS = {
     "service_sharded_faults": dict(num_shards=2, aggregation_executor="service",
                                    service_transport="socketpair", aggregation_workers=2,
                                    channel_corrupt_prob=0.2, channel_loss_prob=0.1),
-    "trimmed_mean": dict(aggregation="trimmed_mean", trim_ratio=0.2),
-    "median_fp32_codec": dict(aggregation="median", codec="fp32"),
+    "fp32_codec": dict(codec="fp32"),
+    "int4_codec": dict(codec="int4"),
     "async": dict(scheduler="async", buffer_size=2, async_concurrency=2,
                   participants_per_round=2),
 }
