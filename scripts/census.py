@@ -1,0 +1,254 @@
+"""Reachability and knob census: what the non-test entry points never touch.
+
+Runs every non-test entry point of the repository under ``sys.setprofile``
+(and ``threading.setprofile``, so the in-process aggregator servers' threads
+count): the examples, both smokes and the four end-to-end workloads, plus,
+with ``--figures``, the fast figure suite (``REPRO_BENCH_FAST=1``).  Each
+entry point runs in its own child process of this script.  It writes
+``runs/census.json`` with
+
+* ``functions_never_entered`` -- every function defined under ``src/`` that
+  no entry point called (``path:line qualname``);
+* ``run_config_never_set`` -- every ``RunConfig`` field that no entry point
+  set to a value other than its default;
+* ``run_config_set_by`` -- for every field that was set, the entry points
+  that set it.
+
+The test suite is deliberately not an entry point: a function or knob only a
+test reaches serves no workload.  Processes the smokes spawn themselves (the
+killed resume child, the TCP aggregator servers) are not profiled; each runs
+code its parent process also runs.  The standard library is enough
+(``coverage`` is not a dependency)::
+
+    python scripts/census.py [--figures] [--only NAME ...] [--out runs/census.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib.util
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+WORKLOADS = REPO / "benchmarks" / "e2e" / "workloads.py"
+CENSUS_SEED = 0
+
+#: fields the census reports whatever it finds: they stay even when no entry
+#: point sets them (the channel fault probabilities drive the CRC and
+#: lost-payload paths; the other two are evaluation settings)
+WATCHED_FIELDS = ("channel_loss_prob", "channel_corrupt_prob",
+                  "eval_batch_size", "target_relative_accuracy")
+
+
+def entry_points(figures: bool) -> Dict[str, Tuple[str, ...]]:
+    """Entry-point name -> how the child runs it (``{workdir}``: its scratch dir)."""
+    entries: Dict[str, Tuple[str, ...]] = {}
+    for path in sorted((REPO / "examples").glob("*.py")):
+        entries[f"example:{path.stem}"] = ("script", str(path))
+    # absolute: resume_smoke.py runs its killed child from the repository root
+    entries["smoke:resume"] = ("script", str(REPO / "scripts" / "resume_smoke.py"),
+                               "--workdir", "{workdir}")
+    entries["smoke:service"] = ("script", str(REPO / "scripts" / "service_smoke.py"),
+                                "--workdir", "{workdir}")
+    for name in ("flux_explore", "flux_exploit_deepseek", "fmd_dense", "fmd_wire_service"):
+        entries[f"e2e:{name}"] = ("workload", name)
+    if figures:
+        tests = sorted(str(p) for pattern in ("test_fig*.py", "test_table*.py")
+                       for p in (REPO / "benchmarks").glob(pattern))
+        entries["figures"] = ("pytest", *tests)
+    return entries
+
+
+# ------------------------------------------------------------------ child side
+def _profile_calls(seen: Set) -> None:
+    prefix = str(SRC)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code not in seen and code.co_filename.startswith(prefix):
+                seen.add(code)
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+
+
+def _record_run_config(set_fields: Set[str]) -> None:
+    """Record every ``RunConfig`` field assigned a non-default value."""
+    from repro.federated.orchestrator import RunConfig
+
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+    def setattr_(self, name, value):
+        object.__setattr__(self, name, value)
+        if name in defaults and name not in set_fields:
+            try:
+                same = bool(value == defaults[name])
+            except (TypeError, ValueError):
+                same = False
+            if not same:
+                set_fields.add(name)
+
+    RunConfig.__setattr__ = setattr_
+
+
+def _run_workload(name: str, workdir: str) -> None:
+    spec = importlib.util.spec_from_file_location("census_e2e_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    tuner = workloads.build(workload, CENSUS_SEED, os.path.join(workdir, "checkpoints"))
+    tuner.run(num_rounds=workload.rounds)
+
+
+def child_main(kind: str, args: List[str], out: str) -> int:
+    sys.path.insert(0, str(SRC))
+    seen: Set = set()
+    set_fields: Set[str] = set()
+    _record_run_config(set_fields)
+    workdir = os.getcwd()
+    status = 0
+    _profile_calls(seen)
+    try:
+        if kind == "script":
+            sys.argv = list(args)
+            runpy.run_path(args[0], run_name="__main__")
+        elif kind == "workload":
+            _run_workload(args[0], workdir)
+        elif kind == "pytest":
+            import pytest
+
+            # pytest-benchmark pauses the profiler around what it times
+            # unless it is disabled (each benchmarked call then runs once)
+            status = int(pytest.main(["-q", "-p", "no:cacheprovider",
+                                      "--benchmark-disable", *args]))
+    except SystemExit as stop:
+        status = stop.code if isinstance(stop.code, int) else (0 if stop.code is None else 1)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    entered = sorted({f"{Path(code.co_filename).relative_to(REPO)}:{code.co_firstlineno} "
+                      f"{code.co_qualname}" for code in seen})
+    with open(out, "w") as handle:
+        json.dump({"status": status, "entered": entered,
+                   "run_config_set": sorted(set_fields)}, handle)
+    return 0
+
+
+# ----------------------------------------------------------------- parent side
+def defined_functions() -> List[str]:
+    """Every named function (``def``) under ``src/``, keyed as the child keys them."""
+    found: List[str] = []
+
+    def walk(code) -> None:
+        for const in code.co_consts:
+            if hasattr(const, "co_code"):
+                if not const.co_name.startswith("<"):
+                    found.append(f"{rel}:{const.co_firstlineno} {const.co_qualname}")
+                walk(const)
+
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(REPO)
+        walk(compile(path.read_text(), str(path), "exec"))
+    return found
+
+
+def run_config_fields() -> List[str]:
+    sys.path.insert(0, str(SRC))
+    from repro.federated.orchestrator import RunConfig
+
+    return [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def parent_main(args) -> int:
+    entries = entry_points(args.figures)
+    if args.only:
+        unknown = set(args.only) - set(entries)
+        if unknown:
+            raise SystemExit(f"unknown entry points: {sorted(unknown)}")
+        entries = {name: entries[name] for name in args.only}
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    if args.figures:
+        env["REPRO_BENCH_FAST"] = "1"
+    results: Dict[str, Dict] = {}
+    with tempfile.TemporaryDirectory(prefix="census-") as scratch:
+        for index, (name, (kind, *rest)) in enumerate(entries.items()):
+            workdir = os.path.join(scratch, f"entry{index}")
+            os.makedirs(workdir)
+            out = os.path.join(scratch, f"entry{index}.json")
+            start = time.perf_counter()
+            print(f"[census] {name} ...", flush=True)
+            child = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                                    "--child", kind, out,
+                                    *(arg.format(workdir=workdir) for arg in rest)],
+                                   cwd=workdir, env=env,
+                                   stdout=subprocess.DEVNULL)
+            if child.returncode or not os.path.exists(out):
+                raise SystemExit(f"[census] {name}: the profiled child failed "
+                                 f"(exit {child.returncode})")
+            with open(out) as handle:
+                results[name] = json.load(handle)
+            print(f"[census] {name}: exit {results[name]['status']}, "
+                  f"{len(results[name]['entered'])} src functions entered, "
+                  f"{time.perf_counter() - start:.0f} s", flush=True)
+
+    defined = defined_functions()
+    entered = set().union(*(set(r["entered"]) for r in results.values()))
+    never_entered = [key for key in defined if key not in entered]
+    fields = run_config_fields()
+    set_by = {field: sorted(name for name, r in results.items()
+                            if field in r["run_config_set"]) for field in fields}
+    report = {
+        "entry_points": {name: {"exit_status": r["status"],
+                                "functions_entered": len(r["entered"])}
+                         for name, r in results.items()},
+        "functions_defined": len(defined),
+        "functions_never_entered_count": len(never_entered),
+        "functions_never_entered": never_entered,
+        "run_config_fields": len(fields),
+        "run_config_never_set": [field for field in fields if not set_by[field]],
+        "run_config_set_by": {field: names for field, names in set_by.items() if names},
+        "watched_fields": {field: set_by.get(field, []) for field in WATCHED_FIELDS},
+    }
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    with open(args.out, "w") as handle:
+        json.dump(report, handle, indent=1)
+        handle.write("\n")
+    print(f"[census] {len(never_entered)} of {len(defined)} src functions never "
+          f"entered; {len(report['run_config_never_set'])} of {len(fields)} RunConfig "
+          f"fields never set -> {args.out}")
+    failed = [name for name, r in results.items() if r["status"] != 0]
+    if failed:
+        print(f"[census] entry points that exited non-zero: {failed}")
+    return 0
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--child"]:
+        kind, out, *rest = argv[1:]
+        return child_main(kind, rest, out)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--figures", action="store_true",
+                        help="also run the fast figure suite (slow)")
+    parser.add_argument("--only", nargs="+", default=None,
+                        help="run only these entry points (e.g. e2e:fmd_dense)")
+    parser.add_argument("--out", default=str(REPO / "runs" / "census.json"))
+    return parent_main(parser.parse_args(argv))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -19,10 +19,9 @@ Matrix:
   (``socketpair``) aggregator servers — the kill lands while a fold backend is
   live, so resume also proves no server state is (or needs to be) durable.
 * ``delta-chain`` — snapshots every round as a sparse-delta chain
-  (``checkpoint_delta_every=4``: full at round 1, deltas after) written by
-  the background checkpoint writer (``checkpoint_async=True``); the hard
-  kill races the in-flight write, so resume must come back bit-identically
-  from whichever complete snapshot survived — the delta tip or its base.
+  (``checkpoint_delta_every=4``: full at round 1, deltas after), so the
+  snapshot that survives the hard kill is a delta tip and resume must come
+  back bit-identically by replaying the chain from its full base.
 
 Exit status 0 on success, 1 on any mismatch.  Used by the nightly CI job,
 which also uploads the surviving checkpoint directories as an artifact::
@@ -73,7 +72,7 @@ CONFIGS = {
     ),
     "delta-chain": dict(
         num_shards=2, edge_tiers=(2,),
-        checkpoint_every=1, checkpoint_delta_every=4, checkpoint_async=True,
+        checkpoint_every=1, checkpoint_delta_every=4,
     ),
 }
 

@@ -45,8 +45,10 @@ The ``RunConfig`` runtime block selects the :mod:`repro.runtime` execution
 engine: ``scheduler`` picks the aggregation policy (``"sync"`` — the default,
 the paper's synchronous loop; ``"semisync"`` — deadline-based with straggler
 dropping; ``"async"`` — FedBuff-style buffered aggregation with
-staleness-discounted updates), ``sampler`` the client-selection policy and
-``dropout_prob``/``straggler_prob`` seeded fault injection::
+staleness-discounted updates), ``participants_per_round`` how many
+participants a round draws uniformly (under async: how many train at once;
+``None`` is everyone) and ``dropout_prob``/``straggler_prob`` seeded fault
+injection::
 
     async_config = RunConfig(scheduler="async", buffer_size=4,
                              participants_per_round=8, straggler_prob=0.2)
@@ -79,7 +81,6 @@ from .data import (
     make_mmlu_like,
     make_piqa_like,
     partition_dirichlet,
-    partition_iid,
 )
 from .federated import (
     AggregationTree,
@@ -103,14 +104,11 @@ from .obs import (
 )
 from .runtime import (
     AsyncScheduler,
-    AvailabilityTraceSampler,
     EventQueue,
     FaultInjector,
-    ResourceAwareSampler,
     Scheduler,
     SemiSyncScheduler,
     SyncScheduler,
-    UniformSampler,
     make_scheduler,
 )
 from .models import (
@@ -153,7 +151,6 @@ __all__ = [
     "make_mmlu_like",
     "make_piqa_like",
     "partition_dirichlet",
-    "partition_iid",
     # federated substrate
     "Participant",
     "ParticipantResources",
@@ -196,9 +193,6 @@ __all__ = [
     "SemiSyncScheduler",
     "AsyncScheduler",
     "make_scheduler",
-    "UniformSampler",
-    "ResourceAwareSampler",
-    "AvailabilityTraceSampler",
     "FaultInjector",
     # service (persistent socket-backed aggregation servers)
     "AggregatorServer",

@@ -5,13 +5,7 @@ This package replaces PyTorch for the reproduction: a reverse-mode autograd
 """
 
 from . import functional
-from .grad_utils import (
-    apply_gradients,
-    collect_gradients,
-    flatten_parameters,
-    gradient_norm,
-    parameter_delta,
-)
+from .grad_utils import gradient_norm
 from .nn import (
     Dropout,
     Embedding,
@@ -23,7 +17,7 @@ from .nn import (
     RMSNorm,
     Sequential,
 )
-from .optim import SGD, Adam, AdamBuffers, AdamW, Optimizer, clip_grad_norm
+from .optim import SGD, Adam, AdamBuffers, AdamW, Optimizer
 from .tensor import (
     Tensor,
     concatenate,
@@ -70,10 +64,5 @@ __all__ = [
     "SGD",
     "Adam",
     "AdamW",
-    "clip_grad_norm",
     "gradient_norm",
-    "collect_gradients",
-    "apply_gradients",
-    "flatten_parameters",
-    "parameter_delta",
 ]

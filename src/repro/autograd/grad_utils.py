@@ -1,8 +1,6 @@
-"""Utilities for inspecting and manipulating gradients of module trees."""
+"""The global gradient norm of a module tree."""
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -16,39 +14,3 @@ def gradient_norm(module: Module) -> float:
         if param.grad is not None:
             total += float((param.grad ** 2).sum())
     return float(np.sqrt(total))
-
-
-def collect_gradients(module: Module) -> Dict[str, np.ndarray]:
-    """Return a copy of every non-``None`` gradient keyed by parameter name."""
-    grads: Dict[str, np.ndarray] = {}
-    for name, param in module.named_parameters():
-        if param.grad is not None:
-            grads[name] = param.grad.copy()
-    return grads
-
-
-def apply_gradients(module: Module, grads: Dict[str, np.ndarray]) -> None:
-    """Load externally computed gradients into the matching parameters."""
-    for name, param in module.named_parameters():
-        if name in grads:
-            grad = np.asarray(grads[name])
-            if grad.shape != param.data.shape:
-                raise ValueError(f"gradient shape mismatch for {name}")
-            param.grad = grad.copy()
-
-
-def flatten_parameters(module: Module, trainable_only: bool = False) -> np.ndarray:
-    """Concatenate all parameter values into a single 1-D vector."""
-    chunks = []
-    for param in module.parameters():
-        if trainable_only and not param.requires_grad:
-            continue
-        chunks.append(param.data.reshape(-1))
-    if not chunks:
-        return np.zeros(0)
-    return np.concatenate(chunks)
-
-
-def parameter_delta(before: Dict[str, np.ndarray], after: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Per-parameter difference ``after - before`` for the shared keys."""
-    return {name: after[name] - before[name] for name in after if name in before}

@@ -295,18 +295,3 @@ class AdamW(Adam):
     def _decay(self) -> Tuple[float, float]:
         """AdamW shrinks the parameter before the update instead."""
         return 0.0, self.weight_decay
-
-
-def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
-    """Clip the global gradient norm of ``params`` to ``max_norm``.
-
-    Returns the norm before clipping, which callers use as the gradient
-    magnitude signal for expert utility.
-    """
-    params = [p for p in params if p.requires_grad and p.grad is not None]
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
-    if max_norm > 0 and total > max_norm and total > 0:
-        scale = max_norm / total
-        for param in params:
-            param.grad *= scale
-    return total

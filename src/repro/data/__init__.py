@@ -12,7 +12,7 @@ from .datasets import (
     make_piqa_like,
 )
 from .loader import IGNORE_INDEX, Batch, collate, iter_batches, make_batches
-from .partition import partition_dirichlet, partition_iid, partition_statistics
+from .partition import partition_dirichlet
 from .synthetic import Sample, SyntheticTaskGenerator, TaskType
 from .vocab import Vocabulary
 
@@ -31,8 +31,6 @@ __all__ = [
     "make_mmlu_like",
     "make_piqa_like",
     "partition_dirichlet",
-    "partition_iid",
-    "partition_statistics",
     "Batch",
     "collate",
     "iter_batches",

@@ -8,7 +8,7 @@ partitions; large ``alpha`` approaches IID.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -66,13 +66,6 @@ def partition_dirichlet(dataset: SyntheticDataset, num_clients: int, alpha: floa
     return assignments
 
 
-def partition_iid(dataset: SyntheticDataset, num_clients: int, seed: int = 0) -> List[List[int]]:
-    """Uniformly random (IID) partition, used as an ablation reference."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(dataset))
-    return [chunk.tolist() for chunk in np.array_split(order, num_clients)]
-
-
 def _rebalance(assignments: List[List[int]], min_samples: int, rng: np.random.Generator) -> None:
     """Move samples from the largest clients to any client below ``min_samples``."""
     for client, indices in enumerate(assignments):
@@ -81,24 +74,3 @@ def _rebalance(assignments: List[List[int]], min_samples: int, rng: np.random.Ge
             if donor == client or len(assignments[donor]) <= min_samples:
                 break
             indices.append(assignments[donor].pop())
-
-
-def partition_statistics(assignments: Sequence[Sequence[int]], dataset: SyntheticDataset) -> dict:
-    """Summary statistics of a partition (sizes and per-client topic entropy)."""
-    topics = dataset.topics()
-    num_topics = dataset.vocab.num_topics
-    sizes = [len(a) for a in assignments]
-    entropies = []
-    for indices in assignments:
-        if not indices:
-            entropies.append(0.0)
-            continue
-        counts = np.bincount(topics[list(indices)], minlength=num_topics).astype(np.float64)
-        probs = counts / counts.sum()
-        nonzero = probs[probs > 0]
-        entropies.append(float(-(nonzero * np.log(nonzero)).sum()))
-    return {
-        "sizes": sizes,
-        "topic_entropy_mean": float(np.mean(entropies)),
-        "topic_entropy_per_client": entropies,
-    }

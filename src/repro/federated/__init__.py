@@ -15,7 +15,6 @@ from .server import (
     ParameterServer,
     ShardedParameterServer,
     make_aggregation_pool,
-    make_server,
 )
 from .topology import (
     AggregationTree,
@@ -38,7 +37,6 @@ __all__ = [
     "epsilon_estimate",
     "ParameterServer",
     "ShardedParameterServer",
-    "make_server",
     "make_aggregation_pool",
     "AggregationTree",
     "GroupingPolicy",

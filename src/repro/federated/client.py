@@ -169,7 +169,7 @@ class Participant:
         return len(self.dataset)
 
     # ------------------------------------------------------------------ wire
-    def make_channel(self, cost_model=None, faults=None, latency_s: float = 0.0):
+    def make_channel(self, cost_model=None, faults=None):
         """Build this participant's metered uplink/downlink channel.
 
         Bandwidth comes from ``cost_model`` (the participant's own when not
@@ -183,7 +183,6 @@ class Participant:
             participant_id=self.participant_id,
             cost_model=cost_model if cost_model is not None else self.cost_model,
             faults=faults,
-            latency_s=latency_s,
         )
 
     def local_batches(self, batch_size: int, max_batches: Optional[int] = None,

@@ -11,14 +11,14 @@ participant's local work and returns its expert updates plus a cost breakdown.
 to the scheduler selected by :attr:`RunConfig.scheduler` (synchronous FedAvg by
 default, reproducing the legacy loop exactly; deadline-based semi-synchronous
 and FedBuff-style asynchronous aggregation otherwise), which also applies
-client sampling and fault injection.
+participant selection and fault injection.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,15 +59,9 @@ class RunConfig:
 
     # --- runtime: aggregation policy (repro.runtime.scheduler)
     scheduler: str = "sync"                  # "sync" | "semisync" | "async"
-    deadline_seconds: Optional[float] = None     # semisync: fixed round deadline
-    deadline_quantile: float = 0.8           # semisync: else this duration quantile
+    deadline_quantile: float = 0.8           # semisync: round deadline = this duration quantile
     buffer_size: int = 4                     # async: updates per aggregation
     staleness_exponent: float = 0.5          # async: update weight (1+s)^-a
-    async_concurrency: Optional[int] = None  # async: concurrent clients (None = participants_per_round)
-
-    # --- runtime: client sampling (repro.runtime.sampling)
-    sampler: str = "uniform"                 # "uniform" | "resource_aware" | "availability"
-    availability_trace: Optional[Mapping[int, Sequence[int]]] = None
 
     # --- runtime: fault injection (repro.runtime.faults)
     dropout_prob: float = 0.0
@@ -79,11 +73,6 @@ class RunConfig:
     codec: Optional[str] = None              # wire codec tag; None = method default
     channel_loss_prob: float = 0.0           # wire: per-payload loss probability
     channel_corrupt_prob: float = 0.0        # wire: per-payload corruption probability
-    #: wire: per-payload link latency folded into the *measured* airtime
-    #: (``RoundResult.wire_seconds``); the simulated clock keeps charging the
-    #: methods' analytic communication estimates, so this knob affects
-    #: reporting, not time-to-accuracy
-    channel_latency_s: float = 0.0
 
     # --- aggregation topology (repro.federated.{server,topology})
     num_shards: int = 1                      # expert shards at the root server
@@ -91,11 +80,6 @@ class RunConfig:
     #: participants → 6 edges → 2 super-edges → root; ``None`` is the flat,
     #: single-tier path.
     edge_tiers: Optional[Sequence[int]] = None
-    #: participant→edge assignment: "cost_aware" greedy-bin-packs on each
-    #: participant's upload cost when cost models exist (falling back to
-    #: round-robin without them — bit-identical to the legacy assignment);
-    #: "round_robin" forces ``pid % num_edges`` unconditionally.
-    edge_grouping: str = "cost_aware"
     edge_latency_s: float = 0.0              # per-frame inter-tier link latency
 
     # --- aggregation executor
@@ -126,9 +110,6 @@ class RunConfig:
     #: up to K consecutive sparse-delta model snapshots between full ones
     #: (0 = every snapshot full); resume is bit-identical either way
     checkpoint_delta_every: int = 0
-    #: encode + write snapshots on a background thread (single outstanding
-    #: write), keeping checkpoint IO off the round loop's critical path
-    checkpoint_async: bool = False
 
     # --- observability (repro.obs)
     #: span tracing + metrics + exporters for the run; the default no-op
@@ -159,8 +140,6 @@ class RunConfig:
                 "keyword")
         if self.scheduler not in ("sync", "semisync", "async"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
-        if self.sampler not in ("uniform", "resource_aware", "availability"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.transport not in ("analytic", "wire"):
             raise ValueError(f"unknown transport {self.transport!r}")
         for name in ("dropout_prob", "straggler_prob",
@@ -171,8 +150,6 @@ class RunConfig:
             raise ValueError("straggler_slowdown must be >= 1")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be positive")
-        if self.channel_latency_s < 0.0:
-            raise ValueError("channel_latency_s must be non-negative")
         if self.codec is not None:
             from ..comm import get_codec
 
@@ -188,8 +165,6 @@ class RunConfig:
                 raise ValueError(
                     "edge_tiers must be a non-empty sequence of positive widths")
             self.edge_tiers = tiers
-        if self.edge_grouping not in ("cost_aware", "round_robin"):
-            raise ValueError(f"unknown edge grouping {self.edge_grouping!r}")
         if self.edge_latency_s < 0.0:
             raise ValueError("edge_latency_s must be non-negative")
         if self.aggregation_executor not in ("serial", "service"):
@@ -379,12 +354,25 @@ class FederatedFineTuner(abc.ABC):
         participant._round_seed = state["round_seed"]
 
     # ------------------------------------------------------------------- loop
-    def select_participants(self, round_index: int) -> List[Participant]:
-        """Choose the participants taking part in this round (uniform policy)."""
-        from ..runtime import UniformSampler
+    def select_participants(self, round_index: int,
+                            candidates: Optional[Sequence[Participant]] = None,
+                            num: Optional[int] = None) -> List[Participant]:
+        """Draw ``num`` of ``candidates`` uniformly, without replacement.
 
-        return UniformSampler().sample(self.participants, self.config.participants_per_round,
-                                       round_index, self._rng)
+        The run's one selection policy (§8.1: a fixed number of participants
+        per round).  ``candidates`` defaults to every participant and ``num``
+        to :attr:`RunConfig.participants_per_round`; a pool no larger than
+        ``num`` (or ``num=None`` with no per-round count) is taken whole,
+        without a draw.  Draws only from the seeded run RNG, so identical
+        configs select identically.
+        """
+        pool = self.participants if candidates is None else list(candidates)
+        if num is None:
+            num = self.config.participants_per_round
+        if num is None or num >= len(pool):
+            return list(pool)
+        picked = self._rng.choice(len(pool), size=num, replace=False)
+        return [pool[int(i)] for i in picked]
 
     def cost_model_for(self, participant: Participant) -> Optional[CostModel]:
         return self.cost_models.get(participant.participant_id, participant.cost_model)
@@ -393,8 +381,8 @@ class FederatedFineTuner(abc.ABC):
         """Upload-seconds per participant — the cost-aware grouping signal.
 
         ``None`` when no participant has a cost model, which makes the
-        default ``edge_grouping="cost_aware"`` degrade to the legacy
-        round-robin assignment (bit-identical to the pre-tree behaviour).
+        cost-aware grouping degrade to the round-robin assignment
+        (bit-identical to the pre-tree behaviour).
         """
         from ..systems.cost_model import upload_costs
 
@@ -420,9 +408,7 @@ class FederatedFineTuner(abc.ABC):
 
             channel = participant.make_channel(
                 cost_model=self.cost_model_for(participant),
-                faults=ChannelFaultInjector.from_config(self.config),
-                latency_s=self.config.channel_latency_s,
-            )
+                faults=ChannelFaultInjector.from_config(self.config))
             self._channels[participant.participant_id] = channel
         return channel
 
@@ -635,19 +621,16 @@ class FederatedFineTuner(abc.ABC):
         """Execute one synchronous federated round (legacy API).
 
         Equivalent to one :class:`~repro.runtime.SyncScheduler` round with the
-        sampler and fault injection configured in :attr:`config` (uniform /
-        none by default) — regardless of ``config.scheduler``.  The scheduler
-        is cached and rebuilt when the relevant config fields change.
+        fault injection configured in :attr:`config` (none by default) —
+        regardless of ``config.scheduler``.  The scheduler is cached and
+        rebuilt when the fault fields change.
         """
-        from ..runtime import FaultInjector, SyncScheduler, make_sampler
+        from ..runtime import FaultInjector, SyncScheduler
 
-        key = (self.config.sampler, id(self.config.availability_trace),
-               self.config.dropout_prob, self.config.straggler_prob,
+        key = (self.config.dropout_prob, self.config.straggler_prob,
                self.config.straggler_slowdown, self.config.seed)
         if self._legacy_scheduler is None or self._legacy_scheduler_key != key:
-            sampler = None if self.config.sampler == "uniform" else make_sampler(self.config)
-            self._legacy_scheduler = SyncScheduler(
-                sampler=sampler, faults=FaultInjector.from_config(self.config))
+            self._legacy_scheduler = SyncScheduler(FaultInjector.from_config(self.config))
             self._legacy_scheduler_key = key
         return self._legacy_scheduler.run_round(self, round_index)
 
@@ -699,8 +682,7 @@ class FederatedFineTuner(abc.ABC):
                 directory=self.config.checkpoint_dir,
                 every=self.config.checkpoint_every,
                 keep_last=self.config.checkpoint_keep_last,
-                delta_every=self.config.checkpoint_delta_every,
-                background=self.config.checkpoint_async)
+                delta_every=self.config.checkpoint_delta_every)
         resume = None
         if resume_from is not None:
             resume = restore_run_state(self, active, load_run_checkpoint(resume_from))
@@ -709,11 +691,6 @@ class FederatedFineTuner(abc.ABC):
         self.telemetry.begin(
             resume_round=int(resume["next_round"]) if resume is not None else None)
         try:
-            if checkpointer is None and resume is None:
-                # Historical call shape: custom Scheduler implementations that
-                # predate the durability layer keep working untouched.
-                return active.run(self, num_rounds, stop_at_target=stop_at_target,
-                                  target_metric=target_metric)
             return active.run(self, num_rounds, stop_at_target=stop_at_target,
                               target_metric=target_metric, checkpointer=checkpointer,
                               resume=resume)

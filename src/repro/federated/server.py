@@ -307,14 +307,6 @@ class ShardedParameterServer(ParameterServer):
         return contributions
 
 
-def make_server(global_model: MoETransformer, config=None) -> ParameterServer:
-    """Build the server a :class:`~repro.federated.RunConfig` describes."""
-    num_shards = int(getattr(config, "num_shards", 1) or 1) if config is not None else 1
-    if num_shards > 1:
-        return ShardedParameterServer(global_model, num_shards=num_shards)
-    return ParameterServer(global_model)
-
-
 def make_aggregation_pool(config):
     """The fold executor a :class:`~repro.federated.RunConfig` selects.
 

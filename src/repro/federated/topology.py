@@ -383,7 +383,7 @@ class AggregationTree:
                 f"checkpoint topology has tiers {tuple(state['tiers'])} but the "
                 f"resuming tuner's topology has tiers {self.tiers}")
         if state["grouping"] != self.grouping.name:
-            # The RunConfig check cannot catch this: edge_grouping="cost_aware"
+            # The RunConfig check cannot catch this: the cost-aware grouping
             # resolves to round_robin when cost models are absent, so the same
             # config can yield different *effective* groupings — and a changed
             # participant→edge assignment silently diverges from the
@@ -422,15 +422,12 @@ def make_topology(config, participant_costs: Optional[Mapping[int, float]] = Non
 
     No ``edge_tiers`` keeps the flat single-tier path.  ``participant_costs``
     (per-participant upload seconds, see
-    :func:`repro.systems.cost_model.upload_costs`) feeds the default
-    cost-aware grouping; without it — or with
-    ``edge_grouping="round_robin"`` — assignment is the stable round-robin.
+    :func:`repro.systems.cost_model.upload_costs`) feeds the cost-aware
+    grouping; without it assignment is the stable round-robin.
     """
     tiers = config.edge_tiers
     if not tiers:
         return None
-    grouping: Optional[GroupingPolicy] = None
-    if getattr(config, "edge_grouping", "cost_aware") == "cost_aware" and participant_costs:
-        grouping = CostAwareGrouping(participant_costs)
+    grouping = CostAwareGrouping(participant_costs) if participant_costs else None
     latency_s = float(getattr(config, "edge_latency_s", 0.0))
     return AggregationTree(tiers, grouping=grouping, latency_s=latency_s)

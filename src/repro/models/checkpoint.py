@@ -45,8 +45,8 @@ def save_state_checkpoint(state: Dict[str, np.ndarray], config: MoEModelConfig,
                           path: Union[str, "os.PathLike[str]"]) -> str:
     """:func:`save_checkpoint` from an already-captured ``(state, config)``.
 
-    Lets a background checkpoint writer persist a snapshot captured earlier on
-    the round loop without touching the (by then possibly mutated) live model.
+    Lets the run checkpointer persist a captured copy of the model state (the
+    copy it keeps as the next delta snapshot's reference).
     """
     target = os.fspath(path)
     if not target.endswith(".npz"):

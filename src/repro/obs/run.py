@@ -60,8 +60,7 @@ class NullTelemetry:
         pass
 
     def record_checkpoint(self, path: str, duration_s: float,
-                          mode: str = "full",
-                          write: str = "foreground") -> None:  # noqa: ARG002
+                          mode: str = "full") -> None:  # noqa: ARG002
         pass
 
     def finish(self) -> None:
@@ -187,18 +186,16 @@ class RunTelemetry:
             })
 
     def record_checkpoint(self, path: str, duration_s: float,
-                          mode: str = "full", write: str = "foreground") -> None:
+                          mode: str = "full") -> None:
         """Account one snapshot write.
 
-        ``mode`` ("full" | "delta") and ``write`` ("foreground" |
-        "background") label the byte/latency series so reports can show how
-        much the delta encoding saved and what still blocked the round loop.
+        ``mode`` ("full" | "delta") labels the byte and count series so
+        reports can show how much the delta encoding saved.
         """
         size = _tree_size(path)
         self.registry.counter("repro_checkpoint_bytes_total", mode=mode).inc(size)
         self.registry.gauge("repro_checkpoint_last_bytes").set(size)
-        self.registry.counter("repro_checkpoints_total",
-                              mode=mode, write=write).inc()
+        self.registry.counter("repro_checkpoints_total", mode=mode).inc()
         self.registry.histogram("repro_checkpoint_seconds").observe(duration_s)
 
 

@@ -43,17 +43,3 @@ def quantize_model(model: MoETransformer, bits: int,
         if source.data.ndim >= 2 and not any(token in name for token in skip):
             target.data[...] = quantize_array(source.data, bits).dequantize()
     return clone
-
-
-def quantized_model_bytes(model: MoETransformer, bits: int,
-                          skip_substrings: Optional[Iterable[str]] = ("embedding", "norm"),
-                          full_precision_bytes: float = 4.0) -> float:
-    """Storage footprint (bytes) of the quantized version of ``model``."""
-    skip = tuple(skip_substrings or ())
-    total = 0.0
-    for name, value in model.state_dict().items():
-        if any(token in name for token in skip) or value.ndim < 2:
-            total += value.size * full_precision_bytes
-        else:
-            total += value.size * bits / 8.0
-    return total

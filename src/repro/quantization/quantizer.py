@@ -13,8 +13,6 @@ which emerge naturally from actually rounding the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
 import numpy as np
 
 
@@ -57,11 +55,6 @@ def quantize_array(weights: np.ndarray, bits: int) -> QuantizedArray:
     dtype = str(weights.dtype) if weights.dtype.kind == "f" else "float64"
     return QuantizedArray(codes=codes, scales=scales, bits=bits,
                           original_shape=original_shape, dtype=dtype)
-
-
-def dequantize_array(quantized: QuantizedArray) -> np.ndarray:
-    """Convenience wrapper around :meth:`QuantizedArray.dequantize`."""
-    return quantized.dequantize()
 
 
 #: bit widths whose codes pack densely into whole bytes (wire transport)
@@ -134,32 +127,3 @@ def unpack_int_codes(data: bytes, bits: int, count: int) -> np.ndarray:
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     return unpack_int_code_rows(raw.reshape(1, -1), bits, count)[0]
-
-
-def quantization_error(weights: np.ndarray, bits: int) -> float:
-    """Relative L2 reconstruction error introduced by quantizing ``weights``."""
-    reconstructed = quantize_array(weights, bits).dequantize()
-    denom = np.linalg.norm(weights)
-    if denom == 0:
-        return 0.0
-    return float(np.linalg.norm(weights - reconstructed) / denom)
-
-
-def quantize_state_dict(state: Dict[str, np.ndarray], bits: int) -> Dict[str, QuantizedArray]:
-    """Quantize every entry of a ``state_dict``."""
-    return {name: quantize_array(value, bits) for name, value in state.items()}
-
-
-def dequantize_state_dict(quantized: Dict[str, QuantizedArray]) -> Dict[str, np.ndarray]:
-    """Dequantize every entry back to floating point."""
-    return {name: q.dequantize() for name, q in quantized.items()}
-
-
-def state_dict_nbytes(state: Dict[str, np.ndarray], bytes_per_param: float = 4.0) -> float:
-    """Storage footprint of a full-precision state dict."""
-    return float(sum(value.size for value in state.values()) * bytes_per_param)
-
-
-def quantized_nbytes(quantized: Dict[str, QuantizedArray]) -> float:
-    """Storage footprint of a quantized state dict."""
-    return float(sum(q.nbytes for q in quantized.values()))

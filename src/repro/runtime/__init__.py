@@ -1,7 +1,7 @@
 """Event-driven federated execution engine.
 
 This package owns *when* and *on what* participant work runs — client
-sampling, fault injection, the simulated event clock and the
+selection, fault injection, the simulated event clock and the
 sync/semi-sync/async aggregation policies — while the *work itself* stays
 behind :meth:`~repro.federated.orchestrator.FederatedFineTuner.participant_round`.
 Select a policy via :attr:`RunConfig.scheduler` (``"sync"`` | ``"semisync"`` |
@@ -17,7 +17,6 @@ from .checkpoint import (
     load_run_checkpoint,
     prune_checkpoints,
     restore_run_state,
-    save_run_checkpoint,
     write_run_checkpoint,
 )
 from .events import Event, EventQueue
@@ -27,13 +26,6 @@ from .faults import (
     FaultInjector,
     FaultOutcome,
     scale_breakdown,
-)
-from .sampling import (
-    AvailabilityTraceSampler,
-    ClientSampler,
-    ResourceAwareSampler,
-    UniformSampler,
-    make_sampler,
 )
 from .scheduler import (
     SCHEDULERS,
@@ -52,15 +44,9 @@ __all__ = [
     "load_run_checkpoint",
     "prune_checkpoints",
     "restore_run_state",
-    "save_run_checkpoint",
     "write_run_checkpoint",
     "Event",
     "EventQueue",
-    "ClientSampler",
-    "UniformSampler",
-    "ResourceAwareSampler",
-    "AvailabilityTraceSampler",
-    "make_sampler",
     "FaultInjector",
     "FaultOutcome",
     "ChannelFaultInjector",

@@ -28,19 +28,12 @@ On-disk layout: one directory per snapshot (``round_00004/``) holding
 into place atomically, so a snapshot directory containing ``run_state.pkl``
 is always complete; :func:`latest_checkpoint` ignores anything else.
 
-Two cost levers keep frequent snapshots off the round loop's critical path:
-
-* **Delta snapshots** (``delta_every=K``): instead of a full ``model.npz``,
-  a snapshot may hold ``model.delta`` — an exact ``sparse-delta`` codec frame
-  against the *previous* snapshot's model, named by a ``delta_base`` file.
-  Every K-th snapshot (and the first of every process) is full, bounding the
-  resume chain; loading walks the chain back to the full base and replays the
-  deltas forward, bit-identically.
-* **Background writes** (``background=True``): :meth:`RunCheckpointer.save`
-  captures the run state synchronously (cheap copies + one pickle), then
-  encodes and writes on a single-outstanding writer thread, joining before
-  the next save.  Marker-last semantics are preserved, so a crash mid-write
-  still leaves only torn (ignorable) directories.
+**Delta snapshots** (``delta_every=K``) keep frequent snapshots small:
+instead of a full ``model.npz``, a snapshot may hold ``model.delta`` — an
+exact ``sparse-delta`` codec frame against the *previous* snapshot's model,
+named by a ``delta_base`` file.  Every K-th snapshot (and the first of every
+process) is full, bounding the resume chain; loading walks the chain back to
+the full base and replays the deltas forward, bit-identically.
 """
 
 from __future__ import annotations
@@ -49,10 +42,9 @@ import os
 import pickle
 import re
 import shutil
-import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,38 +67,40 @@ _ROUND_DIR = re.compile(r"^round_(\d+)$")
 #: config fields a resumed run may legitimately change — everything else must
 #: match the snapshot exactly, or the continuation would silently diverge
 #: from the uninterrupted run.  All of these are purely operational:
-#: snapshot cadence/location/retention, snapshot encoding (full vs delta,
-#: foreground vs background), telemetry output, and the aggregation fold
-#: executor (serial and the socket service are bit-identical, test-enforced —
-#: so a run checkpointed under one, or under the removed "process" pool, may
-#: resume under another) cannot affect run results.
+#: snapshot cadence/location/retention, snapshot encoding (full vs delta),
+#: telemetry output, and the aggregation fold executor (serial and the socket
+#: service are bit-identical, test-enforced — so a run checkpointed under one,
+#: or under the removed "process" pool, may resume under another) cannot
+#: affect run results.
 _RESUMABLE_CONFIG_FIELDS = frozenset(
     {"checkpoint_every", "checkpoint_dir", "checkpoint_keep_last",
-     "checkpoint_delta_every", "checkpoint_async",
+     "checkpoint_delta_every",
      "telemetry", "telemetry_dir",
      "aggregation_executor", "aggregation_workers",
      "service_transport", "service_retry_attempts",
      "service_retry_delay_s", "service_timeout_s", "service_log_dir"})
 
-#: ``RunConfig`` fields of older trees that no longer exist.  None of them
-#: changed a run's bits (buffered == streaming FedAvg, every service payload
-#: mode and the participant process pool == the serial loop were
-#: test-enforced equal when they were removed), so a saved config that
-#: carries them still resumes: they are dropped from the saved side, and
+#: ``RunConfig`` fields of older trees that no longer exist -> the saved
+#: values that still resume.  Those values are what today's code does, so a
+#: saved config holding one resumes with the key dropped; any other saved
+#: value ran code that is gone, so no continuation could match the saved run
+#: and resuming refuses, naming the key.  ``None`` admits every value: the
+#: fields that never changed a run's bits (buffered == streaming FedAvg, every
+#: service payload mode and the participant process pool == the serial loop
+#: were test-enforced equal when they were removed).
 #: ``num_edge_aggregators=n`` is first re-spelt ``edge_tiers=(n,)``.
-#: ``aggregation`` / ``trim_ratio`` went when weighted FedAvg became the only
-#: fold: a run saved under ``"fedavg"`` (or ``"staleness_fedavg"``, FedAvg
-#: under every scheduler that accepted it) resumes; any other saved value
-#: refuses (:data:`_FEDAVG_AGGREGATIONS`).
-_RETIRED_CONFIG_FIELDS = frozenset(
-    {"streaming_aggregation", "service_codec", "service_window",
-     "num_edge_aggregators", "executor", "executor_workers",
-     "aggregation", "trim_ratio"})
-
-#: saved ``aggregation`` values that were weighted FedAvg.  Any other
-#: (``"trimmed_mean"``, ``"median"``) names a reduction that is gone, so no
-#: continuation could match the saved run
-_FEDAVG_AGGREGATIONS = frozenset({"fedavg", "staleness_fedavg"})
+_RETIRED_CONFIG_FIELDS: Dict[str, Optional[Tuple]] = {
+    "streaming_aggregation": None, "service_codec": None, "service_window": None,
+    "num_edge_aggregators": None, "executor": None, "executor_workers": None,
+    # staleness_fedavg was FedAvg under every scheduler that accepted it
+    "aggregation": ("fedavg", "staleness_fedavg"), "trim_ratio": None,
+    "sampler": ("uniform",),
+    "availability_trace": (None,),
+    "deadline_seconds": (None,),
+    "async_concurrency": (None,),
+    "edge_grouping": ("cost_aware",),
+    "channel_latency_s": (0.0,),
+}
 
 
 def _config_snapshot(config) -> Dict:
@@ -120,11 +114,11 @@ def _config_snapshot(config) -> Dict:
     items = dict(config if isinstance(config, dict) else asdict(config))
     if items.get("num_edge_aggregators") and items.get("edge_tiers") is None:
         items["edge_tiers"] = (int(items["num_edge_aggregators"]),)
-    if items.get("aggregation", "fedavg") not in _FEDAVG_AGGREGATIONS:
-        raise ValueError(
-            f"checkpoint was written under aggregation={items['aggregation']!r}, "
-            "a retired aggregation strategy; weighted FedAvg is the only fold "
-            "now, so this run cannot be resumed")
+    for key, resumable in _RETIRED_CONFIG_FIELDS.items():
+        if key in items and resumable is not None and items[key] not in resumable:
+            raise ValueError(
+                f"checkpoint was written under {key}={items[key]!r}, a retired "
+                "setting whose code is gone; this run cannot be resumed")
     return {key: value for key, value in items.items()
             if key not in _RESUMABLE_CONFIG_FIELDS
             and key not in _RETIRED_CONFIG_FIELDS}
@@ -149,8 +143,7 @@ class RunCheckpointCapture:
 
     The run state is pickled at capture time (the tracker, timeline and round
     list keep mutating as the run continues) and the model parameters are
-    copied, so encoding and file IO can happen later — possibly on a
-    background thread — without racing the live run.
+    copied, so the copy can serve as the next delta snapshot's reference.
     """
 
     state_bytes: bytes
@@ -244,14 +237,6 @@ def write_run_checkpoint(directory: str, capture: RunCheckpointCapture, *,
         handle.write(capture.state_bytes)
     os.replace(tmp_path, state_path)
     return directory
-
-
-def save_run_checkpoint(directory: str, tuner, scheduler, tracker,
-                        run_timeline, rounds: List) -> str:
-    """Write one complete (full-model) run snapshot into ``directory``."""
-    return write_run_checkpoint(
-        directory,
-        capture_run_checkpoint(tuner, scheduler, tracker, run_timeline, rounds))
 
 
 def _delta_base_of(path: str) -> Optional[str]:
@@ -431,12 +416,19 @@ def latest_checkpoint(directory: str) -> Optional[str]:
 
 @dataclass
 class CheckpointRecord:
-    """One completed snapshot write, for telemetry."""
+    """One written snapshot, for telemetry.
+
+    Path-like (``os.fspath(record) == record.path``), so a caller can hand
+    the record :meth:`RunCheckpointer.save` returns to anything that takes
+    the snapshot's directory.
+    """
 
     path: str
     duration_s: float
     mode: str  # "full" | "delta"
-    write: str  # "foreground" | "background"
+
+    def __fspath__(self) -> str:
+        return self.path
 
 
 @dataclass
@@ -453,18 +445,12 @@ class RunCheckpointer:
     the previous one) between full snapshots; the first save of every process
     is always full, so resume chains never cross a restart.  ``0`` writes only
     full snapshots.
-
-    ``background=True`` moves encoding and file IO to a writer thread with a
-    single outstanding write: :meth:`save` captures the run state and returns;
-    the write lands before the next save (or :meth:`finish`).  Writer errors
-    re-raise on the round loop at the next :meth:`save`/:meth:`finish`.
     """
 
     directory: str
     every: int
     keep_last: int = 0
     delta_every: int = 0
-    background: bool = False
 
     def __post_init__(self) -> None:
         if self.every < 1:
@@ -478,10 +464,6 @@ class RunCheckpointer:
         self._since_full = 0
         self._last_path: Optional[str] = None
         self._last_model_state: Optional[Dict[str, np.ndarray]] = None
-        self._thread: Optional[threading.Thread] = None
-        self._errors: List[BaseException] = []
-        self._records: List[CheckpointRecord] = []
-        self._lock = threading.Lock()
 
     def due(self, rounds_completed: int) -> bool:
         return rounds_completed > 0 and rounds_completed % self.every == 0
@@ -489,64 +471,25 @@ class RunCheckpointer:
     def path_for(self, rounds_completed: int) -> str:
         return os.path.join(self.directory, f"round_{rounds_completed:05d}")
 
-    def save(self, tuner, scheduler, tracker, run_timeline, rounds: List) -> str:
-        self.finish()  # single outstanding write; also surfaces writer errors
+    def save(self, tuner, scheduler, tracker, run_timeline,
+             rounds: List) -> CheckpointRecord:
+        """Write the run's snapshot (then prune) and return its record."""
+        start = time.perf_counter()
         path = self.path_for(len(rounds))
         make_delta = (self.delta_every > 0
                       and self._last_model_state is not None
                       and self._since_full < self.delta_every)
         capture = capture_run_checkpoint(tuner, scheduler, tracker,
                                          run_timeline, rounds)
-        reference = self._last_model_state if make_delta else None
-        base_name = (os.path.basename(self._last_path) if make_delta else None)
-        mode = "delta" if make_delta else "full"
-        # This snapshot's captured model becomes the next delta's reference.
+        write_run_checkpoint(
+            path, capture,
+            delta_base=os.path.basename(self._last_path) if make_delta else None,
+            delta_reference=self._last_model_state if make_delta else None)
+        # This snapshot's model becomes the next delta's reference.
         self._last_model_state = capture.model_state
         self._last_path = path
         self._since_full = self._since_full + 1 if make_delta else 0
-        start = time.perf_counter()
-
-        def write() -> None:
-            write_run_checkpoint(path, capture, delta_base=base_name,
-                                 delta_reference=reference)
-            if self.keep_last:
-                prune_checkpoints(self.directory, self.keep_last)
-            with self._lock:
-                self._records.append(CheckpointRecord(
-                    path, time.perf_counter() - start, mode,
-                    "background" if self.background else "foreground"))
-
-        if self.background:
-            def job() -> None:
-                try:
-                    write()
-                except BaseException as error:  # surfaced by finish()
-                    with self._lock:
-                        self._errors.append(error)
-
-            self._thread = threading.Thread(
-                target=job, name="checkpoint-writer", daemon=True)
-            self._thread.start()
-        else:
-            write()
-        return path
-
-    def finish(self) -> None:
-        """Block until any in-flight background write has landed.
-
-        Re-raises (once) an error the writer thread hit, so a failed save
-        surfaces on the round loop instead of vanishing with the thread.
-        """
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join()
-        with self._lock:
-            errors, self._errors = list(self._errors), []
-        if errors:
-            raise errors[0]
-
-    def drain_records(self) -> List[CheckpointRecord]:
-        """Completed-write records since the last drain (telemetry feed)."""
-        with self._lock:
-            records, self._records = list(self._records), []
-        return records
+        if self.keep_last:
+            prune_checkpoints(self.directory, self.keep_last)
+        return CheckpointRecord(path, time.perf_counter() - start,
+                                "delta" if make_delta else "full")

@@ -8,14 +8,14 @@ trigger — while the *work* of one participant round stays behind
 :class:`SyncScheduler`
     The paper's synchronous FedAvg loop: everyone selected trains, the round
     ends when the slowest participant finishes, the server aggregates.  With
-    the default sampler and no fault injection this reproduces the legacy
-    ``FederatedFineTuner`` loop bit-for-bit.
+    no fault injection this reproduces the legacy ``FederatedFineTuner`` loop
+    bit-for-bit.
 
 :class:`SemiSyncScheduler`
-    Deadline-based aggregation: the round ends at a fixed deadline (or a
-    quantile of this round's predicted durations); whoever finished by then is
-    aggregated, stragglers are dropped.  Bounds round time under heterogeneity
-    at the price of wasted straggler work.
+    Deadline-based aggregation: the round ends at a quantile of this round's
+    predicted durations; whoever finished by then is aggregated, stragglers
+    are dropped.  Bounds round time under heterogeneity at the price of
+    wasted straggler work.
 
 :class:`AsyncScheduler`
     FedBuff-style buffered asynchrony: clients train continuously; each
@@ -25,9 +25,11 @@ trigger — while the *work* of one participant round stays behind
     server aggregates whenever the buffer holds ``buffer_size`` updates; every
     aggregation is reported as one "round".
 
-All schedulers drive the shared :class:`~repro.runtime.events.EventQueue` and
-draw randomness only from the fine-tuner's seeded run RNG plus the
-per-(round, participant) fault RNGs, so identical configs replay identical
+All schedulers select participants with
+:meth:`FederatedFineTuner.select_participants` (a uniform draw), drive the
+shared :class:`~repro.runtime.events.EventQueue` and draw randomness only from
+the fine-tuner's seeded run RNG plus the per-(round, participant) fault RNGs,
+so identical configs replay identical
 :class:`~repro.systems.timeline.RunTimeline`'s.
 """
 
@@ -52,7 +54,6 @@ from ..obs import NULL_TELEMETRY
 from ..systems import RoundTimeline, RunTimeline
 from .events import EventQueue
 from .faults import FaultInjector, FaultOutcome, scale_breakdown
-from .sampling import ClientSampler, UniformSampler, make_sampler
 
 
 def run_participants(tuner: FederatedFineTuner, participants: Sequence[Participant],
@@ -82,14 +83,7 @@ class Scheduler(abc.ABC):
 
     name: str = "base"
 
-    def __init__(
-        self,
-        sampler: Optional[ClientSampler] = None,
-        faults: Optional[FaultInjector] = None,
-    ) -> None:
-        #: ``None`` delegates full-round selection to the fine-tuner's
-        #: (overridable) ``select_participants`` — the uniform legacy policy.
-        self.sampler = sampler
+    def __init__(self, faults: Optional[FaultInjector] = None) -> None:
         self.faults = faults or FaultInjector()
 
     # ------------------------------------------------------------------- loop
@@ -124,59 +118,36 @@ class Scheduler(abc.ABC):
         wire_codec = (tuner.wire_codec_name()
                       if getattr(tuner.config, "transport", "analytic") == "wire"
                       else None)
-        try:
-            if start_round < num_rounds:
-                # start_round is only passed when actually resuming, so custom
-                # Scheduler subclasses written against the historical
-                # two-argument round_results signature keep working for every
-                # non-durable run (checkpoint/resume requires the
-                # start_round-aware signature).
-                if start_round:
-                    results_iter = self.round_results(tuner, num_rounds,
-                                                      start_round=start_round)
-                else:
-                    results_iter = self.round_results(tuner, num_rounds)
-                with tracer.span("run", category="run", scheduler=self.name,
-                                 method=tuner.name, start_round=start_round,
-                                 num_rounds=num_rounds):
-                    for round_result in results_iter:
-                        rounds.append(round_result)
-                        run_timeline.add(round_result.timeline)
-                        tracker.record(
-                            round_index=round_result.round_index,
-                            simulated_time=round_result.simulated_time,
-                            metric_value=round_result.metric_value,
-                            train_loss=round_result.train_loss,
-                            comm_bytes=round_result.wire_bytes,
-                            wire_seconds=round_result.wire_seconds,
-                            payloads_lost=round_result.payloads_lost,
-                            payloads_corrupted=round_result.payloads_corrupted,
-                            edge_bytes=round_result.edge_bytes,
-                        )
-                        telemetry.end_round(round_result, codec=wire_codec)
-                        if checkpointer is not None and checkpointer.due(len(rounds)):
-                            # In background mode save() only captures; the
-                            # write lands off the round loop and its record
-                            # (mode/duration) is drained on a later round or
-                            # at finish() below.
-                            with tracer.span("checkpoint", category="checkpoint",
-                                             round=round_result.round_index,
-                                             rounds_completed=len(rounds)):
-                                checkpointer.save(tuner, self, tracker,
-                                                  run_timeline, rounds)
-                            for record in checkpointer.drain_records():
-                                telemetry.record_checkpoint(
-                                    record.path, record.duration_s,
-                                    mode=record.mode, write=record.write)
-                        if stop_at_target and round_result.metric_value >= goal:
-                            break
-        finally:
-            if checkpointer is not None:
-                checkpointer.finish()
-                for record in checkpointer.drain_records():
-                    telemetry.record_checkpoint(
-                        record.path, record.duration_s,
-                        mode=record.mode, write=record.write)
+        if start_round < num_rounds:
+            with tracer.span("run", category="run", scheduler=self.name,
+                             method=tuner.name, start_round=start_round,
+                             num_rounds=num_rounds):
+                for round_result in self.round_results(tuner, num_rounds,
+                                                       start_round=start_round):
+                    rounds.append(round_result)
+                    run_timeline.add(round_result.timeline)
+                    tracker.record(
+                        round_index=round_result.round_index,
+                        simulated_time=round_result.simulated_time,
+                        metric_value=round_result.metric_value,
+                        train_loss=round_result.train_loss,
+                        comm_bytes=round_result.wire_bytes,
+                        wire_seconds=round_result.wire_seconds,
+                        payloads_lost=round_result.payloads_lost,
+                        payloads_corrupted=round_result.payloads_corrupted,
+                        edge_bytes=round_result.edge_bytes,
+                    )
+                    telemetry.end_round(round_result, codec=wire_codec)
+                    if checkpointer is not None and checkpointer.due(len(rounds)):
+                        with tracer.span("checkpoint", category="checkpoint",
+                                         round=round_result.round_index,
+                                         rounds_completed=len(rounds)):
+                            record = checkpointer.save(tuner, self, tracker,
+                                                       run_timeline, rounds)
+                        telemetry.record_checkpoint(record.path, record.duration_s,
+                                                    mode=record.mode)
+                    if stop_at_target and round_result.metric_value >= goal:
+                        break
         return RunResult(method=tuner.name, tracker=tracker, timeline=run_timeline,
                          rounds=rounds)
 
@@ -206,17 +177,6 @@ class Scheduler(abc.ABC):
         """Restore an :meth:`export_state` snapshot (no-op for stateless policies)."""
 
     # ---------------------------------------------------------------- helpers
-    def select(self, tuner: FederatedFineTuner, round_index: int) -> List[Participant]:
-        if self.sampler is None:
-            return tuner.select_participants(round_index)
-        return self.sampler.sample(tuner.participants, tuner.config.participants_per_round,
-                                   round_index, tuner._rng)
-
-    def _sample(self, tuner: FederatedFineTuner, participants: Sequence[Participant],
-                num: Optional[int], round_index: int) -> List[Participant]:
-        sampler = self.sampler or UniformSampler()
-        return sampler.sample(participants, num, round_index, tuner._rng)
-
     def _execute_round_work(self, tuner: FederatedFineTuner, round_index: int
                             ) -> Tuple[List[Participant], int,
                                        List[Tuple[Participant, ParticipantRoundResult,
@@ -232,7 +192,7 @@ class Scheduler(abc.ABC):
         """
         tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
         with tracer.span("select", category="select", round=round_index) as span:
-            selected = self.select(tuner, round_index)
+            selected = tuner.select_participants(round_index)
             tuner.before_round(round_index, selected)
             outcomes = {p.participant_id: self.faults.outcome(round_index, p.participant_id)
                         for p in selected}
@@ -372,28 +332,17 @@ class SemiSyncScheduler(Scheduler):
 
     name = "semisync"
 
-    def __init__(self, *args, deadline_seconds: Optional[float] = None,
-                 deadline_quantile: float = 0.8, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+    def __init__(self, faults: Optional[FaultInjector] = None,
+                 deadline_quantile: float = 0.8) -> None:
+        super().__init__(faults)
         if not 0.0 < deadline_quantile <= 1.0:
             raise ValueError("deadline_quantile must be in (0, 1]")
-        self.deadline_seconds = deadline_seconds
         self.deadline_quantile = deadline_quantile
 
     def round_results(self, tuner: FederatedFineTuner, num_rounds: int,
                       start_round: int = 0) -> Iterator[RoundResult]:
         for round_index in range(start_round, num_rounds):
             yield self._run_round(tuner, round_index)
-
-    def _round_deadline(self, durations: Sequence[float]) -> float:
-        if self.deadline_seconds is not None:
-            deadline = self.deadline_seconds
-        else:
-            deadline = float(np.quantile(np.asarray(durations), self.deadline_quantile))
-        # Never aggregate an empty round while someone is still working.
-        return max(deadline, min(durations))
 
     def _run_round(self, tuner: FederatedFineTuner, round_index: int) -> RoundResult:
         tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
@@ -406,7 +355,10 @@ class SemiSyncScheduler(Scheduler):
                 durations.append(duration)
                 queue.push(duration, "finish", participant=participant, result=result)
 
-            deadline = self._round_deadline(durations) if durations else 0.0
+            # A quantile in (0, 1] is never below the first finish, so a
+            # round with survivors never aggregates empty.
+            deadline = (float(np.quantile(np.asarray(durations), self.deadline_quantile))
+                        if durations else 0.0)
             arrivals = [(event.payload["participant"], event.payload["result"])
                         for event in queue.pop_until(deadline)]
             num_stragglers = len(queue)
@@ -455,10 +407,11 @@ class _AsyncLoopState:
 class AsyncScheduler(Scheduler):
     """FedBuff-style buffered asynchronous aggregation.
 
-    Clients train continuously (at most ``concurrency`` at a time): a client
-    downloads the current global model, trains, and its update lands in the
-    server buffer when it finishes; a new client is started in its place
-    immediately.  Once the buffer holds ``buffer_size`` updates the server
+    Clients train continuously, at most ``participants_per_round`` at a time
+    (every participant when it is ``None``): a client downloads the current
+    global model, trains, and its update lands in the server buffer when it
+    finishes; a new client, drawn uniformly from the idle ones, is started in
+    its place immediately.  Once the buffer holds ``buffer_size`` updates the server
     aggregates them with staleness-discounted weights and bumps the model
     version.  Local training is executed serially because each client must
     observe the global model exactly as of its simulated start time.
@@ -470,18 +423,15 @@ class AsyncScheduler(Scheduler):
     #: against configs where dropout starves the buffer forever)
     MAX_EVENTS_PER_ROUND = 10_000
 
-    def __init__(self, *args, buffer_size: int = 4, staleness_exponent: float = 0.5,
-                 concurrency: Optional[int] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, faults: Optional[FaultInjector] = None, buffer_size: int = 4,
+                 staleness_exponent: float = 0.5) -> None:
+        super().__init__(faults)
         if buffer_size < 1:
             raise ValueError("buffer_size must be positive")
         if staleness_exponent < 0:
             raise ValueError("staleness_exponent must be non-negative")
-        if concurrency is not None and concurrency < 1:
-            raise ValueError("concurrency must be positive")
         self.buffer_size = buffer_size
         self.staleness_exponent = staleness_exponent
-        self.concurrency = concurrency
         #: in-flight loop state — populated while :meth:`round_results` runs so
         #: a checkpoint taken between rounds can capture and later restore it
         self._st: Optional[_AsyncLoopState] = None
@@ -571,9 +521,8 @@ class AsyncScheduler(Scheduler):
     # ------------------------------------------------------------------- loop
     def round_results(self, tuner: FederatedFineTuner, num_rounds: int,
                       start_round: int = 0) -> Iterator[RoundResult]:
-        config = tuner.config
-        concurrency = self.concurrency or config.participants_per_round or len(tuner.participants)
-        concurrency = min(concurrency, len(tuner.participants))
+        concurrency = min(tuner.config.participants_per_round or len(tuner.participants),
+                          len(tuner.participants))
         if start_round > 0:
             if self._st is None or self._st.version != start_round:
                 raise ValueError(
@@ -587,10 +536,9 @@ class AsyncScheduler(Scheduler):
 
         def start_client(now: float) -> bool:
             idle = [p for p in tuner.participants if p.participant_id not in st.active]
-            picked = self._sample(tuner, idle, 1, st.version) if idle else []
+            picked = tuner.select_participants(st.version, idle, 1) if idle else []
             if not picked:
-                # Nobody idle (or the availability trace left nobody online).
-                return False
+                return False  # nobody idle
             participant = picked[0]
             st.active.add(participant.participant_id)
             tuner.before_round(st.version, [participant])
@@ -618,9 +566,6 @@ class AsyncScheduler(Scheduler):
                     break
 
         if start_round == 0:
-            # If nobody can start at all (e.g. an availability trace with no
-            # one online at version 0), the queue stays empty and the run ends
-            # early with the rounds produced so far.
             refill_slots(0.0)
         elif st.pending_refill:
             # The interrupted run was checkpointed at a yield point, *before*
@@ -713,24 +658,16 @@ SCHEDULERS = ("sync", "semisync", "async")
 def make_scheduler(config) -> Scheduler:
     """Build the scheduler stack a :class:`~repro.federated.RunConfig` selects."""
     name = getattr(config, "scheduler", "sync")
-    # The default uniform policy stays with the fine-tuner's (overridable)
-    # ``select_participants``; an explicit sampler choice takes precedence.
-    sampler = None if getattr(config, "sampler", "uniform") == "uniform" \
-        else make_sampler(config)
     faults = FaultInjector.from_config(config)
     if name == "sync":
-        return SyncScheduler(sampler, faults)
+        return SyncScheduler(faults)
     if name == "semisync":
         return SemiSyncScheduler(
-            sampler, faults,
-            deadline_seconds=getattr(config, "deadline_seconds", None),
-            deadline_quantile=getattr(config, "deadline_quantile", 0.8),
-        )
+            faults, deadline_quantile=getattr(config, "deadline_quantile", 0.8))
     if name == "async":
         return AsyncScheduler(
-            sampler, faults,
+            faults,
             buffer_size=getattr(config, "buffer_size", 4),
             staleness_exponent=getattr(config, "staleness_exponent", 0.5),
-            concurrency=getattr(config, "async_concurrency", None),
         )
     raise ValueError(f"unknown scheduler {name!r} (expected one of {SCHEDULERS})")

@@ -19,8 +19,6 @@ from .memory import (
     DEFAULT_EXPERT_FRACTION,
     TRAINING_OVERHEAD,
     MemoryModel,
-    expert_memory_bytes,
-    model_memory_bytes,
 )
 from .timeline import RoundTimeline, RunTimeline, SimulatedClock
 
@@ -34,8 +32,6 @@ __all__ = [
     "MemoryModel",
     "DEFAULT_EXPERT_FRACTION",
     "TRAINING_OVERHEAD",
-    "model_memory_bytes",
-    "expert_memory_bytes",
     "CostModel",
     "RoundCostBreakdown",
     "FORWARD_FLOPS_PER_PARAM",

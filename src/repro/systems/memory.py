@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..models.config import ArchitectureDescriptor, MoEModelConfig
+from ..models.config import ArchitectureDescriptor
 from .device import DeviceProfile
 
 #: fraction of an MoE LLM's parameters that live in routed experts; the paper
@@ -87,13 +87,3 @@ class MemoryModel:
         compute_limit = int((round_time_budget_s * device.effective_flops) // max(flops_per_expert, 1.0))
         limit = min(memory_limit, compute_limit, self.num_experts_total)
         return max(limit, 0)
-
-
-def model_memory_bytes(config: MoEModelConfig, bytes_per_param: int = 4) -> float:
-    """In-memory footprint of a scaled-down (instantiated) model config."""
-    return config.total_parameter_count() * bytes_per_param
-
-
-def expert_memory_bytes(config: MoEModelConfig, bytes_per_param: int = 4) -> float:
-    """In-memory footprint of a single expert of a scaled-down config."""
-    return config.expert_parameter_count() * bytes_per_param

@@ -12,12 +12,7 @@ from repro.autograd import (
     Linear,
     Parameter,
     Tensor,
-    apply_gradients,
-    clip_grad_norm,
-    collect_gradients,
-    flatten_parameters,
     gradient_norm,
-    parameter_delta,
 )
 from repro.autograd import functional as F
 
@@ -296,23 +291,6 @@ class TestAdamBuffers:
         assert buffers._arrays["m", np.dtype("float64")].size == 27
 
 
-class TestClipGradNorm:
-    def test_clips_to_max_norm(self):
-        params = [Parameter(np.zeros(3)) for _ in range(2)]
-        for p in params:
-            p.grad = np.ones(3) * 10.0
-        before = clip_grad_norm(params, max_norm=1.0)
-        after = float(np.sqrt(sum((p.grad ** 2).sum() for p in params)))
-        assert before > 1.0
-        assert after == pytest.approx(1.0, rel=1e-6)
-
-    def test_no_clip_when_below_threshold(self):
-        param = Parameter(np.zeros(3))
-        param.grad = np.ones(3) * 0.1
-        clip_grad_norm([param], max_norm=10.0)
-        assert np.allclose(param.grad, 0.1)
-
-
 class TestGradUtils:
     def _model_with_grads(self):
         layer = Linear(3, 2)
@@ -322,34 +300,3 @@ class TestGradUtils:
     def test_gradient_norm_positive(self):
         layer = self._model_with_grads()
         assert gradient_norm(layer) > 0
-
-    def test_collect_and_apply_gradients(self):
-        layer = self._model_with_grads()
-        grads = collect_gradients(layer)
-        assert set(grads) == {"weight", "bias"}
-        other = Linear(3, 2)
-        apply_gradients(other, grads)
-        assert np.allclose(other.weight.grad, grads["weight"])
-
-    def test_apply_gradients_shape_mismatch(self):
-        other = Linear(3, 2)
-        with pytest.raises(ValueError):
-            apply_gradients(other, {"weight": np.zeros((1, 1))})
-
-    def test_flatten_parameters(self):
-        layer = Linear(3, 2)
-        flat = flatten_parameters(layer)
-        assert flat.shape == (3 * 2 + 2,)
-
-    def test_flatten_trainable_only(self):
-        layer = Linear(3, 2)
-        layer.bias.requires_grad = False
-        flat = flatten_parameters(layer, trainable_only=True)
-        assert flat.shape == (6,)
-
-    def test_parameter_delta(self):
-        before = {"a": np.zeros(3)}
-        after = {"a": np.ones(3), "b": np.ones(2)}
-        delta = parameter_delta(before, after)
-        assert set(delta) == {"a"}
-        assert np.allclose(delta["a"], 1.0)

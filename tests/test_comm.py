@@ -33,7 +33,7 @@ from repro.comm import (
     get_codec,
 )
 from repro.comm.stream import LENGTH_PREFIX
-from repro.data import make_gsm8k_like, partition_iid
+from repro.data import make_gsm8k_like
 from repro.federated import (
     ExpertUpdate,
     FederatedFineTuner,
@@ -624,7 +624,8 @@ class StubMethod(FederatedFineTuner):
 
 def make_stub(config, vocab, model_config, num_participants=3):
     dataset = make_gsm8k_like(vocab=vocab, num_samples=24, seed=3)
-    shards = partition_iid(dataset, num_participants, seed=3)
+    order = np.random.default_rng(3).permutation(len(dataset))
+    shards = [chunk.tolist() for chunk in np.array_split(order, num_participants)]
     participants = [Participant(i, dataset.subset(shard), seed=i)
                     for i, shard in enumerate(shards)]
     server = ParameterServer(MoETransformer(model_config))

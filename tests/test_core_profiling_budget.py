@@ -238,8 +238,7 @@ class TestSharedQuantizedCopy:
     @pytest.mark.parametrize("knobs", [
         {},
         {"scheduler": "semisync", "deadline_quantile": 0.7},
-        {"scheduler": "async", "buffer_size": 2, "async_concurrency": 2,
-         "participants_per_round": 2},
+        {"scheduler": "async", "buffer_size": 2, "participants_per_round": 2},
     ], ids=["sync", "semisync", "async"])
     def test_run_identical_to_per_participant_quantization(self, vocab, tiny_config,
                                                            monkeypatch, quantizations, knobs):
@@ -268,7 +267,7 @@ class TestSharedQuantizedCopy:
     def test_async_dispatches_quantize_once_per_version_they_see(self, vocab, tiny_config,
                                                                  quantizations):
         tuner = self._tuner(vocab, tiny_config, scheduler="async", buffer_size=2,
-                            async_concurrency=2, participants_per_round=2)
+                            participants_per_round=2)
         result = tuner.run(num_rounds=3)
         participant_rounds = sum(r.num_aggregated for r in result.rounds)
         # versions 0..round_index can each be dispatched on, and none is quantized twice

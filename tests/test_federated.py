@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import profile_activation
 from repro.comm import StreamingAggregator
-from repro.data import make_gsm8k_like, partition_dirichlet, partition_iid, partition_statistics
+from repro.data import make_gsm8k_like, partition_dirichlet
 from repro.federated import (
     ExpertUpdate,
     FederatedFineTuner,
@@ -199,12 +199,22 @@ class TestPartitioning:
         parts = partition_dirichlet(dataset, 8, alpha=0.1, seed=1, min_samples=3)
         assert all(len(part) >= 3 for part in parts)
 
-    def test_low_alpha_more_skewed_than_iid(self, dataset):
+    def test_low_alpha_more_skewed_than_high_alpha(self, dataset):
+        """Small alpha concentrates each client on few topics; large alpha
+        approaches the IID mix: lower mean per-client topic entropy."""
+        topics = dataset.topics()
+
+        def mean_topic_entropy(parts):
+            entropies = []
+            for part in parts:
+                counts = np.bincount(topics[part], minlength=dataset.vocab.num_topics)
+                probs = counts[counts > 0] / counts.sum()
+                entropies.append(float(-(probs * np.log(probs)).sum()))
+            return np.mean(entropies)
+
         skewed = partition_dirichlet(dataset, 5, alpha=0.1, seed=0)
-        iid = partition_iid(dataset, 5, seed=0)
-        skewed_entropy = partition_statistics(skewed, dataset)["topic_entropy_mean"]
-        iid_entropy = partition_statistics(iid, dataset)["topic_entropy_mean"]
-        assert skewed_entropy < iid_entropy
+        mixed = partition_dirichlet(dataset, 5, alpha=100.0, seed=0)
+        assert mean_topic_entropy(skewed) < mean_topic_entropy(mixed)
 
     def test_invalid_parameters(self, dataset):
         with pytest.raises(ValueError):

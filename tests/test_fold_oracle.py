@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import ScratchPool, decode_state_dict
-from repro.federated import ExpertUpdate, RunConfig, make_server
+from repro.federated import ExpertUpdate, ParameterServer, ShardedParameterServer
 from repro.models import MoETransformer
 from repro.service.fold import fold_shard_frames, frame_update
 
@@ -69,11 +69,17 @@ def _assert_same_bits(model_a, model_b):
         assert state_a[name].tobytes() == state_b[name].tobytes(), name
 
 
+def _server(model, num_shards):
+    if num_shards == 1:
+        return ParameterServer(model)
+    return ShardedParameterServer(model, num_shards=num_shards)
+
+
 def _check_against_oracle(tiny_config, updates, num_shards):
     oracle_model = MoETransformer(tiny_config)
     expected = apply_fedavg(oracle_model, list(updates))
 
-    server = make_server(MoETransformer(tiny_config), RunConfig(num_shards=num_shards))
+    server = _server(MoETransformer(tiny_config), num_shards)
     assert server.aggregate(iter(updates)) == expected
     _assert_same_bits(server.global_model, oracle_model)
 
@@ -126,7 +132,7 @@ def test_signed_zero_terms_fold_in_the_oracles_order(tiny_config, num_shards):
                       ExpertUpdate(1, 0, 1, plus_zero, 2.0)]
     _check_against_oracle(tiny_config, stays_negative + turns_positive, num_shards)
 
-    server = make_server(model, RunConfig(num_shards=num_shards))
+    server = _server(model, num_shards)
     server.aggregate(stays_negative + turns_positive)
     assert all(np.signbit(value).all() for value in server.expert_state(0, 0).values())
     assert not any(np.signbit(value).any() for value in server.expert_state(0, 1).values())

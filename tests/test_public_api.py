@@ -10,6 +10,32 @@ import pytest
 import repro
 
 
+#: public functions that nothing but tests called, by the modules that
+#: defined or exported them
+TEST_ONLY_HELPERS = {
+    "repro.autograd": ["apply_gradients", "collect_gradients", "flatten_parameters",
+                       "parameter_delta", "clip_grad_norm"],
+    "repro.autograd.grad_utils": ["apply_gradients", "collect_gradients",
+                                  "flatten_parameters", "parameter_delta"],
+    "repro.autograd.optim": ["clip_grad_norm"],
+    "repro.data": ["partition_iid", "partition_statistics"],
+    "repro.data.partition": ["partition_iid", "partition_statistics"],
+    "repro.federated": ["make_server"],
+    "repro.federated.server": ["make_server"],
+    "repro.quantization": ["quantized_model_bytes", "dequantize_array",
+                           "dequantize_state_dict", "quantization_error",
+                           "quantize_state_dict", "quantized_nbytes", "state_dict_nbytes"],
+    "repro.quantization.qmodel": ["quantized_model_bytes"],
+    "repro.quantization.quantizer": ["dequantize_array", "dequantize_state_dict",
+                                     "quantization_error", "quantize_state_dict",
+                                     "quantized_nbytes", "state_dict_nbytes"],
+    "repro.runtime": ["save_run_checkpoint"],
+    "repro.runtime.checkpoint": ["save_run_checkpoint"],
+    "repro.systems": ["expert_memory_bytes", "model_memory_bytes"],
+    "repro.systems.memory": ["expert_memory_bytes", "model_memory_bytes"],
+}
+
+
 class TestPublicAPI:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
@@ -57,6 +83,27 @@ class TestPublicAPI:
                 assert name not in getattr(module, "__all__", ())
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.federated.strategies")
+
+    def test_no_client_samplers(self):
+        """``FederatedFineTuner.select_participants`` is the one (uniform) draw."""
+        import repro.runtime
+
+        for name in ("ClientSampler", "UniformSampler", "ResourceAwareSampler",
+                     "AvailabilityTraceSampler", "AvailabilityTrace", "make_sampler"):
+            for module in (repro, repro.runtime):
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in getattr(module, "__all__", ())
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.sampling")
+
+    @pytest.mark.parametrize("module_name", sorted(TEST_ONLY_HELPERS))
+    def test_no_test_only_helpers(self, module_name):
+        """Functions only tests ever called are gone, exports included."""
+        module = importlib.import_module(module_name)
+        for name in TEST_ONLY_HELPERS[module_name]:
+            assert not hasattr(module, name), (module_name, name)
+            assert not hasattr(repro, name), name
+            assert name not in getattr(module, "__all__", ())
 
     def test_one_framing_implementation(self):
         """FrameStream is the only length-prefixed framing: no asyncio twins."""

@@ -69,12 +69,17 @@ def build_flux_tuner(vocab, tiny_config, **config_kwargs):
                          config=config, flux_config=FluxConfig(seed=0))
 
 
+#: the saved defaults of the run-affecting knobs retired from ``RunConfig``
+#: with the sampler module, as a tree that still had them wrote its snapshots
+RETIRED_KNOB_DEFAULTS = dict(sampler="uniform", availability_trace=None,
+                             deadline_seconds=None, async_concurrency=None,
+                             edge_grouping="cost_aware", channel_latency_s=0.0)
+
 SCHEDULER_KNOBS = {
     "sync": {"participants_per_round": 3},
     "semisync": {"scheduler": "semisync", "deadline_quantile": 0.7,
                  "participants_per_round": 3},
-    "async": {"scheduler": "async", "buffer_size": 2, "async_concurrency": 2,
-              "participants_per_round": 2},
+    "async": {"scheduler": "async", "buffer_size": 2, "participants_per_round": 2},
 }
 
 
@@ -175,6 +180,20 @@ class TestCheckpointMechanics:
             RunCheckpointer(directory=str(tmp_path), every=0)
         with pytest.raises(ValueError):
             RunCheckpointer(directory="", every=1)
+
+    def test_save_writes_and_returns_a_path_like_record(self, vocab, tiny_config,
+                                                        tmp_path):
+        from repro.runtime import SyncScheduler
+
+        tuner = build_constant_tuner(vocab, tiny_config, participants_per_round=3)
+        checkpointer = RunCheckpointer(directory=str(tmp_path), every=1, delta_every=1)
+        records = [checkpointer.save(tuner, SyncScheduler(), None, None, [None] * n)
+                   for n in (1, 2)]
+        assert [record.mode for record in records] == ["full", "delta"]
+        for n, record in enumerate(records, start=1):
+            assert os.fspath(record) == record.path == checkpointer.path_for(n)
+            assert os.path.exists(os.path.join(record, STATE_FILE))  # written on return
+            assert record.duration_s > 0
 
     def test_snapshot_directory_contents(self, vocab, tiny_config, tmp_path):
         tuner = build_constant_tuner(
@@ -283,13 +302,14 @@ class TestCheckpointMechanics:
         dict(executor="process", executor_workers=2),
         dict(aggregation="fedavg", trim_ratio=0.1),
         dict(aggregation="staleness_fedavg", trim_ratio=0.2),
+        dict(RETIRED_KNOB_DEFAULTS),
         dict(streaming_aggregation=False, service_codec="wire", service_window=8,
              num_edge_aggregators=2, edge_tiers=None,
              aggregation_executor="process", executor="process", executor_workers=2,
-             aggregation="staleness_fedavg", trim_ratio=0.1),
+             aggregation="staleness_fedavg", trim_ratio=0.1, **RETIRED_KNOB_DEFAULTS),
     ], ids=["buffered", "streaming", "service-payload", "legacy-tier-knob",
             "both-tier-knobs", "process-pool", "serial-participants",
-            "participant-pool", "fedavg", "staleness-fedavg", "all"])
+            "participant-pool", "fedavg", "staleness-fedavg", "knob-defaults", "all"])
     def test_resume_from_a_config_with_retired_fields(self, vocab, tiny_config,
                                                       tmp_path, parent_keys):
         """A snapshot whose saved RunConfig carries fields this tree retired
@@ -336,6 +356,28 @@ class TestCheckpointMechanics:
                 num_rounds=2, resume_from=snapshot)
         assert "differing fields" not in str(error.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("sampler", "resource_aware"),
+        ("availability_trace", {0: [0, 1]}),
+        ("deadline_seconds", 2.5),
+        ("async_concurrency", 2),
+        ("edge_grouping", "round_robin"),
+        ("channel_latency_s", 0.05),
+    ])
+    def test_resume_refuses_a_retired_knob_away_from_its_default(
+            self, vocab, tiny_config, tmp_path, key, value):
+        """A saved non-default value of a retired knob changed the run's bits
+        or results through code that is gone: resuming refuses, naming it."""
+        durable = dict(participants_per_round=3, checkpoint_every=1,
+                       checkpoint_dir=str(tmp_path))
+        build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=1)
+        snapshot = latest_checkpoint(str(tmp_path))
+        self._rewrite_saved_config(snapshot, **dict(RETIRED_KNOB_DEFAULTS, **{key: value}))
+        with pytest.raises(ValueError, match=f"{key}=.*retired") as error:
+            build_constant_tuner(vocab, tiny_config, **durable).run(
+                num_rounds=2, resume_from=snapshot)
+        assert "differing fields" not in str(error.value)
+
     def test_resume_restores_edge_channel_positions(self, vocab, tiny_config,
                                                     tmp_path):
         knobs = dict(participants_per_round=3, edge_tiers=(2,),
@@ -374,26 +416,12 @@ class TestCheckpointMechanics:
         assert [[channel.export_state()["sequence"] for channel in tier]
                 for tier in resumed_tuner.topology.tier_channels] == expected
 
-    def test_legacy_two_argument_scheduler_still_runs(self, vocab, tiny_config):
-        """Custom schedulers predating the durability layer keep working."""
-        from repro.runtime import SyncScheduler
-
-        class OldStyleScheduler(SyncScheduler):
-            def round_results(self, tuner, num_rounds):  # no start_round
-                for round_index in range(num_rounds):
-                    round_result, _ = self.run_round(tuner, round_index)
-                    yield round_result
-
-        tuner = build_constant_tuner(vocab, tiny_config, participants_per_round=3)
-        result = tuner.run(num_rounds=2, scheduler=OldStyleScheduler())
-        assert len(result.rounds) == 2
-
     def test_async_restore_requires_loop_state(self, vocab, tiny_config):
         from repro.runtime import AsyncScheduler
 
         tuner = build_constant_tuner(vocab, tiny_config,
                                      **SCHEDULER_KNOBS["async"])
-        scheduler = AsyncScheduler(buffer_size=2, concurrency=2)
+        scheduler = AsyncScheduler(buffer_size=2)
         with pytest.raises(ValueError, match="restored"):
             next(scheduler.round_results(tuner, num_rounds=4, start_round=2))
 
@@ -458,7 +486,7 @@ class TestCheckpointRotation:
 
 
 class TestDeltaCheckpoints:
-    """Sparse-delta snapshot chains + the background writer.
+    """Sparse-delta snapshot chains.
 
     Every configuration must stay bit-identical to the plain full-snapshot
     path: the snapshot *encoding* is purely operational and may never change
@@ -500,15 +528,13 @@ class TestDeltaCheckpoints:
                 assert got[key].dtype == want[key].dtype, key
                 assert np.array_equal(got[key], want[key]), (name, key)
 
-    @pytest.mark.parametrize("asynch", [False, True], ids=["sync", "async"])
-    def test_resume_from_delta_matches_uninterrupted(self, vocab, tiny_config,
-                                                     tmp_path, asynch):
+    def test_resume_from_delta_matches_uninterrupted(self, vocab, tiny_config, tmp_path):
         knobs = dict(participants_per_round=3)
         expected_tuner = build_constant_tuner(vocab, tiny_config, **knobs)
         expected = expected_tuner.run(num_rounds=4)
 
         durable = dict(knobs, checkpoint_every=1, checkpoint_dir=str(tmp_path),
-                       checkpoint_delta_every=4, checkpoint_async=asynch)
+                       checkpoint_delta_every=4)
         build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=2)
         snapshot = latest_checkpoint(str(tmp_path))
         # the interruption point is a delta snapshot, not a full one
@@ -530,7 +556,7 @@ class TestDeltaCheckpoints:
         expected = expected_tuner.run(num_rounds=4)
 
         durable = dict(knobs, checkpoint_every=1, checkpoint_dir=str(tmp_path),
-                       checkpoint_delta_every=4, checkpoint_async=True)
+                       checkpoint_delta_every=4)
         build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=2)
         snapshot = latest_checkpoint(str(tmp_path))
         assert os.path.exists(os.path.join(snapshot, MODEL_DELTA_FILE))
@@ -564,41 +590,12 @@ class TestDeltaCheckpoints:
         with pytest.raises(FileNotFoundError, match="base"):
             load_run_checkpoint(str(tmp_path / "round_00002"))
 
-    def test_writer_error_surfaces_on_round_loop(self, vocab, tiny_config, tmp_path):
-        checkpointer = RunCheckpointer(directory=str(tmp_path), every=1,
-                                       background=True)
-        tuner = build_constant_tuner(vocab, tiny_config, participants_per_round=3)
-        boom = RuntimeError("disk gone")
-
-        checkpointer.save(tuner, _DummyScheduler(), None, None, [])
-        checkpointer.finish()  # first write lands fine
-
-        def explode(*args, **kwargs):
-            raise boom
-
-        import repro.runtime.checkpoint as ckpt_mod
-        original = ckpt_mod.write_run_checkpoint
-        ckpt_mod.write_run_checkpoint = explode
-        try:
-            checkpointer.save(tuner, _DummyScheduler(), None, None, [])
-            with pytest.raises(RuntimeError, match="disk gone"):
-                checkpointer.finish()
-        finally:
-            ckpt_mod.write_run_checkpoint = original
-
     def test_validates_delta_every(self, tmp_path):
         with pytest.raises(ValueError, match="delta_every"):
             RunCheckpointer(directory=str(tmp_path), every=1, delta_every=-1)
         from repro.federated import RunConfig
         with pytest.raises(ValueError, match="checkpoint_delta_every"):
             RunConfig(checkpoint_delta_every=-1)
-
-
-class _DummyScheduler:
-    name = "sync"
-
-    def export_state(self):
-        return None
 
 
 # ------------------------------------------------ snapshots of an older tree
@@ -625,7 +622,9 @@ class TestSnapshotsOfTheParentTree:
         uninterrupted = tuner()
         expected = uninterrupted.run(num_rounds=3)
         snapshot = os.path.join(PARENT_CHECKPOINTS, "fedavg_sharded_tree", "round_00002")
-        assert load_run_checkpoint(snapshot)["run_config"]["aggregation"] == "fedavg"
+        saved = load_run_checkpoint(snapshot)["run_config"]
+        assert saved["aggregation"] == "fedavg"
+        assert {key: saved[key] for key in RETIRED_KNOB_DEFAULTS} == RETIRED_KNOB_DEFAULTS
         resumed_tuner = tuner(checkpoint_every=2, checkpoint_dir=str(tmp_path))
         resumed = resumed_tuner.run(num_rounds=3, resume_from=snapshot)
         assert_run_results_equal(resumed, expected)
@@ -634,6 +633,8 @@ class TestSnapshotsOfTheParentTree:
 
     def test_trimmed_mean_snapshot_refuses_to_resume(self, vocab, tiny_config, tmp_path):
         snapshot = os.path.join(PARENT_CHECKPOINTS, "trimmed_mean", "round_00002")
+        saved = load_run_checkpoint(snapshot)["run_config"]
+        assert {key: saved[key] for key in RETIRED_KNOB_DEFAULTS} == RETIRED_KNOB_DEFAULTS
         tuner = build_constant_tuner(vocab, tiny_config, **PARENT_TRIMMED_KNOBS,
                                      checkpoint_every=2, checkpoint_dir=str(tmp_path))
         with pytest.raises(ValueError, match="aggregation='trimmed_mean'.*retired"):

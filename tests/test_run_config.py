@@ -14,26 +14,22 @@ RUN_CONFIG_FIELDS = {
     "batch_size", "local_iterations", "learning_rate", "max_local_batches",
     "participants_per_round", "eval_batch_size", "eval_max_samples",
     "target_relative_accuracy", "seed",
-    "scheduler", "deadline_seconds", "deadline_quantile", "buffer_size",
-    "staleness_exponent", "async_concurrency",
-    "sampler", "availability_trace",
+    "scheduler", "deadline_quantile", "buffer_size", "staleness_exponent",
     "dropout_prob", "straggler_prob", "straggler_slowdown",
     "transport", "codec", "channel_loss_prob", "channel_corrupt_prob",
-    "channel_latency_s",
-    "num_shards", "edge_tiers", "edge_grouping",
-    "edge_latency_s",
+    "num_shards", "edge_tiers", "edge_latency_s",
     "aggregation_executor", "aggregation_workers",
     "service_transport", "service_retry_attempts", "service_retry_delay_s",
     "service_timeout_s", "service_log_dir",
     "checkpoint_every", "checkpoint_dir", "checkpoint_keep_last",
-    "checkpoint_delta_every", "checkpoint_async",
+    "checkpoint_delta_every",
     "telemetry", "telemetry_dir",
 }
 
 
 def test_the_exact_set_of_fields():
     assert {field.name for field in dataclasses.fields(RunConfig)} == RUN_CONFIG_FIELDS
-    assert len(RUN_CONFIG_FIELDS) == 43
+    assert len(RUN_CONFIG_FIELDS) == 36
 
 
 class TestRetiredKeywords:
@@ -68,3 +64,19 @@ class TestRetiredKeywords:
             RunConfig(executor="process")
         with pytest.raises(TypeError, match="executor_workers"):
             RunConfig(executor_workers=2)
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("sampler", "uniform"),
+        ("availability_trace", {0: [0]}),
+        ("deadline_seconds", 2.5),
+        ("async_concurrency", 2),
+        ("edge_grouping", "cost_aware"),
+        ("channel_latency_s", 0.0),
+        ("checkpoint_async", True),
+    ])
+    def test_selection_and_policy_knobs_are_unknown_keywords(self, keyword, value):
+        """One uniform draw of ``participants_per_round`` (which also bounds
+        async concurrency), the quantile deadline, cost-aware grouping and
+        foreground snapshot writes are all there is."""
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            RunConfig(**{keyword: value})

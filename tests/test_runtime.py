@@ -1,5 +1,5 @@
-"""Tests for the event-driven runtime: events, sampling, faults, the participant
-loop, schedulers."""
+"""Tests for the event-driven runtime: events, participant selection, faults, the
+participant loop, schedulers."""
 
 import gc
 from types import SimpleNamespace
@@ -21,19 +21,16 @@ from repro.federated import (
 from repro.models import MoETransformer
 from repro.runtime import (
     AsyncScheduler,
-    AvailabilityTraceSampler,
     EventQueue,
     FaultInjector,
-    ResourceAwareSampler,
     SemiSyncScheduler,
     SyncScheduler,
-    UniformSampler,
     make_scheduler,
     scale_breakdown,
 )
 from repro.obs import Tracer
 from repro.runtime.scheduler import run_participants
-from repro.systems import RoundCostBreakdown, RoundTimeline, heterogeneous_fleet
+from repro.systems import RoundCostBreakdown, RoundTimeline
 
 from fold_oracles import fedavg_states
 
@@ -74,62 +71,6 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, "e")
-
-
-# ------------------------------------------------------------------- sampling
-def _mini_participants(vocab, num=5, heterogeneous=False, seed=0):
-    dataset = make_gsm8k_like(vocab=vocab, num_samples=10 * num, seed=seed)
-    shards = partition_dirichlet(dataset, num, alpha=0.5, seed=seed)
-    devices = (heterogeneous_fleet(num, seed=seed) if heterogeneous else [None] * num)
-    participants = []
-    for i, shard in enumerate(shards):
-        kwargs = {"device": devices[i]} if heterogeneous else {}
-        participants.append(Participant(i, dataset.subset(shard),
-                                        resources=ParticipantResources(8, 4),
-                                        seed=seed + i, **kwargs))
-    return participants
-
-
-class TestSamplers:
-    def test_uniform_matches_legacy_draw(self, vocab):
-        participants = _mini_participants(vocab)
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        sampled = UniformSampler().sample(participants, 2, 0, rng_a)
-        picked = rng_b.choice(len(participants), size=2, replace=False)
-        assert [p.participant_id for p in sampled] == [int(i) for i in picked]
-
-    def test_uniform_none_returns_everyone(self, vocab):
-        participants = _mini_participants(vocab)
-        assert UniformSampler().sample(participants, None, 0, np.random.default_rng(0)) \
-            == list(participants)
-
-    def test_resource_aware_prefers_fast_devices(self, vocab):
-        participants = _mini_participants(vocab, heterogeneous=True)
-        flops = {p.participant_id: p.device.effective_flops for p in participants}
-        sampler = ResourceAwareSampler(power=8.0)  # sharpen towards the fastest
-        counts = {pid: 0 for pid in flops}
-        rng = np.random.default_rng(0)
-        for round_index in range(200):
-            for p in sampler.sample(participants, 1, round_index, rng):
-                counts[p.participant_id] += 1
-        fastest = max(flops, key=flops.get)
-        slowest = min(flops, key=flops.get)
-        assert counts[fastest] > counts[slowest]
-
-    def test_availability_trace_restricts_selection(self, vocab):
-        participants = _mini_participants(vocab)
-        sampler = AvailabilityTraceSampler({0: [1, 3], 2: []})
-        rng = np.random.default_rng(0)
-        assert {p.participant_id for p in sampler.sample(participants, None, 0, rng)} == {1, 3}
-        # rounds missing from the trace mean everyone is online
-        assert len(sampler.sample(participants, None, 1, rng)) == len(participants)
-        assert sampler.sample(participants, 3, 2, rng) == []
-
-    def test_availability_predicate(self, vocab):
-        participants = _mini_participants(vocab)
-        sampler = AvailabilityTraceSampler(lambda rnd, pid: pid % 2 == rnd % 2)
-        rng = np.random.default_rng(0)
-        assert {p.participant_id for p in sampler.sample(participants, None, 1, rng)} == {1, 3}
 
 
 # --------------------------------------------------------------------- faults
@@ -239,6 +180,36 @@ def legacy_reference_run(tuner, num_rounds):
 
 
 # ----------------------------------------------------------- participant loop
+class TestSelectParticipants:
+    """``FederatedFineTuner.select_participants``: the one uniform draw."""
+
+    def _tuner(self, vocab, tiny_config, **config_kwargs):
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, num_clients=5, seed=3, **config_kwargs)
+        return ConstantMethod(server, participants, test, config=config)
+
+    def test_uniform_matches_legacy_draw(self, vocab, tiny_config):
+        tuner = self._tuner(vocab, tiny_config, participants_per_round=2)
+        picked = np.random.default_rng(3).choice(5, size=2, replace=False)
+        assert [p.participant_id for p in tuner.select_participants(0)] == \
+            [int(i) for i in picked]
+
+    def test_no_per_round_count_takes_everyone(self, vocab, tiny_config):
+        tuner = self._tuner(vocab, tiny_config)
+        state = tuner._rng.bit_generator.state
+        assert tuner.select_participants(0) == tuner.participants
+        assert tuner._rng.bit_generator.state == state  # no draw
+
+    def test_draws_num_of_the_candidates(self, vocab, tiny_config):
+        tuner = self._tuner(vocab, tiny_config, participants_per_round=2)
+        idle = tuner.participants[1:4]
+        picked = np.random.default_rng(3).choice(3, size=1, replace=False)
+        assert tuner.select_participants(0, idle, 1) == [idle[int(picked[0])]]
+        state = tuner._rng.bit_generator.state
+        assert tuner.select_participants(0, idle[:1], 1) == idle[:1]
+        assert tuner._rng.bit_generator.state == state  # a pool of one: no draw
+
+
 class _LoggingTuner:
     """Just what :func:`run_participants` touches, logging every call."""
 
@@ -479,17 +450,9 @@ class TestSemiSyncScheduler:
         assert round_result.round_duration < max(
             p.participant_id + 1 for p in participants) + round_result.timeline.server_time
 
-    def test_fixed_deadline_respected(self, vocab, tiny_config):
+    def test_a_low_quantile_still_aggregates_the_first_finisher(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
-            vocab, tiny_config, scheduler="semisync", deadline_seconds=2.5)
-        result = ConstantMethod(server, participants, test, config=config).run(1)
-        round_result = result.rounds[0]
-        assert round_result.num_aggregated == 2  # durations 1s and 2s beat 2.5s
-        assert round_result.round_duration == pytest.approx(2.5)
-
-    def test_deadline_extends_to_first_finisher(self, vocab, tiny_config):
-        server, participants, test, config = build_federation(
-            vocab, tiny_config, scheduler="semisync", deadline_seconds=0.1)
+            vocab, tiny_config, scheduler="semisync", deadline_quantile=0.01)
         result = ConstantMethod(server, participants, test, config=config).run(1)
         assert result.rounds[0].num_aggregated == 1  # never an empty round
 
@@ -602,7 +565,7 @@ class TestAsyncScheduler:
 
     def test_async_run_produces_aggregations(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
-            vocab, tiny_config, scheduler="async", buffer_size=2, async_concurrency=3)
+            vocab, tiny_config, scheduler="async", buffer_size=2, participants_per_round=3)
         tuner = ConstantMethod(server, participants, test, config=config)
         result = tuner.run(num_rounds=3)
         assert len(result.rounds) == 3
@@ -620,47 +583,25 @@ class TestAsyncScheduler:
         for _ in range(2):
             server, participants, test, config = build_federation(
                 vocab, tiny_config, scheduler="async", buffer_size=2,
-                async_concurrency=3, straggler_prob=0.2, seed=4)
+                participants_per_round=3, straggler_prob=0.2, seed=4)
             result = ConstantMethod(server, participants, test, config=config).run(3)
             metrics.append([(r.metric_value, r.simulated_time, r.mean_staleness)
                             for r in result.rounds])
         assert metrics[0] == metrics[1]
 
-    def test_async_empty_availability_does_not_crash(self, vocab, tiny_config):
-        server, participants, test, config = build_federation(
-            vocab, tiny_config, scheduler="async", buffer_size=2,
-            sampler="availability",
-            availability_trace={v: [] for v in range(10)})
-        tuner = ConstantMethod(server, participants, test, config=config)
-        result = tuner.run(num_rounds=2)
-        assert result.rounds == []  # nobody ever online: no aggregations, no crash
-
     def test_async_records_dropouts(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
             vocab, tiny_config, scheduler="async", buffer_size=2,
-            async_concurrency=3, dropout_prob=0.4, seed=2)
+            participants_per_round=3, dropout_prob=0.4, seed=2)
         result = ConstantMethod(server, participants, test, config=config).run(3)
         for round_result in result.rounds:
             assert round_result.num_selected == \
                 round_result.num_aggregated + round_result.num_dropped
         assert sum(r.num_dropped for r in result.rounds) > 0
 
-    def test_async_recovers_slots_when_clients_come_online(self, vocab, tiny_config):
-        """Slots unfillable at version 0 are reclaimed after aggregations."""
-        server, participants, test, config = build_federation(
-            vocab, tiny_config, scheduler="async", buffer_size=2,
-            async_concurrency=3, sampler="availability",
-            availability_trace={0: [0]})  # later versions: everyone online
-        result = ConstantMethod(server, participants, test, config=config).run(2)
-        assert len(result.rounds) == 2
-        # Version 0 could only ever run client 0; after the first aggregation
-        # the freed + recovered slots must bring other clients in.
-        assert set(result.rounds[0].timeline.participant_times) == {0}
-        assert len(result.rounds[1].timeline.participant_times) > 1
-
     def test_async_staleness_is_bounded_by_version(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
-            vocab, tiny_config, scheduler="async", buffer_size=1, async_concurrency=4)
+            vocab, tiny_config, scheduler="async", buffer_size=1, participants_per_round=4)
         result = ConstantMethod(server, participants, test, config=config).run(4)
         for round_result in result.rounds:
             assert 0 <= round_result.mean_staleness <= round_result.round_index
@@ -677,13 +618,6 @@ class TestSchedulerFactory:
             RunConfig(scheduler="nope")
         with pytest.raises(ValueError):
             RunConfig(dropout_prob=2.0)
-
-    def test_availability_sampler_requires_trace(self):
-        with pytest.raises(ValueError):
-            make_scheduler(RunConfig(sampler="availability"))
-        scheduler = make_scheduler(RunConfig(sampler="availability",
-                                             availability_trace={0: [0]}))
-        assert isinstance(scheduler.sampler, AvailabilityTraceSampler)
 
 
 # ----------------------------------------------------------- flux end-to-end
@@ -713,7 +647,7 @@ class TestFluxUnderRuntime:
 
     def test_flux_semisync_and_async_run(self, vocab, tiny_config):
         for kwargs in ({"scheduler": "semisync", "deadline_quantile": 0.7},
-                       {"scheduler": "async", "buffer_size": 2, "async_concurrency": 2}):
+                       {"scheduler": "async", "buffer_size": 2, "participants_per_round": 2}):
             result = self._flux_tuner(vocab, tiny_config, **kwargs).run(num_rounds=2)
             assert len(result.rounds) == 2
             assert all(0.0 <= r.metric_value <= 1.0 for r in result.rounds)

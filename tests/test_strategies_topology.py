@@ -14,7 +14,6 @@ from repro.federated import (
     RoundRobinGrouping,
     RunConfig,
     ShardedParameterServer,
-    make_server,
     make_topology,
 )
 from repro.models import MoETransformer
@@ -143,8 +142,10 @@ class TestShardedParameterServer:
                                  for name, value in before.items()},
                                 weight=0.0)
                    for pid in range(3)]
+        server = (ShardedParameterServer(model, num_shards=num_shards) if num_shards > 1
+                  else ParameterServer(model))
         with pytest.raises(ValueError, match="non-positive total weight"):
-            make_server(model, RunConfig(num_shards=num_shards)).aggregate(updates)
+            server.aggregate(updates)
         for name, value in model.expert_state(0, 0).items():
             assert np.array_equal(value, before[name])
 
@@ -181,13 +182,6 @@ class TestShardedParameterServer:
         flat = ParameterServer(MoETransformer(tiny_config))
         with pytest.raises(ValueError, match="shard"):
             flat.import_state(sharded.export_state())
-
-    def test_make_server_selects_flavour(self, tiny_config):
-        model = MoETransformer(tiny_config)
-        assert isinstance(make_server(model), ParameterServer)
-        sharded = make_server(model, RunConfig(num_shards=3))
-        assert isinstance(sharded, ShardedParameterServer)
-        assert sharded.num_shards == 3
 
     def test_tuner_auto_shards_plain_server(self, vocab, tiny_config):
         server, participants, test, config = build_federation(
@@ -532,10 +526,6 @@ class TestGrouping:
         assert topo.edge_of(0) != topo.edge_of(2)
         plain = make_topology(RunConfig(edge_tiers=(2,)))
         assert isinstance(plain.grouping, RoundRobinGrouping)
-        forced = make_topology(
-            RunConfig(edge_tiers=(2,), edge_grouping="round_robin"),
-            participant_costs=costs)
-        assert isinstance(forced.grouping, RoundRobinGrouping)
 
     def test_run_config_edge_tier_validation(self):
         assert RunConfig().edge_tiers is None
@@ -544,8 +534,6 @@ class TestGrouping:
             RunConfig(edge_tiers=())
         with pytest.raises(ValueError, match="positive widths"):
             RunConfig(edge_tiers=(3, 0))
-        with pytest.raises(ValueError, match="edge grouping"):
-            RunConfig(edge_grouping="random")
         with pytest.raises(ValueError, match="aggregation executor"):
             RunConfig(aggregation_executor="threads")
         with pytest.raises(ValueError, match="aggregation_workers"):

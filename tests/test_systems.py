@@ -14,9 +14,7 @@ from repro.systems import (
     RoundTimeline,
     RunTimeline,
     SimulatedClock,
-    expert_memory_bytes,
     heterogeneous_fleet,
-    model_memory_bytes,
 )
 
 
@@ -80,9 +78,6 @@ class TestMemoryModel:
     def test_tuning_budget_validation(self, memory):
         with pytest.raises(ValueError):
             memory.max_tuning_experts(CONSUMER_GPU, round_time_budget_s=0, tokens_per_round=10)
-
-    def test_mini_model_memory_helpers(self, tiny_config):
-        assert model_memory_bytes(tiny_config) > expert_memory_bytes(tiny_config) > 0
 
 
 class TestCostModel:

@@ -466,8 +466,7 @@ class TestSharedReference:
 
     def test_async_run_equals_the_uncached_run(self, vocab, tiny_config, monkeypatch):
         """The server advances between the uploads of one async "round"."""
-        knobs = dict(scheduler="async", buffer_size=2, async_concurrency=2,
-                     participants_per_round=2)
+        knobs = dict(scheduler="async", buffer_size=2, participants_per_round=2)
         cached = _fmd(vocab, tiny_config, **knobs)
         cached_result = cached.run(num_rounds=4)
 
@@ -614,8 +613,7 @@ RUN_CONFIGS = {
                                    channel_corrupt_prob=0.2, channel_loss_prob=0.1),
     "fp32_codec": dict(codec="fp32"),
     "int4_codec": dict(codec="int4"),
-    "async": dict(scheduler="async", buffer_size=2, async_concurrency=2,
-                  participants_per_round=2),
+    "async": dict(scheduler="async", buffer_size=2, participants_per_round=2),
 }
 
 
