@@ -23,7 +23,8 @@ A gated ``preamble`` block times Flux's per-participant preamble on one
 participant-round's inputs (DeepSeek preset): ``plan_compact_model``,
 ``build_compact_model`` and ``profile_activation``, each against the path it
 replaced (SVD plan, fresh-copy build, float64 profiling copy; oracles in
-``tests/plan_oracles.py``).
+``tests/plan_oracles.py``), and ``profile_round``: a round's 8 participants
+profiled in shared passes against each profiled alone, one pass per batch.
 A gated ``read_rows`` block times ``compute_loss`` + backward on one padded
 16-sequence batch (llama and DeepSeek) and ``evaluate_model`` (llama), each
 computing a position only as far as something reads it, against every
@@ -394,12 +395,15 @@ def bench_preamble(quick: bool) -> Dict:
     expert Gram matrices vs the SVD plan, ``build_compact_model`` mounted on
     the server's training replica vs a fresh ``copy_of`` with a new module per
     slot, ``profile_activation`` on the float32 profiling copy vs the float64
-    one.  The oracles are in ``tests/plan_oracles.py``; equal clusters and
-    equal logits are asserted before anything is timed.
+    one.  ``profile_round`` is a whole round's profiling: 8 participants' 4
+    batches of 16 in shared passes on the float32 copy vs each participant
+    profiled alone, one pass per batch.  The oracles are in
+    ``tests/plan_oracles.py``; equal clusters, equal logits and equal routed
+    token counts are asserted before anything is timed.
     """
     sys.path.append(os.path.join(REPO_ROOT, "tests"))
-    from plan_oracles import fresh_build_compact_model, svd_plan_clusters
-    from repro.analysis import profile_activation
+    from plan_oracles import fresh_build_compact_model, per_batch_profile, svd_plan_clusters
+    from repro.analysis import profile_activation, profile_round
     from repro.autograd import no_grad
     from repro.core import FluxConfig, build_compact_model, plan_compact_model
     from repro.core.merging import expert_gram_matrices
@@ -445,6 +449,19 @@ def bench_preamble(quick: bool) -> Dict:
                               fresh(batches[0].input_ids).data):
             raise AssertionError("the mounted compact model differs from the fresh build")
 
+    round_samples = make_gsm8k_like(vocab=vocab, num_samples=8 * 64, seed=1).samples
+    round_batches = [make_batches(round_samples[start:start + 64], 16, vocab, seed=start,
+                                  max_seq_len=model.config.max_seq_len)
+                     for start in range(0, len(round_samples), 64)]
+
+    def per_participant():
+        return [per_batch_profile(copies[PROFILING_DTYPE], own) for own in round_batches]
+
+    for shared, alone in zip(profile_round(copies[PROFILING_DTYPE], round_batches),
+                             per_participant()):
+        if not all(np.array_equal(a, b) for a, b in zip(shared.token_counts, alone.token_counts)):
+            raise AssertionError("the round's shared passes route unlike each participant alone")
+
     pairs = {
         "plan_compact_model": (plan, lambda: svd_plan_clusters(model, reference, config)),
         "build_compact_model": (
@@ -452,6 +469,8 @@ def bench_preamble(quick: bool) -> Dict:
         "profile_activation": (
             lambda: profile_activation(copies[PROFILING_DTYPE], batches),
             lambda: profile_activation(copies["float64"], batches)),
+        "profile_round": (
+            lambda: profile_round(copies[PROFILING_DTYPE], round_batches), per_participant),
     }
     times = _interleaved_best_times(
         {name: {"fast": fast, "oracle": oracle} for name, (fast, oracle) in pairs.items()},

@@ -5,8 +5,10 @@ Reads the JSONL event log a run wrote under ``RunConfig(telemetry=True,
 telemetry_dir=...)`` and prints:
 
 * a **per-round** table — wall/simulated duration and the
-  select/train/transfer/fold/checkpoint wall-time breakdown (the trace-level
-  analogue of the paper's overhead-breakdown figure);
+  select/profile/train/transfer/fold/checkpoint wall-time breakdown (the
+  trace-level analogue of the paper's overhead-breakdown figure; ``profile``
+  is the ``profile_round`` span in which a Flux round profiles all its
+  participants before any of them trains);
 * a **per-tier** table — backhaul bytes/payloads per aggregation tier;
 * an **aggregation service** table — ``repro_service_*`` fold-plane counters
   (per-tier service folds, per-codec wire frame bytes, reference bytes,

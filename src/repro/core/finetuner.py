@@ -4,7 +4,9 @@
 federated round loop (:class:`~repro.federated.orchestrator.FederatedFineTuner`).
 Each round the server-side role assigner turns the latest per-participant
 utilities into exploitation/exploration sets under every participant's tuning
-budget; participants then profile (stale), merge, fine-tune and probe, and the
+budget; the participants about to train are profiled together, in shared
+passes over the quantized global model (:meth:`FluxFineTuner.prepare_round`);
+each then uses its (stale) profile, merges, fine-tunes and probes, and the
 server FedAvg-aggregates the uploaded tuning-expert updates.
 """
 
@@ -14,6 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis import profile_round
+from ..analysis.activation import PASS_SEQUENCES
 from ..data import SyntheticDataset
 from ..federated import (
     FederatedFineTuner,
@@ -77,6 +81,29 @@ class FluxFineTuner(FederatedFineTuner):
         }
         self._assignments = self.assigner.assign(round_index, utilities, budgets)
 
+    def prepare_round(self, round_index: int, participants: Sequence[Participant]) -> None:
+        """Profile every participant about to train in shared passes (paper §4's profiling).
+
+        Each participant draws its profiling batches as its own round would
+        (one dropped by a fault draws none), :func:`~repro.analysis.profile_round`
+        measures them all on :meth:`quantized_global_model`, and each
+        :class:`FluxClientState` is handed its batches and fresh profile for
+        this server version.  Under telemetry this is one ``profile_round``
+        span.
+        """
+        states = [self.states[participant.participant_id] for participant in participants]
+        max_seq_len = self.server.global_model.config.max_seq_len
+        with self.telemetry.tracer.span("profile_round", category="profile",
+                                        participants=len(states)) as span:
+            batches = [state.profiling_batches(self.config.batch_size, max_seq_len)
+                       for state in states]
+            profiles = profile_round(self.quantized_global_model(), batches)
+            sequences = sum(batch.batch_size for own in batches for batch in own)
+            span.set(sequences=sequences, passes=-(-sequences // PASS_SEQUENCES))
+        version = self.server.round_index
+        for state, own, profile in zip(states, batches, profiles):
+            state.prepared = (version, own, profile)
+
     def quantized_global_model(self) -> MoETransformer:
         """The profiling-precision copy of the global model, quantized once per server version.
 
@@ -121,6 +148,7 @@ class FluxFineTuner(FederatedFineTuner):
                 cost_model=self.cost_model_for(participant),
                 quantized_model=self.quantized_global_model(),
                 expert_grams=self.expert_grams(),
+                version=self.server.round_index,
             )
         return ParticipantRoundResult(
             updates=output.updates,
@@ -152,6 +180,8 @@ class FluxFineTuner(FederatedFineTuner):
         super().import_run_state(state)
         # the restored global model may share its round index
         self._quantized = self._expert_grams = None
+        for flux in self.states.values():
+            flux.prepared = None
         self.assigner._rng = np.random.default_rng()
         self.assigner._rng.bit_generator.state = state["assigner_rng"]
 

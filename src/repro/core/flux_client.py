@@ -5,7 +5,9 @@ rounds — the stale-profiling cache and the expert-utility estimates — and
 implements one participant's complete Flux round against a given global model
 and role assignment:
 
-1. (stale) quantized profiling;
+1. (stale) quantized profiling — measured ahead of the round, with every
+   other participant of it, when the tuner prepared it
+   (:attr:`FluxClientState.prepared`);
 2. compact-model construction (tuning + merged non-tuning experts);
 3. data-aware local fine-tuning of the tuning experts;
 4. forward-only gradient probing of the exploration experts;
@@ -60,13 +62,25 @@ class FluxClientState:
         )
         self.utilities = UtilityTracker(smoothing=config.utility_smoothing)
         self.latest_profile: Optional[ActivationProfile] = None
+        #: ``(server version, profiling batches, their fresh profile)`` when a
+        #: round's shared profiling pass measured this participant ahead of
+        #: its round; the next :meth:`run_round` on that version consumes it.
+        #: Not part of the exported state: no checkpoint ever holds one.
+        self.prepared: Optional[Tuple[int, List[Batch], ActivationProfile]] = None
 
     # ------------------------------------------------------------- profiling
+    def profiling_batches(self, batch_size: int, max_seq_len: int) -> List[Batch]:
+        """Draw this round's profiling batches (advances the participant's batch seed)."""
+        return self.participant.local_batches(batch_size,
+                                              max_batches=self.config.profiling_max_batches,
+                                              max_seq_len=max_seq_len)
+
     def profile(self, model: MoETransformer, batches: List[Batch],
                 cost_model: Optional[CostModel],
-                quantized_model: Optional[MoETransformer] = None) -> ProfilingOutcome:
+                quantized_model: Optional[MoETransformer] = None,
+                measured: Optional[ActivationProfile] = None) -> ProfilingOutcome:
         outcome = self.profiler.profile_for_round(model, batches, cost_model=cost_model,
-                                                  quantized=quantized_model)
+                                                  quantized=quantized_model, measured=measured)
         self.latest_profile = outcome.profile
         if not self.utilities.utilities:
             self._initialize_utilities(outcome.profile)
@@ -94,6 +108,7 @@ class FluxClientState:
         cost_model: Optional[CostModel] = None,
         quantized_model: Optional[MoETransformer] = None,
         expert_grams: Optional[Sequence[np.ndarray]] = None,
+        version: Optional[int] = None,
     ) -> FluxRoundOutput:
         """Execute one full Flux round for this participant.
 
@@ -105,16 +120,21 @@ class FluxClientState:
         and ``expert_grams`` its
         :func:`~repro.core.merging.expert_gram_matrices` when the caller
         shares them across participants; otherwise the profiler quantizes and
-        the planner multiplies its own.
+        the planner multiplies its own.  ``version`` is the global model's
+        version: a :attr:`prepared` profile of that version is used instead
+        of drawing and measuring one (any other is dropped).
         """
         participant = self.participant
         config = self.config
         max_seq_len = model.config.max_seq_len
 
         # 1. Quantized (stale) profiling on local data.
-        profiling_batches = participant.local_batches(batch_size, max_batches=config.profiling_max_batches,
-                                                      max_seq_len=max_seq_len)
-        outcome = self.profile(model, profiling_batches, cost_model, quantized_model)
+        prepared, self.prepared = self.prepared, None
+        if prepared is not None and prepared[0] == version:
+            _, profiling_batches, measured = prepared
+        else:
+            profiling_batches, measured = self.profiling_batches(batch_size, max_seq_len), None
+        outcome = self.profile(model, profiling_batches, cost_model, quantized_model, measured)
         profile = outcome.profile
 
         # 2. Compact model: tuning experts + preserved exploration experts +

@@ -52,20 +52,25 @@ class QuantizedProfiler:
 
     def profile(self, model: MoETransformer, batches: Sequence[Batch],
                 cost_model: Optional[CostModel] = None,
-                quantized: Optional[MoETransformer] = None) -> ProfilingOutcome:
+                quantized: Optional[MoETransformer] = None,
+                measured: Optional[ActivationProfile] = None) -> ProfilingOutcome:
         """Quantize ``model`` and measure expert activation on ``batches``.
 
         ``quantized`` is ``quantize_model(model, self.bits,
         dtype=PROFILING_DTYPE)`` when the caller already holds it (every
         participant of a round profiles the same global model); profiling
-        leaves it as it found it.
+        leaves it as it found it.  ``measured`` is that copy's profile of
+        ``batches`` when the caller already measured it
+        (:func:`~repro.analysis.profile_round` profiles a round's
+        participants together); the outcome then only charges its cost.
         """
         if not batches:
             raise ValueError("profiling requires at least one batch")
         used = list(batches[: self.max_batches] if self.max_batches else batches)
-        if quantized is None:
-            quantized = quantize_model(model, self.bits, dtype=PROFILING_DTYPE)
-        profile = profile_activation(quantized, used)
+        if measured is None:
+            if quantized is None:
+                quantized = quantize_model(model, self.bits, dtype=PROFILING_DTYPE)
+            measured = profile_activation(quantized, used)
         num_tokens = sum(batch.num_tokens for batch in used)
         num_samples = sum(batch.batch_size for batch in used)
 
@@ -77,7 +82,7 @@ class QuantizedProfiler:
             profiling_seconds = cost_model.profiling_time(
                 cost_model.scaled_tokens(num_samples), self.bits)
         return ProfilingOutcome(
-            profile=profile,
+            profile=measured,
             bits=self.bits,
             num_tokens=num_tokens,
             stale=False,
@@ -117,18 +122,19 @@ class StaleProfiler:
 
     def profile_for_round(self, model: MoETransformer, batches: Sequence[Batch],
                           cost_model: Optional[CostModel] = None,
-                          quantized: Optional[MoETransformer] = None) -> ProfilingOutcome:
+                          quantized: Optional[MoETransformer] = None,
+                          measured: Optional[ActivationProfile] = None) -> ProfilingOutcome:
         """Return the profile to use this round and refresh the cached one.
 
         With stale profiling enabled the returned profile is the one measured
         last round (when available) and the freshly measured profile replaces
         the cache; the measurement cost is reported on the outcome so the
         caller can overlap it with aggregation.  Without stale profiling the
-        fresh measurement is used directly.  ``quantized`` is passed through
-        to :meth:`QuantizedProfiler.profile`.
+        fresh measurement is used directly.  ``quantized`` and ``measured``
+        are passed through to :meth:`QuantizedProfiler.profile`.
         """
         fresh = self._profiler.profile(model, batches, cost_model=cost_model,
-                                       quantized=quantized)
+                                       quantized=quantized, measured=measured)
         if not self.enabled or self._previous is None:
             self._previous = fresh.profile
             return fresh

@@ -63,9 +63,8 @@ def collate(samples: Sequence[Sample], pad_id: int, max_seq_len: Optional[int] =
         attention_mask[row, :length] = True
         # Supervise only the answer region: labels[t] = input_ids[t + 1] for
         # positions t whose *next* token belongs to the answer.
-        answer_start = min(sample.prompt_length, length)
-        for t in range(max(answer_start - 1, 0), length - 1):
-            labels[row, t] = ids[t + 1]
+        start = max(min(sample.prompt_length, length) - 1, 0)
+        labels[row, start:length - 1] = ids[start + 1:length]
         sample_ids[row] = sample.sample_id
 
     return Batch(input_ids=input_ids, attention_mask=attention_mask, labels=labels,
@@ -74,14 +73,20 @@ def collate(samples: Sequence[Sample], pad_id: int, max_seq_len: Optional[int] =
 
 def iter_batches(samples: Sequence[Sample], batch_size: int, pad_id: int,
                  shuffle: bool = True, seed: int = 0, drop_last: bool = False,
-                 max_seq_len: Optional[int] = None) -> Iterator[Batch]:
-    """Yield padded batches over ``samples``."""
+                 max_seq_len: Optional[int] = None,
+                 max_batches: Optional[int] = None) -> Iterator[Batch]:
+    """Yield padded batches over ``samples``.
+
+    ``max_batches`` stops after that many: the shuffle is the same, and the
+    batches yielded are the first ones of the whole pass.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     order = np.arange(len(samples))
     if shuffle:
         np.random.default_rng(seed).shuffle(order)
-    for start in range(0, len(order), batch_size):
+    stop = len(order) if max_batches is None else min(len(order), max_batches * batch_size)
+    for start in range(0, stop, batch_size):
         chunk = order[start:start + batch_size]
         if drop_last and len(chunk) < batch_size:
             break
@@ -90,7 +95,8 @@ def iter_batches(samples: Sequence[Sample], batch_size: int, pad_id: int,
 
 def make_batches(samples: Sequence[Sample], batch_size: int, vocab: Vocabulary,
                  shuffle: bool = True, seed: int = 0,
-                 max_seq_len: Optional[int] = None) -> List[Batch]:
+                 max_seq_len: Optional[int] = None,
+                 max_batches: Optional[int] = None) -> List[Batch]:
     """Materialise the batches produced by :func:`iter_batches`."""
     return list(iter_batches(samples, batch_size, pad_id=vocab.PAD, shuffle=shuffle,
-                             seed=seed, max_seq_len=max_seq_len))
+                             seed=seed, max_seq_len=max_seq_len, max_batches=max_batches))

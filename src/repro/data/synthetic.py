@@ -65,6 +65,12 @@ def _zipf_weights(n: int, exponent: float = 1.1) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class SyntheticTaskGenerator:
     """Draws :class:`Sample` objects for one task type over a shared vocabulary."""
 
@@ -88,25 +94,35 @@ class SyntheticTaskGenerator:
         #: per-topic probabilities; a mild Zipf skew so some topics (and hence
         #: the experts specialised on them) dominate, mirroring Figure 2.
         self.topic_probs = _zipf_weights(vocab.num_topics, exponent=topic_skew)
+        # Draws invert these CDFs exactly as ``Generator.choice(p=)`` does
+        # (normalised cumulative sum, ``searchsorted(random(), side="right")``),
+        # so the samples are the ones ``choice`` gives, without rebuilding and
+        # re-validating the weights on every draw.
+        self._topic_cdf = _cdf(self.topic_probs)
+        self._token_ids = [np.arange(block.start, block.stop)
+                           for block in map(vocab.topic_block, range(vocab.num_topics))]
+        self._token_cdfs = [_cdf(_zipf_weights(len(ids))) for ids in self._token_ids]
 
     # ------------------------------------------------------------ primitives
     def _draw_topic(self) -> int:
-        return int(self._rng.choice(self.vocab.num_topics, p=self.topic_probs))
+        return int(self._topic_cdf.searchsorted(self._rng.random(), side="right"))
 
     def _topic_tokens(self, topic: int, count: int) -> np.ndarray:
-        block = self.vocab.topic_block(topic)
-        ids = np.arange(block.start, block.stop)
-        weights = _zipf_weights(len(ids))
-        return self._rng.choice(ids, size=count, p=weights)
+        picks = self._token_cdfs[topic].searchsorted(self._rng.random(count), side="right")
+        return self._token_ids[topic][picks]
 
     def _prompt_length(self) -> int:
         length = int(self._rng.normal(self.mean_prompt_length, self.mean_prompt_length * 0.2))
-        return int(np.clip(length, 6, 2 * self.mean_prompt_length))
+        return min(max(length, 6), 2 * self.mean_prompt_length)
 
     # --------------------------------------------------------------- samples
     def sample(self, sample_id: int = -1, topic: Optional[int] = None) -> Sample:
         """Draw one sample (optionally forcing its topic)."""
-        topic = self._draw_topic() if topic is None else int(topic)
+        if topic is None:
+            topic = self._draw_topic()
+        else:
+            topic = int(topic)
+            self.vocab.topic_block(topic)      # rejects a topic out of range
         if self.task_type is TaskType.GENERATION:
             return self._generation_sample(topic, sample_id)
         if self.task_type is TaskType.MATH:

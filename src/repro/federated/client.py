@@ -196,11 +196,9 @@ class Participant:
             if filtered:
                 samples = filtered
         self._round_seed += 1
-        batches = make_batches(samples, batch_size=batch_size, vocab=self.dataset.vocab,
-                               shuffle=True, seed=self._round_seed, max_seq_len=max_seq_len)
-        if max_batches is not None:
-            batches = batches[:max_batches]
-        return batches
+        return make_batches(samples, batch_size=batch_size, vocab=self.dataset.vocab,
+                            shuffle=True, seed=self._round_seed, max_seq_len=max_seq_len,
+                            max_batches=max_batches)
 
     # -------------------------------------------------------------- training
     def local_finetune(

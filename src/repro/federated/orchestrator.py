@@ -328,6 +328,13 @@ class FederatedFineTuner(abc.ABC):
     def before_round(self, round_index: int, selected: Sequence[Participant]) -> None:
         """Hook invoked before local work starts (e.g. Flux's role assignment)."""
 
+    def prepare_round(self, round_index: int, participants: Sequence[Participant]) -> None:
+        """Hook invoked with the participants about to train, after faults dropped clients.
+
+        Work that every participant of the round does alike can be done here
+        once for all of them (Flux profiles them in shared passes).
+        """
+
     def after_aggregation(self, round_index: int,
                           results: Dict[int, ParticipantRoundResult]) -> None:
         """Hook invoked after the server aggregated this round's updates."""

@@ -5,7 +5,7 @@ from .checkpoint import load_checkpoint, load_model, save_checkpoint
 from .config import ArchitectureDescriptor, MoEModelConfig
 from .customize import customized_moe, resolve_exps_config
 from .experts import ExpertFFN
-from .gating import GatingNetwork, RoutingRecord
+from .gating import GatingNetwork, GroupedRouting, RoutingRecord
 from .lora import LoRAExpert, LoRALinear, apply_lora_to_experts, lora_parameter_savings
 from .moe_layer import MoELayer
 from .presets import (
@@ -27,6 +27,7 @@ __all__ = [
     "causal_mask",
     "GatingNetwork",
     "RoutingRecord",
+    "GroupedRouting",
     "ExpertFFN",
     "LoRALinear",
     "LoRAExpert",

@@ -77,6 +77,38 @@ class RoutingRecord:
         return self.attention_sums / counts
 
 
+class GroupedRouting:
+    """:class:`RoutingRecord` statistics of several groups of batch rows, kept apart.
+
+    One pass may carry several participants' sequences.  ``rows`` names the
+    group of each batch row of the pass being recorded; every statistic gains
+    a leading group axis, and ``sample_ids`` holds ``num_groups *
+    num_experts`` sets, group-major.  :meth:`record` is one group's record.
+    """
+
+    def __init__(self, num_groups: int, num_experts: int) -> None:
+        self.num_groups = num_groups
+        self.num_experts = num_experts
+        self.rows: Optional[np.ndarray] = None
+        self.token_counts = np.zeros((num_groups, num_experts), dtype=np.int64)
+        self.total_tokens = np.zeros(num_groups, dtype=np.int64)
+        self.attention_sums = np.zeros((num_groups, num_experts), dtype=np.float64)
+        self.gate_weight_sums = np.zeros((num_groups, num_experts), dtype=np.float64)
+        self.sample_ids: List[Set[int]] = [set() for _ in range(num_groups * num_experts)]
+
+    def record(self, group: int) -> RoutingRecord:
+        """Group ``group``'s statistics as a :class:`RoutingRecord` (views, not copies)."""
+        experts = self.num_experts
+        return RoutingRecord(
+            num_experts=experts,
+            token_counts=self.token_counts[group],
+            total_tokens=int(self.total_tokens[group]),
+            attention_sums=self.attention_sums[group],
+            gate_weight_sums=self.gate_weight_sums[group],
+            sample_ids=self.sample_ids[group * experts:(group + 1) * experts],
+        )
+
+
 class GatingNetwork(Module):
     """Linear router producing top-k expert assignments for each token.
 

@@ -77,7 +77,7 @@ from ..autograd import (
     take_rows,
 )
 from .experts import ExpertFFN, stack_expert_weights
-from .gating import GatingNetwork, RoutingRecord
+from .gating import GatingNetwork, GroupedRouting, RoutingRecord
 from .rerouting import ExpertRemap
 
 
@@ -135,6 +135,9 @@ class MoELayer(Module):
         #: when True, routing statistics are accumulated across forward passes
         self.accumulate_routing: bool = False
         self._accumulated: Optional[RoutingRecord] = None
+        #: when set, routing statistics accumulate here per group of batch
+        #: rows instead (a pass then leaves no ``last_routing``)
+        self.routing_groups: Optional[GroupedRouting] = None
         # Persistent backward-pass scratch buffers of the fused batched
         # dispatch (backward-internal temporaries only — never tensors a
         # graph node retains), reused across steps to avoid re-faulting
@@ -222,6 +225,7 @@ class MoELayer(Module):
         self.last_routing = None
         self.accumulate_routing = False
         self._accumulated = None
+        self.routing_groups = None
         self._bwd_scratch.clear()
 
     def accumulated_routing(self) -> Optional[RoutingRecord]:
@@ -535,55 +539,76 @@ class MoELayer(Module):
                         token_attention: Optional[np.ndarray],
                         sample_ids: Optional[np.ndarray],
                         token_mask: Optional[np.ndarray]) -> None:
-        """Vectorised routing bookkeeping (kept in original-expert coordinates)."""
-        record = RoutingRecord.empty(self.num_original_experts)
+        """Vectorised routing bookkeeping (kept in original-expert coordinates).
+
+        Every statistic is one ``bincount`` over ``(group, expert)`` keys.
+        Under :attr:`routing_groups` the groups are its ``rows`` and the
+        statistics accumulate there; otherwise the pass is one group, its
+        record is ``last_routing`` and, with :attr:`accumulate_routing`, it is
+        merged into the accumulator.
+        """
+        grouped = self.routing_groups
+        num_experts = self.num_original_experts
+        stats = GroupedRouting(1, num_experts) if grouped is None else grouped
+        row_groups = None if grouped is None else grouped.rows
+        batch = num_tokens // seq_len
         if token_mask is None:
             flat_mask = None
             valid_idx = top_idx                            # (T, top_k)
             valid_weights = top_weights.data
-            total_tokens = num_tokens
         else:
             flat_mask = np.asarray(token_mask, dtype=bool).reshape(num_tokens)
             valid_idx = top_idx[flat_mask]                 # (V, top_k)
             valid_weights = top_weights.data[flat_mask]
-            total_tokens = int(flat_mask.sum())
+        rows = None                                        # the batch row of each valid token
+        if row_groups is not None or sample_ids is not None:
+            rows = np.repeat(np.arange(batch), seq_len)
+            if flat_mask is not None:
+                rows = rows[flat_mask]
+        if row_groups is None:
+            stats.total_tokens[0] += len(valid_idx)
+        else:
+            token_groups = row_groups[rows]
+            stats.total_tokens += np.bincount(token_groups, minlength=stats.num_groups)
 
         if valid_idx.size:
-            minlength = self.num_original_experts
-            flat_ids = valid_idx.reshape(-1)
-            record.token_counts += np.bincount(flat_ids, minlength=minlength)
+            size = stats.num_groups * num_experts
+            shape = stats.token_counts.shape
+            keys = valid_idx.reshape(-1)
+            if row_groups is not None:
+                keys = keys + np.repeat(token_groups * num_experts, self.top_k)
+            stats.token_counts += np.bincount(keys, minlength=size).reshape(shape)
             if token_attention is not None:
                 flat_attention = np.asarray(token_attention, dtype=np.float64).reshape(num_tokens)
                 if flat_mask is not None:
                     flat_attention = flat_attention[flat_mask]
-                record.attention_sums += np.bincount(
-                    flat_ids, weights=np.repeat(flat_attention, self.top_k), minlength=minlength)
-            record.gate_weight_sums += np.bincount(
-                flat_ids,
+                stats.attention_sums += np.bincount(
+                    keys, weights=np.repeat(flat_attention, self.top_k),
+                    minlength=size).reshape(shape)
+            stats.gate_weight_sums += np.bincount(
+                keys,
                 weights=valid_weights.reshape(-1).astype(np.float64, copy=False),
-                minlength=minlength,
-            )
+                minlength=size,
+            ).reshape(shape)
             if sample_ids is not None:
-                # Deduplicate (expert, batch row) pairs rather than (expert,
-                # sample id) pairs: the key space is experts x batch whatever
-                # the ids are — small enough for a bincount presence scan —
-                # and the present keys come out sorted, so each expert's rows
-                # are one slice of them: one ``set.update`` per expert that
-                # has any.
+                # Deduplicate (key, batch row) pairs rather than (key, sample
+                # id) pairs: the key space is keys x batch whatever the ids
+                # are — small enough for a bincount presence scan — and the
+                # present pairs come out sorted, so each key's rows are one
+                # slice of them: one ``set.update`` per key that has any.
                 ids = np.asarray(sample_ids, dtype=np.int64)
-                batch = len(ids)
-                rows = np.repeat(np.arange(batch), seq_len)
-                if flat_mask is not None:
-                    rows = rows[flat_mask]
-                keys = flat_ids * batch
-                keys += np.repeat(rows, self.top_k)
-                present = np.flatnonzero(np.bincount(keys, minlength=batch * minlength))
-                bounds = np.searchsorted(present, np.arange(minlength + 1) * batch).tolist()
+                pairs = keys * batch
+                pairs += np.repeat(rows, self.top_k)
+                present = np.flatnonzero(np.bincount(pairs, minlength=batch * size))
+                bounds = np.searchsorted(present, np.arange(size + 1) * batch).tolist()
                 samples = ids[present % batch].tolist()
-                for expert_id, (first, last) in enumerate(zip(bounds, bounds[1:])):
+                for key, (first, last) in enumerate(zip(bounds, bounds[1:])):
                     if first < last:
-                        record.sample_ids[expert_id].update(samples[first:last])
-        record.total_tokens = total_tokens
+                        stats.sample_ids[key].update(samples[first:last])
+        if grouped is not None:
+            self.last_routing = None
+            return
+        record = stats.record(0)
         self.last_routing = record
         if self.accumulate_routing:
             if self._accumulated is None:

@@ -4,7 +4,8 @@ The run loop, topology tree, aggregator servers, wire channels and
 checkpointer all emit into one substrate:
 
 * :mod:`repro.obs.trace` — nested spans (``run > round >
-  select/train/transmit/fold/checkpoint``) with simulated *and* real clocks;
+  select/profile/train/transmit/fold/checkpoint``) with simulated *and* real
+  clocks;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms keyed by labels;
 * :mod:`repro.obs.export` — JSONL event log, Chrome trace-event JSON
   (Perfetto-loadable), Prometheus text, all resume-safe;

@@ -35,9 +35,12 @@ def _fmt_bytes(value: float) -> str:
 def round_table(events: Iterable[Dict]) -> Table:
     """Per-round wall/simulated time and phase breakdown.
 
-    The phase columns sum the wall durations of each round's ``train``,
-    ``fold`` and ``transfer`` spans (including server-ingested folds), which
-    is the trace-level analogue of the paper's overhead-breakdown figure.
+    The phase columns sum the wall durations of each round's ``select``,
+    ``profile`` (Flux's one shared profiling pass over the round's
+    participants, before any of them trains), ``train``, ``transfer``,
+    ``fold`` (including server-ingested folds) and ``checkpoint`` spans,
+    which is the trace-level analogue of the paper's overhead-breakdown
+    figure.
     """
     per_round: Dict[int, Dict[str, float]] = defaultdict(
         lambda: defaultdict(float))
@@ -52,11 +55,11 @@ def round_table(events: Iterable[Dict]) -> Table:
             per_round[round_index]["wall"] += float(span.get("duration_s", 0.0))
             if span.get("sim_duration") is not None:
                 per_round[round_index]["sim"] += float(span["sim_duration"])
-        elif cat in ("train", "fold", "transfer", "select", "checkpoint"):
+        elif cat in ("train", "fold", "transfer", "select", "profile", "checkpoint"):
             per_round[round_index][cat] += float(span.get("duration_s", 0.0))
             if cat == "train":
                 participants[round_index] += 1
-    headers = ["round", "wall_s", "sim_s", "select_s", "train_s",
+    headers = ["round", "wall_s", "sim_s", "select_s", "profile_s", "train_s",
                "transfer_s", "fold_s", "checkpoint_s", "train_spans"]
     rows = []
     for round_index in sorted(per_round):
@@ -66,6 +69,7 @@ def round_table(events: Iterable[Dict]) -> Table:
             _fmt_seconds(data["wall"]),
             _fmt_seconds(data["sim"]),
             _fmt_seconds(data["select"]),
+            _fmt_seconds(data["profile"]),
             _fmt_seconds(data["train"]),
             _fmt_seconds(data["transfer"]),
             _fmt_seconds(data["fold"]),

@@ -4,7 +4,7 @@
 ``RunConfig(telemetry=True)``:
 
 * every finished :class:`~repro.obs.trace.Span` is appended to the JSONL
-  event log (and fold/train/transfer/checkpoint spans feed latency
+  event log (and profile/train/transfer/fold/checkpoint spans feed latency
   histograms);
 * :meth:`end_round` folds one :class:`RoundResult`'s wire accounting into the
   counters — per-tier byte counters are incremented *from the round result
@@ -42,7 +42,7 @@ from .metrics import MetricsRegistry
 from .trace import NULL_TRACER, Span, Tracer
 
 #: span categories whose durations feed a ``repro_<cat>_seconds`` histogram
-_TIMED_CATEGORIES = frozenset({"train", "fold", "transfer", "checkpoint"})
+_TIMED_CATEGORIES = frozenset({"profile", "train", "fold", "transfer", "checkpoint"})
 
 
 class NullTelemetry:

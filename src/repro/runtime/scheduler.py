@@ -60,13 +60,16 @@ def run_participants(tuner: FederatedFineTuner, participants: Sequence[Participa
                      round_index: int) -> Dict[int, ParticipantRoundResult]:
     """Run ``participant_round`` for every participant, in order; results keyed by id.
 
-    Each result is framed (:meth:`FederatedFineTuner.frame_upload`) the moment
-    its round returns.  Participants of one round are independent: each trains
-    against the global model as of the round start and mutates only its own
-    state.  Under telemetry every participant's round is one
+    :meth:`FederatedFineTuner.prepare_round` sees them all first (when there
+    are any).  Each result is framed (:meth:`FederatedFineTuner.frame_upload`)
+    the moment its round returns.  Participants of one round are independent:
+    each trains against the global model as of the round start and mutates
+    only its own state.  Under telemetry every participant's round is one
     ``participant_round`` span carrying its simulated duration.
     """
     tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+    if participants:
+        tuner.prepare_round(round_index, participants)
     results: Dict[int, ParticipantRoundResult] = {}
     for participant in participants:
         with tracer.span("participant_round", category="train",

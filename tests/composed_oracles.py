@@ -4,9 +4,9 @@
 compositions of generic autograd ops this repo shipped before ``F.linear``,
 ``F.rms_norm`` and ``MultiHeadSelfAttention.forward`` became one node each;
 ``full_forward_profile`` is ``profile_activation`` from when it ran whole
-``model.forward`` passes.  They exist only here: ``test_fused_nodes.py`` holds
-the fused versions to them, and ``benchmarks/perf_harness.py`` times each node
-against its oracle.
+``model.forward`` passes (over the passes it runs now).  They exist only
+here: ``test_fused_nodes.py`` holds the fused versions to them, and
+``benchmarks/perf_harness.py`` times each node against its oracle.
 
 ``loop_oracle`` puts a layer or model on the MoE layer's per-expert loop, the
 oracle of its segment-grouped kernel (``test_moe_dispatch.py``; the harness's
@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import ActivationProfile
+from repro.analysis.activation import profiling_passes
 from repro.autograd import Tensor, no_grad
 from repro.models import MoELayer, causal_mask
 
@@ -95,9 +96,8 @@ def full_forward_profile(model, batches) -> ActivationProfile:
     model.eval()
     try:
         with no_grad():
-            for batch in batches:
-                model.forward(batch.input_ids, attention_mask=batch.attention_mask,
-                              sample_ids=batch.sample_ids)
+            for input_ids, mask, sample_ids, _ in profiling_passes([batches]):
+                model.forward(input_ids, attention_mask=mask, sample_ids=sample_ids)
     finally:
         model.train()
     records = model.routing_records(accumulated=True)

@@ -12,6 +12,11 @@
   logits, gradients and updates.
 * :func:`state_dict_quantize_model` — ``quantize_model`` through a name-keyed
   state dict; the contract is byte-equal parameters when no ``dtype`` is asked.
+* :func:`per_batch_profile` — ``profile_activation`` from when every
+  participant profiled on its own, one routing-only pass per batch.
+  ``repro.analysis.profile_round`` profiles a round's participants in shared,
+  length-sorted passes; the contract is equal token counts, totals and sample
+  sets per participant, and attention scores within float32 rounding.
 
 ``e2e_workloads`` is ``benchmarks/e2e/workloads.py`` (read-only): the
 federations the equal-clusters contract is held on.
@@ -26,6 +31,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis import ActivationProfile
+from repro.autograd import no_grad
 from repro.core.clustering import ClusteringResult, _cluster_fused, _cluster_per_layer
 from repro.core.config import FluxConfig
 from repro.core.merging import CompactModelPlan, merge_cluster
@@ -162,3 +169,31 @@ def state_dict_quantize_model(model: MoETransformer, bits: int,
             quantized_state[name] = quantize_array(value, bits).dequantize()
     clone.load_state_dict(quantized_state)
     return clone
+
+
+def per_batch_profile(model: MoETransformer, batches) -> ActivationProfile:
+    """One participant's profile, one pass per batch, stopping at the last router."""
+    model.set_routing_accumulation(True)
+    was_training = model.training
+    model.eval()
+    last = model.blocks[-1]
+    try:
+        with no_grad():
+            for batch in batches:
+                x = model.run_blocks(model.embed(batch.input_ids), stop=model.num_layers - 1,
+                                     attention_mask=batch.attention_mask,
+                                     sample_ids=batch.sample_ids)
+                x = last.attention_half(x, attention_mask=batch.attention_mask)
+                last.moe.route(last.moe_norm(x), token_attention=last.attn.last_token_attention,
+                               sample_ids=batch.sample_ids, token_mask=batch.attention_mask)
+    finally:
+        model.train(was_training)
+    records = model.routing_records(accumulated=True)
+    model.set_routing_accumulation(False)
+    return ActivationProfile(
+        frequencies=[record.activation_frequency() for record in records],
+        attention_scores=[record.average_attention() for record in records],
+        sample_sets=[[set(s) for s in record.sample_ids] for record in records],
+        token_counts=[record.token_counts.copy() for record in records],
+        total_tokens=int(records[0].total_tokens) if records else 0,
+    )

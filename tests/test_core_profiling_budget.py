@@ -247,7 +247,12 @@ class TestSharedQuantizedCopy:
         shared_calls = len(quantizations)
         assert all(caller == "tuner" for caller, _, _ in quantizations)
 
-        monkeypatch.setattr(FluxFineTuner, "quantized_global_model", lambda self: None)
+        # every call quantizes afresh: the round's shared pass on one copy,
+        # each participant on its own otherwise (async)
+        monkeypatch.setattr(FluxFineTuner, "quantized_global_model",
+                            lambda self: profiling_module.quantize_model(
+                                self.server.global_model, self.flux_config.profiling_bits,
+                                dtype=PROFILING_DTYPE))
         private = self._tuner(vocab, tiny_config, **knobs)
         private_result = private.run(num_rounds=3)
         private_calls = len(quantizations) - shared_calls

@@ -1,5 +1,9 @@
 """Tests for the synthetic data substrate: vocab, generators, datasets, loading."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.data import (
     DATASET_SPECS,
+    Batch,
     IGNORE_INDEX,
     SyntheticTaskGenerator,
     TaskType,
@@ -219,6 +224,68 @@ class TestCollateAndBatches:
     def test_invalid_batch_size(self, dataset):
         with pytest.raises(ValueError):
             list(iter_batches(dataset.samples, batch_size=0, pad_id=0))
+
+    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    @pytest.mark.parametrize("max_seq_len", [None, 12])
+    @pytest.mark.parametrize("max_batches", [1, 3, 1000])
+    def test_kept_batches_equal_the_collate_all_then_slice_path(self, name, max_seq_len,
+                                                                  max_batches):
+        dataset = make_dataset(name, num_samples=40, seed=2)
+        kept = make_batches(dataset.samples, 6, dataset.vocab, seed=5,
+                            max_seq_len=max_seq_len, max_batches=max_batches)
+        order = np.arange(len(dataset))
+        np.random.default_rng(5).shuffle(order)
+        chunks = [order[start:start + 6] for start in range(0, len(order), 6)]
+        want = [collate_oracle([dataset.samples[i] for i in chunk], dataset.vocab.PAD,
+                               max_seq_len) for chunk in chunks][:max_batches]
+        assert len(kept) == len(want)
+        for got, expected in zip(kept, want):
+            for field in ("input_ids", "attention_mask", "labels", "sample_ids"):
+                mine, theirs = getattr(got, field), getattr(expected, field)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field
+            assert got.samples == expected.samples
+
+
+def collate_oracle(samples, pad_id, max_seq_len):
+    """``collate`` with the answer labels written token by token."""
+    seq_len = max(s.length for s in samples)
+    if max_seq_len is not None:
+        seq_len = min(seq_len, max_seq_len)
+    input_ids = np.full((len(samples), seq_len), pad_id, dtype=np.int64)
+    attention_mask = np.zeros((len(samples), seq_len), dtype=bool)
+    labels = np.full((len(samples), seq_len), IGNORE_INDEX, dtype=np.int64)
+    sample_ids = np.zeros(len(samples), dtype=np.int64)
+    for row, sample in enumerate(samples):
+        ids = sample.input_ids[:seq_len]
+        length = len(ids)
+        input_ids[row, :length] = ids
+        attention_mask[row, :length] = True
+        for t in range(max(min(sample.prompt_length, length) - 1, 0), length - 1):
+            labels[row, t] = ids[t + 1]
+        sample_ids[row] = sample.sample_id
+    return Batch(input_ids=input_ids, attention_mask=attention_mask, labels=labels,
+                 sample_ids=sample_ids, samples=list(samples))
+
+
+#: SHA-256 of every sample of each preset dataset (default size), written by
+#: the per-draw ``Generator.choice(p=)`` generator the cached CDFs replaced
+DATASET_DIGESTS = Path(__file__).parent / "data" / "dataset_sha256.json"
+
+
+def dataset_digest(name: str, seed: int) -> str:
+    digest = hashlib.sha256()
+    for sample in make_dataset(name, seed=seed).samples:
+        digest.update(np.ascontiguousarray(sample.input_ids, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(sample.answer_ids, dtype=np.int64).tobytes())
+        digest.update(repr((sample.prompt_length, sample.topic, sample.task_type.value,
+                            sample.label, sample.sample_id)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(json.loads(DATASET_DIGESTS.read_text())))
+def test_datasets_equal_the_recorded_samples(key):
+    name, seed = key.split("/")
+    assert dataset_digest(name, int(seed)) == json.loads(DATASET_DIGESTS.read_text())[key]
 
 
 @settings(max_examples=20, deadline=None)

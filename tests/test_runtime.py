@@ -216,6 +216,11 @@ class _LoggingTuner:
     def __init__(self, log, fail_on=None):
         self.log = log
         self.fail_on = fail_on
+        self.prepared = []
+
+    def prepare_round(self, round_index, participants):
+        self.prepared.append((round_index, [p.participant_id for p in participants],
+                              len(self.log)))
 
     def participant_round(self, participant, round_index):
         pid = participant.participant_id
@@ -261,10 +266,16 @@ class TestParticipantLoop:
         assert list(results) == [2, 0, 1]
         assert all(result.report == {"framed": True} for result in results.values())
 
+    def test_prepares_everyone_once_before_anyone_trains(self):
+        tuner = _LoggingTuner([])
+        run_participants(tuner, _stub_participants(2, 0, 1), 7)
+        assert tuner.prepared == [(7, [2, 0, 1], 0)]
+
     def test_no_participants_train_nobody(self):
         log = []
-        assert run_participants(_LoggingTuner(log), [], 0) == {}
-        assert log == []
+        tuner = _LoggingTuner(log)
+        assert run_participants(tuner, [], 0) == {}
+        assert log == [] and tuner.prepared == []
 
     def test_a_failing_participant_stops_the_round(self):
         log = []
