@@ -13,7 +13,8 @@ for a quick smoke run of the whole suite.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence, Tuple
+import statistics
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 from repro import (
@@ -104,6 +105,60 @@ def default_rounds(requested: int) -> int:
     return max(2, requested // 2) if FAST else requested
 
 
+# ------------------------------------------------------------ multi-seed verdicts
+#: federations a multi-seed verdict runs: its base seed and the next four
+VERDICT_SEEDS = 5
+#: dataset size of a multi-seed verdict's federations: a 160-sample test split,
+#: so one step of an accuracy metric is 0.00625 (0.025 with the fast 40-sample
+#: evaluation), below every asserted margin but the ones that sit at zero
+VERDICT_SAMPLES = 800
+#: evaluation samples per round of a multi-seed verdict (the whole test split)
+VERDICT_EVAL_SAMPLES = 160
+
+
+def verdict_seeds(base: int) -> List[int]:
+    return list(range(base, base + VERDICT_SEEDS))
+
+
+def verdict_run_config() -> RunConfig:
+    return default_run_config(eval_max_samples=VERDICT_EVAL_SAMPLES)
+
+
+def quartiles(values: Sequence[float]) -> Dict[str, float]:
+    """Median and quartiles of per-seed values, read as ``benchmarks/e2e/run.py`` reads runs."""
+    values = list(values)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def check_median(label: str, margins: Sequence[float], spread: float) -> Optional[str]:
+    """One multi-seed verdict on a claim ``margin >= 0``, one margin per seed.
+
+    A margin is the metric of the claim minus its threshold (``flux - 0.7 *
+    fmd``).  The verdict follows ``benchmarks/e2e/compare.py``'s quartile
+    protocol: within the stated ``spread`` (the quartile distance the claim
+    expects of its seeds) the median decides; when the seeds scatter wider,
+    only quartiles on one side of 0 decide, and a quartile range across 0 is
+    ``unresolved``.  Prints one ``verdict`` line; returns the failure text of
+    a ``fails`` or ``unresolved`` verdict, or None for ``holds``.
+    """
+    stats = quartiles(margins)
+    width = stats["q3"] - stats["q1"]
+    if width <= spread:
+        verdict = "holds" if stats["median"] >= 0 else "fails"
+    elif stats["q1"] >= 0:
+        verdict = "holds"
+    else:
+        verdict = "fails" if stats["q3"] < 0 else "unresolved"
+    print(f"  verdict {label}: {verdict}: median margin {stats['median']:+.4f} "
+          f"[q1 {stats['q1']:+.4f}, q3 {stats['q3']:+.4f}] spread {width:.4f} "
+          f"(stated {spread}) over {len(margins)} seeds: {[round(m, 4) for m in margins]}")
+    if verdict == "holds":
+        return None
+    return (f"{label}: {verdict} (median margin {stats['median']:+.4f}, "
+            f"quartiles [{stats['q1']:+.4f}, {stats['q3']:+.4f}])")
+
+
 def build_federation(dataset_name: str, num_clients: int, model: str = "llama",
                      seed: int = 0, num_samples: Optional[int] = None,
                      vocab: Optional[Vocabulary] = None):
@@ -145,10 +200,11 @@ def run_method(method: str, config, participants, test, cost_models,
 def run_all_methods(dataset_name: str, num_clients: int, num_rounds: int,
                     model: str = "llama", seed: int = 0,
                     run_config: Optional[RunConfig] = None,
-                    methods: Sequence[str] = METHODS) -> Dict[str, RunResult]:
+                    methods: Sequence[str] = METHODS,
+                    num_samples: Optional[int] = None) -> Dict[str, RunResult]:
     """Run every requested method on a common federation (fresh model each)."""
     config, participants, test, cost_models = build_federation(
-        dataset_name, num_clients, model=model, seed=seed)
+        dataset_name, num_clients, model=model, seed=seed, num_samples=num_samples)
     results = {}
     for method in methods:
         results[method] = run_method(method, config, participants, test, cost_models,

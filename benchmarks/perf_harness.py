@@ -132,12 +132,14 @@ def _interleaved_best_times(config_fns: Dict[str, Dict], iters: int, reps: int) 
 
 
 def _make_layer(preset: str, dtype: Optional[str]):
-    """The preset's MoE layer; ``dtype=None`` (a seed checkout's worker) builds
-    it under the engine's default dtype."""
+    """The preset's MoE layer at ``dtype``; ``dtype=None`` (a seed checkout's
+    worker) builds it at the preset's dtype (float32 since the presets train
+    in float32), or under the engine's default where the config predates it."""
     from repro.models.moe_layer import MoELayer
     from repro.models.presets import get_preset
 
     config = get_preset(preset.replace("_", "-"))
+    dtype = dtype or getattr(config, "dtype", None)
     rng = np.random.default_rng(0)
 
     def build():
@@ -153,6 +155,7 @@ def _make_layer(preset: str, dtype: Optional[str]):
 
 
 def _make_model(preset: str, dtype: Optional[str]):
+    """The preset's model at ``dtype``; ``dtype=None`` keeps the preset's own."""
     from repro.models import MoETransformer
     from repro.models.presets import get_preset
 
@@ -173,7 +176,7 @@ def build_hot_loop(preset: str, kernel: Optional[str], dtype: Optional[str],
                    tokens: int) -> Dict:
     """Phase closures for the MoE hot-loop microbenchmark of one config."""
     layer = _on_kernel(_make_layer(preset, dtype), kernel)
-    return _layer_phases(layer, tokens, dtype or "float64")
+    return _layer_phases(layer, tokens, next(iter(layer.parameters())).data.dtype)
 
 
 def _layer_phases(layer, tokens: int, np_dtype: str) -> Dict:
@@ -551,7 +554,7 @@ def bench_optimizer(quick: bool) -> Dict:
     """A fresh participant's Adam against the per-parameter oracle, in place.
 
     FMD participants fine-tune every expert of the end-to-end benchmark's
-    llama model (96 expert matrices, float64) on the server's training
+    llama model (96 expert matrices, float32) on the server's training
     replica, one after another, on 1 or 3 batches of 4 gsm8k samples (the
     ``fmd_wire_service`` shape, then three steps).  Only the optimizer is
     timed — its construction, its steps and its release — inside real

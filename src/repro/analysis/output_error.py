@@ -24,10 +24,14 @@ def cosine_distance(a: np.ndarray, b: np.ndarray, axis: int = -1, eps: float = 1
 
 
 def final_embeddings(model: MoETransformer, batch: Batch) -> np.ndarray:
-    """Final-layer token embeddings for one batch (no gradients recorded)."""
+    """Final-layer token embeddings for one batch (no gradients recorded).
+
+    Upcast to float64 whatever the model dtype: a distance between two
+    float32 embeddings computed in float32 reads ~1e-8 for identical models.
+    """
     with no_grad():
         hidden = model.forward_hidden(batch.input_ids, attention_mask=batch.attention_mask)
-    return hidden.data
+    return hidden.data.astype(np.float64, copy=False)
 
 
 def output_error(reference: MoETransformer, modified: MoETransformer,

@@ -33,7 +33,8 @@ import numpy as np
 from .nn import Parameter
 
 #: elements per chunk of a step: the chunk's moments, gathered gradients and
-#: two scratch arrays (640 KiB in float64) stay in L2 through every pass
+#: two scratch arrays (320 KiB in float32, the training dtype; 640 KiB in
+#: float64) stay in L2 through every pass
 ADAM_CHUNK = 16384
 
 

@@ -40,9 +40,10 @@ def get_default_dtype() -> np.dtype:
 def set_default_dtype(dtype) -> None:
     """Set the global default floating dtype of the tensor engine.
 
-    ``float64`` (the historical default) is best for numerics tests;
-    ``float32`` halves memory traffic and roughly doubles GEMM throughput,
-    and is what the perf harness and training benchmarks use.
+    ``float64`` (the engine's default, for bare tensors and modules) is the
+    numerics tests' oracle dtype; ``float32`` halves memory traffic and
+    roughly doubles GEMM throughput, and is what every preset model trains in
+    (a model builds under its ``MoEModelConfig.dtype``, whatever this is).
     """
     dtype = np.dtype(dtype)
     if dtype not in SUPPORTED_DTYPES:

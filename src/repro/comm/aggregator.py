@@ -90,7 +90,8 @@ class StreamingAggregator:
         #: per key, in first-contribution order
         self._accs: Dict[ExpertKey, _SumRow] = {}
         #: ``(keys, *shape)`` float64 running sums per ``(name, shape)``; row
-        #: ``r`` belongs to the key whose row is ``r``
+        #: ``r`` belongs to the key whose row is ``r``.  Float64 whatever the
+        #: model dtype: a fold of many updates rounds once, on write-back
         self._sums: Dict[Tuple[str, tuple], np.ndarray] = {}
 
     def __len__(self) -> int:

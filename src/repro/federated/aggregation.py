@@ -63,8 +63,8 @@ class ExpertUpdate:
     #: read-only by every update of one expert key and server version.
     wire_reference: Optional[Dict[str, np.ndarray]] = field(
         default=None, repr=False, compare=False)
-    #: what the tensors :attr:`wire_frame` was encoded from would cost as raw
-    #: fp64 (8 bytes an element), recorded at encode time so the uplink's
+    #: what the tensors :attr:`wire_frame` was encoded from cost raw, at their
+    #: own dtype, recorded at encode time so the uplink's
     #: ``wire_density`` never decodes a frame to measure it
     wire_raw_bytes: int = field(default=0, repr=False, compare=False)
 

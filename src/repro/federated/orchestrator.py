@@ -29,12 +29,12 @@ from .aggregation import ExpertUpdate
 from .client import Participant
 from .server import ParameterServer, ShardedParameterServer, make_aggregation_pool
 
-#: default wire codec: lossless for the float64 default models, so enabling
-#: ``transport="wire"`` alone does not change learning dynamics.
+#: default wire codec: lossless for float32 models (the training dtype), so
+#: enabling ``transport="wire"`` alone does not change learning dynamics.
 #: ``RunConfig.codec`` keeps ``None`` as "no explicit choice" so methods with
 #: a natural wire format (FMQ ships its quantization bits) can override the
 #: default without clobbering an explicit user selection.
-DEFAULT_WIRE_CODEC = "fp64"
+DEFAULT_WIRE_CODEC = "fp32"
 
 
 @dataclass
@@ -480,7 +480,7 @@ class FederatedFineTuner(abc.ABC):
                 participant_id=int(update.participant_id), layer=int(update.layer),
                 expert=int(update.expert), state=None, weight=float(update.weight),
                 wire_frame=frame, wire_codec=codec.name, wire_reference=reference,
-                wire_raw_bytes=8 * sum(np.asarray(v).size for v in update.state.values()))
+                wire_raw_bytes=sum(np.asarray(v).nbytes for v in update.state.values()))
             for update, reference, frame in zip(
                 updates, references, encode_updates(updates, codec, references))]
 
@@ -518,7 +518,7 @@ class FederatedFineTuner(abc.ABC):
             return list(updates), stats
         channel = self.channel_for(participant)
         delivered: List[ExpertUpdate] = []
-        raw_bytes = 0.0  # what the same tensors would cost as raw fp64
+        raw_bytes = 0.0  # what the same tensors cost raw, at the model's dtype
         with self.telemetry.tracer.span(
                 "uplink", category="transfer",
                 participant=participant.participant_id,
@@ -556,8 +556,9 @@ class FederatedFineTuner(abc.ABC):
                      payloads=stats.payloads, lost=stats.lost,
                      corrupted=stats.corrupted)
             if raw_bytes:
-                # payload bytes as a fraction of raw fp64 — ~1.05 for fp64
-                # (frame headers), well under 1 for quantized/sparse codecs
+                # payload bytes as a fraction of the raw tensors — ~1.05 for
+                # the lossless codec of the model's dtype (frame headers),
+                # well under 1 for quantized/sparse codecs
                 span.set(wire_density=round(stats.bytes_up / raw_bytes, 4))
         return delivered, stats
 

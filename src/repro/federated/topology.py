@@ -56,8 +56,8 @@ from ..comm import (
 from ..obs import NULL_TRACER
 from .aggregation import ExpertKey, ExpertUpdate
 
-#: inter-tier frames are lossless float64 — pre-folded partials must not lose
-#: precision on the backhaul hops
+#: inter-tier frames stay float64 whatever the model dtype: tier partials are
+#: float64 fold sums, and they must not round on the backhaul hops
 EDGE_CODEC = "fp64"
 
 #: pseudo participant ids spacing between tiers: tier ``k`` node ``j`` frames

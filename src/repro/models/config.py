@@ -35,9 +35,10 @@ class MoEModelConfig:
     activation: str = "silu"
     gate_noise_std: float = 0.0
     seed: int = 0
-    #: parameter/compute dtype of the built model: "float64" (numerics default)
-    #: or "float32" (training/benchmark fast path, ~2x GEMM throughput)
-    dtype: str = "float64"
+    #: parameter/compute dtype of the built model: "float32" (the training dtype
+    #: of every preset, workload and figure) or "float64" (the numerics suites'
+    #: oracle dtype, set explicitly where a test needs it)
+    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads != 0:

@@ -156,13 +156,11 @@ class MoELayer(Module):
 
         Used by Flux clients (tuning experts + merged non-tuning experts) and
         by the FMES baseline (selected experts only, others re-routed).  Every
-        expert must have the layer's ``(d_model, d_ff)``.
+        expert must have the layer's ``(d_model, d_ff)`` and dtype.
         """
         if remap.num_original != self.num_original_experts:
             raise ValueError("remap must cover the original expert count")
-        if any((expert.d_model, expert.d_ff) != (self.d_model, self.d_ff) for expert in experts):
-            raise ValueError(
-                f"every expert must have the layer's (d_model, d_ff) = ({self.d_model}, {self.d_ff})")
+        self.check_experts(experts)
         max_slot = int(remap.table.max())
         if max_slot >= len(experts):
             raise ValueError(
@@ -170,6 +168,21 @@ class MoELayer(Module):
             )
         self.experts = ModuleList(list(experts))
         self.remap = remap
+
+    def check_experts(self, experts: Sequence[ExpertFFN]) -> None:
+        """Refuse an expert of another ``(d_model, d_ff)`` or dtype than the layer's.
+
+        A model never mixes dtypes: an expert drawn outside the model's
+        ``default_dtype`` would silently run (and train) at another precision.
+        """
+        dtype = self.gate.proj.weight.data.dtype
+        for expert in experts:
+            if (expert.d_model, expert.d_ff) != (self.d_model, self.d_ff):
+                raise ValueError(f"every expert must have the layer's (d_model, d_ff) = "
+                                 f"({self.d_model}, {self.d_ff})")
+            if expert.w_gate.weight.data.dtype != dtype:
+                raise ValueError(f"expert dtype {expert.w_gate.weight.data.dtype} is not "
+                                 f"the layer's {dtype}")
 
     def spare_expert(self, index: int) -> ExpertFFN:
         """The layer's ``index``-th resident spare expert, allocated on first use.

@@ -36,7 +36,7 @@ ARCHITECTURE_DESCRIPTORS: Dict[str, ArchitectureDescriptor] = {
 
 def llama_moe_mini(vocab_size: int = 256, seed: int = 0, n_layers: int = 4,
                    num_experts: int = 8, d_model: int = 32,
-                   dtype: str = "float64") -> MoEModelConfig:
+                   dtype: str = "float32") -> MoEModelConfig:
     """Scaled-down LLaMA-MoE: uniform experts, top-2 routing, no shared experts.
 
     The real LLaMA-MoE uses 32 layers x 16 experts with top-4 routing; the mini
@@ -63,7 +63,7 @@ def llama_moe_mini(vocab_size: int = 256, seed: int = 0, n_layers: int = 4,
 
 def deepseek_moe_mini(vocab_size: int = 256, seed: int = 0, n_layers: int = 4,
                       num_experts: int = 16, d_model: int = 32,
-                      dtype: str = "float64") -> MoEModelConfig:
+                      dtype: str = "float32") -> MoEModelConfig:
     """Scaled-down DeepSeek-MoE: fine-grained experts plus one shared expert.
 
     DeepSeek-MoE's signature is many small experts (64 per layer) plus shared
@@ -88,7 +88,7 @@ def deepseek_moe_mini(vocab_size: int = 256, seed: int = 0, n_layers: int = 4,
 
 
 def tiny_moe(vocab_size: int = 64, seed: int = 0,
-             dtype: str = "float64") -> MoEModelConfig:
+             dtype: str = "float32") -> MoEModelConfig:
     """Very small config used by unit tests and property-based tests."""
     return MoEModelConfig(
         name="tiny-moe",

@@ -314,7 +314,10 @@ class MoETransformer(Module):
         return self.blocks[layer].moe.experts[expert]
 
     def set_expert(self, layer: int, expert: int, module: ExpertFFN) -> None:
-        self.blocks[layer].moe.experts[expert] = module
+        """Mount ``module`` as one expert; it must have the model's shapes and dtype."""
+        moe = self.blocks[layer].moe
+        moe.check_experts([module])
+        moe.experts[expert] = module
 
     def expert_state(self, layer: int, expert: int) -> Dict[str, np.ndarray]:
         """Copy of one expert's weights (transport format for FL updates)."""

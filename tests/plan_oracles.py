@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.analysis import ActivationProfile
-from repro.autograd import no_grad
+from repro.autograd import default_dtype, no_grad
 from repro.core.clustering import ClusteringResult, _cluster_fused, _cluster_per_layer
 from repro.core.config import FluxConfig
 from repro.core.merging import CompactModelPlan, merge_cluster
@@ -102,6 +102,16 @@ def svd_plan_clusters(model: MoETransformer, plan: CompactModelPlan,
 
 
 # ---------------------------------------------------------------------- build
+def _copy_expert(model: MoETransformer, layer: int, original: int) -> ExpertFFN:
+    """A fresh copy of one expert, allocated at the model's dtype."""
+    source = model.get_expert(layer, original)
+    with default_dtype(model.config.dtype):
+        expert = ExpertFFN.allocate(model.config.d_model, source.d_ff,
+                                    activation=model.config.activation)
+    expert.load_state(source.state())
+    return expert
+
+
 def fresh_build_compact_model(
     model: MoETransformer, plan: CompactModelPlan, profile, config: FluxConfig = None,
 ) -> Tuple[MoETransformer, Dict[ExpertKey, ExpertKey], Dict[ExpertKey, ExpertKey]]:
@@ -122,19 +132,13 @@ def fresh_build_compact_model(
         mapping: Dict[int, int] = {}
         # Trainable tuning experts occupy the first slots.
         for slot, original in enumerate(sorted(tuning)):
-            expert = ExpertFFN.allocate(model.config.d_model,
-                                        model.get_expert(layer, original).d_ff,
-                                        activation=model.config.activation)
-            expert.load_state(model.get_expert(layer, original).state())
+            expert = _copy_expert(model, layer, original)
             local_experts.append(expert)
             mapping[original] = slot
             slot_to_original[(layer, slot)] = (layer, original)
         # Preserved-but-frozen experts (exploration candidates) come next.
         for original in sorted(frozen):
-            expert = ExpertFFN.allocate(model.config.d_model,
-                                        model.get_expert(layer, original).d_ff,
-                                        activation=model.config.activation)
-            expert.load_state(model.get_expert(layer, original).state())
+            expert = _copy_expert(model, layer, original)
             expert.freeze()
             slot = len(local_experts)
             local_experts.append(expert)

@@ -142,19 +142,31 @@ def assert_identical(actual, expected, path="seen"):
         assert actual == expected, path
 
 
-@pytest.fixture(scope="module")
-def setups(vocab, gsm_dataset):
+def build_setups(vocab, gsm_dataset, dtype):
     """Per preset: model, probe batches, evaluation sets, probe targets, reference observation."""
     eval_sets = [make_gsm8k_like(vocab=vocab, num_samples=24, seed=3),
                  make_dolly_like(vocab=vocab, num_samples=24, seed=3)]
     built = {}
     for name, preset in PRESETS.items():
-        model = MoETransformer(preset(vocab_size=vocab.size))
+        model = MoETransformer(preset(vocab_size=vocab.size, dtype=dtype))
         batches = padded_batches(gsm_dataset, vocab, model)
         targets = probe_targets(model, batches)
         built[name] = (model, batches, eval_sets, targets,
                        observe(model, batches, eval_sets, targets))
     return built
+
+
+@pytest.fixture(scope="module")
+def setups(vocab, gsm_dataset):
+    """Pad invariance holds bit for bit at the training dtype."""
+    return build_setups(vocab, gsm_dataset, "float32")
+
+
+@pytest.fixture(scope="module")
+def oracle_setups(vocab, gsm_dataset):
+    """The every-position oracle is held to 1e-12, a float64 tolerance: at float32
+    an expert GEMM over fewer rows rounds differently far above it."""
+    return build_setups(vocab, gsm_dataset, "float64")
 
 
 # ------------------------------------------------------------- pad invariance
@@ -181,8 +193,8 @@ def test_the_reference_observation_is_not_trivial(setups):
 
 # ------------------------------------------------------ every-position oracle
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_matches_the_every_position_oracle(setups, preset):
-    model, batches, _, _, _ = setups[preset]
+def test_matches_the_every_position_oracle(oracle_setups, preset):
+    model, batches, _, _, _ = oracle_setups[preset]
     for batch in batches:
         got = training_pass(model, batch)
         with every_position_computed():
@@ -202,8 +214,8 @@ def test_matches_the_every_position_oracle(setups, preset):
             np.testing.assert_allclose(gate_weights, theirs[2], rtol=1e-12, atol=1e-12)
 
 
-def test_read_rows_are_the_full_forward_rows(setups):
-    model, batches, _, _, _ = setups["llama"]
+def test_read_rows_are_the_full_forward_rows(oracle_setups):
+    model, batches, _, _, _ = oracle_setups["llama"]
     batch = batches[0]
     read = np.flatnonzero(batch.labels.reshape(-1) != IGNORE_INDEX)
     full = model.forward(batch.input_ids, attention_mask=batch.attention_mask).data

@@ -421,10 +421,10 @@ class TestRunsEqualTheComposedRuns:
             vocab, tiny_config, num_clients=3, participants_per_round=3)
         return FMDFineTuner(server, participants, test, config=config)
 
-    # The float64 training nodes are held to RTOL with Flux's profiling copy in
-    # float64 too; on the float32 copy it ships with, a fused node and its
-    # oracle agree on the attention scores to float32 rounding, so that run is
-    # an extra, looser case.
+    # A float64 oracle: the runs train at float64 and are held to RTOL with
+    # Flux's profiling copy in float64 too; on the float32 copy it ships with,
+    # a fused node and its oracle agree on the attention scores to float32
+    # rounding, so that run is an extra, looser case.
     @pytest.mark.parametrize("build, profiling_dtype, rtol", [
         (fmd, None, RTOL), (flux_tuner, "float64", RTOL), (flux_tuner, "float32", 1e-6)],
         ids=["fmd", "flux", "flux-float32-profile"])
@@ -432,6 +432,7 @@ class TestRunsEqualTheComposedRuns:
         if profiling_dtype is not None:
             for module in ("repro.core.profiling", "repro.core.finetuner"):
                 monkeypatch.setattr(f"{module}.PROFILING_DTYPE", profiling_dtype)
+        tiny_config = replace(tiny_config, dtype="float64")
         calls = []
 
         def counted(oracle):

@@ -289,7 +289,7 @@ class TestRunTelemetry:
 
     def test_uplink_spans_carry_wire_density(self, telemetry_run, vocab,
                                              tiny_config, tmp_path):
-        """Uplink spans record payload bytes as a fraction of raw fp64."""
+        """Uplink spans record payload bytes as a fraction of the raw tensors."""
         def uplink_densities(trace_dir):
             events = load_events(os.path.join(trace_dir, JSONL_FILE))
             return [e["attrs"]["wire_density"] for e in events
@@ -298,7 +298,7 @@ class TestRunTelemetry:
 
         _, _, trace_dir = telemetry_run
         dense = uplink_densities(trace_dir)
-        # fp64 frames cost a hair more than the raw tensors (frame headers)
+        # lossless frames cost a hair more than the raw tensors (frame headers)
         assert dense and all(density >= 1.0 for density in dense)
 
         sparse_dir = str(tmp_path / "sparse-trace")
@@ -306,7 +306,9 @@ class TestRunTelemetry:
             vocab, tiny_config, sparse_dir, codec="topk:0.25:int4")
         ConstantMethod(server, participants, test, config=config).run(1)
         sparse = uplink_densities(sparse_dir)
-        assert sparse and all(density < 0.2 for density in sparse)
+        # a quarter of the entries, 4-bit values plus their indices: less than
+        # a quarter of the float32 tensors
+        assert sparse and all(density < 0.25 for density in sparse)
 
     def test_tier_byte_counters_match_round_results_exactly(self, telemetry_run):
         result, _, trace_dir = telemetry_run

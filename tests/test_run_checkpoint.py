@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 
@@ -57,6 +58,12 @@ def build_constant_tuner(vocab, tiny_config, **config_kwargs):
     server, participants, test, config = build_federation(
         vocab, tiny_config, **config_kwargs)
     return ConstantMethod(server, participants, test, config=config)
+
+
+def build_fmd_tuner(vocab, tiny_config, **config_kwargs):
+    server, participants, test, config = build_federation(
+        vocab, tiny_config, **config_kwargs)
+    return FMDFineTuner(server, participants, test, config=config)
 
 
 def build_flux_tuner(vocab, tiny_config, **config_kwargs):
@@ -158,6 +165,13 @@ class TestResumeEquivalence:
         resumed_tuner = build_constant_tuner(vocab, tiny_config, **durable)
         resumed = resumed_tuner.run(num_rounds=4, resume_from=snapshot)
         assert_run_results_equal(resumed, expected)
+
+    def test_float32_fmd_resume_matches_uninterrupted(self, vocab, tiny_config, tmp_path):
+        """A run that trains at the float32 default, over the sharded tree,
+        resumes bit for bit."""
+        assert tiny_config.dtype == "float32"
+        self._resume_pair(vocab, tiny_config, build_fmd_tuner,
+                          _checkpoint_dir=tmp_path / "fmd", **PARENT_FEDAVG_KNOBS)
 
     def test_resume_past_the_end_returns_completed_run(self, vocab, tiny_config,
                                                        tmp_path):
@@ -614,6 +628,8 @@ PARENT_TRIMMED_KNOBS = dict(participants_per_round=3)
 class TestSnapshotsOfTheParentTree:
     def test_sharded_tree_fedavg_snapshot_resumes_to_the_uninterrupted_run(
             self, vocab, tiny_config, tmp_path):
+        tiny_config = dataclasses.replace(tiny_config, dtype="float64")  # written at float64
+
         def tuner(**extra):
             server, participants, test, config = build_federation(
                 vocab, tiny_config, **PARENT_FEDAVG_KNOBS, **extra)

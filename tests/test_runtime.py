@@ -1,6 +1,7 @@
 """Tests for the event-driven runtime: events, participant selection, faults, the
 participant loop, schedulers."""
 
+import dataclasses
 import gc
 from types import SimpleNamespace
 
@@ -516,7 +517,9 @@ class TestAsyncScheduler:
     def _aggregate_stale_and_fresh(vocab, tiny_config, exponent, **knobs):
         """One async aggregation at version 3 of a buffer whose four updates of
         expert (0, 0) are 0, 2, 0 and 3 versions stale; returns the written
-        state, the expected discounted-FedAvg inputs and the round."""
+        state, the expected discounted-FedAvg inputs and the round.  A float64
+        oracle: the written state must equal the fold oracle bit for bit."""
+        tiny_config = dataclasses.replace(tiny_config, dtype="float64")
         server, participants, test, config = build_federation(
             vocab, tiny_config, scheduler="async", staleness_exponent=exponent, **knobs)
         tuner = ConstantMethod(server, participants, test, config=config)

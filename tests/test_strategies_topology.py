@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import numpy as np
 import pytest
 
@@ -156,8 +157,9 @@ class TestShardedParameterServer:
         assert sum(contributions.values()) > 0
 
     def test_each_shard_folds_fedavg(self, tiny_config):
-        """Every key, whichever shard owns it, is the FedAvg of its contributions."""
-        model = MoETransformer(tiny_config)
+        """Every key, whichever shard owns it, is the FedAvg of its contributions
+        (a float64 oracle: bit for bit against the fold oracle)."""
+        model = MoETransformer(dataclasses.replace(tiny_config, dtype="float64"))
         server = ShardedParameterServer(model, num_shards=2)
         updates = self._updates(model)
         server.aggregate(list(updates))

@@ -22,7 +22,7 @@ import pytest
 import repro.autograd.optim as optim_module
 import repro.baselines.fmq as fmq_module
 from optim_oracles import PerParameterAdam
-from repro.autograd import Adam, Linear, Parameter
+from repro.autograd import Adam, Linear, Parameter, default_dtype
 from repro.baselines import FMDFineTuner, FMQFineTuner
 from repro.federated import ParameterServer
 from repro.federated.server import _TrainingReplica
@@ -155,8 +155,8 @@ class TestResidentOptimizerState:
                 for present in schedule:
                     for key, group in expert_params.items():
                         for param, twin in zip(group, fresh_params[key]):
-                            grad = rng.standard_normal(param.data.shape) \
-                                if key in present else None
+                            grad = rng.standard_normal(param.data.shape).astype(
+                                param.data.dtype) if key in present else None
                             param.grad = twin.grad = grad
                     flat.step()
                     oracle.step()
@@ -271,8 +271,9 @@ class TestHandOutContract:
         server = ParameterServer(MoETransformer(tiny_config))
         with server.training_replica() as model:
             first = model
-        replacement = ExpertFFN(tiny_config.d_model, tiny_config.d_ff,
-                                rng=np.random.default_rng(5))
+        with default_dtype(tiny_config.dtype):
+            replacement = ExpertFFN(tiny_config.d_model, tiny_config.d_ff,
+                                    rng=np.random.default_rng(5))
         server.global_model.set_expert(0, 1, replacement)
         with server.training_replica() as model:
             assert model is not first

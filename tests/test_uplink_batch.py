@@ -524,7 +524,7 @@ class TestUploadIsFramedWhenTheClientFinishes:
         updates = [update for result in results.values() for update in result.updates]
         wire = sum(len(update.wire_frame) for update in updates)
         dense = sum(update.wire_raw_bytes for update in updates)
-        assert dense > 10 * wire                # what holding the tensors would cost
+        assert dense > 5 * wire                 # what holding the float32 tensors would cost
         assert retained <= 3 * wire + 16_384
 
     def test_analytic_transport_returns_what_it_got(self, vocab, tiny_config, monkeypatch):
