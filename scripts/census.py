@@ -8,7 +8,10 @@ entry point runs in its own child process of this script.  It writes
 ``runs/census.json`` with
 
 * ``functions_never_entered`` -- every function defined under ``src/`` that
-  no entry point called (``path:line qualname``);
+  no entry point called (``path:line qualname``), and every class none of
+  whose methods any entry point called (a class body runs once, at import,
+  and ``child_main`` imports ``RunConfig``'s modules before the profiler is
+  on, so a class counts as entered when any of its methods is);
 * ``run_config_never_set`` -- every ``RunConfig`` field that no entry point
   set to a value other than its default;
 * ``run_config_set_by`` -- for every field that was set, the entry points
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import runpy
@@ -37,7 +41,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -71,9 +75,7 @@ def entry_points(figures: bool) -> Dict[str, Tuple[str, ...]]:
 
 
 # ------------------------------------------------------------------ child side
-def _profile_calls(seen: Set) -> None:
-    prefix = str(SRC)
-
+def _profile_calls(seen: Set, prefix: str = str(SRC)) -> None:
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
@@ -138,8 +140,7 @@ def child_main(kind: str, args: List[str], out: str) -> int:
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    entered = sorted({f"{Path(code.co_filename).relative_to(REPO)}:{code.co_firstlineno} "
-                      f"{code.co_qualname}" for code in seen})
+    entered = sorted({code_key(code, REPO) for code in seen})
     with open(out, "w") as handle:
         json.dump({"status": status, "entered": entered,
                    "run_config_set": sorted(set_fields)}, handle)
@@ -147,21 +148,45 @@ def child_main(kind: str, args: List[str], out: str) -> int:
 
 
 # ----------------------------------------------------------------- parent side
-def defined_functions() -> List[str]:
-    """Every named function (``def``) under ``src/``, keyed as the child keys them."""
-    found: List[str] = []
+def code_key(code, repo: Path) -> str:
+    """``path:line qualname`` of a code object, ``path`` relative to ``repo``."""
+    return f"{Path(code.co_filename).relative_to(repo)}:{code.co_firstlineno} {code.co_qualname}"
 
-    def walk(code) -> None:
+
+def defined_functions(src: Path = SRC, repo: Path = REPO) -> Dict[str, FrozenSet[str]]:
+    """Every named function (``def``) and class under ``src``, keyed as the child keys them.
+
+    A class maps to the keys of everything defined in its body (its methods,
+    and theirs for a nested class); a function maps to nothing.
+    """
+    found: Dict[str, FrozenSet[str]] = {}
+
+    def walk(code) -> List[str]:
+        keys: List[str] = []
         for const in code.co_consts:
             if hasattr(const, "co_code"):
-                if not const.co_name.startswith("<"):
-                    found.append(f"{rel}:{const.co_firstlineno} {const.co_qualname}")
-                walk(const)
+                named = not const.co_name.startswith("<")
+                if named:
+                    key = code_key(const, repo)
+                    found[key] = frozenset()
+                    keys.append(key)
+                nested = walk(const)
+                # a class body has no local namespace of its own
+                if named and not const.co_flags & inspect.CO_NEWLOCALS:
+                    found[key] = frozenset(nested)
+                keys.extend(nested)
+        return keys
 
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(REPO)
+    for path in sorted(src.rglob("*.py")):
         walk(compile(path.read_text(), str(path), "exec"))
     return found
+
+
+def never_entered(defined: Dict[str, FrozenSet[str]], entered: Set[str]) -> List[str]:
+    """The keys of ``defined`` no entry point entered; a class is entered when any of
+    its methods is."""
+    return [key for key, members in defined.items()
+            if key not in entered and not members & entered]
 
 
 def run_config_fields() -> List[str]:
@@ -206,7 +231,7 @@ def parent_main(args) -> int:
 
     defined = defined_functions()
     entered = set().union(*(set(r["entered"]) for r in results.values()))
-    never_entered = [key for key in defined if key not in entered]
+    never = never_entered(defined, entered)
     fields = run_config_fields()
     set_by = {field: sorted(name for name, r in results.items()
                             if field in r["run_config_set"]) for field in fields}
@@ -215,8 +240,8 @@ def parent_main(args) -> int:
                                 "functions_entered": len(r["entered"])}
                          for name, r in results.items()},
         "functions_defined": len(defined),
-        "functions_never_entered_count": len(never_entered),
-        "functions_never_entered": never_entered,
+        "functions_never_entered_count": len(never),
+        "functions_never_entered": never,
         "run_config_fields": len(fields),
         "run_config_never_set": [field for field in fields if not set_by[field]],
         "run_config_set_by": {field: names for field, names in set_by.items() if names},
@@ -226,7 +251,7 @@ def parent_main(args) -> int:
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=1)
         handle.write("\n")
-    print(f"[census] {len(never_entered)} of {len(defined)} src functions never "
+    print(f"[census] {len(never)} of {len(defined)} src functions never "
           f"entered; {len(report['run_config_never_set'])} of {len(fields)} RunConfig "
           f"fields never set -> {args.out}")
     failed = [name for name, r in results.items() if r["status"] != 0]

@@ -1,7 +1,9 @@
 """NumPy-based automatic differentiation and neural-network substrate.
 
 This package replaces PyTorch for the reproduction: a reverse-mode autograd
-:class:`Tensor`, ``nn``-style modules, functional ops and optimisers.
+:class:`Tensor`, ``nn``-style modules, functional ops and the Adam optimiser.
+It keeps what the MoE transformer and the test oracles of its fused nodes
+call, and nothing else.
 """
 
 from . import functional
@@ -9,30 +11,23 @@ from .grad_utils import gradient_norm
 from .nn import (
     Dropout,
     Embedding,
-    LayerNorm,
     Linear,
     Module,
     ModuleList,
     Parameter,
     RMSNorm,
-    Sequential,
 )
-from .optim import SGD, Adam, AdamBuffers, AdamW, Optimizer
+from .optim import Adam, AdamBuffers, Optimizer
 from .tensor import (
     Tensor,
-    concatenate,
     default_dtype,
-    expand_rows,
     get_default_dtype,
-    index_add,
     is_grad_enabled,
     no_grad,
     place_rows,
     scatter_rows,
     set_default_dtype,
-    stack,
     take_rows,
-    where,
 )
 
 __all__ = [
@@ -42,12 +37,7 @@ __all__ = [
     "default_dtype",
     "get_default_dtype",
     "set_default_dtype",
-    "stack",
-    "concatenate",
-    "where",
     "scatter_rows",
-    "index_add",
-    "expand_rows",
     "take_rows",
     "place_rows",
     "functional",
@@ -55,14 +45,10 @@ __all__ = [
     "Parameter",
     "Linear",
     "Embedding",
-    "LayerNorm",
     "RMSNorm",
     "Dropout",
     "ModuleList",
-    "Sequential",
     "Optimizer",
-    "SGD",
     "Adam",
-    "AdamW",
     "gradient_norm",
 ]

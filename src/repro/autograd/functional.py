@@ -1,9 +1,9 @@
 """Functional building blocks on top of :class:`repro.autograd.Tensor`.
 
 These helpers mirror ``torch.nn.functional`` for the operations the MoE
-substrate needs: embedding lookup, cross-entropy loss, normalisation, dropout
-and the affine map.  Each function is differentiable with respect to its
-tensor inputs.
+substrate needs: embedding lookup, cross-entropy loss, RMS normalisation,
+dropout and the affine map.  Each function is differentiable with respect to
+its tensor inputs.
 
 Fused nodes
 -----------
@@ -110,15 +110,6 @@ def cross_entropy(
     return losses.sum() * (1.0 / denom)
 
 
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation across the last dimension."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / ((var + eps) ** 0.5)
-    return normed * weight + bias
-
-
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     """Root-mean-square normalisation (LLaMA-style, no mean subtraction)."""
     x_data = x.data
@@ -158,11 +149,6 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     rng = rng or np.random.default_rng()
     mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return x * Tensor(mask)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` (thin wrapper kept for API parity)."""
-    return x.softmax(axis=axis)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

@@ -21,10 +21,10 @@ class AllocationOnlyGenerator(np.random.Generator):
 
     Pass it as ``rng`` when building a module whose every parameter is
     overwritten right after construction (a clone about to ``load_state``):
-    :func:`kaiming_uniform`, :func:`xavier_uniform` and :func:`normal_` then
-    return uninitialised buffers of the usual shape and dtype and leave the
-    stream untouched.  It is a real generator for everything else, so a
-    ``Dropout`` or gate-noise source that keeps it still draws proper noise.
+    :func:`kaiming_uniform` and :func:`normal_` then return uninitialised
+    buffers of the usual shape and dtype and leave the stream untouched.  It
+    is a real generator for everything else, so a ``Dropout`` or gate-noise
+    source that keeps it still draws proper noise.
     """
 
 
@@ -44,18 +44,6 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] =
     rng = rng or np.random.default_rng()
     fan_in = shape[-1] if len(shape) > 1 else shape[0]
     bound = np.sqrt(6.0 / max(fan_in, 1))
-    return _cast(rng.uniform(-bound, bound, size=shape), dtype)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
-                   dtype=None) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation using fan-in + fan-out."""
-    if isinstance(rng, AllocationOnlyGenerator):
-        return _allocate(shape, dtype)
-    rng = rng or np.random.default_rng()
-    fan_in = shape[-1]
-    fan_out = shape[0]
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return _cast(rng.uniform(-bound, bound, size=shape), dtype)
 
 

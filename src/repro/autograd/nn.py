@@ -2,8 +2,8 @@
 
 Provides :class:`Module` (parameter registration, ``state_dict``/``load_state_dict``,
 train/eval modes) plus the concrete layers used by the MoE transformer:
-:class:`Linear`, :class:`Embedding`, :class:`LayerNorm`, :class:`RMSNorm`,
-:class:`Dropout`, and container types :class:`ModuleList` / :class:`Sequential`.
+:class:`Linear`, :class:`Embedding`, :class:`RMSNorm`, :class:`Dropout`, and the
+container :class:`ModuleList`.
 """
 
 from __future__ import annotations
@@ -179,20 +179,6 @@ class Embedding(Module):
         return F.embedding(self.weight, indices)
 
 
-class LayerNorm(Module):
-    """Standard layer normalisation with learnable scale and shift."""
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        self.weight = Parameter(ones_(dim))
-        self.bias = Parameter(zeros_(dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
-
-
 class RMSNorm(Module):
     """RMS normalisation (no centering), as used in LLaMA-family models."""
 
@@ -247,26 +233,3 @@ class ModuleList(Module):
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._items)
-
-
-class Sequential(Module):
-    """Feed-forward composition of modules."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._items: List[Module] = []
-        for module in modules:
-            index = len(self._items)
-            self._items.append(module)
-            self._modules[str(index)] = module
-
-    def forward(self, x):
-        for module in self._items:
-            x = module(x)
-        return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)

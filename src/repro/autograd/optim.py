@@ -1,6 +1,6 @@
-"""Gradient-descent optimisers (SGD, Adam, AdamW) for the reproduction.
+"""The Adam optimiser the reproduction trains with.
 
-Each optimiser owns a list of parameters and implements ``step()`` /
+An optimiser owns a list of parameters and implements ``step()`` /
 ``zero_grad()`` mirroring the ``torch.optim`` interface.  Parameters whose
 ``requires_grad`` flag is ``False`` or whose gradient is ``None`` are skipped,
 which is how the federated clients implement expert-only / frozen-expert
@@ -52,44 +52,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        #: per-position scratch and velocity, allocated on a parameter's first step
-        self._scratch: Dict[int, np.ndarray] = {}
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for position, param in enumerate(self.params):
-            if not param.requires_grad or param.grad is None:
-                continue
-            grad = param.grad
-            scratch = self._scratch.get(position)
-            if scratch is None:
-                scratch = self._scratch[position] = np.empty_like(param.data)
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=scratch)
-                np.add(scratch, grad, out=scratch)
-                grad = scratch
-            if self.momentum:
-                buf = self._velocity.get(position)
-                if buf is None:
-                    buf = self._velocity[position] = np.zeros_like(param.data)
-                np.multiply(buf, self.momentum, out=buf)
-                np.add(buf, grad, out=buf)
-                grad = buf
-            np.multiply(grad, self.lr, out=scratch)
-            param.data -= scratch
 
 
 class AdamBuffers:
@@ -229,15 +191,10 @@ class Adam(Optimizer):
         self._t += 1
         for layout, touched in zip(self._layouts, self._touched):
             for first, stop, done in layout.runs(touched):
-                self._step_run(layout, first, stop, done, *self._decay())
+                self._step_run(layout, first, stop, done)
                 touched[first:stop] = [True] * (stop - first)
 
-    def _decay(self) -> Tuple[float, float]:
-        """``(l2, decoupled)`` weight decay: Adam adds it to the gradient."""
-        return self.weight_decay, 0.0
-
-    def _step_run(self, layout: _Layout, first: int, stop: int, touched: bool,
-                  l2: float, decoupled: float) -> None:
+    def _step_run(self, layout: _Layout, first: int, stop: int, touched: bool) -> None:
         """One step of ``layout.params[first:stop]``: present, in one chunk, all
         ``touched`` or none."""
         beta1, beta2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
@@ -249,19 +206,12 @@ class Adam(Optimizer):
         m, v = layout.m[lo:hi], layout.v[lo:hi]
         grad, s1, s2 = (array[lo - start:hi - start] for array in (layout.grad, layout.s1, layout.s2))
         np.concatenate([param.grad for param in params], axis=None, out=grad)
-        if l2 or decoupled:
-            chunk = layout.buffers.array("data", layout.dtype, layout.width)
-            data = chunk[lo - start:hi - start]
+        if self.weight_decay:
+            data = layout.buffers.array("data", layout.dtype, layout.width)[lo - start:hi - start]
             np.concatenate([param.data for param in params], axis=None, out=data)
-            if decoupled:
-                # AdamW: param -= (lr * weight_decay) * param, before the Adam update
-                np.multiply(data, lr * decoupled, out=data)
-                for param, shrink in zip(params, layout.views(chunk)[first:stop]):
-                    param.data -= shrink
-            else:
-                # grad = weight_decay * param + grad
-                np.multiply(data, l2, out=s1)
-                np.add(s1, grad, out=grad)
+            # grad = weight_decay * param + grad
+            np.multiply(data, self.weight_decay, out=s1)
+            np.add(s1, grad, out=grad)
         if touched:
             # m = beta1 * m + (1 - beta1) * grad
             np.multiply(m, beta1, out=m)
@@ -288,11 +238,3 @@ class Adam(Optimizer):
         np.divide(s1, s2, out=grad)
         for param, update in zip(params, layout.updates[first:stop]):
             param.data -= update
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def _decay(self) -> Tuple[float, float]:
-        """AdamW shrinks the parameter before the update instead."""
-        return 0.0, self.weight_decay

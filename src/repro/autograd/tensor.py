@@ -10,10 +10,11 @@ operation returns a new tensor whose ``_backward`` closure knows how to push
 the output gradient onto the operands.  ``backward()`` runs a topological sort
 over the recorded graph and calls those closures in reverse order.
 
-Only the operations needed by the MoE transformer substrate are implemented,
-but they are implemented completely (full broadcasting support, stable
-softmax/log-softmax, fancy-index gather/scatter for embeddings and expert
-routing).
+Only the operations the MoE transformer substrate (LLaMA-MoE / DeepSeek-MoE
+style: SiLU experts, RMSNorm, attention) and the composed oracles of its
+fused nodes (``tests/composed_oracles.py``) call are implemented, but they are
+implemented completely (full broadcasting support, stable softmax/log-softmax,
+fancy-index gather/scatter for embeddings and expert routing).
 """
 
 from __future__ import annotations
@@ -302,24 +303,6 @@ class Tensor:
                 node._prev = ()
                 node._backward_fn = _freed_backward
 
-    # ----------------------------------------------------------- constructors
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype or _default_dtype), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype or _default_dtype), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape: int, requires_grad: bool = False, rng: Optional[np.random.Generator] = None,
-              dtype=None) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        # Always draw in float64 and cast so that the random stream (and hence
-        # seeded model initialisation) is identical across dtypes.
-        values = rng.standard_normal(shape).astype(dtype or _default_dtype, copy=False)
-        return Tensor(values, requires_grad=requires_grad)
-
     # ------------------------------------------------------------- arithmetic
     def _wrap_operand(self, other: ArrayLike) -> "Tensor":
         """Coerce a binary-op operand to a Tensor.
@@ -361,12 +344,6 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-self._wrap_operand(other))
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._wrap_operand(other) + (-self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._wrap_operand(other)
         out = self._make_child(self.data * other.data, (self, other))
@@ -382,6 +359,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
+    # kept for the RMSNorm oracle (``composed_rms_norm``: ``x / rms``)
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._wrap_operand(other)
         out = self._make_child(self.data / other.data, (self, other))
@@ -398,9 +376,7 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._wrap_operand(other) / self
-
+    # kept for the RMSNorm oracle (``composed_rms_norm``: ``** 0.5``)
     def __pow__(self, exponent: float) -> "Tensor":
         # np.power is an elementwise transcendental and dominates small-model
         # profiles (rms_norm calls ** 0.5 on every block); route the common
@@ -473,6 +449,7 @@ class Tensor:
         out._backward = _backward
         return out
 
+    # kept for the RMSNorm oracle (``composed_rms_norm``: the mean square)
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
             count = self.data.size
@@ -481,109 +458,15 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make_child(out_data, (self,))
-
-        def _backward() -> None:
-            if not self.requires_grad:
-                return
-            expanded = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == expanded).astype(self.data.dtype)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            grad = out.grad
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % self.data.ndim for a in axes)
-                shape = list(grad.shape)
-                for a in sorted(axes):
-                    shape.insert(a, 1)
-                grad = grad.reshape(shape)
-            self._accumulate(mask * grad, owned=True)
-
-        out._backward = _backward
-        return out
-
     # ----------------------------------------------------------- element-wise
-    def exp(self) -> "Tensor":
-        out = self._make_child(np.exp(self.data), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * out.data, owned=True)
-
-        out._backward = _backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = self._make_child(np.log(self.data), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data, owned=True)
-
-        out._backward = _backward
-        return out
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
-    def tanh(self) -> "Tensor":
-        out = self._make_child(np.tanh(self.data), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out.data ** 2), owned=True)
-
-        out._backward = _backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make_child(value, (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * out.data * (1.0 - out.data), owned=True)
-
-        out._backward = _backward
-        return out
-
-    def relu(self) -> "Tensor":
-        out = self._make_child(np.maximum(self.data, 0.0), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(out.grad * (self.data > 0), owned=True)
-
-        out._backward = _backward
-        return out
-
     def silu(self) -> "Tensor":
-        """SiLU / swish activation, used by LLaMA-style expert FFNs."""
+        """SiLU / swish, the one nonlinearity: every expert FFN's activation."""
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out = self._make_child(self.data * sig, (self,))
 
         def _backward() -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * (sig * (1.0 + self.data * (1.0 - sig))), owned=True)
-
-        out._backward = _backward
-        return out
-
-    def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation)."""
-        c = float(np.sqrt(2.0 / np.pi))    # a Python float keeps float32 inputs float32
-        inner = c * (self.data + 0.044715 * self.data ** 3)
-        tanh_inner = np.tanh(inner)
-        value = 0.5 * self.data * (1.0 + tanh_inner)
-        out = self._make_child(value, (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                d_inner = c * (1.0 + 3 * 0.044715 * self.data ** 2)
-                deriv = 0.5 * (1.0 + tanh_inner) + 0.5 * self.data * (1.0 - tanh_inner ** 2) * d_inner
-                self._accumulate(out.grad * deriv, owned=True)
 
         out._backward = _backward
         return out
@@ -614,16 +497,6 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        out = self._make_child(np.swapaxes(self.data, axis1, axis2), (self,))
-
-        def _backward() -> None:
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(out.grad, axis1, axis2))
-
-        out._backward = _backward
-        return out
-
     def __getitem__(self, index) -> "Tensor":
         out = self._make_child(self.data[index], (self,))
 
@@ -637,6 +510,7 @@ class Tensor:
         return out
 
     # ----------------------------------------------------- composite functions
+    # kept for the attention oracle (``composed_attention``: the score softmax)
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)
@@ -668,43 +542,6 @@ class Tensor:
         return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-    requires = _grad_enabled and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _prev=tuple(tensors) if requires else ())
-
-    def _backward() -> None:
-        grads = np.split(out.grad, len(tensors), axis=axis)
-        for tensor, grad in zip(tensors, grads):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(grad, axis=axis))
-
-    out._backward = _backward
-    return out
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis with gradient support."""
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = _grad_enabled and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _prev=tuple(tensors) if requires else ())
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _backward() -> None:
-        for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                slicer = [slice(None)] * out.grad.ndim
-                slicer[axis] = slice(start, end)
-                tensor._accumulate(out.grad[tuple(slicer)])
-
-    out._backward = _backward
-    return out
-
-
 def scatter_rows(src: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
     """Scatter-add rows of ``src`` into a new ``(num_rows, dim)`` tensor.
 
@@ -723,28 +560,6 @@ def scatter_rows(src: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
     def _backward() -> None:
         if src.requires_grad:
             src._accumulate(out.grad[rows], owned=True)
-
-    out._backward = _backward
-    return out
-
-
-def expand_rows(src: Tensor, repeats: int) -> Tensor:
-    """Repeat every row of ``src`` ``repeats`` times: ``out[i] = src[i // repeats]``.
-
-    The backward pass is a reshape + sum over the repeat axis — no scatter —
-    which makes this the cheap way to expand ``(tokens, d)`` hidden states to
-    ``(tokens * top_k, d)`` per-assignment rows in the batched MoE dispatch.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    data = np.repeat(src.data, repeats, axis=0)
-    requires = _grad_enabled and src.requires_grad
-    out = Tensor(data, requires_grad=requires, _prev=(src,) if requires else ())
-
-    def _backward() -> None:
-        if src.requires_grad:
-            shape = (src.data.shape[0], repeats) + src.data.shape[1:]
-            src._accumulate(out.grad.reshape(shape).sum(axis=1), owned=True)
 
     out._backward = _backward
     return out
@@ -778,9 +593,10 @@ def place_rows(src: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
     """Scatter rows of ``src`` into a zero tensor: ``out[rows[i]] = src[i]``.
 
     ``rows`` must contain **unique** destinations (this is assignment, not
-    accumulation — see :func:`scatter_rows`/:func:`index_add` for the
-    duplicate-safe variants).  The backward pass is a plain gather.  Used to
-    build the padded per-expert workspace of the batched MoE dispatch.
+    accumulation — see :func:`scatter_rows` for the duplicate-safe
+    variant).  The backward pass is a plain gather.  Used to put the rows a
+    pass read back at full height (a shared expert's live rows, the
+    supervised positions' losses).
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or rows.shape[0] != src.data.shape[0]:
@@ -793,55 +609,6 @@ def place_rows(src: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
     def _backward() -> None:
         if src.requires_grad:
             src._accumulate(out.grad[rows], owned=True)
-
-    out._backward = _backward
-    return out
-
-
-def index_add(base: Tensor, rows: np.ndarray, src: Tensor) -> Tensor:
-    """Row-wise scatter-add of ``src`` into ``base``: ``out[rows[i]] += src[i]``.
-
-    Unlike :func:`scatter_rows`, which always materialises a fresh zero-filled
-    output, ``index_add`` accumulates **in place** into ``base``'s buffer and
-    returns a tensor sharing it.  ``base`` must therefore be a tensor the
-    caller created for this purpose (e.g. ``Tensor.zeros``) and must not be
-    reused afterwards.  This is the combine primitive of the batched MoE
-    dispatch path: all routed-token outputs are accumulated with a single
-    ``np.add.at`` instead of one full-size temporary per expert.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or rows.shape[0] != src.data.shape[0]:
-        raise ValueError("rows must be a 1-D index array matching src's first dimension")
-    if base.data.shape[1:] != src.data.shape[1:]:
-        raise ValueError("base and src must agree on trailing dimensions")
-    np.add.at(base.data, rows, src.data)
-    requires = _grad_enabled and (base.requires_grad or src.requires_grad)
-    out = Tensor(base.data, requires_grad=requires, _prev=(base, src) if requires else ())
-
-    def _backward() -> None:
-        if base.requires_grad:
-            base._accumulate(out.grad)
-        if src.requires_grad:
-            src._accumulate(out.grad[rows], owned=True)
-
-    out._backward = _backward
-    return out
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise select with gradient flow to both branches."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    data = np.where(cond, a.data, b.data)
-    requires = _grad_enabled and (a.requires_grad or b.requires_grad)
-    out = Tensor(data, requires_grad=requires, _prev=(a, b) if requires else ())
-
-    def _backward() -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * cond, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * (~cond), b.shape), owned=True)
 
     out._backward = _backward
     return out

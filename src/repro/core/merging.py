@@ -77,9 +77,8 @@ def merge_cluster(model: MoETransformer, layer: int, members: Sequence[int],
     """Merge the experts ``members`` of ``layer`` into one frozen expert (``out``, else new)."""
     experts = [model.get_expert(layer, int(e)) for e in members]
     weights = merge_weights(members, frequencies, attentions, strategy)
-    config = model.config
-    merged = ExpertFFN.merge(experts, weights, d_model=config.d_model,
-                             d_ff=experts[0].d_ff, activation=config.activation, out=out)
+    merged = ExpertFFN.merge(experts, weights, d_model=model.config.d_model,
+                             d_ff=experts[0].d_ff, out=out)
     merged.freeze()
     return merged
 

@@ -23,9 +23,15 @@ from .transformer import MoETransformer
 
 _CONFIG_KEY = "__config_json__"
 
-#: ``MoEModelConfig`` fields that no longer exist (``dispatch``: the MoE layer
-#: has one kernel), dropped from an older archive's embedded config on load
-_RETIRED_CONFIG_FIELDS = frozenset({"dispatch"})
+#: ``MoEModelConfig`` fields that no longer exist, dropped from an older
+#: archive's embedded config on load, with the saved values that still load
+#: (``None``: any).  ``dispatch`` chose between MoE kernels computing the same
+#: function; ``activation`` chose the experts' nonlinearity, and SiLU is the
+#: only one left, so a model saved under another refuses to load.
+_RETIRED_CONFIG_FIELDS: Dict[str, Optional[Tuple]] = {
+    "dispatch": None,
+    "activation": ("silu",),
+}
 
 
 def save_checkpoint(model: MoETransformer, path: Union[str, "os.PathLike[str]"]) -> str:
@@ -153,5 +159,9 @@ def _config_from_archive(archive) -> MoEModelConfig:
     if _CONFIG_KEY not in archive.files:
         raise KeyError("checkpoint is missing its embedded config")
     raw = json.loads(str(archive[_CONFIG_KEY]))
+    for key, loadable in _RETIRED_CONFIG_FIELDS.items():
+        if key in raw and loadable is not None and raw[key] not in loadable:
+            raise ValueError(f"checkpoint was written under {key}={raw[key]!r}, a retired "
+                             "setting whose code is gone; this model cannot be loaded")
     return MoEModelConfig(**{key: value for key, value in raw.items()
                              if key not in _RETIRED_CONFIG_FIELDS})

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Union
 
-from .experts import ACTIVATIONS
-
 
 @dataclass
 class MoEModelConfig:
@@ -32,7 +30,6 @@ class MoEModelConfig:
     dropout: float = 0.0
     rms_norm_eps: float = 1e-6
     tie_embeddings: bool = True
-    activation: str = "silu"
     gate_noise_std: float = 0.0
     seed: int = 0
     #: parameter/compute dtype of the built model: "float32" (the training dtype
@@ -47,8 +44,6 @@ class MoEModelConfig:
             raise ValueError("top_k must be at least 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         experts = self.experts_per_layer()
         if any(e < 1 for e in experts):
             raise ValueError("every layer needs at least one expert")
@@ -82,33 +77,6 @@ class MoEModelConfig:
     def expert_parameter_count(self) -> int:
         """Number of parameters in a single expert FFN (SwiGLU: 3 matrices)."""
         return 3 * self.d_model * self.d_ff
-
-    def dense_parameter_count(self) -> int:
-        """Parameters outside the routed experts (embeddings, attention, norms, gates, shared experts)."""
-        attn = self.n_layers * 4 * self.d_model * self.d_model
-        norms = self.n_layers * 2 * self.d_model + self.d_model
-        gates = sum(self.d_model * e for e in self.experts_per_layer())
-        shared = self.n_layers * self.num_shared_experts * self.expert_parameter_count()
-        embeddings = self.vocab_size * self.d_model
-        if not self.tie_embeddings:
-            embeddings *= 2
-        return attn + norms + gates + shared + embeddings
-
-    def total_parameter_count(self) -> int:
-        """Analytical total parameter count of the model."""
-        return self.dense_parameter_count() + self.total_experts * self.expert_parameter_count()
-
-    def expert_fraction(self) -> float:
-        """Fraction of all parameters held by routed experts.
-
-        The paper reports that experts account for more than two-thirds of an
-        MoE LLM; this property lets tests assert the substrate preserves that
-        structural property.
-        """
-        total = self.total_parameter_count()
-        if total == 0:
-            return 0.0
-        return self.total_experts * self.expert_parameter_count() / total
 
 
 @dataclass

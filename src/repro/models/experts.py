@@ -12,10 +12,6 @@ from ..autograd.init import AllocationOnlyGenerator
 #: per-expert weight matrices in stacking order
 EXPERT_WEIGHT_KEYS = ("w_gate", "w_up", "w_down")
 
-#: the activations an expert (and the MoE layer's fused kernel) evaluates
-ACTIVATIONS = ("silu", "gelu", "relu")
-
-
 def stack_expert_weights(experts: Sequence["ExpertFFN"]) -> Dict[str, np.ndarray]:
     """Stack each weight matrix of ``experts`` into one ``(num_experts, ...)`` array.
 
@@ -39,42 +35,32 @@ class ExpertFFN(Module):
 
     Each expert owns three weight matrices; the paper's observation that
     experts dominate the parameter count of MoE LLMs follows directly from
-    replicating this block per expert.
+    replicating this block per expert.  SiLU is the only nonlinearity: both
+    model families the paper fine-tunes use it, and so does the MoE layer's
+    fused kernel.
     """
 
-    def __init__(self, d_model: int, d_ff: int, activation: str = "silu",
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, d_model: int, d_ff: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; supported: {ACTIVATIONS}")
         self.d_model = d_model
         self.d_ff = d_ff
-        self.activation = activation
         rng = rng or np.random.default_rng()
         self.w_gate = Linear(d_model, d_ff, bias=False, rng=rng)
         self.w_up = Linear(d_model, d_ff, bias=False, rng=rng)
         self.w_down = Linear(d_ff, d_model, bias=False, rng=rng)
 
     @classmethod
-    def allocate(cls, d_model: int, d_ff: int, activation: str = "silu") -> "ExpertFFN":
+    def allocate(cls, d_model: int, d_ff: int) -> "ExpertFFN":
         """An expert whose matrices are allocated but not drawn.
 
         For experts whose three matrices are all set right away (a copy about
         to ``load_state``, a merge): the values are uninitialised memory
         until then.  Shapes and dtype are those of ``cls(d_model, d_ff)``.
         """
-        return cls(d_model, d_ff, activation=activation,
-                   rng=AllocationOnlyGenerator(np.random.PCG64(0)))
-
-    def _activate(self, x: Tensor) -> Tensor:
-        if self.activation == "silu":
-            return x.silu()
-        if self.activation == "gelu":
-            return x.gelu()
-        return x.relu()
+        return cls(d_model, d_ff, rng=AllocationOnlyGenerator(np.random.PCG64(0)))
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.w_down(self._activate(self.w_gate(x)) * self.w_up(x))
+        return self.w_down(self.w_gate(x).silu() * self.w_up(x))
 
     # ------------------------------------------------------------- utilities
     def weight_vector(self) -> np.ndarray:
@@ -108,11 +94,8 @@ class ExpertFFN(Module):
         self.w_up.weight.data[...] = state["w_up"]
         self.w_down.weight.data[...] = state["w_down"]
 
-    def num_parameters(self, trainable_only: bool = False) -> int:
-        return super().num_parameters(trainable_only=trainable_only)
-
     @staticmethod
-    def merge(experts, weights, d_model: int, d_ff: int, activation: str = "silu",
+    def merge(experts, weights, d_model: int, d_ff: int,
               stacked: Optional[Dict[str, np.ndarray]] = None,
               out: Optional["ExpertFFN"] = None) -> "ExpertFFN":
         """An expert whose matrices are the weighted average of ``experts``.
@@ -158,9 +141,9 @@ class ExpertFFN(Module):
             # inherit the members' dtype so merging never upcasts a float32
             # model's compacted experts back to float64
             with default_dtype(source_dtype):
-                merged = ExpertFFN.allocate(d_model, d_ff, activation=activation)
+                merged = ExpertFFN.allocate(d_model, d_ff)
         else:
-            merged = ExpertFFN.allocate(d_model, d_ff, activation=activation)
+            merged = ExpertFFN.allocate(d_model, d_ff)
         for key in EXPERT_WEIGHT_KEYS:
             if stacked[key].shape[0] != len(experts):
                 raise ValueError("stacked weight arrays must cover exactly the merged experts")

@@ -52,18 +52,6 @@ class RoutingRecord:
             sample_ids=[set() for _ in range(num_experts)],
         )
 
-    def merge(self, other: "RoutingRecord") -> "RoutingRecord":
-        """Accumulate another record (same layer) into this one."""
-        if other.num_experts != self.num_experts:
-            raise ValueError("cannot merge routing records with different expert counts")
-        self.token_counts += other.token_counts
-        self.total_tokens += other.total_tokens
-        self.attention_sums += other.attention_sums
-        self.gate_weight_sums += other.gate_weight_sums
-        for mine, theirs in zip(self.sample_ids, other.sample_ids):
-            mine.update(theirs)
-        return self
-
     def activation_frequency(self) -> np.ndarray:
         """Fraction of token assignments that each expert received."""
         total = self.token_counts.sum()

@@ -2,11 +2,13 @@
 
 The paper's implementation section (§7) notes that Flux "supports the
 integration of additional fine-tuning optimization techniques, such as Adapter
-and LoRA".  This module provides that integration: a :class:`LoRALinear`
-wrapper that adds a trainable low-rank update to a frozen linear layer, and
-helpers to wrap/unwrap the experts of an MoE transformer so that federated
-updates exchange only the small adapter matrices instead of full expert
-weights.
+and LoRA".  This module provides that integration: :class:`LoRALinear` adds a
+trainable low-rank update to a frozen linear layer, :class:`LoRAExpert` puts
+one on each projection of an expert, :func:`apply_lora_to_experts` wraps a
+model's experts in place, and :meth:`LoRAExpert.adapter_state` is what a
+participant uploads instead of the full expert weights
+(:func:`lora_parameter_savings` measures the saving).  A layer holding a
+LoRA expert runs the MoE layer's per-expert loop.
 """
 
 from __future__ import annotations
@@ -50,26 +52,12 @@ class LoRALinear(Module):
         update = (x @ self.lora_a.transpose()) @ self.lora_b.transpose()
         return frozen + update * self.scaling
 
-    def delta_weight(self) -> np.ndarray:
-        """The effective weight update ``B @ A * scaling`` added by the adapter."""
-        return self.lora_b.data @ self.lora_a.data * self.scaling
-
-    def merge_into_base(self) -> Linear:
-        """Fold the adapter into the frozen weights and return the base layer."""
-        self.base.weight.data += self.delta_weight()
-        self.lora_b.data[...] = 0.0
-        return self.base
-
     def adapter_state(self) -> Dict[str, np.ndarray]:
         return {"lora_a": self.lora_a.data.copy(), "lora_b": self.lora_b.data.copy()}
 
-    def load_adapter_state(self, state: Dict[str, np.ndarray]) -> None:
-        self.lora_a.data[...] = state["lora_a"]
-        self.lora_b.data[...] = state["lora_b"]
-
 
 class LoRAExpert(Module):
-    """An :class:`ExpertFFN` whose three projections carry LoRA adapters."""
+    """An :class:`ExpertFFN` whose three projections carry LoRA adapters (SiLU, like it)."""
 
     def __init__(self, expert: ExpertFFN, rank: int = 4, alpha: float = 8.0,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -77,20 +65,12 @@ class LoRAExpert(Module):
         rng = rng or np.random.default_rng()
         self.d_model = expert.d_model
         self.d_ff = expert.d_ff
-        self.activation = expert.activation
         self.w_gate = LoRALinear(expert.w_gate, rank=rank, alpha=alpha, rng=rng)
         self.w_up = LoRALinear(expert.w_up, rank=rank, alpha=alpha, rng=rng)
         self.w_down = LoRALinear(expert.w_down, rank=rank, alpha=alpha, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        hidden = self.w_gate(x)
-        if self.activation == "silu":
-            activated = hidden.silu()
-        elif self.activation == "gelu":
-            activated = hidden.gelu()
-        else:
-            activated = hidden.relu()
-        return self.w_down(activated * self.w_up(x))
+        return self.w_down(self.w_gate(x).silu() * self.w_up(x))
 
     def adapter_state(self) -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {}
@@ -98,17 +78,6 @@ class LoRAExpert(Module):
             for key, value in getattr(self, name).adapter_state().items():
                 state[f"{name}.{key}"] = value
         return state
-
-    def load_adapter_state(self, state: Dict[str, np.ndarray]) -> None:
-        for name in ("w_gate", "w_up", "w_down"):
-            getattr(self, name).load_adapter_state({
-                "lora_a": state[f"{name}.lora_a"],
-                "lora_b": state[f"{name}.lora_b"],
-            })
-
-    def num_adapter_parameters(self) -> int:
-        return sum(layer.lora_a.data.size + layer.lora_b.data.size
-                   for layer in (self.w_gate, self.w_up, self.w_down))
 
 
 def apply_lora_to_experts(model: MoETransformer, expert_keys: Optional[Iterable[ExpertKey]] = None,

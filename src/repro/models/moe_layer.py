@@ -43,9 +43,6 @@ once over all assignments; the hand-written backward walks the same segments,
 keeps its temporaries in persistent per-layer scratch, and hands every expert
 its weight gradient as a fresh array the parameter adopts.  The autograd graph
 has O(1) nodes per layer instead of O(num_experts).
-(:func:`~repro.autograd.index_add` / ``take_rows`` / ``place_rows`` /
-``expand_rows`` are the composable building blocks of grouped layouts, kept as
-public autograd ops.)
 
 The fallback is :meth:`MoELayer._combine_loop`, the per-expert Python loop
 (one gather, FFN call and ``scatter_rows`` per expert), which calls each
@@ -55,9 +52,11 @@ plain :class:`~repro.models.experts.ExpertFFN` — a
 loop is also the kernel's test oracle: a segment's GEMMs have exactly the
 loop's shapes and operand layouts, so the fused node reproduces its outputs,
 gate-weight gradients and expert gradients bit for bit, in float64 and
-float32.  Every expert of a layer has the layer's ``(d_model, d_ff)`` and an
-activation the kernel evaluates: both are checked where experts enter
-(:class:`~repro.models.experts.ExpertFFN`, :meth:`MoELayer.set_compact_experts`).
+float32, at ``top_k`` <= 2 (every preset's); at a larger ``top_k`` a token's
+expert outputs are summed in another grouping and agree to a few ULP.  Every
+expert of a layer has the layer's ``(d_model, d_ff)`` and dtype, checked
+where experts enter (:meth:`MoELayer.set_compact_experts`), and SiLU, the one
+nonlinearity of :class:`~repro.models.experts.ExpertFFN`.
 """
 
 from __future__ import annotations
@@ -106,7 +105,6 @@ class MoELayer(Module):
         num_experts: int,
         top_k: int,
         num_shared_experts: int = 0,
-        activation: str = "silu",
         gate_noise_std: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -116,13 +114,12 @@ class MoELayer(Module):
         self.d_ff = d_ff
         self.num_original_experts = num_experts
         self.top_k = top_k
-        self.activation = activation
         self.gate = GatingNetwork(d_model, num_experts, top_k, noise_std=gate_noise_std, rng=rng)
         self.experts = ModuleList([
-            ExpertFFN(d_model, d_ff, activation=activation, rng=rng) for _ in range(num_experts)
+            ExpertFFN(d_model, d_ff, rng=rng) for _ in range(num_experts)
         ])
         self.shared_experts = ModuleList([
-            ExpertFFN(d_model, d_ff, activation=activation, rng=rng) for _ in range(num_shared_experts)
+            ExpertFFN(d_model, d_ff, rng=rng) for _ in range(num_shared_experts)
         ])
         self.remap = ExpertRemap.identity(num_experts)
         #: resident modules :meth:`mount_compact` runs in place of experts it
@@ -132,9 +129,6 @@ class MoELayer(Module):
         self._full_experts: Optional[Tuple[ExpertFFN, ...]] = None
         #: routing statistics of the most recent forward pass
         self.last_routing: Optional[RoutingRecord] = None
-        #: when True, routing statistics are accumulated across forward passes
-        self.accumulate_routing: bool = False
-        self._accumulated: Optional[RoutingRecord] = None
         #: when set, routing statistics accumulate here per group of batch
         #: rows instead (a pass then leaves no ``last_routing``)
         self.routing_groups: Optional[GroupedRouting] = None
@@ -193,8 +187,7 @@ class MoELayer(Module):
         """
         while len(self._spare_experts) <= index:
             with default_dtype(self.gate.proj.weight.data.dtype):
-                self._spare_experts.append(
-                    ExpertFFN.allocate(self.d_model, self.d_ff, activation=self.activation))
+                self._spare_experts.append(ExpertFFN.allocate(self.d_model, self.d_ff))
         return self._spare_experts[index]
 
     def mount_compact(self, kept: Sequence[int], absorbed: Sequence[Sequence[int]]) -> None:
@@ -229,20 +222,12 @@ class MoELayer(Module):
             self.remap = ExpertRemap.identity(self.num_original_experts)
             self._full_experts = None
 
-    def reset_routing_accumulator(self) -> None:
-        self._accumulated = None
-
     def drop_pass_state(self) -> None:
         """Forget what forward/backward passes left here: routing records
-        (accumulation off) and the activation-sized backward workspaces."""
+        (grouping off) and the activation-sized backward workspaces."""
         self.last_routing = None
-        self.accumulate_routing = False
-        self._accumulated = None
         self.routing_groups = None
         self._bwd_scratch.clear()
-
-    def accumulated_routing(self) -> Optional[RoutingRecord]:
-        return self._accumulated
 
     # --------------------------------------------------------------- forward
     def forward(
@@ -307,9 +292,9 @@ class MoELayer(Module):
 
         Takes :meth:`forward`'s arguments, runs no expert, and returns
         ``(top_idx, top_weights)`` — original expert ids ``(tokens, top_k)``
-        and their normalised gate weights.  ``last_routing`` (and the
-        accumulator) are updated exactly as by a full forward, which is all
-        activation profiling needs of a model's last layer.
+        and their normalised gate weights.  ``last_routing`` (or
+        :attr:`routing_groups`) is updated exactly as by a full forward, which
+        is all activation profiling needs of a model's last layer.
         """
         batch, seq_len, d_model = x.shape
         return self._route(x.reshape(batch * seq_len, d_model), seq_len,
@@ -335,7 +320,8 @@ class MoELayer(Module):
 
         Runs experts :meth:`_combine_batched` cannot (any module that is not a
         plain :class:`ExpertFFN`), and is that kernel's test oracle: the same
-        signature and, on plain experts, the same results bit for bit.
+        signature and, on plain experts, the same results bit for bit (at
+        ``top_k`` <= 2; see the module docstring).
         ``rows`` (sorted token indices, ``None`` for all) are the live tokens;
         the others' assignments are dropped, so their output rows are 0.
         """
@@ -410,7 +396,6 @@ class MoELayer(Module):
         bounds = np.concatenate(([0], np.flatnonzero(np.diff(sorted_slots)) + 1, [num_assign]))
         experts = [self.experts[int(slot)] for slot in sorted_slots[bounds[:-1]]]
         segments = range(len(experts))
-        activation = experts[0].activation
         d_ff = experts[0].d_ff
         gate_params = [e.w_gate.weight for e in experts]
         up_params = [e.w_up.weight for e in experts]
@@ -435,19 +420,12 @@ class MoELayer(Module):
         for j, x_seg, gate_seg, up_seg in zip(segments, x_segs, by_rows(gate_pre), by_rows(up)):
             np.matmul(x_seg, w_gate[j].T, out=gate_seg)
             np.matmul(x_seg, w_up[j].T, out=up_seg)
-        if activation == "silu":
-            # sig = 1 / (1 + exp(-gate_pre)), computed in one buffer
-            sig = np.negative(gate_pre)
-            np.exp(sig, out=sig)
-            sig += 1.0
-            np.reciprocal(sig, out=sig)
-            act = gate_pre * sig
-        elif activation == "gelu":
-            c = float(np.sqrt(2.0 / np.pi))    # a Python float keeps float32 inputs float32
-            tanh_inner = np.tanh(c * (gate_pre + 0.044715 * gate_pre ** 3))
-            act = 0.5 * gate_pre * (1.0 + tanh_inner)
-        else:
-            act = np.maximum(gate_pre, 0.0)
+        # sig = 1 / (1 + exp(-gate_pre)), computed in one buffer
+        sig = np.negative(gate_pre)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
+        act = gate_pre * sig
         hidden = act * up
         hidden_segs = by_rows(hidden)
         y_sorted = np.empty((num_assign, d_model), dtype=dtype)
@@ -492,23 +470,13 @@ class MoELayer(Module):
             g_up = self._scratch("g_up", ffn_shape, dtype)
             np.multiply(g_hidden, up, out=g_gate)
             np.multiply(g_hidden, act, out=g_up)
-            if activation == "silu":
-                # d_act = sig * (1 + gate_pre * (1 - sig))
-                d_act = self._scratch("d_act", ffn_shape, dtype)
-                np.subtract(1.0, sig, out=d_act)
-                np.multiply(gate_pre, d_act, out=d_act)
-                d_act += 1.0
-                np.multiply(sig, d_act, out=d_act)
-                np.multiply(g_gate, d_act, out=g_gate)
-            elif activation == "gelu":
-                d_inner = c * (1.0 + 3 * 0.044715 * gate_pre ** 2)
-                np.multiply(
-                    g_gate,
-                    0.5 * (1.0 + tanh_inner)
-                    + 0.5 * gate_pre * (1.0 - tanh_inner ** 2) * d_inner,
-                    out=g_gate)
-            else:
-                np.multiply(g_gate, gate_pre > 0, out=g_gate)
+            # d_act = sig * (1 + gate_pre * (1 - sig))
+            d_act = self._scratch("d_act", ffn_shape, dtype)
+            np.subtract(1.0, sig, out=d_act)
+            np.multiply(gate_pre, d_act, out=d_act)
+            d_act += 1.0
+            np.multiply(sig, d_act, out=d_act)
+            np.multiply(g_gate, d_act, out=g_gate)
             g_x = self._scratch("g_x", (num_assign, d_model), dtype)
             g_x_up = self._scratch("g_x_up", (num_assign, d_model), dtype)
             for j, g_gate_seg, g_up_seg, g_x_seg, g_x_up_seg in zip(
@@ -556,9 +524,8 @@ class MoELayer(Module):
 
         Every statistic is one ``bincount`` over ``(group, expert)`` keys.
         Under :attr:`routing_groups` the groups are its ``rows`` and the
-        statistics accumulate there; otherwise the pass is one group, its
-        record is ``last_routing`` and, with :attr:`accumulate_routing`, it is
-        merged into the accumulator.
+        statistics accumulate there; otherwise the pass is one group and its
+        record is ``last_routing``.
         """
         grouped = self.routing_groups
         num_experts = self.num_original_experts
@@ -621,12 +588,7 @@ class MoELayer(Module):
         if grouped is not None:
             self.last_routing = None
             return
-        record = stats.record(0)
-        self.last_routing = record
-        if self.accumulate_routing:
-            if self._accumulated is None:
-                self._accumulated = RoutingRecord.empty(self.num_original_experts)
-            self._accumulated.merge(record)
+        self.last_routing = stats.record(0)
 
     # ------------------------------------------------------------- inspection
     def stacked_expert_weights(self) -> Dict[str, np.ndarray]:

@@ -55,7 +55,6 @@ def llama_moe_mini(vocab_size: int = 256, seed: int = 0, n_layers: int = 4,
         num_shared_experts=0,
         max_seq_len=64,
         tie_embeddings=True,
-        activation="silu",
         seed=seed,
         dtype=dtype,
     )
@@ -81,7 +80,6 @@ def deepseek_moe_mini(vocab_size: int = 256, seed: int = 0, n_layers: int = 4,
         num_shared_experts=1,
         max_seq_len=64,
         tie_embeddings=True,
-        activation="silu",
         seed=seed,
         dtype=dtype,
     )

@@ -8,7 +8,7 @@ The model exposes the hooks Flux needs:
 
 * per-layer routing records (activation frequency, per-expert sample sets,
   attention scores of routed tokens);
-* expert get/set/freeze accessors for expert-only fine-tuning, merging and
+* expert get/load/freeze accessors for expert-only fine-tuning, merging and
   aggregation;
 * ``forward_hidden`` returning final token embeddings, used to measure the
   output error introduced by expert merging (cosine distance, paper §5.1);
@@ -43,7 +43,7 @@ import numpy as np
 
 from ..autograd import Dropout, Embedding, Linear, Module, ModuleList, RMSNorm, Tensor
 from ..autograd import functional as F
-from ..autograd import default_dtype, no_grad, place_rows, take_rows
+from ..autograd import default_dtype, place_rows, take_rows
 from ..autograd.init import AllocationOnlyGenerator
 from .attention import MultiHeadSelfAttention
 from .config import MoEModelConfig
@@ -68,7 +68,6 @@ class MoETransformerBlock(Module):
             num_experts=num_experts,
             top_k=config.top_k,
             num_shared_experts=config.num_shared_experts,
-            activation=config.activation,
             gate_noise_std=config.gate_noise_std,
             rng=rng,
         )
@@ -283,17 +282,6 @@ class MoETransformer(Module):
         losses = F.cross_entropy(logits, targets[read], reduction="none")
         return place_rows(losses, read, targets.size).sum() * (1.0 / read.size)
 
-    def greedy_generate(self, prompt_ids: np.ndarray, max_new_tokens: int = 16) -> np.ndarray:
-        """Greedy decoding used by the ROUGE-based evaluation."""
-        tokens = list(np.asarray(prompt_ids, dtype=np.int64).reshape(-1))
-        with no_grad():
-            for _ in range(max_new_tokens):
-                context = np.asarray(tokens[-self.config.max_seq_len:], dtype=np.int64)[None, :]
-                logits = self.forward(context)
-                next_token = int(np.argmax(logits.data[0, -1]))
-                tokens.append(next_token)
-        return np.asarray(tokens, dtype=np.int64)
-
     # ---------------------------------------------------------- expert access
     @property
     def num_layers(self) -> int:
@@ -312,12 +300,6 @@ class MoETransformer(Module):
 
     def get_expert(self, layer: int, expert: int) -> ExpertFFN:
         return self.blocks[layer].moe.experts[expert]
-
-    def set_expert(self, layer: int, expert: int, module: ExpertFFN) -> None:
-        """Mount ``module`` as one expert; it must have the model's shapes and dtype."""
-        moe = self.blocks[layer].moe
-        moe.check_experts([module])
-        moe.experts[expert] = module
 
     def expert_state(self, layer: int, expert: int) -> Dict[str, np.ndarray]:
         """Copy of one expert's weights (transport format for FL updates)."""
@@ -346,40 +328,12 @@ class MoETransformer(Module):
             param.requires_grad = trainable
 
     # -------------------------------------------------------- routing records
-    def set_routing_accumulation(self, enabled: bool) -> None:
-        for layer in self.moe_layers():
-            layer.accumulate_routing = enabled
-            if enabled:
-                layer.reset_routing_accumulator()
+    def routing_records(self) -> List[RoutingRecord]:
+        """Per-layer routing records from the last pass."""
+        return [layer.last_routing if layer.last_routing is not None
+                else RoutingRecord.empty(layer.num_original_experts)
+                for layer in self.moe_layers()]
 
-    def routing_records(self, accumulated: bool = False) -> List[RoutingRecord]:
-        """Per-layer routing records from the last pass (or accumulated)."""
-        records = []
-        for layer in self.moe_layers():
-            record = layer.accumulated_routing() if accumulated else layer.last_routing
-            if record is None:
-                record = RoutingRecord.empty(layer.num_original_experts)
-            records.append(record)
-        return records
-
-    def activation_frequencies(self, accumulated: bool = False) -> List[np.ndarray]:
+    def activation_frequencies(self) -> List[np.ndarray]:
         """Per-layer activation frequency vectors."""
-        return [record.activation_frequency() for record in self.routing_records(accumulated)]
-
-    # --------------------------------------------------------------- counting
-    def num_expert_parameters(self) -> int:
-        total = 0
-        for layer in self.moe_layers():
-            for expert in layer.experts:
-                total += expert.num_parameters()
-        return total
-
-    def parameter_breakdown(self) -> Dict[str, int]:
-        """Parameter counts split into expert and non-expert components."""
-        expert_params = self.num_expert_parameters()
-        total = self.num_parameters()
-        return {
-            "total": total,
-            "experts": expert_params,
-            "non_expert": total - expert_params,
-        }
+        return [record.activation_frequency() for record in self.routing_records()]

@@ -4,9 +4,11 @@
 compositions of generic autograd ops this repo shipped before ``F.linear``,
 ``F.rms_norm`` and ``MultiHeadSelfAttention.forward`` became one node each;
 ``full_forward_profile`` is ``profile_activation`` from when it ran whole
-``model.forward`` passes (over the passes it runs now).  They exist only
-here: ``test_fused_nodes.py`` holds the fused versions to them, and
-``benchmarks/perf_harness.py`` times each node against its oracle.
+``model.forward`` passes (over the passes it runs now); it sums each pass's
+``last_routing`` itself (``add_routing``), off the grouped bookkeeping it
+checks.  They exist only here: ``test_fused_nodes.py`` holds the fused
+versions to them, and ``benchmarks/perf_harness.py`` times each node against
+its oracle.
 
 ``loop_oracle`` puts a layer or model on the MoE layer's per-expert loop, the
 oracle of its segment-grouped kernel (``test_moe_dispatch.py``; the harness's
@@ -20,7 +22,7 @@ import numpy as np
 from repro.analysis import ActivationProfile
 from repro.analysis.activation import profiling_passes
 from repro.autograd import Tensor, no_grad
-from repro.models import MoELayer, causal_mask
+from repro.models import MoELayer, RoutingRecord, causal_mask
 
 
 def loop_oracle(module):
@@ -91,17 +93,19 @@ def composed_attention(self, x, attention_mask=None):
     return composed_linear(out, self.o_proj.weight)
 
 
-def full_forward_profile(model, batches) -> ActivationProfile:
-    model.set_routing_accumulation(True)
-    model.eval()
-    try:
-        with no_grad():
-            for input_ids, mask, sample_ids, _ in profiling_passes([batches]):
-                model.forward(input_ids, attention_mask=mask, sample_ids=sample_ids)
-    finally:
-        model.train()
-    records = model.routing_records(accumulated=True)
-    model.set_routing_accumulation(False)
+def add_routing(totals, model) -> None:
+    """Add every MoE layer's ``last_routing`` into ``totals`` (one record per layer)."""
+    for total, record in zip(totals, model.routing_records(), strict=True):
+        total.token_counts += record.token_counts
+        total.total_tokens += record.total_tokens
+        total.attention_sums += record.attention_sums
+        total.gate_weight_sums += record.gate_weight_sums
+        for mine, theirs in zip(total.sample_ids, record.sample_ids):
+            mine.update(theirs)
+
+
+def profile_from_records(records) -> ActivationProfile:
+    """The profile of per-layer records summed by :func:`add_routing`."""
     return ActivationProfile(
         frequencies=[record.activation_frequency() for record in records],
         attention_scores=[record.average_attention() for record in records],
@@ -109,3 +113,16 @@ def full_forward_profile(model, batches) -> ActivationProfile:
         token_counts=[record.token_counts.copy() for record in records],
         total_tokens=int(records[0].total_tokens) if records else 0,
     )
+
+
+def full_forward_profile(model, batches) -> ActivationProfile:
+    records = [RoutingRecord.empty(count) for count in model.experts_per_layer()]
+    model.eval()
+    try:
+        with no_grad():
+            for input_ids, mask, sample_ids, _ in profiling_passes([batches]):
+                model.forward(input_ids, attention_mask=mask, sample_ids=sample_ids)
+                add_routing(records, model)
+    finally:
+        model.train()
+    return profile_from_records(records)

@@ -86,19 +86,3 @@ class PerParameterAdam:
             np.divide(s1, s2, out=s1)
             param.data -= s1
 
-
-class PerParameterAdamW(PerParameterAdam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for param in self.params:
-                if param.requires_grad and param.grad is not None:
-                    scratch = self._buf(param)
-                    np.multiply(param.data, self.lr * self.weight_decay, out=scratch)
-                    param.data -= scratch
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = decay

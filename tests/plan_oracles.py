@@ -16,7 +16,9 @@
   participant profiled on its own, one routing-only pass per batch.
   ``repro.analysis.profile_round`` profiles a round's participants in shared,
   length-sorted passes; the contract is equal token counts, totals and sample
-  sets per participant, and attention scores within float32 rounding.
+  sets per participant, and attention scores within float32 rounding.  It
+  sums each pass's ``last_routing`` itself (``composed_oracles.add_routing``),
+  off the grouped bookkeeping ``profile_round`` runs on.
 
 ``e2e_workloads`` is ``benchmarks/e2e/workloads.py`` (read-only): the
 federations the equal-clusters contract is held on.
@@ -31,12 +33,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from composed_oracles import add_routing, profile_from_records
 from repro.analysis import ActivationProfile
 from repro.autograd import default_dtype, no_grad
 from repro.core.clustering import ClusteringResult, _cluster_fused, _cluster_per_layer
 from repro.core.config import FluxConfig
 from repro.core.merging import CompactModelPlan, merge_cluster
-from repro.models import ExpertFFN, ExpertRemap, MoETransformer
+from repro.models import ExpertFFN, ExpertRemap, MoETransformer, RoutingRecord
 from repro.quantization import quantize_array
 
 ExpertKey = Tuple[int, int]
@@ -106,8 +109,7 @@ def _copy_expert(model: MoETransformer, layer: int, original: int) -> ExpertFFN:
     """A fresh copy of one expert, allocated at the model's dtype."""
     source = model.get_expert(layer, original)
     with default_dtype(model.config.dtype):
-        expert = ExpertFFN.allocate(model.config.d_model, source.d_ff,
-                                    activation=model.config.activation)
+        expert = ExpertFFN.allocate(model.config.d_model, source.d_ff)
     expert.load_state(source.state())
     return expert
 
@@ -177,7 +179,7 @@ def state_dict_quantize_model(model: MoETransformer, bits: int,
 
 def per_batch_profile(model: MoETransformer, batches) -> ActivationProfile:
     """One participant's profile, one pass per batch, stopping at the last router."""
-    model.set_routing_accumulation(True)
+    records = [RoutingRecord.empty(count) for count in model.experts_per_layer()]
     was_training = model.training
     model.eval()
     last = model.blocks[-1]
@@ -190,14 +192,7 @@ def per_batch_profile(model: MoETransformer, batches) -> ActivationProfile:
                 x = last.attention_half(x, attention_mask=batch.attention_mask)
                 last.moe.route(last.moe_norm(x), token_attention=last.attn.last_token_attention,
                                sample_ids=batch.sample_ids, token_mask=batch.attention_mask)
+                add_routing(records, model)
     finally:
         model.train(was_training)
-    records = model.routing_records(accumulated=True)
-    model.set_routing_accumulation(False)
-    return ActivationProfile(
-        frequencies=[record.activation_frequency() for record in records],
-        attention_scores=[record.average_attention() for record in records],
-        sample_sets=[[set(s) for s in record.sample_ids] for record in records],
-        token_counts=[record.token_counts.copy() for record in records],
-        total_tokens=int(records[0].total_tokens) if records else 0,
-    )
+    return profile_from_records(records)

@@ -294,7 +294,7 @@ class TestSharedQuantizedCopy:
             assert profiles_equal(given_copy.profile, own.profile)
         assert len(quantizations) == 1
         assert_models_equal_state(copy, before)
-        assert copy.training and not copy.blocks[0].moe.accumulate_routing
+        assert copy.training and copy.blocks[0].moe.routing_groups is None
 
     def test_staleness_error_and_reference_paths_quantize_for_themselves(
             self, tiny_model, gsm_batches, quantizations):

@@ -22,7 +22,7 @@ from repro.autograd.optim import AdamBuffers
 from repro.baselines import FMDFineTuner, FMESFineTuner, FMQFineTuner
 from repro.core import EpsilonSchedule, FluxConfig, FluxFineTuner
 from repro.federated.orchestrator import FederatedFineTuner
-from repro.models import ExpertFFN, MoETransformer
+from repro.models import ExpertFFN, ExpertRemap, MoETransformer
 
 from test_runtime import build_federation
 
@@ -100,11 +100,14 @@ def test_one_round_stays_float32(vocab, tiny_config, recorded, method):
 
 def test_a_model_refuses_an_expert_of_another_dtype(tiny_config):
     model = MoETransformer(tiny_config)
+    layer = model.blocks[0].moe
+    experts = list(layer.experts)
     stray = ExpertFFN(tiny_config.d_model, tiny_config.d_ff, rng=np.random.default_rng(5))
     assert stray.w_gate.weight.data.dtype == np.float64     # the engine's default dtype
+    identity = ExpertRemap.identity(layer.num_original_experts)
     with pytest.raises(ValueError, match="dtype"):
-        model.set_expert(0, 1, stray)
+        layer.set_compact_experts(experts[:1] + [stray] + experts[2:], identity)
     with default_dtype(tiny_config.dtype):
         fitting = ExpertFFN(tiny_config.d_model, tiny_config.d_ff, rng=np.random.default_rng(5))
-    model.set_expert(0, 1, fitting)
+    layer.set_compact_experts(experts[:1] + [fitting] + experts[2:], identity)
     assert model.get_expert(0, 1) is fitting

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.models import GatingNetwork, MultiHeadSelfAttention, RoutingRecord, causal_mask
+from repro.models import (GatingNetwork, GroupedRouting, MultiHeadSelfAttention,
+                          RoutingRecord, causal_mask)
 
 
 class TestCausalMask:
@@ -166,20 +167,13 @@ class TestRoutingRecord:
         assert avg[0] == pytest.approx(0.25)
         assert avg[1] == 0.0
 
-    def test_merge_accumulates(self):
-        a = RoutingRecord.empty(2)
-        a.token_counts = np.array([1, 2])
-        a.total_tokens = 3
-        a.sample_ids[0].add(7)
-        b = RoutingRecord.empty(2)
-        b.token_counts = np.array([3, 1])
-        b.total_tokens = 4
-        b.sample_ids[0].add(9)
-        a.merge(b)
-        assert a.token_counts.tolist() == [4, 3]
-        assert a.total_tokens == 7
-        assert a.sample_ids[0] == {7, 9}
-
-    def test_merge_rejects_mismatched_sizes(self):
-        with pytest.raises(ValueError):
-            RoutingRecord.empty(2).merge(RoutingRecord.empty(3))
+    def test_grouped_record_is_a_view_of_its_group(self):
+        grouped = GroupedRouting(2, 3)
+        assert grouped.record(1).total_tokens == 0
+        grouped.token_counts[1, 2] = 5
+        grouped.sample_ids[1 * 3 + 2].add(4)
+        record = grouped.record(1)
+        assert record.token_counts.tolist() == [0, 0, 5]
+        assert record.sample_ids == [set(), set(), {4}]
+        record.token_counts[0] = 1                   # a view: writes reach the group
+        assert grouped.token_counts[1, 0] == 1 and grouped.token_counts[0].sum() == 0

@@ -126,19 +126,33 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         assert loaded.local_experts_per_layer() == [2, 4]
 
-    def test_archive_embedding_the_retired_dispatch_field_loads(self, tiny_model, tmp_path):
-        """Archives written while ``MoEModelConfig`` had ``dispatch`` carry it; it is dropped."""
-        path = save_checkpoint(tiny_model, os.path.join(tmp_path, "model.npz"))
+    @staticmethod
+    def _with_retired_field(model, tmp_path, key, value) -> str:
+        """A checkpoint of ``model`` whose embedded config also carries ``key: value``."""
+        path = save_checkpoint(model, os.path.join(tmp_path, "model.npz"))
         with np.load(path) as archive:
             arrays = dict(archive)
         config = json.loads(str(arrays["__config_json__"]))
-        config["dispatch"] = "loop"
+        config[key] = value
         arrays["__config_json__"] = np.array(json.dumps(config))
         np.savez(path, **arrays)
-        loaded = load_checkpoint(path)
+        return path
+
+    @pytest.mark.parametrize("key, value", [("dispatch", "loop"), ("activation", "silu")])
+    def test_archive_embedding_a_retired_field_loads(self, tiny_model, tmp_path, key, value):
+        """Archives written while ``MoEModelConfig`` had ``dispatch`` or ``activation``
+        carry it; a value the model still computes is dropped."""
+        loaded = load_checkpoint(self._with_retired_field(tiny_model, tmp_path, key, value))
         assert loaded.config == tiny_model.config
         for a, b in zip(tiny_model.parameters(), loaded.parameters(), strict=True):
             assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("value", ["gelu", "relu"])
+    def test_archive_of_a_retired_activation_refuses_by_name(self, tiny_model, tmp_path, value):
+        """SiLU is the only nonlinearity left: a GELU/ReLU model would silently change."""
+        path = self._with_retired_field(tiny_model, tmp_path, "activation", value)
+        with pytest.raises(ValueError, match=f"activation='{value}'"):
+            load_checkpoint(path)
 
 
 class TestSaveCheckpointReturnPath:

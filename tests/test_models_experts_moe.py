@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.models import ExpertFFN, ExpertRemap, MoELayer
+from repro.models import ExpertFFN, ExpertRemap, GroupedRouting, MoELayer
 
 
 def make_expert(seed=0, d_model=8, d_ff=16):
@@ -37,14 +37,16 @@ class TestExpertFFN:
         x = Tensor(np.random.default_rng(0).standard_normal((3, 8)))
         assert np.allclose(expert(x).data, other(x).data)
 
-    def test_activations(self):
-        for activation in ("silu", "gelu", "relu"):
-            expert = ExpertFFN(4, 8, activation=activation, rng=np.random.default_rng(0))
-            assert expert(Tensor(np.ones((2, 4)))).shape == (2, 4)
+    def test_forward_is_silu_gated(self):
+        expert = ExpertFFN(4, 8, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 4))
+        gate = x @ expert.w_gate.weight.data.T
+        hidden = gate / (1.0 + np.exp(-gate)) * (x @ expert.w_up.weight.data.T)
+        assert np.allclose(expert(Tensor(x)).data, hidden @ expert.w_down.weight.data.T)
 
-    def test_unknown_activation_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="softplus"):
-            ExpertFFN(4, 8, activation="softplus")
+    def test_activation_is_not_an_expert_argument(self):
+        with pytest.raises(TypeError):
+            ExpertFFN(4, 8, activation="gelu")
 
     def test_merge_weighted_average(self):
         a, b = make_expert(1), make_expert(2)
@@ -149,6 +151,42 @@ class TestMoELayer:
         assert all(type(sample) is int
                    for samples in layer.last_routing.sample_ids for sample in samples)
 
+    def test_accumulation_across_passes(self):
+        """A one-group ``routing_groups`` sums the passes it sees, which leave no ``last_routing``."""
+        layer = self._layer()
+        layer(self._input(seed=1))
+        first = layer.last_routing
+        layer(self._input(seed=2))
+        second = layer.last_routing
+        grouped = layer.routing_groups = GroupedRouting(1, layer.num_original_experts)
+        grouped.rows = np.zeros(2, dtype=np.int64)
+        layer(self._input(seed=1))
+        layer(self._input(seed=2))
+        layer.routing_groups = None
+        total = grouped.record(0)
+        assert total.total_tokens == 20
+        assert np.array_equal(total.token_counts, first.token_counts + second.token_counts)
+        assert np.allclose(total.gate_weight_sums,
+                           first.gate_weight_sums + second.gate_weight_sums)
+        assert layer.last_routing is None
+
+    def test_grouped_routing_keeps_groups_apart(self):
+        """Each group's record equals a pass over that group's rows alone."""
+        layer = self._layer()
+        x = self._input(batch=3)
+        grouped = layer.routing_groups = GroupedRouting(2, layer.num_original_experts)
+        grouped.rows = np.array([1, 0, 1])
+        layer(x, sample_ids=np.array([7, 8, 9]))
+        layer.routing_groups = None
+        for group, rows in ((0, [1]), (1, [0, 2])):
+            layer(Tensor(x.data[rows]), sample_ids=np.array([7, 8, 9])[rows])
+            alone = layer.last_routing
+            record = grouped.record(group)
+            assert record.total_tokens == alone.total_tokens
+            assert np.array_equal(record.token_counts, alone.token_counts)
+            assert np.allclose(record.gate_weight_sums, alone.gate_weight_sums)
+            assert record.sample_ids == alone.sample_ids
+
     def test_token_mask_excludes_padding_from_stats(self):
         layer = self._layer()
         mask = np.ones((2, 5), dtype=bool)
@@ -162,16 +200,6 @@ class TestMoELayer:
         layer.shared_experts[0].w_down.weight.data[...] = 0.0
         without_shared = layer(self._input()).data
         assert not np.allclose(with_shared, without_shared)
-
-    def test_accumulation_across_passes(self):
-        layer = self._layer()
-        layer.accumulate_routing = True
-        layer(self._input(seed=1))
-        layer(self._input(seed=2))
-        accumulated = layer.accumulated_routing()
-        assert accumulated.total_tokens == 20
-        layer.reset_routing_accumulator()
-        assert layer.accumulated_routing() is None
 
     def test_compact_experts_with_identity_remap_equivalent(self):
         layer = self._layer()

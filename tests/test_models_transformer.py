@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Adam
-from repro.models import MoEModelConfig, MoETransformer
+from repro.models import GroupedRouting, MoEModelConfig, MoETransformer
 
 
 @pytest.fixture()
@@ -46,12 +46,6 @@ class TestForward:
         input_ids, mask = token_batch
         hidden = model.forward_hidden(input_ids, attention_mask=mask)
         assert hidden.shape == (3, 12, tiny_config.d_model)
-
-    def test_greedy_generate_appends_tokens(self, model):
-        prompt = np.array([1, 2, 3])
-        out = model.greedy_generate(prompt, max_new_tokens=5)
-        assert out.shape == (8,)
-        assert np.array_equal(out[:3], prompt)
 
 
 class TestLoss:
@@ -104,17 +98,24 @@ class TestExpertAccess:
         model.load_expert_state(0, 1, state)
         assert np.allclose(model.get_expert(0, 1).w_gate.weight.data, 0.0)
 
+    def test_parameter_count_splits_into_experts_and_the_rest(self, model, tiny_config):
+        routed = sum(model.get_expert(layer, expert).num_parameters()
+                     for layer, expert in model.iter_expert_ids())
+        assert routed == tiny_config.total_experts * tiny_config.expert_parameter_count()
+        shared = sum(expert.num_parameters() for layer in model.moe_layers()
+                     for expert in layer.shared_experts)
+        assert shared == (tiny_config.n_layers * tiny_config.num_shared_experts
+                          * tiny_config.expert_parameter_count())
+        model.freeze_non_expert_parameters()
+        assert model.num_parameters(trainable_only=True) == routed + shared
+        assert model.num_parameters() > routed + shared
+
     def test_set_expert_trainable(self, model):
         model.freeze_non_expert_parameters()
         model.set_expert_trainable(0, 0, False)
         assert all(not p.requires_grad for p in model.get_expert(0, 0).parameters())
         model.set_expert_trainable(0, 0, True)
         assert all(p.requires_grad for p in model.get_expert(0, 0).parameters())
-
-    def test_parameter_breakdown_sums(self, model):
-        breakdown = model.parameter_breakdown()
-        assert breakdown["total"] == breakdown["experts"] + breakdown["non_expert"]
-        assert breakdown["experts"] > breakdown["non_expert"]
 
 
 class TestRoutingRecords:
@@ -133,14 +134,22 @@ class TestRoutingRecords:
             assert freq.sum() == pytest.approx(1.0)
 
     def test_accumulated_records(self, model, token_batch):
+        """One-group ``routing_groups`` on every layer sum two passes' records."""
         input_ids, mask = token_batch
-        model.set_routing_accumulation(True)
+        model(input_ids, attention_mask=mask)
+        once = [record.token_counts.copy() for record in model.routing_records()]
+        groups = []
+        for layer in model.moe_layers():
+            layer.routing_groups = GroupedRouting(1, layer.num_original_experts)
+            layer.routing_groups.rows = np.zeros(len(input_ids), dtype=np.int64)
+            groups.append(layer.routing_groups)
         model(input_ids, attention_mask=mask)
         model(input_ids, attention_mask=mask)
-        accumulated = model.routing_records(accumulated=True)
-        single = model.routing_records(accumulated=False)
-        assert accumulated[0].total_tokens == 2 * single[0].total_tokens
-        model.set_routing_accumulation(False)
+        for layer in model.moe_layers():
+            layer.routing_groups = None
+        for counts, grouped in zip(once, groups):
+            assert np.array_equal(grouped.record(0).token_counts, 2 * counts)
+            assert grouped.record(0).total_tokens == 2 * int(mask.sum())
 
     def test_empty_records_before_any_forward(self, tiny_config):
         fresh = MoETransformer(tiny_config)

@@ -2,8 +2,10 @@
 
 The kernel reproduces the per-expert loop oracle bit-for-bit (outputs,
 gate-weight gradients and every expert-parameter gradient, float64 and
-float32): each expert's GEMMs have the loop's shapes and operand layouts,
-single-token experts included — ``_assert_bit_identical`` is plain equality.
+float32) at ``top_k`` <= 2: each expert's GEMMs have the loop's shapes and
+operand layouts, single-token experts included — ``_assert_bit_identical``
+is plain equality.  At ``top_k`` >= 3 a token's expert outputs are a float
+sum whose grouping differs, and everything agrees to a few ULP.
 One deviation of a few ULP remains, pinned by ``_assert_within_ulps``: the
 *layer input's* gradient (and the router weights fed by it) when the router
 also back-propagates into that input — the loop adds each expert's
@@ -19,15 +21,11 @@ import numpy as np
 import pytest
 
 from repro.autograd import (
-    SGD,
     Adam,
     Tensor,
     default_dtype,
-    expand_rows,
     get_default_dtype,
-    index_add,
     place_rows,
-    scatter_rows,
     set_default_dtype,
     take_rows,
 )
@@ -72,9 +70,8 @@ def _run(layer, x, sample_ids=None):
 
 
 class TestDispatchEquivalence:
-    @pytest.mark.parametrize("activation", ["silu", "gelu", "relu"])
-    def test_bit_identical_float64(self, activation):
-        a, b = _layer_pair(activation=activation)
+    def test_bit_identical_float64(self):
+        a, b = _layer_pair()
         x = np.random.default_rng(1).standard_normal((3, 7, 16))
         out_a, gx_a, gp_a = _run(a, x, sample_ids=np.arange(3))
         out_b, gx_b, gp_b = _run(b, x, sample_ids=np.arange(3))
@@ -87,6 +84,34 @@ class TestDispatchEquivalence:
                 _assert_within_ulps(gp_a[name], gp_b[name], name)
             else:
                 _assert_bit_identical(gp_a[name], gp_b[name], name)
+
+    @pytest.mark.parametrize("num_experts, top_k, d_ff", [(4, 1, 8), (8, 2, 24), (5, 2, 7)])
+    def test_bit_identical_across_geometries(self, num_experts, top_k, d_ff):
+        a, b = _layer_pair(num_experts=num_experts, top_k=top_k, d_ff=d_ff)
+        x = np.random.default_rng(9).standard_normal((2, 9, 16))
+        out_a, gx_a, gp_a = _run(a, x)
+        out_b, gx_b, gp_b = _run(b, x)
+        _assert_bit_identical(out_a, out_b)
+        _assert_within_ulps(gx_a, gx_b)
+        for name in gp_a:
+            if gp_a[name] is not None and not name.startswith("gate."):
+                _assert_bit_identical(gp_a[name], gp_b[name], name)
+
+    @pytest.mark.parametrize("top_k", [3, 4])
+    def test_top_k_above_two_is_within_ulps(self, top_k):
+        """Three or more expert outputs per token are a float sum whose grouping
+        differs between the loop and the kernel: equal to a few ULP, not bitwise."""
+        a, b = _layer_pair(num_experts=8, top_k=top_k)
+        x = np.random.default_rng(11).standard_normal((2, 9, 16))
+        out_a, gx_a, gp_a = _run(a, x)
+        out_b, gx_b, gp_b = _run(b, x)
+        _assert_within_ulps(out_a, out_b)
+        _assert_within_ulps(gx_a, gx_b)
+        for name in gp_a:
+            if gp_a[name] is None:
+                assert gp_b[name] is None
+            else:
+                _assert_within_ulps(gp_a[name], gp_b[name], name)
 
     def test_bit_identical_with_shared_experts(self):
         a, b = _layer_pair(num_shared_experts=1)
@@ -208,11 +233,10 @@ class TestKernelChoice:
         layer.experts[3] = plain                          # unwrapped: the kernel again
         assert self._kernels_run(layer) == ["_combine_batched"]
 
-    @pytest.mark.parametrize("activation", ["silu", "gelu", "relu"])
-    def test_fresh_lora_layer_matches_the_kernel(self, activation):
+    def test_fresh_lora_layer_matches_the_kernel(self):
         """A LoRA adapter starts at zero, so a freshly wrapped layer on the loop
         computes what its plain twin computes on the kernel."""
-        lora, plain = _layer_pair(activation=activation)
+        lora, plain = _layer_pair()
         for index, expert in enumerate(lora.experts):
             lora.experts[index] = LoRAExpert(expert, rank=2, rng=np.random.default_rng(index))
         x = np.random.default_rng(8).standard_normal((2, 6, 16))
@@ -220,6 +244,14 @@ class TestKernelChoice:
         out_plain, gx_plain, _ = _run(plain, x)
         _assert_bit_identical(out_lora, out_plain)
         _assert_within_ulps(gx_lora, gx_plain)
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_fresh_lora_layer_matches_the_kernel_at_rank(self, rank):
+        lora, plain = _layer_pair()
+        for index, expert in enumerate(lora.experts):
+            lora.experts[index] = LoRAExpert(expert, rank=rank, rng=np.random.default_rng(index))
+        x = np.random.default_rng(10).standard_normal((2, 6, 16))
+        _assert_bit_identical(_run(lora, x)[0], _run(plain, x)[0])
 
     def test_loop_oracle_reaches_every_layer_of_a_model(self):
         config = tiny_moe()
@@ -270,13 +302,20 @@ class TestSegmentKernel:
         return rng, x, weights
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("activation", ["silu", "gelu", "relu"])
-    def test_random_routing(self, dtype, activation):
-        _, layer = _layer_pair(dtype=dtype, activation=activation)
+    def test_random_routing(self, dtype):
+        _, layer = _layer_pair(dtype=dtype)
         for seed in range(4):
             rng, x, weights = self._inputs(layer, 21, 2, dtype, seed)
             fast = _assert_kernel_matches_loop(layer, x, _random_routing(rng, 21, 6, 2), weights)
             assert all(value.dtype == np.dtype(dtype) for value in fast.values())
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("num_experts, top_k", [(8, 2), (5, 1), (16, 2)])
+    def test_random_routing_across_geometries(self, num_experts, top_k, dtype):
+        _, layer = _layer_pair(dtype=dtype, num_experts=num_experts, top_k=top_k)
+        rng, x, weights = self._inputs(layer, 33, top_k, dtype, seed=num_experts)
+        _assert_kernel_matches_loop(layer, x, _random_routing(rng, 33, num_experts, top_k),
+                                    weights)
 
     def test_all_tokens_on_one_expert(self):
         _, layer = _layer_pair()
@@ -513,7 +552,7 @@ class TestDtypeThreading:
         before = get_default_dtype()
         with default_dtype("float32"):
             assert get_default_dtype() == np.float32
-            assert Tensor.zeros(3).data.dtype == np.float32
+            assert Tensor([0.0, 1.0, 2.0]).data.dtype == np.float32
         assert get_default_dtype() == before
 
     def test_set_default_dtype_validates(self):
@@ -536,25 +575,6 @@ class TestDtypeThreading:
 
 
 class TestScatterGatherOps:
-    def test_index_add_matches_scatter_rows(self):
-        rows = np.array([0, 2, 2, 1])
-        src_data = np.random.default_rng(0).standard_normal((4, 3))
-        src_a = Tensor(src_data, requires_grad=True)
-        src_b = Tensor(src_data, requires_grad=True)
-        out_a = scatter_rows(src_a, rows, 3)
-        out_b = index_add(Tensor.zeros(3, 3), rows, src_b)
-        assert np.array_equal(out_a.data, out_b.data)
-        grad = np.random.default_rng(1).standard_normal((3, 3))
-        out_a.backward(grad.copy())
-        out_b.backward(grad.copy())
-        assert np.array_equal(src_a.grad, src_b.grad)
-
-    def test_index_add_validates_rows(self):
-        with pytest.raises(ValueError):
-            index_add(Tensor.zeros(3, 2), np.array([[0]]), Tensor.zeros(1, 2))
-        with pytest.raises(ValueError):
-            index_add(Tensor.zeros(3, 2), np.array([0]), Tensor.zeros(1, 3))
-
     def test_take_place_roundtrip_gradients(self):
         perm = np.array([3, 0, 2, 1])
         src = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
@@ -570,32 +590,9 @@ class TestScatterGatherOps:
         placed.backward(grad)
         assert np.array_equal(src.grad, grad[perm])
 
-    def test_expand_rows_gradient_sums_repeats(self):
-        src = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        out = expand_rows(src, 2)
-        assert np.array_equal(out.data, np.repeat(src.data, 2, axis=0))
-        grad = np.random.default_rng(0).standard_normal((6, 2))
-        out.backward(grad)
-        assert np.allclose(src.grad, grad.reshape(3, 2, 2).sum(axis=1))
-        with pytest.raises(ValueError):
-            expand_rows(src, 0)
-
 
 class TestFusedOptimizers:
     """The in-place fused updates must match the reference formulas exactly."""
-
-    def test_sgd_matches_reference(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal(5)
-        grad = rng.standard_normal(5)
-        from repro.autograd import Parameter
-        param = Parameter(data.copy())
-        param.grad = grad.copy()
-        opt = SGD([param], lr=0.1, momentum=0.9, weight_decay=0.01)
-        opt.step()
-        g = grad + 0.01 * data
-        expected = data - 0.1 * g  # first step: velocity == g
-        assert np.array_equal(param.data, expected)
 
     def test_adam_matches_reference(self):
         rng = np.random.default_rng(1)

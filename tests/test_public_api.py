@@ -36,6 +36,16 @@ TEST_ONLY_HELPERS = {
 }
 
 
+#: public names deleted with what only tests reached (the activation knob, the
+#: autograd ops and optimizers no model family calls), by the module that
+#: defined or exported them
+DELETED_NAMES = {
+    "repro.autograd": ["LayerNorm", "Sequential", "SGD", "AdamW", "stack", "concatenate",
+                       "expand_rows", "index_add", "where"],
+    "repro.models.experts": ["ACTIVATIONS"],
+}
+
+
 class TestPublicAPI:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
@@ -103,6 +113,13 @@ class TestPublicAPI:
         for name in TEST_ONLY_HELPERS[module_name]:
             assert not hasattr(module, name), (module_name, name)
             assert not hasattr(repro, name), name
+            assert name not in getattr(module, "__all__", ())
+
+    @pytest.mark.parametrize("module_name", sorted(DELETED_NAMES))
+    def test_deleted_names_stay_deleted(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in DELETED_NAMES[module_name]:
+            assert not hasattr(module, name), (module_name, name)
             assert name not in getattr(module, "__all__", ())
 
     def test_one_framing_implementation(self):

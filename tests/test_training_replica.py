@@ -27,7 +27,7 @@ from repro.baselines import FMDFineTuner, FMQFineTuner
 from repro.federated import ParameterServer
 from repro.federated.server import _TrainingReplica
 from repro.federated.client import ExpertTraining
-from repro.models import ExpertFFN, MoETransformer
+from repro.models import ExpertFFN, GroupedRouting, MoETransformer
 from repro.quantization import quantize_model
 from repro.runtime import latest_checkpoint
 
@@ -217,7 +217,7 @@ class TestHandOutContract:
             assert all(param.grad is None for param in model.parameters())
             for block in model.blocks:
                 assert block.moe.last_routing is None
-                assert block.moe.accumulated_routing() is None
+                assert block.moe.routing_groups is None
                 assert block.moe._bwd_scratch == {}
                 assert block.attn.last_token_attention is None
             return result
@@ -231,14 +231,15 @@ class TestHandOutContract:
         with server.training_replica() as model:
             model.eval()
             model.freeze()
-            model.set_routing_accumulation(True)
+            for layer in model.moe_layers():
+                layer.routing_groups = GroupedRouting(1, layer.num_original_experts)
             model.get_expert(0, 0).w_up.weight.data += 1.0
             first = model
         with server.training_replica() as model:
             assert model is first                       # built once
             assert all(param.requires_grad for param in model.parameters())
             assert all(module.training for module in model.modules())
-            assert not any(layer.accumulate_routing for layer in model.moe_layers())
+            assert all(layer.routing_groups is None for layer in model.moe_layers())
             assert_models_equal(model, server.global_model)
 
     def test_follows_the_global_model(self, tiny_config):
@@ -274,7 +275,7 @@ class TestHandOutContract:
         with default_dtype(tiny_config.dtype):
             replacement = ExpertFFN(tiny_config.d_model, tiny_config.d_ff,
                                     rng=np.random.default_rng(5))
-        server.global_model.set_expert(0, 1, replacement)
+        server.global_model.blocks[0].moe.experts[1] = replacement
         with server.training_replica() as model:
             assert model is not first
             assert_models_equal(model, server.global_model)
