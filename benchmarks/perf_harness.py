@@ -36,7 +36,7 @@ against the per-parameter Adam in ``tests/optim_oracles.py``.
 kind: frames per second of framing one participant's upload per update (the
 oracle in ``tests/uplink_oracles.py``) against ``encode_updates`` — two more
 informational blocks, ``wire`` (the composed ``topk:0.25:int4`` codec's frame
-bytes against its analytic size) and ``checkpoint`` (a sparse-delta snapshot
+bytes and throughput against ``fp64``) and ``checkpoint`` (a sparse-delta snapshot
 against a full one), and a gated ``prefold`` row: one tree-leaf fold job, a
 sender's frames decoded and folded as one group against the frame-at-a-time
 oracle in ``tests/fold_oracles.py``.
@@ -59,12 +59,16 @@ Usage::
 which direction is worse) and one walker (``check_gates``).  For the default
 suite it compares the machine-independent *speedup* of ``batched/float32``
 over ``loop/float64`` against the committed baseline and fails (exit code 1)
-when it has regressed by more than ``--tolerance`` (default 30%).
+when it has regressed by more than ``--tolerance`` (default 30%).  A hotpath
+ratio row that misses its bound is measured twice more and fails only when
+the median of its three readings misses (every reading is printed): those
+rows move by more than the tolerance between quiet runs of one tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -73,7 +77,7 @@ import sys
 import time
 import tracemalloc
 from datetime import datetime, timezone
-from typing import Dict, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(REPO_ROOT, "src")):
@@ -283,7 +287,7 @@ def _speedup(configs: Dict[str, Dict[str, float]], key: str) -> Optional[float]:
     return fast / base
 
 
-def run_suite(quick: bool) -> Dict:
+def run_suite(quick: bool, presets: Sequence[str] = PRESET_NAMES) -> Dict:
     # 1024 tokens = batch 32 × seq 32 (the tiny_moe preset's max_seq_len)
     tokens = 1024
     iters = 3 if quick else 10
@@ -295,7 +299,7 @@ def run_suite(quick: bool) -> Dict:
     # pattern, so either side of a gated ratio read up to 40% low.
     reps = 8 if quick else 6
     suite: Dict = {}
-    for preset in PRESET_NAMES:
+    for preset in presets:
         step_tokens = min(tokens, 1024)
         hot_builds = {f"{kernel}/{dtype}": build_hot_loop(preset, kernel, dtype, tokens)
                       for kernel, dtype in CONFIGS}
@@ -896,7 +900,7 @@ def _bench_alloc_probe(updates) -> Dict:
 
 #: informational uplink-framing codecs (the e2e wire workload's first) and the
 #: models whose full upload (every expert, an FMD participant's) is framed
-UPLINK_CODECS = ("topk:0.25:int4", "topk", "int4", "fp64")
+UPLINK_CODECS = ("topk:0.25:int4", "fp32", "int4", "fp64")
 UPLINK_PRESETS = ("llama_moe_mini", "deepseek_moe_mini")
 
 
@@ -1008,7 +1012,7 @@ def bench_prefold(quick: bool) -> Dict:
     }
 
 
-#: the composed codec whose frame bytes the informational ``wire`` block checks
+#: the composed codec whose frame bytes the informational ``wire`` block reports
 WIRE_CODEC = "topk:0.25:int4"
 
 
@@ -1016,9 +1020,7 @@ def _bench_wire(iters: int, reps: int) -> Dict:
     """Composed ``topk:<density>:int<bits>`` codec: bytes + throughput.
 
     Encodes one expert's delta under the composed sparse codec and under
-    ``fp64``, and cross-checks the measured frame size against the codec's
-    ``wire_bytes_per_param`` analytics (the wire-cost model the federated
-    layer's :class:`ExchangePlan` reports).
+    ``fp64``.
     """
     from repro.comm import encode_state_dict, decode_state_dict, get_codec
     from repro.models import MoETransformer
@@ -1035,8 +1037,6 @@ def _bench_wire(iters: int, reps: int) -> Dict:
 
     sparse_frame = encode_state_dict(state, codec, reference=reference)
     dense_frame = encode_state_dict(state, dense)
-    analytic = sum(value.size * codec.wire_bytes_per_param(group_size=value.size)
-                   for value in state.values())
 
     fns = {
         "encode": {"wire": lambda: encode_state_dict(state, codec,
@@ -1050,9 +1050,6 @@ def _bench_wire(iters: int, reps: int) -> Dict:
         "codec": WIRE_CODEC,
         "params_per_expert": params,
         "measured_frame_bytes": len(sparse_frame),
-        "analytic_payload_bytes": analytic,
-        "measured_vs_analytic_rel_err":
-            abs(len(sparse_frame) - analytic) / analytic,
         "fp64_frame_bytes": len(dense_frame),
         "bytes_ratio_vs_fp64": len(sparse_frame) / len(dense_frame),
         "encode_params_per_s": params / times["encode"]["wire"],
@@ -1153,8 +1150,8 @@ def run_aggregation_suite(quick: bool) -> Dict:
                  "oracle (byte-identical partials asserted first). uplink is "
                  "informational (host-speed frames/s of "
                  "framing one participant's upload, per update vs batched), "
-                 "and so are wire (composed topk+int codec frame size vs its "
-                 "own analytics and vs fp64) and checkpoint (full vs "
+                 "and so are wire (composed topk+int codec frame size and "
+                 "throughput vs fp64) and checkpoint (full vs "
                  "sparse-delta snapshot of the same model state, 5% of "
                  "parameters touched)."),
         "shards": shards,
@@ -1346,6 +1343,7 @@ def run_service_suite() -> Dict:
     would move.
     """
     from repro.service import ServiceAggregationPool
+    from repro.service.protocol import OP_PING
 
     participants = 64
     # --quick trims nothing: a fold is ~25 ms, and with fewer repetitions the
@@ -1366,7 +1364,8 @@ def run_service_suite() -> Dict:
                   for n in SERVICE_SHARD_COUNTS}
         tree = _bench_service_tree(updates, SERVICE_TREE_TIERS, iters, reps,
                                    service_pools)
-        rpc = {transport: {"ping_s": _best_time(pool._clients[0].ping, 200, reps)}
+        rpc = {transport: {"ping_s": _best_time(
+                   functools.partial(pool._clients[0].call, OP_PING), 200, reps)}
                for transport, pool in service_pools.items()}
     finally:
         for pool in service_pools.values():
@@ -1656,15 +1655,26 @@ def _shown(gate: Gate, value) -> str:
     return str(value) if gate.direction == "not-above" else f"{value:.{gate.digits}f}x"
 
 
+#: extra readings of a ratio row that misses its bound, when the suite can
+#: re-measure one: the row fails only when the median of all its readings misses
+REMEASURES = 2
+
+
 def check_gates(suite: str, current: Dict, committed: Dict, tolerance: float,
-                baseline_path: str) -> int:
+                baseline_path: str,
+                remeasure: Optional[Callable[[Tuple[str, ...]], float]] = None) -> int:
     """Gate ``current`` against ``committed`` on every :data:`GATES` row of ``suite``.
 
     Prints one ``[OK]`` / ``[REGRESSION]`` / ``[MISSING]`` line per committed
     entry and returns the exit code.  A committed entry the current run never
     produced is a broken gate, not a pass — otherwise a partial suite (or a
     renamed shard/tier/preset) would silently stop gating — and so is a
-    baseline file that carries nothing of the suite.
+    baseline file that carries nothing of the suite.  With ``remeasure``
+    (``keys -> a fresh reading of that row``), a ratio row that misses its
+    bound is measured :data:`REMEASURES` more times and judged by the median
+    of its readings, every one of them printed: one noisy reading of a row
+    that moves by more than its tolerance between quiet runs no longer fails
+    the gate alone.
     """
     failures = gated = 0
     for gate in GATES:
@@ -1684,12 +1694,22 @@ def check_gates(suite: str, current: Dict, committed: Dict, tolerance: float,
                 continue
             if count:
                 ok, bound = cur <= ref, "must not exceed"
-            elif gate.direction == "higher":
-                floor = (1.0 - allowed) * ref
-                ok, bound = cur >= floor, f"floor {_shown(gate, floor)}"
             else:
-                ceiling = (1.0 + allowed) * ref
-                ok, bound = cur <= ceiling, f"ceiling {_shown(gate, ceiling)}"
+                limit = (1.0 - allowed if gate.direction == "higher" else 1.0 + allowed) * ref
+
+                def within(value):
+                    return value >= limit if gate.direction == "higher" else value <= limit
+
+                bound = (f"{'floor' if gate.direction == 'higher' else 'ceiling'} "
+                         f"{_shown(gate, limit)}")
+                ok = within(cur)
+                if not ok and remeasure is not None:
+                    readings = [cur] + [remeasure(keys) for _ in range(REMEASURES)]
+                    cur = float(np.median(readings))
+                    ok = within(cur)
+                    print(f"[RE-MEASURED] {label}: readings "
+                          f"{', '.join(_shown(gate, value) for value in readings)}; "
+                          f"median {_shown(gate, cur)}")
             print(f"[{'OK' if ok else 'REGRESSION'}] {label}: current "
                   f"{_shown(gate, cur)} vs committed {_shown(gate, ref)} ({bound})")
             failures += not ok
@@ -1809,9 +1829,7 @@ def main(argv=None) -> int:
                 for name, values in entry["codecs"].items())
             print(f"  uplink {preset}: encode_updates {parts} vs the per-update oracle")
         wire = agg["wire"]
-        print(f"  wire {wire['codec']}: {wire['measured_frame_bytes']} B/expert "
-              f"measured vs {wire['analytic_payload_bytes']:.0f} B analytic "
-              f"({wire['measured_vs_analytic_rel_err']:.1%} off), "
+        print(f"  wire {wire['codec']}: {wire['measured_frame_bytes']} B/expert, "
               f"{wire['bytes_ratio_vs_fp64']:.3f}x of fp64")
         ckpt = agg["checkpoint"]
         print(f"  checkpoint: delta {ckpt['delta_bytes']} B vs full "
@@ -1869,8 +1887,26 @@ def main(argv=None) -> int:
     if args.check:
         with open(args.check) as handle:
             committed = json.load(handle)
-        return check_gates(args.suite, result, committed, args.tolerance, args.check)
+        remeasure = _hotpath_remeasure(args.quick) if args.suite == "hotpath" else None
+        return check_gates(args.suite, result, committed, args.tolerance, args.check,
+                           remeasure=remeasure)
     return 0
+
+
+def _hotpath_remeasure(quick: bool) -> Callable[[Tuple[str, ...]], float]:
+    """A fresh reading of one gated hotpath row: its section run again
+    (a preset's kernels for that preset alone)."""
+    sections = {
+        "presets": lambda keys: run_suite(quick, presets=(keys[1],)),
+        "preamble": lambda keys: bench_preamble(quick),
+        "read_rows": lambda keys: bench_read_rows(quick),
+        "optimizer": lambda keys: bench_optimizer(quick),
+    }
+
+    def remeasure(keys: Tuple[str, ...]) -> float:
+        return _lookup({keys[0]: sections[keys[0]](keys)}, keys)
+
+    return remeasure
 
 
 if __name__ == "__main__":

@@ -39,8 +39,7 @@ class KeepNonTuningFineTuner(FederatedFineTuner):
                                             max_seq_len=model.config.max_seq_len)
         result = participant.local_finetune(model, batches,
                                             learning_rate=self.config.learning_rate,
-                                            trainable_experts=selected,
-                                            iterations=self.config.local_iterations)
+                                            trainable_experts=selected)
         updates = [
             ExpertUpdate(participant.participant_id, layer, expert,
                          model.expert_state(layer, expert),

@@ -38,7 +38,7 @@ PER_ROUND_CLIENTS = 10
 SCHEDULER_CONFIGS = {
     "sync": {},
     "semisync": {"deadline_quantile": 0.7},
-    "async": {"buffer_size": 5, "staleness_exponent": 0.5},
+    "async": {"buffer_size": 5},
 }
 
 
@@ -66,7 +66,7 @@ def _run_scheduler(scheduler, num_clients, seed=0):
         eval_max_samples=16, seed=seed,
         participants_per_round=PER_ROUND_CLIENTS,
         scheduler=scheduler,
-        straggler_prob=0.1, straggler_slowdown=4.0,
+        straggler_prob=0.1,
         **SCHEDULER_CONFIGS[scheduler],
     )
     server = ParameterServer(MoETransformer(config))
@@ -128,7 +128,7 @@ def test_fig21_hundred_client_semisync_round():
     run_config = RunConfig(
         batch_size=8, max_local_batches=1, eval_max_samples=16, seed=1,
         scheduler="semisync", deadline_quantile=0.8,
-        straggler_prob=0.1, straggler_slowdown=4.0,
+        straggler_prob=0.1,
     )
     server = ParameterServer(MoETransformer(config))
     tuner = FMDFineTuner(server, participants, test, cost_models=cost_models,

@@ -62,7 +62,7 @@ def run_policy(scheduler: str, num_rounds: int = 6, seed: int = 0, **runtime_kno
         eval_max_samples=24, seed=seed,
         participants_per_round=6,
         scheduler=scheduler,
-        straggler_prob=0.10, straggler_slowdown=4.0, dropout_prob=0.05,
+        straggler_prob=0.10, dropout_prob=0.05,
         **runtime_knobs,
     )
     server = ParameterServer(MoETransformer(config))
@@ -75,7 +75,7 @@ def main() -> None:
     runs = {
         "sync": run_policy("sync"),
         "semisync": run_policy("semisync", deadline_quantile=0.7),
-        "async": run_policy("async", buffer_size=4, staleness_exponent=0.5),
+        "async": run_policy("async", buffer_size=4),
     }
 
     # Common quality target: 95% of the weakest policy's best metric.

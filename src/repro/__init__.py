@@ -26,15 +26,8 @@ Quickstart::
     server = ParameterServer(MoETransformer(config))
     tuner = FluxFineTuner(server, participants, test, config=RunConfig())
     result = tuner.run(num_rounds=5)
-
-    # Library code never prints: route run output through the repro.obs
-    # structured logger (enable_console_logging() opts a script in).
-    from repro.obs import enable_console_logging, get_logger
-
-    enable_console_logging()
-    log = get_logger("quickstart")
     for row in result.tracker.as_series():
-        log.info("round complete", **row)
+        print(row)
 
 Pass ``RunConfig(telemetry=True, telemetry_dir="trace/")`` and the run also
 emits a JSONL span/metrics event log, a Chrome trace (open it in Perfetto)
@@ -60,7 +53,6 @@ from .comm import (
     Channel,
     ChannelStats,
     StreamingAggregator,
-    available_codecs,
     decode_update,
     encode_update,
     get_codec,
@@ -79,7 +71,6 @@ from .data import (
     make_dolly_like,
     make_gsm8k_like,
     make_mmlu_like,
-    make_piqa_like,
     partition_dirichlet,
 )
 from .federated import (
@@ -99,8 +90,6 @@ from .obs import (
     RunTelemetry,
     Span,
     Tracer,
-    enable_console_logging,
-    get_logger,
 )
 from .runtime import (
     AsyncScheduler,
@@ -149,7 +138,6 @@ __all__ = [
     "make_dolly_like",
     "make_gsm8k_like",
     "make_mmlu_like",
-    "make_piqa_like",
     "partition_dirichlet",
     # federated substrate
     "Participant",
@@ -165,7 +153,6 @@ __all__ = [
     "ChannelStats",
     "StreamingAggregator",
     "get_codec",
-    "available_codecs",
     "encode_update",
     "decode_update",
     # systems
@@ -184,8 +171,6 @@ __all__ = [
     "NullTracer",
     "MetricsRegistry",
     "RunTelemetry",
-    "get_logger",
-    "enable_console_logging",
     # runtime (event-driven execution engine)
     "EventQueue",
     "Scheduler",

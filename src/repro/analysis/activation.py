@@ -46,21 +46,9 @@ class ActivationProfile:
         """Variance of activation frequencies within each layer (Figure 2, right)."""
         return np.asarray([float(np.var(freq)) for freq in self.frequencies])
 
-    def frequency_matrix(self) -> np.ndarray:
-        """Stack per-layer frequencies into a ``(layers, max_experts)`` matrix."""
-        max_experts = max(len(freq) for freq in self.frequencies)
-        matrix = np.zeros((self.num_layers, max_experts))
-        for layer, freq in enumerate(self.frequencies):
-            matrix[layer, : len(freq)] = freq
-        return matrix
-
     def samples_for_expert(self, layer: int, expert: int) -> Set[int]:
         """The paper's :math:`D^e_i`: samples whose tokens reached this expert."""
         return set(self.sample_sets[layer][expert])
-
-    def flat_frequencies(self) -> np.ndarray:
-        """All per-expert frequencies concatenated across layers."""
-        return np.concatenate(self.frequencies) if self.frequencies else np.zeros(0)
 
 
 def profile_activation(model: MoETransformer, batches: Sequence[Batch]) -> ActivationProfile:

@@ -34,7 +34,6 @@ class FMDFineTuner(FederatedFineTuner):
                 local_model, batches,
                 learning_rate=self.config.learning_rate,
                 trainable_experts=None,
-                iterations=self.config.local_iterations,
             )
             updates = expert_updates_from_model(participant.participant_id, local_model, result)
             total_experts = sum(local_model.experts_per_layer())

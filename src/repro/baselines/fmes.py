@@ -93,7 +93,6 @@ class FMESFineTuner(FederatedFineTuner):
                 compact, batches,
                 learning_rate=self.config.learning_rate,
                 trainable_experts=set(slot_map.keys()),
-                iterations=self.config.local_iterations,
             )
 
             updates: List[ExpertUpdate] = []

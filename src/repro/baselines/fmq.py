@@ -49,7 +49,6 @@ class FMQFineTuner(FederatedFineTuner):
             local_model, batches,
             learning_rate=self.config.learning_rate,
             trainable_experts=None,
-            iterations=self.config.local_iterations,
         )
         # Uploaded expert states are re-quantized: the source of FMQ's
         # accumulated precision error across rounds.

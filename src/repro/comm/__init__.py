@@ -20,9 +20,7 @@ from .codecs import (
     Codec,
     GroupQuantCodec,
     SparseDeltaCodec,
-    TopKDeltaCodec,
     TopKQuantCodec,
-    available_codecs,
     get_codec,
     register_codec,
 )
@@ -50,11 +48,9 @@ __all__ = [
     "CastCodec",
     "GroupQuantCodec",
     "SparseDeltaCodec",
-    "TopKDeltaCodec",
     "TopKQuantCodec",
     "register_codec",
     "get_codec",
-    "available_codecs",
     "MAGIC",
     "KIND_UPDATE",
     "KIND_STATE_DICT",

@@ -94,13 +94,6 @@ class StreamingAggregator:
         #: model dtype: a fold of many updates rounds once, on write-back
         self._sums: Dict[Tuple[str, tuple], np.ndarray] = {}
 
-    def __len__(self) -> int:
-        return len(self._accs)
-
-    @property
-    def num_updates(self) -> int:
-        return sum(acc.count for acc in self._accs.values())
-
     def contributions(self) -> Dict[ExpertKey, int]:
         """Updates folded so far, per expert key."""
         return {key: acc.count for key, acc in self._accs.items()}

@@ -6,9 +6,7 @@ A :class:`Channel` charges each payload for real airtime — latency plus
 faults drawn from a :class:`~repro.runtime.faults.ChannelFaultInjector` (any
 object with compatible ``outcome``/``corrupt`` hooks works).  Every transfer
 is recorded into :class:`ChannelStats`, which is where *measured* payload
-bytes come from; the analytic
-:class:`~repro.federated.communication.ExchangePlan` estimate stays available
-as a cross-check.
+bytes come from.
 
 Measured airtime is reported (``RoundResult.wire_seconds``) alongside — not
 instead of — the analytic communication seconds the methods charge into their

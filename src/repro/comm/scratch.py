@@ -118,8 +118,3 @@ class ScratchPool:
     def term_rows(self, rows: int, shape) -> np.ndarray:
         """The first ``rows`` rows of the :meth:`term` buffer :meth:`take_rows` sizes."""
         return self.term((_row_capacity(rows), *shape))[:rows]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ScratchPool(free={sum(map(len, self._free.values()))}, "
-                f"taken={len(self._taken)}, terms={len(self._terms)}, "
-                f"allocations={self.allocations})")

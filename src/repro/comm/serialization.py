@@ -52,7 +52,7 @@ call each — the receiving twin of :func:`encode_updates`.
 Passing a :class:`~repro.comm.scratch.ScratchPool` as ``scratch=`` makes the
 tensor reconstruction allocation-free too: each output array is checked out
 of the pool and filled in place via the codecs' ``out=`` fast path — see
-:meth:`repro.comm.codecs.Codec.decode_array` — and when a cast codec's wire
+:meth:`repro.comm.codecs.Codec.decode_arrays` — and when a cast codec's wire
 dtype already *is* the target dtype the array is a read-only view straight
 into the frame, with no copy at all.  Scratch-decoded states are volatile:
 valid only until the pool's next ``recycle()`` (and, for the frame-backed
@@ -102,13 +102,6 @@ _SHAPE_STRUCTS: Dict[int, struct.Struct] = {}
 #: parsed-``np.dtype`` cache: only strings ``np.dtype`` accepted are cached,
 #: so fuzzed garbage cannot grow it
 _DTYPES: Dict[str, np.dtype] = {}
-
-
-def _struct_for(fmt: str) -> struct.Struct:
-    compiled = _STRUCTS.get(fmt)
-    if compiled is None:
-        compiled = _STRUCTS[fmt] = struct.Struct(fmt)
-    return compiled
 
 
 def _shape_struct(ndim: int) -> struct.Struct:
@@ -178,12 +171,13 @@ def _frame_prefix(kind: int, codec: Codec) -> bytes:
 
 def _encode_tensors(parts: List[bytes], codec: Codec, state: Dict[str, np.ndarray],
                     reference: Optional[Dict[str, np.ndarray]]) -> None:
+    """A state dict's tensors onto ``parts``, all through one ``encode_arrays`` call."""
+    arrays = [np.asarray(value) for value in state.values()]
+    encoded = codec.encode_arrays(
+        arrays, [_reference_for(codec, reference, name) for name in state])
     parts.append(_U16.pack(len(state)))
-    for name, value in state.items():
-        array = np.asarray(value)
-        _append_tensor(
-            parts, _tensor_header(name, array.dtype.str, array.shape),
-            codec.encode_array(array, reference=_reference_for(codec, reference, name)))
+    for name, array, sections in zip(state, arrays, encoded):
+        _append_tensor(parts, _tensor_header(name, array.dtype.str, array.shape), sections)
 
 
 def _frame(parts: List[bytes]) -> bytes:
@@ -290,8 +284,8 @@ def _cast_values(sections: List[memoryview], cast_dtype: np.dtype,
     decoded arrays as volatile anyway (scratch semantics) reads straight out
     of the frame — no take, no copy.  The view is read-only and possibly
     unaligned; NumPy's ufunc loops handle both.  Checked as
-    :meth:`CastCodec.decode_array <repro.comm.codecs.CastCodec.decode_array>`
-    checks, which this inlines.
+    :meth:`CastCodec.decode_arrays <repro.comm.codecs.CastCodec.decode_arrays>`
+    checks each row.
     """
     if len(sections) != 1:
         raise PayloadCorruptedError("cast codec expects exactly one section")
@@ -525,18 +519,16 @@ def decode_update_group(updates: Sequence[ParsedUpdate],
                             for reference in references],
                         out=None if scratch is None else scratch.take_rows(
                             len(column), shape, dtype)))
-                elif scratch is None:       # fresh copies, as CastCodec.decode_array
+                elif scratch is None:       # fresh copies, one array each
                     values.append([_cast_values(sections, cast, shape).astype(dtype)
                                    for sections in column])
                 elif dtype == cast:         # the values where they lie
                     values.append([_cast_values(sections, cast, shape)
                                    for sections in column])
                 else:
-                    out = scratch.take_rows(len(column), shape, dtype)
-                    for row, sections in enumerate(column):
-                        np.copyto(out[row, ...], _cast_values(sections, cast, shape),
-                                  casting="unsafe")
-                    values.append(out)
+                    values.append(codec.decode_arrays(
+                        column, shape, dtype,
+                        out=scratch.take_rows(len(column), shape, dtype)))
             groups.append(DecodedGroup(
                 positions, tuple([(name, shape) for name, _, shape in table]), values))
     except _MALFORMED as exc:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class ClusteringResult:
 
     def num_clusters(self) -> int:
         return sum(len(clusters) for clusters in self.clusters_per_layer)
-
-    def cluster_of(self, layer: int, expert: int) -> Optional[int]:
-        """Index of the cluster containing ``expert`` in ``layer`` (None if absent)."""
-        for index, members in enumerate(self.clusters_per_layer[layer]):
-            if expert in members:
-                return index
-        return None
 
 
 def pca_reduce(gram: np.ndarray, components: int) -> np.ndarray:

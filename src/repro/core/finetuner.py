@@ -144,7 +144,6 @@ class FluxFineTuner(FederatedFineTuner):
                 learning_rate=self.config.learning_rate,
                 batch_size=self.config.batch_size,
                 max_batches=self.config.max_local_batches,
-                local_iterations=self.config.local_iterations,
                 cost_model=self.cost_model_for(participant),
                 quantized_model=self.quantized_global_model(),
                 expert_grams=self.expert_grams(),

@@ -104,7 +104,6 @@ class FluxClientState:
         learning_rate: float,
         batch_size: int,
         max_batches: Optional[int],
-        local_iterations: int,
         cost_model: Optional[CostModel] = None,
         quantized_model: Optional[MoETransformer] = None,
         expert_grams: Optional[Sequence[np.ndarray]] = None,
@@ -165,7 +164,6 @@ class FluxClientState:
             compact, train_batches,
             learning_rate=learning_rate,
             trainable_experts=set(tuning_slots.keys()),
-            iterations=local_iterations,
         )
 
         # 4. Package expert updates (local slot -> original expert id).

@@ -90,11 +90,6 @@ class QuantizedProfiler:
             profiling_seconds=profiling_seconds,
         )
 
-    def reference_profile(self, model: MoETransformer, batches: Sequence[Batch]) -> ActivationProfile:
-        """Full-precision profile, used to measure estimation error (Figure 5)."""
-        used = list(batches[: self.max_batches] if self.max_batches else batches)
-        return profile_activation(model, used)
-
 
 class StaleProfiler:
     """Round-pipelined profiling: use last round's profile, refresh in parallel.
@@ -115,10 +110,6 @@ class StaleProfiler:
         self.enabled = enabled
         self._profiler = QuantizedProfiler(bits=bits, max_batches=max_batches)
         self._previous: Optional[ActivationProfile] = None
-
-    @property
-    def bits(self) -> int:
-        return self._profiler.bits
 
     def profile_for_round(self, model: MoETransformer, batches: Sequence[Batch],
                           cost_model: Optional[CostModel] = None,

@@ -17,7 +17,7 @@ exploration experts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -79,22 +79,6 @@ class UtilityTracker:
     def observe_many(self, measurements: Dict[ExpertKey, float]) -> None:
         for key, value in measurements.items():
             self.observe(key, value)
-
-    def get(self, key: ExpertKey, default: float = 0.0) -> float:
-        return self.utilities.get(key, default)
-
-    def top_experts(self, count: int, layer: Optional[int] = None) -> List[ExpertKey]:
-        """Expert keys with the highest utility (optionally within one layer)."""
-        items = [
-            (key, value) for key, value in self.utilities.items()
-            if layer is None or key[0] == layer
-        ]
-        items.sort(key=lambda item: -item[1])
-        return [key for key, _ in items[:count]]
-
-    def stale_experts(self) -> List[ExpertKey]:
-        """Experts whose utility has never been refreshed by a measurement."""
-        return [key for key, count in self.update_counts.items() if count == 0]
 
     def as_dict(self) -> Dict[ExpertKey, float]:
         return dict(self.utilities)

@@ -1,7 +1,6 @@
 """Synthetic data substrate: vocab, task generators, datasets, non-IID partitioning."""
 
 from .datasets import (
-    DATASET_FACTORIES,
     DATASET_SPECS,
     DatasetSpec,
     SyntheticDataset,
@@ -9,7 +8,6 @@ from .datasets import (
     make_dolly_like,
     make_gsm8k_like,
     make_mmlu_like,
-    make_piqa_like,
 )
 from .loader import IGNORE_INDEX, Batch, collate, iter_batches, make_batches
 from .partition import partition_dirichlet
@@ -24,12 +22,10 @@ __all__ = [
     "DatasetSpec",
     "SyntheticDataset",
     "DATASET_SPECS",
-    "DATASET_FACTORIES",
     "make_dataset",
     "make_dolly_like",
     "make_gsm8k_like",
     "make_mmlu_like",
-    "make_piqa_like",
     "partition_dirichlet",
     "Batch",
     "collate",

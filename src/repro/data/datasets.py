@@ -15,7 +15,7 @@ models (recorded in EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class SyntheticDataset:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def __getitem__(self, index: int) -> Sample:
-        return self.samples[index]
-
     def subset(self, indices) -> "SyntheticDataset":
         """A view-like dataset restricted to ``indices`` (samples are shared)."""
         picked = [self.samples[int(i)] for i in indices]
@@ -68,9 +65,6 @@ class SyntheticDataset:
 
     def topics(self) -> np.ndarray:
         return np.asarray([s.topic for s in self.samples], dtype=np.int64)
-
-    def mean_length(self) -> float:
-        return float(np.mean([s.length for s in self.samples])) if self.samples else 0.0
 
 
 #: Specs for the four benchmark-dataset substitutes.  ``mean_prompt_length``
@@ -134,16 +128,3 @@ def make_gsm8k_like(**kwargs) -> SyntheticDataset:
 def make_mmlu_like(**kwargs) -> SyntheticDataset:
     """MMLU substitute: 4-way multiple choice over many topics."""
     return make_dataset("mmlu", **kwargs)
-
-
-def make_piqa_like(**kwargs) -> SyntheticDataset:
-    """PIQA substitute: binary-flavoured multiple choice (kept 4-way for API uniformity)."""
-    return make_dataset("piqa", **kwargs)
-
-
-DATASET_FACTORIES: Dict[str, Callable[..., SyntheticDataset]] = {
-    "dolly": make_dolly_like,
-    "gsm8k": make_gsm8k_like,
-    "mmlu": make_mmlu_like,
-    "piqa": make_piqa_like,
-}

@@ -54,10 +54,6 @@ class Sample:
     def length(self) -> int:
         return int(self.input_ids.shape[0])
 
-    @property
-    def prompt_ids(self) -> np.ndarray:
-        return self.input_ids[: self.prompt_length]
-
 
 def _zipf_weights(n: int, exponent: float = 1.1) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)

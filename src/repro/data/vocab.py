@@ -44,9 +44,6 @@ class Vocabulary:
         self._content_start = self._digit_start + self.num_digits
 
     # --------------------------------------------------------------- regions
-    @property
-    def content_start(self) -> int:
-        return self._content_start
 
     @property
     def num_content_tokens(self) -> int:
@@ -61,13 +58,6 @@ class Vocabulary:
     def choice_tokens(self) -> List[int]:
         return [self.choice_token(c) for c in range(self.num_choices)]
 
-    def choice_from_token(self, token: int) -> int:
-        """Inverse of :meth:`choice_token`."""
-        index = token - self._choice_start
-        if not 0 <= index < self.num_choices:
-            raise ValueError(f"token {token} is not a choice token")
-        return index
-
     def digit_token(self, digit: int) -> int:
         """Token id of decimal digit ``digit``."""
         if not 0 <= digit < self.num_digits:
@@ -77,12 +67,6 @@ class Vocabulary:
     def digit_tokens(self) -> List[int]:
         return [self.digit_token(d) for d in range(self.num_digits)]
 
-    def digit_from_token(self, token: int) -> int:
-        index = token - self._digit_start
-        if not 0 <= index < self.num_digits:
-            raise ValueError(f"token {token} is not a digit token")
-        return index
-
     def topic_block(self, topic: int) -> range:
         """Content-token id range owned by ``topic``."""
         if not 0 <= topic < self.num_topics:
@@ -91,11 +75,3 @@ class Vocabulary:
         start = self._content_start + topic * block
         end = start + block
         return range(start, end)
-
-    def topic_of_token(self, token: int) -> int:
-        """Topic that owns a content token (-1 for non-content tokens)."""
-        if token < self._content_start:
-            return -1
-        block = self.num_content_tokens // self.num_topics
-        topic = (token - self._content_start) // block
-        return min(topic, self.num_topics - 1)

@@ -18,9 +18,7 @@ from .server import (
 )
 from .topology import (
     AggregationTree,
-    CallableGrouping,
     CostAwareGrouping,
-    GroupingPolicy,
     RoundRobinGrouping,
     make_topology,
 )
@@ -39,10 +37,8 @@ __all__ = [
     "ShardedParameterServer",
     "make_aggregation_pool",
     "AggregationTree",
-    "GroupingPolicy",
     "RoundRobinGrouping",
     "CostAwareGrouping",
-    "CallableGrouping",
     "make_topology",
     "FederatedFineTuner",
     "RunConfig",

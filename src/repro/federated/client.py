@@ -160,13 +160,6 @@ class Participant:
         self._round_seed = seed
 
     # ------------------------------------------------------------------ data
-    def __repr__(self) -> str:
-        return (f"Participant(id={self.participant_id}, samples={len(self.dataset)}, "
-                f"device={self.device.name})")
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.dataset)
 
     # ------------------------------------------------------------------ wire
     def make_channel(self, cost_model=None, faults=None):
@@ -207,11 +200,11 @@ class Participant:
         batches: Sequence[Batch],
         learning_rate: float = 5e-3,
         trainable_experts: Optional[Set[ExpertKey]] = None,
-        iterations: int = 1,
     ) -> LocalTrainResult:
-        """Fine-tune ``model`` in place on ``batches``.
+        """Fine-tune ``model`` in place on ``batches``: one Adam step per batch.
 
-        Only routed experts receive gradients.  When ``trainable_experts`` is
+        One pass over the batches is the paper's one local iteration per
+        round (§8.1).  Only routed experts receive gradients.  When ``trainable_experts`` is
         given, experts outside the set are frozen (Flux / FMES); ``None`` makes
         every *local* expert trainable (FMD / FMQ).  Expert keys refer to the
         model's local expert slots.  What is frozen, the module tree and the
@@ -231,30 +224,29 @@ class Participant:
         total_tokens = 0
 
         training.train_mode()
-        for _ in range(max(iterations, 1)):
-            for batch in batches:
-                optimizer.zero_grad()
-                # No ``sample_ids``: only ``profile_activation`` reads the
-                # per-expert sample sets they would fill; the token counts
-                # read below do not need them.
-                loss = model.compute_loss(
-                    batch.input_ids,
-                    labels=batch.labels,
-                    attention_mask=batch.attention_mask,
-                )
-                if loss.requires_grad:
-                    loss.backward()
-                    self._accumulate_expert_stats(model, expert_params, grad_sq, token_counts)
-                    optimizer.step()
-                # else: no routed token touched a trainable expert in this
-                # batch — a legitimate zero-gradient step, not an error.
-                losses.append(loss.item())
-                total_tokens += batch.num_tokens
+        for batch in batches:
+            optimizer.zero_grad()
+            # No ``sample_ids``: only ``profile_activation`` reads the
+            # per-expert sample sets they would fill; the token counts
+            # read below do not need them.
+            loss = model.compute_loss(
+                batch.input_ids,
+                labels=batch.labels,
+                attention_mask=batch.attention_mask,
+            )
+            if loss.requires_grad:
+                loss.backward()
+                self._accumulate_expert_stats(model, expert_params, grad_sq, token_counts)
+                optimizer.step()
+            # else: no routed token touched a trainable expert in this
+            # batch — a legitimate zero-gradient step, not an error.
+            losses.append(loss.item())
+            total_tokens += batch.num_tokens
 
         grad_norms = {key: float(np.sqrt(value)) for key, value in grad_sq.items()}
         return LocalTrainResult(
             mean_loss=float(np.mean(losses)),
-            num_batches=len(batches) * max(iterations, 1),
+            num_batches=len(batches),
             num_tokens=total_tokens,
             num_samples=sum(batch.batch_size for batch in batches),
             expert_grad_norms=grad_norms,

@@ -1,47 +1,30 @@
 """Communication accounting for parameter exchange.
 
 Thin helpers translating "how many experts moved between a participant and the
-server" into bytes and (via the participant's device profile) seconds.  The
+server" into (via the participant's device profile) seconds.  The
 orchestrator charges these times into each round's cost breakdown.
 
 ``bytes_per_param`` follows the wire precision of the method: full-precision
 methods ship FP16/BF16 (2 bytes), quantized methods ship ``bits / 8`` bytes per
-parameter (see :meth:`ExchangePlan.for_bits`), so e.g. FMQ's INT4 round trips
+parameter (:func:`bytes_per_param_for_bits`), so e.g. FMQ's INT4 round trips
 charge a quarter of the FP16 transfer time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..systems import CostModel
 
 #: wire bytes per parameter for full-precision (FP16/BF16) exchange
 FULL_PRECISION_BYTES_PER_PARAM = 2.0
 
-#: bytes per quantization scale shipped on the wire (float32)
-WIRE_SCALE_BYTES = 4.0
 
-
-def bytes_per_param_for_bits(bits: int, group_size: Optional[float] = None,
-                             scale_bytes: float = WIRE_SCALE_BYTES) -> float:
-    """Wire bytes per parameter when experts are quantized to ``bits`` bits.
-
-    Without ``group_size`` this is the pure-payload ``bits / 8`` estimate.
-    With it, the per-group quantization scale is charged too —
-    ``group_size`` is the number of parameters sharing one scale (for the
-    row-quantized wire codecs, the row length) — which is what the measured
-    payload sizes of :mod:`repro.comm` actually ship.
-    """
+def bytes_per_param_for_bits(bits: int) -> float:
+    """Wire bytes per parameter when experts are quantized to ``bits`` bits."""
     if bits < 1:
         raise ValueError("bits must be positive")
-    per_param = bits / 8.0
-    if group_size is not None:
-        if group_size <= 0:
-            raise ValueError("group_size must be positive")
-        per_param += scale_bytes / float(group_size)
-    return per_param
+    return bits / 8.0
 
 
 @dataclass
@@ -52,37 +35,8 @@ class ExchangePlan:
     upload_experts: int
     bytes_per_param: float = FULL_PRECISION_BYTES_PER_PARAM
 
-    @classmethod
-    def for_bits(cls, download_experts: int, upload_experts: int, bits: int,
-                 group_size: Optional[float] = None) -> "ExchangePlan":
-        """An exchange whose payloads are quantized to ``bits`` bits/param."""
-        return cls(download_experts=download_experts, upload_experts=upload_experts,
-                   bytes_per_param=bytes_per_param_for_bits(bits, group_size=group_size))
-
-    @classmethod
-    def for_codec(cls, download_experts: int, upload_experts: int, codec,
-                  group_size: Optional[float] = None) -> "ExchangePlan":
-        """An exchange priced from a wire codec's analytic bytes/param."""
-        return cls(download_experts=download_experts, upload_experts=upload_experts,
-                   bytes_per_param=codec.wire_bytes_per_param(group_size))
-
     def communication_seconds(self, cost_model: CostModel) -> float:
         """Total transfer time for this exchange on the participant's link."""
         down = cost_model.download_time(self.download_experts, bytes_per_param=self.bytes_per_param)
         up = cost_model.upload_time(self.upload_experts, bytes_per_param=self.bytes_per_param)
         return down + up
-
-    def total_bytes(self, cost_model: CostModel) -> float:
-        per_expert = cost_model.memory.params_per_expert * self.bytes_per_param
-        return (self.download_experts + self.upload_experts) * per_expert
-
-    def payload_bytes(self, params_per_expert: float) -> float:
-        """Analytic payload bytes for experts of ``params_per_expert`` params.
-
-        The cross-check for measured wire traffic: frame headers excluded,
-        codec payload (including group scales when ``bytes_per_param`` came
-        from :meth:`for_bits`/:meth:`for_codec` with a ``group_size``)
-        included.
-        """
-        per_expert = float(params_per_expert) * self.bytes_per_param
-        return (self.download_experts + self.upload_experts) * per_expert

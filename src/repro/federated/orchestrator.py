@@ -42,13 +42,13 @@ class RunConfig:
     """Hyper-parameters of one federated fine-tuning run.
 
     Mirrors the paper's §8.1 settings (mini-batch 16, one local iteration per
-    round, 20 participants per round) with a learning rate recalibrated for the
+    round — one pass of :meth:`~repro.federated.client.Participant.local_finetune`
+    — 20 participants per round) with a learning rate recalibrated for the
     mini models.  The runtime block selects the :mod:`repro.runtime` scheduling
     policy; the defaults reproduce the legacy synchronous loop exactly.
     """
 
     batch_size: int = 16
-    local_iterations: int = 1
     learning_rate: float = 5e-3
     max_local_batches: Optional[int] = 2
     participants_per_round: Optional[int] = None   # None = all participants
@@ -61,12 +61,10 @@ class RunConfig:
     scheduler: str = "sync"                  # "sync" | "semisync" | "async"
     deadline_quantile: float = 0.8           # semisync: round deadline = this duration quantile
     buffer_size: int = 4                     # async: updates per aggregation
-    staleness_exponent: float = 0.5          # async: update weight (1+s)^-a
 
     # --- runtime: fault injection (repro.runtime.faults)
     dropout_prob: float = 0.0
     straggler_prob: float = 0.0
-    straggler_slowdown: float = 4.0
 
     # --- comm: wire transport (repro.comm)
     transport: str = "analytic"              # "analytic" | "wire"
@@ -146,8 +144,6 @@ class RunConfig:
                      "channel_loss_prob", "channel_corrupt_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be positive")
         if self.codec is not None:
@@ -253,9 +249,6 @@ class RunResult:
     @property
     def total_time(self) -> float:
         return self.timeline.total_time()
-
-    def time_to_target(self) -> Optional[float]:
-        return self.tracker.time_to_target()
 
     def final_metric(self) -> float:
         return self.tracker.final_metric()
@@ -635,8 +628,7 @@ class FederatedFineTuner(abc.ABC):
         """
         from ..runtime import FaultInjector, SyncScheduler
 
-        key = (self.config.dropout_prob, self.config.straggler_prob,
-               self.config.straggler_slowdown, self.config.seed)
+        key = (self.config.dropout_prob, self.config.straggler_prob, self.config.seed)
         if self._legacy_scheduler is None or self._legacy_scheduler_key != key:
             self._legacy_scheduler = SyncScheduler(FaultInjector.from_config(self.config))
             self._legacy_scheduler_key = key

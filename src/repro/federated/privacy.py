@@ -101,10 +101,6 @@ class GaussianMechanism:
             ))
         return privatized
 
-    def noise_stddev(self) -> float:
-        """Standard deviation of the noise added to each coordinate."""
-        return self.noise_multiplier * self.clip_norm
-
 
 def epsilon_estimate(noise_multiplier: float, num_rounds: int, sample_rate: float = 1.0,
                      delta: float = 1e-5) -> float:

@@ -131,10 +131,6 @@ class ParameterServer:
         self._replica: Optional[_TrainingReplica] = None
 
     # ------------------------------------------------------------ distribution
-    def global_state(self) -> Dict[str, np.ndarray]:
-        """Copy of the full global state dict (model download)."""
-        return self.global_model.state_dict()
-
     def model_snapshot(self) -> MoETransformer:
         """A fresh model instance loaded with the current global parameters.
 
@@ -180,9 +176,6 @@ class ParameterServer:
 
     def expert_state(self, layer: int, expert: int) -> Dict[str, np.ndarray]:
         return self.global_model.expert_state(layer, expert)
-
-    def expert_states(self, keys: Iterable[ExpertKey]) -> Dict[ExpertKey, Dict[str, np.ndarray]]:
-        return {key: self.expert_state(*key) for key in keys}
 
     # ------------------------------------------------------------- aggregation
     def shard_of(self, key: ExpertKey) -> int:
@@ -237,18 +230,6 @@ class ParameterServer:
         self.round_index = int(state["round_index"])
         self.contribution_counts = dict(state["contribution_counts"])
 
-    # -------------------------------------------------------------- inspection
-    def experts_per_layer(self) -> List[int]:
-        return self.global_model.experts_per_layer()
-
-    def num_experts(self) -> int:
-        return sum(self.experts_per_layer())
-
-    def untouched_experts(self) -> List[ExpertKey]:
-        """Experts that have never received an update (useful for exploration)."""
-        touched = set(self.contribution_counts)
-        return [key for key in self.global_model.iter_expert_ids() if key not in touched]
-
 
 class ShardedParameterServer(ParameterServer):
     """Expert-sharded parameter server.
@@ -290,13 +271,6 @@ class ShardedParameterServer(ParameterServer):
         except KeyError:
             raise KeyError(f"unknown expert key {key!r}") from None
 
-    def shard_keys(self, shard: int) -> List[ExpertKey]:
-        """Every expert key owned by ``shard`` (flattened-index order)."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard must be in [0, {self.num_shards})")
-        return sorted((key for key, flat in self._flat_index.items()
-                       if flat % self.num_shards == shard),
-                      key=lambda key: self._flat_index[key])
 
     def aggregate(self, updates: Iterable[ExpertUpdate]) -> Dict[ExpertKey, int]:
         contributions = super().aggregate(updates)

@@ -15,12 +15,13 @@ expert sharding.
 An N-tier weighted-mean-of-weighted-means is mathematically the flat weighted
 mean (floating-point association differs, the values agree to rounding).
 
-**Group assignment** is pluggable (:class:`GroupingPolicy`).  The default for
-runs with per-participant cost models is :class:`CostAwareGrouping`: a greedy
+**Group assignment** has two policies, each a ``group_of(pid, num_groups)``.
+Runs with per-participant cost models use :class:`CostAwareGrouping`: a greedy
 longest-processing-time bin-pack on each participant's expert *upload cost*
 (:func:`repro.systems.cost_model.upload_costs`), so slow uplinks spread
 evenly across edges instead of piling onto ``pid % num_edges``.  Without cost
-information it degrades to the stable round-robin assignment, which keeps
+information it degrades to the stable round-robin assignment
+(:class:`RoundRobinGrouping`, the policy of runs without cost models), which keeps
 cost-less configurations bit-identical to the historical behaviour.
 
 **One loop, one dispatcher.**  :meth:`AggregationTree.aggregate` is one loop
@@ -43,8 +44,7 @@ cross-tier totals kept in ``edge_bytes`` / ``edge_seconds`` for continuity).
 
 from __future__ import annotations
 
-import abc
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..comm import (
     Channel,
@@ -76,43 +76,17 @@ def tier_of_pseudo_id(pseudo_id: int) -> int:
 
 
 # ------------------------------------------------------------------- grouping
-class GroupingPolicy(abc.ABC):
-    """Maps a participant id to its tier-0 aggregator node."""
-
-    name: str = "base"
-
-    @abc.abstractmethod
-    def group_of(self, participant_id: int, num_groups: int) -> int:
-        """The tier-0 node index serving ``participant_id``."""
-
-
-class RoundRobinGrouping(GroupingPolicy):
+class RoundRobinGrouping:
     """The stable historical assignment: ``pid % num_groups``."""
 
     name = "round_robin"
 
     def group_of(self, participant_id: int, num_groups: int) -> int:
+        """The tier-0 node index serving ``participant_id``."""
         return int(participant_id) % num_groups
 
 
-class CallableGrouping(GroupingPolicy):
-    """Adapts a user ``group_fn(pid) -> group`` (range-checked per call)."""
-
-    name = "callable"
-
-    def __init__(self, group_fn: Callable[[int], int]) -> None:
-        self._group_fn = group_fn
-
-    def group_of(self, participant_id: int, num_groups: int) -> int:
-        group = int(self._group_fn(participant_id))
-        if not 0 <= group < num_groups:
-            raise ValueError(
-                f"group_fn mapped participant {participant_id} to edge {group}, "
-                f"outside [0, {num_groups})")
-        return group
-
-
-class CostAwareGrouping(GroupingPolicy):
+class CostAwareGrouping:
     """Greedy LPT bin-pack of participants onto groups by upload cost.
 
     Participants with known costs are assigned longest-processing-time first
@@ -144,28 +118,11 @@ class CostAwareGrouping(GroupingPolicy):
             self._assignments[num_groups] = assignment
         return assignment
 
-    def group_loads(self, num_groups: int) -> List[float]:
-        """Accumulated upload cost per group under the current assignment."""
-        loads = [0.0] * num_groups
-        for pid, group in self._assign(num_groups).items():
-            loads[group] += float(self.costs[pid])
-        return loads
-
     def group_of(self, participant_id: int, num_groups: int) -> int:
         assigned = self._assign(num_groups).get(int(participant_id))
         if assigned is not None:
             return assigned
         return int(participant_id) % num_groups
-
-
-def _resolve_grouping(grouping) -> GroupingPolicy:
-    if grouping is None:
-        return RoundRobinGrouping()
-    if isinstance(grouping, GroupingPolicy):
-        return grouping
-    if callable(grouping):
-        return CallableGrouping(grouping)
-    raise TypeError(f"grouping must be a GroupingPolicy or callable, got {grouping!r}")
 
 
 # ----------------------------------------------------------------------- tree
@@ -178,8 +135,8 @@ class AggregationTree:
         Aggregator-tier widths from the participant-facing tier inward: e.g.
         ``(6, 2)`` is participants → 6 edge nodes → 2 super-edge nodes → root.
     grouping:
-        Participant→tier-0 assignment: a :class:`GroupingPolicy`, a bare
-        ``group_fn(pid)`` callable, or ``None`` for round-robin.  Inner tiers
+        Participant→tier-0 assignment: a :class:`CostAwareGrouping`, or
+        ``None`` for :class:`RoundRobinGrouping`.  Inner tiers
         always group node ``j`` under parent ``j % width`` — node ids are
         synthetic, so nothing cost-aware applies there.
     channels:
@@ -193,7 +150,8 @@ class AggregationTree:
         Per-frame upward latency for the default channels.
     """
 
-    def __init__(self, tiers: Sequence[int], grouping=None,
+    def __init__(self, tiers: Sequence[int],
+                 grouping: Optional[Union[CostAwareGrouping, RoundRobinGrouping]] = None,
                  channels: Optional[Sequence[Sequence[Channel]]] = None,
                  latency_s: float = 0.0) -> None:
         widths = tuple(int(width) for width in tiers)
@@ -202,7 +160,7 @@ class AggregationTree:
                 "an aggregation tree needs at least one tier of at least one "
                 f"aggregator node (got tiers={tuple(tiers)!r})")
         self.tiers = widths
-        self.grouping = _resolve_grouping(grouping)
+        self.grouping = RoundRobinGrouping() if grouping is None else grouping
         if channels is not None:
             tier_channels = [list(tier) for tier in channels]
             if [len(tier) for tier in tier_channels] != list(widths):
@@ -234,11 +192,6 @@ class AggregationTree:
     def num_edges(self) -> int:
         """Width of the participant-facing tier."""
         return self.tiers[0]
-
-    @property
-    def channels(self) -> List[Channel]:
-        """The participant-facing tier's upward channels (legacy accessor)."""
-        return self.tier_channels[0]
 
     @property
     def last_edge_counts(self) -> List[int]:

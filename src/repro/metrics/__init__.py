@@ -1,6 +1,6 @@
 """Evaluation metrics and time-to-accuracy tracking."""
 
-from .evaluation import evaluate_model, relative_accuracy
+from .evaluation import evaluate_model
 from .rouge import corpus_rouge_l, rouge_l
 from .tracker import PerformanceTracker, RoundMetric
 
@@ -8,7 +8,6 @@ __all__ = [
     "rouge_l",
     "corpus_rouge_l",
     "evaluate_model",
-    "relative_accuracy",
     "PerformanceTracker",
     "RoundMetric",
 ]

@@ -107,10 +107,3 @@ def _evaluate_classification(model: MoETransformer, batches, dataset: SyntheticD
     if total == 0:
         return 0.0
     return correct / total
-
-
-def relative_accuracy(metric_value: float, target: float) -> float:
-    """The paper's relative accuracy: obtained metric divided by its target."""
-    if target <= 0:
-        raise ValueError("target must be positive")
-    return metric_value / target

@@ -80,28 +80,8 @@ class PerformanceTracker:
                 return entry.simulated_time
         return None
 
-    def reached_target(self) -> bool:
-        return self.time_to_target() is not None
-
-    def total_comm_bytes(self) -> float:
-        """Measured wire traffic over the whole run."""
-        return sum(m.comm_bytes for m in self.history)
-
-    def total_edge_bytes(self) -> float:
-        """Measured aggregator-tier backhaul over the whole run."""
-        return sum(m.edge_bytes for m in self.history)
-
-    def total_payloads_lost(self) -> int:
-        return sum(m.payloads_lost for m in self.history)
-
-    def total_payloads_corrupted(self) -> int:
-        return sum(m.payloads_corrupted for m in self.history)
-
     def times(self) -> List[float]:
         return [m.simulated_time for m in self.history]
-
-    def relative_accuracies(self) -> List[float]:
-        return [m.relative_accuracy for m in self.history]
 
     def metric_values(self) -> List[float]:
         return [m.metric_value for m in self.history]

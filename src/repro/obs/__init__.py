@@ -12,8 +12,7 @@ checkpointer all emit into one substrate:
 * :mod:`repro.obs.run` — :class:`RunTelemetry` wiring the three together
   behind ``RunConfig(telemetry=True, telemetry_dir=...)``;
 * :mod:`repro.obs.report` — per-round/per-tier breakdown tables
-  (``scripts/run_report.py``);
-* :mod:`repro.obs.log` — structured ``key=value`` logging for library code.
+  (``scripts/run_report.py``).
 
 Telemetry is off by default: the :class:`NullTracer`/:class:`NullTelemetry`
 pair makes every instrumentation site a constant-time no-op (gated by
@@ -32,7 +31,6 @@ from .export import (
     write_chrome_trace,
     write_prometheus,
 )
-from .log import StructuredLogger, enable_console_logging, get_logger
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from .report import (
     category_table,
@@ -76,7 +74,4 @@ __all__ = [
     "totals_table",
     "category_table",
     "format_table",
-    "get_logger",
-    "enable_console_logging",
-    "StructuredLogger",
 ]

@@ -61,9 +61,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics).
@@ -86,9 +83,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, float(value))] += 1
         self.sum += float(value)
         self.count += 1
-
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
     def cumulative_counts(self) -> List[int]:
         """Prometheus-style cumulative bucket counts (``+Inf`` last)."""

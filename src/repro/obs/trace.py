@@ -127,9 +127,6 @@ class NullTracer:
     def ingest(self, record: Dict, **kwargs) -> None:  # noqa: ARG002
         """Discard an aggregator server's span record."""
 
-    def current_round(self) -> Optional[int]:
-        return None
-
 
 NULL_TRACER = NullTracer()
 
@@ -220,13 +217,6 @@ class Tracer:
         self._next_id += 1
         if self.sink is not None:
             self.sink(span)
-
-    def current_round(self) -> Optional[int]:
-        """The round index of the innermost open span (or ``None``)."""
-        for span in reversed(self._stack):
-            if span.round is not None:
-                return span.round
-        return None
 
 
 def span_record(name: str, category: str, wall_start: float, duration_s: float,

@@ -36,11 +36,6 @@ class QuantizedArray:
         values = (self.codes * self.scales[:, None]).reshape(self.original_shape)
         return values.astype(self.dtype, copy=False)
 
-    @property
-    def nbytes(self) -> float:
-        """Storage footprint in bytes (codes packed at ``bits`` per value)."""
-        return self.codes.size * self.bits / 8.0 + self.scales.size * 4.0
-
 
 def quantize_array(weights: np.ndarray, bits: int) -> QuantizedArray:
     """Symmetric per-row quantization of a 2-D (or flattened) weight array."""

@@ -100,6 +100,11 @@ _RETIRED_CONFIG_FIELDS: Dict[str, Optional[Tuple]] = {
     "async_concurrency": (None,),
     "edge_grouping": ("cost_aware",),
     "channel_latency_s": (0.0,),
+    # now constants: one local pass, the square-root staleness discount and
+    # a 4x straggler (repro.federated.client, runtime.scheduler, runtime.faults)
+    "local_iterations": (1,),
+    "staleness_exponent": (0.5,),
+    "straggler_slowdown": (4.0,),
 }
 
 

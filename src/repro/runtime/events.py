@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ class EventQueue:
         if not self._heap:
             raise IndexError("pop from an empty event queue")
         return heapq.heappop(self._heap)[2]
-
-    def peek(self) -> Event:
-        """The earliest event without removing it."""
-        if not self._heap:
-            raise IndexError("peek on an empty event queue")
-        return self._heap[0][2]
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest event, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
 
     def snapshot(self) -> List[Event]:
         """Every queued event in firing order, without consuming the queue.

@@ -4,8 +4,8 @@ Real federated fleets lose clients mid-round (network churn, battery, user
 interaction) and see order-of-magnitude slowdowns from background load.  The
 :class:`FaultInjector` layers both on top of the analytical
 :class:`~repro.systems.cost_model.CostModel` durations: a straggler's round
-time is multiplied by ``straggler_slowdown``, a dropped client contributes
-nothing.
+time is multiplied by :data:`STRAGGLER_SLOWDOWN`, a dropped client
+contributes nothing.
 
 Every draw comes from a generator derived from ``(seed, round, participant)``
 rather than from call order or module-level ``np.random``, so fault outcomes
@@ -21,11 +21,14 @@ payload sequence number, which *is* checkpointed — by the channel itself via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
 from ..systems import RoundCostBreakdown
+
+#: how many times longer a straggler's round takes (the order-of-magnitude
+#: background-load slowdown of the fleets Fig. 21 models)
+STRAGGLER_SLOWDOWN = 4.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class FaultInjector:
 
     dropout_prob: float = 0.0
     straggler_prob: float = 0.0
-    straggler_slowdown: float = 4.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,8 +68,6 @@ class FaultInjector:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1")
 
     @property
     def active(self) -> bool:
@@ -85,11 +85,8 @@ class FaultInjector:
         if drop_draw < self.dropout_prob:
             return FaultOutcome(dropped=True)
         if straggle_draw < self.straggler_prob:
-            return FaultOutcome(slowdown=self.straggler_slowdown)
+            return FaultOutcome(slowdown=STRAGGLER_SLOWDOWN)
         return FaultOutcome()
-
-    def outcomes(self, round_index: int, participant_ids) -> Dict[int, FaultOutcome]:
-        return {pid: self.outcome(round_index, pid) for pid in participant_ids}
 
     @classmethod
     def from_config(cls, config) -> "FaultInjector":
@@ -97,7 +94,6 @@ class FaultInjector:
         return cls(
             dropout_prob=getattr(config, "dropout_prob", 0.0),
             straggler_prob=getattr(config, "straggler_prob", 0.0),
-            straggler_slowdown=getattr(config, "straggler_slowdown", 4.0),
             seed=getattr(config, "seed", 0),
         )
 

@@ -21,7 +21,7 @@ trigger — while the *work* of one participant round stays behind
     FedBuff-style buffered asynchrony: clients train continuously; each
     finished update enters a server buffer with the staleness it accumulated
     (server versions elapsed since the client downloaded the model) and is
-    weight-discounted by ``(1 + staleness) ** -staleness_exponent``.  The
+    weight-discounted by ``(1 + staleness) ** -STALENESS_EXPONENT``.  The
     server aggregates whenever the buffer holds ``buffer_size`` updates; every
     aggregation is reported as one "round".
 
@@ -54,6 +54,10 @@ from ..obs import NULL_TELEMETRY
 from ..systems import RoundTimeline, RunTimeline
 from .events import EventQueue
 from .faults import FaultInjector, FaultOutcome, scale_breakdown
+
+#: FedBuff's polynomial staleness exponent ``a`` of the async weight
+#: discount ``(1 + staleness) ** -a`` (the square-root discount Fig. 21 runs)
+STALENESS_EXPONENT = 0.5
 
 
 def run_participants(tuner: FederatedFineTuner, participants: Sequence[Participant],
@@ -426,15 +430,11 @@ class AsyncScheduler(Scheduler):
     #: against configs where dropout starves the buffer forever)
     MAX_EVENTS_PER_ROUND = 10_000
 
-    def __init__(self, faults: Optional[FaultInjector] = None, buffer_size: int = 4,
-                 staleness_exponent: float = 0.5) -> None:
+    def __init__(self, faults: Optional[FaultInjector] = None, buffer_size: int = 4) -> None:
         super().__init__(faults)
         if buffer_size < 1:
             raise ValueError("buffer_size must be positive")
-        if staleness_exponent < 0:
-            raise ValueError("staleness_exponent must be non-negative")
         self.buffer_size = buffer_size
-        self.staleness_exponent = staleness_exponent
         #: in-flight loop state — populated while :meth:`round_results` runs so
         #: a checkpoint taken between rounds can capture and later restore it
         self._st: Optional[_AsyncLoopState] = None
@@ -445,7 +445,7 @@ class AsyncScheduler(Scheduler):
         The only place a staleness reaches a weight: the fold plane folds the
         discounted weights it is handed and knows nothing of staleness.
         """
-        return float((1.0 + max(staleness, 0)) ** -self.staleness_exponent)
+        return float((1.0 + max(staleness, 0)) ** -STALENESS_EXPONENT)
 
     # ------------------------------------------------------------- durability
     def export_state(self) -> Dict:
@@ -670,7 +670,5 @@ def make_scheduler(config) -> Scheduler:
     if name == "async":
         return AsyncScheduler(
             faults,
-            buffer_size=getattr(config, "buffer_size", 4),
-            staleness_exponent=getattr(config, "staleness_exponent", 0.5),
-        )
+            buffer_size=getattr(config, "buffer_size", 4))
     raise ValueError(f"unknown scheduler {name!r} (expected one of {SCHEDULERS})")

@@ -19,8 +19,8 @@ requests but its scratch pool and counters.  The pieces:
 * :mod:`~repro.service.fold` — the fold dispatcher (``prefold_nodes`` /
   ``fold_shards``: the one place that decides whether a job folds locally or
   on a server) and the fold jobs both ends share: :func:`frame_update` (an
-  update as the frame it carries, else a lossless fp64 frame) and the two
-  server-side folds over such frames.
+  update as the frame it carries, else a lossless frame at its own dtype) and
+  the two server-side folds over such frames.
 * :mod:`~repro.service.pool` — :class:`ServiceAggregationPool`, the fold
   executor behind ``RunConfig(aggregation_executor="service")``.
 

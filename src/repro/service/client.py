@@ -6,7 +6,7 @@ A :class:`ServiceClient` owns one connection to one
 all look the same) and turns protocol round trips into method calls.
 
 A fold job is one request: a small header, then the job's frames — the
-updates' own wire frames and the fp64 reference frames — each its own stream
+updates' own wire frames and the lossless reference frames — each its own stream
 frame, written in a batch of gathered writes
 (:meth:`~repro.comm.stream.FrameStream.send_frames`), then one response.  The
 server keeps nothing between requests, so failure handling is just a resend:
@@ -39,9 +39,7 @@ from .protocol import (
     OP_FOLD_SHARD,
     OP_HELLO,
     OP_OK,
-    OP_PING,
     OP_SHUTDOWN,
-    OP_STATS,
     PROTOCOL_VERSION,
     ServiceError,
     ServiceProtocolError,
@@ -191,11 +189,6 @@ class ServiceClient:
             f"attempt(s): {last_error!r}") from last_error
 
     # ------------------------------------------------------------ service API
-    def ping(self) -> Dict:
-        return self.call(OP_PING)
-
-    def server_stats(self) -> Dict:
-        return self.call(OP_STATS)
 
     def shutdown(self) -> None:
         """Graceful drain: ack'd stop; the server exits after this returns."""
@@ -209,7 +202,7 @@ class ServiceClient:
               references: Optional[Dict]) -> Tuple[object, Optional[dict]]:
         """Send one fold job as one request; returns the result and span record.
 
-        ``references`` maps ``(layer, expert)`` keys to the fp64 reference
+        ``references`` maps ``(layer, expert)`` keys to the lossless reference
         frames of the job's delta-coded frames; they follow the update frames
         in key order.
         """
@@ -228,8 +221,8 @@ class ServiceClient:
                      ) -> Tuple[List[bytes], Optional[dict]]:
         """Fold one tree node's framed updates into partial frames.
 
-        ``references`` maps ``(layer, expert)`` keys to fp64 reference frames
-        for any reference-requiring codec among ``frames``.
+        ``references`` maps ``(layer, expert)`` keys to lossless reference
+        frames for any reference-requiring codec among ``frames``.
         """
         return self._fold(OP_FOLD_NODE,
                           {"node": int(node), "pseudo_id": int(pseudo_id), "timed": timed},

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm import (
+    Codec,
     ScratchPool,
     StreamingAggregator,
     decode_state_dict,
@@ -44,13 +45,23 @@ from ..federated.aggregation import ExpertUpdate
 from ..federated.topology import tier_of_pseudo_id
 from ..obs import NULL_TRACER
 
-#: codec of everything a job carries that did not arrive as a frame
-#: (references, in-memory updates, folded results): lossless for every float
-#: dtype, so a service fold stays bit-identical to the local fold
+#: codec of what a job returns (shard aggregates, node partials): they are
+#: float64 fold sums, and fp64 frames them losslessly
 JOB_CODEC = "fp64"
 
 FramedUpdate = bytes
 State = Dict[str, np.ndarray]
+
+
+def _lossless_codec(state: State) -> Codec:
+    """The cast codec of ``state``'s own width: ``fp32`` when every tensor is
+    float32 (a float32 model's references and updates), else ``fp64``.
+
+    Lossless either way, so a service fold stays bit-identical to the local
+    fold, and a float32 tensor travels at its own four bytes an element.
+    """
+    narrow = all(np.asarray(value).dtype == np.float32 for value in state.values())
+    return get_codec("fp32" if narrow else "fp64")
 
 
 def frame_update(update, references: Dict[ExpertKey, bytes],
@@ -62,13 +73,16 @@ def frame_update(update, references: Dict[ExpertKey, bytes],
     is forwarded as that frame (``update.wire_frame``): its state *is* the
     deterministic decode of those bytes, so nothing is decoded or re-encoded
     on the way.  A frame of a ``needs_reference`` codec (top-k / sparse
-    deltas) also records its reference state in ``references`` — one fp64
-    state-dict frame per expert key per job — for the server-side decode.
+    deltas) also records its reference state in ``references`` — one
+    state-dict frame per expert key per job, at the lossless codec of the
+    state's dtype — for the server-side decode.
     Jobs dispatched together (a tree tier's nodes) that delta against the same
     reference states share those frames through ``framed_references``: a
     reference state is framed once, whatever the number of jobs that carry it.
-    An update with no frame (analytic transport), or with a delta frame whose
-    reference is gone, is encoded as a lossless fp64 frame.
+    An update with no frame (analytic transport, a decoded tree partial), or
+    with a delta frame whose reference is gone, is encoded at the lossless
+    codec of its state's dtype (``fp32`` for a float32 model's update,
+    ``fp64`` for a float64 partial).
     """
     frame = update.wire_frame
     if frame is not None and get_codec(update.wire_codec).needs_reference:
@@ -79,12 +93,12 @@ def frame_update(update, references: Dict[ExpertKey, bytes],
             # keyed on the state's identity, and holding it so the id stays its
             held = None if framed_references is None else framed_references.get(id(reference))
             if held is None:
-                held = (reference, encode_state_dict(reference, get_codec(JOB_CODEC)))
+                held = (reference, encode_state_dict(reference, _lossless_codec(reference)))
                 if framed_references is not None:
                     framed_references[id(reference)] = held
             references[update.key] = held[1]
     if frame is None:
-        frame = encode_update(update, get_codec(JOB_CODEC))
+        frame = encode_update(update, _lossless_codec(update.state))
     return frame
 
 

@@ -336,7 +336,3 @@ class ServiceAggregationPool:
         return out
 
     # -------------------------------------------------------------- inspection
-    def server_stats(self) -> List[Dict]:
-        """Live per-server lifetime counters (starts the servers if needed)."""
-        self._ensure_started()
-        return [client.server_stats() for client in self._clients]

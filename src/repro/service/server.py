@@ -451,10 +451,6 @@ class InProcessServer:
                  log_path: Optional[str] = None) -> None:
         self.server = AggregatorServer(name=name, log_path=log_path)
 
-    @property
-    def name(self) -> str:
-        return self.server.name
-
     def connect(self) -> socket.socket:
         """A new connected client socket served by this server."""
         client_side, server_side = socket.socketpair()

@@ -23,9 +23,6 @@ class SimulatedClock:
         self._now += seconds
         return self._now
 
-    def reset(self) -> None:
-        self._now = 0.0
-
 
 @dataclass
 class RoundTimeline:
@@ -87,10 +84,3 @@ class RunTimeline:
             for phase, value in round_timeline.phase_totals().items():
                 totals[phase] = totals.get(phase, 0.0) + value
         return totals
-
-    def phase_fractions(self) -> Dict[str, float]:
-        totals = self.phase_totals()
-        overall = sum(totals.values())
-        if overall <= 0:
-            return {phase: 0.0 for phase in totals}
-        return {phase: value / overall for phase, value in totals.items()}

@@ -88,9 +88,9 @@ def poison_on_recycle(monkeypatch):
     monkeypatch.setattr(_TrainingReplica, "take_back", poisoned_take_back)
 
 
-def async_weight(weight, staleness, exponent=0.5):
-    """``weight`` as an async aggregation ships it: ``weight · (1 + staleness) ** -exponent``."""
-    return weight * AsyncScheduler(staleness_exponent=exponent).staleness_discount(staleness)
+def async_weight(weight, staleness):
+    """``weight`` as an async aggregation ships it: ``weight · (1 + staleness) ** -0.5``."""
+    return weight * AsyncScheduler().staleness_discount(staleness)
 
 
 #: how :func:`_updates` weighs a round's participants and which experts each touches

@@ -13,9 +13,8 @@ are all zero; there the streaming fold raises.
 
 **The frame-at-a-time fold job.**  What ``repro.service.fold`` ran before a
 sender's frames decoded and folded as one group: every frame walked and
-decoded on its own (:func:`oracle_decode_update_parts`, with the per-tensor
-top-k decoders :func:`oracle_topk_decode_array` /
-:func:`oracle_topk_quant_decode_array`), folded into one accumulator per
+decoded on its own (:func:`oracle_decode_update_parts`, with every codec's
+per-tensor decoder, :func:`oracle_decode_array`), folded into one accumulator per
 expert key through a per-key running-sum accumulator
 (:class:`OracleAggregator` over :class:`_FoldAccumulator`, the FedAvg
 accumulator the aggregator had before its own sum matrices), in arrival order
@@ -43,8 +42,10 @@ from repro.comm import (
 )
 from repro.comm.aggregator import finalize_weighted_sum
 from repro.comm.codecs import (
+    CastCodec,
+    GroupQuantCodec,
     PayloadCorruptedError,
-    TopKDeltaCodec,
+    SparseDeltaCodec,
     TopKQuantCodec,
     _check_reference,
     _deliver,
@@ -64,6 +65,9 @@ from repro.comm.serialization import (
 from repro.federated.aggregation import ExpertKey, ExpertUpdate
 from repro.models import MoETransformer
 from repro.quantization import unpack_int_codes
+
+_SCALE_DTYPE = "<f4"
+_VALUE_DTYPE = "<f8"
 
 
 def fold_weighted_state(acc: Dict[str, np.ndarray], state: Dict[str, np.ndarray],
@@ -197,20 +201,53 @@ def _decode_sparse_indices(section: bytes, count: int, size: int) -> np.ndarray:
     raise PayloadCorruptedError("sparse index section length matches no index width")
 
 
-def oracle_topk_decode_array(sections: Sequence[bytes], shape: Tuple[int, ...],
-                             dtype: np.dtype,
-                             reference: Optional[np.ndarray] = None) -> np.ndarray:
-    """``TopKDeltaCodec.decode_array`` as it was: one tensor, one scatter-add."""
+def oracle_cast_decode_array(codec: CastCodec, sections: Sequence[bytes],
+                             shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """``CastCodec.decode_array`` as it was."""
+    if len(sections) != 1:
+        raise PayloadCorruptedError("cast codec expects exactly one section")
+    values = np.frombuffer(sections[0], dtype=codec.wire_dtype)
+    if values.size != math.prod(shape):
+        raise PayloadCorruptedError("payload size does not match the declared shape")
+    return _deliver(values, shape, dtype, None)
+
+
+def oracle_group_quant_decode_array(codec: GroupQuantCodec, sections: Sequence[bytes],
+                                    shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """``GroupQuantCodec.decode_array`` as it was."""
+    if len(sections) != 2:
+        raise PayloadCorruptedError("quantized codec expects code + scale sections")
+    packed, scale_bytes = sections
+    size = math.prod(shape)
+    if size == 0:
+        return _deliver(np.zeros(size), shape, dtype, None)
+    try:
+        codes = unpack_int_codes(packed, codec.bits, size)
+    except ValueError as exc:
+        raise PayloadCorruptedError(str(exc)) from exc
+    scales = np.frombuffer(scale_bytes, dtype=_SCALE_DTYPE).astype(np.float64)
+    rows = shape[0] if len(shape) > 1 else 1
+    if scales.size != rows:
+        raise PayloadCorruptedError("scale count does not match the declared row count")
+    values = codes.reshape(rows, -1) * scales[:, None]
+    return _deliver(values, shape, dtype, None)
+
+
+def oracle_sparse_delta_decode_array(sections: Sequence[bytes], shape: Tuple[int, ...],
+                                     dtype: np.dtype,
+                                     reference: Optional[np.ndarray] = None) -> np.ndarray:
+    """``SparseDeltaCodec.decode_array`` as it was: one tensor, one assignment."""
     reference = _check_reference(shape, reference)
     if len(sections) != 2:
-        raise PayloadCorruptedError("top-k codec expects index + value sections")
-    value_width = np.dtype("<f8").itemsize
+        raise PayloadCorruptedError(
+            "sparse-delta codec expects index + value sections")
+    value_width = np.dtype(_VALUE_DTYPE).itemsize
     if len(sections[1]) % value_width:
-        raise PayloadCorruptedError("top-k value section is not whole values")
-    values = np.frombuffer(sections[1], dtype="<f8")
+        raise PayloadCorruptedError("sparse-delta value section is not whole values")
+    values = np.frombuffer(sections[1], dtype=_VALUE_DTYPE)
     work = _delta_workspace(reference)
     indices = _decode_sparse_indices(sections[0], values.size, work.size)
-    work[indices] += values
+    work[indices] = values
     return _deliver(work, shape, dtype, None)
 
 
@@ -252,12 +289,17 @@ def oracle_topk_quant_decode_array(codec: TopKQuantCodec, sections: Sequence[byt
     return _deliver(work, shape, dtype, None)
 
 
-def _oracle_decode_array(codec, sections, shape, dtype, reference):
+def oracle_decode_array(codec, sections, shape, dtype, reference):
+    """``codec.decode_array`` as it was: one tensor, decoded on its own."""
     if isinstance(codec, TopKQuantCodec):
         return oracle_topk_quant_decode_array(codec, sections, shape, dtype, reference)
-    if isinstance(codec, TopKDeltaCodec):
-        return oracle_topk_decode_array(sections, shape, dtype, reference)
-    return codec.decode_array(sections, shape, dtype, reference=reference)
+    if isinstance(codec, SparseDeltaCodec):
+        return oracle_sparse_delta_decode_array(sections, shape, dtype, reference)
+    if isinstance(codec, GroupQuantCodec):
+        return oracle_group_quant_decode_array(codec, sections, shape, dtype)
+    if isinstance(codec, CastCodec):
+        return oracle_cast_decode_array(codec, sections, shape, dtype)
+    raise TypeError(f"no per-tensor oracle for {codec!r}")
 
 
 def _oracle_decode_tensors(body: memoryview, offset: int, codec,
@@ -326,7 +368,7 @@ def _oracle_decode_tensors(body: memoryview, offset: int, codec,
                 raise ValueError(
                     f"codec {codec.name!r} needs a reference for tensor {name!r}")
             ref = reference[name]
-        state[name] = _oracle_decode_array(codec, sections, shape, dtype, ref)
+        state[name] = oracle_decode_array(codec, sections, shape, dtype, ref)
     return state
 
 

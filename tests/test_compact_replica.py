@@ -72,10 +72,10 @@ class TestMountedEqualsFreshBuild:
                 assert (slots, frozen_slots) == (want_slots, want_frozen)
                 assert sum(mounted.local_experts_per_layer()) < sum(mounted.experts_per_layer())
                 assert np.array_equal(logits(mounted, batches[0]), logits(oracle, batches[0]))
-                got = participant.local_finetune(mounted, batches,
-                                                 trainable_experts=set(slots), iterations=2)
-                want = participant.local_finetune(oracle, batches,
-                                                  trainable_experts=set(want_slots), iterations=2)
+                got = participant.local_finetune(mounted, 2 * list(batches),
+                                                 trainable_experts=set(slots))
+                want = participant.local_finetune(oracle, 2 * list(batches),
+                                                  trainable_experts=set(want_slots))
                 assert got == want
                 assert_same_model(mounted, oracle)
                 for key in slots:

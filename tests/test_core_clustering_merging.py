@@ -120,13 +120,6 @@ class TestClusterExperts:
         assert result.elapsed_seconds >= 0
         assert result.mode == "fused"
 
-    def test_cluster_of_lookup(self):
-        rng = np.random.default_rng(6)
-        result = cluster_experts(grams([rng.standard_normal((4, 8))]), [[0, 1, 2, 3]], [2],
-                                 seed=0)
-        assert result.cluster_of(0, 0) is not None
-        assert result.cluster_of(0, 99) is None
-
 
 class TestMergeWeights:
     def test_average_strategy_uniform(self):

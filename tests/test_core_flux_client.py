@@ -59,7 +59,6 @@ class TestFluxClientState:
             learning_rate=5e-3,
             batch_size=8,
             max_batches=2,
-            local_iterations=1,
             cost_model=None,
         )
         updated = {(u.layer, u.expert) for u in output.updates}
@@ -75,7 +74,6 @@ class TestFluxClientState:
             learning_rate=5e-3,
             batch_size=8,
             max_batches=1,
-            local_iterations=1,
             cost_model=None,
         )
         counts = client_state.utilities.update_counts
@@ -94,7 +92,6 @@ class TestFluxClientState:
                 learning_rate=5e-2,
                 batch_size=8,
                 max_batches=1,
-                local_iterations=1,
                 cost_model=None,
             )
             assert sum(replica.local_experts_per_layer()) < sum(replica.experts_per_layer())
@@ -113,7 +110,6 @@ class TestFluxClientState:
             learning_rate=5e-2,
             batch_size=8,
             max_batches=1,
-            local_iterations=1,
             cost_model=None,
         )
         full = tiny_model.experts_per_layer()
@@ -144,7 +140,6 @@ class TestFluxClientState:
             learning_rate=5e-3,
             batch_size=8,
             max_batches=1,
-            local_iterations=1,
             cost_model=cost_model,
         )
         breakdown = output.breakdown
@@ -169,7 +164,6 @@ class TestFluxClientState:
             learning_rate=5e-3,
             batch_size=8,
             max_batches=1,
-            local_iterations=1,
             cost_model=None,
         )
         # tuning + preserved exploration + merged slots stays below the

@@ -99,8 +99,8 @@ class TestQuantizedProfiler:
             QuantizedProfiler(bits=4).profile(tiny_model, [])
 
     def test_higher_precision_closer_to_reference(self, tiny_model, gsm_batches):
-        from repro.analysis import estimation_error
-        reference = QuantizedProfiler(bits=4).reference_profile(tiny_model, gsm_batches)
+        from repro.analysis import estimation_error, profile_activation
+        reference = profile_activation(tiny_model, gsm_batches)   # full precision
         low = QuantizedProfiler(bits=2).profile(tiny_model, gsm_batches).profile
         high = QuantizedProfiler(bits=8).profile(tiny_model, gsm_batches).profile
         assert estimation_error(reference, high) <= estimation_error(reference, low) + 1e-9
@@ -302,8 +302,6 @@ class TestSharedQuantizedCopy:
         stale.profile_for_round(tiny_model, gsm_batches)
         stale.staleness_error(tiny_model, gsm_batches)
         assert [caller for caller, _, _ in quantizations] == ["profiler", "profiler"]
-        QuantizedProfiler(bits=4).reference_profile(tiny_model, gsm_batches)
-        assert len(quantizations) == 2
 
 
 def assert_models_equal_state(model, state) -> None:

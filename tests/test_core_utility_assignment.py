@@ -51,37 +51,36 @@ class TestUtilityTracker:
     def test_initialize_from_frequencies(self):
         tracker = UtilityTracker()
         tracker.initialize_from_frequencies([((0, 0), 0.2), ((0, 1), 0.8)])
-        assert tracker.get((0, 1)) == pytest.approx(1.0)
-        assert tracker.stale_experts() == [(0, 0), (0, 1)]
+        assert tracker.utilities[(0, 1)] == pytest.approx(1.0)
+        assert tracker.update_counts == {(0, 0): 0, (0, 1): 0}
 
     def test_first_observation_overwrites_initialisation(self):
         tracker = UtilityTracker(smoothing=0.5)
         tracker.initialize_from_frequencies([((0, 0), 0.5)])
         tracker.observe((0, 0), 10.0)
-        assert tracker.get((0, 0)) == pytest.approx(10.0)
+        assert tracker.utilities[(0, 0)] == pytest.approx(10.0)
 
     def test_subsequent_observations_smoothed(self):
         tracker = UtilityTracker(smoothing=0.5)
         tracker.observe((0, 0), 10.0)
         tracker.observe((0, 0), 0.0)
-        assert tracker.get((0, 0)) == pytest.approx(5.0)
+        assert tracker.utilities[(0, 0)] == pytest.approx(5.0)
 
-    def test_observe_many_and_top_experts(self):
+    def test_observe_many(self):
         tracker = UtilityTracker()
         tracker.observe_many({(0, 0): 1.0, (0, 1): 5.0, (1, 0): 3.0})
-        assert tracker.top_experts(2) == [(0, 1), (1, 0)]
-        assert tracker.top_experts(1, layer=0) == [(0, 1)]
+        assert tracker.as_dict() == {(0, 0): 1.0, (0, 1): 5.0, (1, 0): 3.0}
 
     def test_stale_experts_cleared_after_observation(self):
         tracker = UtilityTracker()
         tracker.initialize_from_frequencies([((0, 0), 0.5), ((0, 1), 0.2)])
         tracker.observe((0, 0), 1.0)
-        assert tracker.stale_experts() == [(0, 1)]
+        assert tracker.update_counts == {(0, 0): 1, (0, 1): 0}
 
     def test_negative_observation_clamped(self):
         tracker = UtilityTracker()
         tracker.observe((0, 0), -5.0)
-        assert tracker.get((0, 0)) == 0.0
+        assert tracker.utilities[(0, 0)] == 0.0
 
 
 class TestGradientEstimation:

@@ -23,7 +23,6 @@ from repro.data import (
     make_dolly_like,
     make_gsm8k_like,
     make_mmlu_like,
-    make_piqa_like,
 )
 
 
@@ -43,23 +42,22 @@ class TestVocabulary:
     def test_choice_token_roundtrip(self):
         vocab = Vocabulary()
         for c in range(vocab.num_choices):
-            assert vocab.choice_from_token(vocab.choice_token(c)) == c
+            assert vocab.choice_tokens()[c] == vocab.choice_token(c)
+        assert len(set(vocab.choice_tokens())) == vocab.num_choices
         with pytest.raises(ValueError):
             vocab.choice_token(99)
-        with pytest.raises(ValueError):
-            vocab.choice_from_token(vocab.PAD)
 
     def test_digit_token_roundtrip(self):
         vocab = Vocabulary()
         for d in range(10):
-            assert vocab.digit_from_token(vocab.digit_token(d)) == d
+            assert vocab.digit_tokens()[d] == vocab.digit_token(d)
 
-    def test_topic_of_token(self):
+    def test_topic_blocks_tile_the_content_tokens(self):
         vocab = Vocabulary(size=128, num_topics=4)
-        for topic in range(4):
-            block = vocab.topic_block(topic)
-            assert vocab.topic_of_token(block.start) == topic
-        assert vocab.topic_of_token(vocab.PAD) == -1
+        blocks = [vocab.topic_block(topic) for topic in range(4)]
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert blocks[-1].stop <= vocab.size
+        assert vocab.PAD not in blocks[0]
 
     def test_too_small_vocab_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +94,7 @@ class TestSyntheticTaskGenerator:
         for _ in range(10):
             sample = generator.sample()
             prompt = sample.input_ids[: sample.prompt_length]
-            digits = [vocab.digit_from_token(t) for t in prompt if t in vocab.digit_tokens()]
+            digits = [vocab.digit_tokens().index(t) for t in prompt if t in vocab.digit_tokens()]
             assert len(digits) == 2  # two operand digits embedded in the prompt
             assert sample.label == (3 * sample.topic + 7) % 10
             assert sample.answer_ids[1] == vocab.digit_token(sample.label)
@@ -134,10 +132,10 @@ class TestSyntheticTaskGenerator:
 
 
 class TestDatasets:
-    def test_all_four_factories(self):
-        for factory in (make_dolly_like, make_gsm8k_like, make_mmlu_like, make_piqa_like):
-            dataset = factory(num_samples=20, seed=0)
-            assert len(dataset) == 20
+    def test_all_four_datasets(self):
+        for factory in (make_dolly_like, make_gsm8k_like, make_mmlu_like):
+            assert len(factory(num_samples=20, seed=0)) == 20
+        assert len(make_dataset("piqa", num_samples=20, seed=0)) == 20
 
     def test_specs_metric_types(self):
         assert DATASET_SPECS["dolly"].metric == "rouge_l"
@@ -153,7 +151,8 @@ class TestDatasets:
     def test_dolly_sequences_longer_than_gsm8k(self):
         dolly = make_dolly_like(num_samples=50, seed=1)
         gsm = make_gsm8k_like(num_samples=50, seed=1)
-        assert dolly.mean_length() > gsm.mean_length()
+        assert (np.mean([s.length for s in dolly.samples])
+                > np.mean([s.length for s in gsm.samples]))
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(KeyError):
@@ -172,11 +171,11 @@ class TestDatasets:
             make_mmlu_like(num_samples=10).split(train_fraction=1.5)
 
     def test_subset_preserves_spec(self):
-        dataset = make_piqa_like(num_samples=30, seed=3)
+        dataset = make_dataset("piqa", num_samples=30, seed=3)
         subset = dataset.subset([0, 2, 4])
         assert len(subset) == 3
         assert subset.spec is dataset.spec
-        assert subset[0] is dataset[0]
+        assert subset.samples[0] is dataset.samples[0]
 
 
 class TestCollateAndBatches:

@@ -33,9 +33,9 @@ from conftest import async_weight
 
 #: every registered codec family, parameterised variants included
 ALL_CODECS = [
-    "fp64", "fp32", "fp16",
+    "fp64", "fp32",
     "int8", "int4", "int2",
-    "topk", "topk:0.25", "topk:0.25:int4", "topk:0.5:int2",
+    "topk:0.1:int8", "topk:0.25:int8", "topk:0.25:int4", "topk:0.5:int2",
     "sparse-delta",
 ]
 
@@ -175,7 +175,7 @@ def test_memoryview_input_decodes_like_bytes():
 
 
 # ------------------------------------------------------------- fuzz: safety
-@pytest.mark.parametrize("codec_name", ["fp64", "fp16", "int4", "topk:0.5:int2"])
+@pytest.mark.parametrize("codec_name", ["fp64", "fp32", "int4", "topk:0.5:int2"])
 def test_truncated_frames_always_raise(codec_name):
     frame, reference = _roundtrip_pair(codec_name, "<f8", [(16, 16), (5,)])
     # cut at every length across the header and a stride through the payload

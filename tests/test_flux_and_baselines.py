@@ -86,11 +86,11 @@ class TestBaselineRounds:
             result = FMDFineTuner(server, participants, test, cost_models=cost_models,
                                   config=config).run(num_rounds=2)
             return ([(r.train_loss, r.metric_value, r.simulated_time) for r in result.rounds],
-                    server.global_state())
+                    server.global_model.state_dict())
 
         def drawn_snapshot(server):
             snapshot = MoETransformer(server.global_model.config)
-            snapshot.load_state_dict(server.global_state())
+            snapshot.load_state_dict(server.global_model.state_dict())
             return snapshot
 
         curves, state = run()
@@ -160,10 +160,10 @@ class TestFluxFineTuner:
     def test_flux_global_model_changes_after_round(self, federation, tiny_config):
         participants, test, cost_models, config = federation
         server = fresh_server(tiny_config)
-        before = server.global_state()
+        before = server.global_model.state_dict()
         tuner = FluxFineTuner(server, participants, test, cost_models=cost_models, config=config)
         tuner.run_round(0)
-        after = server.global_state()
+        after = server.global_model.state_dict()
         changed = any(not np.allclose(before[k], after[k]) for k in before)
         assert changed
 

@@ -3,7 +3,7 @@
 Three layers, each held to the code it replaced (kept verbatim in
 ``fold_oracles.py``):
 
-* kernel — ``Codec.decode_arrays`` vs the mapped per-tensor decoders;
+* kernel — ``Codec.decode_arrays`` vs the per-tensor decoders;
 * fold jobs — ``prefold_node_frames`` / ``fold_shard_frames`` over
   ``StreamingAggregator.fold_frames`` (a sender's frames decoded and folded as
   one group) vs the per-frame walk, decode and per-key accumulators: every
@@ -49,7 +49,7 @@ from fold_oracles import (
 from test_run_checkpoint import assert_models_equal
 from test_runtime import build_federation
 
-CODECS = ["fp64", "fp32", "int4", "topk", "topk:0.25:int4", "sparse-delta"]
+CODECS = ["fp64", "fp32", "int4", "topk:0.1:int8", "topk:0.25:int4", "sparse-delta"]
 SHAPES = {"w_gate": (6, 4), "w_up": (6, 4), "w_down": (4, 6), "bias": (5,)}
 PSEUDO_ID = -3
 #: :func:`_job`'s default weights as an async aggregation ships them, the
@@ -104,7 +104,7 @@ def _assert_jobs_equal(framed, references, scratch=None):
 
 # ------------------------------------------------------------------- kernels
 class TestDecodeArraysEqualsDecodeArray:
-    @pytest.mark.parametrize("codec_name", CODECS + ["topk:1", "topk:0.3:int2",
+    @pytest.mark.parametrize("codec_name", CODECS + ["topk:1:int4", "topk:0.3:int2",
                                                      "topk:0.3:int8", "int8"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", [(6, 4), (7,), (5, 3, 2), (1, 1), ()])
@@ -128,8 +128,9 @@ class TestDecodeArraysEqualsDecodeArray:
             for row, expected in zip(got, want):
                 assert row.tobytes() == expected.tobytes()
         for row, reference, expected in zip(sections, references, want):
-            one = codec.decode_array(row, shape, wire_dtype,
-                                     reference=reference if codec.needs_reference else None)
+            (one,) = codec.decode_arrays(
+                [row], shape, wire_dtype,
+                references=[reference] if codec.needs_reference else None)
             assert one.tobytes() == expected.tobytes()
 
     def test_legacy_wide_indices_and_mixed_lengths_in_one_call(self):
@@ -153,10 +154,10 @@ class TestDecodeArraysEqualsDecodeArray:
 
 
 def oracle_row(codec, sections, shape, dtype, reference):
-    from fold_oracles import _oracle_decode_array
+    from fold_oracles import oracle_decode_array
 
-    return _oracle_decode_array(codec, sections, shape, dtype,
-                                reference if codec.needs_reference else None)
+    return oracle_decode_array(codec, sections, shape, dtype,
+                               reference if codec.needs_reference else None)
 
 
 # ----------------------------------------------------------------- fold jobs
@@ -180,7 +181,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
                    for sections in parse_update(framed[0]).sections)
         _assert_jobs_equal(framed, references, ScratchPool())
 
-    @pytest.mark.parametrize("codec_name", ["topk:0.3:int4", "topk:0.3", "topk:0.3:int2"])
+    @pytest.mark.parametrize("codec_name", ["topk:0.3:int4", "topk:0.3:int8", "topk:0.3:int2"])
     def test_odd_entry_counts(self, codec_name):
         framed, references = _job(codec_name, shapes={"w": (5, 2), "v": (11,)})
         _assert_jobs_equal(framed, references, ScratchPool())
@@ -198,7 +199,7 @@ class TestFoldJobsEqualTheFrameAtATimeFold:
         framed = framed[:3] + [framed[1], framed[1]] + framed[3:]   # (0, 1) three times
         _assert_jobs_equal(framed, references, ScratchPool())
 
-    @pytest.mark.parametrize("codec_name", ["topk", "fp64"])
+    @pytest.mark.parametrize("codec_name", ["topk:0.1:int8", "fp64"])
     def test_one_frame_groups(self, codec_name):
         framed, references = _job(codec_name, participants=5, keys=((2, 3),))
         _assert_jobs_equal(framed, references, ScratchPool())
@@ -293,7 +294,7 @@ class TestABadFrameInTheMiddleOfAGroup:
         _index_out_of_range,
         lambda frame: b"",
     ], ids=["bit-flip", "truncated", "truncated-resealed", "index-out-of-range", "empty"])
-    @pytest.mark.parametrize("codec_name", ["topk:0.25:int4", "topk"])
+    @pytest.mark.parametrize("codec_name", ["topk:0.25:int4", "topk:0.1:int8"])
     def test_same_exception_and_nothing_of_it_folded(self, damage, codec_name):
         framed, references = _job(codec_name, participants=3)
         bad = 4                                   # second sender, key (0, 1)

@@ -356,7 +356,7 @@ def test_client_builds_one_prefix_per_participant_round(vocab, tiny_model, monke
     for expected_rounds in (1, 2):
         with server.training_replica() as replica:
             state.run_round(model=replica, assignment=assignment, learning_rate=5e-3,
-                            batch_size=8, max_batches=1, local_iterations=1)
+                            batch_size=8, max_batches=1)
         assert CountingPrefix.built == [(1, [0, 1])] * expected_rounds
         assert len(estimates) == 3 * expected_rounds
     assert len({id(prefix) for prefix in estimates[:3]}) == 1

@@ -82,9 +82,9 @@ class TestMultiRoundRuns:
         tuner = FluxFineTuner(server, participants, test, cost_models=cost_models,
                               config=run_config)
         result = tuner.run(num_rounds=2)
-        fractions = result.timeline.phase_fractions()
-        overhead = fractions.get("merging", 0) + fractions.get("assignment", 0)
-        assert fractions["training"] > overhead
+        totals = result.timeline.phase_totals()
+        overhead = totals.get("merging", 0) + totals.get("assignment", 0)
+        assert totals["training"] > overhead
 
     def test_heterogeneous_devices_round_time_set_by_slowest(self):
         vocab = Vocabulary(size=96, num_topics=4)

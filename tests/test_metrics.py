@@ -10,7 +10,6 @@ from repro.metrics import (
     PerformanceTracker,
     corpus_rouge_l,
     evaluate_model,
-    relative_accuracy,
     rouge_l,
 )
 from repro.models import MoETransformer
@@ -122,12 +121,6 @@ class TestEvaluateModel:
         assert not model.training
         assert not any(module.training for module in model.modules())
 
-    def test_relative_accuracy(self):
-        assert relative_accuracy(0.3, 0.6) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            relative_accuracy(0.3, 0.0)
-
-
 class TestPerformanceTracker:
     def test_record_and_relative_accuracy(self):
         tracker = PerformanceTracker(target=0.5)
@@ -140,13 +133,11 @@ class TestPerformanceTracker:
         tracker.record(1, 20.0, 0.55)
         tracker.record(2, 30.0, 0.6)
         assert tracker.time_to_target() == pytest.approx(20.0)
-        assert tracker.reached_target()
 
     def test_time_to_target_not_reached(self):
         tracker = PerformanceTracker(target=0.9)
         tracker.record(0, 10.0, 0.2)
         assert tracker.time_to_target() is None
-        assert not tracker.reached_target()
 
     def test_time_to_custom_target(self):
         tracker = PerformanceTracker(target=0.9)
@@ -177,11 +168,6 @@ class TestPerformanceTracker:
     def test_empty_history_queries_and_totals(self):
         tracker = PerformanceTracker(target=0.5)
         assert tracker.time_to_target() is None
-        assert not tracker.reached_target()
-        assert tracker.total_comm_bytes() == 0.0
-        assert tracker.total_edge_bytes() == 0.0
-        assert tracker.total_payloads_lost() == 0
-        assert tracker.total_payloads_corrupted() == 0
         assert tracker.as_series() == []
 
     def test_non_positive_target_gives_zero_relative_accuracy(self):
@@ -189,14 +175,13 @@ class TestPerformanceTracker:
             tracker = PerformanceTracker(target=target)
             entry = tracker.record(0, 1.0, 0.5)
             assert entry.relative_accuracy == 0.0
-            assert tracker.relative_accuracies() == [0.0]
+            assert tracker.as_series()[0]["relative_accuracy"] == 0.0
 
     def test_target_never_reached_over_many_rounds(self):
         tracker = PerformanceTracker(target=0.9)
         for i in range(5):
             tracker.record(i, float(i + 1), 0.1 * i)  # plateaus at 0.4
         assert tracker.time_to_target() is None
-        assert not tracker.reached_target()
         # a custom (lower) target can still be answered from the same history
         assert tracker.time_to_target(0.2) == pytest.approx(3.0)
 
@@ -206,10 +191,7 @@ class TestPerformanceTracker:
                        payloads_lost=1, payloads_corrupted=2, edge_bytes=64.0)
         tracker.record(1, 2.0, 0.2, comm_bytes=50.0, wire_seconds=0.25,
                        payloads_corrupted=1, edge_bytes=32.0)
-        assert tracker.total_comm_bytes() == pytest.approx(150.0)
-        assert tracker.total_edge_bytes() == pytest.approx(96.0)
-        assert tracker.total_payloads_lost() == 1
-        assert tracker.total_payloads_corrupted() == 3
+        assert [m.comm_bytes for m in tracker.history] == [100.0, 50.0]
         row = tracker.as_series()[0]
         assert row["wire_seconds"] == pytest.approx(0.5)
         assert row["payloads_lost"] == 1

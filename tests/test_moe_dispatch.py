@@ -451,7 +451,7 @@ class TestRunLevelOracle:
                                       config=config, flux_config=FluxConfig(seed=0))
             curves = [(r.train_loss, r.metric_value, r.simulated_time, r.round_duration)
                       for r in tuner.run(num_rounds=2).rounds]
-            return np.array(curves), server.global_state()
+            return np.array(curves), server.global_model.state_dict()
 
         build = MoETransformer._build
 

@@ -75,7 +75,7 @@ class TestTracer:
                 with tracer.span("round", round=0):
                     raise RuntimeError("boom")
         assert {s.name for s in finished} == {"run", "round"}
-        assert tracer.current_round() is None  # stack fully unwound
+        assert not tracer._stack  # stack fully unwound
 
     def test_ingest_adopts_worker_record(self):
         finished = []
@@ -107,7 +107,6 @@ class TestTracer:
             span.set(sim_duration=1.0, bytes=5)  # discarded, no error
         assert span.attributes == {}
         NULL_TRACER.ingest({"name": "x"})
-        assert NULL_TRACER.current_round() is None
 
 
 # ------------------------------------------------------------------ metrics
@@ -135,7 +134,6 @@ class TestMetricsRegistry:
         assert hist.cumulative_counts() == [2, 3, 4]
         assert hist.count == 4
         assert hist.sum == pytest.approx(106.5)
-        assert hist.mean() == pytest.approx(106.5 / 4)
 
     def test_snapshot_restore_round_trip(self):
         reg = MetricsRegistry()

@@ -161,3 +161,44 @@ def test_hidden_and_alternative_path_segments(capsys):
     assert code == 0
     assert lines[0] == ("[OK] tiny_moe/hot_loop/speedup_batched_f32_vs_loop_f64: current "
                         "2.00x vs committed 2.00x (floor 1.40x)")
+
+
+HOT_ROW = ("presets", "tiny_moe", "hot_loop", "speedup_batched_f32_vs_loop_f64")
+
+
+def _remeasured(readings):
+    """A ``remeasure`` that hands out ``readings`` in turn, and the keys it was asked for."""
+    asked = []
+
+    def remeasure(keys):
+        asked.append(keys)
+        return readings[len(asked) - 1]
+
+    return remeasure, asked
+
+
+@pytest.mark.parametrize("again, median, code", [
+    ([1.5, 1.6], 1.5, 0),           # two of three readings above the 1.40x floor
+    ([1.3, 1.5], 1.3, 1),           # median 1.30x: a regression
+    ([0.5, 0.6], 0.6, 1),
+])
+def test_a_ratio_row_below_its_floor_is_judged_by_the_median_of_three(
+        capsys, again, median, code):
+    remeasure, asked = _remeasured(again)
+    result = check_gates("hotpath", _with(HOT_ROW, 1.3), COMMITTED, 0.3, "BASE.json",
+                         remeasure=remeasure)
+    lines = capsys.readouterr().out.splitlines()
+    assert result == code
+    assert asked == [HOT_ROW, HOT_ROW]
+    shown = ", ".join(f"{value:.2f}x" for value in [1.3, *again])
+    assert (f"[RE-MEASURED] tiny_moe/hot_loop/speedup_batched_f32_vs_loop_f64: "
+            f"readings {shown}; median {median:.2f}x") in lines
+    verdict = "OK" if code == 0 else "REGRESSION"
+    assert any(line.startswith(f"[{verdict}] tiny_moe/hot_loop") for line in lines)
+
+
+def test_a_row_within_its_bound_is_not_remeasured(capsys):
+    remeasure, asked = _remeasured([])
+    assert check_gates("hotpath", COMMITTED, COMMITTED, 0.3, "BASE.json",
+                       remeasure=remeasure) == 0
+    assert asked == []

@@ -37,12 +37,67 @@ TEST_ONLY_HELPERS = {
 
 
 #: public names deleted with what only tests reached (the activation knob, the
-#: autograd ops and optimizers no model family calls), by the module that
+#: autograd ops and optimizers no model family calls, the logging adapter,
+#: the codec tags no run selects, the grouping ABC), by the module that
 #: defined or exported them
 DELETED_NAMES = {
+    "repro": ["get_logger", "enable_console_logging", "available_codecs"],
     "repro.autograd": ["LayerNorm", "Sequential", "SGD", "AdamW", "stack", "concatenate",
                        "expand_rows", "index_add", "where"],
     "repro.models.experts": ["ACTIVATIONS"],
+    "repro.obs": ["get_logger", "enable_console_logging", "StructuredLogger"],
+    "repro.comm": ["TopKDeltaCodec", "available_codecs"],
+    "repro.comm.codecs": ["TopKDeltaCodec", "available_codecs"],
+    "repro.federated": ["GroupingPolicy", "CallableGrouping"],
+    "repro.federated.topology": ["GroupingPolicy", "CallableGrouping"],
+    "repro.metrics": ["relative_accuracy"],
+    "repro.data": ["make_piqa_like", "DATASET_FACTORIES"],
+    "repro.metrics.evaluation": ["relative_accuracy"],
+}
+
+#: methods and properties deleted with what only tests reached, by class
+DELETED_ATTRIBUTES = {
+    "repro.comm.codecs.Codec": ["encode_array", "decode_array", "wire_bytes_per_param"],
+    "repro.comm.codecs.CastCodec": ["encode_array", "decode_array"],
+    "repro.comm.codecs.GroupQuantCodec": ["encode_array", "decode_array"],
+    "repro.comm.codecs.TopKQuantCodec": ["encode_array", "decode_array", "_row_values"],
+    "repro.comm.codecs.SparseDeltaCodec": ["encode_array", "decode_array"],
+    "repro.comm.aggregator.StreamingAggregator": ["__len__", "num_updates"],
+    "repro.federated.communication.ExchangePlan": [
+        "for_bits", "for_codec", "total_bytes", "payload_bytes"],
+    "repro.federated.server.ParameterServer": [
+        "global_state", "expert_states", "experts_per_layer", "num_experts",
+        "untouched_experts"],
+    "repro.federated.server.ShardedParameterServer": ["shard_keys"],
+    "repro.federated.topology.CostAwareGrouping": ["group_loads"],
+    "repro.federated.topology.AggregationTree": ["channels"],
+    "repro.federated.client.Participant": ["num_samples"],
+    "repro.federated.orchestrator.RunResult": ["time_to_target"],
+    "repro.federated.privacy.GaussianMechanism": ["noise_stddev"],
+    "repro.metrics.tracker.PerformanceTracker": [
+        "reached_target", "total_comm_bytes", "total_edge_bytes", "total_payloads_lost",
+        "total_payloads_corrupted", "relative_accuracies"],
+    "repro.runtime.events.EventQueue": ["peek", "peek_time"],
+    "repro.runtime.faults.FaultInjector": ["outcomes"],
+    "repro.service.client.ServiceClient": ["ping", "server_stats"],
+    "repro.service.pool.ServiceAggregationPool": ["server_stats"],
+    "repro.service.server.InProcessServer": ["name"],
+    "repro.obs.trace.Tracer": ["current_round"],
+    "repro.obs.trace.NullTracer": ["current_round"],
+    "repro.obs.metrics.Gauge": ["inc"],
+    "repro.obs.metrics.Histogram": ["mean"],
+    "repro.analysis.activation.ActivationProfile": ["frequency_matrix", "flat_frequencies"],
+    "repro.core.clustering.ClusteringResult": ["cluster_of"],
+    "repro.core.profiling.QuantizedProfiler": ["reference_profile"],
+    "repro.core.profiling.StaleProfiler": ["bits"],
+    "repro.core.utility.UtilityTracker": ["get", "top_experts", "stale_experts"],
+    "repro.data.datasets.SyntheticDataset": ["__getitem__", "mean_length"],
+    "repro.data.synthetic.Sample": ["prompt_ids"],
+    "repro.data.vocab.Vocabulary": [
+        "content_start", "choice_from_token", "digit_from_token", "topic_of_token"],
+    "repro.quantization.quantizer.QuantizedArray": ["nbytes"],
+    "repro.systems.timeline.SimulatedClock": ["reset"],
+    "repro.systems.timeline.RunTimeline": ["phase_fractions"],
 }
 
 
@@ -121,6 +176,17 @@ class TestPublicAPI:
         for name in DELETED_NAMES[module_name]:
             assert not hasattr(module, name), (module_name, name)
             assert name not in getattr(module, "__all__", ())
+
+    @pytest.mark.parametrize("class_path", sorted(DELETED_ATTRIBUTES))
+    def test_deleted_methods_stay_deleted(self, class_path):
+        module_name, class_name = class_path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module_name), class_name)
+        for name in DELETED_ATTRIBUTES[class_path]:
+            assert not hasattr(cls, name), (class_path, name)
+
+    def test_the_logging_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.log")
 
     def test_one_framing_implementation(self):
         """FrameStream is the only length-prefixed framing: no asyncio twins."""

@@ -77,10 +77,13 @@ def build_flux_tuner(vocab, tiny_config, **config_kwargs):
 
 
 #: the saved defaults of the run-affecting knobs retired from ``RunConfig``
-#: with the sampler module, as a tree that still had them wrote its snapshots
+#: (with the sampler module, and as constants), as a tree that still had
+#: them wrote its snapshots
 RETIRED_KNOB_DEFAULTS = dict(sampler="uniform", availability_trace=None,
                              deadline_seconds=None, async_concurrency=None,
-                             edge_grouping="cost_aware", channel_latency_s=0.0)
+                             edge_grouping="cost_aware", channel_latency_s=0.0,
+                             local_iterations=1, staleness_exponent=0.5,
+                             straggler_slowdown=4.0)
 
 SCHEDULER_KNOBS = {
     "sync": {"participants_per_round": 3},
@@ -377,6 +380,9 @@ class TestCheckpointMechanics:
         ("async_concurrency", 2),
         ("edge_grouping", "round_robin"),
         ("channel_latency_s", 0.05),
+        ("local_iterations", 2),
+        ("staleness_exponent", 1.0),
+        ("straggler_slowdown", 5.0),
     ])
     def test_resume_refuses_a_retired_knob_away_from_its_default(
             self, vocab, tiny_config, tmp_path, key, value):
@@ -399,7 +405,7 @@ class TestCheckpointMechanics:
         uninterrupted = build_constant_tuner(vocab, tiny_config, **knobs)
         uninterrupted.run(num_rounds=3)
         expected_sequences = [channel.export_state()["sequence"]
-                              for channel in uninterrupted.topology.channels]
+                              for channel in uninterrupted.topology.tier_channels[0]]
 
         durable = dict(knobs, checkpoint_every=2,
                        checkpoint_dir=str(tmp_path / "edges"))
@@ -408,7 +414,7 @@ class TestCheckpointMechanics:
         resumed_tuner = build_constant_tuner(vocab, tiny_config, **durable)
         resumed_tuner.run(num_rounds=3, resume_from=snapshot)
         assert [channel.export_state()["sequence"]
-                for channel in resumed_tuner.topology.channels] == expected_sequences
+                for channel in resumed_tuner.topology.tier_channels[0]] == expected_sequences
 
     def test_resume_restores_every_tier_channel_position(self, vocab, tiny_config,
                                                          tmp_path):

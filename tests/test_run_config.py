@@ -11,11 +11,11 @@ from repro.federated import RunConfig
 #: every knob a run has.  A new one has to be added here, next to the reason
 #: two existing callers need different values for it.
 RUN_CONFIG_FIELDS = {
-    "batch_size", "local_iterations", "learning_rate", "max_local_batches",
+    "batch_size", "learning_rate", "max_local_batches",
     "participants_per_round", "eval_batch_size", "eval_max_samples",
     "target_relative_accuracy", "seed",
-    "scheduler", "deadline_quantile", "buffer_size", "staleness_exponent",
-    "dropout_prob", "straggler_prob", "straggler_slowdown",
+    "scheduler", "deadline_quantile", "buffer_size",
+    "dropout_prob", "straggler_prob",
     "transport", "codec", "channel_loss_prob", "channel_corrupt_prob",
     "num_shards", "edge_tiers", "edge_latency_s",
     "aggregation_executor", "aggregation_workers",
@@ -29,7 +29,7 @@ RUN_CONFIG_FIELDS = {
 
 def test_the_exact_set_of_fields():
     assert {field.name for field in dataclasses.fields(RunConfig)} == RUN_CONFIG_FIELDS
-    assert len(RUN_CONFIG_FIELDS) == 36
+    assert len(RUN_CONFIG_FIELDS) == 33
 
 
 class TestRetiredKeywords:
@@ -78,5 +78,16 @@ class TestRetiredKeywords:
         """One uniform draw of ``participants_per_round`` (which also bounds
         async concurrency), the quantile deadline, cost-aware grouping and
         foreground snapshot writes are all there is."""
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            RunConfig(**{keyword: value})
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("local_iterations", 1),
+        ("staleness_exponent", 0.5),
+        ("straggler_slowdown", 4.0),
+    ])
+    def test_constants_no_entry_point_varied_are_unknown_keywords(self, keyword, value):
+        """One local pass per round, the square-root staleness discount and a 4x
+        straggler are constants where they are used, not knobs."""
         with pytest.raises(TypeError, match=f"'{keyword}'"):
             RunConfig(**{keyword: value})

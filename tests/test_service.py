@@ -21,9 +21,10 @@ import threading
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from repro.comm import Channel, encode_updates, get_codec
+from repro.comm import Channel, encode_updates, frame_codec_name, get_codec
 from repro.federated import (
     AggregationTree,
     ExpertUpdate,
@@ -53,6 +54,7 @@ from repro.service.protocol import (
     OP_HELLO,
     OP_OK,
     OP_PING,
+    OP_STATS,
     ServiceProtocolError,
     announced_frames,
 )
@@ -677,13 +679,42 @@ def _wire_job(tiny_config, num_participants=2):
     return framed, references
 
 
+class TestJobFramesAtTheirOwnWidth:
+    """What a job carries that did not arrive as a frame travels at the lossless
+    codec of its own dtype; what a job returns (float64 fold sums) at fp64."""
+
+    def test_float32_updates_and_references_frame_at_fp32(self, tiny_config):
+        model = MoETransformer(tiny_config)
+        updates = [ExpertUpdate(update.participant_id, update.layer, update.expert,
+                                {name: value.astype(np.float32)
+                                 for name, value in update.state.items()}, update.weight)
+                   for update in _updates(model, num_participants=2)]
+        assert {frame_codec_name(fold.frame_update(update, {}))
+                for update in updates} == {"fp32"}
+        references = {}
+        for update in _wire_updates(model, updates):
+            fold.frame_update(update, references)
+        assert model.expert_state(0, 0)["w_gate"].dtype == np.float32
+        assert {frame_codec_name(frame) for frame in references.values()} == {"fp32"}
+
+    def test_float64_states_and_results_stay_fp64(self, tiny_config):
+        model = MoETransformer(tiny_config)
+        updates = _updates(model, num_participants=2)        # float64 noisy copies
+        framed = [fold.frame_update(update, {}) for update in updates]
+        assert {frame_codec_name(frame) for frame in framed} == {"fp64"}
+        partials = fold.prefold_node_frames(-1, framed)
+        assert {frame_codec_name(frame) for frame in partials} == {"fp64"}
+        assert {frame_codec_name(frame) for _, frame, _ in fold.fold_shard_frames(framed)} \
+            == {"fp64"}
+
+
 class TestFoldRequest:
     """A fold job is one request: dropped anywhere, it is resent whole, and
     a rejected one leaves the connection at a request boundary."""
 
     def _client(self, server, connect=None):
         return ServiceClient(connect or (lambda: FrameStream(server.connect())),
-                             name=server.name, retry_delay_s=0.0)
+                             name=server.server.name, retry_delay_s=0.0)
 
     @pytest.mark.parametrize("kind", ["shard", "node"])
     def test_drop_at_every_boundary_resends_bit_equal(self, tiny_config, kind):
@@ -773,7 +804,7 @@ class TestFoldRequest:
             bogus = b"RWP1" + bytes((1, 4)) + b"nope" + b"body-never-reached"
             with pytest.raises(UnknownCodecError, match="nope"):
                 client.fold_shard(0, [bogus] * 100)
-            assert client.ping()["name"] == "rejected"
+            assert client.call(OP_PING)["name"] == "rejected"
         finally:
             client.shutdown()
             server.close()
@@ -846,7 +877,7 @@ class TestServiceFailover:
         client = ServiceClient(refuse, name="ghost", retry_attempts=3,
                                retry_delay_s=0.0)
         with pytest.raises(ServiceUnavailableError, match="3 attempt"):
-            client.ping()
+            client.call(OP_PING)
         assert client.stats["reconnects"] == 2  # attempts after the first
 
 
@@ -986,12 +1017,12 @@ class TestServiceMachinery:
         client = ServiceClient(lambda: FrameStream(server.connect()),
                                name="open", retry_delay_s=0.0)
         try:
-            client.ping()
+            client.call(OP_PING)
             started = time.perf_counter()
             server.close()
             assert time.perf_counter() - started < 1.0
             assert "repro-service-open" not in {t.name for t in threading.enumerate()}
-            assert client.ping()["name"] == "open"
+            assert client.call(OP_PING)["name"] == "open"
             assert client.stats["reconnects"] == 1
         finally:
             client.close()
@@ -1023,7 +1054,7 @@ class TestServerLoop:
         server.serve_connection = recording
         runner, client = self._tcp(server)
         try:
-            client.ping()
+            client.call(OP_PING)
         finally:
             client.shutdown()
             runner.join(timeout=10)
@@ -1035,7 +1066,7 @@ class TestServerLoop:
         server = AggregatorServer(name="acked")
         runner, client = self._tcp(server)
         try:
-            client.ping()
+            client.call(OP_PING)
             client.shutdown()
             runner.join(timeout=10)
         finally:
@@ -1084,7 +1115,7 @@ class TestServerLoop:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
-            stats = clients[0].server_stats()
+            stats = clients[0].call(OP_STATS)
         finally:
             sys.setswitchinterval(interval)
             for client in clients:

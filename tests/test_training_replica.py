@@ -60,8 +60,8 @@ class TestReplicaEqualsFreshCopies:
     @pytest.mark.parametrize("knobs", [
         {},
         {"transport": "wire", "codec": "topk:0.25:int4", "num_shards": 2},
-        {"local_iterations": 2, "participants_per_round": 3},
-    ], ids=["analytic", "wire", "iterations"])
+        {"max_local_batches": 2, "participants_per_round": 3},
+    ], ids=["analytic", "wire", "more_steps"])
     def test_fmd_runs(self, vocab, tiny_config, monkeypatch, knobs):
         result, tuner = _run(FMDFineTuner, vocab, tiny_config, **knobs)
         monkeypatch.setattr(ParameterServer, "training_replica", _fresh_copy)
@@ -129,11 +129,10 @@ class TestResidentOptimizerState:
         for participant, twin in zip(participants[:3], twins[:3]):
             with server.training_replica() as model:
                 got = participant.local_finetune(
-                    model, participant.local_batches(config.batch_size, max_batches=2),
-                    iterations=2)
+                    model, 2 * participant.local_batches(config.batch_size, max_batches=2))
                 fresh = MoETransformer.copy_of(server.global_model)
                 want = twin.local_finetune(
-                    fresh, twin.local_batches(config.batch_size, max_batches=2), iterations=2)
+                    fresh, 2 * twin.local_batches(config.batch_size, max_batches=2))
                 assert got == want
                 assert _bits(model) == _bits(fresh)
 

@@ -3,7 +3,8 @@
 Three layers, each held to the code it replaced (kept verbatim in
 ``uplink_oracles.py``):
 
-* kernel — ``Codec.encode_arrays`` vs the mapped per-tensor ``encode_array``;
+* kernel — ``Codec.encode_arrays`` vs the mapped per-tensor ``encode_array``
+  (and vs its own one-array case);
 * frames — ``encode_updates`` vs the mapped per-update ``encode_update``;
 * uplink — ``frame_upload`` at the client's finish plus the send-only,
   verify-only ``transmit_updates`` (lazy ``ExpertUpdate.state``, one shared
@@ -48,9 +49,9 @@ from uplink_oracles import (
     pack_int_codes,
 )
 
-#: the 11 registered variants plus the corners of the top-k family:
-#: density 1, and densities whose k is odd on the small shapes below
-CODECS = ALL_CODECS + ["topk:1", "topk:1:int4", "topk:0.3:int2", "topk:0.3:int4",
+#: the registered codecs and top-k variants plus the corners of the top-k
+#: family: density 1, and densities whose k is odd on the small shapes below
+CODECS = ALL_CODECS + ["topk:1:int8", "topk:1:int4", "topk:0.3:int2", "topk:0.3:int4",
                        "topk:0.3:int8"]
 TOPK_CODECS = [name for name in CODECS if name.startswith("topk")]
 SHAPES = [(16, 16), (7,), (5, 7, 2), (1, 1), (), (3, 3)]
@@ -99,7 +100,7 @@ def _assert_kernel_equals_oracle(codec, arrays, references):
     expected = _mapped_oracle(codec, arrays, references)
     passed = references if codec.needs_reference else None
     assert list(codec.encode_arrays(arrays, passed)) == expected
-    assert [codec.encode_array(array, reference=reference if codec.needs_reference else None)
+    assert [list(codec.encode_arrays([array], None if passed is None else [reference]))[0]
             for array, reference in zip(arrays, references)] == expected
 
 

@@ -1,8 +1,9 @@
 """Reference implementations of the per-tensor uplink, kept verbatim.
 
 What ``transport="wire"`` ran before the uplink was rebuilt around one
-participant's whole upload: :func:`pack_int_codes`, the top-k codecs'
-per-tensor ``_select`` / ``encode_array`` (:func:`oracle_encode_array`), the
+participant's whole upload: :func:`pack_int_codes`, every codec's per-tensor
+``encode_array`` (:func:`oracle_encode_array`; the top-k codec's with its
+per-tensor ``_select``), the
 per-update framing (:func:`oracle_encode_update`) and the
 encode-send-decode-per-expert body of ``FederatedFineTuner.transmit_updates``
 (:func:`oracle_transmit_updates`; :func:`oracle_uplink` patches it in with
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm import TopKDeltaCodec, TopKQuantCodec
+from repro.comm import CastCodec, GroupQuantCodec, SparseDeltaCodec, TopKQuantCodec
 from repro.comm.codecs import (
     _SCALE_DTYPE,
     _VALUE_DTYPE,
@@ -76,14 +77,31 @@ def _select(self, array: np.ndarray,
     return indices[nonzero], values[nonzero], flat.size
 
 
-def _topk_delta_encode_array(self, array: np.ndarray,
-                             reference: Optional[np.ndarray] = None) -> List[bytes]:
+def _cast_encode_array(self, array: np.ndarray) -> List[bytes]:
+    values = np.ascontiguousarray(np.asarray(array), dtype=self.wire_dtype)
+    return [values.tobytes()]
+
+
+def _group_quant_encode_array(self, array: np.ndarray) -> List[bytes]:
+    array = np.asarray(array)
+    if array.size == 0:
+        return [b"", b""]
+    quantized = quantize_array(array, self.bits)
+    codes = pack_int_codes(quantized.codes, self.bits)
+    scales = np.ascontiguousarray(quantized.scales, dtype=_SCALE_DTYPE).tobytes()
+    return [codes, scales]
+
+
+def _sparse_delta_encode_array(self, array: np.ndarray,
+                               reference: Optional[np.ndarray] = None) -> List[bytes]:
     array = np.asarray(array)
     reference = _check_reference(array.shape, reference)
-    indices, values, size = _select(self, array, reference)
+    flat = np.asarray(array, dtype=np.float64).reshape(-1)
+    ref_flat = np.asarray(reference, dtype=np.float64).reshape(-1)
+    indices = np.flatnonzero(flat != ref_flat)
     return [
-        np.ascontiguousarray(indices, dtype=_index_dtype_for(size)).tobytes(),
-        np.ascontiguousarray(values, dtype=_VALUE_DTYPE).tobytes(),
+        np.ascontiguousarray(indices, dtype=_index_dtype_for(flat.size)).tobytes(),
+        np.ascontiguousarray(flat[indices], dtype=_VALUE_DTYPE).tobytes(),
     ]
 
 
@@ -104,13 +122,16 @@ def _topk_quant_encode_array(self, array: np.ndarray,
 
 def oracle_encode_array(codec: Codec, array: np.ndarray,
                         reference: Optional[np.ndarray] = None) -> List[bytes]:
-    """``codec.encode_array`` as it was: the old per-tensor code for the top-k
-    family, the (unchanged) codec's own for every other."""
+    """``codec.encode_array`` as it was: one tensor, encoded on its own."""
     if isinstance(codec, TopKQuantCodec):
         return _topk_quant_encode_array(codec, array, reference)
-    if isinstance(codec, TopKDeltaCodec):
-        return _topk_delta_encode_array(codec, array, reference)
-    return codec.encode_array(array, reference=reference)
+    if isinstance(codec, SparseDeltaCodec):
+        return _sparse_delta_encode_array(codec, array, reference)
+    if isinstance(codec, GroupQuantCodec):
+        return _group_quant_encode_array(codec, array)
+    if isinstance(codec, CastCodec):
+        return _cast_encode_array(codec, array)
+    raise TypeError(f"no per-tensor oracle for {codec!r}")
 
 
 # ------------------------------------------------------------------ framing
