@@ -60,9 +60,10 @@ which direction is worse) and one walker (``check_gates``).  For the default
 suite it compares the machine-independent *speedup* of ``batched/float32``
 over ``loop/float64`` against the committed baseline and fails (exit code 1)
 when it has regressed by more than ``--tolerance`` (default 30%).  A hotpath
-ratio row that misses its bound is measured twice more and fails only when
-the median of its three readings misses (every reading is printed): those
-rows move by more than the tolerance between quiet runs of one tree.
+or aggregation ratio row that misses its bound is measured twice more and
+fails only when the median of its three readings misses (every reading is
+printed): those rows move by more than the tolerance between quiet runs of
+one tree.
 """
 
 from __future__ import annotations
@@ -646,6 +647,15 @@ AGG_SHARD_COUNTS = (1, 4, 8)
 #: benchmarked aggregation-tree shapes, depth 1/2/3
 AGG_TREE_TIERS = ((8,), (8, 4), (8, 4, 2))
 AGG_PRESET = "tiny_moe"
+#: participants of the aggregation suite's round (the full fleet in --quick
+#: too: the gated speedups depend on the serial/parallel split of the work,
+#: so shrinking the fleet would move the ratios, not just the noise)
+AGG_PARTICIPANTS = 64
+
+
+def _aggregation_repetitions(quick: bool) -> Tuple[int, int]:
+    """``(iters, reps)`` of the aggregation suite's timings."""
+    return (2, 3) if quick else (4, 6)
 
 
 def _make_aggregation_updates(participants: int, preset: str = AGG_PRESET):
@@ -1114,12 +1124,8 @@ def _bench_checkpoint(iters: int, reps: int) -> Dict:
 
 def run_aggregation_suite(quick: bool) -> Dict:
     """The aggregation-throughput benchmark family (``--suite aggregation``)."""
-    # Quick mode trims repetitions but keeps the full workload shape: the
-    # gated speedups depend on the serial/parallel split of the work, so
-    # shrinking the fleet would move the ratios, not just the noise.
-    participants = 64
-    iters = 2 if quick else 4
-    reps = 3 if quick else 6
+    participants = AGG_PARTICIPANTS
+    iters, reps = _aggregation_repetitions(quick)
     model, updates = _make_aggregation_updates(participants)
     shards = {str(n): _bench_shard_fold(updates, n, iters, reps)
               for n in AGG_SHARD_COUNTS}
@@ -1887,9 +1893,10 @@ def main(argv=None) -> int:
     if args.check:
         with open(args.check) as handle:
             committed = json.load(handle)
-        remeasure = _hotpath_remeasure(args.quick) if args.suite == "hotpath" else None
+        remeasure = {"hotpath": _hotpath_remeasure,
+                     "aggregation": _aggregation_remeasure}.get(args.suite)
         return check_gates(args.suite, result, committed, args.tolerance, args.check,
-                           remeasure=remeasure)
+                           remeasure=remeasure and remeasure(args.quick))
     return 0
 
 
@@ -1905,6 +1912,33 @@ def _hotpath_remeasure(quick: bool) -> Callable[[Tuple[str, ...]], float]:
 
     def remeasure(keys: Tuple[str, ...]) -> float:
         return _lookup({keys[0]: sections[keys[0]](keys)}, keys)
+
+    return remeasure
+
+
+def _aggregation_remeasure(quick: bool) -> Callable[[Tuple[str, ...]], float]:
+    """A fresh reading of one gated aggregation row: its shard count, tree
+    shape, decode, allocation probe or prefold job measured again, on the
+    suite's round of updates (built on the first call)."""
+    iters, reps = _aggregation_repetitions(quick)
+    sections = {
+        "shards": lambda key, updates: _bench_shard_fold(updates, int(key), iters, reps),
+        "tree": lambda key, updates: _bench_tree_fold(
+            updates, tuple(int(width) for width in key.split("x")), iters, reps),
+        "decode": lambda key, updates: _bench_decode(updates, iters, reps),
+        "alloc_probe": lambda key, updates: _bench_alloc_probe(updates),
+        "prefold": lambda key, updates: bench_prefold(quick),
+    }
+
+    @functools.lru_cache(maxsize=None)
+    def round_updates():
+        return _make_aggregation_updates(AGG_PARTICIPANTS)[1]
+
+    def remeasure(keys: Tuple[str, ...]) -> float:
+        _, section, key = keys[:3]
+        measured = sections[section](key, round_updates())
+        return _lookup({section: {key: measured}} if section in ("shards", "tree")
+                       else {section: measured}, keys[1:])
 
     return remeasure
 

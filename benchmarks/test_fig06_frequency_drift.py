@@ -21,6 +21,7 @@ from repro.core import FluxFineTuner
 from repro.data import make_batches
 from repro.federated import ParameterServer
 from repro.models import MoETransformer
+from repro.runtime import make_scheduler
 
 
 def _measure():
@@ -35,8 +36,7 @@ def _measure():
     tuner = FluxFineTuner(server, participants, test, cost_models=cost_models,
                           config=run_config, flux_config=default_flux_config())
     profiles = [profile_activation(server.global_model, probe_batches)]
-    for round_index in range(rounds):
-        tuner.run_round(round_index)
+    for _ in make_scheduler(run_config).round_results(tuner, rounds):
         profiles.append(profile_activation(server.global_model, probe_batches))
     drifts = [frequency_drift(a, b) for a, b in zip(profiles, profiles[1:])]
     return profiles, drifts

@@ -39,7 +39,7 @@ def _measure():
                               cost_models=cost_models, config=default_run_config(),
                               flux_config=default_flux_config())
         run = tuner.run(num_rounds=default_rounds(3))
-        totals = run.timeline.phase_totals()
+        totals = run.phase_totals()
         profiling = totals.get("profiling", 0.0) + totals.get("quantization", 0.0)
         merging = totals.get("merging", 0.0)
         assignment = totals.get("assignment", 0.0)

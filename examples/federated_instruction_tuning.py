@@ -67,13 +67,13 @@ def main() -> None:
     result = tuner.run(num_rounds=8)
 
     print("\nROUGE-L over federated rounds:")
-    for entry in result.tracker.history:
+    for entry in result.rounds:
         bar = "#" * int(entry.metric_value * 40)
         print(f"  round {entry.round_index}: {entry.metric_value:.3f} "
               f"({entry.simulated_time:7.1f}s simulated) {bar}")
 
     print("\nwhere the time goes (totals across the run):")
-    totals = result.timeline.phase_totals()
+    totals = result.phase_totals()
     overall = sum(totals.values()) or 1.0
     for phase, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
         print(f"  {phase:>14}: {seconds:8.1f}s ({seconds / overall * 100:5.1f}%)")

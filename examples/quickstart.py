@@ -62,9 +62,9 @@ def main() -> None:
     # 5. Inspect the outcome.
     print(f"method: {result.method}")
     print(f"{'round':>6} {'sim time (s)':>14} {'accuracy':>10} {'rel. accuracy':>14}")
-    for entry in result.tracker.history:
-        print(f"{entry.round_index:>6} {entry.simulated_time:>14.1f} "
-              f"{entry.metric_value:>10.3f} {entry.relative_accuracy:>14.3f}")
+    for row in result.tracker.as_series():
+        print(f"{row['round']:>6} {row['time_s']:>14.1f} "
+              f"{row['metric']:>10.3f} {row['relative_accuracy']:>14.3f}")
     reached = result.tracker.time_to_target()
     if reached is not None:
         print(f"target reached after {reached:.1f} simulated seconds")

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..data import SyntheticDataset
 from ..metrics import PerformanceTracker, evaluate_model
-from ..systems import CostModel, RoundCostBreakdown, RoundTimeline, RunTimeline, SimulatedClock
+from ..systems import CostModel, RoundCostBreakdown, RoundTimeline, SimulatedClock
 from .aggregation import ExpertUpdate
 from .client import Participant
 from .server import ParameterServer, ShardedParameterServer, make_aggregation_pool
@@ -225,30 +225,54 @@ class RoundResult:
     wire_seconds: float = 0.0
     payloads_lost: int = 0
     payloads_corrupted: int = 0
-    #: measured aggregator-tier backhaul totals (zero on a flat, single-tier
-    #: run; summed over every tier of an aggregation tree)
-    edge_bytes: float = 0.0
-    edge_seconds: float = 0.0
-    edge_payloads: int = 0
-    #: per-tier breakdown of the backhaul traffic, participant-facing tier
-    #: first (empty on a flat run; ``tier_bytes[k]`` sums to ``edge_bytes``)
+    #: measured aggregator-tier backhaul, participant-facing tier first
+    #: (empty on a flat, single-tier run)
     tier_bytes: List[float] = field(default_factory=list)
     tier_seconds: List[float] = field(default_factory=list)
     tier_payloads: List[int] = field(default_factory=list)
 
+    # The tiers only send up, so these sums are the merged per-tier totals.
+    @property
+    def edge_bytes(self) -> float:
+        """Backhaul bytes summed over every tier (0 on a flat run)."""
+        return sum(self.tier_bytes, 0.0)
+
+    @property
+    def edge_seconds(self) -> float:
+        return sum(self.tier_seconds, 0.0)
+
+    @property
+    def edge_payloads(self) -> int:
+        return sum(self.tier_payloads)
+
 
 @dataclass
 class RunResult:
-    """Full outcome of a federated fine-tuning run."""
+    """Full outcome of a federated fine-tuning run.
+
+    ``rounds`` is the run's only per-round record; the tracker, the total
+    simulated time and the phase totals are read from it.
+    """
 
     method: str
-    tracker: PerformanceTracker
-    timeline: RunTimeline
+    target: float
     rounds: List[RoundResult]
 
     @property
+    def tracker(self) -> PerformanceTracker:
+        return PerformanceTracker(self.target, self.rounds)
+
+    @property
     def total_time(self) -> float:
-        return self.timeline.total_time()
+        return sum(r.round_duration for r in self.rounds)
+
+    def phase_totals(self) -> Dict[str, float]:
+        """Per-phase simulated seconds summed over every round (Figure 20)."""
+        totals: Dict[str, float] = {}
+        for r in self.rounds:
+            for phase, value in r.timeline.phase_totals().items():
+                totals[phase] = totals.get(phase, 0.0) + value
+        return totals
 
     def final_metric(self) -> float:
         return self.tracker.final_metric()
@@ -283,8 +307,6 @@ class FederatedFineTuner(abc.ABC):
         self.clock = SimulatedClock()
         self._rng = np.random.default_rng(self.config.seed)
         self._participants_by_id = {p.participant_id: p for p in self.participants}
-        self._legacy_scheduler = None
-        self._legacy_scheduler_key = None
         self._channels: Dict[int, object] = {}
         #: ``(server.round_index, {expert key: state})``: the delta-codec
         #: references of the current server version, see :meth:`uplink_reference`
@@ -560,23 +582,20 @@ class FederatedFineTuner(abc.ABC):
 
         Flat runs hand the update stream straight to the server; with an edge
         tier configured, updates pre-fold at their edge aggregators and only
-        wire-framed partial aggregates cross the (metered) edge→root channels.
-        Returns ``(contributions, edge_stats)``; ``edge_stats`` is an empty
-        :class:`~repro.comm.ChannelStats` on a flat run.
+        wire-framed partial aggregates cross the (metered) edge→root channels,
+        measured per tier in the topology's ``last_tier_stats``.  Returns the
+        contribution counts per expert key.
         """
-        from ..comm import ChannelStats
-
         tracer = self.telemetry.tracer
         with tracer.span("aggregate", category="fold") as span:
             if self.topology is not None:
-                contributions, edge_stats = self.topology.aggregate(
+                contributions, _ = self.topology.aggregate(
                     self.server, updates, pool=self._aggregation_pool, tracer=tracer)
             else:
                 contributions = self.server.aggregate(updates)
-                edge_stats = ChannelStats()
             span.set(num_keys=len(contributions),
                      num_updates=sum(contributions.values()))
-        return contributions, edge_stats
+        return contributions
 
     # ------------------------------------------------------------- run state
     def export_run_state(self) -> Dict:
@@ -618,29 +637,13 @@ class FederatedFineTuner(abc.ABC):
         """Absolute metric value corresponding to relative accuracy 1.0."""
         return self.test_dataset.spec.mini_target * self.config.target_relative_accuracy
 
-    def run_round(self, round_index: int) -> Tuple[RoundResult, Dict[int, ParticipantRoundResult]]:
-        """Execute one synchronous federated round (legacy API).
-
-        Equivalent to one :class:`~repro.runtime.SyncScheduler` round with the
-        fault injection configured in :attr:`config` (none by default) —
-        regardless of ``config.scheduler``.  The scheduler is cached and
-        rebuilt when the fault fields change.
-        """
-        from ..runtime import FaultInjector, SyncScheduler
-
-        key = (self.config.dropout_prob, self.config.straggler_prob, self.config.seed)
-        if self._legacy_scheduler is None or self._legacy_scheduler_key != key:
-            self._legacy_scheduler = SyncScheduler(FaultInjector.from_config(self.config))
-            self._legacy_scheduler_key = key
-        return self._legacy_scheduler.run_round(self, round_index)
-
     def close(self) -> None:
         """Release runtime resources held by the tuner (idempotent).
 
         Shuts the aggregation service's fold servers down
         (``aggregation_executor="service"``; nothing to do under ``"serial"``).
         They restart lazily on next use, so closing between runs — or between
-        :meth:`run_round` calls — is always safe.  :meth:`run` closes the tuner
+        rounds driven by hand — is always safe.  :meth:`run` closes the tuner
         itself when it finishes.
         """
         if self.config.aggregation_executor == "service":
@@ -662,7 +665,7 @@ class FederatedFineTuner(abc.ABC):
         identical to the historical loop).
 
         With :attr:`RunConfig.checkpoint_every` set, the full run state
-        (server + model, metrics tracker, RNG streams, scheduler position) is
+        (server + model, completed rounds, RNG streams, scheduler position) is
         snapshotted into :attr:`RunConfig.checkpoint_dir` every K rounds.
         ``resume_from`` continues a killed run from such a snapshot —
         ``num_rounds`` stays the *total* round count, and the resumed run's

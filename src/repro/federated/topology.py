@@ -382,5 +382,4 @@ def make_topology(config, participant_costs: Optional[Mapping[int, float]] = Non
     if not tiers:
         return None
     grouping = CostAwareGrouping(participant_costs) if participant_costs else None
-    latency_s = float(getattr(config, "edge_latency_s", 0.0))
-    return AggregationTree(tiers, grouping=grouping, latency_s=latency_s)
+    return AggregationTree(tiers, grouping=grouping, latency_s=float(config.edge_latency_s))

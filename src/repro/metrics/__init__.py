@@ -2,12 +2,11 @@
 
 from .evaluation import evaluate_model
 from .rouge import corpus_rouge_l, rouge_l
-from .tracker import PerformanceTracker, RoundMetric
+from .tracker import PerformanceTracker
 
 __all__ = [
     "rouge_l",
     "corpus_rouge_l",
     "evaluate_model",
     "PerformanceTracker",
-    "RoundMetric",
 ]

@@ -201,7 +201,4 @@ class RunTelemetry:
 
 def make_telemetry(config) -> "RunTelemetry | NullTelemetry":
     """Build the telemetry object a :class:`RunConfig` asks for."""
-    if not getattr(config, "telemetry", False):
-        return NULL_TELEMETRY
-    directory = getattr(config, "telemetry_dir", None) or "telemetry"
-    return RunTelemetry(directory)
+    return RunTelemetry(config.telemetry_dir) if config.telemetry else NULL_TELEMETRY

@@ -7,9 +7,8 @@ rounds it snapshots
 
 * the parameter server — global model parameters (as a standard ``.npz``
   model checkpoint) plus round index and contribution counts;
-* the :class:`~repro.metrics.PerformanceTracker` history, the
-  :class:`~repro.systems.RunTimeline` and the completed
-  :class:`~repro.federated.RoundResult` list;
+* the completed :class:`~repro.federated.RoundResult` list, the run's one
+  per-round record;
 * every RNG stream a continuing round will draw from — the tuner's run RNG
   (bit-generator state), each participant's batch-shuffling seed, and each
   wire channel's payload sequence position (the fault injectors themselves
@@ -108,6 +107,24 @@ _RETIRED_CONFIG_FIELDS: Dict[str, Optional[Tuple]] = {
 }
 
 
+#: run-state keys older snapshots hold beside ``rounds``, and the classes only
+#: those keys pickled; the classes load as :class:`_RetiredRecord`
+_RETIRED_STATE_KEYS = ("tracker", "run_timeline")
+_RETIRED_CLASSES = frozenset({("repro.metrics.tracker", "RoundMetric"),
+                              ("repro.systems.timeline", "RunTimeline")})
+
+
+class _RetiredRecord:
+    """Stands in for a retired class while an older snapshot loads."""
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) in _RETIRED_CLASSES:
+            return _RetiredRecord
+        return super().find_class(module, name)
+
+
 def _config_snapshot(config) -> Dict:
     """The run-affecting slice of a ``RunConfig`` as a comparable dict.
 
@@ -146,9 +163,9 @@ def _config_mismatches(saved: Dict, current: Dict) -> List[str]:
 class RunCheckpointCapture:
     """A snapshot's full content, captured synchronously on the round loop.
 
-    The run state is pickled at capture time (the tracker, timeline and round
-    list keep mutating as the run continues) and the model parameters are
-    copied, so the copy can serve as the next delta snapshot's reference.
+    The run state is pickled at capture time (the round list keeps growing as
+    the run continues) and the model parameters are copied, so the copy can
+    serve as the next delta snapshot's reference.
     """
 
     state_bytes: bytes
@@ -156,8 +173,7 @@ class RunCheckpointCapture:
     model_config: object
 
 
-def capture_run_checkpoint(tuner, scheduler, tracker, run_timeline,
-                           rounds: List) -> RunCheckpointCapture:
+def capture_run_checkpoint(tuner, scheduler, rounds: List) -> RunCheckpointCapture:
     """Capture everything :func:`write_run_checkpoint` needs, copy-safely."""
     state = {
         "version": CHECKPOINT_VERSION,
@@ -165,8 +181,6 @@ def capture_run_checkpoint(tuner, scheduler, tracker, run_timeline,
         "scheduler": scheduler.name,
         "next_round": len(rounds),
         "server": tuner.server.export_state(),
-        "tracker": tracker,
-        "run_timeline": run_timeline,
         "rounds": list(rounds),
         "rng_state": tuner._rng.bit_generator.state,
         "clock": tuner.clock.now(),
@@ -181,8 +195,7 @@ def capture_run_checkpoint(tuner, scheduler, tracker, run_timeline,
         # and checkpoints land between rounds), so this plus the RunConfig
         # snapshot is the whole topology.
         "topology": (
-            tuner.topology.export_state()
-            if getattr(tuner, "topology", None) is not None else None),
+            tuner.topology.export_state() if tuner.topology is not None else None),
         "run_config": _config_snapshot(tuner.config),
         "tuner_extra": tuner.export_run_state(),
         "scheduler_state": scheduler.export_state(),
@@ -299,11 +312,15 @@ def load_run_checkpoint(path: str) -> Dict:
         raise FileNotFoundError(
             f"no complete run checkpoint at {path!r} (missing {STATE_FILE})")
     with open(state_path, "rb") as handle:
-        state = pickle.load(handle)
+        state = _SnapshotUnpickler(handle).load()
     if state.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported run-checkpoint version {state.get('version')!r} "
             f"(expected {CHECKPOINT_VERSION})")
+    # Older snapshots also hold copies of the rounds: a tracker history and a
+    # run timeline.  ``rounds`` is the record; the copies are dropped.
+    for key in _RETIRED_STATE_KEYS:
+        state.pop(key, None)
     state["model_state"] = _load_model_state(path)
     return state
 
@@ -336,21 +353,15 @@ def restore_run_state(tuner, scheduler, checkpoint: Dict) -> Dict:
     tuner.import_channel_states(checkpoint["channels"])
     topology_state = checkpoint["topology"]
     if topology_state is not None:
-        topology = getattr(tuner, "topology", None)
-        if topology is None:
+        if tuner.topology is None:
             raise ValueError(
                 "checkpoint carries an aggregation-topology snapshot "
                 f"(tiers {tuple(topology_state['tiers'])}) but the resuming "
                 "tuner has a flat topology")
-        topology.import_state(topology_state)
+        tuner.topology.import_state(topology_state)
     tuner.import_run_state(checkpoint["tuner_extra"])
     scheduler.restore_state(checkpoint["scheduler_state"], tuner)
-    return {
-        "tracker": checkpoint["tracker"],
-        "run_timeline": checkpoint["run_timeline"],
-        "rounds": checkpoint["rounds"],
-        "next_round": checkpoint["next_round"],
-    }
+    return {"rounds": checkpoint["rounds"], "next_round": checkpoint["next_round"]}
 
 
 def prune_checkpoints(directory: str, keep_last: int) -> List[str]:
@@ -476,16 +487,14 @@ class RunCheckpointer:
     def path_for(self, rounds_completed: int) -> str:
         return os.path.join(self.directory, f"round_{rounds_completed:05d}")
 
-    def save(self, tuner, scheduler, tracker, run_timeline,
-             rounds: List) -> CheckpointRecord:
+    def save(self, tuner, scheduler, rounds: List) -> CheckpointRecord:
         """Write the run's snapshot (then prune) and return its record."""
         start = time.perf_counter()
         path = self.path_for(len(rounds))
         make_delta = (self.delta_every > 0
                       and self._last_model_state is not None
                       and self._since_full < self.delta_every)
-        capture = capture_run_checkpoint(tuner, scheduler, tracker,
-                                         run_timeline, rounds)
+        capture = capture_run_checkpoint(tuner, scheduler, rounds)
         write_run_checkpoint(
             path, capture,
             delta_base=os.path.basename(self._last_path) if make_delta else None,

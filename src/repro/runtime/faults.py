@@ -92,9 +92,9 @@ class FaultInjector:
     def from_config(cls, config) -> "FaultInjector":
         """Build the injector a :class:`~repro.federated.RunConfig` describes."""
         return cls(
-            dropout_prob=getattr(config, "dropout_prob", 0.0),
-            straggler_prob=getattr(config, "straggler_prob", 0.0),
-            seed=getattr(config, "seed", 0),
+            dropout_prob=config.dropout_prob,
+            straggler_prob=config.straggler_prob,
+            seed=config.seed,
         )
 
 
@@ -165,7 +165,7 @@ class ChannelFaultInjector:
     @classmethod
     def from_config(cls, config) -> "ChannelFaultInjector":
         return cls(
-            loss_prob=getattr(config, "channel_loss_prob", 0.0),
-            corrupt_prob=getattr(config, "channel_corrupt_prob", 0.0),
-            seed=getattr(config, "seed", 0),
+            loss_prob=config.channel_loss_prob,
+            corrupt_prob=config.channel_corrupt_prob,
+            seed=config.seed,
         )

@@ -29,8 +29,7 @@ All schedulers select participants with
 :meth:`FederatedFineTuner.select_participants` (a uniform draw), drive the
 shared :class:`~repro.runtime.events.EventQueue` and draw randomness only from
 the fine-tuner's seeded run RNG plus the per-(round, participant) fault RNGs,
-so identical configs replay identical
-:class:`~repro.systems.timeline.RunTimeline`'s.
+so identical configs replay identical runs.
 """
 
 from __future__ import annotations
@@ -49,9 +48,7 @@ from ..federated.orchestrator import (
     RoundResult,
     RunResult,
 )
-from ..metrics import PerformanceTracker
-from ..obs import NULL_TELEMETRY
-from ..systems import RoundTimeline, RunTimeline
+from ..systems import RoundTimeline
 from .events import EventQueue
 from .faults import FaultInjector, FaultOutcome, scale_breakdown
 
@@ -71,7 +68,7 @@ def run_participants(tuner: FederatedFineTuner, participants: Sequence[Participa
     only its own state.  Under telemetry every participant's round is one
     ``participant_round`` span carrying its simulated duration.
     """
-    tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+    tracer = tuner.telemetry.tracer
     if participants:
         tuner.prepare_round(round_index, participants)
     results: Dict[int, ParticipantRoundResult] = {}
@@ -103,28 +100,18 @@ class Scheduler(abc.ABC):
         ``checkpointer`` (a :class:`~repro.runtime.checkpoint.RunCheckpointer`)
         snapshots the full run state every K completed rounds; ``resume`` is
         the bundle :func:`~repro.runtime.checkpoint.restore_run_state`
-        produced, pre-seeding the tracker/timeline/rounds so the loop
-        continues exactly where the interrupted run stopped.  ``num_rounds``
-        is always the *total* round count.
+        produced, pre-seeding the completed rounds so the loop continues
+        exactly where the interrupted run stopped.  ``num_rounds`` is always
+        the *total* round count.
         """
         if num_rounds < 1:
             raise ValueError("num_rounds must be positive")
         goal = target_metric if target_metric is not None else tuner.target_metric()
-        if resume is not None:
-            tracker: PerformanceTracker = resume["tracker"]
-            run_timeline: RunTimeline = resume["run_timeline"]
-            rounds: List[RoundResult] = list(resume["rounds"])
-            start_round = int(resume["next_round"])
-        else:
-            tracker = PerformanceTracker(target=goal)
-            run_timeline = RunTimeline()
-            rounds = []
-            start_round = 0
-        telemetry = getattr(tuner, "telemetry", NULL_TELEMETRY)
+        rounds: List[RoundResult] = list(resume["rounds"]) if resume is not None else []
+        start_round = int(resume["next_round"]) if resume is not None else 0
+        telemetry = tuner.telemetry
         tracer = telemetry.tracer
-        wire_codec = (tuner.wire_codec_name()
-                      if getattr(tuner.config, "transport", "analytic") == "wire"
-                      else None)
+        wire_codec = tuner.wire_codec_name() if tuner.config.transport == "wire" else None
         if start_round < num_rounds:
             with tracer.span("run", category="run", scheduler=self.name,
                              method=tuner.name, start_round=start_round,
@@ -132,31 +119,17 @@ class Scheduler(abc.ABC):
                 for round_result in self.round_results(tuner, num_rounds,
                                                        start_round=start_round):
                     rounds.append(round_result)
-                    run_timeline.add(round_result.timeline)
-                    tracker.record(
-                        round_index=round_result.round_index,
-                        simulated_time=round_result.simulated_time,
-                        metric_value=round_result.metric_value,
-                        train_loss=round_result.train_loss,
-                        comm_bytes=round_result.wire_bytes,
-                        wire_seconds=round_result.wire_seconds,
-                        payloads_lost=round_result.payloads_lost,
-                        payloads_corrupted=round_result.payloads_corrupted,
-                        edge_bytes=round_result.edge_bytes,
-                    )
                     telemetry.end_round(round_result, codec=wire_codec)
                     if checkpointer is not None and checkpointer.due(len(rounds)):
                         with tracer.span("checkpoint", category="checkpoint",
                                          round=round_result.round_index,
                                          rounds_completed=len(rounds)):
-                            record = checkpointer.save(tuner, self, tracker,
-                                                       run_timeline, rounds)
+                            record = checkpointer.save(tuner, self, rounds)
                         telemetry.record_checkpoint(record.path, record.duration_s,
                                                     mode=record.mode)
                     if stop_at_target and round_result.metric_value >= goal:
                         break
-        return RunResult(method=tuner.name, tracker=tracker, timeline=run_timeline,
-                         rounds=rounds)
+        return RunResult(method=tuner.name, target=goal, rounds=rounds)
 
     @abc.abstractmethod
     def round_results(self, tuner: FederatedFineTuner, num_rounds: int,
@@ -197,7 +170,7 @@ class Scheduler(abc.ABC):
         ``(participant, result, duration, fault)`` with straggler-scaled
         breakdowns.
         """
-        tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+        tracer = tuner.telemetry.tracer
         with tracer.span("select", category="select", round=round_index) as span:
             selected = tuner.select_participants(round_index)
             tuner.before_round(round_index, selected)
@@ -220,7 +193,7 @@ class Scheduler(abc.ABC):
                          timeline: RoundTimeline,
                          contributors: Sequence[Tuple[Participant, ParticipantRoundResult]]
                          ) -> Tuple[Dict[int, ParticipantRoundResult], List[float],
-                                    ChannelStats, ChannelStats, List[ChannelStats]]:
+                                    ChannelStats, List[ChannelStats]]:
         """Aggregate the contributors into the global model and fill ``timeline``.
 
         Updates flow through :meth:`FederatedFineTuner.transmit_updates` — a
@@ -236,8 +209,8 @@ class Scheduler(abc.ABC):
         its uploads: callers drop them before the next round starts.
         :meth:`FederatedFineTuner.aggregate_round_updates` routes the stream
         either straight into the (possibly sharded) server or through the
-        aggregation tree; the second returned :class:`~repro.comm.ChannelStats`
-        totals the inter-tier backhaul and the final list breaks it down per
+        aggregation tree; the returned :class:`~repro.comm.ChannelStats` is the
+        uplink's, and the final list the inter-tier backhaul's, one per
         aggregator tier (empty on a flat run).
         """
         results: Dict[int, ParticipantRoundResult] = {}
@@ -254,19 +227,18 @@ class Scheduler(abc.ABC):
                 stats.merge(transfer_stats)
                 yield from updates
 
-        contributions, edge_stats = tuner.aggregate_round_updates(delivered_updates())
-        topology = getattr(tuner, "topology", None)
-        tier_stats = list(getattr(topology, "last_tier_stats", []))
+        contributions = tuner.aggregate_round_updates(delivered_updates())
+        tier_stats = list(tuner.topology.last_tier_stats) if tuner.topology is not None else []
         num_updates = sum(contributions.values())
         timeline.server_time = tuner._server_aggregation_time(num_updates)
         tuner.after_aggregation(round_index, results)
-        return results, losses, stats, edge_stats, tier_stats
+        return results, losses, stats, tier_stats
 
     @staticmethod
     def _round_result(tuner: FederatedFineTuner, timeline: RoundTimeline,
                       losses: List[float], simulated_time: float, duration: float,
-                      wire: ChannelStats, edge: ChannelStats,
-                      tiers: List[ChannelStats], **bookkeeping) -> RoundResult:
+                      wire: ChannelStats, tiers: List[ChannelStats],
+                      **bookkeeping) -> RoundResult:
         """The :class:`RoundResult` of an aggregated round (evaluates the global model).
 
         ``bookkeeping`` is the scheduler's own counts (``num_selected``,
@@ -284,9 +256,6 @@ class Scheduler(abc.ABC):
             wire_seconds=wire.seconds,
             payloads_lost=wire.lost,
             payloads_corrupted=wire.corrupted,
-            edge_bytes=edge.total_bytes,
-            edge_seconds=edge.seconds,
-            edge_payloads=edge.payloads,
             tier_bytes=[s.total_bytes for s in tiers],
             tier_seconds=[s.seconds for s in tiers],
             tier_payloads=[s.payloads for s in tiers],
@@ -314,11 +283,11 @@ class SyncScheduler(Scheduler):
     def run_round(self, tuner: FederatedFineTuner, round_index: int
                   ) -> Tuple[RoundResult, Dict[int, ParticipantRoundResult]]:
         """Execute one synchronous federated round."""
-        tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+        tracer = tuner.telemetry.tracer
         with tracer.span("round", category="round", round=round_index) as span:
             selected, num_dropped, entries = self._execute_round_work(tuner, round_index)
             timeline = RoundTimeline(round_index=round_index)
-            results, losses, wire, edge, tiers = self._aggregate_round(
+            results, losses, wire, tiers = self._aggregate_round(
                 tuner, round_index, timeline,
                 [(participant, result) for participant, result, _, _ in entries])
 
@@ -327,7 +296,7 @@ class SyncScheduler(Scheduler):
             span.set(sim_time=simulated_time, sim_duration=duration,
                      aggregated=len(results))
         round_result = self._round_result(
-            tuner, timeline, losses, simulated_time, duration, wire, edge, tiers,
+            tuner, timeline, losses, simulated_time, duration, wire, tiers,
             num_selected=len(selected), num_aggregated=len(results),
             num_dropped=num_dropped,
             num_stragglers=sum(1 for _, _, _, fault in entries if fault.is_straggler))
@@ -352,7 +321,7 @@ class SemiSyncScheduler(Scheduler):
             yield self._run_round(tuner, round_index)
 
     def _run_round(self, tuner: FederatedFineTuner, round_index: int) -> RoundResult:
-        tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+        tracer = tuner.telemetry.tracer
         with tracer.span("round", category="round", round=round_index) as span:
             selected, num_dropped, entries = self._execute_round_work(tuner, round_index)
 
@@ -371,16 +340,15 @@ class SemiSyncScheduler(Scheduler):
             num_stragglers = len(queue)
 
             timeline = RoundTimeline(round_index=round_index)
-            results, losses, wire, edge, tiers = self._aggregate_round(
+            results, losses, wire, tiers = self._aggregate_round(
                 tuner, round_index, timeline, arrivals)
 
             duration = deadline + timeline.server_time
-            timeline.duration_override = duration
             simulated_time = tuner.clock.advance(duration)
             span.set(sim_time=simulated_time, sim_duration=duration,
                      deadline=deadline, aggregated=len(results))
         return self._round_result(
-            tuner, timeline, losses, simulated_time, duration, wire, edge, tiers,
+            tuner, timeline, losses, simulated_time, duration, wire, tiers,
             num_selected=len(selected), num_aggregated=len(results),
             num_dropped=num_dropped, num_stragglers=num_stragglers)
 
@@ -535,7 +503,7 @@ class AsyncScheduler(Scheduler):
         else:
             st = self._st = _AsyncLoopState()
 
-        tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+        tracer = tuner.telemetry.tracer
 
         def start_client(now: float) -> bool:
             idle = [p for p in tuner.participants if p.participant_id not in st.active]
@@ -625,7 +593,7 @@ class AsyncScheduler(Scheduler):
     def _aggregate(self, tuner: FederatedFineTuner, version: int, buffer: List[dict],
                    num_dropped: int, now: float,
                    last_aggregation_time: float) -> RoundResult:
-        tracer = getattr(tuner, "telemetry", NULL_TELEMETRY).tracer
+        tracer = tuner.telemetry.tracer
         with tracer.span("round", category="round", round=version,
                          buffered=len(buffer)) as span:
             contributors: List[Tuple[Participant, ParticipantRoundResult]] = []
@@ -641,15 +609,14 @@ class AsyncScheduler(Scheduler):
                 contributors.append((entry["participant"], discounted))
 
             timeline = RoundTimeline(round_index=version)
-            _, losses, wire, edge, tiers = self._aggregate_round(
+            _, losses, wire, tiers = self._aggregate_round(
                 tuner, version, timeline, contributors)
 
             duration = max(now + timeline.server_time - last_aggregation_time, 0.0)
-            timeline.duration_override = duration
             simulated_time = tuner.clock.advance(duration)
             span.set(sim_time=simulated_time, sim_duration=duration)
         return self._round_result(
-            tuner, timeline, losses, simulated_time, duration, wire, edge, tiers,
+            tuner, timeline, losses, simulated_time, duration, wire, tiers,
             num_selected=len(buffer) + num_dropped, num_aggregated=len(buffer),
             num_dropped=num_dropped,
             mean_staleness=float(np.mean(stalenesses)) if stalenesses else 0.0)
@@ -660,15 +627,13 @@ SCHEDULERS = ("sync", "semisync", "async")
 
 def make_scheduler(config) -> Scheduler:
     """Build the scheduler stack a :class:`~repro.federated.RunConfig` selects."""
-    name = getattr(config, "scheduler", "sync")
+    name = config.scheduler
     faults = FaultInjector.from_config(config)
     if name == "sync":
         return SyncScheduler(faults)
     if name == "semisync":
         return SemiSyncScheduler(
-            faults, deadline_quantile=getattr(config, "deadline_quantile", 0.8))
+            faults, deadline_quantile=config.deadline_quantile)
     if name == "async":
-        return AsyncScheduler(
-            faults,
-            buffer_size=getattr(config, "buffer_size", 4))
+        return AsyncScheduler(faults, buffer_size=config.buffer_size)
     raise ValueError(f"unknown scheduler {name!r} (expected one of {SCHEDULERS})")

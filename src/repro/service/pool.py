@@ -116,7 +116,7 @@ class ServiceAggregationPool:
     # -------------------------------------------------------------- lifecycle
     def bind_telemetry(self, telemetry) -> None:
         """Adopt the run's metrics registry (``None``-registry telemetry is off)."""
-        self._registry = getattr(telemetry, "registry", None)
+        self._registry = telemetry.registry
 
     def _server_name(self, index: int) -> str:
         return f"server{index}"

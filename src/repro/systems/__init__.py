@@ -20,7 +20,7 @@ from .memory import (
     TRAINING_OVERHEAD,
     MemoryModel,
 )
-from .timeline import RoundTimeline, RunTimeline, SimulatedClock
+from .timeline import RoundTimeline, SimulatedClock
 
 __all__ = [
     "DeviceProfile",
@@ -39,5 +39,4 @@ __all__ = [
     "upload_costs",
     "SimulatedClock",
     "RoundTimeline",
-    "RunTimeline",
 ]

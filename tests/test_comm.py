@@ -619,7 +619,7 @@ class TestWireRounds:
         assert result_a.tracker.metric_values() == result_b.tracker.metric_values()
         assert result_a.rounds[0].wire_bytes == 0.0
         assert result_b.rounds[0].wire_bytes > 0.0
-        assert [m.comm_bytes for m in result_b.tracker.history] == pytest.approx(
+        assert [row["comm_bytes"] for row in result_b.tracker.as_series()] == pytest.approx(
             [r.wire_bytes for r in result_b.rounds])
 
     def test_wire_loss_drops_all_updates(self, vocab, tiny_config):

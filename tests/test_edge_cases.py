@@ -49,7 +49,7 @@ class TestTinyFederations:
                               config=RunConfig(batch_size=4, max_local_batches=1,
                                                eval_max_samples=4))
         result = tuner.run(num_rounds=1)
-        assert result.tracker.history
+        assert result.tracker.metric_values()
 
     def test_participant_with_very_few_samples(self, vocab, tiny_config):
         dataset = make_gsm8k_like(vocab=vocab, num_samples=12, seed=4)

@@ -293,7 +293,7 @@ class TestRoundLoop:
         result = method.run(num_rounds=2)
         assert len(result.rounds) == 2
         assert result.total_time == pytest.approx(2.0)  # slowest participant 1s per round
-        assert len(result.tracker.history) == 2
+        assert result.tracker.times() == [1.0, 2.0]
         assert result.method == "constant"
 
     def test_participant_subsampling(self, setup):

@@ -16,6 +16,7 @@ from repro.core import FluxConfig, FluxFineTuner
 from repro.federated import ParameterServer
 from repro.federated.client import LocalTrainResult
 from repro.models import MoETransformer
+from repro.runtime import SyncScheduler
 
 
 @pytest.fixture()
@@ -70,7 +71,7 @@ class TestBaselineRounds:
         participants, test, cost_models, config = federation
         tuner = FMDFineTuner(fresh_server(tiny_config), participants, test,
                              cost_models=cost_models, config=config)
-        round_result, results = tuner.run_round(0)
+        round_result, results = SyncScheduler().run_round(tuner, 0)
         one = next(iter(results.values()))
         assert len(one.updates) == sum(tiny_config.experts_per_layer())
         assert one.breakdown.offloading > 0
@@ -105,8 +106,8 @@ class TestBaselineRounds:
                            cost_models=cost_models, config=config)
         fmd = FMDFineTuner(fresh_server(tiny_config), participants, test,
                            cost_models=cost_models, config=config)
-        fmq_round, fmq_results = fmq.run_round(0)
-        fmd_round, _ = fmd.run_round(0)
+        fmq_round, fmq_results = SyncScheduler().run_round(fmq, 0)
+        fmd_round, _ = SyncScheduler().run_round(fmd, 0)
         assert fmq_round.round_duration < fmd_round.round_duration
         assert next(iter(fmq_results.values())).breakdown.quantization > 0
 
@@ -120,7 +121,7 @@ class TestBaselineRounds:
         participants, test, cost_models, config = federation
         tuner = FMESFineTuner(fresh_server(tiny_config), participants, test,
                               cost_models=cost_models, config=config)
-        _, results = tuner.run_round(0)
+        _, results = SyncScheduler().run_round(tuner, 0)
         for result in results.values():
             assert len(result.updates) <= 3  # max_tuning_experts
             assert result.breakdown.profiling > 0
@@ -133,7 +134,7 @@ class TestFluxFineTuner:
         tuner = FluxFineTuner(fresh_server(tiny_config), participants, test,
                               cost_models=cost_models, config=config,
                               flux_config=FluxConfig(seed=0))
-        round_result, results = tuner.run_round(0)
+        round_result, results = SyncScheduler().run_round(tuner, 0)
         assignments = tuner.current_assignments()
         assert set(assignments) == {p.participant_id for p in participants}
         for pid, result in results.items():
@@ -152,7 +153,7 @@ class TestFluxFineTuner:
         tuner = FluxFineTuner(fresh_server(tiny_config), participants, test,
                               cost_models=cost_models, config=config,
                               flux_config=FluxConfig(seed=0))
-        tuner.run_round(0)
+        SyncScheduler().run_round(tuner, 0)
         state = tuner.states[participants[0].participant_id]
         refreshed = [key for key, count in state.utilities.update_counts.items() if count > 0]
         assert refreshed  # at least the tuning + exploration experts got measurements
@@ -162,7 +163,7 @@ class TestFluxFineTuner:
         server = fresh_server(tiny_config)
         before = server.global_model.state_dict()
         tuner = FluxFineTuner(server, participants, test, cost_models=cost_models, config=config)
-        tuner.run_round(0)
+        SyncScheduler().run_round(tuner, 0)
         after = server.global_model.state_dict()
         changed = any(not np.allclose(before[k], after[k]) for k in before)
         assert changed
@@ -181,8 +182,8 @@ class TestFluxFineTuner:
         fresh = FluxFineTuner(fresh_server(tiny_config), participants, test,
                               cost_models=cost_models, config=config,
                               flux_config=FluxConfig(stale_profiling=False, seed=0))
-        stale_round, _ = stale.run_round(0)
-        fresh_round, _ = fresh.run_round(0)
+        stale_round, _ = SyncScheduler().run_round(stale, 0)
+        fresh_round, _ = SyncScheduler().run_round(fresh, 0)
         assert stale_round.round_duration <= fresh_round.round_duration
 
 
@@ -193,8 +194,8 @@ class TestMethodComparison:
                              cost_models=cost_models, config=config)
         fmd = FMDFineTuner(fresh_server(tiny_config), participants, test,
                            cost_models=cost_models, config=config)
-        flux_round, _ = flux.run_round(0)
-        fmd_round, _ = fmd.run_round(0)
+        flux_round, _ = SyncScheduler().run_round(flux, 0)
+        fmd_round, _ = SyncScheduler().run_round(fmd, 0)
         assert flux_round.round_duration < fmd_round.round_duration
 
     def test_all_methods_produce_valid_metrics(self, federation, tiny_config):

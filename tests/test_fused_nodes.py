@@ -403,10 +403,7 @@ def assert_run_results_close(actual, expected, rtol):
                 field_name
         assert got.timeline.participant_times == pytest.approx(want.timeline.participant_times,
                                                                rel=rtol)
-    for got, want in zip(actual.tracker.history, expected.tracker.history):
-        for field_name in ("simulated_time", "metric_value", "train_loss"):
-            assert getattr(got, field_name) == pytest.approx(getattr(want, field_name), rel=rtol), \
-                field_name
+    assert actual.total_time == pytest.approx(expected.total_time, rel=rtol)
 
 
 class TestRunsEqualTheComposedRuns:

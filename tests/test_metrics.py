@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.autograd import Adam
 from repro.data import make_dolly_like, make_gsm8k_like, make_batches
+from repro.federated import RoundResult
 from repro.metrics import (
     PerformanceTracker,
     corpus_rouge_l,
@@ -13,6 +14,7 @@ from repro.metrics import (
     rouge_l,
 )
 from repro.models import MoETransformer
+from repro.systems import RoundTimeline
 
 
 class TestRougeL:
@@ -121,40 +123,38 @@ class TestEvaluateModel:
         assert not model.training
         assert not any(module.training for module in model.modules())
 
+def rounds_of(*rows, **fields):
+    """RoundResults for ``(simulated_time, metric_value)`` rows; ``fields`` per round."""
+    train_loss = fields.pop("train_loss", 0.0)
+    return [RoundResult(round_index=i, train_loss=train_loss, metric_value=metric, simulated_time=time, round_duration=0.0,
+                        timeline=RoundTimeline(round_index=i), **fields)
+            for i, (time, metric) in enumerate(rows)]
+
+
 class TestPerformanceTracker:
-    def test_record_and_relative_accuracy(self):
-        tracker = PerformanceTracker(target=0.5)
-        entry = tracker.record(0, simulated_time=10.0, metric_value=0.25)
-        assert entry.relative_accuracy == pytest.approx(0.5)
+    def test_relative_accuracy(self):
+        tracker = PerformanceTracker(target=0.5, rounds=rounds_of((10.0, 0.25)))
+        assert tracker.as_series()[0]["relative_accuracy"] == pytest.approx(0.5)
 
     def test_time_to_target(self):
-        tracker = PerformanceTracker(target=0.5)
-        tracker.record(0, 10.0, 0.2)
-        tracker.record(1, 20.0, 0.55)
-        tracker.record(2, 30.0, 0.6)
+        tracker = PerformanceTracker(0.5, rounds_of((10.0, 0.2), (20.0, 0.55), (30.0, 0.6)))
         assert tracker.time_to_target() == pytest.approx(20.0)
 
     def test_time_to_target_not_reached(self):
-        tracker = PerformanceTracker(target=0.9)
-        tracker.record(0, 10.0, 0.2)
+        tracker = PerformanceTracker(0.9, rounds_of((10.0, 0.2)))
         assert tracker.time_to_target() is None
 
     def test_time_to_custom_target(self):
-        tracker = PerformanceTracker(target=0.9)
-        tracker.record(0, 5.0, 0.3)
+        tracker = PerformanceTracker(0.9, rounds_of((5.0, 0.3)))
         assert tracker.time_to_target(0.25) == pytest.approx(5.0)
 
     def test_best_and_final_metric(self):
-        tracker = PerformanceTracker(target=1.0)
-        tracker.record(0, 1.0, 0.4)
-        tracker.record(1, 2.0, 0.7)
-        tracker.record(2, 3.0, 0.6)
+        tracker = PerformanceTracker(1.0, rounds_of((1.0, 0.4), (2.0, 0.7), (3.0, 0.6)))
         assert tracker.best_metric() == pytest.approx(0.7)
         assert tracker.final_metric() == pytest.approx(0.6)
 
     def test_series_rendering(self):
-        tracker = PerformanceTracker(target=1.0)
-        tracker.record(0, 1.0, 0.4, train_loss=2.0)
+        tracker = PerformanceTracker(1.0, rounds_of((1.0, 0.4), train_loss=2.0))
         series = tracker.as_series()
         assert series[0]["round"] == 0
         assert series[0]["train_loss"] == pytest.approx(2.0)
@@ -172,28 +172,32 @@ class TestPerformanceTracker:
 
     def test_non_positive_target_gives_zero_relative_accuracy(self):
         for target in (0.0, -1.0):
-            tracker = PerformanceTracker(target=target)
-            entry = tracker.record(0, 1.0, 0.5)
-            assert entry.relative_accuracy == 0.0
+            tracker = PerformanceTracker(target, rounds_of((1.0, 0.5)))
             assert tracker.as_series()[0]["relative_accuracy"] == 0.0
 
     def test_target_never_reached_over_many_rounds(self):
-        tracker = PerformanceTracker(target=0.9)
-        for i in range(5):
-            tracker.record(i, float(i + 1), 0.1 * i)  # plateaus at 0.4
+        # plateaus at 0.4
+        tracker = PerformanceTracker(0.9, rounds_of(*[(float(i + 1), 0.1 * i)
+                                                      for i in range(5)]))
         assert tracker.time_to_target() is None
-        # a custom (lower) target can still be answered from the same history
+        # a custom (lower) target can still be answered from the same rounds
         assert tracker.time_to_target(0.2) == pytest.approx(3.0)
 
-    def test_wire_fields_recorded_and_totalled(self):
-        tracker = PerformanceTracker(target=1.0)
-        tracker.record(0, 1.0, 0.1, comm_bytes=100.0, wire_seconds=0.5,
-                       payloads_lost=1, payloads_corrupted=2, edge_bytes=64.0)
-        tracker.record(1, 2.0, 0.2, comm_bytes=50.0, wire_seconds=0.25,
-                       payloads_corrupted=1, edge_bytes=32.0)
-        assert [m.comm_bytes for m in tracker.history] == [100.0, 50.0]
-        row = tracker.as_series()[0]
-        assert row["wire_seconds"] == pytest.approx(0.5)
-        assert row["payloads_lost"] == 1
-        assert row["payloads_corrupted"] == 2
-        assert row["edge_bytes"] == pytest.approx(64.0)
+    def test_wire_fields_in_the_series(self):
+        rounds = (rounds_of((1.0, 0.1), wire_bytes=100.0, wire_seconds=0.5,
+                            payloads_lost=1, payloads_corrupted=2, tier_bytes=[48.0, 16.0])
+                  + rounds_of((2.0, 0.2), wire_bytes=50.0, wire_seconds=0.25,
+                              payloads_corrupted=1, tier_bytes=[32.0]))
+        series = PerformanceTracker(1.0, rounds).as_series()
+        assert [row["comm_bytes"] for row in series] == [100.0, 50.0]
+        assert series[0]["wire_seconds"] == pytest.approx(0.5)
+        assert series[0]["payloads_lost"] == 1
+        assert series[0]["payloads_corrupted"] == 2
+        assert [row["edge_bytes"] for row in series] == [64.0, 32.0]
+
+    def test_reads_rounds_appended_after_it_was_built(self):
+        rounds = rounds_of((1.0, 0.2))
+        tracker = PerformanceTracker(0.5, rounds)
+        rounds.extend(rounds_of((2.0, 0.6)))
+        assert tracker.metric_values() == [0.2, 0.6]
+        assert tracker.time_to_target() == 2.0

@@ -202,3 +202,41 @@ def test_a_row_within_its_bound_is_not_remeasured(capsys):
     assert check_gates("hotpath", COMMITTED, COMMITTED, 0.3, "BASE.json",
                        remeasure=remeasure) == 0
     assert asked == []
+
+
+def test_an_aggregation_row_is_remeasured_by_its_own_section(monkeypatch, capsys):
+    import perf_harness
+
+    built, calls = [], []
+
+    def bench(section, value):
+        def run(updates, *shape_and_repetitions):
+            assert updates == "updates"
+            calls.append((section,) + shape_and_repetitions[:-2])
+            return value
+        return run
+
+    monkeypatch.setattr(perf_harness, "_make_aggregation_updates",
+                        lambda n: built.append(n) or (None, "updates"))
+    monkeypatch.setattr(perf_harness, "_bench_shard_fold",
+                        bench("shards", {"speedup_critical_path_vs_serial": 7.0}))
+    monkeypatch.setattr(perf_harness, "_bench_tree_fold",
+                        bench("tree", {"speedup_critical_path_vs_serial": 3.5}))
+    monkeypatch.setattr(perf_harness, "_bench_decode",
+                        bench("decode", {"speedup_scratch_vs_fresh": 1.1}))
+    monkeypatch.setattr(perf_harness, "_bench_alloc_probe",
+                        bench("alloc_probe", {"peak_reduction_buffered_vs_fused": 29.0}))
+    remeasure = perf_harness._aggregation_remeasure(quick=True)
+    assert remeasure(("aggregation", "shards", "8", "speedup_critical_path_vs_serial")) == 7.0
+    assert remeasure(("aggregation", "tree", "8x4", "speedup_critical_path_vs_serial")) == 3.5
+    assert remeasure(("aggregation", "decode", "speedup_scratch_vs_fresh")) == 1.1
+    assert remeasure(("aggregation", "alloc_probe", "peak_reduction_buffered_vs_fused")) == 29.0
+    assert calls == [("shards", 8), ("tree", (8, 4)), ("decode",), ("alloc_probe",)]
+    assert built == [perf_harness.AGG_PARTICIPANTS]   # one round of updates, built once
+
+    # 5.0x misses the 5.6x floor; the re-measured readings' median (7.0x) holds it
+    row = ("aggregation", "shards", "8", "speedup_critical_path_vs_serial")
+    assert check_gates("aggregation", _with(row, 5.0), COMMITTED, 0.3, "BASE.json",
+                       remeasure=remeasure) == 0
+    assert "[RE-MEASURED] aggregation/shards/8: readings 5.00x, 7.00x, 7.00x; median 7.00x" in \
+        capsys.readouterr().out.splitlines()

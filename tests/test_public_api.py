@@ -50,7 +50,10 @@ DELETED_NAMES = {
     "repro.comm.codecs": ["TopKDeltaCodec", "available_codecs"],
     "repro.federated": ["GroupingPolicy", "CallableGrouping"],
     "repro.federated.topology": ["GroupingPolicy", "CallableGrouping"],
-    "repro.metrics": ["relative_accuracy"],
+    "repro.metrics": ["relative_accuracy", "RoundMetric"],
+    "repro.metrics.tracker": ["RoundMetric"],
+    "repro.systems": ["RunTimeline"],
+    "repro.systems.timeline": ["RunTimeline"],
     "repro.data": ["make_piqa_like", "DATASET_FACTORIES"],
     "repro.metrics.evaluation": ["relative_accuracy"],
 }
@@ -73,10 +76,11 @@ DELETED_ATTRIBUTES = {
     "repro.federated.topology.AggregationTree": ["channels"],
     "repro.federated.client.Participant": ["num_samples"],
     "repro.federated.orchestrator.RunResult": ["time_to_target"],
+    "repro.federated.orchestrator.FederatedFineTuner": ["run_round"],
     "repro.federated.privacy.GaussianMechanism": ["noise_stddev"],
     "repro.metrics.tracker.PerformanceTracker": [
         "reached_target", "total_comm_bytes", "total_edge_bytes", "total_payloads_lost",
-        "total_payloads_corrupted", "relative_accuracies"],
+        "total_payloads_corrupted", "relative_accuracies", "record"],
     "repro.runtime.events.EventQueue": ["peek", "peek_time"],
     "repro.runtime.faults.FaultInjector": ["outcomes"],
     "repro.service.client.ServiceClient": ["ping", "server_stats"],
@@ -97,7 +101,7 @@ DELETED_ATTRIBUTES = {
         "content_start", "choice_from_token", "digit_from_token", "topic_of_token"],
     "repro.quantization.quantizer.QuantizedArray": ["nbytes"],
     "repro.systems.timeline.SimulatedClock": ["reset"],
-    "repro.systems.timeline.RunTimeline": ["phase_fractions"],
+    "repro.systems.timeline.RoundTimeline": ["duration_override"],
 }
 
 
@@ -230,4 +234,4 @@ class TestPublicAPI:
                                     config=repro.RunConfig(batch_size=8, max_local_batches=1,
                                                            eval_max_samples=12))
         result = tuner.run(num_rounds=1)
-        assert len(result.tracker.history) == 1
+        assert len(result.tracker.as_series()) == 1

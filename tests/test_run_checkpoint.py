@@ -34,7 +34,13 @@ ROUND_FIELDS = (
 
 
 def assert_run_results_equal(actual, expected):
-    """Field-by-field RunResult equality (exact, no tolerances)."""
+    """Field-by-field RunResult equality (exact, no tolerances).
+
+    Each result's views must also read its own rounds: the simulated clock
+    stands, after every round, at the sum of the durations so far and
+    ``total_time`` at the last of them; the tracker's series has one row per
+    round; the phase totals charge every round's server time.
+    """
     assert actual.method == expected.method
     assert len(actual.rounds) == len(expected.rounds)
     for got, want in zip(actual.rounds, expected.rounds):
@@ -42,9 +48,23 @@ def assert_run_results_equal(actual, expected):
             assert getattr(got, field_name) == getattr(want, field_name), field_name
         assert got.timeline.participant_times == want.timeline.participant_times
         assert got.timeline.server_time == want.timeline.server_time
-    assert actual.tracker.target == expected.tracker.target
+    assert actual.target == expected.target == actual.tracker.target
     assert actual.tracker.as_series() == expected.tracker.as_series()
-    assert actual.timeline.total_time() == expected.timeline.total_time()
+    assert actual.total_time == expected.total_time
+    assert actual.phase_totals() == expected.phase_totals()
+    for result in (actual, expected):
+        clock = 0.0
+        for r in result.rounds:
+            clock += r.round_duration
+            assert r.simulated_time == clock
+        assert result.total_time == clock
+        series = result.tracker.as_series()
+        assert [(row["round"], row["time_s"], row["comm_bytes"], row["edge_bytes"])
+                for row in series] == [
+            (r.round_index, round(r.simulated_time, 3), round(r.wire_bytes, 1),
+             round(sum(r.tier_bytes), 1)) for r in result.rounds]
+        assert result.phase_totals().get("aggregation", 0.0) == sum(
+            r.timeline.server_time for r in result.rounds)
 
 
 def assert_models_equal(model_a, model_b):
@@ -204,7 +224,7 @@ class TestCheckpointMechanics:
 
         tuner = build_constant_tuner(vocab, tiny_config, participants_per_round=3)
         checkpointer = RunCheckpointer(directory=str(tmp_path), every=1, delta_every=1)
-        records = [checkpointer.save(tuner, SyncScheduler(), None, None, [None] * n)
+        records = [checkpointer.save(tuner, SyncScheduler(), [None] * n)
                    for n in (1, 2)]
         assert [record.mode for record in records] == ["full", "delta"]
         for n, record in enumerate(records, start=1):
@@ -234,6 +254,16 @@ class TestCheckpointMechanics:
         os.makedirs(complete)
         (complete / STATE_FILE).write_bytes(b"")
         assert latest_checkpoint(str(tmp_path)) == str(complete)
+
+    def test_a_snapshot_holds_the_rounds_once(self, vocab, tiny_config, tmp_path):
+        tuner = build_constant_tuner(vocab, tiny_config, participants_per_round=3,
+                                     checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        tuner.run(num_rounds=2)
+        with open(tmp_path / "round_00002" / STATE_FILE, "rb") as handle:
+            state = pickle.load(handle)
+        assert "tracker" not in state and "run_timeline" not in state
+        assert [r.round_index for r in state["rounds"]] == [0, 1]
+        assert state["next_round"] == 2
 
     def test_resave_into_existing_snapshot_stays_complete(self, vocab, tiny_config,
                                                           tmp_path):
@@ -652,6 +682,15 @@ class TestSnapshotsOfTheParentTree:
         assert_run_results_equal(resumed, expected)
         assert_models_equal(resumed_tuner.server.global_model,
                             uninterrupted.server.global_model)
+
+    def test_snapshot_loads_without_its_copies_of_the_rounds(self):
+        snapshot = os.path.join(PARENT_CHECKPOINTS, "fedavg_sharded_tree", "round_00002")
+        with open(os.path.join(snapshot, STATE_FILE), "rb") as handle:
+            raw = handle.read()
+        assert b"RoundMetric" in raw and b"RunTimeline" in raw  # written with them
+        state = load_run_checkpoint(snapshot)
+        assert "tracker" not in state and "run_timeline" not in state
+        assert len(state["rounds"]) == state["next_round"] == 2
 
     def test_trimmed_mean_snapshot_refuses_to_resume(self, vocab, tiny_config, tmp_path):
         snapshot = os.path.join(PARENT_CHECKPOINTS, "trimmed_mean", "round_00002")

@@ -29,7 +29,7 @@ from repro.runtime import (
     make_scheduler,
     scale_breakdown,
 )
-from repro.obs import Tracer
+from repro.obs import NULL_TELEMETRY, Tracer
 from repro.runtime.scheduler import run_participants
 from repro.runtime.faults import STRAGGLER_SLOWDOWN
 from repro.systems import RoundCostBreakdown, RoundTimeline
@@ -219,6 +219,7 @@ class _LoggingTuner:
         self.log = log
         self.fail_on = fail_on
         self.prepared = []
+        self.telemetry = NULL_TELEMETRY
 
     def prepare_round(self, round_index, participants):
         self.prepared.append((round_index, [p.participant_id for p in participants],
@@ -368,26 +369,26 @@ class TestSyncSchedulerEquivalence:
             assert round_result.round_duration == expected["duration"]
             assert round_result.timeline.participant_times == expected["participant_times"]
 
-    def test_run_round_legacy_api_still_works(self, vocab, tiny_config):
+    def test_run_round_returns_the_round_and_its_results(self, vocab, tiny_config):
         server, participants, test, config = build_federation(vocab, tiny_config)
         tuner = ConstantMethod(server, participants, test, config=config)
-        round_result, results = tuner.run_round(0)
+        round_result, results = SyncScheduler().run_round(tuner, 0)
         assert round_result.round_index == 0
         assert set(results) == {p.participant_id for p in participants}
         assert round_result.num_selected == len(participants)
         assert round_result.num_aggregated == len(participants)
 
     def test_run_round_twice_then_close_twice(self, vocab, tiny_config):
-        """run_round keeps one scheduler on the tuner; close() is idempotent."""
+        """Rounds driven by hand, then close() twice: it is idempotent."""
         server, participants, test, config = build_federation(
             vocab, tiny_config, num_clients=3)
         tuner = ConstantMethod(server, participants, test, config=config)
-        first, results = tuner.run_round(0)
-        scheduler = tuner._legacy_scheduler
-        second, _ = tuner.run_round(1)
-        assert tuner._legacy_scheduler is scheduler
+        scheduler = SyncScheduler(FaultInjector.from_config(config))
+        first, results = scheduler.run_round(tuner, 0)
+        second, _ = scheduler.run_round(tuner, 1)
         assert len(results) == 3
-        assert second.round_index == 1
+        assert (first.round_index, second.round_index) == (0, 1)
+        assert second.simulated_time == first.round_duration + second.round_duration
         tuner.close()
         tuner.close()
 

@@ -561,11 +561,27 @@ class TestRunLevelTopology:
         assert tuner.topology.depth == 2
         for round_result in result.rounds:
             assert len(round_result.tier_bytes) == 2
-            assert sum(round_result.tier_bytes) == round_result.edge_bytes
-            assert sum(round_result.tier_seconds) == pytest.approx(
-                round_result.edge_seconds)
-            assert sum(round_result.tier_payloads) == round_result.edge_payloads
             assert all(b > 0 for b in round_result.tier_bytes)
+
+    @pytest.mark.parametrize("scheduler", ["sync", "async"])
+    def test_edge_totals_are_what_the_tree_returned(self, vocab, tiny_config, scheduler):
+        server, participants, test, config = build_federation(
+            vocab, tiny_config, edge_tiers=(2, 2), edge_latency_s=0.05,
+            scheduler=scheduler)
+        tuner = ConstantMethod(server, participants, test, config=config)
+        returned = []
+        aggregate = tuner.topology.aggregate
+
+        def recording(*args, **kwargs):
+            contributions, totals = aggregate(*args, **kwargs)
+            returned.append(totals)
+            return contributions, totals
+
+        tuner.topology.aggregate = recording
+        result = tuner.run(3)
+        assert len(returned) == 3 and all(t.seconds > 0 for t in returned)
+        assert [(r.edge_bytes, r.edge_seconds, r.edge_payloads) for r in result.rounds] == [
+            (t.total_bytes, t.seconds, t.payloads) for t in returned]
 
     def _run_states(self, vocab, tiny_config, **config_kwargs):
         server, participants, test, config = build_federation(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.federated import RoundResult, RunResult
 from repro.models.presets import ARCHITECTURE_DESCRIPTORS
 from repro.systems import (
     CONSUMER_GPU,
@@ -12,7 +13,6 @@ from repro.systems import (
     MemoryModel,
     RoundCostBreakdown,
     RoundTimeline,
-    RunTimeline,
     SimulatedClock,
     heterogeneous_fleet,
 )
@@ -160,14 +160,20 @@ class TestTimeline:
         assert totals["training"] == pytest.approx(5.0)
         assert totals["profiling"] == pytest.approx(1.0)
 
-    def test_run_timeline_aggregation(self):
-        run = RunTimeline()
+    def test_run_result_totals_read_the_rounds(self):
+        rounds = []
         for r in range(2):
             timeline = RoundTimeline(round_index=r)
             timeline.record_participant(0, RoundCostBreakdown(training=2.0))
-            run.add(timeline)
-        assert run.total_time() == pytest.approx(4.0)
+            rounds.append(RoundResult(round_index=r, train_loss=1.0, metric_value=0.1,
+                                      simulated_time=2.0 * (r + 1),
+                                      round_duration=timeline.round_duration(),
+                                      timeline=timeline))
+        run = RunResult(method="test", target=1.0, rounds=rounds)
+        assert run.total_time == pytest.approx(4.0)
         assert run.phase_totals()["training"] == pytest.approx(4.0)
 
     def test_empty_run_totals(self):
-        assert RunTimeline().phase_totals() == {}
+        run = RunResult(method="test", target=1.0, rounds=[])
+        assert run.phase_totals() == {}
+        assert run.total_time == 0
